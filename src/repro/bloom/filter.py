@@ -77,11 +77,6 @@ class BitArrayBloomFilter:
         self._insert(np.asarray(keys, dtype=np.int64))
 
     @property
-    def design_fpr(self) -> float:
-        """The false-positive rate this filter was sized for."""
-        return self._fpr
-
-    @property
     def num_bits(self) -> int:
         return self._num_bits
 
@@ -158,10 +153,6 @@ class AnalyticalBloomFilter:
             self._num_bits = int(
                 math.ceil(-len(sorted_keys) * math.log(fpr) / (_LN2 * _LN2))
             )
-
-    @property
-    def design_fpr(self) -> float:
-        return self._fpr
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
         if len(self._sorted_keys) == 0:

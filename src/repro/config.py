@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.errors import ConfigError
 
@@ -169,3 +170,20 @@ class SystemConfig:
     def with_updates(self, **changes: object) -> "SystemConfig":
         """Return a copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
+
+
+def config_to_state(config: SystemConfig) -> Dict[str, object]:
+    """``SystemConfig`` as a plain dict (enums by value)."""
+    state = dataclasses.asdict(config)
+    state["bloom_scheme"] = config.bloom_scheme.value
+    state["bloom_mode"] = config.bloom_mode.value
+    return state
+
+
+def config_from_state(state: Dict[str, object]) -> SystemConfig:
+    """Rebuild a ``SystemConfig`` from :func:`config_to_state` output."""
+    fields = dict(state)
+    fields["bloom_scheme"] = BloomScheme(fields["bloom_scheme"])
+    fields["bloom_mode"] = BloomMode(fields["bloom_mode"])
+    fields["costs"] = CostModelParams(**fields["costs"])
+    return SystemConfig(**fields)

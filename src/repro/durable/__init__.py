@@ -13,9 +13,11 @@ production LSM store recovers from (DESIGN.md §13):
   block) mapping 1:1 onto the in-memory :class:`~repro.lsm.run.SortedRun`;
 * :mod:`repro.durable.manifest` — an append-only edit log of run
   installs/drops per level with an atomic ``CURRENT`` pointer swap;
-* :mod:`repro.durable.store` — :class:`DurableStore`, composing the three
-  around an in-memory :class:`~repro.lsm.tree.LSMTree` working set while
-  satisfying the structural :class:`~repro.engine.base.KVEngine` protocol;
+* :mod:`repro.durable.store` — :class:`DurableStore`, an
+  :class:`~repro.lsm.tree.LSMTree` subclass that owns the three and
+  overrides only what durability changes (the in-memory structure stays
+  the working set; the :class:`~repro.engine.base.KVEngine` surface is
+  inherited);
 * :mod:`repro.durable.faults` — deterministic crash-point injection used
   by the crash-recovery scenario suite (``scripts/crash_smoke.py``).
 

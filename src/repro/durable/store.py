@@ -1,14 +1,16 @@
-"""`DurableStore`: a crash-recoverable KVEngine over an in-memory LSMTree.
+"""`DurableStore`: a crash-recoverable :class:`~repro.lsm.tree.LSMTree`.
 
-The store composes the three durable primitives around an unmodified
-:class:`~repro.lsm.tree.LSMTree` working set:
+The store *is* an LSM-tree (a subclass: the in-memory structure stays the
+working set every read is served from) that owns the three durable
+primitives and overrides only what durability changes:
 
 * every write appends to the WAL (and fsyncs a sync marker — the ack
   boundary) *before* touching the memtable;
 * every run the tree installs is mirrored to an SSTable file the moment
-  the in-memory install happens (via the tree's change-observer hooks),
-  and every flush cascade commits one manifest edit recording the adds,
-  drops, the new WAL head and a conservative ``checkpoint_seqno``;
+  the in-memory install happens (the ``_run_installed`` /
+  ``_runs_dropped`` / ``_flush_completed`` template methods), and every
+  flush cascade commits one manifest edit recording the adds, drops, the
+  new WAL head and a conservative ``checkpoint_seqno``;
 * recovery replays MANIFEST → opens the live SSTables → replays the WAL
   tail, then garbage-collects orphan files from interrupted commits.
 
@@ -16,7 +18,7 @@ Write protocol (the order is the whole durability argument)::
 
     put_batch(keys, values):
       1. WAL append + fsync sync marker          -> op is ACKNOWLEDGED
-      2. tree.put_batch                           (may flush/compact)
+      2. LSMTree.put_batch                        (may flush/compact)
            per installed run: write SSTable file (fsync, tmp+rename)
            per flush cascade: append manifest edit (fsync), rotate WAL,
                               delete covered segments + dropped tables
@@ -37,8 +39,8 @@ re-apply a prefix the SSTables already hold, which is harmless under
 newest-wins merge semantics; what it can never do is lose an
 acknowledged suffix.
 
-SimClock discipline: the inner tree charges all simulated costs exactly
-as the in-memory engine does — the durable layer never touches the
+SimClock discipline: the inherited engine charges all simulated costs
+exactly as a bare tree does — the durable overrides never touch the
 simulated clock, RNG, cache or counters, so a ``DurableStore`` is
 bit-identical to a bare ``LSMTree`` in every simulated observable. Wall
 time spent on real file I/O is tallied in :attr:`telemetry` and exported
@@ -49,11 +51,16 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import SystemConfig, TransitionKind
+from repro.config import (
+    SystemConfig,
+    TransitionKind,
+    config_from_state,
+    config_to_state,
+)
 from repro.durable import faults
 from repro.durable.manifest import (
     ManifestState,
@@ -73,12 +80,10 @@ from repro.durable.wal import (
     segment_path,
 )
 from repro.errors import DurabilityError
-from repro.lsm.entry import MAX_KEY, MIN_KEY, TOMBSTONE
+from repro.lsm.entry import MAX_KEY, MIN_KEY, TOMBSTONE, validate_batch
 from repro.lsm.policy import PolicyLike, resolve_policy
 from repro.lsm.run import SortedRun
-from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
-from repro.storage.pager import IOCounters
 
 
 class RecoveryReport(NamedTuple):
@@ -104,33 +109,32 @@ def _sstable_filename(run_id: int, level_no: int) -> str:
     return os.path.basename(sstable_path("", run_id, level_no))
 
 
-class DurableStore:
-    """A durable :class:`~repro.engine.base.KVEngine` backed by one
-    :class:`~repro.lsm.tree.LSMTree` plus a WAL, SSTables and a manifest
-    in ``data_dir``.
+class DurableStore(LSMTree):
+    """An :class:`~repro.lsm.tree.LSMTree` whose writes and structure
+    changes are mirrored to a WAL, SSTables and a manifest in ``data_dir``.
 
     Opening an empty (or absent) directory creates a fresh store —
     ``config`` is then required. Opening a directory holding a ``CURRENT``
     pointer recovers the store; a ``config`` passed alongside must match
     the one recorded in the manifest.
 
-    The store registers itself as the tree's only tuning target so the
-    serving layer's write path (which writes through ``tuning_targets``)
-    cannot bypass the WAL; the tuner-facing tree surface (``levels``,
-    ``level()``, ``set_policy``, ``set_named_policy``, ...) is delegated
-    with manifest commits wrapped around every mutation.
+    Everything durability does not change — the read path, mission
+    windows, the tuner-facing surface, introspection — is inherited. The
+    overrides journal writes before applying them and commit one manifest
+    edit per outermost policy/structure mutator; as its own (inherited)
+    tuning target, the store cannot be bypassed by the serving layer's
+    write path.
     """
 
     # Durable state lives in the WAL/manifest/SSTables on disk, not in the
     # pickle snapshot: the _pending_* accumulators and _segment_max_seqno
-    # map are re-derived by _recover() on reopen, config and
-    # rotate_manifest_every come from the blueprint, telemetry/_profile are
-    # injected observers, and last_recovery/_closed are per-process
-    # lifecycle flags.
+    # map are re-derived by _recover() on reopen, rotate_manifest_every
+    # comes from the blueprint, telemetry is host-side measurement, and
+    # last_recovery/_closed/_in_mutator are per-process lifecycle flags.
     _snapshot_exempt = frozenset({
-        "rotate_manifest_every", "_profile", "telemetry", "_pending_ops",
+        "rotate_manifest_every", "telemetry", "_pending_ops",
         "_pending_deletions", "_pending_wal_head", "_segment_max_seqno",
-        "_closed", "last_recovery", "config",
+        "_closed", "_in_mutator", "last_recovery",
     })
 
     def __init__(
@@ -143,7 +147,6 @@ class DurableStore:
     ) -> None:
         self.data_dir = os.fspath(data_dir)
         self.rotate_manifest_every = max(2, int(rotate_manifest_every))
-        self._profile = profile
         #: Wall-clock/file-volume telemetry (never simulated state); see
         #: :func:`repro.obs.collect.collect_durable_metrics`.
         self.telemetry: Dict[str, float] = {
@@ -169,27 +172,24 @@ class DurableStore:
         #: WAL segment id -> highest seqno its on-disk records cover.
         self._segment_max_seqno: Dict[int, int] = {}
         self._closed = False
+        #: True while a policy/structure mutator is running, so the
+        #: mutators it nests through ``self`` leave the commit to it.
+        self._in_mutator = False
 
         os.makedirs(self.data_dir, exist_ok=True)
         if os.path.exists(current_path(self.data_dir)):
-            self.last_recovery = self._recover(config)
+            self.last_recovery = self._recover(config, profile)
         else:
             if config is None:
                 raise DurabilityError(
                     f"{self.data_dir} holds no store and no config was given"
                 )
-            self.last_recovery = self._create(config)
-        self.config = self._tree.config
+            self.last_recovery = self._create(config, profile)
 
     # ------------------------------------------------------------------
     # Creation / recovery
     # ------------------------------------------------------------------
-    def _config_state(self, config: SystemConfig) -> Dict[str, object]:
-        from repro.persist.snapshot import config_to_state
-
-        return config_to_state(config)
-
-    def _create(self, config: SystemConfig) -> RecoveryReport:
+    def _create(self, config: SystemConfig, profile: bool) -> RecoveryReport:
         leftovers = [
             name
             for name in os.listdir(self.data_dir)
@@ -200,10 +200,9 @@ class DurableStore:
                 f"{self.data_dir} holds store files but no CURRENT pointer "
                 f"({sorted(leftovers)[:4]}...); refusing to overwrite"
             )
-        self._tree = LSMTree(config, profile=self._profile)
-        self._tree.set_change_observer(self)
+        super().__init__(config, profile=profile)
         self._state = ManifestState()
-        self._state.config_state = self._config_state(config)
+        self._state.config_state = config_to_state(config)
         self._state.wal_head = 1
         self._manifest = ManifestWriter(self.data_dir, 1)
         self._manifest.append_edit(self._state.snapshot_edit())
@@ -237,9 +236,9 @@ class DurableStore:
             replay_wall_s=0.0,
         )
 
-    def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
-        from repro.persist.snapshot import config_from_state
-
+    def _recover(
+        self, config: Optional[SystemConfig], profile: bool
+    ) -> RecoveryReport:
         t0 = perf_counter()
         state, manifest_id, manifest_torn = read_manifest(self.data_dir)
         if state.config_state is None:
@@ -253,30 +252,30 @@ class DurableStore:
             )
         config = recorded
 
-        tree = LSMTree(config, profile=self._profile)
+        super().__init__(config, profile=profile)
         if state.n_levels:
-            tree._ensure_level(state.n_levels)
-        for level, (policy, pending) in zip(tree.levels, state.policies):
+            self._ensure_level(state.n_levels)
+        for level, (policy, pending) in zip(self.levels, state.policies):
             level.set_policy_immediate(policy)
             level.pending_policy = pending
         if state.named_policy is not None:
-            tree.compaction_policy = resolve_policy(state.named_policy)
-        if state.bits_per_key is not None and tree.levels:
-            tree.set_bits_per_key(state.bits_per_key)
+            self.compaction_policy = resolve_policy(state.named_policy)
+        if state.bits_per_key is not None and self.levels:
+            super().set_bits_per_key(state.bits_per_key)
 
         # Open live SSTables in manifest order (per level: oldest first).
         runs_opened = 0
         max_run_id = -1
         for level_no in sorted(state.files):
-            tree._ensure_level(level_no)
-            level = tree.level(level_no)
+            self._ensure_level(level_no)
+            level = self.level(level_no)
             for run_id, filename in state.files[level_no]:
                 path = os.path.join(self.data_dir, filename)
                 if not os.path.exists(path):
                     raise DurabilityError(
                         f"manifest names missing SSTable {filename}"
                     )
-                run, _ = read_sstable(path, config.bloom_mode, tree._rng)
+                run, _ = read_sstable(path, config.bloom_mode, self._rng)
                 if run.run_id != run_id or run.level_no != level_no:
                     raise DurabilityError(
                         f"SSTable {filename} identifies as run {run.run_id} "
@@ -289,7 +288,7 @@ class DurableStore:
         # run's capacity (and may seal it) without rewriting its file, so
         # the authoritative post-recovery state is recomputed from the
         # level's policy, not trusted from the header.
-        for level in tree.levels:
+        for level in self.levels:
             for run in level.runs[:-1]:
                 run.sealed = True
             if level.runs and not level.runs[-1].sealed:
@@ -297,8 +296,8 @@ class DurableStore:
                 tail.capacity_entries = level.active_run_capacity()
                 if tail.n_entries >= tail.capacity_entries:
                     tail.seal()
-        tree._next_run_id = max(state.next_run_id, max_run_id + 1)
-        tree.check_invariants()
+        self._next_run_id = max(state.next_run_id, max_run_id + 1)
+        super().check_invariants()
 
         # Read every WAL segment; truncate torn tails to the last valid
         # record so post-recovery appends extend a clean prefix.
@@ -356,7 +355,6 @@ class DurableStore:
 
         # Wire up the live write path *before* replay: a replay-induced
         # flush must commit durably like any other flush.
-        self._tree = tree
         self._state = state
         self._manifest = ManifestWriter(self.data_dir, manifest_id)
         self._manifest.edits_written = state.edits_applied
@@ -369,9 +367,9 @@ class DurableStore:
         self._applied_seqno = checkpoint
         self._flushed_seqno = checkpoint
         self._inflight_floor = checkpoint
-        tree.set_change_observer(self)
 
-        # Replay the WAL tail (ops past the checkpoint) into the memtable.
+        # Replay the WAL tail (ops past the checkpoint) into the memtable
+        # through the base-class write path: the ops are already journaled.
         records_replayed = 0
         ops_replayed = 0
         for _, reader in kept_readers:
@@ -386,10 +384,10 @@ class DurableStore:
                     self._applied_seqno, first + skip - 1
                 )
                 if record.op == OP_PUT:
-                    tree.put_batch(record.keys[skip:], record.values[skip:])
+                    super().put_batch(record.keys[skip:], record.values[skip:])
                 else:
                     for key in record.keys[skip:]:
-                        tree.delete(int(key))
+                        super().delete(int(key))
                 self._applied_seqno = last
                 records_replayed += 1
                 ops_replayed += record.n_ops - skip
@@ -409,7 +407,7 @@ class DurableStore:
             manifest_edits=state.edits_applied,
             manifest_torn=manifest_torn,
             runs_opened=runs_opened,
-            recovered_entries=tree.total_entries,
+            recovered_entries=self.total_entries,
             checkpoint_seqno=checkpoint,
             recovered_seqno=recovered_seqno,
             wal_segments=len(kept_readers),
@@ -421,9 +419,9 @@ class DurableStore:
         )
 
     # ------------------------------------------------------------------
-    # Change-observer hooks (invoked synchronously by the inner tree)
+    # Structure-change hooks (LSMTree template methods)
     # ------------------------------------------------------------------
-    def run_installed(
+    def _run_installed(
         self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]
     ) -> None:
         faults.maybe_crash("commit.before")
@@ -434,19 +432,16 @@ class DurableStore:
         self.telemetry["sstables_written"] += 1
         self.telemetry["sstable_bytes"] += n_bytes
         if replaced_run_id is not None:
-            self._pending_ops.append(["drop", level_no, replaced_run_id])
-            self._pending_deletions.append(
-                _sstable_filename(replaced_run_id, level_no)
-            )
+            self._runs_dropped(level_no, [replaced_run_id])
         self._pending_ops.append(["add", level_no, run.run_id, filename])
         faults.maybe_crash("commit.mid")
 
-    def runs_dropped(self, level_no: int, run_ids: Sequence[int]) -> None:
+    def _runs_dropped(self, level_no: int, run_ids: Sequence[int]) -> None:
         for run_id in run_ids:
             self._pending_ops.append(["drop", level_no, run_id])
             self._pending_deletions.append(_sstable_filename(run_id, level_no))
 
-    def flush_completed(self) -> None:
+    def _flush_completed(self) -> None:
         """One flush cascade finished: commit its edits and rotate the WAL.
 
         The drained memtable held every op up to ``_inflight_floor`` (plus
@@ -461,15 +456,14 @@ class DurableStore:
     # Commit machinery
     # ------------------------------------------------------------------
     def _meta_fields(self) -> Dict[str, object]:
-        tree = self._tree
         return {
-            "n_levels": tree.n_levels,
+            "n_levels": self.n_levels,
             "policies": [
-                [level.policy, level.pending_policy] for level in tree.levels
+                [level.policy, level.pending_policy] for level in self.levels
             ],
-            "named_policy": tree.named_policy(),
-            "next_run_id": tree._next_run_id,
-            "bits_per_key": tree.bits_per_key,
+            "named_policy": self.named_policy(),
+            "next_run_id": self._next_run_id,
+            "bits_per_key": self.bits_per_key,
         }
 
     def _rotate_wal(self) -> None:
@@ -494,7 +488,13 @@ class DurableStore:
 
     def _commit(self) -> None:
         """Append one manifest edit covering all buffered structure changes
-        (plus current policy/meta state), then delete newly dead files."""
+        (possibly none — policy metadata alone) plus current policy/meta
+        state, then delete newly dead files.
+
+        The checkpoint is always ``_flushed_seqno``: only a flush moves
+        data into SSTables, so a metadata commit must not let the WAL tail
+        (acked ops still living only in the memtable) become deletable.
+        """
         if self._closed:
             raise DurabilityError(f"store at {self.data_dir} is closed")
         edit: Dict[str, object] = {
@@ -547,37 +547,22 @@ class DurableStore:
         self._manifest.edits_written = 0
         self.telemetry["manifest_rotations"] += 1
 
-    def _commit_meta(self) -> None:
-        """Commit buffered edits (possibly none — policy metadata alone).
-
-        The checkpoint stays at ``_flushed_seqno``: a metadata commit
-        moves no data into SSTables, so it must not let the WAL tail
-        (acked ops still living only in the memtable) become deletable.
-        """
-        self._commit()
-
     # ------------------------------------------------------------------
-    # Write path (WAL first, then the tree)
+    # Write path (WAL first, then the inherited in-memory apply)
     # ------------------------------------------------------------------
-    def _ack_wal_put(self, keys: np.ndarray, values: np.ndarray) -> int:
+    def _ack_wal(
+        self, keys: np.ndarray, values: Optional[np.ndarray] = None
+    ) -> int:
+        """Journal one record — a put of ``values``, or a delete when there
+        are none — and fsync its sync marker; the op is acknowledged when
+        this returns. Returns its first seqno."""
         seq = self._next_seqno
         t0 = perf_counter()
         before = self._wal.bytes_appended
-        self._wal.append_put(seq, keys, values)
-        self._next_seqno = seq + len(keys)
-        self._wal.sync(self._next_seqno - 1)
-        self.telemetry["wall_wal_s"] += perf_counter() - t0
-        self.telemetry["wal_bytes"] += self._wal.bytes_appended - before
-        self.telemetry["wal_records"] += 1
-        self.telemetry["wal_syncs"] += 1
-        self._acked_seqno = self._next_seqno - 1
-        return seq
-
-    def _ack_wal_delete(self, keys: np.ndarray) -> int:
-        seq = self._next_seqno
-        t0 = perf_counter()
-        before = self._wal.bytes_appended
-        self._wal.append_delete(seq, keys)
+        if values is None:
+            self._wal.append_delete(seq, keys)
+        else:
+            self._wal.append_put(seq, keys, values)
         self._next_seqno = seq + len(keys)
         self._wal.sync(self._next_seqno - 1)
         self.telemetry["wall_wal_s"] += perf_counter() - t0
@@ -598,30 +583,41 @@ class DurableStore:
         )
 
     def delete(self, key: int) -> None:
-        keys = np.array([key], dtype=np.int64)
-        seq = self._ack_wal_delete(keys)
+        seq = self._ack_wal(np.array([key], dtype=np.int64))
         self._inflight_floor = seq - 1
-        self._tree.delete(int(key))
+        super().delete(int(key))
         self._applied_seqno = self._inflight_floor = self._next_seqno - 1
 
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
-        keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        if len(keys) != len(values):
-            raise ValueError("keys and values must have equal length")
+        # Reject a bad batch before it is journaled, not after.
+        keys, values = validate_batch(keys, values)
         if len(keys) == 0:
             return
-        if (values == TOMBSTONE).any():
-            raise ValueError(
-                "value collides with the tombstone sentinel; "
-                f"use a value other than {TOMBSTONE}"
-            )
-        seq = self._ack_wal_put(keys, values)
+        seq = self._ack_wal(keys, values)
         # Conservative floor while this op is in flight: a flush mid-batch
         # may only checkpoint the last op *fully* applied before it.
         self._inflight_floor = seq - 1
-        self._tree.put_batch(keys, values)
+        super().put_batch(keys, values)
         self._applied_seqno = self._inflight_floor = self._next_seqno - 1
+
+    # ------------------------------------------------------------------
+    # Policy / structure mutators: inherited behaviour, then one commit
+    # ------------------------------------------------------------------
+    def _mutate(self, mutator: Callable[..., None], *args: object) -> None:
+        """Run an inherited mutator, then commit its buffered edits and the
+        new policy metadata — once, at the outermost call: the base class
+        nests these through ``self`` (``set_named_policy`` →
+        ``set_policies`` → ``set_policy`` → ``force_merge_level``), and the
+        inherited ``apply_*`` aliases enter through them."""
+        if self._in_mutator:
+            mutator(*args)
+            return
+        self._in_mutator = True
+        try:
+            mutator(*args)
+        finally:
+            self._in_mutator = False
+        self._commit()
 
     def bulk_load(
         self,
@@ -631,169 +627,39 @@ class DurableStore:
     ) -> None:
         """Bulk-populate the empty store; runs land directly as SSTables
         (no WAL traffic — there is nothing to replay)."""
-        self._tree.bulk_load(keys, values, distribute=distribute)
-        self._commit_meta()
-
-    # ------------------------------------------------------------------
-    # Read path (pure delegation — reads never touch the durable layer)
-    # ------------------------------------------------------------------
-    def get(self, key: int) -> Optional[int]:
-        return self._tree.get(key)
-
-    def get_strict(self, key: int) -> int:
-        return self._tree.get_strict(key)
-
-    def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self._tree.get_batch(keys)
-
-    def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        return self._tree.range_lookup(lo, hi)
-
-    def range_scan(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self._tree.range_scan(lo, hi)
-
-    def range_scan_batch(
-        self, los: np.ndarray, his: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._tree.range_scan_batch(los, his)
-
-    # ------------------------------------------------------------------
-    # Mission windows / tuning surface (KVEngine contract)
-    # ------------------------------------------------------------------
-    def begin_mission(self) -> None:
-        self._tree.begin_mission()
-
-    def end_mission(self) -> MissionStats:
-        return self._tree.end_mission()
-
-    def tuning_targets(self) -> List["DurableStore"]:
-        """The store itself: tuners (and the serving write path) must go
-        through the WAL-wrapped surface, never the bare inner tree."""
-        return [self]
-
-    def last_mission_breakdown(self) -> List[MissionStats]:
-        return self._tree.last_mission_breakdown()
-
-    def policies(self) -> List[int]:
-        return self._tree.policies()
-
-    def apply_transition(
-        self, policies: Sequence[int], transition: TransitionKind
-    ) -> None:
-        self._tree.apply_transition(policies, transition)
-        self._commit_meta()
-
-    def named_policy(self) -> Optional[str]:
-        return self._tree.named_policy()
-
-    def apply_named_policy(
-        self,
-        policy: PolicyLike,
-        transition: TransitionKind = TransitionKind.FLEXIBLE,
-    ) -> None:
-        self._tree.apply_named_policy(policy, transition)
-        self._commit_meta()
-
-    # Tuner-facing tree surface (tuning_targets() returns the store, so
-    # everything a Tuner reads or mutates on a "tree" must exist here).
-    @property
-    def levels(self):
-        return self._tree.levels
-
-    @property
-    def n_levels(self) -> int:
-        return self._tree.n_levels
-
-    def level(self, level_no: int):
-        return self._tree.level(level_no)
-
-    @property
-    def compaction_policy(self):
-        return self._tree.compaction_policy
-
-    @property
-    def memtable(self):
-        return self._tree.memtable
-
-    @property
-    def read_profiler(self):
-        return self._tree.read_profiler
+        self._mutate(super().bulk_load, keys, values, distribute)
 
     def set_policy(
         self, level_no: int, new_policy: int, transition: TransitionKind
     ) -> None:
-        self._tree.set_policy(level_no, new_policy, transition)
-        self._commit_meta()
+        self._mutate(super().set_policy, level_no, new_policy, transition)
 
     def set_policies(
         self, new_policies: Sequence[int], transition: TransitionKind
     ) -> None:
-        self._tree.set_policies(new_policies, transition)
-        self._commit_meta()
+        self._mutate(super().set_policies, new_policies, transition)
 
     def set_named_policy(
         self,
         policy: PolicyLike,
         transition: TransitionKind = TransitionKind.FLEXIBLE,
     ) -> None:
-        self._tree.set_named_policy(policy, transition)
-        self._commit_meta()
+        self._mutate(super().set_named_policy, policy, transition)
 
     def set_bits_per_key(self, bits_per_key: float) -> None:
-        self._tree.set_bits_per_key(bits_per_key)
-        self._commit_meta()
+        self._mutate(super().set_bits_per_key, bits_per_key)
 
-    @property
-    def bits_per_key(self) -> float:
-        return self._tree.bits_per_key
+    def force_merge_level(self, level_no: int) -> None:
+        self._mutate(super().force_merge_level, level_no)
 
-    def describe(self) -> List[Dict[str, object]]:
-        return self._tree.describe()
-
-    def read_amplification_snapshot(self) -> Dict[int, int]:
-        return self._tree.read_amplification_snapshot()
-
-    # ------------------------------------------------------------------
-    # Observability / introspection (KVEngine contract)
-    # ------------------------------------------------------------------
-    def set_tracer(self, tracer) -> None:
-        self._tree.set_tracer(tracer)
-
-    @property
-    def tracer(self):
-        return self._tree.tracer
-
-    @property
-    def stats(self):
-        return self._tree.stats
-
-    @property
-    def cache_hits(self) -> int:
-        return self._tree.cache_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._tree.cache_misses
-
-    @property
-    def io_counters(self) -> IOCounters:
-        return self._tree.io_counters
-
-    @property
-    def clock_now(self) -> float:
-        return self._tree.clock_now
-
-    @property
-    def total_entries(self) -> int:
-        return self._tree.total_entries
+    def rebuild_level_in_place(self, level_no: int) -> None:
+        self._mutate(super().rebuild_level_in_place, level_no)
 
     def check_invariants(self) -> None:
-        self._tree.check_invariants()
+        super().check_invariants()
         for level_no, runs in self._state.files.items():
             manifest_ids = [run_id for run_id, _ in runs]
-            tree_ids = [
-                run.run_id for run in self._tree.level(level_no).runs
-            ]
+            tree_ids = [run.run_id for run in self.level(level_no).runs]
             if manifest_ids != tree_ids:
                 raise DurabilityError(
                     f"level {level_no}: manifest runs {manifest_ids} diverge "
@@ -815,7 +681,7 @@ class DurableStore:
         :meth:`load_state_dict` re-materializes the directory from it.
         """
         return {
-            "tree": self._tree.state_dict(),
+            "tree": super().state_dict(),
             "data_dir": self.data_dir,
             "next_seqno": self._next_seqno,
             "acked_seqno": self._acked_seqno,
@@ -830,12 +696,7 @@ class DurableStore:
         files are removed — after this the directory recovers to exactly
         the snapshot, not to whatever preceded the load.
         """
-        observer = self._tree.change_observer
-        self._tree.set_change_observer(None)
-        try:
-            self._tree.load_state_dict(state["tree"])
-        finally:
-            self._tree.set_change_observer(observer)
+        super().load_state_dict(state["tree"])
         self._next_seqno = int(state["next_seqno"])
         self._acked_seqno = int(state["acked_seqno"])
         self._applied_seqno = self._inflight_floor = self._next_seqno - 1
@@ -843,7 +704,6 @@ class DurableStore:
 
     def _rematerialize(self) -> None:
         """Rebuild every durable file from the current in-memory tree."""
-        tree = self._tree
         self._wal.close()
         self._manifest.close()
         old_files = [
@@ -853,10 +713,10 @@ class DurableStore:
             or name.startswith(("wal-", "MANIFEST-"))
         ]
         new_state = ManifestState()
-        new_state.config_state = self._config_state(tree.config)
+        new_state.config_state = config_to_state(self.config)
         new_id = self._manifest.manifest_id + 1
         kept: set = set()
-        for level in tree.levels:
+        for level in self.levels:
             for run in level.runs:
                 filename = _sstable_filename(run.run_id, level.level_no)
                 write_sstable(os.path.join(self.data_dir, filename), run)
@@ -870,13 +730,7 @@ class DurableStore:
         checkpoint = self._next_seqno - 1
         new_state.checkpoint_seqno = checkpoint
         new_state.wal_head = 1
-        new_state.n_levels = tree.n_levels
-        new_state.policies = [
-            (level.policy, level.pending_policy) for level in tree.levels
-        ]
-        new_state.named_policy = tree.named_policy()
-        new_state.next_run_id = tree._next_run_id
-        new_state.bits_per_key = tree.bits_per_key
+        new_state.apply_edit(self._meta_fields())
         writer = ManifestWriter(self.data_dir, new_id)
         writer.append_edit(new_state.snapshot_edit())
         write_current(self.data_dir, new_id)
@@ -896,7 +750,7 @@ class DurableStore:
         self._wal = WalWriter(segment_path(self.data_dir, 1))
         self._wal_head_id = 1
         self._flushed_seqno = checkpoint
-        buffered = tree.memtable.range_items(MIN_KEY, MAX_KEY)
+        buffered = self.memtable.range_items(MIN_KEY, MAX_KEY)
         if buffered:
             all_keys = np.fromiter(
                 buffered.keys(), dtype=np.int64, count=len(buffered)
@@ -906,9 +760,9 @@ class DurableStore:
             )
             live = all_values != TOMBSTONE
             if live.any():
-                self._ack_wal_put(all_keys[live], all_values[live])
+                self._ack_wal(all_keys[live], all_values[live])
             if (~live).any():
-                self._ack_wal_delete(all_keys[~live])
+                self._ack_wal(all_keys[~live])
         self._applied_seqno = self._inflight_floor = self._next_seqno - 1
 
     # ------------------------------------------------------------------
@@ -932,6 +786,6 @@ class DurableStore:
     def __repr__(self) -> str:
         return (
             f"DurableStore(dir={self.data_dir!r}, "
-            f"entries={self._tree.total_entries}, "
+            f"entries={self.total_entries}, "
             f"acked_seqno={self._acked_seqno})"
         )

@@ -33,7 +33,7 @@ from repro.lsm.rangepath import (
     scan_batch,
 )
 from repro.lsm.stats import MissionStats, StatsCollector
-from repro.lsm.tree import LSMTree
+from repro.lsm.tree import LSMTree, open_span
 from repro.storage.pager import IOCounters
 
 if TYPE_CHECKING:  # obs depends on engine; annotate lazily to avoid a cycle
@@ -270,19 +270,12 @@ class ShardedStore:
             raise ValueError("keys and values must have equal length")
         if len(keys) == 0:
             return
-        tracer = self.tracer
-        if tracer is None:
-            self._put_batch_impl(keys, values)
-            return
-        with tracer.span("store.put_batch", n_keys=len(keys)):
-            self._put_batch_impl(keys, values)
-
-    def _put_batch_impl(self, keys: np.ndarray, values: np.ndarray) -> None:
-        if self.n_shards == 1:
-            self.shards[0].put_batch(keys, values)
-            return
-        for s, idx in self._shard_groups(keys):
-            self.shards[s].put_batch(keys[idx], values[idx])
+        with open_span(self.tracer, "store.put_batch", n_keys=len(keys)):
+            if self.n_shards == 1:
+                self.shards[0].put_batch(keys, values)
+                return
+            for s, idx in self._shard_groups(keys):
+                self.shards[s].put_batch(keys[idx], values[idx])
 
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized lookups grouped per shard (one batch call per shard
@@ -294,22 +287,14 @@ class ShardedStore:
         values = np.zeros(n, dtype=np.int64)
         if n == 0:
             return found, values
-        tracer = self.tracer
-        if tracer is None:
-            return self._get_batch_impl(keys, found, values)
-        with tracer.span("store.get_batch", n_keys=n):
-            return self._get_batch_impl(keys, found, values)
-
-    def _get_batch_impl(
-        self, keys: np.ndarray, found: np.ndarray, values: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        if self.n_shards == 1:
-            return self.shards[0].get_batch(keys)
-        for s, idx in self._shard_groups(keys):
-            shard_found, shard_values = self.shards[s].get_batch(keys[idx])
-            found[idx] = shard_found
-            values[idx] = shard_values
-        return found, values
+        with open_span(self.tracer, "store.get_batch", n_keys=n):
+            if self.n_shards == 1:
+                return self.shards[0].get_batch(keys)
+            for s, idx in self._shard_groups(keys):
+                shard_found, shard_values = self.shards[s].get_batch(keys[idx])
+                found[idx] = shard_found
+                values[idx] = shard_values
+            return found, values
 
     def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """Cross-shard range scan.
@@ -368,32 +353,24 @@ class ShardedStore:
         n_ranges = len(los)
         if n_ranges == 0:
             return empty_batch_result(0)
-        tracer = self.tracer
-        if tracer is None:
-            return self._range_scan_batch_impl(los, his, n_ranges)
-        with tracer.span("store.range_scan_batch", n_ranges=n_ranges):
-            return self._range_scan_batch_impl(los, his, n_ranges)
-
-    def _range_scan_batch_impl(
-        self, los: np.ndarray, his: np.ndarray, n_ranges: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        homes = np.bincount(shard_of(los, self.n_shards), minlength=self.n_shards)
-        for s in range(self.n_shards):
-            if homes[s]:
-                self.shards[s].stats.count_range(int(homes[s]))
-        rid_range = np.arange(n_ranges, dtype=np.int64)
-        rid_parts: List[np.ndarray] = []
-        key_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        for shard in self.shards:
-            keys, values, offsets = scan_batch(shard, los, his)
-            if len(keys):
-                rid_parts.append(np.repeat(rid_range, np.diff(offsets)))
-                key_parts.append(keys)
-                value_parts.append(values)
-        return merge_tagged_segments(
-            rid_parts, key_parts, value_parts, n_ranges
-        )
+        with open_span(self.tracer, "store.range_scan_batch", n_ranges=n_ranges):
+            homes = np.bincount(shard_of(los, self.n_shards), minlength=self.n_shards)
+            for s in range(self.n_shards):
+                if homes[s]:
+                    self.shards[s].stats.count_range(int(homes[s]))
+            rid_range = np.arange(n_ranges, dtype=np.int64)
+            rid_parts: List[np.ndarray] = []
+            key_parts: List[np.ndarray] = []
+            value_parts: List[np.ndarray] = []
+            for shard in self.shards:
+                keys, values, offsets = scan_batch(shard, los, his)
+                if len(keys):
+                    rid_parts.append(np.repeat(rid_range, np.diff(offsets)))
+                    key_parts.append(keys)
+                    value_parts.append(values)
+            return merge_tagged_segments(
+                rid_parts, key_parts, value_parts, n_ranges
+            )
 
     def bulk_load(
         self, keys: np.ndarray, values: np.ndarray, distribute: bool = False

@@ -47,10 +47,6 @@ class PolicyError(ReproError):
     integer in ``[1, T]``)."""
 
 
-class TransitionError(ReproError):
-    """A compaction-policy transition could not be applied."""
-
-
 class WorkloadError(ReproError):
     """A workload specification is invalid (bad mix, empty key space, ...)."""
 

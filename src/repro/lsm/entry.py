@@ -31,15 +31,32 @@ class Entry(NamedTuple):
         return self.value == TOMBSTONE
 
 
+_COLLISION = (
+    "value collides with the tombstone sentinel; "
+    f"use a value other than {TOMBSTONE}"
+)
+
+
 def validate_value(value: int) -> int:
     """Reject user values that collide with the tombstone sentinel."""
     value = int(value)
     if value == TOMBSTONE:
-        raise ValueError(
-            "value collides with the tombstone sentinel; "
-            f"use a value other than {TOMBSTONE}"
-        )
+        raise ValueError(_COLLISION)
     return value
+
+
+def validate_batch(
+    keys: np.ndarray, values: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Vectorized :func:`validate_value`: ``(keys, values)`` as equal-length
+    int64 arrays, rejecting any value that collides with the tombstone."""
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if len(keys) != len(values):
+        raise ValueError("keys and values must have equal length")
+    if (values == TOMBSTONE).any():
+        raise ValueError(_COLLISION)
+    return keys, values
 
 
 def merge_sorted_sources(

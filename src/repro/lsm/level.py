@@ -275,11 +275,6 @@ class Level:
         self.pending_policy = None
         self.policy = new_policy
 
-    def effective_policy(self) -> int:
-        """The policy currently governing the level's behaviour (a pending
-        lazy policy is *not* effective until the level empties)."""
-        return self.policy
-
     def check_invariants(self) -> None:
         """Raise :class:`TreeStateError` if the level violates structural
         invariants. Used by tests and the tree's debug mode."""

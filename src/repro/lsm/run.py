@@ -118,10 +118,6 @@ class SortedRun:
     def max_key(self) -> Optional[int]:
         return int(self.keys[-1]) if self.n_entries else None
 
-    @property
-    def bloom_memory_bits(self) -> int:
-        return self._bloom.memory_bits
-
     def seal(self) -> None:
         """Mark the run immutable; further policy changes never touch it."""
         self.sealed = True

@@ -19,6 +19,7 @@ are charged to the level probed as read time.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +32,12 @@ from repro.errors import (
     SnapshotError,
     TreeStateError,
 )
-from repro.lsm.entry import TOMBSTONE, merge_sorted_sources, validate_value
+from repro.lsm.entry import (
+    TOMBSTONE,
+    merge_sorted_sources,
+    validate_batch,
+    validate_value,
+)
 from repro.lsm.level import Level
 from repro.lsm.memtable import MemTable
 from repro.lsm.policy import CompactionPolicy, PolicyLike, resolve_policy
@@ -43,13 +49,22 @@ from repro.storage.cache import LRUBlockCache
 from repro.storage.clock import SimClock
 from repro.storage.pager import DiskModel, IOCounters
 
+_NO_SPAN = nullcontext()  # stateless and reentrant: one instance serves all
+
+
+def open_span(tracer, name: str, **attrs):
+    """``tracer.span(name, **attrs)``, or a shared no-op context while no
+    tracer is attached — so every traced entry point (tree, sharded store,
+    server) has a single body either way."""
+    return _NO_SPAN if tracer is None else tracer.span(name, **attrs)
+
 
 class LSMTree:
     """A simulated LSM-tree key-value store with per-level policies."""
 
-    # Injected observers (profiler / tracer / change feed) are wiring owned
-    # by the embedding layer and re-attached after load, never snapshotted.
-    _snapshot_exempt = frozenset({"read_profiler", "tracer", "change_observer"})
+    # Injected observers (profiler / tracer) are wiring owned by the
+    # embedding layer and re-attached after load, never snapshotted.
+    _snapshot_exempt = frozenset({"read_profiler", "tracer"})
 
     def __init__(
         self,
@@ -70,15 +85,6 @@ class LSMTree:
         #: Same contract as the profiler: host-clock only, zero simulated
         #: impact, one ``is None`` test per batch when disabled.
         self.tracer = None
-        #: Optional structure-change observer (attach via
-        #: :meth:`set_change_observer`). Notified synchronously whenever a
-        #: run is installed into or dropped from a level and when a
-        #: memtable flush (including its compaction cascade) completes.
-        #: The durable backend uses these hooks to mirror the in-memory
-        #: structure into SSTable files and manifest edits; like the
-        #: tracer, an observer must never touch simulated state (zero
-        #: sim impact, one ``is None`` test per mutation when disabled).
-        self.change_observer = None
         self.clock = clock if clock is not None else SimClock()
         self.stats = stats if stats is not None else StatsCollector()
         self.cache = LRUBlockCache(config.block_cache_pages)
@@ -104,16 +110,23 @@ class LSMTree:
         profiling is on, are absorbed as synthetic child spans."""
         self.tracer = tracer
 
-    def set_change_observer(self, observer) -> None:
-        """Attach (or detach with ``None``) a structure-change observer.
+    # ------------------------------------------------------------------
+    # Structure-change template methods, invoked synchronously at the
+    # mutation sites. No-ops here; the durable subclass mirrors each change
+    # to disk. An override is wall-clock-side only: it must not mutate the
+    # tree or charge simulated costs.
+    # ------------------------------------------------------------------
+    def _run_installed(
+        self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]
+    ) -> None:
+        """``run`` was installed into ``level_no`` (replacing the active
+        run ``replaced_run_id``, if any)."""
 
-        The observer receives ``run_installed(level_no, run,
-        replaced_run_id)``, ``runs_dropped(level_no, run_ids)`` and
-        ``flush_completed()`` callbacks, invoked synchronously at the
-        mutation sites. Observers are wall-clock-side only and must not
-        mutate the tree or charge simulated costs.
-        """
-        self.change_observer = observer
+    def _runs_dropped(self, level_no: int, run_ids: Sequence[int]) -> None:
+        """The runs ``run_ids`` were removed from ``level_no``."""
+
+    def _flush_completed(self) -> None:
+        """A memtable flush, including its compaction cascade, finished."""
 
     def _profile_snapshot(self) -> Optional[Dict[str, float]]:
         """Per-stage profiler totals before a traced call (None when
@@ -288,34 +301,17 @@ class LSMTree:
         by bulk inserts with one flush check per (remaining) batch instead
         of per key.
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        if len(keys) != len(values):
-            raise ValueError("keys and values must have equal length")
+        keys, values = validate_batch(keys, values)
         n = len(keys)
         if n == 0:
             return
-        if (values == TOMBSTONE).any():
-            raise ValueError(
-                "value collides with the tombstone sentinel; "
-                f"use a value other than {TOMBSTONE}"
-            )
         self.stats.count_update(n)
-        tracer = self.tracer
-        if tracer is None:
-            self._put_batch_impl(keys, values, n)
-            return
-        with tracer.span("lsm.put_batch", n_keys=n):
-            self._put_batch_impl(keys, values, n)
-
-    def _put_batch_impl(
-        self, keys: np.ndarray, values: np.ndarray, n: int
-    ) -> None:
-        start = 0
-        while start < n:
-            start += self.memtable.put_batch(keys[start:], values[start:])
-            if self.memtable.is_full:
-                self._flush()
+        with open_span(self.tracer, "lsm.put_batch", n_keys=n):
+            start = 0
+            while start < n:
+                start += self.memtable.put_batch(keys[start:], values[start:])
+                if self.memtable.is_full:
+                    self._flush()
 
     def _flush(self) -> None:
         """Drain the memtable into Level 1's active run."""
@@ -323,9 +319,7 @@ class LSMTree:
         if len(keys) == 0:
             return
         self._admit(1, [(keys, values)], source_pages=0)
-        observer = self.change_observer
-        if observer is not None:
-            observer.flush_completed()
+        self._flush_completed()
 
     def _admit(
         self,
@@ -376,11 +370,9 @@ class LSMTree:
         replaced = level.replace_active(new_run)
         if replaced is not None:
             self.disk.drop_run(replaced.run_id)
-        observer = self.change_observer
-        if observer is not None:
-            observer.run_installed(
-                level_no, new_run, None if replaced is None else replaced.run_id
-            )
+        self._run_installed(
+            level_no, new_run, None if replaced is None else replaced.run_id
+        )
 
         if level.is_full:
             self._merge_level_down(level_no)
@@ -403,9 +395,7 @@ class LSMTree:
         dropped = level.drop_all_runs()
         for run in dropped:
             self.disk.drop_run(run.run_id)
-        observer = self.change_observer
-        if observer is not None:
-            observer.runs_dropped(level_no, [run.run_id for run in dropped])
+        self._runs_dropped(level_no, [run.run_id for run in dropped])
         self._admit(level_no + 1, sources, source_pages=total_pages)
 
     def force_merge_level(self, level_no: int) -> None:
@@ -440,15 +430,12 @@ class LSMTree:
         dropped = level.drop_all_runs()
         for run in dropped:
             self.disk.drop_run(run.run_id)
-        observer = self.change_observer
-        if observer is not None:
-            observer.runs_dropped(level_no, [run.run_id for run in dropped])
+        self._runs_dropped(level_no, [run.run_id for run in dropped])
         rebuilt = self._new_run(
             level, keys, values, capacity_entries=level.active_run_capacity()
         )
         level.replace_active(rebuilt)
-        if observer is not None:
-            observer.run_installed(level_no, rebuilt, None)
+        self._run_installed(level_no, rebuilt, None)
 
     # ------------------------------------------------------------------
     # Public read path
@@ -502,39 +489,30 @@ class LSMTree:
         n = len(keys)
         self.stats.count_lookup(n)
         tracer = self.tracer
-        if tracer is None:
-            return self._get_batch_impl(keys, n)
-        before = self._profile_snapshot()
-        with tracer.span("lsm.get_batch", n_keys=n) as span:
-            result = self._get_batch_impl(keys, n)
+        before = None if tracer is None else self._profile_snapshot()
+        with open_span(tracer, "lsm.get_batch", n_keys=n) as span:
+            prof = self.read_profiler
+            if prof is not None:
+                prof.note_batch(n)
+                t0 = perf_counter()
+            resolved, buffered_values = self.memtable.get_batch(keys)
+            found = resolved & (buffered_values != TOMBSTONE)
+            values = np.where(found, buffered_values, 0)
+            if prof is not None:
+                prof.add("memtable", perf_counter() - t0)
+            # Memtable fast path: a fully buffered batch probes no level.
+            if not resolved.all():
+                pending = np.flatnonzero(~resolved)
+                for level in self.levels:
+                    pending = self._level_lookup_batch(
+                        level, keys, pending, resolved, found, values, prof
+                    )
+                    if len(pending) == 0:
+                        # Read-hot fast path: shallow levels covered the
+                        # batch; deeper levels are never touched (and
+                        # never charged).
+                        break
             self._absorb_profile(tracer, span, before)
-        return result
-
-    def _get_batch_impl(
-        self, keys: np.ndarray, n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        prof = self.read_profiler
-        if prof is not None:
-            prof.note_batch(n)
-            t0 = perf_counter()
-        resolved, buffered_values = self.memtable.get_batch(keys)
-        found = resolved & (buffered_values != TOMBSTONE)
-        values = np.where(found, buffered_values, 0)
-        if prof is not None:
-            prof.add("memtable", perf_counter() - t0)
-        if resolved.all():
-            # Memtable fast path: the whole batch was buffered.
-            return found, values
-
-        pending = np.flatnonzero(~resolved)
-        for level in self.levels:
-            pending = self._level_lookup_batch(
-                level, keys, pending, resolved, found, values, prof
-            )
-            if len(pending) == 0:
-                # Read-hot fast path: shallow levels covered the batch;
-                # deeper levels are never touched (and never charged).
-                return found, values
         return found, values
 
     def _level_lookup_batch(
@@ -743,10 +721,8 @@ class LSMTree:
             )
         self.stats.count_range(len(los))
         tracer = self.tracer
-        if tracer is None:
-            return scan_batch(self, los, his)
-        before = self._profile_snapshot()
-        with tracer.span("lsm.range_scan_batch", n_ranges=len(los)) as span:
+        before = None if tracer is None else self._profile_snapshot()
+        with open_span(tracer, "lsm.range_scan_batch", n_ranges=len(los)) as span:
             result = scan_batch(self, los, his)
             self._absorb_profile(tracer, span, before)
         return result
@@ -926,7 +902,6 @@ class LSMTree:
         while self.config.level_capacity_entries(bottom_no) < n:
             bottom_no += 1
         self._ensure_level(bottom_no)
-        observer = self.change_observer
         if not distribute:
             bottom = self.level(bottom_no)
             run = self._new_run(
@@ -934,8 +909,7 @@ class LSMTree:
                 capacity_entries=bottom.active_run_capacity(), sealed=True,
             )
             bottom.runs.append(run)
-            if observer is not None:
-                observer.run_installed(bottom_no, run, None)
+            self._run_installed(bottom_no, run, None)
             return
         # Steady-state layout: a long-running store keeps each shallow level
         # about half full on average (they drain into the next level every
@@ -982,8 +956,7 @@ class LSMTree:
                     sealed=True,
                 )
                 level.runs.append(run)
-                if observer is not None:
-                    observer.run_installed(level_no, run, None)
+                self._run_installed(level_no, run, None)
 
     # ------------------------------------------------------------------
     # Introspection & invariants
@@ -1081,4 +1054,7 @@ class LSMTree:
         self.compaction_policy = (
             resolve_policy(named) if named is not None else None
         )
-        self.check_invariants()
+        # Structural check only: whatever a subclass's check_invariants
+        # adds (the durable store's manifest agreement) is re-established
+        # by its own load_state_dict after this returns.
+        LSMTree.check_invariants(self)

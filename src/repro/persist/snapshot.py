@@ -46,16 +46,16 @@ from typing import Callable, Dict, List, Optional
 
 from repro import __version__
 from repro.config import (
-    BloomMode,
-    BloomScheme,
-    CostModelParams,
     SystemConfig,
     TransitionKind,
+    config_from_state,
+    config_to_state,
 )
 from repro.core.lerp import Lerp, LerpConfig
 from repro.core.ruskey import RusKey
 from repro.core.tuners import Tuner
 from repro.durable.atomio import publish_bytes
+from repro.durable.store import DurableStore
 from repro.engine.sharded import ShardedStore
 from repro.errors import SnapshotError
 from repro.lsm.flsm import FLSMTree
@@ -69,6 +69,7 @@ FORMAT_VERSION = 1
 #: Engine classes the loader can rebuild from a blueprint, by tag. Order
 #: matters when classifying: subclasses before their bases.
 _ENGINE_TAGS = (
+    ("durable", DurableStore),
     ("sharded", ShardedStore),
     ("flsm", FLSMTree),
     ("lsm", LSMTree),
@@ -76,25 +77,9 @@ _ENGINE_TAGS = (
 
 
 # ----------------------------------------------------------------------
-# Config (de)serialization
+# Config (de)serialization (SystemConfig's pair lives in repro.config and
+# is re-exported from this package)
 # ----------------------------------------------------------------------
-def config_to_state(config: SystemConfig) -> Dict[str, object]:
-    """``SystemConfig`` as a plain dict (enums by value)."""
-    state = dataclasses.asdict(config)
-    state["bloom_scheme"] = config.bloom_scheme.value
-    state["bloom_mode"] = config.bloom_mode.value
-    return state
-
-
-def config_from_state(state: Dict[str, object]) -> SystemConfig:
-    """Rebuild a ``SystemConfig`` from :func:`config_to_state` output."""
-    fields = dict(state)
-    fields["bloom_scheme"] = BloomScheme(fields["bloom_scheme"])
-    fields["bloom_mode"] = BloomMode(fields["bloom_mode"])
-    fields["costs"] = CostModelParams(**fields["costs"])
-    return SystemConfig(**fields)
-
-
 def lerp_config_to_state(config: LerpConfig) -> Dict[str, object]:
     """``LerpConfig`` (with its nested agent configs) as a plain dict."""
     state = dataclasses.asdict(config)
@@ -188,18 +173,12 @@ def load_snapshot(
 # Engines
 # ----------------------------------------------------------------------
 def _classify_engine(engine: object) -> str:
-    # Imported lazily: repro.durable calls back into this module's config
-    # helpers, so neither package imports the other at module level.
-    from repro.durable.store import DurableStore
-
-    if isinstance(engine, DurableStore):
-        return "durable"
     for tag, cls in _ENGINE_TAGS:
         if isinstance(engine, cls):
             return tag
     raise SnapshotError(
         f"cannot snapshot engine of type {type(engine).__name__}; known "
-        f"kinds are {['durable'] + [tag for tag, _ in _ENGINE_TAGS]}"
+        f"kinds are {[tag for tag, _ in _ENGINE_TAGS]}"
     )
 
 
@@ -210,8 +189,6 @@ def _build_engine(
     engine_state: Optional[Dict[str, object]] = None,
 ):
     if tag == "durable":
-        from repro.durable.store import DurableStore
-
         if not engine_state or "data_dir" not in engine_state:
             raise SnapshotError(
                 "durable engine snapshot carries no data_dir to reopen"

@@ -41,8 +41,8 @@ import numpy as np
 
 from repro.engine.sharded import merge_mission_stats, shard_of_key
 from repro.errors import ConfigError, ServeError
-
 from repro.lsm.stats import MissionStats
+from repro.lsm.tree import open_span
 from repro.serve.latency import LatencyHistogram
 from repro.serve.locks import ordered_lane_locks
 
@@ -384,19 +384,8 @@ class KVServer:
         run.clear()
 
     def _serve_batch(self, lane: _Lane, batch: List[Request]) -> None:
-        """Serve one drained batch (``serve.batch`` root span when a
-        tracer is attached; see :meth:`_serve_batch_impl` for semantics).
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._serve_batch_impl(lane, batch)
-        with tracer.span(
-            "serve.batch", lane=lane.index, n_requests=len(batch)
-        ):
-            return self._serve_batch_impl(lane, batch)
-
-    def _serve_batch_impl(self, lane: _Lane, batch: List[Request]) -> None:
-        """Serve one drained batch.
+        """Serve one drained batch (under a ``serve.batch`` root span when
+        a tracer is attached).
 
         Point requests run under the lane lock only. Within a batch, puts
         and deletes are applied first (puts as one vectorized
@@ -411,63 +400,66 @@ class KVServer:
         ``range_scan_batch`` call; each range request's ``result`` is its
         ``(keys, values)`` array pair, sorted by key.
         """
-        tree = lane.tree
-        writes = [r for r in batch if r.kind in (REQ_PUT, REQ_DELETE)]
-        reads = [r for r in batch if r.kind == REQ_GET]
-        ranges = [r for r in batch if r.kind == REQ_RANGE]
-        with lane.lock:
-            # Puts and deletes keep their relative submission order (a
-            # DELETE(k) → PUT(k, v) pair in one batch must leave v live):
-            # consecutive puts coalesce into one put_batch, deletes flush
-            # the run and go through the tombstone path individually.
-            run: List[Request] = []
-            for request in writes:
-                if request.kind == REQ_PUT:
-                    run.append(request)
-                    continue
-                self._flush_puts(tree, run)
-                tree.delete(request.key)
-            self._flush_puts(tree, run)
-            if reads:
-                keys = np.fromiter(
-                    (r.key for r in reads), dtype=np.int64, count=len(reads)
-                )
-                found, values = tree.get_batch(keys)
-                for i, request in enumerate(reads):
-                    request.result = int(values[i]) if found[i] else None
-        if ranges:
-            with ordered_lane_locks(self.lanes):
-                # One engine-wide batch per drain: the coalesced call
-                # counts and charges exactly like per-request
-                # range_lookup calls in drain order, but resolves run
-                # segments once per run per batch.
-                los = np.fromiter(
-                    (r.key for r in ranges), dtype=np.int64, count=len(ranges)
-                )
-                his = np.fromiter(
-                    (r.key + max(0, r.span - 1) for r in ranges),
-                    dtype=np.int64,
-                    count=len(ranges),
-                )
-                keys, values, offsets = self.engine.range_scan_batch(los, his)
-                bounds = offsets.tolist()
-                for i, request in enumerate(ranges):
-                    request.result = (
-                        keys[bounds[i] : bounds[i + 1]],
-                        values[bounds[i] : bounds[i + 1]],
-                    )
-        now = time.perf_counter()
-        for request in batch:
-            request.t_done = now
-            lane.histogram(request.tenant).record(now - request.t_submit)
-            if request.done is not None:
-                request.done.set()
-        lane.completed += len(batch)
-        if (
-            self.window_ops > 0
-            and self.total_completed - self._last_window_ops() >= self.window_ops
+        with open_span(
+            self.tracer, "serve.batch", lane=lane.index, n_requests=len(batch)
         ):
-            self._window_wake.set()
+            tree = lane.tree
+            writes = [r for r in batch if r.kind in (REQ_PUT, REQ_DELETE)]
+            reads = [r for r in batch if r.kind == REQ_GET]
+            ranges = [r for r in batch if r.kind == REQ_RANGE]
+            with lane.lock:
+                # Puts and deletes keep their relative submission order (a
+                # DELETE(k) → PUT(k, v) pair in one batch must leave v live):
+                # consecutive puts coalesce into one put_batch, deletes flush
+                # the run and go through the tombstone path individually.
+                run: List[Request] = []
+                for request in writes:
+                    if request.kind == REQ_PUT:
+                        run.append(request)
+                        continue
+                    self._flush_puts(tree, run)
+                    tree.delete(request.key)
+                self._flush_puts(tree, run)
+                if reads:
+                    keys = np.fromiter(
+                        (r.key for r in reads), dtype=np.int64, count=len(reads)
+                    )
+                    found, values = tree.get_batch(keys)
+                    for i, request in enumerate(reads):
+                        request.result = int(values[i]) if found[i] else None
+            if ranges:
+                with ordered_lane_locks(self.lanes):
+                    # One engine-wide batch per drain: the coalesced call
+                    # counts and charges exactly like per-request
+                    # range_lookup calls in drain order, but resolves run
+                    # segments once per run per batch.
+                    los = np.fromiter(
+                        (r.key for r in ranges), dtype=np.int64, count=len(ranges)
+                    )
+                    his = np.fromiter(
+                        (r.key + max(0, r.span - 1) for r in ranges),
+                        dtype=np.int64,
+                        count=len(ranges),
+                    )
+                    keys, values, offsets = self.engine.range_scan_batch(los, his)
+                    bounds = offsets.tolist()
+                    for i, request in enumerate(ranges):
+                        request.result = (
+                            keys[bounds[i] : bounds[i + 1]],
+                            values[bounds[i] : bounds[i + 1]],
+                        )
+            now = time.perf_counter()
+            for request in batch:
+                request.t_done = now
+                lane.histogram(request.tenant).record(now - request.t_submit)
+                if request.done is not None:
+                    request.done.set()
+            lane.completed += len(batch)
+            if (
+                self.window_ops > 0
+                and self.total_completed - self._last_window_ops() >= self.window_ops
+            ):
+                self._window_wake.set()
 
     def _worker_loop(self, lane: _Lane) -> None:
         while True:

@@ -321,6 +321,61 @@ def test_store_is_kvengine(store_dir, tiny_config):
     store.close()
 
 
+def test_store_resolves_every_lsmtree_name(store_dir, tiny_config):
+    """A durable store is a tree: nothing a tuner, a ``ShardedStore`` or a
+    benchmark reads on an ``LSMTree`` may be missing on it."""
+    from repro.lsm.tree import LSMTree
+
+    tiny_config = tiny_config.with_updates(block_cache_pages=8)
+    with DurableStore(store_dir, tiny_config) as store:
+        model = fill(store, n_batches=6)
+        assert_contents(store, model)
+        for name in dir(LSMTree):
+            if not name.startswith("_"):
+                getattr(store, name)
+        for name in ("clock", "disk", "cache"):
+            getattr(store, name)
+        hits, misses = store.cache_hits, store.cache_misses
+        assert hits + misses > 0
+        assert store.cache_hit_rate == hits / (hits + misses)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s.set_policies([2, 3, 1], TransitionKind.GREEDY),
+        lambda s: s.set_named_policy("tiering", TransitionKind.GREEDY),
+        lambda s: s.apply_transition([3, 3, 3], TransitionKind.FLEXIBLE),
+        lambda s: s.apply_named_policy("lazy-leveling"),
+        lambda s: s.force_merge_level(1),
+    ],
+    ids=[
+        "set_policies", "set_named_policy", "apply_transition",
+        "apply_named_policy", "force_merge_level",
+    ],
+)
+def test_one_manifest_commit_per_outermost_mutator(
+    store_dir, tiny_config, mutate
+):
+    """The base class nests its mutators through ``self``
+    (``set_named_policy`` -> ``set_policies`` -> ``set_policy`` ->
+    ``force_merge_level``); only the outermost call may commit."""
+    with DurableStore(store_dir, tiny_config) as store:
+        model = fill(store, n_batches=20)
+        assert store.n_levels >= 3
+        before = dict(store.telemetry)
+        mutate(store)
+        assert store.telemetry["commits"] == before["commits"] + 1
+        assert store.telemetry["manifest_edits"] == before["manifest_edits"] + 1
+        store.check_invariants()
+        policies, named = store.policies(), store.named_policy()
+    with DurableStore(store_dir) as reopened:
+        assert reopened.policies() == policies
+        assert reopened.named_policy() == named
+        reopened.check_invariants()
+        assert_contents(reopened, model)
+
+
 def test_store_refuses_config_mismatch(store_dir, tiny_config):
     DurableStore(store_dir, tiny_config).close()
     with pytest.raises(DurabilityError):

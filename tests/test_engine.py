@@ -406,6 +406,76 @@ class TestCrossShardCorrectness:
             sharded.bulk_load(keys, values)
 
 
+class TestDurableShards:
+    """``ShardedStore`` takes any ``LSMTree`` factory, so N durable shards
+    (one WAL + manifest per directory) are a factory argument — and, the
+    durable layer being wall-clock side only, sim-identical to N
+    in-memory shards on the same stream."""
+
+    def test_durable_shards_sim_identical_and_recoverable(
+        self, tiny_config, tmp_path, rng
+    ):
+        from repro.durable import DurableStore
+
+        config = tiny_config.with_updates(block_cache_pages=16)
+        memory = ShardedStore(config, 4)
+        durable = ShardedStore(
+            config,
+            4,
+            tree_factory=lambda c, i: DurableStore(
+                tmp_path / f"shard-{i}", c.with_updates(seed=c.seed + i)
+            ),
+        )
+        model = {}
+        missions = [[], []]
+        for window in range(2):
+            for engine in (memory, durable):
+                engine.begin_mission()
+            for step in range(6):
+                keys = rng.integers(0, 3000, size=150).astype(np.int64)
+                values = rng.integers(0, 2**31, size=150).astype(np.int64)
+                doomed = rng.integers(0, 3000, size=5).tolist()
+                probe = rng.integers(0, 3500, size=120).astype(np.int64)
+                los = rng.integers(0, 2800, size=8).astype(np.int64)
+                his = los + rng.integers(1, 200, size=8)
+                for engine in (memory, durable):
+                    engine.put_batch(keys, values)
+                    for key in doomed:
+                        engine.delete(key)
+                    if window == 0 and step == 3:
+                        engine.apply_transition([3, 2], TransitionKind.GREEDY)
+                model.update(zip(keys.tolist(), values.tolist()))
+                for key in doomed:
+                    model.pop(key, None)
+                gets = [e.get_batch(probe) for e in (memory, durable)]
+                scans = [e.range_scan_batch(los, his) for e in (memory, durable)]
+                for mem_part, dur_part in zip(gets[0] + scans[0], gets[1] + scans[1]):
+                    np.testing.assert_array_equal(mem_part, dur_part)
+            for log, engine in zip(missions, (memory, durable)):
+                log.append(engine.end_mission())
+
+        assert durable.clock_now == memory.clock_now
+        assert durable.io_counters == memory.io_counters
+        assert durable.cache_hits == memory.cache_hits > 0
+        assert durable.cache_misses == memory.cache_misses
+        assert durable.cache_hit_rate == memory.cache_hit_rate
+        assert durable.policies_per_shard() == memory.policies_per_shard()
+        for mem_stats, dur_stats in zip(*missions):
+            assert_mission_stats_equal(mem_stats, dur_stats)
+            assert mem_stats.cache_hits == dur_stats.cache_hits
+            assert mem_stats.cache_misses == dur_stats.cache_misses
+        durable.check_invariants()
+
+        for shard in durable.shards:
+            shard.close()
+        recovered = {}
+        for i in range(4):
+            with DurableStore(tmp_path / f"shard-{i}") as shard:
+                shard.check_invariants()
+                recovered.update(shard.range_lookup(0, 10**6))
+        assert recovered == model
+
+
 class TestChunkedExecutionRegression:
     """Satellite: chunk_size=1 serial execution vs chunked batch execution
     on a sharded store."""

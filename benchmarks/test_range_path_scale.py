@@ -24,7 +24,7 @@ import numpy as np
 from _common import emit_metrics, emit_report
 
 from repro.bench import base_config, bench_scale
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import FLSMTree
 from repro.lsm.rangepath import reference_range_scan_batch
 
 N_BATCHES = 20

@@ -25,7 +25,7 @@ import numpy as np
 from _common import emit_metrics, emit_report
 
 from repro.bench import base_config, bench_scale
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import FLSMTree
 from repro.lsm.readpath import reference_get_batch
 from repro.workload.zipf import ZipfianSampler
 

@@ -23,7 +23,7 @@ from _common import emit_metrics, emit_report
 from repro.bench import base_config, bench_scale
 from repro.core.missions import MissionRunner
 from repro.engine import ShardedStore
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import FLSMTree
 from repro.workload.spec import OP_UPDATE
 from repro.workload.ycsb import YCSBWorkload
 

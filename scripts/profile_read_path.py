@@ -2,7 +2,7 @@
 """Profile the vectorized read path, stage by stage.
 
 Builds a steady-state FLSM-tree with profiling enabled
-(``FLSMTree(config, profile=True)``), streams point-lookup batches
+(``tree.read_profiler = ReadPathProfiler()``), streams point-lookup batches
 through :meth:`LSMTree.get_batch` and range batches through
 :meth:`LSMTree.range_scan_batch`, and prints the per-stage wall-clock
 breakdown collected by :class:`repro.lsm.readpath.ReadPathProfiler`
@@ -31,7 +31,8 @@ import time
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import FLSMTree
+from repro.lsm.readpath import ReadPathProfiler
 from repro.workload.zipf import ZipfianSampler
 
 POLICIES = ("leveling", "tiering", "lazy-leveling")
@@ -47,7 +48,8 @@ def build_tree(args) -> tuple[FLSMTree, np.ndarray]:
         block_cache_pages=args.cache_pages,
         seed=args.seed,
     )
-    tree = FLSMTree(config, profile=True)
+    tree = FLSMTree(config)
+    tree.read_profiler = ReadPathProfiler()
     tree.set_named_policy(args.policy)
     rng = np.random.default_rng(args.seed)
     n = args.n_records

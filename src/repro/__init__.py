@@ -38,8 +38,7 @@ from repro.core.tuners import (
     Tuner,
 )
 from repro.errors import ReproError
-from repro.lsm.flsm import FLSMTree
-from repro.lsm.tree import LSMTree
+from repro.lsm import FLSMTree, LSMTree
 
 __version__ = "1.0.0"
 

@@ -13,7 +13,7 @@ the guarantee breaks:
 * **observed-object mutation** — assigning/augmenting an attribute of a
   function *parameter* (that is how engines, tuners and servers arrive
   in the collectors), or calling a known state-mutating engine method
-  (``put_batch``, ``end_mission``, ``apply_transition``, ...) on one.
+  (``put_batch``, ``end_mission``, ``set_policies``, ...) on one.
   Mutating locals the function itself constructed (registries, spans,
   events) is of course fine.
 """
@@ -39,8 +39,6 @@ MUTATOR_METHODS = frozenset(
     {
         "advance",
         "advance_repeated",
-        "apply_named_policy",
-        "apply_transition",
         "begin_mission",
         "bulk_load",
         "delete",
@@ -53,6 +51,7 @@ MUTATOR_METHODS = frozenset(
         "range_lookup",
         "range_scan_batch",
         "set_named_policy",
+        "set_policies",
         "set_policy",
         "warm_start",
     }

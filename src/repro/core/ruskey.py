@@ -8,9 +8,11 @@ samples, updates its networks and issues a tuning strategy, and the
 FLSM-tree applies it through the flexible transition before the next
 mission.
 
-The engine is an :class:`~repro.lsm.flsm.FLSMTree` by default; pass
-``n_shards > 1`` for a hash-partitioned
+The engine is an :class:`~repro.lsm.tree.LSMTree` (the FLSM-tree) by
+default; pass ``n_shards > 1`` for a hash-partitioned
 :class:`~repro.engine.sharded.ShardedStore` (or any engine via ``engine=``).
+Scalar ``get`` / ``range_lookup`` are the shared one-element-batch pair
+(:class:`~repro.lsm.tree.ScalarReads`) over this facade's batch forwards.
 Tuning composes across shards in two ways:
 
 * ``tuner=`` — one *shared* tuner instance observes every shard's tree and
@@ -38,12 +40,12 @@ from repro.core.missions import MissionRunner
 from repro.core.tuners import Tuner
 from repro.engine.sharded import ShardedStore
 from repro.errors import ConfigError, SnapshotError, WorkloadError
-from repro.lsm.flsm import FLSMTree
 from repro.lsm.stats import MissionStats
+from repro.lsm.tree import LSMTree, ScalarReads
 from repro.workload.spec import Mission, WorkloadSpec
 
 
-class RusKey:
+class RusKey(ScalarReads):
     """A storage engine driven by (pluggable) tuning models."""
 
     # config is the immutable blueprint; tree/tuner alias engine/tuners[0],
@@ -68,7 +70,7 @@ class RusKey:
             if n_shards > 1:
                 engine = ShardedStore(self.config, n_shards)
             else:
-                engine = FLSMTree(self.config)
+                engine = LSMTree(self.config)
         elif n_shards != 1:
             raise ConfigError(
                 "pass either engine= or n_shards, not both "
@@ -127,10 +129,6 @@ class RusKey:
         """Vectorized insert of many entries (the hot ingestion path)."""
         self.engine.put_batch(keys, values)
 
-    def get(self, key: int) -> Optional[int]:
-        """Point lookup; ``None`` when absent or deleted."""
-        return self.engine.get(key)
-
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized point lookups; returns ``(found_mask, values)``."""
         return self.engine.get_batch(keys)
@@ -138,10 +136,6 @@ class RusKey:
     def delete(self, key: int) -> None:
         """Delete one entry."""
         self.engine.delete(key)
-
-    def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """All live entries with ``lo <= key <= hi``."""
-        return self.engine.range_lookup(lo, hi)
 
     def range_scan_batch(
         self, los: np.ndarray, his: np.ndarray
@@ -172,7 +166,7 @@ class RusKey:
     ) -> None:
         """Pin the engine to a named compaction policy (leveling / tiering /
         lazy-leveling)."""
-        self.engine.apply_named_policy(policy, transition)
+        self.engine.set_named_policy(policy, transition)
 
     # ------------------------------------------------------------------
     # Observability (repro.obs)

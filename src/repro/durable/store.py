@@ -80,7 +80,7 @@ from repro.durable.wal import (
     segment_path,
 )
 from repro.errors import DurabilityError
-from repro.lsm.entry import MAX_KEY, MIN_KEY, TOMBSTONE, validate_batch
+from repro.lsm.entry import TOMBSTONE, validate_batch
 from repro.lsm.policy import PolicyLike, resolve_policy
 from repro.lsm.run import SortedRun
 from repro.lsm.tree import LSMTree
@@ -143,7 +143,6 @@ class DurableStore(LSMTree):
         config: Optional[SystemConfig] = None,
         *,
         rotate_manifest_every: int = 64,
-        profile: bool = False,
     ) -> None:
         self.data_dir = os.fspath(data_dir)
         self.rotate_manifest_every = max(2, int(rotate_manifest_every))
@@ -178,18 +177,18 @@ class DurableStore(LSMTree):
 
         os.makedirs(self.data_dir, exist_ok=True)
         if os.path.exists(current_path(self.data_dir)):
-            self.last_recovery = self._recover(config, profile)
+            self.last_recovery = self._recover(config)
         else:
             if config is None:
                 raise DurabilityError(
                     f"{self.data_dir} holds no store and no config was given"
                 )
-            self.last_recovery = self._create(config, profile)
+            self.last_recovery = self._create(config)
 
     # ------------------------------------------------------------------
     # Creation / recovery
     # ------------------------------------------------------------------
-    def _create(self, config: SystemConfig, profile: bool) -> RecoveryReport:
+    def _create(self, config: SystemConfig) -> RecoveryReport:
         leftovers = [
             name
             for name in os.listdir(self.data_dir)
@@ -200,7 +199,7 @@ class DurableStore(LSMTree):
                 f"{self.data_dir} holds store files but no CURRENT pointer "
                 f"({sorted(leftovers)[:4]}...); refusing to overwrite"
             )
-        super().__init__(config, profile=profile)
+        super().__init__(config)
         self._state = ManifestState()
         self._state.config_state = config_to_state(config)
         self._state.wal_head = 1
@@ -236,9 +235,7 @@ class DurableStore(LSMTree):
             replay_wall_s=0.0,
         )
 
-    def _recover(
-        self, config: Optional[SystemConfig], profile: bool
-    ) -> RecoveryReport:
+    def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
         t0 = perf_counter()
         state, manifest_id, manifest_torn = read_manifest(self.data_dir)
         if state.config_state is None:
@@ -252,7 +249,7 @@ class DurableStore(LSMTree):
             )
         config = recorded
 
-        super().__init__(config, profile=profile)
+        super().__init__(config)
         if state.n_levels:
             self._ensure_level(state.n_levels)
         for level, (policy, pending) in zip(self.levels, state.policies):
@@ -607,8 +604,7 @@ class DurableStore(LSMTree):
         """Run an inherited mutator, then commit its buffered edits and the
         new policy metadata — once, at the outermost call: the base class
         nests these through ``self`` (``set_named_policy`` →
-        ``set_policies`` → ``set_policy`` → ``force_merge_level``), and the
-        inherited ``apply_*`` aliases enter through them."""
+        ``set_policies`` → ``set_policy`` → ``force_merge_level``)."""
         if self._in_mutator:
             mutator(*args)
             return
@@ -750,14 +746,8 @@ class DurableStore(LSMTree):
         self._wal = WalWriter(segment_path(self.data_dir, 1))
         self._wal_head_id = 1
         self._flushed_seqno = checkpoint
-        buffered = self.memtable.range_items(MIN_KEY, MAX_KEY)
-        if buffered:
-            all_keys = np.fromiter(
-                buffered.keys(), dtype=np.int64, count=len(buffered)
-            )
-            all_values = np.fromiter(
-                buffered.values(), dtype=np.int64, count=len(buffered)
-            )
+        all_keys, all_values = self.memtable.sorted_view()
+        if len(all_keys):
             live = all_values != TOMBSTONE
             if live.any():
                 self._ack_wal(all_keys[live], all_values[live])

@@ -1,9 +1,9 @@
 """Pluggable storage engines.
 
 :class:`KVEngine` is the structural contract every engine satisfies;
-:class:`~repro.lsm.tree.LSMTree` / :class:`~repro.lsm.flsm.FLSMTree` are the
-single-tree reference implementations and :class:`ShardedStore` the
-hash-partitioned multi-tree one.
+:class:`~repro.lsm.tree.LSMTree` (the paper's FLSM-tree) is the single-tree
+reference implementation and :class:`ShardedStore` the hash-partitioned
+multi-tree one.
 """
 
 from repro.engine.base import KVEngine

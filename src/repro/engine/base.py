@@ -3,9 +3,9 @@
 Every component above the storage layer — :class:`~repro.core.missions.MissionRunner`,
 the :class:`~repro.core.ruskey.RusKey` facade and the benchmark harness —
 drives the store exclusively through :class:`KVEngine`. The reference
-implementation is :class:`~repro.lsm.tree.LSMTree` (and its
-:class:`~repro.lsm.flsm.FLSMTree` subclass); :class:`~repro.engine.sharded.ShardedStore`
-implements the same contract over N hash-partitioned FLSM shards.
+implementation is :class:`~repro.lsm.tree.LSMTree` (the paper's FLSM-tree);
+:class:`~repro.engine.sharded.ShardedStore` implements the same contract
+over N hash-partitioned shards.
 
 ``KVEngine`` is a structural :class:`typing.Protocol` rather than an ABC so
 the LSM layer does not need to import this package (no inheritance, no
@@ -14,10 +14,13 @@ import cycle): any object with the right methods *is* an engine, and
 
 The contract, beyond plain data access:
 
-* **Batch paths** — ``put_batch``/``get_batch`` are the hot ingestion and
-  lookup paths. They must be semantically equivalent to per-key loops over
-  ``put``/``get`` against the same engine state (identical flush boundaries
-  and cost charging), just vectorized.
+* **Batch paths** — ``put_batch``/``get_batch``/``range_scan_batch`` are
+  *the* data path. ``put_batch`` must be semantically equivalent to a
+  per-key loop over ``put`` against the same engine state (identical flush
+  boundaries and cost charging), just vectorized. Scalar reads are not part
+  of the contract: ``get``/``range_lookup`` are derived once, as
+  one-element batches, by :class:`~repro.lsm.tree.ScalarReads`, which every
+  engine inherits.
 * **Mission windows** — ``begin_mission``/``end_mission`` bracket one batch
   of operations; ``end_mission`` returns the window's aggregated
   :class:`~repro.lsm.stats.MissionStats`. For a sharded engine the returned
@@ -28,9 +31,9 @@ The contract, beyond plain data access:
   ``last_mission_breakdown`` the matching per-target stats of the last
   completed mission, so one tuner (or one tuner per shard) can be wired to
   any engine without knowing its topology.
-* **Policy control** — ``apply_transition`` sets the compaction policy of
+* **Policy control** — ``set_policies`` sets the compaction policy of
   levels ``1..len(policies)`` using a given transition kind on every
-  underlying tree; ``apply_named_policy``/``named_policy`` do the same for
+  underlying tree; ``set_named_policy``/``named_policy`` do the same for
   the named tiering/leveling/lazy-leveling dimension
   (:mod:`repro.lsm.policy`), which is also the discrete policy action
   surface the RL tuner drives.
@@ -70,10 +73,6 @@ class KVEngine(Protocol):
         """Delete one key (tombstone write)."""
         ...
 
-    def get(self, key: int) -> Optional[int]:
-        """Latest value for ``key``; ``None`` when absent or deleted."""
-        ...
-
     # -- batch data path ------------------------------------------------
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Vectorized insert; equivalent to per-key :meth:`put` in order."""
@@ -83,17 +82,13 @@ class KVEngine(Protocol):
         """Vectorized lookups; returns ``(found_mask, values)``."""
         ...
 
-    def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """All live entries with ``lo <= key <= hi`` in key order."""
-        ...
-
     def range_scan_batch(
         self, los: np.ndarray, his: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized range lookups; equivalent to per-range
-        :meth:`range_lookup` in order (same op counts and cost charging),
-        returning flat ``(keys, values, offsets)`` arrays where range
-        ``i``'s live entries are ``keys[offsets[i]:offsets[i + 1]]``."""
+        """Vectorized inclusive range lookups, counted and charged in
+        submission order; returns flat ``(keys, values, offsets)`` arrays
+        where range ``i``'s live entries are
+        ``keys[offsets[i]:offsets[i + 1]]``."""
         ...
 
     def bulk_load(
@@ -125,8 +120,8 @@ class KVEngine(Protocol):
         """Representative per-level compaction policies, shallow to deep."""
         ...
 
-    def apply_transition(
-        self, policies: Sequence[int], transition: TransitionKind
+    def set_policies(
+        self, new_policies: Sequence[int], transition: TransitionKind
     ) -> None:
         """Set the policy of levels ``1..len(policies)`` on every tree."""
         ...
@@ -136,7 +131,7 @@ class KVEngine(Protocol):
         ``None`` when levels are governed by raw per-level ``K`` values."""
         ...
 
-    def apply_named_policy(
+    def set_named_policy(
         self, policy: object, transition: TransitionKind
     ) -> None:
         """Pin every underlying tree to a named compaction policy

@@ -26,14 +26,14 @@ import numpy as np
 
 from repro.config import SystemConfig, TransitionKind
 from repro.errors import ConfigError, TreeStateError
-from repro.lsm.flsm import FLSMTree
+from repro.lsm.entry import validate_batch
 from repro.lsm.rangepath import (
     empty_batch_result,
     merge_tagged_segments,
     scan_batch,
 )
 from repro.lsm.stats import MissionStats, StatsCollector
-from repro.lsm.tree import LSMTree, open_span
+from repro.lsm.tree import LSMTree, ScalarReads, open_span
 from repro.storage.pager import IOCounters
 
 if TYPE_CHECKING:  # obs depends on engine; annotate lazily to avoid a cycle
@@ -173,11 +173,11 @@ class AggregatedStats:
         return self.completed[-n:]
 
 
-class ShardedStore:
+class ShardedStore(ScalarReads):
     """A :class:`~repro.engine.base.KVEngine` over N independent FLSM shards.
 
     ``tree_factory(config, shard_no)`` may be passed to customize shard
-    construction; by default each shard is an :class:`FLSMTree` with the
+    construction; by default each shard is an :class:`LSMTree` with the
     shared config and a per-shard seed offset (so Bloom randomness is
     independent across shards).
     """
@@ -199,7 +199,7 @@ class ShardedStore:
         self.config = config
         self.n_shards = n_shards
         if tree_factory is None:
-            tree_factory = lambda cfg, i: FLSMTree(  # noqa: E731
+            tree_factory = lambda cfg, i: LSMTree(  # noqa: E731
                 cfg.with_updates(seed=cfg.seed + i)
             )
         self.shards: List[LSMTree] = [
@@ -254,20 +254,15 @@ class ShardedStore:
     def delete(self, key: int) -> None:
         self.shard_for(key).delete(key)
 
-    def get(self, key: int) -> Optional[int]:
-        return self.shard_for(key).get(key)
-
     # ------------------------------------------------------------------
     # Batch data path
     # ------------------------------------------------------------------
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Group the batch per shard, then bulk-insert each group — one
         memtable bulk-insert (and one flush check) per shard per batch
-        instead of per key."""
-        keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        if len(keys) != len(values):
-            raise ValueError("keys and values must have equal length")
+        instead of per key. The whole batch is validated before any shard
+        sees it, so a rejected batch applies nothing."""
+        keys, values = validate_batch(keys, values)
         if len(keys) == 0:
             return
         with open_span(self.tracer, "store.put_batch", n_keys=len(keys)):
@@ -296,44 +291,20 @@ class ShardedStore:
                 values[idx] = shard_values
             return found, values
 
-    def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """Cross-shard range scan.
-
-        Hash partitioning does not preserve key order, so every shard is
-        scanned and the (disjoint) per-shard results are merged by key. The
-        operation is *counted* once, on the home shard of ``lo``, so
-        aggregated operation counts match an unsharded tree.
-        """
-        if lo > hi:
-            raise ValueError(f"empty range: lo={lo} > hi={hi}")
-        self.shard_for(lo).stats.count_range()
-        key_arrays: List[np.ndarray] = []
-        value_arrays: List[np.ndarray] = []
-        for shard in self.shards:
-            keys, values = shard.range_scan(lo, hi)
-            if len(keys):
-                key_arrays.append(keys)
-                value_arrays.append(values)
-        if not key_arrays:
-            return []
-        keys = np.concatenate(key_arrays)
-        values = np.concatenate(value_arrays)
-        order = np.argsort(keys)  # shards hold disjoint keys
-        return list(zip(keys[order].tolist(), values[order].tolist()))
-
     def range_scan_batch(
         self, los: np.ndarray, his: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized cross-shard range scans.
 
-        Equivalent to per-range :meth:`range_lookup` in submission order:
-        each range is counted once on the home shard of its ``lo``, every
-        shard scans the whole batch (its per-shard charges replay in
-        range order, bit-identical to the per-op loop — shard clocks are
-        independent, so cross-shard interleaving is unobservable), and
-        the disjoint per-shard results merge per range with one
-        ``(range_id, key)`` lexsort. Returns flat ``(keys, values,
-        offsets)`` arrays in the :meth:`LSMTree.range_scan_batch` layout.
+        Hash partitioning does not preserve key order, so every shard
+        scans the whole batch (its per-shard charges replay in range
+        order, bit-identical to a per-op loop — shard clocks are
+        independent, so cross-shard interleaving is unobservable) and the
+        disjoint per-shard results merge per range with one ``(range_id,
+        key)`` lexsort. Each range is *counted* once, on the home shard of
+        its ``lo``, so aggregated operation counts match an unsharded tree.
+        Returns flat ``(keys, values, offsets)`` arrays in the
+        :meth:`LSMTree.range_scan_batch` layout.
         """
         los = np.asarray(los, dtype=np.int64)
         his = np.asarray(his, dtype=np.int64)
@@ -419,11 +390,12 @@ class ShardedStore:
     def policies_per_shard(self) -> List[List[int]]:
         return [shard.policies() for shard in self.shards]
 
-    def apply_transition(
-        self, policies: Sequence[int], transition: TransitionKind
+    def set_policies(
+        self, new_policies: Sequence[int], transition: TransitionKind
     ) -> None:
+        """Set levels ``1..len(new_policies)`` on every shard."""
         for shard in self.shards:
-            shard.set_policies(list(policies), transition)
+            shard.set_policies(new_policies, transition)
 
     def set_policy(
         self, level_no: int, new_policy: int, transition: TransitionKind
@@ -437,7 +409,7 @@ class ShardedStore:
         with independent per-shard tuners shards may diverge)."""
         return self.shards[0].named_policy()
 
-    def apply_named_policy(
+    def set_named_policy(
         self, policy, transition: TransitionKind = TransitionKind.FLEXIBLE
     ) -> None:
         """Pin every shard to a named compaction policy (see
@@ -491,14 +463,6 @@ class ShardedStore:
     def check_invariants(self) -> None:
         for shard in self.shards:
             shard.check_invariants()
-
-    def read_amplification_snapshot(self) -> Dict[int, int]:
-        """Per-level run counts summed across shards."""
-        merged: Dict[int, int] = {}
-        for shard in self.shards:
-            for level_no, runs in shard.read_amplification_snapshot().items():
-                merged[level_no] = merged.get(level_no, 0) + runs
-        return merged
 
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist and DESIGN.md §6)

@@ -22,21 +22,6 @@ class StorageError(ReproError):
     that was never written)."""
 
 
-class KeyNotFoundError(ReproError, KeyError):
-    """A strict lookup did not find the requested key.
-
-    Inherits from :class:`KeyError` so that code written against a plain
-    mapping keeps working.
-    """
-
-    def __init__(self, key: int) -> None:
-        super().__init__(key)
-        self.key = key
-
-    def __str__(self) -> str:  # KeyError.__str__ repr()s the key; be plainer.
-        return f"key not found: {self.key}"
-
-
 class TreeStateError(ReproError):
     """An LSM-tree invariant would be violated by the requested operation
     (e.g. writing to a sealed run)."""

@@ -1,8 +1,12 @@
-"""The LSM/FLSM-tree storage engine."""
+"""The LSM/FLSM-tree storage engine.
 
-from repro.lsm.entry import TOMBSTONE, Entry, merge_sorted_sources
-from repro.lsm.flsm import FLSMTree
-from repro.lsm.iterators import iter_live_items, live_items
+``FLSMTree`` is the paper's name for :class:`LSMTree`: variable-size runs
+live in :mod:`repro.lsm.level`, the flexible transition in
+:meth:`Level.set_policy_flexible`.
+"""
+
+from repro.lsm.entry import TOMBSTONE, merge_sorted_sources
+from repro.lsm.iterators import live_items
 from repro.lsm.level import Level
 from repro.lsm.memtable import MemTable
 from repro.lsm.policy import (
@@ -19,19 +23,12 @@ from repro.lsm.policy import (
 )
 from repro.lsm.run import SortedRun
 from repro.lsm.stats import BUFFER_LEVEL, MissionStats, StatsCollector
-from repro.lsm.transitions import (
-    FlexibleTransition,
-    GreedyTransition,
-    LazyTransition,
-    TransitionStrategy,
-    make_transition,
-    switch_named_policy,
-)
 from repro.lsm.tree import LSMTree
+
+FLSMTree = LSMTree
 
 __all__ = [
     "TOMBSTONE",
-    "Entry",
     "merge_sorted_sources",
     "MemTable",
     "SortedRun",
@@ -41,12 +38,6 @@ __all__ = [
     "StatsCollector",
     "MissionStats",
     "BUFFER_LEVEL",
-    "TransitionStrategy",
-    "GreedyTransition",
-    "LazyTransition",
-    "FlexibleTransition",
-    "make_transition",
-    "switch_named_policy",
     "CompactionPolicy",
     "LevelingPolicy",
     "TieringPolicy",
@@ -58,5 +49,4 @@ __all__ = [
     "policy_from_index",
     "classify_policies",
     "live_items",
-    "iter_live_items",
 ]

@@ -8,28 +8,10 @@ all capacity and I/O math, exactly as in the paper's analysis where only
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 #: Reserved value marking a deleted key. User values must not equal this.
 TOMBSTONE: int = np.iinfo(np.int64).min
-
-#: Smallest and largest keys usable by applications.
-MIN_KEY: int = np.iinfo(np.int64).min
-MAX_KEY: int = np.iinfo(np.int64).max
-
-
-class Entry(NamedTuple):
-    """A single key-value pair as surfaced by scans."""
-
-    key: int
-    value: int
-
-    @property
-    def is_tombstone(self) -> bool:
-        return self.value == TOMBSTONE
-
 
 _COLLISION = (
     "value collides with the tombstone sentinel; "

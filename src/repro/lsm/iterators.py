@@ -8,11 +8,11 @@ in-memory debugging view, not a database scan — use
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.lsm.entry import TOMBSTONE, merge_sorted_sources
+from repro.lsm.entry import merge_sorted_sources
 from repro.lsm.tree import LSMTree
 
 
@@ -33,11 +33,3 @@ def live_items(tree: LSMTree) -> "Tuple[np.ndarray, np.ndarray]":
         key_arrays.append(mk)
         value_arrays.append(mv)
     return merge_sorted_sources(key_arrays, value_arrays, drop_tombstones=True)
-
-
-def iter_live_items(tree: LSMTree) -> Iterator[Tuple[int, int]]:
-    """Iterate live ``(key, value)`` pairs of ``tree`` in key order."""
-    keys, values = live_items(tree)
-    for key, value in zip(keys.tolist(), values.tolist()):
-        if value != TOMBSTONE:
-            yield key, value

@@ -165,27 +165,11 @@ class MemTable:
         values[buffered] = mv[clamped[buffered]]
         return buffered, values
 
-    def range_items(self, lo: int, hi: int) -> Dict[int, int]:
-        """Buffered entries with ``lo <= key <= hi`` (including tombstones).
-
-        A valid cached sorted view answers with two binary searches and a
-        slice (``O(log M + hits)``); with a stale view the O(M) dict scan
-        is still cheaper than re-sorting for one range, so a single scan
-        never builds the view — batch readers (``get_batch``,
-        ``range_scan_batch``) do.
-        """
-        view = self._sorted_view
-        if view is None:
-            return self.range_items_scan(lo, hi)
-        mk, mv = view
-        start = int(np.searchsorted(mk, lo, side="left"))
-        stop = int(np.searchsorted(mk, hi, side="right"))
-        return dict(zip(mk[start:stop].tolist(), mv[start:stop].tolist()))
-
     def range_items_scan(self, lo: int, hi: int) -> Dict[int, int]:
-        """:meth:`range_items` by full dict scan — the O(M) pre-PR path,
-        kept as the executable reference the sorted-view fast path is
-        verified against (and as the stale-view fallback)."""
+        """Buffered entries with ``lo <= key <= hi`` (including tombstones)
+        by full dict scan — the O(M) path the reference range scan uses,
+        kept as the executable reference the sorted-view batch path is
+        verified against."""
         return {k: v for k, v in self._entries.items() if lo <= k <= hi}
 
     def drain_sorted(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
 """The vectorized batch range-scan path and its scalar reference.
 
 Range counterpart of :mod:`repro.lsm.readpath` (ROADMAP item 6): the
-per-op :meth:`~repro.lsm.tree.LSMTree.range_scan` walks every run with
-its own pair of scalar ``searchsorted`` calls and runs one
-``merge_sorted_sources`` per range. :func:`scan_batch` does the same work
-for a whole batch of R ranges at once:
+per-op reference scan walks every run with its own pair of scalar
+``searchsorted`` calls and runs one ``merge_sorted_sources`` per range.
+:func:`scan_batch` does the same work for a whole batch of R ranges at
+once:
 
 * **search** — one vectorized ``np.searchsorted(run.keys, los/his)``
   pair per run yields all R segment bounds, and the fence-pointer page
@@ -110,10 +110,10 @@ def merge_tagged_segments(
 
 
 def scan_batch(tree, los: np.ndarray, his: np.ndarray) -> BatchResult:
-    """Batch counterpart of :meth:`LSMTree.range_scan`: charges every
-    probe and I/O cost of the R scans (bit-identically to R per-op scans,
-    in the same order) but does not count operations — engines layer op
-    counting on top (:meth:`LSMTree.range_scan_batch` counts here,
+    """Scan R ranges: charges every probe and I/O cost (bit-identically
+    to R per-op reference scans, in the same order) but does not count
+    operations — engines layer op counting on top
+    (:meth:`LSMTree.range_scan_batch` counts here,
     :meth:`ShardedStore.range_scan_batch` counts on home shards while
     scanning every shard). Returns flat ``(keys, values, offsets)``
     arrays where range ``i``'s live entries are
@@ -222,9 +222,9 @@ def reference_range_scan_batch(
     """The pre-vectorization range path: one full per-op scan per range.
 
     Kept verbatim as the executable specification — per range this is
-    exactly the seed's :meth:`LSMTree.range_lookup` body (op count, then
-    :meth:`LSMTree.range_scan`'s run walk with scalar ``range_slice``
-    calls, the O(M) memtable dict scan, and one ``merge_sorted_sources``)
+    exactly the seed's scalar ``range_lookup`` body (op count, then the
+    run walk with scalar ``range_slice`` calls, the O(M) memtable dict
+    scan, and one ``merge_sorted_sources``)
     — only the outputs are packed into the batch ``(keys, values,
     offsets)`` layout so both paths can be diffed directly.
     """

@@ -4,8 +4,8 @@ Two tools for the hot-path speed campaign (ROADMAP item 6):
 
 * :class:`ReadPathProfiler` — lightweight per-stage **wall-clock** timers
   for :meth:`repro.lsm.tree.LSMTree.get_batch`. Enabled with
-  ``LSMTree(config, profile=True)``; when disabled (the default) the read
-  path carries only a ``None``-check per stage. The stages mirror the
+  ``tree.read_profiler = ReadPathProfiler()``; when disabled (the default)
+  the read path carries only a ``None``-check per stage. The stages mirror the
   pipeline: ``memtable`` (buffer resolution), ``search`` (stacked-index
   build/probe, page math, pending-set maintenance), ``bloom`` (filter
   probes), ``cache`` (block-cache + simulated-device charging). Profiling
@@ -146,9 +146,8 @@ class ReadPathProfiler:
 def reference_get_batch(tree, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The pre-vectorization ``get_batch``: one Python iteration per run.
 
-    Semantically equivalent to per-key :meth:`~repro.lsm.tree.LSMTree.get`
-    with batched cost charging; kept as the executable reference the
-    stacked level-at-a-time pipeline is verified against (same probe
+    Kept as the executable reference the stacked level-at-a-time
+    pipeline is verified against (same probe
     schedule, same ``probe_cpu``/``add_read`` charges per run, same Bloom
     RNG consumption, same ``O(n log n)`` ``np.isin`` pending-set
     maintenance the production path replaced with ``O(n)`` masks).

@@ -80,11 +80,6 @@ class MissionStats:
         return self.n_operations / wall if wall else 0.0
 
     @property
-    def sim_ops_per_second(self) -> float:
-        """Simulated throughput: operations per simulated second."""
-        return self.n_operations / self.sim_duration if self.sim_duration else 0.0
-
-    @property
     def cache_hit_rate(self) -> float:
         """Block-cache hit fraction during the mission (0.0 with no traffic)."""
         total = self.cache_hits + self.cache_misses
@@ -284,12 +279,6 @@ class StatsCollector:
         self.total_ranges += n
         if self._current is not None:
             self._current.n_ranges += n
-
-    def add_model_update_time(self, seconds: float) -> None:
-        """Record tuning-model (RL) update time for the current mission
-        (paper Figure 13 measures this against LSM operation time)."""
-        if self._current is not None:
-            self._current.model_update_time += seconds
 
     # ------------------------------------------------------------------
     # Aggregates

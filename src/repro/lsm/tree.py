@@ -6,11 +6,11 @@ reads, level-granularity compaction (the granularity used throughout the
 paper's analysis and its Figure 10 micro-benchmark), range scans, and
 per-level compaction policies ``K_i ∈ [1, T]`` in the style of Dostoevsky.
 
-The same engine serves both the classic tree and the FLSM-tree: structurally
-an FLSM-tree is an LSM-tree whose levels tolerate differently sized sealed
-runs, which this engine always supports. What distinguishes the designs is
-*how policy transitions are applied* — see :mod:`repro.lsm.transitions` and
-the :class:`repro.lsm.flsm.FLSMTree` facade.
+The same class is the paper's FLSM-tree (§4.2): an LSM-tree whose levels
+tolerate differently sized sealed runs (:mod:`repro.lsm.level`) plus the
+flexible transition (:meth:`Level.set_policy_flexible`). What distinguishes
+the designs is only *which transition kind* a policy change is applied
+with — the ``transition`` argument of :meth:`LSMTree.set_policy`.
 
 Cost attribution rule (see DESIGN.md §5): all I/O of a compaction that
 writes into level *i* is charged to level *i* as write time; lookup probes
@@ -26,12 +26,7 @@ import numpy as np
 
 from repro.bloom.allocation import allocate_fprs
 from repro.config import SystemConfig, TransitionKind
-from repro.errors import (
-    KeyNotFoundError,
-    PolicyError,
-    SnapshotError,
-    TreeStateError,
-)
+from repro.errors import PolicyError, SnapshotError, TreeStateError
 from repro.lsm.entry import (
     TOMBSTONE,
     merge_sorted_sources,
@@ -59,34 +54,47 @@ def open_span(tracer, name: str, **attrs):
     return _NO_SPAN if tracer is None else tracer.span(name, **attrs)
 
 
-class LSMTree:
+class ScalarReads:
+    """Scalar ``get`` / ``range_lookup`` as one-element calls of the host
+    class's ``get_batch`` / ``range_scan_batch`` — the single definition
+    every engine (tree, sharded store, facade) inherits, so a scalar read
+    counts, charges and validates exactly as its batch twin does."""
+
+    def get(self, key: int) -> Optional[int]:
+        """Latest value for ``key``, or ``None`` if absent or deleted."""
+        found, values = self.get_batch(np.array([key], dtype=np.int64))
+        return int(values[0]) if found[0] else None
+
+    def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
+        """All live entries with ``lo <= key <= hi`` as ``(key, value)``
+        pairs in key order."""
+        keys, values, _ = self.range_scan_batch(
+            np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64)
+        )
+        return list(zip(keys.tolist(), values.tolist()))
+
+
+class LSMTree(ScalarReads):
     """A simulated LSM-tree key-value store with per-level policies."""
 
     # Injected observers (profiler / tracer) are wiring owned by the
     # embedding layer and re-attached after load, never snapshotted.
     _snapshot_exempt = frozenset({"read_profiler", "tracer"})
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        clock: Optional[SimClock] = None,
-        stats: Optional[StatsCollector] = None,
-        profile: bool = False,
-    ) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        #: Per-stage wall timers for the batch read path (``profile=True``).
-        #: Host-clock instrumentation only — simulated results are identical
-        #: with profiling on or off (see :mod:`repro.lsm.readpath`).
-        self.read_profiler: Optional[ReadPathProfiler] = (
-            ReadPathProfiler() if profile else None
-        )
+        #: Per-stage wall timers for the batch read path; assign a
+        #: :class:`ReadPathProfiler` to turn profiling on. Host-clock
+        #: instrumentation only — simulated results are identical with
+        #: profiling on or off (see :mod:`repro.lsm.readpath`).
+        self.read_profiler: Optional[ReadPathProfiler] = None
         #: Optional :class:`repro.obs.trace.Tracer` wrapping the batch
         #: entry points in wall-clock spans (attach via :meth:`set_tracer`).
         #: Same contract as the profiler: host-clock only, zero simulated
         #: impact, one ``is None`` test per batch when disabled.
         self.tracer = None
-        self.clock = clock if clock is not None else SimClock()
-        self.stats = stats if stats is not None else StatsCollector()
+        self.clock = SimClock()
+        self.stats = StatsCollector()
         self.cache = LRUBlockCache(config.block_cache_pages)
         self.disk = DiskModel(config.costs, self.clock, self.cache)
         self.memtable = MemTable(config.buffer_capacity_entries)
@@ -440,39 +448,11 @@ class LSMTree:
     # ------------------------------------------------------------------
     # Public read path
     # ------------------------------------------------------------------
-    def get(self, key: int) -> Optional[int]:
-        """Latest value for ``key``, or ``None`` if absent or deleted."""
-        self.stats.count_lookup()
-        key = int(key)
-        buffered = self.memtable.get(key)
-        if buffered is not None:
-            return None if buffered == TOMBSTONE else buffered
-        for level in self.levels:
-            for run in reversed(level.runs):  # newest first within a level
-                probe_cost = self.disk.probe_cpu(1)
-                self.stats.add_read(level.level_no, probe_cost)
-                if not run.bloom_positive(key):
-                    continue
-                found, value, page = run.find(key)
-                io_cost = self.disk.random_read(run.run_id, page)
-                self.stats.add_read(level.level_no, io_cost)
-                if found:
-                    return None if value == TOMBSTONE else value
-        return None
-
-    def get_strict(self, key: int) -> int:
-        """Like :meth:`get` but raises :class:`KeyNotFoundError` on a miss."""
-        value = self.get(key)
-        if value is None:
-            raise KeyNotFoundError(int(key))
-        return value
-
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized point lookups, one stacked numpy pass per level.
 
-        Returns ``(found_mask, values)`` aligned with ``keys``. Semantically
-        equivalent to calling :meth:`get` per key against the same tree
-        state, and **bit-identical** to the run-at-a-time reference
+        Returns ``(found_mask, values)`` aligned with ``keys``;
+        **bit-identical** to the run-at-a-time reference
         (:func:`repro.lsm.readpath.reference_get_batch`) in every simulated
         observable: probe order (newest run first), ``probe_cpu``/page-read
         charges per run, Bloom RNG consumption, cache state.
@@ -651,49 +631,10 @@ class LSMTree:
         # else was resolved by its newest containing run above.
         return pending[rank == n_runs]
 
-    def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
-        """All live entries with ``lo <= key <= hi`` as ``(key, value)``
-        pairs in key order."""
-        if lo > hi:
-            raise ValueError(f"empty range: lo={lo} > hi={hi}")
-        self.stats.count_range()
-        keys, values = self.range_scan(lo, hi)
-        return list(zip(keys.tolist(), values.tolist()))
-
-    def range_scan(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The scan behind :meth:`range_lookup`: charges all probe and I/O
-        costs but does not count an operation (so a sharded engine can scan
-        every shard while counting the range once). Returns sorted live
-        ``(keys, values)`` arrays."""
-        key_arrays: List[np.ndarray] = []
-        value_arrays: List[np.ndarray] = []
-        # Oldest sources first so merge_sorted_sources keeps the newest value.
-        for level in reversed(self.levels):
-            for run in level.runs:  # within a level: oldest → newest
-                probe_cost = self.disk.probe_cpu(1)
-                self.stats.add_read(level.level_no, probe_cost)
-                run_keys, run_values, n_pages = run.range_slice(lo, hi)
-                if n_pages:
-                    io_cost = self.disk.sequential_read(n_pages)
-                    self.stats.add_read(level.level_no, io_cost)
-                if len(run_keys):
-                    key_arrays.append(run_keys)
-                    value_arrays.append(run_values)
-        buffered = self.memtable.range_items(lo, hi)
-        if buffered:
-            mk = np.fromiter(buffered.keys(), dtype=np.int64, count=len(buffered))
-            mv = np.fromiter(buffered.values(), dtype=np.int64, count=len(buffered))
-            order = np.argsort(mk, kind="stable")
-            key_arrays.append(mk[order])
-            value_arrays.append(mv[order])
-        return merge_sorted_sources(
-            key_arrays, value_arrays, drop_tombstones=True
-        )
-
     def range_scan_batch(
         self, los: np.ndarray, his: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`range_lookup` over R inclusive ranges.
+        """Range lookups over R inclusive ranges.
 
         Counts R range operations and charges every probe/IO cost
         **bit-identically** to R per-op scans in submission order (see
@@ -800,14 +741,6 @@ class LSMTree:
         policy = self.compaction_policy
         return policy.name if policy is not None else None
 
-    def apply_named_policy(
-        self,
-        policy: PolicyLike,
-        transition: TransitionKind = TransitionKind.FLEXIBLE,
-    ) -> None:
-        """Alias of :meth:`set_named_policy` under the engine contract."""
-        self.set_named_policy(policy, transition)
-
     # ------------------------------------------------------------------
     # KVEngine surface: mission windows, tuning targets, aggregate views
     # ------------------------------------------------------------------
@@ -867,12 +800,6 @@ class LSMTree:
     def last_mission_breakdown(self) -> "List[MissionStats]":
         """Per-target stats of the last completed mission."""
         return self.stats.completed[-1:]
-
-    def apply_transition(
-        self, policies: Sequence[int], transition: TransitionKind
-    ) -> None:
-        """Alias of :meth:`set_policies` under the engine contract."""
-        self.set_policies(list(policies), transition)
 
     # ------------------------------------------------------------------
     # Bulk loading
@@ -988,10 +915,6 @@ class LSMTree:
                 )
         if len(self.memtable) > self.memtable.capacity_entries:
             raise TreeStateError("memtable over capacity")
-
-    def read_amplification_snapshot(self) -> Dict[int, int]:
-        """Number of runs per level (a proxy for worst-case read amp)."""
-        return {level.level_no: level.n_runs for level in self.levels}
 
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist and DESIGN.md §6)

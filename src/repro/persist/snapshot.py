@@ -58,7 +58,6 @@ from repro.durable.atomio import publish_bytes
 from repro.durable.store import DurableStore
 from repro.engine.sharded import ShardedStore
 from repro.errors import SnapshotError
-from repro.lsm.flsm import FLSMTree
 from repro.lsm.tree import LSMTree
 from repro.rl.ddpg import DDPGConfig
 from repro.rl.dqn import DQNConfig
@@ -71,7 +70,6 @@ FORMAT_VERSION = 1
 _ENGINE_TAGS = (
     ("durable", DurableStore),
     ("sharded", ShardedStore),
-    ("flsm", FLSMTree),
     ("lsm", LSMTree),
 )
 
@@ -198,9 +196,7 @@ def _build_engine(
         return DurableStore(str(engine_state["data_dir"]), config)
     if tag == "sharded":
         return ShardedStore(config, n_shards)
-    if tag == "flsm":
-        return FLSMTree(config)
-    if tag == "lsm":
+    if tag in ("lsm", "flsm"):  # older snapshots tag the same tree "flsm"
         return LSMTree(config)
     raise SnapshotError(f"unknown engine kind in snapshot: {tag!r}")
 

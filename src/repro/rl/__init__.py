@@ -3,7 +3,7 @@
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.nn import MLP, Linear, ReLU, Tanh
-from repro.rl.noise import GaussianNoise, OrnsteinUhlenbeckNoise
+from repro.rl.noise import OrnsteinUhlenbeckNoise
 from repro.rl.optim import SGD, Adam
 from repro.rl.replay import ReplayBuffer
 
@@ -16,7 +16,6 @@ __all__ = [
     "SGD",
     "ReplayBuffer",
     "OrnsteinUhlenbeckNoise",
-    "GaussianNoise",
     "DDPGAgent",
     "DDPGConfig",
     "DQNAgent",

@@ -184,9 +184,6 @@ class MLP:
             mine *= 1.0 - tau
             mine += tau * theirs
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params())
-
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------

@@ -63,36 +63,3 @@ class OrnsteinUhlenbeckNoise:
     def load_state_dict(self, state: dict) -> None:
         self.sigma = float(state["sigma"])
         self._state[...] = state["state"]
-
-
-class GaussianNoise:
-    """Uncorrelated Gaussian exploration noise."""
-
-    # Stateless beyond hyperparameters; the RNG is the shared Lerp generator.
-    _snapshot_exempt = frozenset({"_dim", "_rng"})
-
-    def __init__(
-        self, action_dim: int, rng: np.random.Generator, sigma: float = 0.2
-    ) -> None:
-        if action_dim < 1:
-            raise RLError(f"action_dim must be >= 1, got {action_dim}")
-        if sigma < 0:
-            raise RLError(f"sigma must be >= 0, got {sigma}")
-        self.sigma = sigma
-        self._dim = action_dim
-        self._rng = rng
-
-    def reset(self) -> None:
-        """No internal state; provided for interface parity."""
-
-    def sample(self) -> np.ndarray:
-        return self._rng.normal(0.0, self.sigma, size=self._dim)
-
-    def scale_sigma(self, factor: float) -> None:
-        self.sigma = max(0.0, self.sigma * factor)
-
-    def state_dict(self) -> dict:
-        return {"sigma": self.sigma}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.sigma = float(state["sigma"])

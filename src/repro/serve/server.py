@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.engine.sharded import merge_mission_stats, shard_of_key
 from repro.errors import ConfigError, ServeError
+from repro.lsm.entry import validate_value
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import open_span
 from repro.serve.latency import LatencyHistogram
@@ -92,6 +93,13 @@ class Request:
         self.kind = kind
         self.key = int(key)
         self.value = int(value)
+        if kind == REQ_PUT:
+            # Rejected here, where outside input enters: raised later, in
+            # the lane worker's put_batch, it would kill the lane thread.
+            try:
+                validate_value(self.value)
+            except ValueError as exc:
+                raise ServeError(f"malformed put request: {exc}") from exc
         self.span = int(span)
         self.tenant = tenant
         self.t_submit = 0.0

@@ -58,10 +58,6 @@ class SimClock:
         self._now = now
         return total
 
-    def elapsed_since(self, t0: float) -> float:
-        """Simulated seconds elapsed since ``t0``."""
-        return self._now - t0
-
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------

@@ -345,13 +345,14 @@ def test_store_resolves_every_lsmtree_name(store_dir, tiny_config):
     [
         lambda s: s.set_policies([2, 3, 1], TransitionKind.GREEDY),
         lambda s: s.set_named_policy("tiering", TransitionKind.GREEDY),
-        lambda s: s.apply_transition([3, 3, 3], TransitionKind.FLEXIBLE),
-        lambda s: s.apply_named_policy("lazy-leveling"),
+        lambda s: s.set_policies([3, 3, 3], TransitionKind.FLEXIBLE),
+        lambda s: s.set_named_policy("lazy-leveling"),
         lambda s: s.force_merge_level(1),
     ],
     ids=[
-        "set_policies", "set_named_policy", "apply_transition",
-        "apply_named_policy", "force_merge_level",
+        "set_policies-greedy", "set_named_policy-greedy",
+        "set_policies-flexible", "set_named_policy-default",
+        "force_merge_level",
     ],
 )
 def test_one_manifest_commit_per_outermost_mutator(
@@ -412,7 +413,7 @@ def test_store_policy_changes_survive_reopen(store_dir, tiny_config):
 def test_store_named_policy_survives_reopen(store_dir, tiny_config):
     store = DurableStore(store_dir, tiny_config)
     fill(store, n_batches=6)
-    store.apply_named_policy("tiering")
+    store.set_named_policy("tiering")
     assert store.named_policy() == "tiering"
     store.close()
     reopened = DurableStore(store_dir)

@@ -21,7 +21,7 @@ from repro.engine import (
 )
 from repro.errors import ConfigError, TreeStateError
 from repro.lsm.entry import TOMBSTONE
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import FLSMTree
 from repro.lsm.memtable import MemTable
 from repro.lsm.tree import LSMTree
 from repro.workload.uniform import UniformWorkload
@@ -72,15 +72,6 @@ class TestProtocol:
         stats = tree.end_mission()
         assert stats.n_updates == 1
         assert tree.last_mission_breakdown() == [stats]
-
-    def test_apply_transition_matches_set_policies(self, tiny_config):
-        a, b = LSMTree(tiny_config), LSMTree(tiny_config)
-        for i in range(200):
-            a.put(i, i)
-            b.put(i, i)
-        a.apply_transition([3, 2], TransitionKind.FLEXIBLE)
-        b.set_policies([3, 2], TransitionKind.FLEXIBLE)
-        assert a.policies() == b.policies()
 
 
 class TestShardRouting:
@@ -196,6 +187,19 @@ class TestPutBatch:
             )
         with pytest.raises(ValueError):
             tree.put_batch(np.arange(3, dtype=np.int64), np.arange(2, dtype=np.int64))
+
+    @pytest.mark.parametrize("n_shards", (1, 4))
+    def test_sharded_rejected_batch_applies_nothing(self, tiny_config, n_shards):
+        store = ShardedStore(tiny_config, n_shards)
+        keys = np.arange(40, dtype=np.int64)
+        values = keys + 1
+        # Poison the entry whose home shard is visited last.
+        values[int(np.argmax(shard_of(keys, n_shards)))] = TOMBSTONE
+        with pytest.raises(ValueError):
+            store.put_batch(keys, values)
+        assert store.total_entries == 0
+        assert store.stats.total_updates == 0
+        assert store.clock_now == 0.0
 
     def test_empty_batch_is_noop(self, tiny_config):
         tree = LSMTree(tiny_config)
@@ -389,7 +393,7 @@ class TestCrossShardCorrectness:
 
     def test_invariants_and_policy_fanout(self, tiny_config, records):
         _, sharded = self._loaded_pair(tiny_config, records)
-        sharded.apply_transition([3, 2], TransitionKind.FLEXIBLE)
+        sharded.set_policies([3, 2], TransitionKind.FLEXIBLE)
         for shard in sharded.shards:
             assert shard.policies()[: 2] == [3, 2][: shard.n_levels]
         sharded.set_policy(1, 4, TransitionKind.FLEXIBLE)
@@ -443,7 +447,7 @@ class TestDurableShards:
                     for key in doomed:
                         engine.delete(key)
                     if window == 0 and step == 3:
-                        engine.apply_transition([3, 2], TransitionKind.GREEDY)
+                        engine.set_policies([3, 2], TransitionKind.GREEDY)
                 model.update(zip(keys.tolist(), values.tolist()))
                 for key in doomed:
                     model.pop(key, None)

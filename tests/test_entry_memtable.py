@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.lsm.entry import TOMBSTONE, Entry, merge_sorted_sources, validate_value
+from repro.lsm.entry import TOMBSTONE, merge_sorted_sources, validate_value
 from repro.lsm.memtable import MemTable
 
 
 class TestEntry:
-    def test_tombstone_flag(self):
-        assert Entry(1, TOMBSTONE).is_tombstone
-        assert not Entry(1, 5).is_tombstone
-
     def test_validate_value_rejects_tombstone(self):
         with pytest.raises(ValueError):
             validate_value(TOMBSTONE)
@@ -165,11 +161,11 @@ class TestMemTable:
         assert keys.tolist() == [1, 2]
         assert values.tolist() == [10, TOMBSTONE]
 
-    def test_range_items(self):
+    def test_range_items_scan(self):
         table = MemTable(8)
         for key in range(6):
             table.put(key, key)
-        assert table.range_items(2, 4) == {2: 2, 3: 3, 4: 4}
+        assert table.range_items_scan(2, 4) == {2: 2, 3: 3, 4: 4}
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 100)), max_size=60))
     @settings(max_examples=50, deadline=None)

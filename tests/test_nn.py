@@ -151,10 +151,6 @@ class TestMLPUtilities:
         net.zero_grad()
         assert all((g == 0).all() for g in net.grads())
 
-    def test_num_parameters(self, rng):
-        net = MLP(2, [4], 1, rng)
-        assert net.num_parameters() == (2 * 4 + 4) + (4 * 1 + 1)
-
 
 class TestOptimizers:
     def _quadratic_problem(self):

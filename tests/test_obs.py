@@ -21,6 +21,7 @@ from repro.core.lerp import Lerp, LerpConfig
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
 from repro.errors import ObsError
+from repro.lsm.readpath import ReadPathProfiler
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
 from repro.obs import (
@@ -252,7 +253,8 @@ class TestTracer:
 
     def test_tree_spans_absorb_profiler_stages(self):
         config = SystemConfig()
-        tree = LSMTree(config, profile=True)
+        tree = LSMTree(config)
+        tree.read_profiler = ReadPathProfiler()
         keys = np.arange(300, dtype=np.int64)
         tree.bulk_load(keys, keys)
         tracer = Tracer()

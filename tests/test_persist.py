@@ -27,7 +27,7 @@ from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
 from repro.engine.sharded import ShardedStore
 from repro.errors import SnapshotError
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import FLSMTree
 from repro.lsm.memtable import MemTable
 from repro.lsm.tree import LSMTree
 from repro.persist import (
@@ -360,6 +360,32 @@ class TestSnapshotFiles:
         assert restored.describe() == tree.describe()
         assert restored.clock_now == tree.clock_now
         assert restored.config == tree.config
+
+    def test_flsm_tagged_snapshot_loads_as_lsm(self, store_config, tmp_path):
+        """Snapshots written while ``FLSMTree`` was a subclass are tagged
+        ``"flsm"`` and carry a ``transition_log``; both stay readable."""
+        tree = LSMTree(store_config)
+        tree.put_batch(np.arange(500), np.arange(500))
+        path = os.fspath(tmp_path / "old.snap")
+        save_engine(tree, path)
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        assert payload["state"]["engine_kind"] == "lsm"
+        payload["state"]["engine_kind"] = "flsm"
+        payload["state"]["engine"]["transition_log"] = [
+            {"at": 0.0, "level": 1, "policy": 3, "cost": 0.0}
+        ]
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        restored = load_engine(path)
+        assert type(restored) is LSMTree
+        assert restored.describe() == tree.describe()
+        restored.check_invariants()
+        resaved = os.fspath(tmp_path / "new.snap")
+        save_engine(restored, resaved)
+        state = load_snapshot(resaved)["state"]
+        assert state["engine_kind"] == "lsm"
+        assert "transition_log" not in state["engine"]
 
     def test_tuner_roundtrip(self, store_config, workload, tmp_path):
         store = build_store(store_config)

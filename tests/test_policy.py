@@ -28,12 +28,10 @@ from repro.lsm import (
     LSMTree,
     classify_policies,
     live_items,
-    make_transition,
     named_policies,
     policy_from_index,
     policy_index,
     resolve_policy,
-    switch_named_policy,
 )
 from repro.lsm.policy import (
     LazyLevelingPolicy,
@@ -99,13 +97,19 @@ def _fill(tree: LSMTree, n: int, seed: int = 0, key_space: int = 500_000):
     return keys, values
 
 
+def _switch_cost(tree, policy, kind) -> float:
+    """Immediate simulated cost of switching ``tree`` to a named policy."""
+    before = tree.clock.now
+    tree.set_named_policy(policy, kind)
+    return tree.clock.now - before
+
+
 class TestTreePinning:
     def test_pin_applies_and_tracks(self, small_config):
         tree = FLSMTree(small_config)
         _fill(tree, 3_000)
         assert tree.named_policy() is None
-        cost = tree.transform_named_policy("tiering")
-        assert cost == 0.0
+        assert _switch_cost(tree, "tiering", TransitionKind.FLEXIBLE) == 0.0
         assert tree.named_policy() == "tiering"
         assert tree.policies() == [10] * tree.n_levels
 
@@ -136,29 +140,25 @@ class TestTreePinning:
         ]:
             tree = FLSMTree(small_config.with_updates(initial_policy=10))
             _fill(tree, 3_000)
-            cost = switch_named_policy(tree, "leveling", kind)
+            cost = _switch_cost(tree, "leveling", kind)
             if free:
                 assert cost == 0.0
             else:
                 assert cost > 0.0
             tree.check_invariants()
 
-    def test_strategy_apply_named(self, small_config):
-        # The strategy-object surface mirrors apply/apply_all for named
-        # switches (tuners parameterized by strategy can switch policies).
+    def test_every_transition_kind_pins(self, small_config):
         for kind in TransitionKind:
             tree = FLSMTree(small_config)
             _fill(tree, 3_000)
-            make_transition(kind).apply_named(tree, "tiering")
+            tree.set_named_policy("tiering", kind)
             assert tree.named_policy() == "tiering"
             tree.check_invariants()
 
     def test_lazy_switch_defers_then_applies(self, tiny_config):
         tree = FLSMTree(tiny_config.with_updates(initial_policy=4))
         _fill(tree, 60, key_space=400)
-        assert switch_named_policy(
-            tree, "leveling", TransitionKind.LAZY
-        ) == 0.0
+        assert _switch_cost(tree, "leveling", TransitionKind.LAZY) == 0.0
         # Pinned immediately, but per-level Ks change only as levels empty.
         assert tree.named_policy() == "leveling"
         occupied = [l for l in tree.levels if not l.is_empty]
@@ -173,7 +173,7 @@ class TestTreePinning:
         store.put_batch(
             gen.integers(0, 10_000, 500), gen.integers(0, 100, 500)
         )
-        store.apply_named_policy("tiering", TransitionKind.FLEXIBLE)
+        store.set_named_policy("tiering", TransitionKind.FLEXIBLE)
         assert store.named_policy() == "tiering"
         for shard in store.shards:
             assert shard.named_policy() == "tiering"
@@ -306,7 +306,7 @@ def test_policy_switch_preserves_contents(ops_before, ops_after, kind, target):
                 model.pop(key, None)
 
     apply(ops_before)
-    switch_named_policy(tree, target, kind)
+    tree.set_named_policy(target, kind)
     tree.check_invariants()
     apply(ops_after)
     tree.check_invariants()

@@ -5,8 +5,8 @@ reference (:func:`repro.lsm.rangepath.reference_range_scan_batch`) in
 every simulated observable, and per-range identical to
 :meth:`LSMTree.range_lookup`. This module pins both contracts across the
 engine layers that dispatch ranges (tree, sharded store, mission runner,
-serve lane), plus the memtable sorted-view fast paths the pipeline rides
-on (:meth:`MemTable.range_items`, :func:`repro.lsm.iterators.live_items`)
+serve lane), plus the memtable sorted view the pipeline rides on
+(:meth:`MemTable.sorted_view`, :func:`repro.lsm.iterators.live_items`)
 and the profiler's range stages.
 """
 
@@ -18,12 +18,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_readpath import build_stacked_tree, sim_observables
+from test_readpath import (
+    ENGINE_KINDS,
+    assert_trees_match_twins,
+    build_stacked_tree,
+    drawn_engine_with_twins,
+    sim_observables,
+)
 
 from repro.config import SystemConfig
 from repro.core.missions import MissionRunner
-from repro.engine.sharded import ShardedStore
-from repro.lsm.flsm import FLSMTree
+from repro.engine.sharded import ShardedStore, shard_of_key
+from repro.lsm import FLSMTree
 from repro.lsm.iterators import live_items
 from repro.lsm.memtable import MemTable
 from repro.lsm.rangepath import (
@@ -31,7 +37,7 @@ from repro.lsm.rangepath import (
     multi_arange,
     reference_range_scan_batch,
 )
-from repro.lsm.readpath import STAGES
+from repro.lsm.readpath import STAGES, ReadPathProfiler
 from repro.serve.server import REQ_GET, REQ_PUT, REQ_RANGE, KVServer, Request
 from repro.workload.spec import (
     OP_LOOKUP,
@@ -237,6 +243,41 @@ class TestBatchMatchesPerOpRangeLookup:
         )
         self._check(tree, los, his)
 
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_scalar_range_lookup_matches_reference(self, kind, data):
+        """Per-range ``range_lookup`` through every engine ≡ the reference
+        loop over every tree behind it: pairs, clock, per-level charges,
+        IO and cache counters, op counts."""
+        with drawn_engine_with_twins(data, kind) as (
+            engine, twins, rng, key_space
+        ):
+            n_ranges = data.draw(
+                st.integers(min_value=0, max_value=40), label="n_ranges"
+            )
+            los, his = make_ranges(
+                rng, n_ranges, key_space=key_space + 16, max_span=40
+            )
+            for lo, hi in zip(los.tolist(), his.tolist()):
+                expected = []
+                home = shard_of_key(lo, len(twins))
+                for shard_no, twin in enumerate(twins):
+                    keys, values, _ = reference_range_scan_batch(
+                        twin, np.array([lo]), np.array([hi])
+                    )
+                    expected.extend(zip(keys.tolist(), values.tolist()))
+                    if shard_no != home:
+                        # The reference counts on every tree it scans; an
+                        # engine counts a range once, on lo's home shard.
+                        twin.stats.total_ranges -= 1
+                assert engine.range_lookup(lo, hi) == sorted(expected)
+            assert_trees_match_twins(engine, twins)
+
 
 class TestShardedConformance:
     def _loaded(self, n_shards, seed=5):
@@ -410,7 +451,16 @@ class TestServeConformance:
             assert a.stats.total_ranges == b.stats.total_ranges
 
 
-class TestMemtableRangeItems:
+def _view_items(table, lo, hi):
+    """``lo <= key <= hi`` sliced out of the sorted view, the way
+    ``scan_batch`` reads the memtable."""
+    mk, mv = table.sorted_view()
+    start = int(np.searchsorted(mk, lo, side="left"))
+    stop = int(np.searchsorted(mk, hi, side="right"))
+    return dict(zip(mk[start:stop].tolist(), mv[start:stop].tolist()))
+
+
+class TestMemtableSortedView:
     def _table(self, with_view):
         table = MemTable(256)
         rng = np.random.default_rng(2)
@@ -426,7 +476,7 @@ class TestMemtableRangeItems:
             assert table._sorted_view is None
         return table
 
-    @pytest.mark.parametrize("with_view", (False, True), ids=["scan", "view"])
+    @pytest.mark.parametrize("with_view", (False, True), ids=["stale", "cached"])
     @pytest.mark.parametrize(
         "bounds",
         [(0, 499), (100, 100), (7, 13), (600, 900), (-50, 20), (499, 10**6)],
@@ -434,26 +484,23 @@ class TestMemtableRangeItems:
     def test_equivalence_with_dict_scan(self, with_view, bounds):
         table = self._table(with_view)
         lo, hi = bounds
-        assert table.range_items(lo, hi) == table.range_items_scan(lo, hi)
+        assert _view_items(table, lo, hi) == table.range_items_scan(lo, hi)
 
-    def test_view_path_includes_tombstones(self):
+    def test_view_includes_tombstones(self):
         table = self._table(with_view=True)
         from repro.lsm.entry import TOMBSTONE
 
-        items = table.range_items(7, 13)
+        items = _view_items(table, 7, 13)
         assert items[7] == TOMBSTONE and items[13] == TOMBSTONE
 
     def test_stale_view_rebuild(self):
         table = self._table(with_view=True)
         table.put(10_000, 5)  # invalidates the view
         assert table._sorted_view is None
-        # Stale view: the scan fallback answers (and must see the write).
-        assert table.range_items(10_000, 10_000) == {10_000: 5}
-        # A batch reader rebuilds the view; the fast path takes over.
-        table.sorted_view()
+        # The next reader rebuilds the view and must see the write.
+        assert _view_items(table, 10_000, 10_000) == {10_000: 5}
         assert table._sorted_view is not None
-        assert table.range_items(10_000, 10_000) == {10_000: 5}
-        assert table.range_items(0, 10**6) == table.range_items_scan(0, 10**6)
+        assert _view_items(table, 0, 10**6) == table.range_items_scan(0, 10**6)
 
     def test_sorted_view_is_cached_and_sorted(self):
         table = self._table(with_view=False)
@@ -467,7 +514,7 @@ class TestMemtableRangeItems:
         table = MemTable(8)
         mk, mv = table.sorted_view()
         assert len(mk) == 0 and len(mv) == 0
-        assert table.range_items(0, 100) == {}
+        assert table.range_items_scan(0, 100) == {}
 
 
 class TestLiveItemsUsesSortedView:
@@ -491,7 +538,8 @@ class TestRangeProfiler:
 
     def test_profiling_does_not_change_simulation(self):
         tree, rng = build_stacked_tree("tiering")
-        profiled = FLSMTree(tree.config, profile=True)
+        profiled = FLSMTree(tree.config)
+        profiled.read_profiler = ReadPathProfiler()
         profiled.load_state_dict(tree.state_dict())
         los, his = make_ranges(rng, 120)
         assert_batch_equal(
@@ -502,7 +550,8 @@ class TestRangeProfiler:
 
     def test_stages_populated_and_reported(self):
         tree, rng = build_stacked_tree("tiering")
-        profiled = FLSMTree(tree.config, profile=True)
+        profiled = FLSMTree(tree.config)
+        profiled.read_profiler = ReadPathProfiler()
         profiled.load_state_dict(tree.state_dict())
         los, his = make_ranges(rng, 50)
         profiled.range_scan_batch(los, his)

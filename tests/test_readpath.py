@@ -11,14 +11,19 @@ the memtable sorted-view cache.
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import BloomMode, CostModelParams, SystemConfig
+from repro.durable.store import DurableStore
+from repro.engine.sharded import ShardedStore, shard_of_key
 from repro.errors import StorageError
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import FLSMTree
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.memtable import MemTable
 from repro.lsm.readpath import STAGES, ReadPathProfiler, reference_get_batch
@@ -82,6 +87,75 @@ def sim_observables(tree):
         tree.disk.counters.state_dict(),
         tree._rng.bit_generator.state,
     )
+
+
+#: Every engine a scalar read can enter through; all of them inherit the
+#: same ``get`` / ``range_lookup`` pair (``repro.lsm.tree.ScalarReads``).
+ENGINE_KINDS = ("tree", "sharded-1", "sharded-4", "durable")
+
+
+def make_engine(kind, cfg, data_dir):
+    if kind == "tree":
+        return LSMTree(cfg)
+    if kind == "durable":
+        return DurableStore(data_dir, cfg)
+    return ShardedStore(cfg, int(kind.rpartition("-")[2]))
+
+
+@contextlib.contextmanager
+def drawn_engine_with_twins(data, kind):
+    """A hypothesis-drawn engine of ``kind`` — batch writes, then tombstones
+    over live keys (some still buffered, so reads must shadow disk-resident
+    versions) — with plain-tree snapshot twins of the tree(s) behind it, in
+    shard order, for the reference loops to run against. Yields
+    ``(engine, twins, rng, key_space)``."""
+    cfg = SystemConfig(
+        write_buffer_bytes=4 * 1024,
+        size_ratio=3,
+        block_cache_pages=16,
+        seed=11,
+    )
+    n = data.draw(st.integers(min_value=0, max_value=400), label="n_writes")
+    key_space = data.draw(
+        st.integers(min_value=1, max_value=1200), label="key_space"
+    )
+    policy = data.draw(st.sampled_from(POLICIES), label="policy")
+    rng = np.random.default_rng(
+        data.draw(st.integers(min_value=0, max_value=2**31), label="seed")
+    )
+    with tempfile.TemporaryDirectory() as data_dir:
+        engine = make_engine(kind, cfg, data_dir)
+        engine.set_named_policy(policy)
+        if n:
+            keys = rng.integers(0, key_space, size=n)
+            engine.put_batch(keys, rng.integers(0, 10**6, size=n))
+            for key in keys[rng.random(n) < 0.1].tolist():
+                engine.delete(key)
+        twins = []
+        for tree in engine.tuning_targets():
+            twin = LSMTree(tree.config)
+            twin.load_state_dict(LSMTree.state_dict(tree))
+            twins.append(twin)
+        try:
+            yield engine, twins, rng, key_space
+        finally:
+            if kind == "durable":
+                engine.close()
+
+
+def read_observables(tree):
+    """:func:`sim_observables` plus cache traffic and operation counts."""
+    return sim_observables(tree) + (
+        tree.cache.hits,
+        tree.cache.misses,
+        tree.stats.total_lookups,
+        tree.stats.total_ranges,
+    )
+
+
+def assert_trees_match_twins(engine, twins):
+    for tree, twin in zip(engine.tuning_targets(), twins):
+        assert read_observables(tree) == read_observables(twin)
 
 
 class TestBitIdenticalToReference:
@@ -207,6 +281,32 @@ class TestBatchMatchesPerKeyGet:
             )
         ).astype(np.int64)
         self._check(tree, probes)
+
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_scalar_get_matches_reference(self, kind, data):
+        """Per-key ``get`` through every engine ≡ the reference loop on the
+        key's home tree: value, clock, per-level charges, IO and cache
+        counters, Bloom RNG, op counts."""
+        with drawn_engine_with_twins(data, kind) as (
+            engine, twins, rng, key_space
+        ):
+            n_probes = data.draw(
+                st.integers(min_value=0, max_value=120), label="n_probes"
+            )
+            for key in rng.integers(0, key_space + 16, size=n_probes).tolist():
+                home = twins[shard_of_key(key, len(twins))]
+                found, values = reference_get_batch(
+                    home, np.array([key], dtype=np.int64)
+                )
+                expected = int(values[0]) if found[0] else None
+                assert engine.get(key) == expected
+            assert_trees_match_twins(engine, twins)
 
 
 class TestLevelLookupIndex:
@@ -459,7 +559,8 @@ class TestReadPathProfiler:
 
     def test_profiling_does_not_change_simulation(self):
         tree, rng = build_stacked_tree("tiering", cache_pages=16)
-        profiled = FLSMTree(tree.config, profile=True)
+        profiled = FLSMTree(tree.config)
+        profiled.read_profiler = ReadPathProfiler()
         profiled.load_state_dict(tree.state_dict())
         probes = rng.integers(0, 15000, size=2000).astype(np.int64)
         found_plain, values_plain = tree.get_batch(probes)
@@ -470,7 +571,8 @@ class TestReadPathProfiler:
 
     def test_stages_populated(self):
         tree, rng = build_stacked_tree("tiering", cache_pages=16)
-        profiled = FLSMTree(tree.config, profile=True)
+        profiled = FLSMTree(tree.config)
+        profiled.read_profiler = ReadPathProfiler()
         profiled.load_state_dict(tree.state_dict())
         probes = rng.integers(0, 15000, size=2000).astype(np.int64)
         profiled.get_batch(probes)

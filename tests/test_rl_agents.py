@@ -9,7 +9,6 @@ from repro.rl import (
     DDPGConfig,
     DQNAgent,
     DQNConfig,
-    GaussianNoise,
     OrnsteinUhlenbeckNoise,
     ReplayBuffer,
 )
@@ -84,18 +83,10 @@ class TestNoise:
         assert noise.sigma == 0.0
         assert noise.sample().shape == (1,)
 
-    def test_gaussian_magnitude(self):
-        rng = np.random.default_rng(0)
-        noise = GaussianNoise(1, rng, sigma=0.2)
-        samples = np.asarray([noise.sample()[0] for _ in range(4000)])
-        assert samples.std() == pytest.approx(0.2, abs=0.02)
-
     def test_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(RLError):
             OrnsteinUhlenbeckNoise(0, rng)
-        with pytest.raises(RLError):
-            GaussianNoise(1, rng, sigma=-1.0)
 
 
 class TestDDPG:

@@ -19,7 +19,7 @@ from repro.core.lerp import Lerp, LerpConfig
 from repro.core.tuners import StaticTuner
 from repro.engine.sharded import ShardedStore, shard_of_key
 from repro.errors import ConfigError, ServeError
-from repro.lsm.flsm import FLSMTree
+from repro.lsm import TOMBSTONE, FLSMTree
 from repro.persist import load_engine
 from repro.serve import (
     REQ_DELETE,
@@ -132,6 +132,13 @@ class TestRequestRouting:
     def test_bad_request_kind_rejected(self):
         with pytest.raises(ServeError):
             Request(99, 1)
+
+    def test_put_of_tombstone_value_rejected_at_construction(self):
+        # Accepted here, it would raise inside the lane worker's put_batch,
+        # kill the lane thread and hang every later closed-loop client.
+        with pytest.raises(ServeError):
+            Request(REQ_PUT, 1, value=TOMBSTONE)
+        Request(REQ_DELETE, 1, value=TOMBSTONE)  # value is ignored
 
     def test_submit_requires_running_server(self):
         store, _ = loaded_store()

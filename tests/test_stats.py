@@ -37,12 +37,6 @@ class TestMissionStats:
         assert mission.ops_per_second == pytest.approx(2000.0)
         assert MissionStats(index=0, n_lookups=5).ops_per_second == 0.0
 
-    def test_sim_ops_per_second_uses_sim_duration(self):
-        mission = MissionStats(
-            index=0, n_lookups=100, sim_duration=0.5
-        )
-        assert mission.sim_ops_per_second == pytest.approx(200.0)
-
     def test_wall_duration_excluded_from_snapshots(self):
         """Wall time is a host measurement — like model_update_time it
         cannot survive a bit-exact save/restore, so it is not serialized
@@ -116,13 +110,6 @@ class TestStatsCollector:
         mission = stats.end_mission(IOCounters(), 0.0)
         assert (mission.n_lookups, mission.n_updates, mission.n_ranges) == (2, 3, 1)
         assert stats.total_operations == 6
-
-    def test_model_update_time_recorded(self):
-        stats = StatsCollector()
-        stats.begin_mission(IOCounters(), 0.0)
-        stats.add_model_update_time(0.01)
-        mission = stats.end_mission(IOCounters(), 0.0)
-        assert mission.model_update_time == pytest.approx(0.01)
 
     def test_recent_missions(self):
         stats = StatsCollector()

@@ -28,12 +28,6 @@ class TestSimClock:
         with pytest.raises(StorageError):
             SimClock().advance(-0.1)
 
-    def test_elapsed_since(self):
-        clock = SimClock()
-        t0 = clock.now
-        clock.advance(3.0)
-        assert clock.elapsed_since(t0) == pytest.approx(3.0)
-
     def test_repr_mentions_time(self):
         assert "now=" in repr(SimClock())
 

@@ -1,16 +1,10 @@
-"""Tests for the three transition strategies (paper Section 4) and the
-FLSM-tree facade."""
+"""Tests for the three transition kinds (paper Section 4) as applied by
+``tree.set_policy(level, K, kind)``, and the FLSM-tree's defining property."""
 
 import pytest
 
 from repro.config import TransitionKind
-from repro.lsm.flsm import FLSMTree
-from repro.lsm.transitions import (
-    FlexibleTransition,
-    GreedyTransition,
-    LazyTransition,
-    make_transition,
-)
+from repro.lsm import FLSMTree
 from repro.lsm.tree import LSMTree
 
 
@@ -125,40 +119,12 @@ class TestGreedyTransition:
         assert run_with(TransitionKind.GREEDY) > run_with(TransitionKind.FLEXIBLE)
 
 
-class TestStrategyObjects:
-    def test_make_transition_dispatch(self):
-        assert isinstance(
-            make_transition(TransitionKind.GREEDY), GreedyTransition
-        )
-        assert isinstance(make_transition(TransitionKind.LAZY), LazyTransition)
-        assert isinstance(
-            make_transition(TransitionKind.FLEXIBLE), FlexibleTransition
-        )
-
-    def test_apply_all(self, loaded_tree):
-        FlexibleTransition().apply_all(loaded_tree, [2] * loaded_tree.n_levels)
-        assert loaded_tree.policies() == [2] * loaded_tree.n_levels
-
-    def test_repr(self):
-        assert repr(FlexibleTransition()) == "FlexibleTransition()"
-
-
 class TestFLSMTree:
-    def test_transform_policy_returns_zero_cost(self, tiny_config):
-        tree = FLSMTree(tiny_config)
-        for i in range(500):
-            tree.put(i, i)
-        cost = tree.transform_policy(1, 4)
-        assert cost == 0.0
-        assert tree.level(1).policy == 4
-
-    def test_transform_policies_logs(self, tiny_config):
-        tree = FLSMTree(tiny_config)
-        for i in range(500):
-            tree.put(i, i)
-        tree.transform_policies([2] * tree.n_levels)
-        assert len(tree.transition_log) == 1
-        assert tree.transition_log[0]["cost"] == 0.0
+    def test_set_policies_applies_every_level(self, loaded_tree):
+        loaded_tree.set_policies(
+            [2] * loaded_tree.n_levels, TransitionKind.FLEXIBLE
+        )
+        assert loaded_tree.policies() == [2] * loaded_tree.n_levels
 
     def test_flsm_allows_mixed_run_sizes(self, tiny_config):
         """The defining FLSM property: runs of different sizes coexist."""
@@ -166,10 +132,10 @@ class TestFLSMTree:
         for i in range(400):
             tree.put(i, i)
         # Shrink the active run capacity, then grow it again while writing.
-        tree.transform_policy(1, tiny_config.size_ratio)
+        tree.set_policy(1, tiny_config.size_ratio, TransitionKind.FLEXIBLE)
         for i in range(400, 500):
             tree.put(i, i)
-        tree.transform_policy(1, 1)
+        tree.set_policy(1, 1, TransitionKind.FLEXIBLE)
         for i in range(500, 560):
             tree.put(i, i)
         sizes = {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.config import SystemConfig, TransitionKind
-from repro.errors import KeyNotFoundError, TreeStateError
+from repro.errors import TreeStateError
 from repro.lsm.iterators import live_items
 from repro.lsm.tree import LSMTree
 
@@ -26,11 +26,6 @@ class TestBasicOperations:
     def test_get_missing_returns_none(self, tiny_config):
         tree = build_tree(tiny_config)
         assert tree.get(42) is None
-
-    def test_get_strict_raises(self, tiny_config):
-        tree = build_tree(tiny_config)
-        with pytest.raises(KeyNotFoundError):
-            tree.get_strict(42)
 
     def test_overwrite(self, tiny_config):
         tree = build_tree(tiny_config)

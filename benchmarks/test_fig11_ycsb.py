@@ -54,7 +54,7 @@ def test_fig11(benchmark, panel):
         # Under Zipfian updates the memtable absorbs hot-key overwrites, so
         # the level-local write signal is weaker than with uniform keys and
         # RusKey settles mid-range; it must still clearly beat the
-        # write-hostile baselines (see EXPERIMENTS.md).
+        # write-hostile baselines (bench_reports/fig11_write-heavy.txt).
         assert settled["RusKey"] <= baselines[best_name] * 2.0
         assert settled["RusKey"] < worst
     else:

@@ -9,7 +9,8 @@ In this reproduction the LSM side is *simulated* seconds while the model
 update is *wall-clock* seconds of the from-scratch numpy DDPG — different
 clocks, so the report shows both columns and the assertion is the paper's
 qualitative claim: the model update is a small fraction of mission
-processing time (see EXPERIMENTS.md for the unit caveat).
+processing time (the two clocks: ROADMAP.md north star, point 1; the
+host-time version of this figure is ``perfbench``'s ``core.tuner_share``).
 """
 
 import numpy as np

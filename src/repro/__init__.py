@@ -17,8 +17,8 @@ Quickstart::
     store.run_workload(workload, n_missions=200, mission_size=1_000)
     print(store.policies(), store.mean_latency(last_n=50))
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the reproduced
-tables and figures.
+See DESIGN.md for the architecture and ``bench_reports/`` (one report per
+``benchmarks/`` test) for the reproduced tables and figures.
 """
 
 from repro.config import (

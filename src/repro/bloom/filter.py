@@ -158,10 +158,8 @@ class AnalyticalBloomFilter:
         if len(self._sorted_keys) == 0:
             return np.zeros(len(keys), dtype=bool)
         pos = np.searchsorted(self._sorted_keys, keys)
-        in_range = pos < len(self._sorted_keys)
-        found = np.zeros(len(keys), dtype=bool)
-        found[in_range] = self._sorted_keys[pos[in_range]] == keys[in_range]
-        return found
+        np.minimum(pos, len(self._sorted_keys) - 1, out=pos)
+        return self._sorted_keys[pos] == keys
 
     def might_contain(self, key: int) -> bool:
         if self._fpr >= 1.0:
@@ -184,17 +182,14 @@ class AnalyticalBloomFilter:
         mask in the same key order — so simulated results are bit-identical
         with or without the hint.
         """
-        keys = np.asarray(keys, dtype=np.int64)
-        if len(keys) == 0:
-            return np.zeros(0, dtype=bool)
         if self._fpr >= 1.0:
             return np.ones(len(keys), dtype=bool)
         if present is None:
-            result = self._contains(keys)
+            result = self._contains(np.asarray(keys, dtype=np.int64))
         else:
-            result = np.array(present, dtype=bool)
+            result = present.copy()
         absent = ~result
-        n_absent = int(absent.sum())
+        n_absent = int(np.count_nonzero(absent))
         if n_absent:
             result[absent] = self._rng.random(n_absent) < self._fpr
         return result

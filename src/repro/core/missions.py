@@ -31,34 +31,36 @@ class MissionRunner:
         if chunk_size < 1:
             raise WorkloadError(f"chunk_size must be >= 1, got {chunk_size}")
         self.engine = engine
-        #: Legacy alias — the engine of the original runner was always a tree.
-        self.tree = engine
         self.chunk_size = chunk_size
 
     def run(self, mission: Mission) -> MissionStats:
         """Execute ``mission`` and return its statistics."""
         engine = self.engine
         engine.begin_mission()
-        n = len(mission)
-        for start in range(0, n, self.chunk_size):
-            stop = min(start + self.chunk_size, n)
-            self._run_chunk(mission, start, stop)
-        return engine.end_mission()
+        # The three op masks are taken once per mission: each kind's ops
+        # are gathered in stream order, and ``cuts[i]:cuts[i + 1]`` is chunk
+        # ``i``'s share of them, so a chunk is three array slices.
+        edges = np.arange(0, len(mission) + self.chunk_size, self.chunk_size)
 
-    def _run_chunk(self, mission: Mission, start: int, stop: int) -> None:
-        kinds = mission.kinds[start:stop]
-        keys = mission.keys[start:stop]
-        spans = mission.spans[start:stop]
-        engine = self.engine
-        updates = kinds == OP_UPDATE
-        if updates.any():
-            engine.put_batch(keys[updates], mission.values[start:stop][updates])
-        lookups = kinds == OP_LOOKUP
-        if lookups.any():
-            engine.get_batch(keys[lookups])
-        ranges = kinds == OP_RANGE
-        if ranges.any():
-            los = keys[ranges]
-            engine.range_scan_batch(
-                los, los + np.maximum(spans[ranges] - 1, 0)
-            )
+        def of_kind(op: int):
+            at = (mission.kinds == op).nonzero()[0]
+            return at, at.searchsorted(edges).tolist()
+
+        upd, upd_cuts = of_kind(OP_UPDATE)
+        get, get_cuts = of_kind(OP_LOOKUP)
+        rng, rng_cuts = of_kind(OP_RANGE)
+        upd_keys, upd_values = mission.keys[upd], mission.values[upd]
+        get_keys = mission.keys[get]
+        los = mission.keys[rng]
+        his = los + np.maximum(mission.spans[rng] - 1, 0)
+        for i in range(len(edges) - 1):
+            a, b = upd_cuts[i], upd_cuts[i + 1]
+            if a < b:
+                engine.put_batch(upd_keys[a:b], upd_values[a:b])
+            a, b = get_cuts[i], get_cuts[i + 1]
+            if a < b:
+                engine.get_batch(get_keys[a:b])
+            a, b = rng_cuts[i], rng_cuts[i + 1]
+            if a < b:
+                engine.range_scan_batch(los[a:b], his[a:b])
+        return engine.end_mission()

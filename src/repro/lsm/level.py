@@ -24,9 +24,8 @@ from repro.lsm.run import SortedRun
 class LevelLookupIndex:
     """Read-only point-lookup index over *all* runs of one level.
 
-    Built by merging every run's sorted keys into one array and keeping, for
-    each **unique** key in the level, the entry from the *newest* run that
-    contains it:
+    For each **unique** key in the level it keeps the entry from the
+    *newest* run that contains it, in parallel arrays indexed by *slot*:
 
     * ``keys``  — unique keys present anywhere in the level, sorted;
     * ``rank``  — newest-first run rank containing the key (``0`` is the
@@ -38,67 +37,95 @@ class LevelLookupIndex:
     This is the in-memory metadata a real system holds per run (fence
     pointers + filters), folded level-wide so a batch lookup resolves the
     run-probe schedule of every key in one binary search instead of one per
-    run. The index is immutable; :meth:`Level.lookup_index` caches it keyed
-    on the level's run list (runs are immutable once created, so the tuple
-    of run ids identifies the content exactly).
+    run. Stacked runs are merged into fresh arrays. A **single run** is its
+    own index, zero-copy: ``keys``/``values`` *are* the run's arrays and
+    ``rank``/``positions`` are ``None`` — every held key has rank 0 and a
+    slot is its own in-run position. The index is immutable;
+    :meth:`Level.lookup_index` caches it keyed on the level's run list
+    (runs are immutable once created, so the tuple of run ids identifies
+    the content exactly).
     """
 
     __slots__ = ("n_runs", "keys", "rank", "values", "positions")
 
     def __init__(self, runs: List[SortedRun]) -> None:
         self.n_runs = len(runs)
-        parts_k: List[np.ndarray] = []
-        parts_rank: List[np.ndarray] = []
-        parts_pos: List[np.ndarray] = []
-        parts_v: List[np.ndarray] = []
+        self.rank: Optional[np.ndarray] = None
+        self.positions: Optional[np.ndarray] = None
+        if len(runs) == 1:
+            self.keys, self.values = runs[0].keys, runs[0].values
+            return
         # Newest first, so a stable sort leaves the newest copy of a
         # duplicated key in front and ``rank`` is the probe order of
-        # ``get``/``get_batch`` (runs[-1] is probed first).
-        for rank, run in enumerate(reversed(runs)):
-            if run.n_entries == 0:
-                continue
-            parts_k.append(run.keys)
-            parts_rank.append(np.full(run.n_entries, rank, dtype=np.int64))
-            parts_pos.append(np.arange(run.n_entries, dtype=np.int64))
-            parts_v.append(run.values)
-        if not parts_k:
-            empty = np.zeros(0, dtype=np.int64)
-            self.keys = empty
-            self.rank = empty.copy()
-            self.values = empty.copy()
-            self.positions = empty.copy()
+        # ``get_batch`` (runs[-1] is probed first).
+        filled = [
+            (rank, run) for rank, run in enumerate(reversed(runs)) if run.n_entries
+        ]
+        if not filled:
+            self.keys = self.values = np.zeros(0, dtype=np.int64)
             return
-        all_keys = np.concatenate(parts_k)
+        all_keys = np.concatenate([run.keys for _, run in filled])
         order = np.argsort(all_keys, kind="stable")
         sorted_keys = all_keys[order]
         first = np.ones(len(sorted_keys), dtype=bool)
         first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        newest = order[first]
         self.keys = sorted_keys[first]
-        self.rank = np.concatenate(parts_rank)[order][first]
-        self.values = np.concatenate(parts_v)[order][first]
-        self.positions = np.concatenate(parts_pos)[order][first]
+        self.rank = np.concatenate(
+            [np.full(run.n_entries, rank, dtype=np.int64) for rank, run in filled]
+        )[newest]
+        self.values = np.concatenate([run.values for _, run in filled])[newest]
+        self.positions = np.concatenate(
+            [np.arange(run.n_entries, dtype=np.int64) for _, run in filled]
+        )[newest]
 
-    def newest_ranks(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Probe schedule for ``keys``: ``(rank, values, positions)``.
+    def newest_ranks(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Probe schedule for ``keys`` from one binary search: ``(rank, slot)``.
 
         ``rank[i]`` is the newest-first rank of the run that resolves
-        ``keys[i]`` or the sentinel ``n_runs`` when the level holds no copy
-        of the key (the key stays pending through every run). ``values`` and
-        ``positions`` are aligned gather results, meaningful only where
-        ``rank < n_runs``.
+        ``keys[i]``, or the sentinel ``n_runs`` when the level holds no copy
+        of the key (the key stays pending through every run). ``slot[i]``
+        is the index entry the search landed on: ``values[slot]`` is the
+        resolving value where ``rank < n_runs``, and
+        :meth:`run_positions` turns slots into fence-pointer positions.
         """
-        n = len(keys)
-        if len(self.keys) == 0:
-            sentinel = np.full(n, self.n_runs, dtype=np.int64)
-            zeros = np.zeros(n, dtype=np.int64)
-            return sentinel, zeros, zeros.copy()
-        pos = np.searchsorted(self.keys, keys)
-        clamped = np.minimum(pos, len(self.keys) - 1)
-        present = self.keys[clamped] == keys
-        rank = np.where(present, self.rank[clamped], self.n_runs)
-        return rank, self.values[clamped], self.positions[clamped]
+        n_index = len(self.keys)
+        if n_index == 0:
+            miss = np.full(len(keys), self.n_runs, dtype=np.int64)
+            return miss, np.zeros(len(keys), dtype=np.int64)
+        slot = self.keys.searchsorted(keys)
+        np.minimum(slot, n_index - 1, out=slot)
+        held = self.keys[slot] == keys
+        if self.rank is None:
+            # Single run: rank 0 where held, 1 (== n_runs) where not.
+            return (~held).view(np.int8), slot
+        return np.where(held, self.rank[slot], self.n_runs), slot
+
+    def run_positions(
+        self,
+        run: SortedRun,
+        keys: np.ndarray,
+        slot: np.ndarray,
+        probed: np.ndarray,
+        hit: np.ndarray,
+    ) -> np.ndarray:
+        """In-run position a fence-pointer probe of ``run`` reads for each
+        Bloom-positive key ``keys[probed]``; ``hit`` marks the ones ``run``
+        really holds (the rest are false positives, which still pay the
+        page their insertion point falls on).
+        """
+        if self.positions is None:
+            # Single run: the slot is the clamped insertion point in that
+            # run, for a hit and a false positive alike.
+            return slot[probed]
+        positions = self.positions[slot[probed]]  # right where ``hit``
+        false_pos = ~hit
+        if false_pos.any():
+            # Rare, so the per-run binary search only ever sees this residue.
+            fp_pos = run.keys.searchsorted(keys[probed[false_pos]])
+            np.minimum(fp_pos, max(run.n_entries - 1, 0), out=fp_pos)
+            positions[false_pos] = fp_pos
+        return positions
 
 
 class Level:

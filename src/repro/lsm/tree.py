@@ -482,10 +482,10 @@ class LSMTree(ScalarReads):
                 prof.add("memtable", perf_counter() - t0)
             # Memtable fast path: a fully buffered batch probes no level.
             if not resolved.all():
-                pending = np.flatnonzero(~resolved)
+                pending = (~resolved).nonzero()[0]
                 for level in self.levels:
                     pending = self._level_lookup_batch(
-                        level, keys, pending, resolved, found, values, prof
+                        level, keys, pending, found, values, prof
                     )
                     if len(pending) == 0:
                         # Read-hot fast path: shallow levels covered the
@@ -500,18 +500,17 @@ class LSMTree(ScalarReads):
         level: Level,
         keys: np.ndarray,
         pending: np.ndarray,
-        resolved: np.ndarray,
         found: np.ndarray,
         values: np.ndarray,
         prof: Optional[ReadPathProfiler],
     ) -> np.ndarray:
         """Probe one level for ``keys[pending]``; returns the new pending set.
 
-        ``resolved``/``found``/``values`` are updated in place. Cost
-        charging follows the sequential contract: each run is charged
-        ``probe_cpu`` for the keys still pending when it is probed (newest
-        run first) and one page read per Bloom positive, exactly as the
-        run-at-a-time loop would.
+        ``found``/``values`` are updated in place. Cost charging follows
+        the sequential contract: each run is charged ``probe_cpu`` for the
+        keys still pending when it is probed (newest run first) and one
+        page read per Bloom positive, exactly as the run-at-a-time loop
+        would.
         """
         runs = level.runs
         if not runs:
@@ -521,60 +520,26 @@ class LSMTree(ScalarReads):
         level_no = level.level_no
         pk = keys[pending]
 
-        if len(runs) == 1:
-            # Leveling fast path: no stacked index needed for one run.
-            run = runs[0]
-            probe_cost = disk.probe_cpu(len(pending))
-            stats.add_read(level_no, probe_cost)
-            if prof is not None:
-                t0 = perf_counter()
-            positives = run.bloom_positive_batch(pk)
-            if prof is not None:
-                prof.add("bloom", perf_counter() - t0)
-            if not positives.any():
-                return pending
-            probe_idx = pending[positives]
-            if prof is not None:
-                t0 = perf_counter()
-            hit, hit_values, pages = run.find_batch(pk[positives])
-            if prof is not None:
-                prof.add("search", perf_counter() - t0)
-                t0 = perf_counter()
-            io_cost = disk.random_read_batch(run.run_id, pages)
-            if prof is not None:
-                prof.add("cache", perf_counter() - t0)
-            stats.add_read(level_no, io_cost)
-            if hit.any():
-                hit_idx = probe_idx[hit]
-                resolved[hit_idx] = True
-                real = hit_values[hit] != TOMBSTONE
-                found[hit_idx] = real
-                values[hit_idx[real]] = hit_values[hit][real]
-                # O(n) pending maintenance: recompute from the resolved
-                # mask instead of an O(n log n) np.isin set difference.
-                pending = pending[~resolved[pending]]
-            return pending
-
-        # Stacked runs (tiering / lazy-leveling): one pass over the level's
-        # merged index answers, for every pending key, which run resolves it
-        # (rank 0 = newest) — or the sentinel n_runs when the level misses.
+        # One binary search over the level's index answers, for every
+        # pending key, which run resolves it (rank 0 = newest) — or the
+        # sentinel n_runs when the level misses. Membership for the Bloom
+        # draw, hit values and fence-pointer pages all derive from it.
         if prof is not None:
             t0 = perf_counter()
         index = level.lookup_index()
-        rank, index_values, index_positions = index.newest_ranks(pk)
+        rank, slot = index.newest_ranks(pk)
         if prof is not None:
             prof.add("search", perf_counter() - t0)
         n_runs = len(runs)
-        n_pending = len(pending)
         for j in range(n_runs):
             # ``sel`` holds the pending-array indices probed at this run
             # (newest_rank >= j), or None when every key is probed — always
             # the case at rank 0, so the widest iteration skips selection
-            # entirely. Integer selection (one flatnonzero) beats repeating
+            # entirely. Integer selection (one nonzero) beats repeating
             # boolean masking across the probed/present/positions gathers.
             if j == 0:
                 sel = None
-                n_j = n_pending
+                n_j = len(pending)
                 probed = pk
                 present_j = rank == 0
             else:
@@ -582,7 +547,7 @@ class LSMTree(ScalarReads):
                 n_j = int(np.count_nonzero(mask_j))
                 if n_j == 0:
                     break
-                sel = np.flatnonzero(mask_j)
+                sel = mask_j.nonzero()[0]
                 probed = pk[sel]
                 present_j = rank[sel] == j
             run = runs[n_runs - 1 - j]  # newest first
@@ -593,26 +558,16 @@ class LSMTree(ScalarReads):
             positives = run.bloom_positive_batch(probed, present=present_j)
             if prof is not None:
                 prof.add("bloom", perf_counter() - t0)
-            pos_idx = np.flatnonzero(positives) if sel is None else sel[positives]
+            pos_idx = positives.nonzero()[0] if sel is None else sel[positives]
             if len(pos_idx) == 0:
                 continue
             if prof is not None:
                 t0 = perf_counter()
             hit = present_j[positives]
-            pages = np.zeros(len(hit), dtype=np.int64)
-            entries_per_page = run.entries_per_page
-            any_hit = hit.any()
-            if any_hit:
-                hit_sel = pos_idx[hit]
-                pages[hit] = index_positions[hit_sel] // entries_per_page
-            false_pos = ~hit
-            if false_pos.any() and run.n_entries:
-                # Bloom false positives still pay the fence-pointer page a
-                # real probe would read; rare, so the per-run binary search
-                # only ever sees this residue.
-                fp_pos = np.searchsorted(run.keys, pk[pos_idx[false_pos]])
-                np.minimum(fp_pos, run.n_entries - 1, out=fp_pos)
-                pages[false_pos] = fp_pos // entries_per_page
+            pages = (
+                index.run_positions(run, pk, slot, pos_idx, hit)
+                // run.entries_per_page
+            )
             if prof is not None:
                 prof.add("search", perf_counter() - t0)
                 t0 = perf_counter()
@@ -620,13 +575,13 @@ class LSMTree(ScalarReads):
             if prof is not None:
                 prof.add("cache", perf_counter() - t0)
             stats.add_read(level_no, io_cost)
-            if any_hit:
+            if hit.any():
+                hit_sel = pos_idx[hit]
                 hit_idx = pending[hit_sel]
-                hit_values = index_values[hit_sel]
-                resolved[hit_idx] = True
+                hit_values = index.values[slot[hit_sel]]
                 real = hit_values != TOMBSTONE
                 found[hit_idx] = real
-                values[hit_idx[real]] = hit_values[real]
+                values[hit_idx] = np.where(real, hit_values, 0)
         # Keys the level does not hold anywhere stay pending; everything
         # else was resolved by its newest containing run above.
         return pending[rank == n_runs]

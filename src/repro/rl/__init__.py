@@ -4,7 +4,7 @@ from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.nn import MLP, Linear, ReLU, Tanh
 from repro.rl.noise import OrnsteinUhlenbeckNoise
-from repro.rl.optim import SGD, Adam
+from repro.rl.optim import Adam
 from repro.rl.replay import ReplayBuffer
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "ReLU",
     "Tanh",
     "Adam",
-    "SGD",
     "ReplayBuffer",
     "OrnsteinUhlenbeckNoise",
     "DDPGAgent",

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import RLError
-from repro.rl.nn import MLP
+from repro.rl.nn import MLP, Linear
 from repro.rl.noise import OrnsteinUhlenbeckNoise
 from repro.rl.optim import Adam
 from repro.rl.replay import ReplayBuffer
@@ -90,10 +90,8 @@ class DDPGAgent:
         self._shrink_final_layer(self.critic, 0.05)
         self.target_actor.copy_params_from(self.actor)
         self.target_critic.copy_params_from(self.critic)
-        self.actor_opt = Adam(self.actor.params(), self.actor.grads(), config.actor_lr)
-        self.critic_opt = Adam(
-            self.critic.params(), self.critic.grads(), config.critic_lr
-        )
+        self.actor_opt = Adam(self.actor, config.actor_lr)
+        self.critic_opt = Adam(self.critic, config.critic_lr)
         self.replay = ReplayBuffer(
             config.buffer_capacity, config.state_dim, config.action_dim, rng
         )
@@ -104,8 +102,6 @@ class DDPGAgent:
 
     @staticmethod
     def _shrink_final_layer(net: MLP, scale: float) -> None:
-        from repro.rl.nn import Linear
-
         for layer in reversed(net.layers):
             if isinstance(layer, Linear):
                 layer.weight *= scale
@@ -175,13 +171,13 @@ class DDPGAgent:
         self.actor.zero_grad()
         policy_actions = self.actor.forward(states)
         critic_in = np.concatenate([states, policy_actions], axis=1)
-        self.critic.zero_grad()  # scratch use of critic; discard its grads
+        # Scratch use of the critic: only dQ/d(input) is wanted, so its
+        # parameter gradients are neither computed nor disturbed.
         self.critic.forward(critic_in)
-        grad_in = self.critic.backward(np.full((cfg.batch_size, 1), 1.0))
+        grad_in = self.critic.backward_input(np.full((cfg.batch_size, 1), 1.0))
         grad_action = grad_in[:, cfg.state_dim :]
         # Maximize Q  <=>  descend along -dQ/da, averaged over the batch.
         self.actor.backward(-grad_action / cfg.batch_size)
-        self.critic.zero_grad()
         self.actor_opt.step()
 
         # --- target tracking ----------------------------------------------

@@ -65,7 +65,7 @@ class DQNAgent:
             config.state_dim, list(config.hidden), config.n_actions, rng
         )
         self.target_net.copy_params_from(self.q_net)
-        self.opt = Adam(self.q_net.params(), self.q_net.grads(), config.lr)
+        self.opt = Adam(self.q_net, config.lr)
         # Actions are stored as a single index in the replay buffer.
         self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, 1, rng)
         self.epsilon = config.epsilon_start

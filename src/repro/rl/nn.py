@@ -9,6 +9,11 @@ to its *input* (the latter is what DDPG's actor update needs: ∂Q/∂a flows
 through the critic's input into the actor).
 
 All arrays are float64, batch-first (``x.shape == (batch, features)``).
+
+An :class:`MLP` keeps its parameters in one flat vector and its gradients in
+another, every ``Linear.weight``/``bias``/``grad_*`` a view into them, so a
+whole-network update (Adam, Polyak, zero-grad) is one elementwise pass: the
+same float operations per element as a per-array loop (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Gradient w.r.t. this layer's input; accumulates parameter grads."""
         raise NotImplementedError
+
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. the input only: parameter grads are left alone.
+        Activations have no parameters, so it is their :meth:`backward`."""
+        return self.backward(grad_out)
 
     def params(self) -> List[np.ndarray]:
         return []
@@ -52,13 +62,18 @@ class Linear(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RLError("backward called before forward")
         self.grad_weight += self._x.T @ grad_out
-        self.grad_bias += grad_out.sum(axis=0)
+        self.grad_bias += np.add.reduce(grad_out, axis=0)
+        return grad_out @ self.weight.T
+
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out @ self.weight.T
 
     def params(self) -> List[np.ndarray]:
@@ -108,9 +123,12 @@ class MLP:
     ``None`` (identity, e.g. critics) or ``"tanh"`` (actors).
     """
 
-    # layers holds the parameter arrays reached through params(), which
-    # state_dict copies in order; in_dim/out_dim are fixed architecture.
-    _snapshot_exempt = frozenset({"layers", "in_dim", "out_dim"})
+    # layers' weight/bias arrays are views into flat_params, which
+    # state_dict copies out through params(); flat_grads is scratch that
+    # load_state_dict zeroes; in_dim/out_dim are fixed architecture.
+    _snapshot_exempt = frozenset(
+        {"layers", "in_dim", "out_dim", "flat_params", "flat_grads"}
+    )
 
     def __init__(
         self,
@@ -133,6 +151,16 @@ class MLP:
             raise RLError(f"unknown output activation: {output_activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
+        #: Every parameter, and every gradient, of the network as one
+        #: vector each, in :meth:`params` order; the layers hold views.
+        self.flat_params = np.concatenate([p.ravel() for p in self.params()])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        params = iter(self.split(self.flat_params))
+        grads = iter(self.split(self.flat_grads))
+        for layer in self.layers:
+            if isinstance(layer, Linear):
+                layer.weight, layer.bias = next(params), next(params)
+                layer.grad_weight, layer.grad_bias = next(grads), next(grads)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -156,33 +184,49 @@ class MLP:
             grad = layer.backward(grad)
         return grad
 
+    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
+        """:meth:`backward` without the parameter gradients: only dL/dx is
+        computed, :meth:`grads` are untouched (DDPG's actor step needs
+        ∂Q/∂a through the critic and nothing else of it)."""
+        grad = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
+        for layer in reversed(self.layers):
+            grad = layer.backward_input(grad)
+        return grad
+
     def params(self) -> List[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
     def grads(self) -> List[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads()]
 
+    def split(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Per-parameter views of ``flat``, a vector laid out like
+        :attr:`flat_params` (an optimizer's moments, say)."""
+        views = []
+        offset = 0
+        for param in self.params():
+            views.append(flat[offset : offset + param.size].reshape(param.shape))
+            offset += param.size
+        return views
+
     def zero_grad(self) -> None:
-        for grad in self.grads():
-            grad.fill(0.0)
+        self.flat_grads.fill(0.0)
 
     # ------------------------------------------------------------------
     # Parameter vector utilities (target networks, tests)
     # ------------------------------------------------------------------
     def copy_params_from(self, other: "MLP") -> None:
         """Hard copy of every parameter from ``other`` (same architecture)."""
-        for mine, theirs in zip(self.params(), other.params()):
-            if mine.shape != theirs.shape:
-                raise RLError("cannot copy params between different shapes")
-            mine[...] = theirs
+        if [p.shape for p in self.params()] != [p.shape for p in other.params()]:
+            raise RLError("cannot copy params between different shapes")
+        self.flat_params[...] = other.flat_params
 
     def soft_update_from(self, other: "MLP", tau: float) -> None:
         """Polyak averaging: ``θ ← τ·θ_other + (1-τ)·θ`` (DDPG targets)."""
         if not 0.0 <= tau <= 1.0:
             raise RLError(f"tau must be in [0, 1], got {tau}")
-        for mine, theirs in zip(self.params(), other.params()):
-            mine *= 1.0 - tau
-            mine += tau * theirs
+        self.flat_params *= 1.0 - tau
+        self.flat_params += tau * other.flat_params
 
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
@@ -192,8 +236,9 @@ class MLP:
         return [p.copy() for p in self.params()]
 
     def load_state_dict(self, state: Sequence[np.ndarray]) -> None:
-        """Restore parameters *in place* (optimizers hold references to the
-        live arrays, so they must not be replaced). Gradients are zeroed."""
+        """Restore parameters *in place* (the layers' arrays are views into
+        the flat vector the optimizers step, so they must not be replaced).
+        Gradients are zeroed."""
         params = self.params()
         if len(state) != len(params):
             raise RLError(

@@ -2,53 +2,27 @@
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.errors import RLError
-
-
-class SGD:
-    """Plain stochastic gradient descent (kept for tests and ablations)."""
-
-    # _params/_grads alias the network's live arrays (serialized by MLP);
-    # lr is a constructor hyperparameter.
-    _snapshot_exempt = frozenset({"_params", "_grads", "lr"})
-
-    def __init__(self, params: List[np.ndarray], grads: List[np.ndarray], lr: float) -> None:
-        if lr <= 0:
-            raise RLError(f"lr must be > 0, got {lr}")
-        if len(params) != len(grads):
-            raise RLError("params and grads must align")
-        self._params = params
-        self._grads = grads
-        self.lr = lr
-
-    def step(self) -> None:
-        for param, grad in zip(self._params, self._grads):
-            param -= self.lr * grad
-
-    # SGD is stateless beyond its hyperparameters; hooks exist for interface
-    # parity with Adam so owners can treat any optimizer uniformly.
-    def state_dict(self) -> dict:
-        return {"kind": "sgd"}
-
-    def load_state_dict(self, state: dict) -> None:
-        return None
+from repro.rl.nn import MLP
 
 
 class Adam:
-    """Adam (Kingma & Ba) over a fixed list of parameter arrays."""
+    """Adam (Kingma & Ba) over one network's flat parameter vector.
 
-    # _params/_grads alias the network's live arrays (serialized by MLP);
-    # lr/beta1/beta2/eps are constructor hyperparameters.
-    _snapshot_exempt = frozenset({"_params", "_grads", "lr", "beta1", "beta2", "eps"})
+    The moments are flat vectors laid out like ``net.flat_params``, so a
+    step is one elementwise pass over the whole network; snapshots still
+    carry them as per-parameter lists (``net.split``).
+    """
+
+    # _net's parameters are serialized by the MLP itself (and its gradient
+    # vector is scratch); lr/beta1/beta2/eps are constructor hyperparameters.
+    _snapshot_exempt = frozenset({"_net", "lr", "beta1", "beta2", "eps"})
 
     def __init__(
         self,
-        params: List[np.ndarray],
-        grads: List[np.ndarray],
+        net: MLP,
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -58,47 +32,50 @@ class Adam:
             raise RLError(f"lr must be > 0, got {lr}")
         if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
             raise RLError("betas must be in [0, 1)")
-        if len(params) != len(grads):
-            raise RLError("params and grads must align")
-        self._params = params
-        self._grads = grads
+        self._net = net
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = [np.zeros_like(p) for p in params]
-        self._v = [np.zeros_like(p) for p in params]
+        self._m = np.zeros_like(net.flat_params)
+        self._v = np.zeros_like(net.flat_params)
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for param, grad, m, v in zip(self._params, self._grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        grad = self._net.flat_grads
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        self._net.flat_params -= (
+            self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        )
 
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Serializable snapshot of the moment estimates and step count."""
+        split = self._net.split
         return {
             "kind": "adam",
             "t": self._t,
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
+            "m": [m.copy() for m in split(self._m)],
+            "v": [v.copy() for v in split(self._v)],
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore moments in place (they are paired with live parameters)."""
-        if len(state["m"]) != len(self._m) or len(state["v"]) != len(self._v):
-            raise RLError("optimizer state does not match parameter layout")
+        pairs = []
+        for flat, theirs in ((self._m, state["m"]), (self._v, state["v"])):
+            mine = self._net.split(flat)
+            if [a.shape for a in mine] != [np.shape(b) for b in theirs]:
+                raise RLError("optimizer state does not match parameter layout")
+            pairs.extend(zip(mine, theirs))
         self._t = int(state["t"])
-        for mine, theirs in zip(self._m, state["m"]):
-            mine[...] = theirs
-        for mine, theirs in zip(self._v, state["v"]):
-            mine[...] = theirs
+        for mine_array, their_array in pairs:
+            mine_array[...] = their_array

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import RLError
 from repro.rl.nn import MLP, Linear, ReLU, Tanh
-from repro.rl.optim import SGD, Adam
+from repro.rl.optim import Adam
 
 
 def numerical_gradient(f, param, eps=1e-6):
@@ -153,42 +153,45 @@ class TestMLPUtilities:
 
 
 class TestOptimizers:
-    def _quadratic_problem(self):
-        param = np.asarray([5.0, -3.0])
-        grad = np.zeros_like(param)
-        return param, grad
+    def _quadratic_problem(self, rng, start):
+        """One single-output layer used as a bare parameter vector (its
+        weights and bias): the optimizer descends ``sum(theta**2)`` from
+        ``start``."""
+        net = MLP(len(start) - 1, [], 1, rng)
+        net.flat_params[...] = start
+        return net
 
-    def test_sgd_descends_quadratic(self):
-        param, grad = self._quadratic_problem()
-        opt = SGD([param], [grad], lr=0.1)
-        for _ in range(200):
-            grad[...] = 2 * param
-            opt.step()
-        assert np.abs(param).max() < 1e-3
-
-    def test_adam_descends_quadratic(self):
-        param, grad = self._quadratic_problem()
-        opt = Adam([param], [grad], lr=0.1)
+    def test_adam_descends_quadratic(self, rng):
+        net = self._quadratic_problem(rng, [5.0, -3.0])
+        opt = Adam(net, lr=0.1)
         for _ in range(300):
-            grad[...] = 2 * param
+            net.flat_grads[...] = 2 * net.flat_params
             opt.step()
-        assert np.abs(param).max() < 1e-3
+        assert np.abs(net.flat_params).max() < 1e-3
 
-    def test_adam_handles_sparse_gradients(self):
-        param = np.asarray([1.0, 1.0])
-        grad = np.zeros_like(param)
-        opt = Adam([param], [grad], lr=0.05)
+    def test_adam_handles_sparse_gradients(self, rng):
+        net = self._quadratic_problem(rng, [1.0, 1.0])
+        opt = Adam(net, lr=0.05)
         for step in range(200):
-            grad[...] = 0.0
-            grad[step % 2] = 2 * param[step % 2]
+            net.zero_grad()
+            net.flat_grads[step % 2] = 2 * net.flat_params[step % 2]
             opt.step()
-        assert np.abs(param).max() < 0.1
+        assert np.abs(net.flat_params).max() < 0.1
 
-    def test_validation(self):
-        param = np.zeros(2)
+    def test_adam_steps_the_layers_own_arrays(self, rng):
+        net = MLP(3, [4], 2, rng)
+        opt = Adam(net, lr=0.1)
+        before = [p.copy() for p in net.params()]
+        net.forward(rng.normal(size=(5, 3)))
+        net.backward(np.ones((5, 2)))
+        opt.step()
+        assert all(
+            not np.array_equal(old, new) for old, new in zip(before, net.params())
+        )
+
+    def test_validation(self, rng):
+        net = MLP(1, [], 1, rng)
         with pytest.raises(RLError):
-            Adam([param], [np.zeros(2)], lr=0.0)
+            Adam(net, lr=0.0)
         with pytest.raises(RLError):
-            SGD([param], [], lr=0.1)
-        with pytest.raises(RLError):
-            Adam([param], [np.zeros(2)], beta1=1.0)
+            Adam(net, beta1=1.0)

@@ -24,6 +24,7 @@ from repro.durable.store import DurableStore
 from repro.engine.sharded import ShardedStore, shard_of_key
 from repro.errors import StorageError
 from repro.lsm import FLSMTree
+from repro.lsm.entry import TOMBSTONE
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.memtable import MemTable
 from repro.lsm.readpath import STAGES, ReadPathProfiler, reference_get_batch
@@ -45,6 +46,10 @@ DYADIC_COSTS = CostModelParams(
 )
 
 POLICIES = ("leveling", "tiering", "lazy-leveling")
+#: ``build_stacked_tree`` input: leveling, every level exactly one run (so
+#: each level's lookup index is the zero-copy single-run one), the deepest
+#: of them an *empty* active run.
+SINGLE_RUNS = "single-runs"
 
 
 def build_stacked_tree(
@@ -67,13 +72,22 @@ def build_stacked_tree(
     )
     tree = FLSMTree(cfg)
     if policy is not None:
-        tree.set_named_policy(policy)
+        tree.set_named_policy("leveling" if policy == SINGLE_RUNS else policy)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n * 2, size=n)
     values = rng.integers(0, 10**6, size=n)
     tree.put_batch(keys, values)
     for key in keys[:50].tolist():
         tree.delete(key)
+    if policy == SINGLE_RUNS:
+        # Flush the buffered tombstones so lookups hit them on disk, then
+        # hang an empty active run below everything else.
+        tree.put_batch(keys[50:400], values[50:400])
+        none = np.zeros(0, dtype=np.int64)
+        bottom = tree._ensure_level(tree.n_levels + 1)
+        bottom.replace_active(
+            tree._new_run(bottom, none, none, bottom.active_run_capacity())
+        )
     return tree, rng
 
 
@@ -161,7 +175,7 @@ def assert_trees_match_twins(engine, twins):
 class TestBitIdenticalToReference:
     """New pipeline vs the verbatim pre-PR loop, on identical tree state."""
 
-    @pytest.mark.parametrize("policy", (None,) + POLICIES)
+    @pytest.mark.parametrize("policy", (None,) + POLICIES + (SINGLE_RUNS,))
     @pytest.mark.parametrize("cache_pages", (0, 64))
     @pytest.mark.parametrize(
         "bloom_mode", (BloomMode.ANALYTICAL, BloomMode.BIT_ARRAY)
@@ -191,6 +205,32 @@ class TestBitIdenticalToReference:
         for policy in ("tiering", "lazy-leveling"):
             tree, _ = build_stacked_tree(policy)
             assert max(level.n_runs for level in tree.levels) >= 2, policy
+
+    @pytest.mark.parametrize(
+        "bloom_mode", (BloomMode.ANALYTICAL, BloomMode.BIT_ARRAY)
+    )
+    def test_single_run_cases_actually_exercised(self, bloom_mode):
+        # Guard the SINGLE_RUNS fixture the same way: one run per level, an
+        # empty one among them, and probes that reach past every run's
+        # max_key, land on on-disk tombstones and draw Bloom false positives.
+        tree, rng = build_stacked_tree(SINGLE_RUNS, bloom_mode=bloom_mode)
+        runs = [run for level in tree.levels for run in level.runs]
+        assert max(level.n_runs for level in tree.levels) == 1
+        assert len(runs) >= 4 and runs[-1].n_entries == 0
+        assert all(
+            level.lookup_index().rank is None
+            for level in tree.levels
+            if level.runs
+        )
+        probes = rng.integers(0, 15000, size=4000).astype(np.int64)
+        assert probes.max() > max(run.max_key for run in runs[:-1])
+        assert (np.concatenate([run.values for run in runs]) == TOMBSTONE).any()
+        found, _ = tree.get_batch(probes)
+        held = np.isin(probes, np.concatenate([run.keys for run in runs]))
+        assert (held & ~found).any()  # a tombstone answered the lookup
+        # More pages read than any exact probe schedule needs: every level
+        # above a key's home paid only for false positives.
+        assert tree.disk.counters.random_reads > int(held.sum())
 
     def test_repeated_batches_stay_identical(self):
         # Cache warm-up and memtable writes between batches must not break
@@ -323,7 +363,8 @@ class TestLevelLookupIndex:
         probe = np.unique(
             np.concatenate([run.keys for run in level.runs])
         )
-        rank, values, positions = index.newest_ranks(probe)
+        rank, slot = index.newest_ranks(probe)
+        values, positions = index.values[slot], index.positions[slot]
         n_runs = level.n_runs
         newest_first = list(reversed(level.runs))
         for i, key in enumerate(probe.tolist()):
@@ -345,7 +386,7 @@ class TestLevelLookupIndex:
         absent = np.array(
             [all_keys.max() + 10, all_keys.min() - 10], dtype=np.int64
         )
-        rank, _, _ = index.newest_ranks(absent)
+        rank, _ = index.newest_ranks(absent)
         assert (rank == level.n_runs).all()
 
     def test_index_cached_until_runs_change(self):
@@ -355,11 +396,31 @@ class TestLevelLookupIndex:
 
     def test_empty_runs_skipped(self):
         index = LevelLookupIndex([])
-        rank, values, positions = index.newest_ranks(
-            np.array([1, 2, 3], dtype=np.int64)
-        )
+        rank, slot = index.newest_ranks(np.array([1, 2, 3], dtype=np.int64))
         assert (rank == 0).all()
-        assert len(values) == 3
+        assert len(slot) == 3
+
+    def test_single_run_index_is_the_run(self):
+        """One run needs no merged copy: the index shares its arrays, and a
+        slot is the clamped in-run position of hit and miss alike."""
+        tree, _ = build_stacked_tree("leveling")
+        run = next(l for l in tree.levels if l.n_runs == 1).runs[0]
+        index = LevelLookupIndex([run])
+        assert index.keys is run.keys and index.values is run.values
+        assert index.rank is None and index.positions is None
+        probe = np.array(
+            [run.keys[0], run.keys[5] + 1, run.keys[-1], run.keys[-1] + 9]
+        )
+        rank, slot = index.newest_ranks(probe)
+        hit, _, pages = run.find_batch(probe)
+        np.testing.assert_array_equal(rank == 0, hit)
+        np.testing.assert_array_equal(rank == 1, ~hit)
+        everything = np.arange(len(probe))
+        np.testing.assert_array_equal(
+            index.run_positions(run, probe, slot, everything, hit)
+            // run.entries_per_page,
+            pages,
+        )
 
 
 class TestCacheBatchAccess:

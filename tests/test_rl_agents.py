@@ -141,6 +141,18 @@ class TestDDPG:
         after = agent.target_critic.params()
         assert any(not np.allclose(b, a) for b, a in zip(before, after))
 
+    def test_optimizer_load_rejects_wrong_shaped_moment(self):
+        """A moment of the wrong shape used to broadcast into place."""
+        opt = self._agent().actor_opt
+        for moment, index, wrong in (("m", 0, np.ones(1)), ("v", 1, np.ones((32, 1)))):
+            state = opt.state_dict()
+            assert state[moment][index].shape != wrong.shape
+            state[moment][index] = wrong
+            state["t"] = 7
+            with pytest.raises(RLError):
+                opt.load_state_dict(state)
+        assert opt.state_dict()["t"] == 0  # a rejected load changes nothing
+
     def test_config_validation(self):
         with pytest.raises(RLError):
             DDPGConfig(gamma=1.0).validate()
@@ -209,3 +221,205 @@ class TestDQN:
             DQNConfig(n_actions=1).validate()
         with pytest.raises(RLError):
             DQNConfig(epsilon_min=0.5, epsilon_start=0.1).validate()
+
+
+# ----------------------------------------------------------------------
+# Flat buffers ≡ per-array loops, bit for bit
+# ----------------------------------------------------------------------
+# The reference: the update steps as per-array loops — a Python loop over
+# each weight/bias array for Adam, Polyak averaging and zero-grad, and the
+# actor's gradient taken by a full critic backward whose parameter grads
+# are then thrown away. It runs against the same flat-buffer objects
+# (through their per-array views), so equality says the fused passes do
+# the same float ops.
+
+
+def _zero_grad_per_array(net):
+    for grad in net.grads():
+        grad.fill(0.0)
+
+
+def _adam_step_per_array(opt):
+    net = opt._net
+    opt._t += 1
+    bias1 = 1.0 - opt.beta1**opt._t
+    bias2 = 1.0 - opt.beta2**opt._t
+    for param, grad, m, v in zip(
+        net.params(), net.grads(), net.split(opt._m), net.split(opt._v)
+    ):
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * grad
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * grad * grad
+        param -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + opt.eps)
+
+
+def _polyak_per_array(target, source, tau):
+    for mine, theirs in zip(target.params(), source.params()):
+        mine *= 1.0 - tau
+        mine += tau * theirs
+
+
+def _reference_ddpg_update(agent):
+    cfg = agent.config
+    states, actions, rewards, next_states, dones = agent.replay.sample(
+        cfg.batch_size
+    )
+    next_actions = agent.target_actor.forward(next_states)
+    target_q = agent.target_critic.forward(
+        np.concatenate([next_states, next_actions], axis=1)
+    )[:, 0]
+    y = rewards + cfg.gamma * (1.0 - dones) * target_q
+
+    _zero_grad_per_array(agent.critic)
+    q = agent.critic.forward(np.concatenate([states, actions], axis=1))[:, 0]
+    agent.critic.backward((2.0 / cfg.batch_size) * (q - y)[:, None])
+    _adam_step_per_array(agent.critic_opt)
+
+    _zero_grad_per_array(agent.actor)
+    policy_actions = agent.actor.forward(states)
+    _zero_grad_per_array(agent.critic)
+    agent.critic.forward(np.concatenate([states, policy_actions], axis=1))
+    grad_in = agent.critic.backward(np.full((cfg.batch_size, 1), 1.0))
+    agent.actor.backward(-grad_in[:, cfg.state_dim :] / cfg.batch_size)
+    _zero_grad_per_array(agent.critic)
+    _adam_step_per_array(agent.actor_opt)
+
+    _polyak_per_array(agent.target_actor, agent.actor, cfg.tau)
+    _polyak_per_array(agent.target_critic, agent.critic, cfg.tau)
+    agent.updates_done += 1
+
+
+def _reference_dqn_update(agent):
+    cfg = agent.config
+    states, actions, rewards, next_states, dones = agent.replay.sample(
+        cfg.batch_size
+    )
+    action_idx = actions[:, 0].astype(int)
+    rows = np.arange(cfg.batch_size)
+    next_q = agent.target_net.forward(next_states).max(axis=1)
+    y = rewards + cfg.gamma * (1.0 - dones) * next_q
+
+    _zero_grad_per_array(agent.q_net)
+    q_all = agent.q_net.forward(states)
+    grad = np.zeros_like(q_all)
+    grad[rows, action_idx] = (2.0 / cfg.batch_size) * (q_all[rows, action_idx] - y)
+    agent.q_net.backward(grad)
+    _adam_step_per_array(agent.opt)
+
+    agent.updates_done += 1
+    if agent.updates_done % cfg.target_sync_every == 0:
+        for mine, theirs in zip(agent.target_net.params(), agent.q_net.params()):
+            mine[...] = theirs
+
+
+def _warm_agent(agent_cls, config_cls, hidden, seed=5):
+    """An agent past warm-up: 40 transitions pushed from a seeded feed."""
+    agent = agent_cls(
+        config_cls(state_dim=6, hidden=hidden), np.random.default_rng(seed)
+    )
+    feed = np.random.default_rng(seed + 1)
+    for _ in range(40):
+        state = feed.normal(size=6)
+        agent.observe(
+            state, agent.act(state), float(feed.normal()), feed.normal(size=6)
+        )
+    return agent
+
+
+def _ddpg(hidden, seed=5):
+    return _warm_agent(DDPGAgent, DDPGConfig, hidden, seed)
+
+
+def _dqn(hidden, seed=5):
+    return _warm_agent(DQNAgent, DQNConfig, hidden, seed)
+
+
+def _nets_and_opts(agent):
+    """``({state key: network}, {state key: optimizer})`` of an agent."""
+    if isinstance(agent, DDPGAgent):
+        net_keys, opt_keys = (
+            ("actor", "critic", "target_actor", "target_critic"),
+            ("actor_opt", "critic_opt"),
+        )
+    else:
+        net_keys, opt_keys = ("q_net", "target_net"), ("opt",)
+    return (
+        {key: getattr(agent, key) for key in net_keys},
+        {key: getattr(agent, key) for key in opt_keys},
+    )
+
+
+def _assert_bit_equal(agent, other):
+    nets, opts = _nets_and_opts(agent)
+    other_nets, other_opts = _nets_and_opts(other)
+    for key, net in nets.items():
+        for mine, theirs in zip(net.params(), other_nets[key].params()):
+            assert np.array_equal(mine, theirs)
+    for key, opt in opts.items():
+        state, other_state = opt.state_dict(), other_opts[key].state_dict()
+        assert state["t"] == other_state["t"]
+        for moment in ("m", "v"):
+            for mine, theirs in zip(state[moment], other_state[moment]):
+                assert np.array_equal(mine, theirs)
+    assert agent._rng.bit_generator.state == other._rng.bit_generator.state
+
+
+FLAT_CASES = [
+    pytest.param(_ddpg, _reference_ddpg_update, id="ddpg"),
+    pytest.param(_dqn, _reference_dqn_update, id="dqn"),
+]
+
+
+@pytest.mark.parametrize("hidden", [(32, 32), (128, 128, 128)], ids=str)
+@pytest.mark.parametrize("build, reference_update", FLAT_CASES)
+class TestFlatBuffersMatchPerArrayLoops:
+    def test_fifty_updates_bit_equal(self, build, reference_update, hidden):
+        agent, reference = build(hidden), build(hidden)
+        for _ in range(50):
+            agent.update()
+            reference_update(reference)
+        assert agent.updates_done == reference.updates_done == 50
+        _assert_bit_equal(agent, reference)
+
+    def test_per_array_snapshot_resumes_bit_equal(
+        self, build, reference_update, hidden
+    ):
+        """The snapshot is what it always was — lists of per-parameter
+        arrays — and loading one neither detaches the layers' arrays from
+        the flat vectors nor perturbs the continuation."""
+        agent = build(hidden)
+        for _ in range(10):
+            agent.update()
+        state = agent.state_dict()
+        nets, opts = _nets_and_opts(agent)
+        for key, net in nets.items():
+            shapes = [p.shape for p in net.params()]
+            assert [a.shape for a in state[key]] == shapes
+        for key, opt in opts.items():
+            shapes = [p.shape for p in opt._net.params()]
+            assert state[key]["kind"] == "adam"
+            assert [a.shape for a in state[key]["m"]] == shapes
+            assert [a.shape for a in state[key]["v"]] == shapes
+
+        fresh = build(hidden, seed=99)
+        fresh.load_state_dict(state)
+        fresh._rng.bit_generator.state = agent._rng.bit_generator.state
+        fresh_nets, fresh_opts = _nets_and_opts(fresh)
+        for net in fresh_nets.values():
+            for array in net.params():
+                assert np.shares_memory(array, net.flat_params)
+            for array in net.grads():
+                assert np.shares_memory(array, net.flat_grads)
+        for _ in range(20):
+            agent.update()
+            reference_update(fresh)
+        _assert_bit_equal(agent, fresh)
+        # The optimiser moved the arrays the layers read from.
+        trained = next(iter(fresh_opts.values()))._net
+        before = [p.copy() for p in trained.params()]
+        fresh.update()
+        assert all(
+            not np.array_equal(old, new)
+            for old, new in zip(before, trained.params())
+        )

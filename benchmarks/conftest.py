@@ -3,9 +3,12 @@
 import os
 import sys
 
-# Make the sibling _common helpers importable when pytest is run from the
-# repository root.
-sys.path.insert(0, os.path.dirname(__file__))
+# Make the sibling _common helpers and the test-side reference
+# implementations (tests/reference_range.py) importable when pytest is run
+# from the repository root.
+_HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "tests"))
+sys.path.insert(0, _HERE)
 
 
 def pytest_report_header(config):

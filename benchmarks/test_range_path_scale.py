@@ -1,9 +1,9 @@
 """Range-path micro-benchmark: batched segment merges vs the per-op loop.
 
 Races the level-at-a-time ``LSMTree.range_scan_batch`` against the pre-PR
-per-range loop (kept verbatim as
-:func:`repro.lsm.rangepath.reference_range_scan_batch`) over identical
-tree snapshots and identical range batches, on two panels:
+per-range loop (kept verbatim, test-side, as
+:func:`reference_range.reference_range_scan_batch`) over identical tree
+snapshots and identical range batches, on two panels:
 
 * ``leveling range-heavy`` — one run per level, mixed spans including
   degenerate (``lo == hi``) and out-of-domain ranges;
@@ -22,10 +22,10 @@ import time
 
 import numpy as np
 from _common import emit_metrics, emit_report
+from reference_range import reference_range_scan_batch
 
 from repro.bench import base_config, bench_scale
 from repro.lsm import FLSMTree
-from repro.lsm.rangepath import reference_range_scan_batch
 
 N_BATCHES = 20
 BATCH = 256  # ranges per batch

@@ -37,6 +37,16 @@ class MissionRunner:
         """Execute ``mission`` and return its statistics."""
         engine = self.engine
         engine.begin_mission()
+        # The window closes on the way out of a failing mission too (a
+        # rejected batch raises from put_batch), so the engine stays usable.
+        try:
+            self._run_chunks(mission)
+        finally:
+            stats = engine.end_mission()
+        return stats
+
+    def _run_chunks(self, mission: Mission) -> None:
+        engine = self.engine
         # The three op masks are taken once per mission: each kind's ops
         # are gathered in stream order, and ``cuts[i]:cuts[i + 1]`` is chunk
         # ``i``'s share of them, so a chunk is three array slices.
@@ -63,4 +73,3 @@ class MissionRunner:
             a, b = rng_cuts[i], rng_cuts[i + 1]
             if a < b:
                 engine.range_scan_batch(los[a:b], his[a:b])
-        return engine.end_mission()

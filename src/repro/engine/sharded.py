@@ -27,11 +27,7 @@ import numpy as np
 from repro.config import SystemConfig, TransitionKind
 from repro.errors import ConfigError, TreeStateError
 from repro.lsm.entry import validate_batch
-from repro.lsm.rangepath import (
-    empty_batch_result,
-    merge_tagged_segments,
-    scan_batch,
-)
+from repro.lsm.rangepath import empty_batch_result, scan_batch, validate_ranges
 from repro.lsm.stats import MissionStats, StatsCollector
 from repro.lsm.tree import LSMTree, ScalarReads, open_span
 from repro.storage.pager import IOCounters
@@ -297,51 +293,27 @@ class ShardedStore(ScalarReads):
         """Vectorized cross-shard range scans.
 
         Hash partitioning does not preserve key order, so every shard
-        scans the whole batch (its per-shard charges replay in range
-        order, bit-identical to a per-op loop — shard clocks are
-        independent, so cross-shard interleaving is unobservable) and the
-        disjoint per-shard results merge per range with one ``(range_id,
-        key)`` lexsort. Each range is *counted* once, on the home shard of
-        its ``lo``, so aggregated operation counts match an unsharded tree.
-        Returns flat ``(keys, values, offsets)`` arrays in the
+        scans the whole batch — in one stacked pass over all shards (see
+        :func:`repro.lsm.rangepath.scan_batch`): per-shard charges replay
+        in range order, bit-identical to a per-op loop (shard clocks are
+        independent, so cross-shard interleaving is unobservable), and
+        the key-disjoint shards' segments merge per range in the same
+        ``(range_id, key)`` lexsort that merges each shard's runs. Each
+        range is *counted* once, on the home shard of its ``lo``, so
+        aggregated operation counts match an unsharded tree. Returns flat
+        ``(keys, values, offsets)`` arrays in the
         :meth:`LSMTree.range_scan_batch` layout.
         """
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        if los.shape != his.shape or los.ndim != 1:
-            raise ValueError(
-                f"los/his must be 1-d arrays of equal length, got "
-                f"{los.shape} vs {his.shape}"
-            )
-        if self.n_shards == 1:
-            return self.shards[0].range_scan_batch(los, his)
-        bad = los > his
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"empty range: lo={int(los[i])} > hi={int(his[i])}"
-            )
+        los, his = validate_ranges(los, his)
         n_ranges = len(los)
         if n_ranges == 0:
             return empty_batch_result(0)
         with open_span(self.tracer, "store.range_scan_batch", n_ranges=n_ranges):
             homes = np.bincount(shard_of(los, self.n_shards), minlength=self.n_shards)
-            for s in range(self.n_shards):
-                if homes[s]:
-                    self.shards[s].stats.count_range(int(homes[s]))
-            rid_range = np.arange(n_ranges, dtype=np.int64)
-            rid_parts: List[np.ndarray] = []
-            key_parts: List[np.ndarray] = []
-            value_parts: List[np.ndarray] = []
-            for shard in self.shards:
-                keys, values, offsets = scan_batch(shard, los, his)
-                if len(keys):
-                    rid_parts.append(np.repeat(rid_range, np.diff(offsets)))
-                    key_parts.append(keys)
-                    value_parts.append(values)
-            return merge_tagged_segments(
-                rid_parts, key_parts, value_parts, n_ranges
-            )
+            for shard, n_home in zip(self.shards, homes.tolist()):
+                if n_home:
+                    shard.stats.count_range(n_home)
+            return scan_batch(self.shards, los, his)
 
     def bulk_load(
         self, keys: np.ndarray, values: np.ndarray, distribute: bool = False

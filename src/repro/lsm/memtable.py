@@ -165,13 +165,6 @@ class MemTable:
         values[buffered] = mv[clamped[buffered]]
         return buffered, values
 
-    def range_items_scan(self, lo: int, hi: int) -> Dict[int, int]:
-        """Buffered entries with ``lo <= key <= hi`` (including tombstones)
-        by full dict scan — the O(M) path the reference range scan uses,
-        kept as the executable reference the sorted-view batch path is
-        verified against."""
-        return {k: v for k, v in self._entries.items() if lo <= k <= hi}
-
     def drain_sorted(self) -> Tuple[np.ndarray, np.ndarray]:
         """Empty the buffer and return its contents sorted by key.
 

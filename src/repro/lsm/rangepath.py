@@ -1,48 +1,57 @@
-"""The vectorized batch range-scan path and its scalar reference.
+"""The vectorized batch range-scan path.
 
-Range counterpart of :mod:`repro.lsm.readpath` (ROADMAP item 6): the
-per-op reference scan walks every run with its own pair of scalar
-``searchsorted`` calls and runs one ``merge_sorted_sources`` per range.
-:func:`scan_batch` does the same work for a whole batch of R ranges at
-once:
+Range counterpart of :mod:`repro.lsm.readpath`: a per-op scan walks every
+run with its own pair of scalar ``searchsorted`` calls and runs one
+``merge_sorted_sources`` per range. :func:`scan_batch` does the same work
+for a whole batch of R ranges over a *sequence of key-disjoint trees* (one
+tree, or every shard of a hash-partitioned store) in one pass:
 
-* **search** — one vectorized ``np.searchsorted(run.keys, los/his)``
-  pair per run yields all R segment bounds, and the fence-pointer page
-  counts fall out of integer math on the bounds (the page of rank ``r``
-  is ``r // entries_per_page``, clamped like
-  :meth:`SortedRun.page_of_position`).
-* **charge** — simulated costs are replayed in exactly the reference
-  order (range-major: for each range, deepest level first, runs oldest →
-  newest within a level; ``probe_cpu`` per run, then ``sequential_read``
-  when the segment touches pages). Float accumulation is
-  order-dependent, so the replay *is* the bit-identity proof: same
-  charge sequence, same clock, same per-level read attribution.
-* **gather** — each run contributes all its segments through one
-  fancy-index; segments are tagged with their range id.
-* **merge** — one stable ``(range_id, key)`` lexsort over every gathered
-  segment replaces R separate ``merge_sorted_sources`` calls: within a
-  range, equal keys keep source order (oldest → newest), so keep-last
-  dedup and tombstone drop reproduce the per-range merge exactly.
+* **search** — per run only the ``keys.searchsorted(los)`` /
+  ``keys.searchsorted(his, "right")`` pair remains; the bounds of every
+  run of every tree (and each memtable's sorted view) are stacked into
+  ``(n_sources, R)`` matrices, so the fence-pointer page counts (the page
+  of rank ``r`` is ``r // entries_per_page``, as
+  :meth:`SortedRun.page_of_position` has it) and the gather indices are
+  one set of numpy dispatches per call instead of one per run.
+* **charge** — simulated costs are replayed per tree in exactly the
+  per-op order (range-major: for each range, deepest level first, runs
+  oldest → newest within a level; ``probe_cpu`` per run, then
+  ``sequential_read`` when the segment touches pages). Float accumulation
+  is order-dependent, so the replay *is* the bit-identity proof: every
+  accumulator (clock, read totals, the open mission window's) sees the
+  same addends in the same order. The loop holds them in locals and
+  writes them back once per tree (:meth:`SimClock.advance_to`,
+  :meth:`StatsCollector.set_read_totals`). Trees own their clocks, so
+  replaying tree by tree instead of interleaved is unobservable.
+* **gather** — every non-empty source contributes its segments through
+  one fancy-index, sources ordered tree-major and oldest → newest inside
+  a tree, each entry tagged with its range id.
+* **merge** — one stable ``(range_id, key)`` lexsort over everything
+  gathered replaces R separate ``merge_sorted_sources`` calls per tree
+  and the cross-tree re-merge: within a range, equal keys keep source
+  order, so keep-last dedup and tombstone drop reproduce the per-range
+  merge exactly; trees are key-disjoint, so newest-wins only ever
+  decides between sources of one tree.
 
 The memtable contributes through its lazily-built sorted view (two
 ``searchsorted`` calls per batch) instead of R O(M) dict scans; building
 the view is host-side caching with no simulated cost, exactly like the
 point-lookup path.
 
-:func:`reference_range_scan_batch` keeps the pre-vectorization per-op
-loop verbatim as an executable specification — the equivalence suite
-(``tests/test_rangepath.py``) and the ``range_path_scale`` benchmark
-both diff :meth:`LSMTree.range_scan_batch` against it on identical tree
+The per-op loop this path must match bit for bit lives test-side
+(``tests/reference_range.py``): the equivalence suite
+(``tests/test_rangepath.py``) and the ``range_path_scale`` benchmark both
+diff :meth:`LSMTree.range_scan_batch` against it on identical tree
 snapshots.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.lsm.entry import TOMBSTONE, merge_sorted_sources
+from repro.lsm.entry import TOMBSTONE
 from repro.lsm.readpath import perf_counter
 
 #: Profiler stage names added to :data:`repro.lsm.readpath.STAGES` for the
@@ -56,6 +65,24 @@ def empty_batch_result(n_ranges: int) -> BatchResult:
     """``(keys, values, offsets)`` for a batch with no live entries."""
     empty = np.zeros(0, dtype=np.int64)
     return empty, empty.copy(), np.zeros(n_ranges + 1, dtype=np.int64)
+
+
+def validate_ranges(los, his) -> Tuple[np.ndarray, np.ndarray]:
+    """``(los, his)`` as equal-length 1-d int64 arrays of inclusive ranges
+    with every ``lo <= hi``. Engines call this before counting or charging
+    anything, so a rejected batch leaves the simulation untouched."""
+    los = np.asarray(los, dtype=np.int64)
+    his = np.asarray(his, dtype=np.int64)
+    if los.shape != his.shape or los.ndim != 1:
+        raise ValueError(
+            f"los/his must be 1-d arrays of equal length, got "
+            f"{los.shape} vs {his.shape}"
+        )
+    bad = los > his
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"empty range: lo={int(los[i])} > hi={int(his[i])}")
+    return los, his
 
 
 def multi_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -75,15 +102,12 @@ def multi_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def merge_tagged_segments(
-    rid_parts: List[np.ndarray],
-    key_parts: List[np.ndarray],
-    value_parts: List[np.ndarray],
-    n_ranges: int,
+    rids: np.ndarray, keys: np.ndarray, values: np.ndarray, n_ranges: int
 ) -> BatchResult:
-    """Newest-wins merge of range-tagged segments, one lexsort per batch.
+    """Newest-wins merge of range-tagged entries, one lexsort per batch.
 
-    ``parts`` lists must be ordered oldest source → newest source (the
-    same precedence order :func:`repro.lsm.entry.merge_sorted_sources`
+    The (non-empty) arrays must list sources that may share a key oldest →
+    newest (the precedence order :func:`repro.lsm.entry.merge_sorted_sources`
     takes). The stable ``(range_id, key)`` lexsort groups each range,
     sorts it by key, and leaves the newest copy of every duplicate key
     last in its group — so keep-last dedup plus tombstone drop equal the
@@ -91,11 +115,6 @@ def merge_tagged_segments(
     with ``offsets`` of length ``n_ranges + 1`` delimiting each range's
     slice.
     """
-    if not key_parts:
-        return empty_batch_result(n_ranges)
-    rids = np.concatenate(rid_parts)
-    keys = np.concatenate(key_parts)
-    values = np.concatenate(value_parts)
     order = np.lexsort((keys, rids))  # stable; rids primary, keys secondary
     rids = rids[order]
     keys = keys[order]
@@ -109,15 +128,15 @@ def merge_tagged_segments(
     return keys[alive], values[alive], offsets
 
 
-def scan_batch(tree, los: np.ndarray, his: np.ndarray) -> BatchResult:
-    """Scan R ranges: charges every probe and I/O cost (bit-identically
-    to R per-op reference scans, in the same order) but does not count
-    operations — engines layer op counting on top
-    (:meth:`LSMTree.range_scan_batch` counts here,
-    :meth:`ShardedStore.range_scan_batch` counts on home shards while
-    scanning every shard). Returns flat ``(keys, values, offsets)``
-    arrays where range ``i``'s live entries are
-    ``keys[offsets[i]:offsets[i + 1]]``, sorted by key.
+def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray) -> BatchResult:
+    """Scan R ranges over every tree of ``trees`` (key-disjoint: one tree,
+    or the shards of a hash-partitioned store): charges each tree every
+    probe and I/O cost (bit-identically to R per-op scans of that tree,
+    in the same order) but does not count operations — engines layer op
+    counting on top (:meth:`LSMTree.range_scan_batch` counts here,
+    :meth:`ShardedStore.range_scan_batch` counts on home shards). Returns
+    flat ``(keys, values, offsets)`` arrays where range ``i``'s live
+    entries are ``keys[offsets[i]:offsets[i + 1]]``, sorted by key.
 
     Callers must validate ``los``/``his``; ranges are inclusive on both
     ends and every ``los[i] <= his[i]``.
@@ -125,149 +144,119 @@ def scan_batch(tree, los: np.ndarray, his: np.ndarray) -> BatchResult:
     n_ranges = len(los)
     if n_ranges == 0:
         return empty_batch_result(0)
-    prof = tree.read_profiler
-    if prof is not None:
+    profilers = {tree.read_profiler for tree in trees} - {None}
+    for prof in profilers:
         prof.note_range_batch(n_ranges)
-        t0 = perf_counter()
+    t0 = perf_counter() if profilers else 0.0
 
-    # --- search: all R segment bounds + page counts, one pass per run ---
-    # Sources in charge/precedence order: deepest level first, runs
-    # oldest -> newest within a level, memtable last (newest). Every run
-    # enters the charge plan (probes are charged even for empty overlap);
-    # only runs with data enter the gather list.
-    charge_plan: List[Tuple[int, List[int]]] = []  # (level_no, pages per range)
-    gather: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    zero_pages: List[int] = [0] * n_ranges
-    for level in reversed(tree.levels):
-        level_no = level.level_no
-        for run in level.runs:
-            n_entries = run.n_entries
-            if n_entries == 0:
-                charge_plan.append((level_no, zero_pages))
-                continue
-            starts = np.searchsorted(run.keys, los, side="left")
-            stops = np.searchsorted(run.keys, his, side="right")
-            # Page span of each non-empty segment, matching
-            # SortedRun.range_slice: last_page - first_page + 1 with both
-            # positions clamped into the run.
-            epp = run.entries_per_page
-            first_page = starts // epp
-            last_page = np.minimum(stops - 1, n_entries - 1) // epp
-            pages = np.where(starts < stops, last_page - first_page + 1, 0)
-            charge_plan.append((level_no, pages.tolist()))
-            gather.append((run.keys, run.values, starts, stops))
-    mk, mv = tree.memtable.sorted_view()
-    if len(mk):
-        m_starts = np.searchsorted(mk, los, side="left")
-        m_stops = np.searchsorted(mk, his, side="right")
-        gather.append((mk, mv, m_starts, m_stops))
-    if prof is not None:
-        prof.add("range_search", perf_counter() - t0)
-        t0 = perf_counter()
+    def lap(stage: str) -> None:
+        nonlocal t0
+        if profilers:
+            now = perf_counter()
+            for prof in profilers:
+                prof.add(stage, now - t0)
+            t0 = now
+
+    # --- search: one searchsorted pair per source, bounds stacked ---
+    # Sources in charge/precedence order: tree by tree, deepest level
+    # first, runs oldest -> newest within a level, memtable last (newest,
+    # never charged). Every run is charged its probes, empty overlap or
+    # not; an empty run searches to (0, 0) and so charges zero pages.
+    key_arrays: List[np.ndarray] = []
+    value_arrays: List[np.ndarray] = []
+    page_sizes: List[int] = []
+    #: Per tree: its first source row, the levels it charges (deepest
+    #: first) and, per run, that run's index into those levels.
+    plans: List[Tuple[int, List[int], List[int]]] = []
+    for tree in trees:
+        level_nos: List[int] = []
+        level_of_run: List[int] = []
+        first_row = len(key_arrays)
+        for level in reversed(tree.levels):
+            runs = level.runs
+            if runs:
+                level_of_run += [len(level_nos)] * len(runs)
+                level_nos.append(level.level_no)
+                for run in runs:
+                    key_arrays.append(run.keys)
+                    value_arrays.append(run.values)
+                    page_sizes.append(run.entries_per_page)
+        plans.append((first_row, level_nos, level_of_run))
+        mk, mv = tree.memtable.sorted_view()
+        if len(mk):
+            key_arrays.append(mk)
+            value_arrays.append(mv)
+            page_sizes.append(1)
+    if not key_arrays:
+        return empty_batch_result(n_ranges)
+    shape = (len(key_arrays), n_ranges)
+    starts = np.concatenate([k.searchsorted(los) for k in key_arrays])
+    stops = np.concatenate([k.searchsorted(his, "right") for k in key_arrays])
+    starts, stops = starts.reshape(shape), stops.reshape(shape)
+    lengths = stops - starts
+    # Page span of each non-empty segment: last_page - first_page + 1
+    # (stops never exceeds the run, so SortedRun.page_of_position's clamp
+    # is a no-op here). Transposed: the replay below is range-major.
+    epp = np.array(page_sizes)[:, None]
+    pages = np.where(lengths > 0, (stops - 1) // epp - starts // epp + 1, 0)
+    page_rows = pages.T.tolist()
+    lap("range_search")
 
     # --- charge: replay the reference cost sequence, range-major ---
     # probe_cpu(1) returns 1 * run_probe_cpu_s == the constant itself, and
-    # sequential_read(p) returns p * seq_read_s; charging those products
-    # through clock.advance in the reference order reproduces the exact
-    # float rounding sequence of R per-op scans. The seq-read counter is
-    # an integer total, so it sums once at the end.
-    costs = tree.config.costs
-    probe_cost = 1 * costs.run_probe_cpu_s
-    seq_read_s = costs.seq_read_s
-    advance = tree.clock.advance
-    add_read = tree.stats.add_read
-    seq_pages = 0
-    for r in range(n_ranges):
-        for level_no, pages in charge_plan:
-            advance(probe_cost)
-            add_read(level_no, probe_cost)
-            n_pages = pages[r]
-            if n_pages:
-                seq_pages += n_pages
-                io_cost = n_pages * seq_read_s
-                advance(io_cost)
-                add_read(level_no, io_cost)
-    tree.disk.counters.seq_reads += seq_pages
-    if prof is not None:
-        prof.add("range_charge", perf_counter() - t0)
-        t0 = perf_counter()
+    # sequential_read(p) returns p * seq_read_s; adding those products to
+    # each accumulator in the reference order reproduces the exact float
+    # rounding sequence of R per-op scans. The window accumulators run
+    # from 0.0 and are simply not written back when no mission is open.
+    # The seq-read counter is an integer total, so it sums once at the end.
+    for tree, (first_row, level_nos, level_of_run) in zip(trees, plans):
+        costs = tree.config.costs
+        probe_cost = 1 * costs.run_probe_cpu_s
+        seq_read_s = costs.seq_read_s
+        stats = tree.stats
+        now = tree.clock.now
+        total, level_totals, window, window_levels = stats.read_totals(level_nos)
+        seq_pages = 0
+        last_row = first_row + len(level_of_run)
+        for row in page_rows:
+            for lv, n_pages in zip(level_of_run, row[first_row:last_row]):
+                now += probe_cost
+                total += probe_cost
+                level_totals[lv] += probe_cost
+                window += probe_cost
+                window_levels[lv] += probe_cost
+                if n_pages:
+                    seq_pages += n_pages
+                    io_cost = n_pages * seq_read_s
+                    now += io_cost
+                    total += io_cost
+                    level_totals[lv] += io_cost
+                    window += io_cost
+                    window_levels[lv] += io_cost
+        tree.clock.advance_to(now)
+        stats.set_read_totals(level_nos, total, level_totals, window, window_levels)
+        tree.disk.counters.seq_reads += seq_pages
+    lap("range_charge")
 
-    # --- gather: one fancy-index per source, tagged with range ids ---
-    rid_range = np.arange(n_ranges, dtype=np.int64)
-    rid_parts: List[np.ndarray] = []
-    key_parts: List[np.ndarray] = []
-    value_parts: List[np.ndarray] = []
-    for src_keys, src_values, starts, stops in gather:
-        lengths = stops - starts
-        if not lengths.any():
-            continue
-        idx = multi_arange(starts, lengths)
-        rid_parts.append(np.repeat(rid_range, lengths))
-        key_parts.append(src_keys[idx])
-        value_parts.append(src_values[idx])
-    if prof is not None:
-        prof.add("range_gather", perf_counter() - t0)
-        t0 = perf_counter()
+    # --- gather: one fancy-index per non-empty source, tagged by range ---
+    # The in-source index of every gathered entry comes from one
+    # multi_arange over all (source, range) segments; a source's share of
+    # it is the slice its row total delimits.
+    cuts = [0] + np.cumsum(lengths.sum(axis=1)).tolist()
+    if not cuts[-1]:
+        lap("range_gather")
+        return empty_batch_result(n_ranges)
+    flat_lengths = lengths.ravel()
+    idx = multi_arange(starts.ravel(), flat_lengths)
+    rids = np.repeat(
+        np.tile(np.arange(n_ranges, dtype=np.int64), len(key_arrays)), flat_lengths
+    )
+    slices = [idx[a:b] for a, b in zip(cuts, cuts[1:])]
+    keys = np.concatenate([k[i] for k, i in zip(key_arrays, slices) if len(i)])
+    values = np.concatenate([v[i] for v, i in zip(value_arrays, slices) if len(i)])
+    lap("range_gather")
 
     # --- merge: one (range_id, key) lexsort for the whole batch ---
-    result = merge_tagged_segments(rid_parts, key_parts, value_parts, n_ranges)
-    if prof is not None:
-        prof.add("range_merge", perf_counter() - t0)
+    result = merge_tagged_segments(rids, keys, values, n_ranges)
+    lap("range_merge")
     return result
-
-
-def reference_range_scan_batch(
-    tree, los: np.ndarray, his: np.ndarray
-) -> BatchResult:
-    """The pre-vectorization range path: one full per-op scan per range.
-
-    Kept verbatim as the executable specification — per range this is
-    exactly the seed's scalar ``range_lookup`` body (op count, then the
-    run walk with scalar ``range_slice`` calls, the O(M) memtable dict
-    scan, and one ``merge_sorted_sources``)
-    — only the outputs are packed into the batch ``(keys, values,
-    offsets)`` layout so both paths can be diffed directly.
-    """
-    result_keys: List[np.ndarray] = []
-    result_values: List[np.ndarray] = []
-    offsets = np.zeros(len(los) + 1, dtype=np.int64)
-    for i, (lo, hi) in enumerate(zip(los.tolist(), his.tolist())):
-        if lo > hi:
-            raise ValueError(f"empty range: lo={lo} > hi={hi}")
-        tree.stats.count_range()
-        key_arrays: List[np.ndarray] = []
-        value_arrays: List[np.ndarray] = []
-        # Oldest sources first so merge_sorted_sources keeps the newest.
-        for level in reversed(tree.levels):
-            for run in level.runs:  # within a level: oldest -> newest
-                probe_cost = tree.disk.probe_cpu(1)
-                tree.stats.add_read(level.level_no, probe_cost)
-                run_keys, run_values, n_pages = run.range_slice(lo, hi)
-                if n_pages:
-                    io_cost = tree.disk.sequential_read(n_pages)
-                    tree.stats.add_read(level.level_no, io_cost)
-                if len(run_keys):
-                    key_arrays.append(run_keys)
-                    value_arrays.append(run_values)
-        buffered = tree.memtable.range_items_scan(lo, hi)
-        if buffered:
-            mk = np.fromiter(buffered.keys(), dtype=np.int64, count=len(buffered))
-            mv = np.fromiter(
-                buffered.values(), dtype=np.int64, count=len(buffered)
-            )
-            order = np.argsort(mk, kind="stable")
-            key_arrays.append(mk[order])
-            value_arrays.append(mv[order])
-        keys, values = merge_sorted_sources(
-            key_arrays, value_arrays, drop_tombstones=True
-        )
-        result_keys.append(keys)
-        result_values.append(values)
-        offsets[i + 1] = offsets[i] + len(keys)
-    if not result_keys:
-        return empty_batch_result(len(los))
-    return (
-        np.concatenate(result_keys),
-        np.concatenate(result_values),
-        offsets,
-    )

@@ -183,31 +183,6 @@ class SortedRun:
         return found, values, pages
 
     # ------------------------------------------------------------------
-    # Range scans
-    # ------------------------------------------------------------------
-    def range_slice(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Entries with ``lo <= key <= hi`` plus the pages touched.
-
-        Returns ``(keys, values, n_pages_read)``. An empty overlap costs zero
-        pages (fence pointers prove the range is absent without I/O).
-        """
-        if self.n_entries == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), 0
-        start = int(np.searchsorted(self.keys, lo, side="left"))
-        stop = int(np.searchsorted(self.keys, hi, side="right"))
-        if start >= stop:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy(), 0
-        first_page = self.page_of_position(start)
-        last_page = self.page_of_position(stop - 1)
-        return (
-            self.keys[start:stop],
-            self.values[start:stop],
-            last_page - first_page + 1,
-        )
-
-    # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SnapshotError
 from repro.storage.pager import IOCounters
@@ -252,6 +252,43 @@ class StatsCollector:
             self._current.level_read_time[level_no] = (
                 self._current.level_read_time.get(level_no, 0.0) + seconds
             )
+
+    def read_totals(
+        self, level_nos: Sequence[int]
+    ) -> Tuple[float, List[float], float, List[float]]:
+        """The accumulators :meth:`add_read` adds to, for a caller-side
+        replay: ``(total_read_time, per-level totals, open window's
+        read_time, its per-level totals)``, per-level lists in
+        ``level_nos`` order. With no window open the window values are
+        zeros that :meth:`set_read_totals` will ignore."""
+        window = self._current
+        window_levels = {} if window is None else window.level_read_time
+        return (
+            self.total_read_time,
+            [self.level_read_time.get(no, 0.0) for no in level_nos],
+            0.0 if window is None else window.read_time,
+            [window_levels.get(no, 0.0) for no in level_nos],
+        )
+
+    def set_read_totals(
+        self,
+        level_nos: Sequence[int],
+        total: float,
+        level_totals: Sequence[float],
+        window_time: float,
+        window_levels: Sequence[float],
+    ) -> None:
+        """Write back what :meth:`read_totals` handed out, after the
+        caller added every charge to each value in :meth:`add_read` call
+        order — bit-equivalent to those calls (same addends, same order,
+        per accumulator), at one call per batch instead of one per charge
+        (:func:`repro.lsm.rangepath.scan_batch`)."""
+        self.total_read_time = total
+        self.level_read_time.update(zip(level_nos, level_totals))
+        window = self._current
+        if window is not None:
+            window.read_time = window_time
+            window.level_read_time.update(zip(level_nos, window_levels))
 
     def add_write(self, level_no: int, seconds: float) -> None:
         """Attribute write-path (flush/compaction) time to ``level_no``."""

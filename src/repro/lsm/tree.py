@@ -36,7 +36,7 @@ from repro.lsm.entry import (
 from repro.lsm.level import Level
 from repro.lsm.memtable import MemTable
 from repro.lsm.policy import CompactionPolicy, PolicyLike, resolve_policy
-from repro.lsm.rangepath import scan_batch
+from repro.lsm.rangepath import scan_batch, validate_ranges
 from repro.lsm.readpath import ReadPathProfiler, perf_counter
 from repro.lsm.run import SortedRun
 from repro.lsm.stats import MissionStats, StatsCollector
@@ -602,24 +602,12 @@ class LSMTree(ScalarReads):
         *after* charging its predecessors — the whole batch is validated
         up front, so a rejected batch charges nothing.
         """
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        if los.shape != his.shape or los.ndim != 1:
-            raise ValueError(
-                f"los/his must be 1-d arrays of equal length, got "
-                f"{los.shape} vs {his.shape}"
-            )
-        bad = los > his
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"empty range: lo={int(los[i])} > hi={int(his[i])}"
-            )
+        los, his = validate_ranges(los, his)
         self.stats.count_range(len(los))
         tracer = self.tracer
         before = None if tracer is None else self._profile_snapshot()
         with open_span(tracer, "lsm.range_scan_batch", n_ranges=len(los)) as span:
-            result = scan_batch(self, los, his)
+            result = scan_batch((self,), los, his)
             self._absorb_profile(tracer, span, before)
         return result
 

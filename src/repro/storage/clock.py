@@ -58,6 +58,21 @@ class SimClock:
         self._now = now
         return total
 
+    def advance_to(self, now: float) -> None:
+        """Move the clock to ``now``: the write-back of a caller-side replay.
+
+        A batched cost path that charges many unequal amounts
+        (:func:`repro.lsm.rangepath.scan_batch`) starts a local from
+        :attr:`now`, adds each charge to it in per-event order and hands
+        the result back here — bit-equivalent to one :meth:`advance` per
+        charge, because the local sees the same addends in the same order.
+        """
+        if not now >= self._now:
+            raise StorageError(
+                f"cannot move clock back from {self._now} s to {now} s"
+            )
+        self._now = now
+
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------

@@ -20,9 +20,12 @@ from repro.core import (
     paper_greedy_variants,
 )
 from repro.core.tuners import Tuner
+from repro.engine.sharded import ShardedStore
 from repro.errors import ConfigError, PolicyError, RLError, WorkloadError
+from repro.lsm.entry import TOMBSTONE
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
+from repro.workload.spec import OP_UPDATE
 from repro.workload.uniform import UniformWorkload
 
 
@@ -453,3 +456,27 @@ class TestMissionRunner:
     def test_chunk_size_validation(self, tiny_config):
         with pytest.raises(WorkloadError):
             MissionRunner(LSMTree(tiny_config), chunk_size=0)
+
+    @pytest.mark.parametrize(
+        "make_engine",
+        [LSMTree, lambda config: ShardedStore(config, 4)],
+        ids=["tree", "sharded-4"],
+    )
+    def test_failed_mission_closes_its_window(self, tiny_config, make_engine):
+        """A mission that raises mid-run (its second chunk writes the
+        reserved TOMBSTONE value) must not leave the window open: the
+        error reaches the caller and the next mission runs normally."""
+        engine = make_engine(tiny_config)
+        runner = MissionRunner(engine, chunk_size=16)
+        good, bad = UniformWorkload(
+            n_records=500, lookup_fraction=0.5, seed=5
+        ).missions(2, 64)
+        at = np.flatnonzero(bad.kinds == OP_UPDATE)
+        bad.values[at[at >= 16][0]] = TOMBSTONE
+        with pytest.raises(ValueError, match="tombstone sentinel"):
+            runner.run(bad)
+        assert not engine.stats.in_mission
+        stats = runner.run(good)
+        assert stats.n_operations == 64
+        assert not engine.stats.in_mission
+        engine.check_invariants()

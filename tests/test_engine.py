@@ -464,6 +464,13 @@ class TestDurableShards:
         assert durable.cache_misses == memory.cache_misses
         assert durable.cache_hit_rate == memory.cache_hit_rate
         assert durable.policies_per_shard() == memory.policies_per_shard()
+        # The stacked range scan charges each shard through its own clock
+        # and collector: durable and in-memory agree shard by shard.
+        for mem_shard, dur_shard in zip(memory.shards, durable.shards):
+            assert dur_shard.clock.now == mem_shard.clock.now
+            assert dur_shard.stats.total_read_time == mem_shard.stats.total_read_time
+            assert dur_shard.stats.level_read_time == mem_shard.stats.level_read_time
+            assert dur_shard.disk.counters == mem_shard.disk.counters
         for mem_stats, dur_stats in zip(*missions):
             assert_mission_stats_equal(mem_stats, dur_stats)
             assert mem_stats.cache_hits == dur_stats.cache_hits

@@ -1,7 +1,7 @@
 """Equivalence suite for the vectorized batch range-scan path.
 
 :meth:`LSMTree.range_scan_batch` must be **bit-identical** to the per-op
-reference (:func:`repro.lsm.rangepath.reference_range_scan_batch`) in
+reference (:func:`reference_range.reference_range_scan_batch`) in
 every simulated observable, and per-range identical to
 :meth:`LSMTree.range_lookup`. This module pins both contracts across the
 engine layers that dispatch ranges (tree, sharded store, mission runner,
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_range import range_items_scan, reference_range_scan_batch
 from test_readpath import (
     ENGINE_KINDS,
     assert_trees_match_twins,
@@ -32,11 +33,7 @@ from repro.engine.sharded import ShardedStore, shard_of_key
 from repro.lsm import FLSMTree
 from repro.lsm.iterators import live_items
 from repro.lsm.memtable import MemTable
-from repro.lsm.rangepath import (
-    RANGE_STAGES,
-    multi_arange,
-    reference_range_scan_batch,
-)
+from repro.lsm.rangepath import RANGE_STAGES, multi_arange, scan_batch
 from repro.lsm.readpath import STAGES, ReadPathProfiler
 from repro.serve.server import REQ_GET, REQ_PUT, REQ_RANGE, KVServer, Request
 from repro.workload.spec import (
@@ -62,6 +59,47 @@ def make_ranges(rng, n, key_space=15000, max_span=80):
 def assert_batch_equal(a, b):
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+def loaded_store(n_shards, seed=5):
+    """A sharded store with multi-level shards, buffered writes and
+    tombstones (some buffered, some over disk-resident keys)."""
+    cfg = SystemConfig(write_buffer_bytes=8 * 1024, size_ratio=4, seed=seed)
+    store = ShardedStore(cfg, n_shards)
+    rng = np.random.default_rng(seed)
+    keys = np.unique(rng.integers(0, 30000, size=6000))
+    store.bulk_load(keys, rng.integers(0, 10**6, size=len(keys)))
+    store.put_batch(
+        rng.integers(0, 30000, size=400), rng.integers(0, 10**6, size=400)
+    )
+    for key in rng.integers(0, 30000, size=40).tolist():
+        store.delete(key)
+    return store, rng
+
+
+def snapshot_twin(tree):
+    twin = FLSMTree(tree.config)
+    twin.load_state_dict(tree.state_dict())
+    return twin
+
+
+def pairs_per_range(result):
+    keys, values, offsets = result
+    bounds = offsets.tolist()
+    return [
+        list(zip(keys[a:b].tolist(), values[a:b].tolist()))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def reference_over_trees(twins, los, his):
+    """Per-tree reference scans merged per range: the trees are
+    key-disjoint, so a range's answer is the key-sorted union."""
+    parts = [
+        pairs_per_range(reference_range_scan_batch(twin, los, his))
+        for twin in twins
+    ]
+    return [sorted(sum(per_tree, [])) for per_tree in zip(*parts)]
 
 
 class TestBitIdenticalToReference:
@@ -91,8 +129,7 @@ class TestBitIdenticalToReference:
         # equivalence (they invalidate the memtable sorted view and can
         # trigger flushes/compactions on both twins identically).
         tree, rng = build_stacked_tree("tiering")
-        twin = FLSMTree(tree.config)
-        twin.load_state_dict(tree.state_dict())
+        twin = snapshot_twin(tree)
         for step in range(4):
             los, his = make_ranges(rng, 80)
             assert_batch_equal(
@@ -168,11 +205,10 @@ class TestBatchMatchesPerOpRangeLookup:
     """
 
     def _check(self, tree, los, his):
-        twin = FLSMTree(tree.config)
-        twin.load_state_dict(tree.state_dict())
+        twin = snapshot_twin(tree)
 
         t0 = tree.clock.now
-        keys, values, offsets = tree.range_scan_batch(los, his)
+        got = pairs_per_range(tree.range_scan_batch(los, his))
         batch_sim_s = tree.clock.now - t0
 
         t0 = twin.clock.now
@@ -181,15 +217,7 @@ class TestBatchMatchesPerOpRangeLookup:
         ]
         scalar_sim_s = twin.clock.now - t0
 
-        bounds = offsets.tolist()
-        for i, pairs in enumerate(expected):
-            got = list(
-                zip(
-                    keys[bounds[i] : bounds[i + 1]].tolist(),
-                    values[bounds[i] : bounds[i + 1]].tolist(),
-                )
-            )
-            assert got == pairs
+        assert got == expected
         assert batch_sim_s == scalar_sim_s
         assert dict(tree.stats.level_read_time) == dict(
             twin.stats.level_read_time
@@ -279,41 +307,138 @@ class TestBatchMatchesPerOpRangeLookup:
             assert_trees_match_twins(engine, twins)
 
 
-class TestShardedConformance:
-    def _loaded(self, n_shards, seed=5):
-        cfg = SystemConfig(write_buffer_bytes=8 * 1024, size_ratio=4, seed=seed)
-        store = ShardedStore(cfg, n_shards)
-        rng = np.random.default_rng(seed)
-        keys = np.unique(rng.integers(0, 30000, size=6000))
-        store.bulk_load(keys, rng.integers(0, 10**6, size=len(keys)))
-        store.put_batch(
-            rng.integers(0, 30000, size=400), rng.integers(0, 10**6, size=400)
+class TestStackedScanOverTrees:
+    """``scan_batch(trees, ...)`` — one pass over several key-disjoint
+    trees — against one reference scan per tree on snapshot twins."""
+
+    @pytest.mark.parametrize("in_mission", (False, True), ids=["idle", "window"])
+    @pytest.mark.parametrize("n_trees", (1, 2, 4))
+    def test_matches_per_tree_reference(self, n_trees, in_mission):
+        store, rng = loaded_store(n_trees)
+        trees = store.shards
+        twins = [snapshot_twin(tree) for tree in trees]
+        los, his = make_ranges(rng, 150, key_space=30000)
+        if in_mission:
+            # The window's own accumulators start from earlier charges.
+            probe = rng.integers(0, 30000, size=64)
+            for tree in trees + twins:
+                tree.begin_mission()
+                tree.get_batch(probe)
+
+        got = scan_batch(trees, los, his)
+
+        assert pairs_per_range(got) == reference_over_trees(twins, los, his)
+        for tree, twin in zip(trees, twins):
+            # Clock, total_read_time, level_read_time, seq_reads, cache.
+            assert sim_observables(tree) == sim_observables(twin)
+            if in_mission:
+                ours, theirs = tree.end_mission(), twin.end_mission()
+                assert ours.read_time == theirs.read_time > 0.0
+                assert ours.level_read_time == theirs.level_read_time
+                assert ours.sim_duration == theirs.sim_duration
+                assert ours.io == theirs.io
+
+    def _disjoint_trees(self):
+        """Four key-disjoint trees (keys congruent to the tree number mod
+        4), one per degenerate source shape."""
+        cfg = SystemConfig(write_buffer_bytes=8 * 1024, size_ratio=4, seed=2)
+        rng = np.random.default_rng(2)
+        empty, buffered, hollow, shadowed = (FLSMTree(cfg) for _ in range(4))
+        # 1: memtable only, with a buffered tombstone.
+        buffered.put_batch(np.arange(29, 50, 4), np.arange(29, 50, 4) * 7)
+        buffered.delete(41)
+        # 2: multi-level, plus an empty active run hung below everything.
+        hollow.set_named_policy("tiering")
+        keys = np.arange(2, 12000, 4)
+        hollow.put_batch(keys, rng.integers(0, 10**6, size=len(keys)))
+        none = np.zeros(0, dtype=np.int64)
+        bottom = hollow._ensure_level(hollow.n_levels + 1)
+        bottom.replace_active(
+            hollow._new_run(bottom, none, none, bottom.active_run_capacity())
         )
-        for key in rng.integers(0, 30000, size=40).tolist():
-            store.delete(key)
-        return store, rng
+        # 3: multi-level, then tombstones (flushed and buffered) over keys
+        # whose live copies sit in deeper runs.
+        shadowed.set_named_policy("tiering")
+        keys = np.arange(3, 12000, 4)
+        shadowed.put_batch(keys, rng.integers(0, 10**6, size=len(keys)))
+        for key in keys[100:160].tolist():
+            shadowed.delete(key)
+        assert shadowed.n_levels >= 2 and len(shadowed.memtable)
+        return [empty, buffered, hollow, shadowed], keys[100:160]
+
+    def test_degenerate_sources(self):
+        trees, deleted = self._disjoint_trees()
+        assert trees[0].n_levels == 0 and len(trees[0].memtable) == 0
+        assert trees[1].n_levels == 0 and len(trees[1].memtable)
+        assert trees[2].levels[-1].runs[0].n_entries == 0
+        twins = [snapshot_twin(tree) for tree in trees]
+        # Wide ranges over every tree's keys (and the deleted stretch),
+        # point ranges on a buffered tombstone, and ranges past all keys.
+        los = np.array([0, 30, 41, 350, 11000, 10**6], dtype=np.int64)
+        his = np.array([250, 60, 41, 700, 13000, 10**7], dtype=np.int64)
+
+        got = pairs_per_range(scan_batch(trees, los, his))
+
+        assert got == reference_over_trees(twins, los, his)
+        for tree, twin in zip(trees, twins):
+            assert sim_observables(tree) == sim_observables(twin)
+        # The empty tree was charged nothing, the others at least probes.
+        assert trees[0].clock.now == 0.0 and trees[0].stats.level_read_time == {}
+        assert trees[1].stats.level_read_time == {}
+        # Each wide range interleaves all three populated trees, minus
+        # the shadowed keys; neighbours from the other trees survive.
+        assert {key % 4 for key, _ in got[0]} == {1, 2, 3}
+        assert got[2] == []  # buffered tombstone
+        found = {key for key, _ in got[3]}
+        gone = set(deleted.tolist()) & set(range(350, 701))
+        assert gone and not gone & found
+        assert {key - 1 for key in gone} <= found
+        assert got[5] == []
+
+    def test_batch_without_overlap_still_charges_probes(self):
+        store, _ = loaded_store(4)
+        trees = store.shards
+        twins = [snapshot_twin(tree) for tree in trees]
+        los = np.array([10**6, 10**7, -500], dtype=np.int64)
+        his = los + 50
+        seq_reads = [tree.disk.counters.seq_reads for tree in trees]
+        keys, values, offsets = scan_batch(trees, los, his)
+        assert len(keys) == 0 and len(values) == 0
+        assert offsets.tolist() == [0, 0, 0, 0]
+        reference_over_trees(twins, los, his)
+        for tree, twin in zip(trees, twins):
+            assert tree.clock.now == twin.clock.now > 0.0
+            assert sim_observables(tree) == sim_observables(twin)
+        assert seq_reads == [tree.disk.counters.seq_reads for tree in trees]
+
+    def test_profiler_charged_once_per_call(self):
+        # A profiler shared by every scanned tree sees one call, not one
+        # per tree; a tree with its own profiler is charged separately.
+        store, rng = loaded_store(4)
+        shared, own = ReadPathProfiler(), ReadPathProfiler()
+        for shard in store.shards[:3]:
+            shard.read_profiler = shared
+        store.shards[3].read_profiler = own
+        los, his = make_ranges(rng, 40, key_space=30000)
+        store.range_scan_batch(los, his)
+        for prof in (shared, own):
+            assert prof.n_range_batches == 1 and prof.n_ranges == 40
+            assert all(prof.calls[stage] == 1 for stage in RANGE_STAGES)
+
+
+class TestShardedConformance:
 
     @pytest.mark.parametrize("n_shards", (1, 4))
     def test_batch_matches_per_op(self, n_shards):
-        store, rng = self._loaded(n_shards)
+        store, rng = loaded_store(n_shards)
         twin = ShardedStore(store.config, n_shards)
         twin.load_state_dict(store.state_dict())
         los, his = make_ranges(rng, 150, key_space=30000)
 
-        keys, values, offsets = store.range_scan_batch(los, his)
-        expected = [
+        got = pairs_per_range(store.range_scan_batch(los, his))
+        assert got == [
             twin.range_lookup(int(lo), int(hi)) for lo, hi in zip(los, his)
         ]
-
-        bounds = offsets.tolist()
-        for i, pairs in enumerate(expected):
-            got = list(
-                zip(
-                    keys[bounds[i] : bounds[i + 1]].tolist(),
-                    values[bounds[i] : bounds[i + 1]].tolist(),
-                )
-            )
-            assert got == pairs
         # Home-shard op counting and per-shard charges must agree shard
         # by shard, not just in aggregate.
         for a, b in zip(store.shards, twin.shards):
@@ -327,7 +452,7 @@ class TestShardedConformance:
         )
 
     def test_empty_and_invalid_batches(self):
-        store, _ = self._loaded(2)
+        store, _ = loaded_store(2)
         empty = np.zeros(0, dtype=np.int64)
         keys, values, offsets = store.range_scan_batch(empty, empty)
         assert len(keys) == 0 and offsets.tolist() == [0]
@@ -484,7 +609,7 @@ class TestMemtableSortedView:
     def test_equivalence_with_dict_scan(self, with_view, bounds):
         table = self._table(with_view)
         lo, hi = bounds
-        assert _view_items(table, lo, hi) == table.range_items_scan(lo, hi)
+        assert _view_items(table, lo, hi) == range_items_scan(table, lo, hi)
 
     def test_view_includes_tombstones(self):
         table = self._table(with_view=True)
@@ -500,7 +625,7 @@ class TestMemtableSortedView:
         # The next reader rebuilds the view and must see the write.
         assert _view_items(table, 10_000, 10_000) == {10_000: 5}
         assert table._sorted_view is not None
-        assert _view_items(table, 0, 10**6) == table.range_items_scan(0, 10**6)
+        assert _view_items(table, 0, 10**6) == range_items_scan(table, 0, 10**6)
 
     def test_sorted_view_is_cached_and_sorted(self):
         table = self._table(with_view=False)
@@ -514,7 +639,7 @@ class TestMemtableSortedView:
         table = MemTable(8)
         mk, mv = table.sorted_view()
         assert len(mk) == 0 and len(mv) == 0
-        assert table.range_items_scan(0, 100) == {}
+        assert range_items_scan(table, 0, 100) == {}
 
 
 class TestLiveItemsUsesSortedView:

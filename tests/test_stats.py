@@ -74,6 +74,35 @@ class TestStatsCollector:
         assert mission.io.random_reads == 3
         assert mission.sim_duration == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("in_mission", (False, True))
+    def test_read_totals_round_trip_equals_add_read_calls(self, in_mission):
+        charges = [(3, 0.1), (3, 0.2), (1, 1e-9), (3, 0.7), (1, 0.3)]
+        direct, replayed = StatsCollector(), StatsCollector()
+        for stats in (direct, replayed):
+            stats.add_read(3, 0.05)  # level 3 known before the window
+            if in_mission:
+                stats.begin_mission(IOCounters(), 0.0)
+                stats.add_read(1, 0.4)  # the window starts non-zero
+        for level_no, seconds in charges:
+            direct.add_read(level_no, seconds)
+        level_nos = [3, 1]
+        total, levels, window, window_levels = replayed.read_totals(level_nos)
+        for level_no, seconds in charges:
+            at = level_nos.index(level_no)
+            total += seconds
+            levels[at] += seconds
+            window += seconds
+            window_levels[at] += seconds
+        replayed.set_read_totals(level_nos, total, levels, window, window_levels)
+        assert replayed.total_read_time == direct.total_read_time
+        assert replayed.level_read_time == direct.level_read_time
+        assert replayed.in_mission == in_mission
+        if in_mission:
+            ours = replayed.end_mission(IOCounters(), 0.0)
+            theirs = direct.end_mission(IOCounters(), 0.0)
+            assert ours.read_time == theirs.read_time
+            assert ours.level_read_time == theirs.level_read_time
+
     def test_mission_indices_increment(self):
         stats = StatsCollector()
         io = IOCounters()

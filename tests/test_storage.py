@@ -28,6 +28,23 @@ class TestSimClock:
         with pytest.raises(StorageError):
             SimClock().advance(-0.1)
 
+    def test_advance_to_writes_back_a_replay(self):
+        clock, replayed = SimClock(0.3), SimClock(0.3)
+        now = replayed.now
+        for charge in (0.1, 0.2, 1e-9, 0.7):
+            clock.advance(charge)
+            now += charge
+        replayed.advance_to(now)
+        assert replayed.now == clock.now
+        replayed.advance_to(replayed.now)  # an empty replay is a no-op
+
+    @pytest.mark.parametrize("now", (0.5, float("nan")))
+    def test_advance_to_rejects_going_back(self, now):
+        clock = SimClock(1.0)
+        with pytest.raises(StorageError):
+            clock.advance_to(now)
+        assert clock.now == 1.0
+
     def test_repr_mentions_time(self):
         assert "now=" in repr(SimClock())
 

@@ -5,7 +5,8 @@ once (``benchmark.pedantic(..., rounds=1)``), prints the paper-style report,
 saves it under ``bench_reports/`` and asserts the qualitative *shape* the
 paper reports (who wins, roughly by how much, where crossovers fall).
 Absolute numbers are simulated seconds, not the paper's wall-clock — see
-DESIGN.md §2.
+DESIGN.md §2. Nothing under ``benchmarks/`` reads the host clock: host time
+is measured in ``perfbench/`` (README "Host time").
 """
 
 from __future__ import annotations
@@ -68,18 +69,13 @@ def emit_metrics(name: str, payload: dict) -> None:
 
 
 def metrics_from_results(results) -> dict:
-    """Per-system summary numbers from a ``{name: SeriesResult}`` mapping.
-
-    Simulated quantities (latency, sim totals) are deterministic at a fixed
-    scale and seed; wall-clock ops/s varies by host and is compared
-    warn-only by the trajectory diff.
-    """
+    """Per-system summary numbers from a ``{name: SeriesResult}`` mapping
+    — simulated quantities only, deterministic at a fixed scale and seed."""
     return {
         "systems": {
             name: {
                 "mean_latency_ms": result.mean_latency() * 1e3,
                 "sim_total_s": result.total_time(),
-                "ops_per_second": result.ops_per_second,
                 "n_missions": len(result.missions),
                 "n_operations": int(
                     sum(m.n_operations for m in result.missions)

@@ -64,7 +64,6 @@ def test_policy_matrix(benchmark):
             format_summary(
                 results,
                 title=f"-- {mix} (converged mean latency, ms/op) --",
-                show_throughput=False,
             )
         )
         if mix == "dynamic":

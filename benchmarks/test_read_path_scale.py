@@ -1,43 +1,33 @@
-"""Read-path micro-benchmark: vectorized pipeline vs the scalar reference.
+"""Read-path equivalence at benchmark scale: vectorized vs scalar reference.
 
-Races the level-at-a-time ``LSMTree.get_batch`` against the pre-PR
-run-at-a-time loop (kept verbatim as
-:func:`repro.lsm.readpath.reference_get_batch`) over identical tree
-snapshots and identical probe batches, on three panels:
+Runs the level-at-a-time ``LSMTree.get_batch`` and the run-at-a-time loop
+it replaced (kept verbatim, test-side, as
+:func:`reference_get.reference_get_batch`) over identical tree snapshots
+and identical probe batches, on three panels:
 
 * ``leveling read-heavy`` — one run per level, 90 % present keys;
 * ``tiering read-heavy`` — stacked sealed runs (the paper's tiering
-  shape), 90 % present keys. **This is the gated panel**: the vectorized
-  path must win by the acceptance floor below.
+  shape), 90 % present keys;
 * ``tiering zipfian cached`` — stacked runs, Zipf(0.99) probes, block
   cache enabled, exercising the batched
   :meth:`LRUBlockCache.access_batch` branch.
 
-The headline metric is *wall-clock* throughput of the reproduction
-itself; simulated charges are asserted **bit-identical** between the two
-paths (``sim_total_s`` enters the metrics snapshot, where the trajectory
-diff treats it as deterministic).
+Answers and simulated charges are asserted **bit-identical** between the
+two paths; ``sim_total_s`` enters the metrics snapshot. How much faster the
+vectorized path runs on the host is ``perfbench``'s ``lsm.get_batch_s``.
 """
-
-import time
 
 import numpy as np
 from _common import emit_metrics, emit_report
+from reference_get import reference_get_batch
 
 from repro.bench import base_config, bench_scale
 from repro.lsm import FLSMTree
-from repro.lsm.readpath import reference_get_batch
 from repro.workload.zipf import ZipfianSampler
 
 N_BATCHES = 40
 BATCH = 1_024
 SEED = 17
-
-#: Acceptance floors for the stacked read-heavy panel (reference wall /
-#: vectorized wall). The default-scale floor is the PR's headline gate;
-#: quick CI runs keep a cushion against noisy shared runners (measured
-#: ~1.7x there).
-SPEEDUP_FLOOR = {"quick": 1.1, "default": 1.5, "full": 1.5}
 
 PANELS = (
     # (name, policy, zipfian probes, block-cache pages)
@@ -46,7 +36,7 @@ PANELS = (
     ("tiering zipfian cached", "tiering", True, 256),
 )
 
-GATED_PANEL = "tiering read-heavy"
+STACKED_PANEL = "tiering read-heavy"
 
 
 def _build_tree(scale, policy, cache_pages):
@@ -84,22 +74,17 @@ def _probe_batches(keys, zipfian):
     ]
 
 
-def _race_panel(scale, policy, zipfian, cache_pages):
+def _run_panel(scale, policy, zipfian, cache_pages):
     tree, keys = _build_tree(scale, policy, cache_pages)
     twin = FLSMTree(tree.config)
     twin.load_state_dict(tree.state_dict())
     batches = _probe_batches(keys, zipfian)
 
-    started = time.perf_counter()
     outputs_new = [tree.get_batch(batch) for batch in batches]
-    new_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
     outputs_ref = [reference_get_batch(twin, batch) for batch in batches]
-    ref_wall = time.perf_counter() - started
 
     # Correctness contract: identical answers AND bit-identical simulated
-    # charges — the optimization is allowed to change wall-clock only.
+    # charges — the optimization is allowed to change host time only.
     for (found_new, values_new), (found_ref, values_ref) in zip(
         outputs_new, outputs_ref
     ):
@@ -110,16 +95,9 @@ def _race_panel(scale, policy, zipfian, cache_pages):
     )
     assert dict(tree.stats.level_read_time) == dict(twin.stats.level_read_time)
 
-    n_ops = N_BATCHES * BATCH
-    max_runs = max(level.n_runs for level in tree.levels)
     return {
-        "n_operations": n_ops,
-        "max_runs_per_level": max_runs,
-        "new_wall_s": new_wall,
-        "reference_wall_s": ref_wall,
-        "ops_per_second": n_ops / new_wall if new_wall else 0.0,
-        "reference_ops_per_second": n_ops / ref_wall if ref_wall else 0.0,
-        "speedup": ref_wall / new_wall if new_wall else float("inf"),
+        "n_operations": N_BATCHES * BATCH,
+        "max_runs_per_level": max(level.n_runs for level in tree.levels),
         "sim_total_s": tree.clock.now,
     }
 
@@ -127,7 +105,7 @@ def _race_panel(scale, policy, zipfian, cache_pages):
 def run_read_path_scale():
     scale = bench_scale()
     return scale, {
-        name: _race_panel(scale, policy, zipfian, cache_pages)
+        name: _run_panel(scale, policy, zipfian, cache_pages)
         for name, policy, zipfian, cache_pages in PANELS
     }
 
@@ -140,32 +118,20 @@ def test_read_path_scale(benchmark):
     lines = [
         "Vectorized vs scalar-reference read path "
         f"({N_BATCHES} batches x {BATCH} keys, scale={scale.name})",
-        f"{'panel':>24} | {'runs':>4} | {'new kops/s':>10} | "
-        f"{'ref kops/s':>10} | {'speedup':>7} | {'sim s':>8}",
+        f"{'panel':>24} | {'runs':>4} | {'keys':>8} | {'sim s':>8}",
     ]
     for name, row in panels.items():
         lines.append(
             f"{name:>24} | {row['max_runs_per_level']:4d} | "
-            f"{row['ops_per_second'] / 1e3:10.1f} | "
-            f"{row['reference_ops_per_second'] / 1e3:10.1f} | "
-            f"{row['speedup']:6.2f}x | {row['sim_total_s']:8.4f}"
+            f"{row['n_operations']:8d} | {row['sim_total_s']:8.4f}"
         )
     lines.append("")
     lines.append(
-        "simulated charges bit-identical across paths on every panel; "
-        f"gated panel '{GATED_PANEL}' floor: "
-        f"{SPEEDUP_FLOOR[scale.name]:.2f}x"
+        "answers and simulated charges bit-identical across paths on every "
+        "panel"
     )
     emit_report("read_path_scale", "\n".join(lines))
     emit_metrics("read_path_scale", {"panels": panels})
 
-    # The stacked-runs panel is where the level-at-a-time index pays off;
-    # the 1-run-per-level panel must at minimum not regress.
-    gated = panels[GATED_PANEL]["speedup"]
-    assert gated >= SPEEDUP_FLOOR[scale.name], (
-        f"stacked read path speedup {gated:.2f}x below "
-        f"{SPEEDUP_FLOOR[scale.name]:.2f}x floor"
-    )
-    assert panels["leveling read-heavy"]["speedup"] > 0.8
     # The stacked panels must actually exercise stacked runs.
-    assert panels[GATED_PANEL]["max_runs_per_level"] >= 2
+    assert panels[STACKED_PANEL]["max_runs_per_level"] >= 2

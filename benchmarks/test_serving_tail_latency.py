@@ -17,13 +17,12 @@ belong to ``perfbench/``, judged by alternating pairs like every other
 wall number (ROADMAP item 0). The engines keep charging SimClock
 internally and no simulated result anywhere in the suite is affected.
 
-Report: ``bench_reports/serving_tail_latency.txt`` — completed and offered
-throughput, drop fraction, mean queue depth, p50/p99/p99.9.
+The table (completed and offered throughput, drop fraction, mean queue
+depth, p50/p99/p99.9) is printed, not committed: every cell follows host
+timing — even the engines' SimClock totals, since served batch composition
+does. ``python -m repro.serve --compare`` prints the same table on demand;
+the host-time metrics are ``perfbench``'s ``serve.sat_*`` / ``serve.sync_*``.
 """
-
-import dataclasses
-
-from _common import emit_metrics, emit_report
 
 from repro.bench import bench_scale
 from repro.serve.experiments import (
@@ -33,27 +32,11 @@ from repro.serve.experiments import (
 )
 
 
-def fixed_serving_scale():
-    """The tier's run shape, count-bound: exactly ``n_ops`` requests are
-    offered at the tier's configured rate (no host calibration probe)."""
-    return dataclasses.replace(serving_scale(bench_scale()), duration=0.0)
-
-
-def run_serving_benchmark():
-    serving = fixed_serving_scale()
-    return run_serving_comparison(
-        scale=bench_scale(),
-        serving=serving,
-        seed=0,
-        shard_counts=(1, 4),
-        rate=serving.rate,
-    )
-
-
 def test_serving_tail_latency(benchmark):
-    runs = benchmark.pedantic(run_serving_benchmark, rounds=1, iterations=1)
+    # Defaults: the active scale tier's n_ops at its rate, seed 0, {1, 4} shards.
+    runs = benchmark.pedantic(run_serving_comparison, rounds=1, iterations=1)
     scale = bench_scale()
-    serving = fixed_serving_scale()
+    serving = serving_scale(scale)
 
     lines = [
         "Serving under open-loop load "
@@ -72,20 +55,8 @@ def test_serving_tail_latency(benchmark):
             f"{run.report.completed} completed / {run.report.dropped} dropped, "
             f"sim {run.sim_seconds:.3f}s"
         )
-    emit_report("serving_tail_latency", "\n".join(lines))
-    configs = {}
-    for name, run in runs.items():
-        configs[name] = {
-            "throughput_rps": run.report.throughput,
-            "offered": int(run.report.offered),
-            "completed": int(run.report.completed),
-            "drop_pct": run.report.drop_fraction * 100.0,
-            # p50_ms / p99_ms / p999_ms straight from the histogram — the
-            # naming and ms scaling live in percentile_summary().
-            **run.report.histogram.percentile_summary((50.0, 99.0, 99.9)),
-            "sim_total_s": run.sim_seconds,
-        }
-    emit_metrics("serving_tail_latency", {"configs": configs})
+    print("\n===== serving_tail_latency =====")
+    print("\n".join(lines))
 
     assert len(runs) == 4
     for run in runs.values():

@@ -9,19 +9,13 @@ script has two jobs, usually run as one CI step:
    single ``BENCH_PR.json`` trajectory snapshot (uploaded as a CI
    artifact).
 2. **Compare** (``--baseline FILE``): diff the snapshot against the
-   committed ``BENCH_BASELINE.json``. Columns fall in two tiers:
-
-   * **Wall-clock** columns (matched by :data:`WALL_CLOCK_HINTS`, plus
-     every column of the benchmarks in :data:`WALL_CLOCK_BENCHMARKS`,
-     whose whole run is shaped by host speed) vary by machine — drifts
-     beyond the threshold (default ±25 %) are *warnings*.
-   * **Simulated** columns (everything else: SimClock totals, simulated
-     latencies, operation/IO counts) are deterministic at a fixed scale
-     and seed — any drift beyond float-print tolerance
-     (``--sim-threshold``, default 1e-9 relative) is a **hard failure**,
-     as is a simulated column dropped from the PR snapshot. An intended
-     simulation change must regenerate the committed baseline in the
-     same PR.
+   committed ``BENCH_BASELINE.json``. Every column is simulated
+   (SimClock totals, simulated latencies, operation/IO counts) and so
+   deterministic at a fixed scale and seed: any drift beyond float-print
+   tolerance (``--sim-threshold``, default 1e-9 relative) is a **hard
+   failure**, as is a column dropped from the PR snapshot. An intended
+   simulation change must regenerate the committed baseline in the same
+   PR. Host time is not compared here — it is measured by ``perfbench/``.
 
    A benchmark present in the baseline but missing from the PR snapshot
    also fails hard (a silently skipped or deleted benchmark is exactly
@@ -29,9 +23,8 @@ script has two jobs, usually run as one CI step:
 
 One record is produced outside pytest: ``scripts/crash_smoke.py`` emits
 ``crash_recovery`` (kill-point matrix: recovered-op, manifest-edit and
-replayed-record counts are simulated-exact; WAL replay throughput rides
-the warn-only ``_rps``/``wall`` tier). Run it before collecting so the
-baseline's record is never reported missing.
+replayed-record counts). Run it before collecting so the baseline's
+record is never reported missing.
 
 Usage (CI)::
 
@@ -41,7 +34,7 @@ Usage (CI)::
         --pr bench_reports/BENCH_PR.json \
         --baseline BENCH_BASELINE.json
 
-Regenerate the committed baseline after an intentional perf change
+Regenerate the committed baseline after an intentional simulation change
 (clear the metrics dir first — it accumulates across local runs, and
 collect skips files stamped with a different scale)::
 
@@ -62,41 +55,10 @@ from typing import Dict, Iterator, Tuple
 
 SCHEMA_VERSION = 1
 
-#: Relative drift beyond which a wall-clock field is reported (warn-only).
-DEFAULT_THRESHOLD = 0.25
-
-#: Relative drift beyond which a *simulated* field is a hard failure.
-#: Simulated columns are bit-deterministic at a fixed scale and seed; the
-#: tolerance only absorbs float printing, not real drift.
+#: Relative drift beyond which a field is a hard failure. Every column is
+#: simulated and bit-deterministic at a fixed scale and seed; the tolerance
+#: only absorbs float printing, not real drift.
 SIM_THRESHOLD = 1e-9
-
-#: Numeric fields that are host wall-clock measurements (or derived from
-#: one); drift in these is warn-only machine noise, not model drift.
-#: Covers SeriesResult.ops_per_second, the serving throughput/latency and
-#: load-window columns, fig13's model-update wall time and ratio, and the
-#: sharding/read-path speedups.
-WALL_CLOCK_HINTS = (
-    "ops_per_second",
-    "throughput_rps",
-    "wall",
-    "_rps",
-    "model_s",
-    "ratio",
-    "speedup",
-    "p50_ms",
-    "p99_ms",
-    "p999_ms",
-    "offered",
-    "completed",
-    "drop_pct",
-)
-
-#: Benchmarks whose *entire* numeric record is shaped by host speed (the
-#: serving harness admits requests for a fixed wall window, so even its
-#: SimClock totals track the machine). Every column of these stays in the
-#: warn-only tier.
-WALL_CLOCK_BENCHMARKS = ("serving_tail_latency",)
-
 
 def collect(metrics_dir: str, scale: str) -> Dict[str, object]:
     """Merge per-benchmark metric files into one trajectory snapshot.
@@ -142,17 +104,9 @@ def numeric_leaves(
         yield prefix, float(node)
 
 
-def is_wall_clock(benchmark: str, path: str) -> bool:
-    """Whether ``benchmark:path`` is a host-speed measurement (warn tier)."""
-    if benchmark in WALL_CLOCK_BENCHMARKS:
-        return True
-    return any(hint in path for hint in WALL_CLOCK_HINTS)
-
-
 def compare(
     pr: Dict[str, object],
     baseline: Dict[str, object],
-    threshold: float,
     sim_threshold: float = SIM_THRESHOLD,
 ) -> int:
     """Print the trajectory diff; returns the process exit code."""
@@ -171,7 +125,6 @@ def compare(
     else:
         compare_numbers = True
 
-    warnings = 0
     failures = 0
     # Registry sourcing is part of the contract once a benchmark has it:
     # emit_metrics routes every numeric leaf through the obs metrics
@@ -193,31 +146,14 @@ def compare(
         for name in sorted(set(pr_benchmarks) & set(base_benchmarks)):
             pr_leaves = dict(numeric_leaves(pr_benchmarks[name]))
             for path, base_value in numeric_leaves(base_benchmarks[name]):
-                wall = is_wall_clock(name, path)
                 if path not in pr_leaves:
-                    if wall:
-                        print(f"warn: {name}:{path} dropped from PR metrics")
-                        warnings += 1
-                    else:
-                        print(
-                            f"FAIL: {name}:{path} (simulated) dropped from "
-                            "PR metrics"
-                        )
-                        failures += 1
+                    print(f"FAIL: {name}:{path} dropped from PR metrics")
+                    failures += 1
                     continue
                 pr_value = pr_leaves[path]
                 denom = max(abs(base_value), 1e-12)
                 drift = abs(pr_value - base_value) / denom
-                if wall:
-                    if drift > threshold:
-                        print(
-                            f"warn: {name}:{path} drifted "
-                            f"{drift * 100:+.1f}% "
-                            f"({base_value:.6g} -> {pr_value:.6g}) "
-                            "(wall-clock; host-dependent)"
-                        )
-                        warnings += 1
-                elif drift > sim_threshold:
+                if drift > sim_threshold:
                     # Simulated columns are deterministic: any real drift
                     # means the model changed without a baseline update.
                     print(
@@ -232,8 +168,7 @@ def compare(
         print(f"note: new benchmark in PR metrics: {name}")
     print(
         f"bench_compare: {len(pr_benchmarks)} PR benchmarks vs "
-        f"{len(base_benchmarks)} baseline; {warnings} drift warning(s), "
-        f"{failures} simulated failure(s), "
+        f"{len(base_benchmarks)} baseline; {failures} failure(s), "
         f"{len(missing)} missing, {len(added)} new"
     )
     if missing:
@@ -261,13 +196,6 @@ def main(argv=None) -> int:
         "--baseline",
         metavar="FILE",
         help="committed baseline to diff against (skip to only collect)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="relative wall-clock drift that triggers a warning "
-        "(default 0.25)",
     )
     parser.add_argument(
         "--sim-threshold",
@@ -298,7 +226,7 @@ def main(argv=None) -> int:
         pr = json.load(fh)
     with open(args.baseline) as fh:
         baseline = json.load(fh)
-    return compare(pr, baseline, args.threshold, args.sim_threshold)
+    return compare(pr, baseline, args.sim_threshold)
 
 
 if __name__ == "__main__":

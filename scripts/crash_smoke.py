@@ -20,8 +20,8 @@ The scenario table is emitted as ``bench_reports/crash_recovery.txt``
 and as a machine-readable ``crash_recovery`` benchmark record riding the
 perf-trajectory gate (``scripts/bench_compare.py``): recovered-op /
 manifest-edit / replayed-record counts are deterministic and diffed
-exactly, while replay throughput columns (``*_rps`` / ``*wall*``) are
-wall-clock and warn-only.
+exactly. How long recovery takes on the host is ``perfbench``'s
+``durable.recover_s``.
 
 Usage::
 
@@ -195,7 +195,6 @@ def run_scenario(
                 f"{spec}: {missing} missing, {wrong} wrong, "
                 f"{resurrected} resurrected of {len(live)} live keys"
             )
-        replay_s = max(report.replay_wall_s, 1e-9)
         return {
             "scenario": spec,
             "acked_seqno": acked,
@@ -207,8 +206,6 @@ def run_scenario(
             "manifest_edits": report.manifest_edits,
             "runs_opened": report.runs_opened,
             "orphans_removed": report.orphans_removed,
-            "replay_rps_wall": report.wal_ops_replayed / replay_s,
-            "recovery_wall_s": store.telemetry["wall_recovery_s"],
         }
     finally:
         store.close()
@@ -219,7 +216,7 @@ def format_table(rows: Sequence[Dict[str, object]]) -> str:
     header = (
         f"{'scenario':<16} {'acked':>6} {'recov':>6} {'keys':>5} "
         f"{'replayed':>8} {'torn':>4} {'edits':>5} {'runs':>4} "
-        f"{'orphans':>7} {'replay/s':>10}"
+        f"{'orphans':>7}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -228,7 +225,7 @@ def format_table(rows: Sequence[Dict[str, object]]) -> str:
             f"{row['recovered_ops']:>6} {row['recovered_keys']:>5} "
             f"{row['wal_records_replayed']:>8} {row['wal_torn']:>4} "
             f"{row['manifest_edits']:>5} {row['runs_opened']:>4} "
-            f"{row['orphans_removed']:>7} {row['replay_rps_wall']:>10,.0f}"
+            f"{row['orphans_removed']:>7}"
         )
     lines.append("")
     lines.append(

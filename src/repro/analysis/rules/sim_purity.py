@@ -27,7 +27,7 @@ from repro.analysis.rules.common import build_import_map, resolve
 #: The one wall-timer simulated-path code may call (profiler telemetry).
 SANCTIONED_TIMERS = frozenset({"repro.lsm.readpath.perf_counter"})
 
-WALL_CLOCK_ORIGINS = frozenset(
+HOST_CLOCK_ORIGINS = frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -103,7 +103,7 @@ class SimPurityRule(Rule):
             origin = resolve(node.func, imports)
             if origin in SANCTIONED_TIMERS:
                 continue
-            if origin in WALL_CLOCK_ORIGINS:
+            if origin in HOST_CLOCK_ORIGINS:
                 findings.append(
                     self.finding(
                         module,

@@ -11,9 +11,9 @@ attribute assigned to ``self`` in ``__init__`` must be *accounted for* —
   or ``from_state_dict`` of the same class, or named there as a string
   key; or
 * declared in a class-level ``_snapshot_exempt`` set naming attributes
-  that are deliberately not snapshot state (host wall-clock telemetry
-  like ``model_update_time``, rebuild-from-config caches, injected
-  callbacks), each of which should say why in a nearby comment; or
+  that are deliberately not snapshot state (rebuild-from-config caches,
+  injected callbacks, host-side profilers), each of which should say why
+  in a nearby comment; or
 * suppressed with an inline ``# repro: allow[SNAPSHOT-COMPLETENESS]``
   pragma on the assignment.
 
@@ -29,11 +29,6 @@ from repro.analysis.core import Finding, ModuleInfo, Rule
 from repro.analysis.rules.common import self_attr_name, str_constants
 
 SNAPSHOT_METHODS = ("state_dict", "load_state_dict", "from_state_dict")
-
-#: Attributes every class may leave out of snapshots without declaring
-#: them: host wall-clock measurement whose exclusion is a documented
-#: repo-wide convention (DESIGN.md §6).
-GLOBAL_EXEMPT = frozenset({"model_update_time"})
 
 
 def _exempt_set(cls: ast.ClassDef) -> set[str]:
@@ -134,7 +129,7 @@ class SnapshotCompletenessRule(Rule):
                 continue
             assigned = _init_assignments(methods["__init__"])
             covered = _covered_names(node)
-            exempt = _exempt_set(node) | GLOBAL_EXEMPT
+            exempt = _exempt_set(node)
             for attr, lineno in sorted(assigned.items(), key=lambda kv: kv[1]):
                 if attr in covered or attr in exempt:
                     continue

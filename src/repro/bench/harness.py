@@ -91,26 +91,6 @@ class SeriesResult:
         """End-to-end simulated seconds spent processing all missions."""
         return float(sum(m.total_time for m in self.missions))
 
-    def total_wall_seconds(self) -> float:
-        """Host wall-clock seconds spent processing all missions (offline
-        windows run back-to-back, so per-window durations sum). Restored
-        checkpoint prefixes report 0 for their windows — wall time is a
-        host measurement, not part of a snapshot."""
-        return float(sum(m.wall_duration for m in self.missions))
-
-    @property
-    def ops_per_second(self) -> float:
-        """Wall-clock throughput over the whole run (operations per host
-        second; 0.0 when no wall time was recorded). Missions restored
-        from a checkpoint carry no wall time (snapshots exclude host
-        measurements), so only live-processed missions enter the ratio —
-        a resumed run reports the resumed portion's real throughput."""
-        wall = self.total_wall_seconds()
-        ops = sum(
-            m.n_operations for m in self.missions if m.wall_duration > 0
-        )
-        return ops / wall if wall > 0 else 0.0
-
     @property
     def cache_hits(self) -> int:
         """Block-cache hits over all missions (summed across shards)."""

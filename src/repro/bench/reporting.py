@@ -53,34 +53,24 @@ def format_summary(
     results: Dict[str, SeriesResult],
     last_n: Optional[int] = None,
     title: str = "",
-    show_throughput: bool = True,
 ) -> str:
     """Converged mean latency per system, best first.
 
     When any system ran with a block cache configured (mission records
     carry cache traffic), a cache hit-rate column is added — hit/miss
     counters are aggregated across shards by the engine's mission records.
-    With ``show_throughput`` (and wall durations recorded — resumed
-    checkpoint prefixes have none), a wall-clock ops/s column reports each
-    system's processing throughput in the same vocabulary the serving
-    layer uses (``MissionStats.ops_per_second``).
     """
     lines: List[str] = []
     if title:
         lines.append(title)
     ordered = sorted(results.values(), key=lambda r: r.mean_latency(last_n))
     with_cache = any(r.cache_hits + r.cache_misses > 0 for r in ordered)
-    with_ops = show_throughput and any(r.ops_per_second > 0 for r in ordered)
     header = f"{'system':>20} | {'latency (ms/op)':>16}"
-    if with_ops:
-        header += f" | {'ops/s (wall)':>12}"
     if with_cache:
         header += f" | {'cache hit %':>11}"
     lines.append(header)
     for result in ordered:
         row = f"{result.system:>20} | {result.mean_latency(last_n) * 1e3:16.5f}"
-        if with_ops:
-            row += f" | {result.ops_per_second:12,.0f}"
         if with_cache:
             row += f" | {result.cache_hit_rate * 100:11.2f}"
         lines.append(row)

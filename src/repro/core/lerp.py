@@ -198,7 +198,7 @@ class Lerp(Tuner):
         #: Optional :class:`~repro.obs.audit.DecisionAuditLog`. ``None``
         #: (the default) keeps every audit site a single attribute check.
         #: Events are emitted inside the ``observe_mission`` wall timer, so
-        #: their cost lands in host ``model_update_time`` and no simulated
+        #: their cost lands in host ``total_model_update_s`` and no simulated
         #: observable moves (the zero-sim-impact contract, DESIGN.md §12).
         self.audit = None
         #: Missions observed so far — the audit events' mission index,
@@ -273,17 +273,15 @@ class Lerp(Tuner):
     # Main entry point
     # ------------------------------------------------------------------
     def observe_mission(self, tree: LSMTree, mission: MissionStats) -> None:
-        # repro: allow[SIM-PURITY] model_update_time is a documented host-wall
-        # measurement (paper Fig. 13: tuner overhead); it is reported alongside
-        # sim results but never enters SimClock or the decision state.
+        # repro: allow[SIM-PURITY] total_model_update_s is a documented
+        # host-wall measurement (paper Fig. 13: tuner overhead); obs exports
+        # it, it never enters SimClock or the decision state.
         started = time.perf_counter()
         try:
             self._observe(tree, mission)
         finally:
             # repro: allow[SIM-PURITY] closing half of the wall measurement above.
-            elapsed = time.perf_counter() - started
-            mission.model_update_time += elapsed
-            self.total_model_update_s += elapsed
+            self.total_model_update_s += time.perf_counter() - started
 
     def _observe(self, tree: LSMTree, mission: MissionStats) -> None:
         self.missions_observed += 1

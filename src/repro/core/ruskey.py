@@ -185,17 +185,12 @@ class RusKey(ScalarReads):
     def run_mission(self, mission: Mission) -> MissionStats:
         """Process one mission, then let the tuner(s) adapt the engine."""
         stats = self.runner.run(mission)
-        parts = list(self.engine.last_mission_breakdown())
         for tuner, target, part in zip(
-            self.tuners, self.engine.tuning_targets(), parts
+            self.tuners,
+            self.engine.tuning_targets(),
+            self.engine.last_mission_breakdown(),
         ):
             tuner.observe_mission(target, part)
-        if parts and parts[0] is not stats:
-            # Sharded engines return an aggregate record; fold the tuning
-            # time the tuners just charged to the per-shard windows into it.
-            stats.model_update_time = float(
-                sum(p.model_update_time for p in parts)
-            )
         self.mission_log.append(stats)
         self.policy_history.append(self.policies())
         return stats

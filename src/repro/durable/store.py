@@ -102,7 +102,6 @@ class RecoveryReport(NamedTuple):
     wal_ops_replayed: int
     wal_torn: bool
     orphans_removed: int
-    replay_wall_s: float
 
 
 def _sstable_filename(run_id: int, level_no: int) -> str:
@@ -232,7 +231,6 @@ class DurableStore(LSMTree):
             wal_ops_replayed=0,
             wal_torn=False,
             orphans_removed=0,
-            replay_wall_s=0.0,
         )
 
     def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
@@ -394,8 +392,7 @@ class DurableStore(LSMTree):
             # replay that ended exactly on a flush boundary may; land them.
             self._commit()
 
-        wall = perf_counter() - t0
-        self.telemetry["wall_recovery_s"] += wall
+        self.telemetry["wall_recovery_s"] += perf_counter() - t0
         self.telemetry["orphans_removed"] += orphans
         self.telemetry["wal_records_replayed"] += records_replayed
         return RecoveryReport(
@@ -412,7 +409,6 @@ class DurableStore(LSMTree):
             wal_ops_replayed=ops_replayed,
             wal_torn=wal_torn,
             orphans_removed=orphans,
-            replay_wall_s=wall,
         )
 
     # ------------------------------------------------------------------

@@ -78,16 +78,7 @@ def _merge_level_times(maps: Sequence[Dict[int, float]]) -> Dict[int, float]:
 def merge_mission_stats(
     index: int, parts: Sequence[MissionStats]
 ) -> MissionStats:
-    """Sum per-shard mission windows into one store-level record.
-
-    All fields sum except ``wall_duration``: per-shard windows open and
-    close at (nearly) the same host instants — they are *concurrent* in
-    wall time — so the store-level window spans their maximum, and the
-    merged record's ``ops_per_second`` is the store's aggregate wall
-    throughput. The summed thread-time is kept separately in
-    ``wall_duration_sum`` (see :class:`MissionStats`), so both aggregation
-    semantics are explicit and the merge stays associative in both.
-    """
+    """Sum per-shard mission windows into one store-level record."""
     return MissionStats(
         index=index,
         n_lookups=sum(p.n_lookups for p in parts),
@@ -99,11 +90,8 @@ def merge_mission_stats(
         level_write_time=_merge_level_times([p.level_write_time for p in parts]),
         io=merge_io_counters([p.io for p in parts]),
         sim_duration=sum(p.sim_duration for p in parts),
-        model_update_time=sum(p.model_update_time for p in parts),
         cache_hits=sum(p.cache_hits for p in parts),
         cache_misses=sum(p.cache_misses for p in parts),
-        wall_duration=max((p.wall_duration for p in parts), default=0.0),
-        wall_duration_sum=sum(p.wall_duration_sum for p in parts),
     )
 
 

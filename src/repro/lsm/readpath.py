@@ -1,34 +1,23 @@
-"""Read-path instrumentation and the scalar reference lookup pipeline.
+"""Read-path instrumentation.
 
-Two tools for the hot-path speed campaign (ROADMAP item 6):
+:class:`ReadPathProfiler` — lightweight per-stage **wall-clock** timers
+for :meth:`repro.lsm.tree.LSMTree.get_batch`. Enabled with
+``tree.read_profiler = ReadPathProfiler()``; when disabled (the default)
+the read path carries only a ``None``-check per stage. The stages mirror the
+pipeline: ``memtable`` (buffer resolution), ``search`` (stacked-index
+build/probe, page math, pending-set maintenance), ``bloom`` (filter
+probes), ``cache`` (block-cache + simulated-device charging). Profiling
+measures *host* time only — it never touches the :class:`SimClock`, so
+enabling it cannot change simulated results.
 
-* :class:`ReadPathProfiler` — lightweight per-stage **wall-clock** timers
-  for :meth:`repro.lsm.tree.LSMTree.get_batch`. Enabled with
-  ``tree.read_profiler = ReadPathProfiler()``; when disabled (the default)
-  the read path carries only a ``None``-check per stage. The stages mirror the
-  pipeline: ``memtable`` (buffer resolution), ``search`` (stacked-index
-  build/probe, page math, pending-set maintenance), ``bloom`` (filter
-  probes), ``cache`` (block-cache + simulated-device charging). Profiling
-  measures *host* time only — it never touches the :class:`SimClock`, so
-  enabling it cannot change simulated results.
-
-* :func:`reference_get_batch` — the pre-vectorization run-at-a-time batch
-  lookup, kept verbatim as an executable specification. The stacked
-  level-at-a-time path in ``LSMTree.get_batch`` must be **bit-identical**
-  to this reference in every observable: found/values output, simulated
-  clock, per-level read charges, I/O and cache counters, and the Bloom
-  RNG stream. The equivalence suite (``tests/test_readpath.py``) and the
-  ``read_path_scale`` benchmark both diff against it.
+The run-at-a-time lookup the stacked pipeline is verified against lives on
+the test side (``tests/reference_get.py``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
-
-import numpy as np
-
-from repro.lsm.entry import TOMBSTONE
+from typing import Dict
 
 #: Point-lookup stage names, in pipeline order. The range stages
 #: (``range_search`` / ``range_charge`` / ``range_gather`` /
@@ -55,8 +44,8 @@ class ReadPathProfiler:
     The tree calls :meth:`add` with ``time.perf_counter()`` deltas around
     each stage, :meth:`note_batch` once per ``get_batch`` and
     :meth:`note_range_batch` once per ``range_scan_batch``. All numbers
-    are host measurements (like ``MissionStats.wall_duration``) and are
-    deliberately kept out of simulated accounting and snapshots.
+    are host measurements and are deliberately kept out of simulated
+    accounting and snapshots.
     """
 
     __slots__ = (
@@ -141,48 +130,6 @@ class ReadPathProfiler:
                 f"{self.calls[stage]:8d} | {per_op:8.3f}"
             )
         return "\n".join(lines)
-
-
-def reference_get_batch(tree, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The pre-vectorization ``get_batch``: one Python iteration per run.
-
-    Kept as the executable reference the stacked level-at-a-time
-    pipeline is verified against (same probe
-    schedule, same ``probe_cpu``/``add_read`` charges per run, same Bloom
-    RNG consumption, same ``O(n log n)`` ``np.isin`` pending-set
-    maintenance the production path replaced with ``O(n)`` masks).
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    n = len(keys)
-    tree.stats.count_lookup(n)
-    resolved, buffered_values = tree.memtable.get_batch(keys)
-    found = resolved & (buffered_values != TOMBSTONE)
-    values = np.where(found, buffered_values, 0)
-
-    pending = np.flatnonzero(~resolved)
-    for level in tree.levels:
-        if len(pending) == 0:
-            break
-        for run in reversed(level.runs):
-            if len(pending) == 0:
-                break
-            probe_cost = tree.disk.probe_cpu(len(pending))
-            tree.stats.add_read(level.level_no, probe_cost)
-            positives = run.bloom_positive_batch(keys[pending])
-            if not positives.any():
-                continue
-            probe_idx = pending[positives]
-            hit, hit_values, pages = run.find_batch(keys[probe_idx])
-            io_cost = tree.disk.random_read_batch(run.run_id, pages)
-            tree.stats.add_read(level.level_no, io_cost)
-            if hit.any():
-                hit_idx = probe_idx[hit]
-                resolved[hit_idx] = True
-                real = hit_values[hit] != TOMBSTONE
-                found[hit_idx] = real
-                values[hit_idx[real]] = hit_values[hit][real]
-                pending = pending[~np.isin(pending, hit_idx, assume_unique=True)]
-    return found, values
 
 
 #: Re-exported for profiling call sites.

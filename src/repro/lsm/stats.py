@@ -15,7 +15,6 @@ harness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +27,9 @@ BUFFER_LEVEL = 0
 
 @dataclass
 class MissionStats:
-    """Everything measured during one mission (a batch of operations)."""
+    """Everything measured during one mission (a batch of operations) —
+    simulated quantities only, so the record is a pure function of
+    (config, seed). Host time is measured in ``perfbench/``."""
 
     index: int
     n_lookups: int = 0
@@ -40,44 +41,12 @@ class MissionStats:
     level_write_time: Dict[int, float] = field(default_factory=dict)
     io: IOCounters = field(default_factory=IOCounters)
     sim_duration: float = 0.0
-    model_update_time: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Host wall-clock seconds the window *spanned* (measurement, not
-    #: simulation — excluded from snapshots like ``model_update_time``).
-    #: For a record merged across shards this is the **max** over the
-    #: per-shard windows: shard windows are opened and closed together, so
-    #: they are concurrent in wall time and the span is the widest one.
-    wall_duration: float = 0.0
-    #: Host wall-clock seconds *summed* over the merged parts (equals
-    #: ``wall_duration`` for a leaf window). This is the total thread-time
-    #: denominator — use it for per-shard cost accounting; use
-    #: :attr:`wall_duration_max` for elapsed-time throughput.
-    wall_duration_sum: float = 0.0
-
-    @property
-    def wall_duration_max(self) -> float:
-        """Explicit alias for the merge semantics of :attr:`wall_duration`
-        (max over concurrent per-shard windows; the window span)."""
-        return self.wall_duration
 
     @property
     def n_operations(self) -> int:
         return self.n_lookups + self.n_updates + self.n_ranges
-
-    @property
-    def ops_per_second(self) -> float:
-        """Wall-clock throughput of the window: operations per host
-        second (0.0 when the window spanned no measurable wall time).
-        This is the shared metrics vocabulary between the offline harness
-        and the serving layer — both report per-window ops/s from here.
-
-        Uses :attr:`wall_duration_max` (the elapsed window span), not
-        :attr:`wall_duration_sum`: per-shard windows are concurrent, so
-        dividing by summed thread-time would under-report throughput by
-        roughly the shard count."""
-        wall = self.wall_duration_max
-        return self.n_operations / wall if wall else 0.0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -113,14 +82,7 @@ class MissionStats:
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot of one mission record.
-
-        ``wall_duration`` / ``wall_duration_sum`` are deliberately *not*
-        serialized: like ``model_update_time`` they measure host
-        wall-clock, which cannot be bit-exact across a save/restore
-        boundary — restored records report 0.0 (see the bit-exact-resume
-        invariant, DESIGN.md §6).
-        """
+        """Serializable snapshot of one mission record (every field)."""
         return {
             "index": self.index,
             "n_lookups": self.n_lookups,
@@ -132,13 +94,14 @@ class MissionStats:
             "level_write_time": dict(self.level_write_time),
             "io": self.io.state_dict(),
             "sim_duration": self.sim_duration,
-            "model_update_time": self.model_update_time,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
         }
 
     @classmethod
     def from_state_dict(cls, state: Dict[str, object]) -> "MissionStats":
+        # Unknown keys are ignored: snapshots written before host time left
+        # this record still carry a ``model_update_time`` entry.
         io = IOCounters()
         io.load_state_dict(state["io"])
         return cls(
@@ -156,7 +119,6 @@ class MissionStats:
             },
             io=io,
             sim_duration=float(state["sim_duration"]),
-            model_update_time=float(state["model_update_time"]),
             cache_hits=int(state["cache_hits"]),
             cache_misses=int(state["cache_misses"]),
         )
@@ -180,7 +142,6 @@ class StatsCollector:
         self._io_snapshot: Optional[IOCounters] = None
         self._clock_snapshot: float = 0.0
         self._cache_snapshot: "tuple[int, int]" = (0, 0)
-        self._wall_snapshot: float = 0.0
 
     # ------------------------------------------------------------------
     # Mission windows
@@ -207,10 +168,6 @@ class StatsCollector:
         self._io_snapshot = io.snapshot()
         self._clock_snapshot = clock_now
         self._cache_snapshot = (int(cache_hits), int(cache_misses))
-        # repro: allow[SIM-PURITY] wall_duration is host-wall telemetry only;
-        # it never feeds back into SimClock, IO charges, or RL state, and is
-        # excluded from snapshots (MissionStats serialization drops it).
-        self._wall_snapshot = time.perf_counter()
 
     def end_mission(
         self,
@@ -228,10 +185,6 @@ class StatsCollector:
         mission.sim_duration = clock_now - self._clock_snapshot
         mission.cache_hits = int(cache_hits) - self._cache_snapshot[0]
         mission.cache_misses = int(cache_misses) - self._cache_snapshot[1]
-        # repro: allow[SIM-PURITY] closing half of the wall-telemetry pair
-        # opened in begin_mission; reporting-only, outside the sim state.
-        mission.wall_duration = time.perf_counter() - self._wall_snapshot
-        mission.wall_duration_sum = mission.wall_duration
         self.completed.append(mission)
         self._mission_index += 1
         self._current = None
@@ -374,7 +327,6 @@ class StatsCollector:
         self._io_snapshot = None
         self._clock_snapshot = 0.0
         self._cache_snapshot = (0, 0)
-        self._wall_snapshot = 0.0
         self.completed = [
             MissionStats.from_state_dict(m) for m in state["completed"]
         ]

@@ -453,7 +453,7 @@ class LSMTree(ScalarReads):
 
         Returns ``(found_mask, values)`` aligned with ``keys``;
         **bit-identical** to the run-at-a-time reference
-        (:func:`repro.lsm.readpath.reference_get_batch`) in every simulated
+        (``tests/reference_get.py``) in every simulated
         observable: probe order (newest run first), ``probe_cpu``/page-read
         charges per run, Bloom RNG consumption, cache state.
 

@@ -28,8 +28,8 @@ Restore invariants (asserted by ``tests/test_persist.py``):
 * **Bit-exactness** — an engine/store restored from a snapshot and driven
   with the remaining operation stream produces *identical* mission stats,
   simulated clock, I/O counters and tree structure as a process that never
-  snapshotted. (The one exception is ``MissionStats.model_update_time``,
-  which measures host wall-clock by design.)
+  snapshotted — with no excluded field: ``MissionStats`` carries simulated
+  quantities only.
 * **Same blueprint** — a snapshot restores only into an object built with
   the same configuration (sizes, shard count, agent architecture); loaders
   verify the cheap invariants (capacities, shard counts, parameter shapes)

@@ -38,7 +38,6 @@ from repro.serve.experiments import (
     ServingRun,
     ServingScale,
     build_server,
-    calibrate_lane_capacity,
     format_serving_report,
     run_serving_comparison,
     run_serving_config,
@@ -67,7 +66,6 @@ __all__ = [
     "ServingRun",
     "ServingScale",
     "serving_scale",
-    "calibrate_lane_capacity",
     "build_server",
     "run_serving_config",
     "run_serving_comparison",

@@ -147,17 +147,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.compare:
         runs = run_serving_comparison(
-            scale=scale, serving=serving, seed=args.seed, rate=args.rate
-        )
-        offer = (
-            f"{serving.duration:.1f}s offer window"
-            if serving.duration
-            else f"{serving.n_ops} offered ops"
+            scale=scale, serving=serving, seed=args.seed
         )
         print(
             format_serving_report(
                 runs,
-                title=f"== serving comparison (scale={scale.name}, {offer}) ==",
+                title=f"== serving comparison (scale={scale.name}, "
+                f"{serving.n_ops} offered ops at {serving.rate:,.0f} req/s) ==",
             )
         )
         return 0
@@ -234,7 +230,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         last = server.windows[-1]
         print(
             f"last window: {last.stats.n_operations} ops, "
-            f"{last.stats.ops_per_second:,.0f} ops/s wall, "
             f"policies {last.policies}"
         )
     if args.backend == "durable":

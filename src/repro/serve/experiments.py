@@ -37,31 +37,18 @@ from repro.workload.dynamic import paper_dynamic_workload
 from repro.workload.spec import WorkloadSpec
 
 
-#: Upper bound on prematerialized request streams (the fastest observed
-#: Python producer paces ~300k req/s; 600k covers a 1.5-2s offer window
-#: with headroom while keeping setup under ~2s / ~100 MB).
-_STREAM_CAP_MAX = 600_000
-
-
 @dataclass
 class ServingScale:
-    """Run-shape parameters of one serving-experiment tier.
+    """Run-shape parameters of one serving-experiment tier: the open-loop
+    clients offer exactly ``n_ops`` requests at ``rate``, so every
+    configuration faces the same request stream."""
 
-    With ``duration > 0`` the open-loop clients offer for that many wall
-    seconds (``n_ops`` then caps the stream length and sizes the dynamic
-    schedule); with ``duration == 0`` they offer exactly ``n_ops``
-    requests. The benchmark comparison uses duration-bounded offering so
-    every configuration faces the *same arrival process over the same
-    wall window* — a server that sheds load cannot shorten its own run.
-    """
-
-    n_ops: int  # offered requests (duration == 0) or stream cap
+    n_ops: int  # offered requests
     rate: float  # open-loop offered rate (requests / wall second)
     window_ops: int  # mission-window length (completed requests)
     queue_capacity: int  # per-lane admission queue bound
     max_batch: int  # per-lane drain batch
     mission_size: int  # generator mission granularity
-    duration: float = 0.0  # offer window (wall seconds; 0 = count-bound)
 
 
 def serving_scale(scale: Optional[BenchScale] = None) -> ServingScale:
@@ -75,7 +62,6 @@ def serving_scale(scale: Optional[BenchScale] = None) -> ServingScale:
             queue_capacity=512,
             max_batch=256,
             mission_size=1_000,
-            duration=0.8,
         )
     if scale.name == "full":
         return ServingScale(
@@ -85,7 +71,6 @@ def serving_scale(scale: Optional[BenchScale] = None) -> ServingScale:
             queue_capacity=1_024,
             max_batch=512,
             mission_size=2_000,
-            duration=4.0,
         )
     return ServingScale(
         n_ops=150_000,
@@ -94,7 +79,6 @@ def serving_scale(scale: Optional[BenchScale] = None) -> ServingScale:
         queue_capacity=768,
         max_batch=384,
         mission_size=1_200,
-        duration=1.5,
     )
 
 
@@ -228,27 +212,8 @@ def run_serving_config(
     """Serve the dynamic schedule open-loop against one configuration."""
     scale = scale or bench_scale()
     serving = serving or serving_scale(scale)
-    target_rate = rate if rate is not None else serving.rate
-    # With duration-bounded offering the stream must outlast the deadline
-    # even at the producer's burst maximum (the producer never exceeds the
-    # configured rate, so 1.1x the nominal schedule plus slack suffices);
-    # the schedule is sized to the cap so the nominal stream sweeps all
-    # five sessions. Streams are prematerialized — request construction
-    # happens before the offering clock starts — so the cap is also
-    # bounded by _STREAM_CAP_MAX to keep setup time and memory sane (a
-    # Python producer cannot pace past that count in one offer window).
-    if serving.duration > 0:
-        stream_cap = max(
-            serving.n_ops,
-            min(
-                int(1.1 * target_rate * serving.duration) + 20_000,
-                _STREAM_CAP_MAX,
-            ),
-        )
-    else:
-        stream_cap = serving.n_ops
     workload = _default_workload(
-        scale, seed, stream_cap, serving.mission_size
+        scale, seed, serving.n_ops, serving.mission_size
     )
     server = build_server(
         n_shards,
@@ -262,12 +227,10 @@ def run_serving_config(
     tenant = TenantSpec(
         name="dynamic",
         workload=workload,
-        n_ops=stream_cap,
-        rate=target_rate,
+        n_ops=serving.n_ops,
+        rate=rate if rate is not None else serving.rate,
         mission_size=serving.mission_size,
         seed=seed,
-        duration=serving.duration,
-        prematerialize=serving.duration > 0,
     )
     server.start()
     try:
@@ -287,38 +250,6 @@ def run_serving_config(
     )
 
 
-def calibrate_lane_capacity(
-    scale: Optional[BenchScale] = None,
-    serving: Optional[ServingScale] = None,
-    seed: int = 0,
-    probe_duration: float = 0.4,
-) -> float:
-    """Measured saturated drain rate of one serving lane on this host
-    (static config, deeply saturating offered rate, short offer window).
-    The benchmark and the CLI both anchor the comparison's offered load
-    to this so the overload regime is reproducible across machines. The
-    probe rate (600k req/s) is far above any observed lane capacity yet
-    small enough that the probe's prematerialized stream stays cheap.
-    Two probes run and the larger reading wins: transient host load can
-    only depress a probe, and an *under*-estimated capacity would put the
-    comparison below saturation where it measures noise (overshooting is
-    safe — producers simply run flat out)."""
-    import dataclasses
-
-    scale = scale or bench_scale()
-    serving = serving or serving_scale(scale)
-    probe = dataclasses.replace(
-        serving, duration=min(probe_duration, serving.duration or probe_duration)
-    )
-    readings = [
-        run_serving_config(
-            1, tuned=False, scale=scale, serving=probe, seed=seed, rate=6e5
-        ).report.throughput
-        for _ in range(2)
-    ]
-    return max(readings)
-
-
 def run_serving_comparison(
     scale: Optional[BenchScale] = None,
     serving: Optional[ServingScale] = None,
@@ -327,19 +258,9 @@ def run_serving_comparison(
     rate: Optional[float] = None,
 ) -> Dict[str, ServingRun]:
     """The benchmark grid: {shards} × {static, Lerp-tuned}, same offered
-    load everywhere. With no explicit ``rate`` the offered load is set to
-    5x the calibrated single-lane drain capacity — deep saturation for
-    one lane, where the serving architectures differentiate.
-    Configurations run sequentially (each gets the whole machine);
-    results key on the configuration name."""
-    if rate is None:
-        capacity = calibrate_lane_capacity(scale=scale, serving=serving, seed=seed)
-        rate = 5.0 * capacity
-        print(
-            f"[serve] calibrated 1-lane capacity {capacity:,.0f} req/s; "
-            f"offering {rate:,.0f} req/s",
-            file=sys.stderr,
-        )
+    load everywhere — the tier's ``n_ops`` requests at ``rate`` (default:
+    the tier's own rate). Configurations run sequentially (each gets the
+    whole machine); results key on the configuration name."""
     runs: Dict[str, ServingRun] = {}
     for n_shards in shard_counts:
         for tuned in (False, True):

@@ -117,22 +117,13 @@ class OpenLoopClient(threading.Thread):
         rate: float,
         seed: int = 0,
         name: str = "open-loop",
-        duration: float = 0.0,
     ) -> None:
         if rate <= 0.0:
             raise ConfigError(f"rate must be > 0, got {rate}")
-        if duration < 0.0:
-            raise ConfigError(f"duration must be >= 0, got {duration}")
         super().__init__(name=name, daemon=True)
         self.server = server
         self.requests = requests
         self.rate = float(rate)
-        #: Stop offering after this many wall seconds (0 = exhaust the
-        #: stream). Duration-bounded offering makes throughput comparable
-        #: across servers of different capacity: every configuration sees
-        #: the same arrival process over the same wall window, however
-        #: much of it it manages to admit.
-        self.duration = float(duration)
         self.rng = np.random.default_rng(seed)
         self.result = ClientResult(tenant=name)
 
@@ -142,7 +133,6 @@ class OpenLoopClient(threading.Thread):
         result = self.result
         try_submit = self.server.try_submit
         perf_counter = time.perf_counter
-        duration = self.duration
         gaps: List[float] = []
         gap_cursor = 0
         for request in self.requests:
@@ -154,8 +144,6 @@ class OpenLoopClient(threading.Thread):
             target += gaps[gap_cursor]
             gap_cursor += 1
             now = perf_counter() - started
-            if duration and now >= duration:
-                break
             if target > now:
                 time.sleep(target - now)
             result.offered += 1
@@ -219,16 +207,6 @@ class TenantSpec:
     closed_loop: bool = False
     mission_size: int = 1_000
     seed: int = 0
-    #: Open-loop tenants only: stop offering after this many wall seconds
-    #: (0 = offer all ``n_ops``). With a duration, ``n_ops`` caps the
-    #: stream length — size it generously so the deadline ends the run.
-    duration: float = 0.0
-    #: Materialize each client's request objects *before* the offering
-    #: clock starts (classic load-generator practice): the hot loop then
-    #: pays only pacing + submission, so the offered rate reflects the
-    #: server under test, not the generator's own request-construction
-    #: cost. Costs memory proportional to the stream length.
-    prematerialize: bool = False
 
     def __post_init__(self) -> None:
         if self.n_ops < 1:
@@ -238,10 +216,6 @@ class TenantSpec:
         if not self.closed_loop and self.rate <= 0.0:
             raise WorkloadError(
                 f"open-loop tenant {self.name!r} needs rate > 0, got {self.rate}"
-            )
-        if self.duration < 0.0:
-            raise WorkloadError(
-                f"duration must be >= 0, got {self.duration}"
             )
 
 
@@ -309,15 +283,13 @@ def run_load(
             per_client = base + (1 if c < extra else 0)
             if per_client == 0:
                 continue
-            stream: Iterator[Request] = request_stream(
+            stream = request_stream(
                 _reseeded(tenant.workload, tenant.seed + 101 * c),
                 per_client,
                 mission_size=tenant.mission_size,
                 tenant=tenant.name,
                 wait=tenant.closed_loop,
             )
-            if tenant.prematerialize:
-                stream = iter(list(stream))
             if tenant.closed_loop:
                 clients.append(
                     ClosedLoopClient(
@@ -332,7 +304,6 @@ def run_load(
                         rate=tenant.rate / tenant.n_clients,
                         seed=tenant.seed + 997 * c,
                         name=tenant.name,
-                        duration=tenant.duration,
                     )
                 )
     started = time.perf_counter()

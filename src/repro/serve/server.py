@@ -170,8 +170,9 @@ class ServerWindow:
 
     ``stats`` is the per-shard :class:`MissionStats` merged with the same
     aggregation rule as :class:`~repro.engine.sharded.ShardedStore`, so the
-    serving layer and the offline harness share one metrics vocabulary —
-    including the wall-clock ``ops_per_second`` the stats layer now carries.
+    serving layer and the offline harness share one metrics vocabulary
+    (simulated quantities only; serving throughput and latency are
+    :class:`~repro.serve.loadgen.LoadReport`'s).
     """
 
     index: int
@@ -180,10 +181,6 @@ class ServerWindow:
     completed: int
     rejected: int
     policies: List[List[int]]
-
-    @property
-    def ops_per_second(self) -> float:
-        return self.stats.ops_per_second
 
 
 class KVServer:

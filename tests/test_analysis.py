@@ -544,6 +544,7 @@ def test_repo_is_clean_under_committed_baseline():
     )
     report = Analyzer(package_root, get_rules(None), baseline=baseline).run()
     assert report.clean, render_text(report)
-    # The four sanctioned wall-clock sites carry justified pragmas.
-    assert len(report.suppressed) == 4
+    # The two sanctioned wall-clock sites (Lerp's model-update timer, both
+    # halves in core/lerp.py) carry justified pragmas.
+    assert [f.module for f in report.suppressed] == ["core/lerp.py"] * 2
     assert all(f.suppressed_by == "pragma" for f in report.suppressed)

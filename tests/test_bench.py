@@ -117,6 +117,32 @@ class TestHarness:
             float(result.read_latencies.sum() + result.write_latencies.sum())
         )
 
+    def test_twin_runs_are_equal_records_and_byte_equal_reports(self):
+        """Results are a pure function of (config, seed): no field of a
+        mission record and no column of the summary follows the host."""
+
+        def run():
+            return run_experiment(
+                tiny_experiment(
+                    systems=[
+                        SystemSpec("K=10", lambda config: StaticTuner(10), 10),
+                        SystemSpec(
+                            "RusKey", lambda config: None, 1,
+                            lerp_config=bench_lerp_config(6),
+                        ),
+                        SystemSpec(
+                            "K=1 x4", lambda config: StaticTuner(1), 1,
+                            n_shards=4,
+                        ),
+                    ]
+                )
+            )
+
+        first, second = run(), run()
+        assert format_summary(first, title="t") == format_summary(second, title="t")
+        for name in first:
+            assert first[name].missions == second[name].missions
+
 
 class TestExperimentConfigs:
     def test_scale_from_env(self, monkeypatch):
@@ -216,8 +242,8 @@ class TestReporting:
 
 
 class TestBenchCompare:
-    """Two-tier trajectory diff in scripts/bench_compare.py: wall-clock
-    columns warn, simulated columns hard-fail."""
+    """One-tier trajectory diff in scripts/bench_compare.py: every column
+    is simulated, so any drift or dropped leaf hard-fails."""
 
     @pytest.fixture(scope="class")
     def bench_compare(self):
@@ -238,53 +264,57 @@ class TestBenchCompare:
     def _snapshot(benchmarks, scale="quick"):
         return {"schema": 1, "scale": scale, "benchmarks": benchmarks}
 
-    def test_identical_passes(self, bench_compare):
-        snap = self._snapshot({"b": {"sim_total_s": 1.25, "ops_per_second": 9.0}})
-        assert bench_compare.compare(snap, snap, 0.25) == 0
-
-    def test_wall_clock_drift_warns_only(self, bench_compare, capsys):
-        base = self._snapshot({"b": {"ops_per_second": 100.0, "speedup": 2.0}})
-        pr = self._snapshot({"b": {"ops_per_second": 10.0, "speedup": 0.5}})
-        assert bench_compare.compare(pr, base, 0.25) == 0
-        out = capsys.readouterr().out
-        assert "warn" in out and "wall-clock" in out
+    def test_identical_passes(self, bench_compare, capsys):
+        snap = self._snapshot({"b": {"sim_total_s": 1.25, "n_operations": 9}})
+        assert bench_compare.compare(snap, snap) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert "0 failure(s), 0 missing" in summary
+        assert "warn" not in summary
 
     def test_simulated_drift_fails(self, bench_compare, capsys):
         base = self._snapshot({"b": {"sim_total_s": 1.0}})
         pr = self._snapshot({"b": {"sim_total_s": 1.0001}})
-        assert bench_compare.compare(pr, base, 0.25) == 1
+        assert bench_compare.compare(pr, base) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_drifted_operation_count_fails(self, bench_compare, capsys):
+        # "ratio" is a substring of "n_operations": the old substring hint
+        # table compared every exact operation count warn-only.
+        base = self._snapshot({"b": {"systems": {"x": {"n_operations": 1000}}}})
+        pr = self._snapshot({"b": {"systems": {"x": {"n_operations": 1001}}}})
+        assert bench_compare.compare(pr, base) == 1
+        assert "FAIL: b:systems.x.n_operations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("leaf", ["ops_per_second", "speedup", "p99_ms"])
+    def test_no_column_name_is_exempt(self, bench_compare, capsys, leaf):
+        base = self._snapshot({"b": {leaf: 100.0}})
+        assert bench_compare.compare(self._snapshot({"b": {leaf: 10.0}}), base) == 1
+        assert bench_compare.compare(self._snapshot({"b": {}}), base) == 1
+        assert "warn" not in capsys.readouterr().out
 
     def test_simulated_float_print_noise_tolerated(self, bench_compare):
         base = self._snapshot({"b": {"sim_total_s": 1.0}})
         pr = self._snapshot({"b": {"sim_total_s": 1.0 + 1e-12}})
-        assert bench_compare.compare(pr, base, 0.25) == 0
+        assert bench_compare.compare(pr, base) == 0
 
-    def test_dropped_simulated_column_fails(self, bench_compare, capsys):
-        base = self._snapshot({"b": {"sim_total_s": 1.0, "ops_per_second": 5.0}})
-        pr = self._snapshot({"b": {"ops_per_second": 5.0}})
-        assert bench_compare.compare(pr, base, 0.25) == 1
+    def test_dropped_leaf_fails(self, bench_compare, capsys):
+        base = self._snapshot({"b": {"sim_total_s": 1.0, "n_missions": 5}})
+        pr = self._snapshot({"b": {"n_missions": 5}})
+        assert bench_compare.compare(pr, base) == 1
         assert "dropped" in capsys.readouterr().out
 
-    def test_dropped_wall_column_warns_only(self, bench_compare, capsys):
-        base = self._snapshot({"b": {"sim_total_s": 1.0, "ops_per_second": 5.0}})
-        pr = self._snapshot({"b": {"sim_total_s": 1.0}})
-        assert bench_compare.compare(pr, base, 0.25) == 0
-        assert "warn" in capsys.readouterr().out
-
-    def test_wall_clock_benchmark_exempt_wholesale(self, bench_compare):
-        # The serving benchmark's whole record (even its SimClock total)
-        # tracks host speed: drift there must never fail the run.
-        base = self._snapshot({"serving_tail_latency": {"sim_total_s": 2.0}})
-        pr = self._snapshot({"serving_tail_latency": {"sim_total_s": 4.0}})
-        assert bench_compare.compare(pr, base, 0.25) == 0
+    def test_threshold_flag_is_gone(self, bench_compare, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            bench_compare.main(["--pr", "x.json", "--threshold", "0.25"])
+        assert excinfo.value.code == 2
+        assert "--threshold" in capsys.readouterr().err
 
     def test_missing_benchmark_still_fails(self, bench_compare):
         base = self._snapshot({"a": {"sim_total_s": 1.0}, "b": {"x": 1.0}})
         pr = self._snapshot({"a": {"sim_total_s": 1.0}})
-        assert bench_compare.compare(pr, base, 0.25) == 1
+        assert bench_compare.compare(pr, base) == 1
 
     def test_scale_mismatch_skips_numbers(self, bench_compare):
         base = self._snapshot({"b": {"sim_total_s": 1.0}}, scale="default")
         pr = self._snapshot({"b": {"sim_total_s": 99.0}}, scale="quick")
-        assert bench_compare.compare(pr, base, 0.25) == 0
+        assert bench_compare.compare(pr, base) == 0

@@ -121,9 +121,8 @@ class TestLerpStaging:
         for policies in store.policy_history:
             assert all(k == small_config.initial_policy for k in policies[1:])
 
-    def test_model_update_time_recorded(self, small_config):
+    def test_total_model_update_s_recorded(self, small_config):
         store = run_store(small_config, fast_lerp_config(), n_missions=5)
-        assert store.mission_log[0].model_update_time > 0
         assert store.tuner.total_model_update_s > 0
 
     def test_new_levels_adopt_propagated_policy(self, small_config):

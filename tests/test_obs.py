@@ -22,7 +22,6 @@ from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
 from repro.errors import ObsError
 from repro.lsm.readpath import ReadPathProfiler
-from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
 from repro.obs import (
     DecisionAuditLog,
@@ -33,7 +32,6 @@ from repro.obs import (
     format_decision_timeline,
     parse_prometheus_text,
 )
-from repro.engine.sharded import merge_mission_stats
 from repro.persist import (
     load_obs,
     load_store,
@@ -449,56 +447,6 @@ class TestZeroSimImpact:
         store.engine.set_tracer(None)
         run_small(store)
         assert tracer.roots_seen == 0
-
-
-# ======================================================================
-# Satellite 1: MissionStats wall-duration merge asymmetry
-# ======================================================================
-class TestWallDurationMerge:
-    def test_merge_keeps_max_and_sum_separately(self):
-        """Per-shard windows overlap in wall time: elapsed wall time is the
-        max across shards (lanes run concurrently), while summed busy time
-        is a separate, explicitly-named quantity."""
-        parts = []
-        for i, wall in enumerate([0.2, 0.5, 0.3]):
-            part = MissionStats(index=0, n_lookups=100)
-            part.wall_duration = wall
-            part.wall_duration_sum = wall
-            parts.append(part)
-        merged = merge_mission_stats(0, parts)
-        assert merged.wall_duration_max == pytest.approx(0.5)
-        assert merged.wall_duration == pytest.approx(0.5)
-        assert merged.wall_duration_sum == pytest.approx(1.0)
-
-    def test_ops_per_second_uses_elapsed_not_summed(self):
-        part_a = MissionStats(index=0, n_lookups=300)
-        part_a.wall_duration = 0.5
-        part_a.wall_duration_sum = 0.5
-        part_b = MissionStats(index=0, n_lookups=300)
-        part_b.wall_duration = 0.5
-        part_b.wall_duration_sum = 0.5
-        merged = merge_mission_stats(0, [part_a, part_b])
-        # 600 ops in 0.5s of elapsed wall time — NOT 600 / 1.0: dividing
-        # by summed busy time would understate concurrent throughput 2x.
-        assert merged.ops_per_second == pytest.approx(1200.0)
-
-    def test_end_mission_populates_both(self):
-        config = SystemConfig()
-        tree = LSMTree(config)
-        tree.begin_mission()
-        tree.put(1, 2)
-        stats = tree.end_mission()
-        assert stats.wall_duration_sum == stats.wall_duration > 0.0
-        assert stats.wall_duration_max == stats.wall_duration
-
-    def test_wall_sum_excluded_from_snapshots(self):
-        mission = MissionStats(index=0, n_lookups=1)
-        mission.wall_duration = 1.0
-        mission.wall_duration_sum = 2.0
-        state = mission.state_dict()
-        assert "wall_duration_sum" not in state
-        restored = MissionStats.from_state_dict(state)
-        assert restored.wall_duration_sum == 0.0
 
 
 # ======================================================================

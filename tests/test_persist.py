@@ -4,9 +4,8 @@ state_dict hooks threaded through every layer).
 The central property is **bit-exact resume** (DESIGN.md §6): running N
 missions straight vs. checkpointing at N/2, restoring into a fresh object
 graph (forced through real serialization) and finishing must yield
-identical mission statistics, simulated clock and tree structure. The one
-exempt field is ``MissionStats.model_update_time``, which measures host
-wall-clock by design.
+identical mission statistics (every field — ``MissionStats`` carries no
+host-clock measurement), simulated clock and tree structure.
 """
 
 import os
@@ -49,13 +48,6 @@ from repro.workload.uniform import UniformWorkload
 def roundtrip(state):
     """Force a state dict through real serialization."""
     return pickle.loads(pickle.dumps(state, protocol=4))
-
-
-def mission_fields(mission):
-    """A mission record minus the wall-clock-derived field."""
-    state = mission.state_dict()
-    state.pop("model_update_time")
-    return state
 
 
 def drive_engine(engine, first, last, seed=3, n_keys=3000, ops=400):
@@ -283,8 +275,7 @@ class TestStoreBitExactResume:
             resumed.run_mission(mission)
 
         assert len(resumed.mission_log) == self.N
-        for a, b in zip(straight.mission_log, resumed.mission_log):
-            assert mission_fields(a) == mission_fields(b)
+        assert straight.mission_log == resumed.mission_log
         assert straight.engine.clock_now == resumed.engine.clock_now
         assert straight.engine.describe() == resumed.engine.describe()
         assert straight.policy_history == resumed.policy_history
@@ -345,8 +336,7 @@ class TestStoreBitExactResume:
         for mission in missions[8:12]:
             store.run_mission(mission)
             resumed.run_mission(mission)
-        for a, b in zip(store.mission_log, resumed.mission_log):
-            assert mission_fields(a) == mission_fields(b)
+        assert store.mission_log == resumed.mission_log
 
 
 class TestSnapshotFiles:
@@ -518,8 +508,7 @@ class TestHarnessCheckpointResume:
         )
         resumed = run_system(finished, finished.systems[0])
         assert len(resumed.missions) == 20
-        for a, b in zip(straight.missions, resumed.missions):
-            assert mission_fields(a) == mission_fields(b)
+        assert straight.missions == resumed.missions
         assert straight.policy_history == resumed.policy_history
 
     def test_checkpoint_validation(self, store_config, workload):

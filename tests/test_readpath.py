@@ -1,7 +1,7 @@
 """Equivalence suite for the vectorized level-at-a-time read path.
 
 The stacked pipeline in :meth:`LSMTree.get_batch` must be **bit-identical**
-to the run-at-a-time reference (:func:`repro.lsm.readpath.reference_get_batch`)
+to the run-at-a-time reference (:func:`reference_get.reference_get_batch`)
 in every simulated observable, and semantically identical to per-key
 :meth:`LSMTree.get`. This module pins both contracts, plus the batched
 storage primitives the pipeline rides on (:meth:`LRUBlockCache.access_batch`,
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_get import reference_get_batch
 
 from repro.config import BloomMode, CostModelParams, SystemConfig
 from repro.durable.store import DurableStore
@@ -27,7 +28,7 @@ from repro.lsm import FLSMTree
 from repro.lsm.entry import TOMBSTONE
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.memtable import MemTable
-from repro.lsm.readpath import STAGES, ReadPathProfiler, reference_get_batch
+from repro.lsm.readpath import STAGES, ReadPathProfiler
 from repro.lsm.tree import LSMTree
 from repro.storage.cache import LRUBlockCache
 from repro.storage.clock import SimClock

@@ -103,19 +103,25 @@ class LatencyHistogram:
             self.max_seen = seconds
 
     def record_many(self, seconds: Sequence[float]) -> None:
-        """Vectorized :meth:`record` for an array of measurements."""
-        values = np.asarray(seconds, dtype=np.float64)
-        if len(values) == 0:
+        """:meth:`record` for a batch. The body is chosen from its size: the
+        numpy calls below cost ~9 µs however few values they see, as much as
+        sixteen scalar records, and a serving lane hands over one latency a
+        batch under a synchronous client, hundreds when saturated."""
+        if len(seconds) < 16:
+            for value in seconds:
+                self.record(float(value))
             return
-        if (values < 0.0).any():
+        values = np.asarray(seconds, dtype=np.float64)
+        lowest = float(values.min())
+        if lowest < 0.0:
             raise ValueError("latencies must be >= 0")
         clipped = np.maximum(values, self.min_latency)
         idx = ((np.log10(clipped) - self._log_min) * self._scale).astype(np.int64)
-        np.clip(idx, 0, self.n_buckets - 1, out=idx)
-        np.add.at(self.counts, idx, 1)
+        np.minimum(idx, self.n_buckets - 1, out=idx)  # clipped: never below 0
+        self.counts += np.bincount(idx, minlength=self.n_buckets)
         self.count += len(values)
         self.sum += float(values.sum())
-        self.min_seen = min(self.min_seen, float(values.min()))
+        self.min_seen = min(self.min_seen, lowest)
         self.max_seen = max(self.max_seen, float(values.max()))
 
     # ------------------------------------------------------------------

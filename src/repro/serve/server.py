@@ -1,7 +1,7 @@
 """Concurrent request serving over any :class:`~repro.engine.base.KVEngine`.
 
 :class:`KVServer` turns the batch-oriented simulation engines into a live
-service: requests are routed to *lanes* — one bounded queue plus one worker
+service: requests are routed to *lanes* — one bounded mailbox plus one worker
 thread per shard (per tuning target) — and served in vectorized batches.
 Shards are independent trees, so per-lane locks give real isolation: a
 flush or compaction stalls only its own lane while the other lanes keep
@@ -16,10 +16,12 @@ Two clocks coexist by design (DESIGN.md §7):
   page access exactly as in offline runs. The serving layer never touches
   the engine's clock or RNGs, so all simulated results stay bit-exact.
 
-Admission control is a bounded queue per lane: :meth:`KVServer.try_submit`
-rejects instead of blocking (open-loop backpressure — the drop counter is
-the overload signal), while :meth:`KVServer.submit` blocks the producer
-(closed-loop backpressure).
+Admission control is a bounded mailbox per lane, handed over in blocks
+(:class:`_Mailbox`): :meth:`KVServer.try_submit` rejects instead of blocking
+(open-loop backpressure — the drop counter is the overload signal), while
+:meth:`KVServer.submit` blocks the producer (closed-loop backpressure). A
+batch that raises fails its requests (``Request.error``) and closes its
+lane; ``submit`` and ``stop`` report it, the other lanes serve on.
 
 A background :class:`TuningLoop` closes a mission window per lane every
 ``window_ops`` completed requests, feeds the per-shard stats to the lane's
@@ -31,11 +33,11 @@ server can be checkpointed with :meth:`KVServer.checkpoint`.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +67,7 @@ class Request:
 
     ``result`` after completion: the value (or ``None``) for a GET;
     a ``(keys, values)`` pair of key-sorted numpy arrays for a RANGE.
+    ``error`` is the exception that failed the request's lane, if one did.
     """
 
     __slots__ = (
@@ -77,6 +80,7 @@ class Request:
         "t_done",
         "done",
         "result",
+        "error",
     )
 
     def __init__(
@@ -95,7 +99,7 @@ class Request:
         self.value = int(value)
         if kind == REQ_PUT:
             # Rejected here, where outside input enters: raised later, in
-            # the lane worker's put_batch, it would kill the lane thread.
+            # the lane worker's put_batch, it would fail the whole lane.
             try:
                 validate_value(self.value)
             except ValueError as exc:
@@ -108,15 +112,84 @@ class Request:
             threading.Event() if wait else None
         )
         self.result: object = None
+        self.error: Optional[BaseException] = None
 
-    @property
-    def latency(self) -> float:
-        """Wall seconds from submission to completion."""
-        return self.t_done - self.t_submit
+
+class _Mailbox:
+    """A lane's bounded FIFO: many producers, one consumer, one lock.
+
+    Closed is a state (before ``start()``, after ``stop()``, after a lane
+    failure — then ``error`` is the cause), never an item in the stream.
+    ``box_lock`` is a leaf: nothing else is acquired while it is held.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.items: Deque[Request] = deque()
+        self.box_lock = threading.Lock()
+        self.not_empty = threading.Condition(self.box_lock)
+        self.not_full = threading.Condition(self.box_lock)
+        self.parked = False  # the consumer is waiting on not_empty
+        self.closed = True
+        self.drain = False
+        self.error: Optional[BaseException] = None
+        self.rejected = 0
+
+    def _room_or_closed(self) -> bool:
+        return self.closed or len(self.items) < self.capacity
+
+    def put(self, item: Request, timeout: Optional[float] = None) -> bool:
+        """Append ``item``. With the mailbox full, wait for room up to
+        ``timeout`` (``None``: as long as it takes; the one path that reads
+        a clock) and count a rejection on giving up. Raises once closed."""
+        with self.box_lock:
+            if self.closed or len(self.items) >= self.capacity:
+                # timeout 0 is try_submit: reject without letting go of the lock.
+                admitted = timeout != 0.0 and self.not_full.wait_for(self._room_or_closed, timeout)
+                if self.closed:
+                    reason = "server is not running" if self.error is None else "lane failed"
+                    raise ServeError(reason) from self.error
+                if not admitted:
+                    self.rejected += 1
+                    return False
+            self.items.append(item)
+            if self.parked:
+                self.parked = False
+                self.not_empty.notify()
+        return True
+
+    def take(self, max_items: int, timeout: float) -> Optional[List[Request]]:
+        """The next block under one lock acquisition: up to ``max_items`` in
+        submission order, empty if none arrives within ``timeout``; blocked
+        producers wake once. ``None`` once closed and drained (or not to be)."""
+        with self.box_lock:
+            if not self.items and not self.closed:
+                self.parked = True
+                self.not_empty.wait(timeout)
+                self.parked = False
+            if self.closed and not (self.drain and self.items):
+                return None
+            n_taken = min(len(self.items), max_items)
+            self.not_full.notify(n_taken)
+            return [self.items.popleft() for _ in range(n_taken)]
+
+    def open(self) -> None:
+        with self.box_lock:
+            self.closed = False
+            self.error = None
+
+    def close(self, drain: bool) -> None:
+        """Refuse producers (blocked ones wake and raise); the consumer still
+        gets what is queued if ``drain``."""
+        with self.box_lock:
+            self.closed = True
+            self.drain = drain
+            self.not_empty.notify_all()
+            self.not_full.notify_all()
 
 
 class _Lane:
-    """One shard's serving lane: queue, worker thread, lock, metrics.
+    """One shard's serving lane: mailbox, worker thread, lock, metrics.
 
     The lock serializes access to the lane's tree between the worker and
     the tuning loop; the histograms have the worker as their only writer.
@@ -132,36 +205,20 @@ class _Lane:
     ) -> None:
         self.index = index
         self.tree = tree
-        self.queue: "queue.Queue[Optional[Request]]" = queue.Queue(
-            maxsize=queue_capacity
-        )
+        self.queue = _Mailbox(queue_capacity)
         self.max_batch = max_batch
         self.lock = threading.Lock()
         self.worker: Optional[threading.Thread] = None
-        self._histogram_factory = histogram_factory
-        self.histograms: Dict[str, LatencyHistogram] = {}
+        self.histograms: Dict[str, LatencyHistogram] = defaultdict(histogram_factory)
         self.completed = 0
-        # Guarded by reject_lock: multiple producer threads may reject
-        # into the same lane concurrently (a bare += would lose counts).
-        self.rejected = 0
-        self.reject_lock = threading.Lock()
         # Running queue-depth statistics, sampled at every batch drain.
         self.depth_samples = 0
         self.depth_sum = 0
         self.depth_max = 0
 
-    def histogram(self, tenant: str) -> LatencyHistogram:
-        hist = self.histograms.get(tenant)
-        if hist is None:
-            hist = self.histograms[tenant] = self._histogram_factory()
-        return hist
-
-    def sample_depth(self) -> None:
-        depth = self.queue.qsize()
-        self.depth_samples += 1
-        self.depth_sum += depth
-        if depth > self.depth_max:
-            self.depth_max = depth
+    @property
+    def rejected(self) -> int:
+        return self.queue.rejected
 
 
 @dataclass
@@ -242,11 +299,8 @@ class KVServer:
         #: ``windows``); always acquired *before* any lane lock.
         self._window_mutex = threading.Lock()
         self._running = False
-        self._draining = False
         self._tuning_thread: Optional[threading.Thread] = None
         self._window_wake = threading.Event()
-        self._started_at = 0.0
-        self._stopped_at = 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -256,22 +310,8 @@ class KVServer:
         if self._running:
             raise ServeError("server already running")
         self._running = True
-        self._draining = False
-        self._stopped_at = 0.0  # a restarted server measures afresh
         for lane in self.lanes:
-            # Purge stale stop sentinels: a stop(drain=False) worker may
-            # exit via the not-running check without consuming its
-            # sentinel, which would instantly kill this lane's new worker.
-            leftover: List[Request] = []
-            while True:
-                try:
-                    item = lane.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not None:
-                    leftover.append(item)
-            for item in leftover:
-                lane.queue.put_nowait(item)
+            lane.queue.open()  # what a stop(drain=False) left is served first
             lane.tree.begin_mission()
             lane.worker = threading.Thread(
                 target=self._worker_loop,
@@ -285,19 +325,18 @@ class KVServer:
                 target=self._tuning_loop, name="kvserver-tuning", daemon=True
             )
             self._tuning_thread.start()
-        self._started_at = time.perf_counter()
         return self
 
     def stop(self, drain: bool = True) -> None:
-        """Stop serving; with ``drain`` the queues are emptied first. The
-        final (partial) mission window is closed and recorded."""
+        """Stop serving; with ``drain`` everything admitted is served first,
+        without it what is queued waits for the next ``start()``. The final
+        (partial) mission window is closed and recorded. Raises if a lane failed."""
         if not self._running:
             return
-        self._draining = drain
         self._running = False
         self._window_wake.set()
         for lane in self.lanes:
-            lane.queue.put(None)  # wake the worker; sentinel ends the loop
+            lane.queue.close(drain)
         for lane in self.lanes:
             if lane.worker is not None:
                 lane.worker.join()
@@ -305,8 +344,10 @@ class KVServer:
         if self._tuning_thread is not None:
             self._tuning_thread.join()
             self._tuning_thread = None
-        self._stopped_at = time.perf_counter()
         self._close_window(tune=False)
+        for lane in self.lanes:
+            if lane.queue.error is not None:
+                raise ServeError(f"lane {lane.index} failed") from lane.queue.error
 
     def __enter__(self) -> "KVServer":
         return self.start()
@@ -323,59 +364,21 @@ class KVServer:
         return self.lanes[shard_of_key(key, self.n_lanes)]
 
     def try_submit(self, request: Request) -> bool:
-        """Open-loop admission: enqueue or reject immediately (bounded
-        queue full = backpressure). Returns ``False`` on rejection."""
-        if not self._running:
-            raise ServeError("server is not running")
-        lane = self._lane_for(request.key)
-        request.t_submit = time.perf_counter()
-        try:
-            lane.queue.put_nowait(request)
-            return True
-        except queue.Full:
-            with lane.reject_lock:
-                lane.rejected += 1
-            return False
+        """Open-loop admission: enqueue or reject immediately (mailbox full
+        = backpressure). Returns ``False`` on rejection; never blocks."""
+        return self.submit(request, timeout=0.0)
 
     def submit(self, request: Request, timeout: Optional[float] = None) -> bool:
-        """Closed-loop admission: block the producer until the lane queue
-        has room (or ``timeout`` elapses — then reject)."""
-        if not self._running:
-            raise ServeError("server is not running")
+        """Closed-loop admission: block the producer until the lane mailbox
+        has room (or ``timeout`` elapses — then reject). Raises when the
+        server is not running or the lane has failed (chained to the cause)."""
         lane = self._lane_for(request.key)
         request.t_submit = time.perf_counter()
-        try:
-            lane.queue.put(request, timeout=timeout)
-            return True
-        except queue.Full:
-            with lane.reject_lock:
-                lane.rejected += 1
-            return False
+        return lane.queue.put(request, timeout)
 
     # ------------------------------------------------------------------
     # Worker
     # ------------------------------------------------------------------
-    def _drain(self, lane: _Lane) -> Tuple[List[Request], bool]:
-        """Block for the next request, then opportunistically drain up to
-        ``max_batch`` queued requests. Returns ``(batch, saw_sentinel)``."""
-        batch: List[Request] = []
-        try:
-            first = lane.queue.get(timeout=0.05)
-        except queue.Empty:
-            return batch, False
-        if first is None:
-            return batch, True
-        batch.append(first)
-        while len(batch) < lane.max_batch:
-            try:
-                request = lane.queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is None:
-                return batch, True
-            batch.append(request)
-        return batch, False
-
     @staticmethod
     def _flush_puts(tree, run: List[Request]) -> None:
         """Apply a run of consecutive puts as one vectorized batch."""
@@ -409,9 +412,11 @@ class KVServer:
             self.tracer, "serve.batch", lane=lane.index, n_requests=len(batch)
         ):
             tree = lane.tree
-            writes = [r for r in batch if r.kind in (REQ_PUT, REQ_DELETE)]
-            reads = [r for r in batch if r.kind == REQ_GET]
-            ranges = [r for r in batch if r.kind == REQ_RANGE]
+            reads, writes, ranges = [], [], []
+            # One pass; puts and deletes share a list (relative order matters).
+            by_kind = {REQ_GET: reads, REQ_PUT: writes, REQ_DELETE: writes, REQ_RANGE: ranges}
+            for request in batch:
+                by_kind[request.kind].append(request)
             with lane.lock:
                 # Puts and deletes keep their relative submission order (a
                 # DELETE(k) → PUT(k, v) pair in one batch must leave v live):
@@ -430,8 +435,8 @@ class KVServer:
                         (r.key for r in reads), dtype=np.int64, count=len(reads)
                     )
                     found, values = tree.get_batch(keys)
-                    for i, request in enumerate(reads):
-                        request.result = int(values[i]) if found[i] else None
+                    for request, hit, value in zip(reads, found.tolist(), values.tolist()):
+                        request.result = value if hit else None
             if ranges:
                 with ordered_lane_locks(self.lanes):
                     # One engine-wide batch per drain: the coalesced call
@@ -454,11 +459,14 @@ class KVServer:
                             values[bounds[i] : bounds[i + 1]],
                         )
             now = time.perf_counter()
+            waits: Dict[str, List[float]] = {}
             for request in batch:
                 request.t_done = now
-                lane.histogram(request.tenant).record(now - request.t_submit)
+                waits.setdefault(request.tenant, []).append(now - request.t_submit)
                 if request.done is not None:
                     request.done.set()
+            for tenant, tenant_waits in waits.items():
+                lane.histograms[tenant].record_many(tenant_waits)
             lane.completed += len(batch)
             if (
                 self.window_ops > 0
@@ -467,28 +475,32 @@ class KVServer:
                 self._window_wake.set()
 
     def _worker_loop(self, lane: _Lane) -> None:
+        """Take a block, serve it, until the mailbox is closed and done. A
+        batch that raises ends the lane: its mailbox closes with the cause
+        (``submit`` and ``stop`` report it) and everything admitted — the
+        batch and what is queued — completes with ``error`` set, unserved."""
+        box = lane.queue
         while True:
-            lane.sample_depth()
-            batch, stop = self._drain(lane)
-            if batch:
-                self._serve_batch(lane, batch)
-            if stop:
-                if self._draining:
-                    # Serve whatever is still queued, then exit.
-                    while True:
-                        rest: List[Request] = []
-                        while len(rest) < lane.max_batch:
-                            try:
-                                request = lane.queue.get_nowait()
-                            except queue.Empty:
-                                break
-                            if request is not None:
-                                rest.append(request)
-                        if not rest:
-                            break
-                        self._serve_batch(lane, rest)
+            depth = len(box.items)
+            lane.depth_samples += 1
+            lane.depth_sum += depth
+            lane.depth_max = max(lane.depth_max, depth)
+            batch = box.take(lane.max_batch, timeout=0.05)
+            if batch is None:
                 return
-            if not self._running and not self._draining:
+            try:
+                if batch:
+                    self._serve_batch(lane, batch)
+            except Exception as exc:
+                box.error = exc
+                box.close(drain=True)
+                batch.extend(box.take(box.capacity, timeout=0.0) or ())
+                now = time.perf_counter()
+                for request in batch:
+                    request.error = exc
+                    request.t_done = now
+                    if request.done is not None:
+                        request.done.set()
                 return
 
     # ------------------------------------------------------------------
@@ -584,24 +596,6 @@ class KVServer:
     @property
     def total_rejected(self) -> int:
         return sum(lane.rejected for lane in self.lanes)
-
-    @property
-    def elapsed(self) -> float:
-        """Wall seconds the server has been (or was) running."""
-        if self._started_at == 0.0:
-            return 0.0
-        end = self._stopped_at if self._stopped_at else time.perf_counter()
-        return end - self._started_at
-
-    @property
-    def throughput(self) -> float:
-        """Completed requests per wall second over the server's lifetime."""
-        elapsed = self.elapsed
-        return self.total_completed / elapsed if elapsed > 0 else 0.0
-
-    def queue_depths(self) -> List[int]:
-        """Current queue depth per lane."""
-        return [lane.queue.qsize() for lane in self.lanes]
 
     def mean_queue_depth(self) -> float:
         """Queue depth averaged over every batch-drain sample, all lanes."""

@@ -47,17 +47,25 @@ class TestBucketing:
         assert hist.summary() == "no samples"
 
     def test_record_many_matches_scalar_record(self, rng):
-        values = rng.lognormal(mean=-7.0, sigma=1.5, size=2_000)
-        a = LatencyHistogram()
-        b = LatencyHistogram()
-        a.record_many(values)
-        for v in values:
-            b.record(float(v))
-        assert np.array_equal(a.counts, b.counts)
-        assert a.count == b.count
-        assert a.min_seen == b.min_seen
-        assert a.max_seen == b.max_seen
-        assert a.sum == pytest.approx(b.sum)
+        # Sizes on both sides of record_many's scalar / vector selection
+        # (a lane hands over 1 latency per batch, or hundreds), as an
+        # array and as the plain list the serving lane passes.
+        for size in (0, 1, 15, 16, 512, 2_000):
+            values = rng.lognormal(mean=-7.0, sigma=1.5, size=size)
+            a = LatencyHistogram()
+            b = LatencyHistogram()
+            c = LatencyHistogram()
+            a.record_many(values)
+            for v in values:
+                b.record(float(v))
+            c.record_many(values.tolist())
+            for many in (a, c):
+                assert np.array_equal(many.counts, b.counts)
+                assert many.count == b.count == size
+                assert many.min_seen == b.min_seen
+                assert many.max_seen == b.max_seen
+                assert many.sum == pytest.approx(b.sum)
+                assert type(many.sum) is float
 
     def test_exact_side_statistics(self, rng):
         values = rng.uniform(1e-5, 1e-2, size=500)

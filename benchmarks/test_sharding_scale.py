@@ -4,10 +4,11 @@ Pins, on SimClock, the two contracts the engine layer adds on top of the
 paper's single FLSM-tree, over a write-heavy YCSB mission (>= 100k
 operations):
 
-* ``put`` loop vs vectorized ``put_batch`` ingestion of the mission's
-  update stream — the :class:`~repro.engine.base.KVEngine` contract says
-  the batch path is the per-key loop, just vectorized, so both must end on
-  the *same* simulated clock and I/O counters;
+* per-key put loop (the test-side reference, ``tests/reference_put.py``)
+  vs vectorized ``put_batch`` ingestion of the mission's update stream —
+  the :class:`~repro.engine.base.KVEngine` contract says the batch path
+  is the per-key loop, just vectorized, so both must end on the *same*
+  simulated clock and I/O counters;
 * bare tree vs 1-shard vs 4-shard execution of the full mission through
   :class:`MissionRunner` — one shard must charge exactly what the bare
   tree charges; four shards split each flush, so per-shard compactions
@@ -19,6 +20,7 @@ Host time of the same paths is ``perfbench``'s ``lsm.put_batch_s`` and
 """
 
 from _common import emit_metrics, emit_report
+from reference_put import reference_put
 
 from repro.bench import base_config, bench_scale
 from repro.core.missions import MissionRunner
@@ -58,7 +60,7 @@ def run_sharding_scale():
     # --- put vs put_batch (1 shard) -----------------------------------
     put_tree = _loaded(FLSMTree(config), workload)
     for k, v in zip(keys.tolist(), values.tolist()):
-        put_tree.put(k, v)
+        reference_put(put_tree, k, v)
 
     batch_tree = _loaded(FLSMTree(config), workload)
     for start in range(0, len(keys), BATCH):

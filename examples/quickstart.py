@@ -57,7 +57,7 @@ def main() -> None:
         f"{fresh.mean_latency(last_n=30) * 1e3:.4f} ms/op (simulated)"
     )
     print("Tree structure:")
-    for row in fresh.tree.describe():
+    for row in fresh.engine.describe():
         print("  ", row)
 
     # --- sharded engine: same API, hash-partitioned over 4 FLSM shards ------

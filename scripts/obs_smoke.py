@@ -65,17 +65,10 @@ def run_twin(instrumented: bool):
 
 def simulated_fingerprint(store) -> dict:
     """Every simulated observable a telemetry layer could have perturbed."""
-    io = store.engine.io_counters
     return {
-        "clock_now": store.engine.clock_now,
-        "total_entries": store.engine.total_entries,
-        "cache_hits": store.engine.cache_hits,
-        "cache_misses": store.engine.cache_misses,
-        "io": (io.random_reads, io.random_writes, io.seq_reads, io.seq_writes),
-        "latencies": store.latency_series().tolist(),
-        "sim_times": [m.total_time for m in store.mission_log],
+        "view": store.view(),
+        "mission_log": store.mission_log,
         "policy_history": store.policy_history,
-        "policies": store.policies(),
     }
 
 
@@ -91,8 +84,9 @@ def main() -> int:
             f"telemetry perturbed simulated observable {key!r}:\n"
             f"  bare: {fp_bare[key]!r}\n  inst: {fp_inst[key]!r}"
         )
-    print(f"ok: {len(fp_bare)} simulated observables bit-identical "
-          f"(clock={fp_inst['clock_now']:.6f}s)")
+    clock_now = fp_inst["view"].clock_now
+    print(f"ok: engine view, {len(inst.mission_log)} mission records and "
+          f"policy history bit-identical (clock={clock_now:.6f}s)")
 
     # --- 2. exposition ------------------------------------------------
     registry = collect_store_metrics(inst)
@@ -105,7 +99,7 @@ def main() -> int:
         value for (name, _), value in parsed["samples"].items()
         if name == "repro_sim_clock_seconds"
     ]
-    assert abs(sum(clock_samples) - fp_inst["clock_now"]) < 1e-9
+    assert abs(sum(clock_samples) - clock_now) < 1e-9
     json.loads(registry.render("json"))
     print(f"ok: prometheus exposition parses "
           f"({len(parsed['samples'])} samples), json renders")
@@ -115,16 +109,18 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         span_path = str(pathlib.Path(tmp) / "spans.jsonl")
         written = tracer.export_jsonl(span_path)
-        names = set()
+        names, stages = set(), set()
         with open(span_path) as fh:
             for line in fh:
                 root = json.loads(line)
                 names.add(root["name"])
                 for child in root.get("children", ()):
                     names.add(child["name"])
+                    stages.update(child.get("stages", ()))
         assert written > 0
         assert any(n.startswith("store.") for n in names), names
         assert any(n.startswith("lsm.") for n in names), names
+        assert {"memtable", "search"} <= stages, stages  # laps were taken
         print(f"ok: {written} sampled span trees exported "
               f"({tracer.roots_kept}/{tracer.roots_seen} roots kept)")
 

@@ -1,18 +1,18 @@
 #!/usr/bin/env python
 """Profile the vectorized read path, stage by stage.
 
-Builds a steady-state FLSM-tree with profiling enabled
-(``tree.read_profiler = ReadPathProfiler()``), streams point-lookup batches
-through :meth:`LSMTree.get_batch` and range batches through
+Builds a steady-state FLSM-tree with a tracer attached
+(``tree.set_tracer(Tracer())``), streams point-lookup batches through
+:meth:`LSMTree.get_batch` and range batches through
 :meth:`LSMTree.range_scan_batch`, and prints the per-stage wall-clock
-breakdown collected by :class:`repro.lsm.readpath.ReadPathProfiler`
-(point stages: memtable / search / bloom / cache; range stages:
-range_search / range_charge / range_gather / range_merge) plus headline
-throughput. Pass ``--range-batches 0`` to profile point lookups only.
+breakdown the batch spans lapped (point stages: memtable / search / bloom /
+cache; range stages: range_search / range_charge / range_gather /
+range_merge — a fold over ``tracer.spans()``) plus headline throughput.
+Pass ``--range-batches 0`` to profile point lookups only.
 
-Stage timers measure *host* time only — profiling never touches the
-simulated clock, so the numbers here are about the reproduction's own
-speed, not the modeled device.
+Laps measure *host* time only — tracing never touches the simulated
+clock, so the numbers here are about the reproduction's own speed, not
+the modeled device.
 
 Usage::
 
@@ -32,10 +32,41 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.lsm import FLSMTree
-from repro.lsm.readpath import ReadPathProfiler
+from repro.lsm.rangepath import RANGE_STAGES
+from repro.obs import Tracer, stage_totals
 from repro.workload.zipf import ZipfianSampler
 
 POLICIES = ("leveling", "tiering", "lazy-leveling")
+#: Stage rows of the report, in pipeline order.
+STAGES = ("memtable", "search", "bloom", "cache") + RANGE_STAGES
+
+
+def format_report(spans) -> tuple[str, float]:
+    """The per-stage table of the given span trees and the seconds it
+    accounts for. ``us/op`` normalizes point stages by keys probed and
+    range stages by ranges scanned."""
+    totals = stage_totals(spans)
+    gets = [s for s in spans if s.name == "lsm.get_batch"]
+    scans = [s for s in spans if s.name == "lsm.range_scan_batch"]
+    n_keys = sum(s.attrs["n_keys"] for s in gets)
+    n_ranges = sum(s.attrs["n_ranges"] for s in scans)
+    total = sum(seconds for seconds, _ in totals.values())
+    lines = [
+        f"read-path profile: {len(gets)} batches / {n_keys} keys, "
+        f"{len(scans)} range batches / {n_ranges} ranges, "
+        f"{total * 1e3:.2f} ms lapped",
+        f"{'stage':>12} | {'ms':>9} | {'%':>6} | {'calls':>8} | {'us/op':>8}",
+    ]
+    for stage in STAGES:
+        seconds, calls = totals.get(stage, (0.0, 0))
+        share = 100.0 * seconds / total if total else 0.0
+        n_ops = n_ranges if stage in RANGE_STAGES else n_keys
+        per_op = seconds / n_ops * 1e6 if n_ops else 0.0
+        lines.append(
+            f"{stage:>12} | {seconds * 1e3:9.2f} | {share:6.1f} | "
+            f"{calls:8d} | {per_op:8.3f}"
+        )
+    return "\n".join(lines), total
 
 
 def build_tree(args) -> tuple[FLSMTree, np.ndarray]:
@@ -49,7 +80,6 @@ def build_tree(args) -> tuple[FLSMTree, np.ndarray]:
         seed=args.seed,
     )
     tree = FLSMTree(config)
-    tree.read_profiler = ReadPathProfiler()
     tree.set_named_policy(args.policy)
     rng = np.random.default_rng(args.seed)
     n = args.n_records
@@ -133,6 +163,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     tree, keys = build_tree(args)
+    # Attached after the build: only the streamed batches are profiled.
+    tracer = Tracer(max_spans=max(1, args.batches + args.range_batches))
+    tree.set_tracer(tracer)
     batches = probe_batches(args, keys)
     shape = {level.level_no: level.n_runs for level in tree.levels}
     print(
@@ -169,13 +202,12 @@ def main(argv=None) -> int:
             f"{n_entries} entries, sim={tree.clock_now:.4f}s"
         )
 
+    report, lapped = format_report(tracer.spans())
     print()
-    print(tree.read_profiler.format_report())
-    instrumented = tree.read_profiler.total_seconds
+    print(report)
     print(
-        f"\nuninstrumented residue: "
-        f"{(wall + range_wall - instrumented) * 1e3:.2f} ms "
-        "(dispatch, stats, pending-set bookkeeping)"
+        f"\nunlapped residue: {(wall + range_wall - lapped) * 1e3:.2f} ms "
+        "(validation, op counting, span open/close, the driver loop)"
     )
     return 0
 

@@ -42,6 +42,7 @@ MUTATOR_METHODS = frozenset(
         "begin_mission",
         "bulk_load",
         "delete",
+        "delete_batch",
         "end_mission",
         "get_batch",
         "load_state_dict",

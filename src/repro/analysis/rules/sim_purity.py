@@ -6,13 +6,12 @@ Simulated-path packages (``lsm/``, ``storage/``, ``cost/``, ``core/``,
 seeded, explicitly-threaded generators — otherwise benchmark latencies
 stop being deterministic and host-independent (DESIGN.md §2).
 
-Host wall-clock is permitted only as *telemetry* and only through the
-profiler's sanctioned timer: ``from repro.lsm.readpath import
-perf_counter`` (the profiler module itself is the one structural
-allowlist entry). Any other wall-clock read — ``time.time``,
-``time.perf_counter``, ``datetime.now`` and friends, or a bare
-``perf_counter``-looking call whose import origin the rule cannot trace
-to the profiler — is flagged, as is any unseeded or global-state RNG
+There is no sanctioned timer and no excluded file: host wall-clock
+telemetry on these paths is a lap on an injected trace span
+(``span.lap("stage")``), and the clock behind it is read in ``obs/``. Any
+wall-clock read — ``time.time``, ``time.perf_counter``, ``datetime.now``
+and friends, or a bare ``perf_counter``-looking call however it was
+imported — is flagged, as is any unseeded or global-state RNG
 (``np.random.default_rng()`` without a seed, the legacy ``np.random.*``
 module functions, the stdlib ``random`` module).
 """
@@ -23,9 +22,6 @@ import ast
 
 from repro.analysis.core import Finding, ModuleInfo, Rule
 from repro.analysis.rules.common import build_import_map, resolve
-
-#: The one wall-timer simulated-path code may call (profiler telemetry).
-SANCTIONED_TIMERS = frozenset({"repro.lsm.readpath.perf_counter"})
 
 HOST_CLOCK_ORIGINS = frozenset(
     {
@@ -46,9 +42,9 @@ HOST_CLOCK_ORIGINS = frozenset(
     }
 )
 
-#: Bare call names that look like wall timers; flagged when their import
-#: origin cannot be traced to the profiler module (conservative: a local
-#: rebinding of ``perf_counter`` is still a wall timer).
+#: Bare call names that look like wall timers; flagged whatever their
+#: import origin (conservative: a local rebinding of ``perf_counter`` is
+#: still a wall timer).
 SUSPECT_BARE_TIMERS = frozenset(
     {
         "perf_counter",
@@ -86,13 +82,10 @@ NUMPY_GLOBAL_RNG = frozenset(
 class SimPurityRule(Rule):
     name = "SIM-PURITY"
     description = (
-        "simulated paths read time only from SimClock (wall-clock via the "
-        "profiler's sanctioned timer only) and randomness only from seeded "
-        "generators"
+        "simulated paths read time only from SimClock (no host clock) and "
+        "randomness only from seeded generators"
     )
     scopes = ("lsm/", "storage/", "cost/", "core/", "engine/")
-    #: The profiler module owns the wall timer; it is the allowlist.
-    exclude = ("lsm/readpath.py",)
 
     def check(self, module: ModuleInfo) -> list[Finding]:
         imports = build_import_map(module.tree)
@@ -101,33 +94,24 @@ class SimPurityRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             origin = resolve(node.func, imports)
-            if origin in SANCTIONED_TIMERS:
-                continue
             if origin in HOST_CLOCK_ORIGINS:
                 findings.append(
                     self.finding(
                         module,
                         node,
                         f"wall-clock read `{origin}` on a simulated path; charge "
-                        "time through SimClock, or for profiler telemetry import "
-                        "the sanctioned timer: "
-                        "`from repro.lsm.readpath import perf_counter`",
+                        "time through SimClock, or for host telemetry lap the "
+                        "injected trace span (`span.lap(\"stage\")`)",
                     )
                 )
                 continue
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id in SUSPECT_BARE_TIMERS
-                and origin not in SANCTIONED_TIMERS
-            ):
+            if isinstance(node.func, ast.Name) and node.func.id in SUSPECT_BARE_TIMERS:
                 findings.append(
                     self.finding(
                         module,
                         node,
-                        f"call to `{node.func.id}` does not trace to the "
-                        "profiler's sanctioned timer "
-                        "(`repro.lsm.readpath.perf_counter`); simulated paths "
-                        "must not read the host clock",
+                        f"call to `{node.func.id}` looks like a host timer; "
+                        "simulated paths must not read the host clock",
                     )
                 )
                 continue

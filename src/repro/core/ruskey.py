@@ -11,8 +11,9 @@ mission.
 The engine is an :class:`~repro.lsm.tree.LSMTree` (the FLSM-tree) by
 default; pass ``n_shards > 1`` for a hash-partitioned
 :class:`~repro.engine.sharded.ShardedStore` (or any engine via ``engine=``).
-Scalar ``get`` / ``range_lookup`` are the shared one-element-batch pair
-(:class:`~repro.lsm.tree.ScalarReads`) over this facade's batch forwards.
+The facade forwards the batch data path and ``view()``; the scalar ops and
+the read-only accessors are the shared derived ones
+(:class:`~repro.lsm.tree.DerivedMembers`) over those forwards.
 Tuning composes across shards in two ways:
 
 * ``tuner=`` — one *shared* tuner instance observes every shard's tree and
@@ -40,17 +41,17 @@ from repro.core.missions import MissionRunner
 from repro.core.tuners import Tuner
 from repro.engine.sharded import ShardedStore
 from repro.errors import ConfigError, SnapshotError, WorkloadError
-from repro.lsm.stats import MissionStats
-from repro.lsm.tree import LSMTree, ScalarReads
+from repro.lsm.stats import EngineView, MissionStats
+from repro.lsm.tree import DerivedMembers, LSMTree
 from repro.workload.spec import Mission, WorkloadSpec
 
 
-class RusKey(ScalarReads):
+class RusKey(DerivedMembers):
     """A storage engine driven by (pluggable) tuning models."""
 
-    # config is the immutable blueprint; tree/tuner alias engine/tuners[0],
-    # both of which state_dict already serializes.
-    _snapshot_exempt = frozenset({"config", "tree", "tuner"})
+    # config is the immutable blueprint; tuner aliases tuners[0], which
+    # state_dict already serializes.
+    _snapshot_exempt = frozenset({"config", "tuner"})
 
     def __init__(
         self,
@@ -77,8 +78,6 @@ class RusKey(ScalarReads):
                 f"(got an explicit engine and n_shards={n_shards})"
             )
         self.engine = engine
-        #: Legacy alias — for an unsharded store the engine *is* the tree.
-        self.tree = engine
         targets = engine.tuning_targets()
         if tuners is not None:
             if len(tuners) != len(targets):
@@ -116,15 +115,6 @@ class RusKey(ScalarReads):
     # ------------------------------------------------------------------
     # Data access (pass-through to the engine)
     # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        """The engine's statistics view (collector or cross-shard view)."""
-        return self.engine.stats
-
-    def put(self, key: int, value: int) -> None:
-        """Insert or overwrite one entry."""
-        self.engine.put(key, value)
-
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Vectorized insert of many entries (the hot ingestion path)."""
         self.engine.put_batch(keys, values)
@@ -133,9 +123,9 @@ class RusKey(ScalarReads):
         """Vectorized point lookups; returns ``(found_mask, values)``."""
         return self.engine.get_batch(keys)
 
-    def delete(self, key: int) -> None:
-        """Delete one entry."""
-        self.engine.delete(key)
+    def delete_batch(self, keys: np.ndarray) -> None:
+        """Vectorized delete of many keys."""
+        self.engine.delete_batch(keys)
 
     def range_scan_batch(
         self, los: np.ndarray, his: np.ndarray
@@ -149,6 +139,10 @@ class RusKey(ScalarReads):
     ) -> None:
         """Populate an empty store (no simulated time is charged)."""
         self.engine.bulk_load(keys, values, distribute=distribute)
+
+    def view(self) -> EngineView:
+        """The engine's cumulative simulated state (aggregated over shards)."""
+        return self.engine.view()
 
     def policies(self) -> List[int]:
         """Current per-level compaction policies (representative shard)."""

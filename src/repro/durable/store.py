@@ -16,9 +16,9 @@ primitives and overrides only what durability changes:
 
 Write protocol (the order is the whole durability argument)::
 
-    put_batch(keys, values):
+    put_batch(keys, values) / delete_batch(keys):   one record per batch
       1. WAL append + fsync sync marker          -> op is ACKNOWLEDGED
-      2. LSMTree.put_batch                        (may flush/compact)
+      2. LSMTree.put_batch / delete_batch         (may flush/compact)
            per installed run: write SSTable file (fsync, tmp+rename)
            per flush cascade: append manifest edit (fsync), rotate WAL,
                               delete covered segments + dropped tables
@@ -381,8 +381,7 @@ class DurableStore(LSMTree):
                 if record.op == OP_PUT:
                     super().put_batch(record.keys[skip:], record.values[skip:])
                 else:
-                    for key in record.keys[skip:]:
-                        super().delete(int(key))
+                    super().delete_batch(record.keys[skip:])
                 self._applied_seqno = last
                 records_replayed += 1
                 ops_replayed += record.n_ops - skip
@@ -570,27 +569,26 @@ class DurableStore(LSMTree):
         """Highest sequence number covered by an fsync'd sync marker."""
         return self._acked_seqno
 
-    def put(self, key: int, value: int) -> None:
-        self.put_batch(
-            np.array([key], dtype=np.int64), np.array([value], dtype=np.int64)
-        )
-
-    def delete(self, key: int) -> None:
-        seq = self._ack_wal(np.array([key], dtype=np.int64))
-        self._inflight_floor = seq - 1
-        super().delete(int(key))
-        self._applied_seqno = self._inflight_floor = self._next_seqno - 1
-
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         # Reject a bad batch before it is journaled, not after.
-        keys, values = validate_batch(keys, values)
+        self._journaled(super().put_batch, *validate_batch(keys, values))
+
+    def delete_batch(self, keys: np.ndarray) -> None:
+        self._journaled(super().delete_batch, np.asarray(keys, dtype=np.int64))
+
+    def _journaled(
+        self, apply: Callable[..., None], keys: np.ndarray, *values: np.ndarray
+    ) -> None:
+        """One write batch (a put of ``values``, or a delete when there are
+        none): one WAL record and one sync — the ack — then the inherited
+        in-memory apply."""
         if len(keys) == 0:
             return
-        seq = self._ack_wal(keys, values)
+        seq = self._ack_wal(keys, *values)
         # Conservative floor while this op is in flight: a flush mid-batch
         # may only checkpoint the last op *fully* applied before it.
         self._inflight_floor = seq - 1
-        super().put_batch(keys, values)
+        apply(keys, *values)
         self._applied_seqno = self._inflight_floor = self._next_seqno - 1
 
     # ------------------------------------------------------------------

@@ -8,9 +8,7 @@ multi-tree one.
 
 from repro.engine.base import KVEngine
 from repro.engine.sharded import (
-    AggregatedStats,
     ShardedStore,
-    merge_io_counters,
     merge_mission_stats,
     shard_of,
     shard_of_key,
@@ -19,9 +17,7 @@ from repro.engine.sharded import (
 __all__ = [
     "KVEngine",
     "ShardedStore",
-    "AggregatedStats",
     "shard_of",
     "shard_of_key",
-    "merge_io_counters",
     "merge_mission_stats",
 ]

@@ -12,15 +12,24 @@ the LSM layer does not need to import this package (no inheritance, no
 import cycle): any object with the right methods *is* an engine, and
 ``isinstance(obj, KVEngine)`` checks conformance at runtime.
 
+The protocol lists the 18 *primitive* members — what an engine must
+implement itself. What follows from them (scalar ``get`` / ``range_lookup``
+/ ``put`` / ``delete`` as one-element batches; ``clock_now`` /
+``io_counters`` / ``cache_hits`` / ``cache_misses`` / ``total_entries`` as
+reads of ``view()``) is defined once, in
+:class:`~repro.lsm.tree.DerivedMembers`, which every engine inherits.
+
 The contract, beyond plain data access:
 
-* **Batch paths** — ``put_batch``/``get_batch``/``range_scan_batch`` are
-  *the* data path. ``put_batch`` must be semantically equivalent to a
-  per-key loop over ``put`` against the same engine state (identical flush
-  boundaries and cost charging), just vectorized. Scalar reads are not part
-  of the contract: ``get``/``range_lookup`` are derived once, as
-  one-element batches, by :class:`~repro.lsm.tree.ScalarReads`, which every
-  engine inherits.
+* **Batch paths** — ``put_batch``/``delete_batch``/``get_batch``/
+  ``range_scan_batch`` are *the* data path. ``put_batch`` and
+  ``delete_batch`` must be semantically equivalent to a per-key loop
+  against the same engine state (identical flush boundaries and cost
+  charging), just vectorized; a delete is a write of the tombstone.
+* **One view** — ``view()`` is an immutable
+  :class:`~repro.lsm.stats.EngineView` of every cumulative simulated
+  observable; a sharded engine's is the left fold (``+``) of its shards',
+  and engines that must be sim-identical compare ``==``.
 * **Mission windows** — ``begin_mission``/``end_mission`` bracket one batch
   of operations; ``end_mission`` returns the window's aggregated
   :class:`~repro.lsm.stats.MissionStats`. For a sharded engine the returned
@@ -54,8 +63,7 @@ from typing import (
 import numpy as np
 
 from repro.config import SystemConfig, TransitionKind
-from repro.lsm.stats import MissionStats
-from repro.storage.pager import IOCounters
+from repro.lsm.stats import EngineView, MissionStats
 
 
 @runtime_checkable
@@ -64,18 +72,14 @@ class KVEngine(Protocol):
 
     config: SystemConfig
 
-    # -- point data path ------------------------------------------------
-    def put(self, key: int, value: int) -> None:
-        """Insert or overwrite one entry."""
-        ...
-
-    def delete(self, key: int) -> None:
-        """Delete one key (tombstone write)."""
-        ...
-
     # -- batch data path ------------------------------------------------
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Vectorized insert; equivalent to per-key :meth:`put` in order."""
+        """Vectorized insert; equivalent to per-key inserts in order."""
+        ...
+
+    def delete_batch(self, keys: np.ndarray) -> None:
+        """Vectorized delete (tombstone writes); equivalent to per-key
+        deletes in order."""
         ...
 
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,34 +172,9 @@ class KVEngine(Protocol):
         ...
 
     # -- introspection --------------------------------------------------
-    @property
-    def stats(self) -> object:
-        """The engine's statistics view (collector or aggregate)."""
-        ...
-
-    @property
-    def cache_hits(self) -> int:
-        """Cumulative (aggregated) block-cache hits."""
-        ...
-
-    @property
-    def cache_misses(self) -> int:
-        """Cumulative (aggregated) block-cache misses."""
-        ...
-
-    @property
-    def io_counters(self) -> IOCounters:
-        """Cumulative (aggregated) page-level I/O counters."""
-        ...
-
-    @property
-    def clock_now(self) -> float:
-        """Total simulated seconds consumed so far."""
-        ...
-
-    @property
-    def total_entries(self) -> int:
-        """Number of stored entries, including buffered ones."""
+    def view(self) -> EngineView:
+        """Immutable reading of the engine's cumulative simulated state
+        (aggregated over its trees)."""
         ...
 
     def check_invariants(self) -> None:

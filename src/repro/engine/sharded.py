@@ -2,24 +2,27 @@
 
 :class:`ShardedStore` splits the keyspace over ``n_shards`` independent
 FLSM-trees by a Fibonacci hash of the key. Each shard owns its clock, disk
-model, cache and :class:`~repro.lsm.stats.StatsCollector`; the store exposes
-aggregated views of all of them so everything written against the
-:class:`~repro.engine.base.KVEngine` contract (mission runner, tuners,
-benchmark harness) drives a sharded store exactly like a single tree.
+model, cache and :class:`~repro.lsm.stats.StatsCollector`; the store's
+:meth:`~ShardedStore.view` is the left fold of its shards' views, so
+everything written against the :class:`~repro.engine.base.KVEngine`
+contract (mission runner, tuners, benchmark harness) drives a sharded store
+exactly like a single tree.
 
 Aggregation rule (see DESIGN.md): shards model independent stores executing
 their slice of the traffic serially on one device, so *times and counters
-sum* across shards — ``clock_now`` is the sum of shard clocks, the
-aggregated :class:`~repro.lsm.stats.MissionStats` of a mission window sums
-the per-shard windows field by field, and per-level time maps merge by
-summing per level. Operation counts are attributed to exactly one shard
-(the key's home shard; a range scan counts once, on the home shard of its
-start key) so aggregated counts equal the counts an unsharded tree would
-report for the same operations.
+sum* across shards (``EngineView.__add__``) — ``clock_now`` is the sum of
+shard clocks, the aggregated :class:`~repro.lsm.stats.MissionStats` of a
+mission window sums the per-shard windows field by field, and per-level
+time maps merge by summing per level. Operation counts are attributed to
+exactly one shard (the key's home shard; a range scan counts once, on the
+home shard of its start key) so aggregated counts equal the counts an
+unsharded tree would report for the same operations.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,8 +31,8 @@ from repro.config import SystemConfig, TransitionKind
 from repro.errors import ConfigError, TreeStateError
 from repro.lsm.entry import validate_batch
 from repro.lsm.rangepath import empty_batch_result, scan_batch, validate_ranges
-from repro.lsm.stats import MissionStats, StatsCollector
-from repro.lsm.tree import LSMTree, ScalarReads, open_span
+from repro.lsm.stats import EngineView, MissionStats, sum_level_maps
+from repro.lsm.tree import DerivedMembers, LSMTree, open_span
 from repro.storage.pager import IOCounters
 
 if TYPE_CHECKING:  # obs depends on engine; annotate lazily to avoid a cycle
@@ -57,24 +60,6 @@ def shard_of_key(key: int, n_shards: int) -> int:
     return (h >> 17) % n_shards
 
 
-def merge_io_counters(parts: Sequence[IOCounters]) -> IOCounters:
-    """Field-wise sum of several I/O counter sets."""
-    return IOCounters(
-        random_reads=sum(p.random_reads for p in parts),
-        random_writes=sum(p.random_writes for p in parts),
-        seq_reads=sum(p.seq_reads for p in parts),
-        seq_writes=sum(p.seq_writes for p in parts),
-    )
-
-
-def _merge_level_times(maps: Sequence[Dict[int, float]]) -> Dict[int, float]:
-    merged: Dict[int, float] = {}
-    for one in maps:
-        for level_no, seconds in one.items():
-            merged[level_no] = merged.get(level_no, 0.0) + seconds
-    return merged
-
-
 def merge_mission_stats(
     index: int, parts: Sequence[MissionStats]
 ) -> MissionStats:
@@ -86,78 +71,16 @@ def merge_mission_stats(
         n_ranges=sum(p.n_ranges for p in parts),
         read_time=sum(p.read_time for p in parts),
         write_time=sum(p.write_time for p in parts),
-        level_read_time=_merge_level_times([p.level_read_time for p in parts]),
-        level_write_time=_merge_level_times([p.level_write_time for p in parts]),
-        io=merge_io_counters([p.io for p in parts]),
+        level_read_time=sum_level_maps(p.level_read_time for p in parts),
+        level_write_time=sum_level_maps(p.level_write_time for p in parts),
+        io=reduce(add, (p.io for p in parts), IOCounters()),
         sim_duration=sum(p.sim_duration for p in parts),
         cache_hits=sum(p.cache_hits for p in parts),
         cache_misses=sum(p.cache_misses for p in parts),
     )
 
 
-class AggregatedStats:
-    """Read-only cross-shard view matching the ``StatsCollector`` API.
-
-    Totals and per-level maps are recomputed from the shard collectors on
-    access, so they always sum exactly to the per-shard values. The
-    ``completed`` list holds one *aggregated* :class:`MissionStats` per
-    mission window (appended by :meth:`ShardedStore.end_mission`).
-    """
-
-    def __init__(self, collectors: Sequence[StatsCollector]) -> None:
-        self.per_shard: List[StatsCollector] = list(collectors)
-        self.completed: List[MissionStats] = []
-
-    @property
-    def total_read_time(self) -> float:
-        return sum(c.total_read_time for c in self.per_shard)
-
-    @property
-    def total_write_time(self) -> float:
-        return sum(c.total_write_time for c in self.per_shard)
-
-    @property
-    def total_time(self) -> float:
-        return self.total_read_time + self.total_write_time
-
-    @property
-    def total_lookups(self) -> int:
-        return sum(c.total_lookups for c in self.per_shard)
-
-    @property
-    def total_updates(self) -> int:
-        return sum(c.total_updates for c in self.per_shard)
-
-    @property
-    def total_ranges(self) -> int:
-        return sum(c.total_ranges for c in self.per_shard)
-
-    @property
-    def total_operations(self) -> int:
-        return self.total_lookups + self.total_updates + self.total_ranges
-
-    @property
-    def level_read_time(self) -> Dict[int, float]:
-        return _merge_level_times([c.level_read_time for c in self.per_shard])
-
-    @property
-    def level_write_time(self) -> Dict[int, float]:
-        return _merge_level_times([c.level_write_time for c in self.per_shard])
-
-    def level_time(self, level_no: int) -> float:
-        return sum(c.level_time(level_no) for c in self.per_shard)
-
-    @property
-    def in_mission(self) -> bool:
-        return any(c.in_mission for c in self.per_shard)
-
-    def recent_missions(self, n: int) -> List[MissionStats]:
-        if n <= 0:
-            return []
-        return self.completed[-n:]
-
-
-class ShardedStore(ScalarReads):
+class ShardedStore(DerivedMembers):
     """A :class:`~repro.engine.base.KVEngine` over N independent FLSM shards.
 
     ``tree_factory(config, shard_no)`` may be passed to customize shard
@@ -189,7 +112,6 @@ class ShardedStore(ScalarReads):
         self.shards: List[LSMTree] = [
             tree_factory(config, i) for i in range(n_shards)
         ]
-        self._stats = AggregatedStats([s.stats for s in self.shards])
         self._mission_index = 0
         self._last_breakdown: List[MissionStats] = []
         #: Optional span tracer (see :meth:`set_tracer`); store-level spans
@@ -207,10 +129,6 @@ class ShardedStore(ScalarReads):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def shard_for(self, key: int) -> LSMTree:
-        """The shard that owns ``key``."""
-        return self.shards[shard_of_key(key, self.n_shards)]
-
     def _shard_groups(self, keys: np.ndarray):
         """Group a key batch per home shard with one stable sort.
 
@@ -230,15 +148,6 @@ class ShardedStore(ScalarReads):
                 yield s, order[lo:hi]
 
     # ------------------------------------------------------------------
-    # Point data path
-    # ------------------------------------------------------------------
-    def put(self, key: int, value: int) -> None:
-        self.shard_for(key).put(key, value)
-
-    def delete(self, key: int) -> None:
-        self.shard_for(key).delete(key)
-
-    # ------------------------------------------------------------------
     # Batch data path
     # ------------------------------------------------------------------
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
@@ -250,11 +159,19 @@ class ShardedStore(ScalarReads):
         if len(keys) == 0:
             return
         with open_span(self.tracer, "store.put_batch", n_keys=len(keys)):
-            if self.n_shards == 1:
-                self.shards[0].put_batch(keys, values)
-                return
             for s, idx in self._shard_groups(keys):
                 self.shards[s].put_batch(keys[idx], values[idx])
+
+    def delete_batch(self, keys: np.ndarray) -> None:
+        """Group the keys per shard, then bulk-delete each group; as with
+        :meth:`put_batch`, a batch that cannot be converted is rejected
+        before any shard sees it."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if len(keys) == 0:
+            return
+        with open_span(self.tracer, "store.delete_batch", n_keys=len(keys)):
+            for s, idx in self._shard_groups(keys):
+                self.shards[s].delete_batch(keys[idx])
 
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized lookups grouped per shard (one batch call per shard
@@ -267,8 +184,6 @@ class ShardedStore(ScalarReads):
         if n == 0:
             return found, values
         with open_span(self.tracer, "store.get_batch", n_keys=n):
-            if self.n_shards == 1:
-                return self.shards[0].get_batch(keys)
             for s, idx in self._shard_groups(keys):
                 shard_found, shard_values = self.shards[s].get_batch(keys[idx])
                 found[idx] = shard_found
@@ -296,24 +211,23 @@ class ShardedStore(ScalarReads):
         n_ranges = len(los)
         if n_ranges == 0:
             return empty_batch_result(0)
-        with open_span(self.tracer, "store.range_scan_batch", n_ranges=n_ranges):
+        with open_span(
+            self.tracer, "store.range_scan_batch", n_ranges=n_ranges
+        ) as span:
             homes = np.bincount(shard_of(los, self.n_shards), minlength=self.n_shards)
             for shard, n_home in zip(self.shards, homes.tolist()):
                 if n_home:
                     shard.stats.count_range(n_home)
-            return scan_batch(self.shards, los, his)
+            return scan_batch(self.shards, los, his, span)
 
     def bulk_load(
         self, keys: np.ndarray, values: np.ndarray, distribute: bool = False
     ) -> None:
-        """Partition the records by shard and bulk-load each shard."""
+        """Partition the records by shard and bulk-load each shard (the
+        whole load is validated before any shard sees it)."""
         if self.total_entries:
             raise TreeStateError("bulk_load requires an empty store")
-        keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
-        if self.n_shards == 1:
-            self.shards[0].bulk_load(keys, values, distribute=distribute)
-            return
+        keys, values = validate_batch(keys, values)
         for s, idx in self._shard_groups(keys):
             self.shards[s].bulk_load(keys[idx], values[idx], distribute=distribute)
 
@@ -329,7 +243,6 @@ class ShardedStore(ScalarReads):
         merged = merge_mission_stats(self._mission_index, parts)
         self._mission_index += 1
         self._last_breakdown = parts
-        self._stats.completed.append(merged)
         return merged
 
     # ------------------------------------------------------------------
@@ -344,11 +257,8 @@ class ShardedStore(ScalarReads):
     def policies(self) -> List[int]:
         """Shard 0's per-level policies (the representative trajectory;
         with independent per-shard tuners shards may diverge — see
-        :meth:`policies_per_shard`)."""
+        ``view().policies``)."""
         return self.shards[0].policies()
-
-    def policies_per_shard(self) -> List[List[int]]:
-        return [shard.policies() for shard in self.shards]
 
     def set_policies(
         self, new_policies: Sequence[int], transition: TransitionKind
@@ -378,43 +288,18 @@ class ShardedStore(ScalarReads):
             shard.set_named_policy(policy, transition)
 
     # ------------------------------------------------------------------
-    # Aggregated introspection
+    # Aggregated introspection: one fold; the accessors read it (mixin)
     # ------------------------------------------------------------------
-    @property
-    def stats(self) -> AggregatedStats:
-        return self._stats
+    def view(self) -> EngineView:
+        """The shards' views folded left to right in shard order — floats
+        round exactly as a ``sum(...)`` over the shards does."""
+        return reduce(add, (shard.view() for shard in self.shards))
 
     @property
-    def io_counters(self) -> IOCounters:
-        return merge_io_counters([s.io_counters for s in self.shards])
-
-    @property
-    def clock_now(self) -> float:
-        return sum(s.clock_now for s in self.shards)
-
-    @property
-    def cache_hits(self) -> int:
-        """Block-cache hits summed across shards."""
-        return sum(s.cache_hits for s in self.shards)
-
-    @property
-    def cache_misses(self) -> int:
-        """Block-cache misses summed across shards."""
-        return sum(s.cache_misses for s in self.shards)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Aggregated block-cache hit fraction (0.0 with no traffic)."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    @property
-    def total_entries(self) -> int:
-        return sum(s.total_entries for s in self.shards)
-
-    @property
-    def n_levels(self) -> int:
-        return max(s.n_levels for s in self.shards)
+    def stats(self) -> EngineView:
+        """The cumulative totals (``total_lookups``, ``total_read_time``,
+        …) under the name a tree's collector has."""
+        return self.view()
 
     def describe(self) -> List[List[Dict[str, object]]]:
         """Per-shard structural snapshots."""
@@ -434,11 +319,11 @@ class ShardedStore(ScalarReads):
             "shards": [shard.state_dict() for shard in self.shards],
             "mission_index": self._mission_index,
             "last_breakdown": [m.state_dict() for m in self._last_breakdown],
-            "completed": [m.state_dict() for m in self._stats.completed],
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore every shard in place plus the aggregated mission log."""
+        """Restore every shard in place plus the window cursor (a
+        ``completed`` log in an older snapshot is ignored)."""
         if int(state["n_shards"]) != self.n_shards:
             raise TreeStateError(
                 f"shard-count mismatch: snapshot has {state['n_shards']} "
@@ -449,7 +334,4 @@ class ShardedStore(ScalarReads):
         self._mission_index = int(state["mission_index"])
         self._last_breakdown = [
             MissionStats.from_state_dict(m) for m in state["last_breakdown"]
-        ]
-        self._stats.completed = [
-            MissionStats.from_state_dict(m) for m in state["completed"]
         ]

@@ -6,9 +6,9 @@ buffered as tombstones so they can shadow older on-disk versions.
 
 Batch lookups run against a **lazily-built sorted view** of the buffer
 (parallel key/value arrays sorted by key). The view is built at most once
-per write generation: any mutation (:meth:`MemTable.put`,
-:meth:`MemTable.delete`, :meth:`MemTable.put_batch`, :meth:`MemTable.clear`,
-:meth:`MemTable.load_state_dict`) invalidates it, and the next batch read
+per write generation: any mutation (:meth:`MemTable.put_batch`,
+:meth:`MemTable.clear`, :meth:`MemTable.load_state_dict`) invalidates it,
+and the next batch read
 rebuilds it. Read-heavy phases therefore pay the ``O(M log M)`` sort once
 instead of on every ``get_batch``, and :meth:`MemTable.drain_sorted` reuses
 a still-valid view instead of re-sorting at flush time.
@@ -21,7 +21,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.lsm.entry import TOMBSTONE, validate_value
 
 
 class MemTable:
@@ -53,29 +52,21 @@ class MemTable:
     def is_full(self) -> bool:
         return len(self._entries) >= self._capacity
 
-    def put(self, key: int, value: int) -> None:
-        """Insert or overwrite ``key``. Overwrites do not consume capacity."""
-        self._entries[int(key)] = validate_value(value)
-        self._sorted_view = None
-
-    def delete(self, key: int) -> None:
-        """Buffer a tombstone for ``key``."""
-        self._entries[int(key)] = TOMBSTONE
-        self._sorted_view = None
-
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> int:
         """Bulk-insert a prefix of ``keys``/``values``; returns its length.
 
-        Inserts stop (and the consumed count is returned) as soon as the
-        buffer reaches capacity, so callers flush and re-offer the rest —
-        exactly the flush boundaries a per-key :meth:`put` loop would hit.
+        The one write entry: a delete is a write of ``TOMBSTONE``, and an
+        overwrite does not consume capacity. Inserts stop (and the consumed
+        count is returned) as soon as the buffer reaches capacity, so
+        callers flush and re-offer the rest — exactly the flush boundaries
+        a per-key insert loop would hit.
         A prefix that provably cannot fill the buffer (shorter than the
         free-slot count even if every key is new) is applied as one dict
         update with no per-key bookkeeping; only the last key(s) before a
         flush fall back to per-key inserts, because with duplicate keys in
         play the exact fill point is only observable one insert at a time.
-        Values are NOT validated here; vectorized callers
-        (``LSMTree.put_batch``) validate the whole batch up front.
+        Values are NOT validated here; ``LSMTree.put_batch`` validates
+        the whole batch up front.
         """
         self._sorted_view = None
         n = len(keys)

@@ -1,6 +1,6 @@
 """The vectorized batch range-scan path.
 
-Range counterpart of :mod:`repro.lsm.readpath`: a per-op scan walks every
+Range counterpart of :meth:`LSMTree.get_batch`: a per-op scan walks every
 run with its own pair of scalar ``searchsorted`` calls and runs one
 ``merge_sorted_sources`` per range. :func:`scan_batch` does the same work
 for a whole batch of R ranges over a *sequence of key-disjoint trees* (one
@@ -52,10 +52,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.lsm.entry import TOMBSTONE
-from repro.lsm.readpath import perf_counter
 
-#: Profiler stage names added to :data:`repro.lsm.readpath.STAGES` for the
-#: batch range path, in pipeline order.
+#: Stage names :func:`scan_batch` laps on the caller's span, in pipeline order.
 RANGE_STAGES = ("range_search", "range_charge", "range_gather", "range_merge")
 
 BatchResult = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -128,7 +126,9 @@ def merge_tagged_segments(
     return keys[alive], values[alive], offsets
 
 
-def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray) -> BatchResult:
+def scan_batch(
+    trees: Sequence, los: np.ndarray, his: np.ndarray, span=None
+) -> BatchResult:
     """Scan R ranges over every tree of ``trees`` (key-disjoint: one tree,
     or the shards of a hash-partitioned store): charges each tree every
     probe and I/O cost (bit-identically to R per-op scans of that tree,
@@ -139,24 +139,13 @@ def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray) -> BatchResult
     entries are ``keys[offsets[i]:offsets[i + 1]]``, sorted by key.
 
     Callers must validate ``los``/``his``; ranges are inclusive on both
-    ends and every ``los[i] <= his[i]``.
+    ends and every ``los[i] <= his[i]``. ``span`` is the caller's open
+    trace span (``None`` untraced): each of :data:`RANGE_STAGES` the call
+    reaches is lapped on it once.
     """
     n_ranges = len(los)
     if n_ranges == 0:
         return empty_batch_result(0)
-    profilers = {tree.read_profiler for tree in trees} - {None}
-    for prof in profilers:
-        prof.note_range_batch(n_ranges)
-    t0 = perf_counter() if profilers else 0.0
-
-    def lap(stage: str) -> None:
-        nonlocal t0
-        if profilers:
-            now = perf_counter()
-            for prof in profilers:
-                prof.add(stage, now - t0)
-            t0 = now
-
     # --- search: one searchsorted pair per source, bounds stacked ---
     # Sources in charge/precedence order: tree by tree, deepest level
     # first, runs oldest -> newest within a level, memtable last (newest,
@@ -200,7 +189,8 @@ def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray) -> BatchResult
     epp = np.array(page_sizes)[:, None]
     pages = np.where(lengths > 0, (stops - 1) // epp - starts // epp + 1, 0)
     page_rows = pages.T.tolist()
-    lap("range_search")
+    if span is not None:
+        span.lap("range_search")
 
     # --- charge: replay the reference cost sequence, range-major ---
     # probe_cpu(1) returns 1 * run_probe_cpu_s == the constant itself, and
@@ -236,7 +226,8 @@ def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray) -> BatchResult
         tree.clock.advance_to(now)
         stats.set_read_totals(level_nos, total, level_totals, window, window_levels)
         tree.disk.counters.seq_reads += seq_pages
-    lap("range_charge")
+    if span is not None:
+        span.lap("range_charge")
 
     # --- gather: one fancy-index per non-empty source, tagged by range ---
     # The in-source index of every gathered entry comes from one
@@ -244,7 +235,6 @@ def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray) -> BatchResult
     # it is the slice its row total delimits.
     cuts = [0] + np.cumsum(lengths.sum(axis=1)).tolist()
     if not cuts[-1]:
-        lap("range_gather")
         return empty_batch_result(n_ranges)
     flat_lengths = lengths.ravel()
     idx = multi_arange(starts.ravel(), flat_lengths)
@@ -254,9 +244,11 @@ def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray) -> BatchResult
     slices = [idx[a:b] for a, b in zip(cuts, cuts[1:])]
     keys = np.concatenate([k[i] for k, i in zip(key_arrays, slices) if len(i)])
     values = np.concatenate([v[i] for v, i in zip(value_arrays, slices) if len(i)])
-    lap("range_gather")
+    if span is not None:
+        span.lap("range_gather")
 
     # --- merge: one (range_id, key) lexsort for the whole batch ---
     result = merge_tagged_segments(rids, keys, values, n_ranges)
-    lap("range_merge")
+    if span is not None:
+        span.lap("range_merge")
     return result

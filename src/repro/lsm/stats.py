@@ -16,7 +16,7 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SnapshotError
 from repro.storage.pager import IOCounters
@@ -124,13 +124,67 @@ class MissionStats:
         )
 
 
+def sum_level_maps(maps: Iterable[Dict[int, float]]) -> Dict[int, float]:
+    """Per-level sum of level → seconds maps, accumulated in ``maps`` order
+    (float addition is order-dependent; every aggregate uses this one)."""
+    merged: Dict[int, float] = {}
+    for one in maps:
+        for level_no, seconds in one.items():
+            merged[level_no] = merged.get(level_no, 0.0) + seconds
+    return merged
+
+
+@dataclass(frozen=True)
+class EngineView:
+    """One immutable reading of an engine's cumulative simulated state.
+
+    Every engine builds it (``engine.view()``); field names are the names
+    of the read-only accessors, so a view stands in wherever one of them
+    — or the ``stats`` totals — is read. ``+`` is the cross-shard
+    aggregation rule (DESIGN.md §4) and is associative: times, counts and
+    counters sum, level maps sum per level, ``n_levels`` is the deepest
+    shard's, and the per-target tuples concatenate. Two engines that must
+    be sim-identical compare with one ``==``.
+    """
+
+    clock_now: float
+    total_read_time: float
+    total_write_time: float
+    level_read_time: Dict[int, float]
+    level_write_time: Dict[int, float]
+    total_lookups: int
+    total_updates: int
+    total_ranges: int
+    io_counters: IOCounters
+    cache_hits: int
+    cache_misses: int
+    total_entries: int
+    n_levels: int
+    n_runs: int
+    windows_closed: int
+    #: One entry per tuning target, in ``tuning_targets()`` order.
+    policies: Tuple[Tuple[int, ...], ...]
+    named_policy: Tuple[Optional[str], ...]
+
+    def __add__(self, other: "EngineView") -> "EngineView":
+        merged = {}
+        for name in self.__dataclass_fields__:
+            a, b = getattr(self, name), getattr(other, name)
+            # Numbers, counters and tuples add; level maps add per level.
+            merged[name] = sum_level_maps((a, b)) if isinstance(a, dict) else a + b
+        merged["n_levels"] = max(self.n_levels, other.n_levels)
+        return EngineView(**merged)
+
+
 class StatsCollector:
     """Attributes simulated costs to levels and mission windows."""
 
     def __init__(self) -> None:
-        self._mission_index = 0
+        self.windows_closed = 0
         self._current: Optional[MissionStats] = None
-        self.completed: List[MissionStats] = []
+        #: The last closed window; the full log belongs to whoever consumes
+        #: it (``RusKey.mission_log``, ``KVServer.windows``).
+        self.last_mission: Optional[MissionStats] = None
         # Cumulative, across all missions.
         self.total_read_time = 0.0
         self.total_write_time = 0.0
@@ -164,7 +218,7 @@ class StatsCollector:
         """
         if self._current is not None:
             raise RuntimeError("a mission is already in progress")
-        self._current = MissionStats(index=self._mission_index)
+        self._current = MissionStats(index=self.windows_closed)
         self._io_snapshot = io.snapshot()
         self._clock_snapshot = clock_now
         self._cache_snapshot = (int(cache_hits), int(cache_misses))
@@ -185,8 +239,8 @@ class StatsCollector:
         mission.sim_duration = clock_now - self._clock_snapshot
         mission.cache_hits = int(cache_hits) - self._cache_snapshot[0]
         mission.cache_misses = int(cache_misses) - self._cache_snapshot[1]
-        self.completed.append(mission)
-        self._mission_index += 1
+        self.last_mission = mission
+        self.windows_closed += 1
         self._current = None
         self._io_snapshot = None
         return mission
@@ -271,28 +325,6 @@ class StatsCollector:
             self._current.n_ranges += n
 
     # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    @property
-    def total_time(self) -> float:
-        return self.total_read_time + self.total_write_time
-
-    @property
-    def total_operations(self) -> int:
-        return self.total_lookups + self.total_updates + self.total_ranges
-
-    def level_time(self, level_no: int) -> float:
-        return self.level_read_time.get(level_no, 0.0) + self.level_write_time.get(
-            level_no, 0.0
-        )
-
-    def recent_missions(self, n: int) -> List[MissionStats]:
-        """The last ``n`` completed missions (fewer if not yet available)."""
-        if n <= 0:
-            return []
-        return self.completed[-n:]
-
-    # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
@@ -308,8 +340,8 @@ class StatsCollector:
                 "close the window first"
             )
         return {
-            "mission_index": self._mission_index,
-            "completed": [m.state_dict() for m in self.completed],
+            "mission_index": self.windows_closed,
+            "last_mission": self.last_mission and self.last_mission.state_dict(),
             "total_read_time": self.total_read_time,
             "total_write_time": self.total_write_time,
             "total_lookups": self.total_lookups,
@@ -322,14 +354,15 @@ class StatsCollector:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore the collector in place (aggregated views keep their
         reference to this object)."""
-        self._mission_index = int(state["mission_index"])
+        self.windows_closed = int(state["mission_index"])
         self._current = None
         self._io_snapshot = None
         self._clock_snapshot = 0.0
         self._cache_snapshot = (0, 0)
-        self.completed = [
-            MissionStats.from_state_dict(m) for m in state["completed"]
-        ]
+        # Snapshots written before the collector stopped keeping every
+        # window carry a ``completed`` list; its tail is the last window.
+        last = state.get("last_mission") or (state.get("completed") or [None])[-1]
+        self.last_mission = None if last is None else MissionStats.from_state_dict(last)
         self.total_read_time = float(state["total_read_time"])
         self.total_write_time = float(state["total_write_time"])
         self.total_lookups = int(state["total_lookups"])

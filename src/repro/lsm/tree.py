@@ -27,19 +27,13 @@ import numpy as np
 from repro.bloom.allocation import allocate_fprs
 from repro.config import SystemConfig, TransitionKind
 from repro.errors import PolicyError, SnapshotError, TreeStateError
-from repro.lsm.entry import (
-    TOMBSTONE,
-    merge_sorted_sources,
-    validate_batch,
-    validate_value,
-)
+from repro.lsm.entry import TOMBSTONE, merge_sorted_sources, validate_batch
 from repro.lsm.level import Level
 from repro.lsm.memtable import MemTable
 from repro.lsm.policy import CompactionPolicy, PolicyLike, resolve_policy
 from repro.lsm.rangepath import scan_batch, validate_ranges
-from repro.lsm.readpath import ReadPathProfiler, perf_counter
 from repro.lsm.run import SortedRun
-from repro.lsm.stats import MissionStats, StatsCollector
+from repro.lsm.stats import EngineView, MissionStats, StatsCollector
 from repro.storage.cache import LRUBlockCache
 from repro.storage.clock import SimClock
 from repro.storage.pager import DiskModel, IOCounters
@@ -48,17 +42,32 @@ _NO_SPAN = nullcontext()  # stateless and reentrant: one instance serves all
 
 
 def open_span(tracer, name: str, **attrs):
-    """``tracer.span(name, **attrs)``, or a shared no-op context while no
-    tracer is attached — so every traced entry point (tree, sharded store,
-    server) has a single body either way."""
+    """``tracer.span(name, **attrs)``, or a shared no-op context yielding
+    ``None`` while no tracer is attached — so every traced entry point
+    (tree, sharded store, server) has a single body either way, and a stage
+    boundary inside it is ``if span is not None: span.lap("stage")``: the
+    host clock is read in :mod:`repro.obs.trace`, never here."""
     return _NO_SPAN if tracer is None else tracer.span(name, **attrs)
 
 
-class ScalarReads:
-    """Scalar ``get`` / ``range_lookup`` as one-element calls of the host
-    class's ``get_batch`` / ``range_scan_batch`` — the single definition
-    every engine (tree, sharded store, facade) inherits, so a scalar read
-    counts, charges and validates exactly as its batch twin does."""
+class DerivedMembers:
+    """What follows from the primitive surface
+    (:class:`~repro.engine.base.KVEngine`), defined once for tree, sharded
+    store and facade. Scalar ops are one-element calls of the host's batch
+    methods, so each counts, charges, validates — and on a durable engine
+    journals — exactly as its batch twin; the accessors read the host's
+    ``view()`` (the tree overrides them with the direct reads its view is
+    built from)."""
+
+    def put(self, key: int, value: int) -> None:
+        """Insert or overwrite one entry."""
+        self.put_batch(
+            np.array([key], dtype=np.int64), np.array([value], dtype=np.int64)
+        )
+
+    def delete(self, key: int) -> None:
+        """Delete one key (a tombstone write)."""
+        self.delete_batch(np.array([key], dtype=np.int64))
 
     def get(self, key: int) -> Optional[int]:
         """Latest value for ``key``, or ``None`` if absent or deleted."""
@@ -73,25 +82,46 @@ class ScalarReads:
         )
         return list(zip(keys.tolist(), values.tolist()))
 
+    @property
+    def clock_now(self) -> float:
+        """Total simulated seconds consumed so far."""
+        return self.view().clock_now
 
-class LSMTree(ScalarReads):
+    @property
+    def io_counters(self) -> IOCounters:
+        """Cumulative page-level I/O counters of the simulated device."""
+        return self.view().io_counters
+
+    @property
+    def cache_hits(self) -> int:
+        """Cumulative block-cache hits."""
+        return self.view().cache_hits
+
+    @property
+    def cache_misses(self) -> int:
+        """Cumulative block-cache misses."""
+        return self.view().cache_misses
+
+    @property
+    def total_entries(self) -> int:
+        """Number of stored entries, including buffered ones."""
+        return self.view().total_entries
+
+
+class LSMTree(DerivedMembers):
     """A simulated LSM-tree key-value store with per-level policies."""
 
-    # Injected observers (profiler / tracer) are wiring owned by the
-    # embedding layer and re-attached after load, never snapshotted.
-    _snapshot_exempt = frozenset({"read_profiler", "tracer"})
+    # The tracer is wiring owned by the embedding layer and re-attached
+    # after load, never snapshotted.
+    _snapshot_exempt = frozenset({"tracer"})
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        #: Per-stage wall timers for the batch read path; assign a
-        #: :class:`ReadPathProfiler` to turn profiling on. Host-clock
-        #: instrumentation only — simulated results are identical with
-        #: profiling on or off (see :mod:`repro.lsm.readpath`).
-        self.read_profiler: Optional[ReadPathProfiler] = None
-        #: Optional :class:`repro.obs.trace.Tracer` wrapping the batch
-        #: entry points in wall-clock spans (attach via :meth:`set_tracer`).
-        #: Same contract as the profiler: host-clock only, zero simulated
-        #: impact, one ``is None`` test per batch when disabled.
+        #: Optional :class:`repro.obs.trace.Tracer` — the tree's one
+        #: observer (attach via :meth:`set_tracer`): the batch entry points
+        #: open a wall-clock span and lap their stages on it. Host-clock
+        #: only, zero simulated impact, one ``is None`` test per stage
+        #: boundary when detached.
         self.tracer = None
         self.clock = SimClock()
         self.stats = StatsCollector()
@@ -114,8 +144,7 @@ class LSMTree(ScalarReads):
 
     def set_tracer(self, tracer) -> None:
         """Attach (or detach with ``None``) a span tracer to the batch
-        read/write entry points. ``ReadPathProfiler`` stage timers, when
-        profiling is on, are absorbed as synthetic child spans."""
+        read/write entry points."""
         self.tracer = tracer
 
     # ------------------------------------------------------------------
@@ -135,23 +164,6 @@ class LSMTree(ScalarReads):
 
     def _flush_completed(self) -> None:
         """A memtable flush, including its compaction cascade, finished."""
-
-    def _profile_snapshot(self) -> Optional[Dict[str, float]]:
-        """Per-stage profiler totals before a traced call (None when
-        profiling is off)."""
-        prof = self.read_profiler
-        return None if prof is None else dict(prof.seconds)
-
-    def _absorb_profile(self, tracer, span, before) -> None:
-        """Emit each profiler stage's delta across the traced call as a
-        synthetic ``stage.<name>`` child span."""
-        prof = self.read_profiler
-        if prof is None or before is None:
-            return
-        for stage, total in prof.seconds.items():
-            delta = total - before[stage]
-            if delta > 0.0:
-                tracer.add_child(span, f"stage.{stage}", delta)
 
     # ------------------------------------------------------------------
     # Structure management
@@ -285,36 +297,38 @@ class LSMTree(ScalarReads):
     # ------------------------------------------------------------------
     # Public write path
     # ------------------------------------------------------------------
-    def put(self, key: int, value: int) -> None:
-        """Insert or overwrite a key-value entry."""
-        validate_value(value)
-        self.stats.count_update()
-        self.memtable.put(key, value)
-        if self.memtable.is_full:
-            self._flush()
-
-    def delete(self, key: int) -> None:
-        """Delete a key (by writing a tombstone)."""
-        self.stats.count_update()
-        self.memtable.delete(key)
-        if self.memtable.is_full:
-            self._flush()
-
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Vectorized insert of many entries, in order.
 
-        Semantically identical to ``for k, v in zip(keys, values): put(k, v)``
-        — same newest-wins overwrites, same flush boundaries, same cost
-        charging — but validation is vectorized and the memtable is filled
-        by bulk inserts with one flush check per (remaining) batch instead
-        of per key.
+        Semantically identical to a per-key insert loop — same newest-wins
+        overwrites, same flush boundaries, same cost charging (the loop
+        lives test-side, ``tests/reference_put.py``) — but validation is
+        vectorized and the memtable is filled by bulk inserts with one
+        flush check per (remaining) batch instead of per key.
         """
         keys, values = validate_batch(keys, values)
+        self._write_batch("lsm.put_batch", keys, values)
+
+    def delete_batch(self, keys: np.ndarray) -> None:
+        """Vectorized delete of many keys, in order: below the validation
+        boundary a delete is a write of ``TOMBSTONE``, so it shares
+        :meth:`put_batch`'s flush boundaries and cost charging exactly."""
+        keys = np.asarray(keys, dtype=np.int64)
+        self._write_batch(
+            "lsm.delete_batch", keys, np.full(len(keys), TOMBSTONE, dtype=np.int64)
+        )
+
+    # perfbench patches ``vars(LSMTree)["delete"]``: the derived scalar has
+    # to be found in this class's own body, not only inherited.
+    delete = DerivedMembers.delete
+
+    def _write_batch(self, span_name: str, keys: np.ndarray, values: np.ndarray) -> None:
+        """The one write body: count, bulk-insert, flush at every fill."""
         n = len(keys)
         if n == 0:
             return
         self.stats.count_update(n)
-        with open_span(self.tracer, "lsm.put_batch", n_keys=n):
+        with open_span(self.tracer, span_name, n_keys=n):
             start = 0
             while start < n:
                 start += self.memtable.put_batch(keys[start:], values[start:])
@@ -468,31 +482,24 @@ class LSMTree(ScalarReads):
         keys = np.asarray(keys, dtype=np.int64)
         n = len(keys)
         self.stats.count_lookup(n)
-        tracer = self.tracer
-        before = None if tracer is None else self._profile_snapshot()
-        with open_span(tracer, "lsm.get_batch", n_keys=n) as span:
-            prof = self.read_profiler
-            if prof is not None:
-                prof.note_batch(n)
-                t0 = perf_counter()
+        with open_span(self.tracer, "lsm.get_batch", n_keys=n) as span:
             resolved, buffered_values = self.memtable.get_batch(keys)
             found = resolved & (buffered_values != TOMBSTONE)
             values = np.where(found, buffered_values, 0)
-            if prof is not None:
-                prof.add("memtable", perf_counter() - t0)
+            if span is not None:
+                span.lap("memtable")
             # Memtable fast path: a fully buffered batch probes no level.
             if not resolved.all():
                 pending = (~resolved).nonzero()[0]
                 for level in self.levels:
                     pending = self._level_lookup_batch(
-                        level, keys, pending, found, values, prof
+                        level, keys, pending, found, values, span
                     )
                     if len(pending) == 0:
                         # Read-hot fast path: shallow levels covered the
                         # batch; deeper levels are never touched (and
                         # never charged).
                         break
-            self._absorb_profile(tracer, span, before)
         return found, values
 
     def _level_lookup_batch(
@@ -502,7 +509,7 @@ class LSMTree(ScalarReads):
         pending: np.ndarray,
         found: np.ndarray,
         values: np.ndarray,
-        prof: Optional[ReadPathProfiler],
+        span,
     ) -> np.ndarray:
         """Probe one level for ``keys[pending]``; returns the new pending set.
 
@@ -510,7 +517,10 @@ class LSMTree(ScalarReads):
         the sequential contract: each run is charged ``probe_cpu`` for the
         keys still pending when it is probed (newest run first) and one
         page read per Bloom positive, exactly as the run-at-a-time loop
-        would.
+        would. With a tracer attached the open ``span`` is lapped at each
+        stage boundary — ``search`` (index probe, selection, page math,
+        pending-set upkeep), ``bloom`` (filter draws), ``cache`` (block
+        cache + device charging).
         """
         runs = level.runs
         if not runs:
@@ -524,12 +534,8 @@ class LSMTree(ScalarReads):
         # pending key, which run resolves it (rank 0 = newest) — or the
         # sentinel n_runs when the level misses. Membership for the Bloom
         # draw, hit values and fence-pointer pages all derive from it.
-        if prof is not None:
-            t0 = perf_counter()
         index = level.lookup_index()
         rank, slot = index.newest_ranks(pk)
-        if prof is not None:
-            prof.add("search", perf_counter() - t0)
         n_runs = len(runs)
         for j in range(n_runs):
             # ``sel`` holds the pending-array indices probed at this run
@@ -553,27 +559,24 @@ class LSMTree(ScalarReads):
             run = runs[n_runs - 1 - j]  # newest first
             probe_cost = disk.probe_cpu(n_j)
             stats.add_read(level_no, probe_cost)
-            if prof is not None:
-                t0 = perf_counter()
+            if span is not None:
+                span.lap("search")
             positives = run.bloom_positive_batch(probed, present=present_j)
-            if prof is not None:
-                prof.add("bloom", perf_counter() - t0)
+            if span is not None:
+                span.lap("bloom")
             pos_idx = positives.nonzero()[0] if sel is None else sel[positives]
             if len(pos_idx) == 0:
                 continue
-            if prof is not None:
-                t0 = perf_counter()
             hit = present_j[positives]
             pages = (
                 index.run_positions(run, pk, slot, pos_idx, hit)
                 // run.entries_per_page
             )
-            if prof is not None:
-                prof.add("search", perf_counter() - t0)
-                t0 = perf_counter()
+            if span is not None:
+                span.lap("search")
             io_cost = disk.random_read_batch(run.run_id, pages)
-            if prof is not None:
-                prof.add("cache", perf_counter() - t0)
+            if span is not None:
+                span.lap("cache")
             stats.add_read(level_no, io_cost)
             if hit.any():
                 hit_sel = pos_idx[hit]
@@ -584,7 +587,10 @@ class LSMTree(ScalarReads):
                 values[hit_idx] = np.where(real, hit_values, 0)
         # Keys the level does not hold anywhere stay pending; everything
         # else was resolved by its newest containing run above.
-        return pending[rank == n_runs]
+        pending = pending[rank == n_runs]
+        if span is not None:
+            span.lap("search")
+        return pending
 
     def range_scan_batch(
         self, los: np.ndarray, his: np.ndarray
@@ -604,12 +610,8 @@ class LSMTree(ScalarReads):
         """
         los, his = validate_ranges(los, his)
         self.stats.count_range(len(los))
-        tracer = self.tracer
-        before = None if tracer is None else self._profile_snapshot()
-        with open_span(tracer, "lsm.range_scan_batch", n_ranges=len(los)) as span:
-            result = scan_batch((self,), los, his)
-            self._absorb_profile(tracer, span, before)
-        return result
+        with open_span(self.tracer, "lsm.range_scan_batch", n_ranges=len(los)) as span:
+            return scan_batch((self,), los, his, span)
 
     # ------------------------------------------------------------------
     # Policy control
@@ -707,10 +709,29 @@ class LSMTree(ScalarReads):
         """Cumulative block-cache misses."""
         return self.cache.misses
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Cumulative block-cache hit fraction (0.0 with no traffic)."""
-        return self.cache.hit_rate
+    def view(self) -> EngineView:
+        """An immutable reading of every cumulative simulated observable
+        (see :class:`~repro.lsm.stats.EngineView`)."""
+        stats = self.stats
+        return EngineView(
+            clock_now=self.clock.now,
+            total_read_time=stats.total_read_time,
+            total_write_time=stats.total_write_time,
+            level_read_time=dict(stats.level_read_time),
+            level_write_time=dict(stats.level_write_time),
+            total_lookups=stats.total_lookups,
+            total_updates=stats.total_updates,
+            total_ranges=stats.total_ranges,
+            io_counters=self.disk.counters.snapshot(),
+            cache_hits=self.cache.hits,
+            cache_misses=self.cache.misses,
+            total_entries=self.total_entries,
+            n_levels=len(self.levels),
+            n_runs=sum(level.n_runs for level in self.levels),
+            windows_closed=stats.windows_closed,
+            policies=(tuple(self.policies()),),
+            named_policy=(self.named_policy(),),
+        )
 
     def _cache_counters(self) -> Tuple[int, int]:
         """Cache counters for mission windows.
@@ -742,7 +763,8 @@ class LSMTree(ScalarReads):
 
     def last_mission_breakdown(self) -> "List[MissionStats]":
         """Per-target stats of the last completed mission."""
-        return self.stats.completed[-1:]
+        last = self.stats.last_mission
+        return [] if last is None else [last]
 
     # ------------------------------------------------------------------
     # Bulk loading
@@ -762,8 +784,7 @@ class LSMTree(ScalarReads):
         """
         if self.total_entries:
             raise TreeStateError("bulk_load requires an empty tree")
-        keys = np.asarray(keys, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
+        keys, values = validate_batch(keys, values)
         keys, values = merge_sorted_sources([keys], [values])
         n = len(keys)
         if n == 0:

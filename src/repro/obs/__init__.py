@@ -6,9 +6,9 @@ Three layers, one contract (DESIGN.md §12):
   with associative cross-shard merge and Prometheus-text + JSON
   exposition (``MetricsRegistry.render()``);
 * :mod:`repro.obs.trace` — nested wall-clock spans through
-  ``KVServer._serve_batch`` → ``ShardedStore`` → ``LSMTree``, absorbing
-  ``ReadPathProfiler`` stage timers as child spans, with deterministic
-  sampling and JSONL export;
+  ``KVServer._serve_batch`` → ``ShardedStore`` → ``LSMTree``, each batch
+  span lapped per pipeline stage, with deterministic sampling and JSONL
+  export;
 * :mod:`repro.obs.audit` — structured audit log of every RL tuning
   decision (arm, ε, reward, detector restarts), replayable into a
   per-mission decision timeline.
@@ -17,7 +17,7 @@ The contract: telemetry observes the host wall clock only. It never
 charges the simulated clock, never draws from the Bloom RNG stream and
 never touches engine counters — instrumented-on and instrumented-off
 runs are bit-identical in every simulated observable, and disabled
-instrumentation costs one ``is None`` test per batch.
+instrumentation costs one ``is None`` test per stage boundary.
 
 ``python -m repro.obs`` renders the registry view of a live demo run or
 of any ``repro.persist`` snapshot file.
@@ -45,7 +45,7 @@ from repro.obs.metrics import (
     parse_prometheus_text,
     registry_from_payload,
 )
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Span, Tracer, stage_totals
 
 __all__ = [
     "AuditEvent",
@@ -57,6 +57,7 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
+    "stage_totals",
     "collect_durable_metrics",
     "collect_engine_metrics",
     "collect_server_metrics",

@@ -26,8 +26,8 @@ def collect_engine_metrics(
     engine, registry: Optional[MetricsRegistry] = None
 ) -> MetricsRegistry:
     """Registry view of any :class:`~repro.engine.base.KVEngine` — one
-    series per shard (``tuning_targets`` order) and per level where
-    applicable."""
+    ``view()`` per shard (``tuning_targets`` order), one series per shard
+    and per level where applicable."""
     registry = registry if registry is not None else MetricsRegistry()
     clock = registry.counter(
         "repro_sim_clock_seconds",
@@ -79,34 +79,34 @@ def collect_engine_metrics(
     )
     for index, tree in enumerate(engine.tuning_targets()):
         shard = str(index)
-        clock.labels(shard=shard).inc(float(tree.clock_now))
-        stats = tree.stats
-        for level_no, seconds in sorted(stats.level_read_time.items()):
+        view = tree.view()
+        clock.labels(shard=shard).inc(float(view.clock_now))
+        for level_no, seconds in sorted(view.level_read_time.items()):
             level_time.labels(shard=shard, level=level_no, op="read").inc(
                 float(seconds)
             )
-        for level_no, seconds in sorted(stats.level_write_time.items()):
+        for level_no, seconds in sorted(view.level_write_time.items()):
             level_time.labels(shard=shard, level=level_no, op="write").inc(
                 float(seconds)
             )
-        io = tree.io_counters
+        io = view.io_counters
         io_pages.labels(shard=shard, op="random_read").inc(io.random_reads)
         io_pages.labels(shard=shard, op="random_write").inc(io.random_writes)
         io_pages.labels(shard=shard, op="seq_read").inc(io.seq_reads)
         io_pages.labels(shard=shard, op="seq_write").inc(io.seq_writes)
-        cache.labels(shard=shard, op="hit").inc(int(tree.cache_hits))
-        cache.labels(shard=shard, op="miss").inc(int(tree.cache_misses))
-        ops.labels(shard=shard, op="lookup").inc(stats.total_lookups)
-        ops.labels(shard=shard, op="update").inc(stats.total_updates)
-        ops.labels(shard=shard, op="range").inc(stats.total_ranges)
-        entries.labels(shard=shard).set(int(tree.total_entries))
-        levels.labels(shard=shard).set(tree.n_levels)
-        for level_no, k in enumerate(tree.policies(), start=1):
+        cache.labels(shard=shard, op="hit").inc(view.cache_hits)
+        cache.labels(shard=shard, op="miss").inc(view.cache_misses)
+        ops.labels(shard=shard, op="lookup").inc(view.total_lookups)
+        ops.labels(shard=shard, op="update").inc(view.total_updates)
+        ops.labels(shard=shard, op="range").inc(view.total_ranges)
+        entries.labels(shard=shard).set(view.total_entries)
+        levels.labels(shard=shard).set(view.n_levels)
+        for level_no, k in enumerate(view.policies[0], start=1):
             level_k.labels(shard=shard, level=level_no).set(int(k))
-        pinned = tree.named_policy()
+        pinned = view.named_policy[0]
         if pinned is not None:
             named.labels(shard=shard, policy=pinned).set(1)
-        missions.labels(shard=shard).inc(len(stats.completed))
+        missions.labels(shard=shard).inc(view.windows_closed)
     return registry
 
 

@@ -5,11 +5,14 @@ attributes — nested via a per-thread stack, so a serving batch produces a
 tree like::
 
     serve.batch
-    └── serve.get_batch
-        └── store.get_batch
-            └── lsm.get_batch
-                ├── stage.bloom      (absorbed from ReadPathProfiler)
-                └── stage.search
+    └── store.get_batch
+        └── lsm.get_batch      stages: memtable, search, bloom, cache
+
+A span that is open can be *lapped*: :meth:`Span.lap` charges the wall
+time since the span opened (or since its previous lap) to a named stage,
+so a batch entry point attributes its own duration to its pipeline stages
+without opening a context manager per stage. The clock is read here, never
+at the call site — simulated-path packages hold no host timer at all.
 
 Design constraints (the PR 6/7 invariant):
 
@@ -19,9 +22,9 @@ Design constraints (the PR 6/7 invariant):
   flip), and never touches engine counters — instrumented-on and
   instrumented-off runs are bit-identical in every simulated observable
   (``tests/test_obs.py`` checks this with a twin run).
-* **Near-zero cost when absent.** Instrumented call sites hold the tracer
-  in a local and skip everything on ``None`` — one attribute load and one
-  ``is None`` test per batch, the same idiom ``ReadPathProfiler`` uses.
+* **Near-zero cost when absent.** With no tracer attached
+  ``open_span`` yields ``None`` and every lap site is one ``is None``
+  test.
 
 Threading: the span stack is ``threading.local`` (each serving lane
 thread nests its own spans); finished *root* spans land in one bounded,
@@ -36,7 +39,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ObsError
 
@@ -45,23 +48,37 @@ DEFAULT_MAX_SPANS = 4096
 
 
 class Span:
-    """One named wall-clock interval with attributes and child spans."""
+    """One named wall-clock interval with attributes, child spans and
+    per-stage laps."""
 
-    __slots__ = ("name", "start", "end", "attrs", "children", "synthetic")
+    __slots__ = ("name", "start", "end", "attrs", "children", "stages", "_lap_from")
 
     def __init__(
         self,
         name: str,
         start: float,
         attrs: Optional[Dict[str, object]] = None,
-        synthetic: bool = False,
     ) -> None:
         self.name = name
         self.start = start
         self.end = start
         self.attrs: Dict[str, object] = attrs or {}
         self.children: List[Span] = []
-        self.synthetic = synthetic
+        #: stage name -> ``[seconds, laps]`` accumulated by :meth:`lap`.
+        self.stages: Dict[str, List[float]] = {}
+        self._lap_from = start
+
+    def lap(self, stage: str) -> None:
+        """Charge the wall time since the span opened, or since its
+        previous lap, to ``stage``."""
+        now = perf_counter()
+        cell = self.stages.get(stage)
+        if cell is None:
+            self.stages[stage] = [now - self._lap_from, 1]
+        else:
+            cell[0] += now - self._lap_from
+            cell[1] += 1
+        self._lap_from = now
 
     @property
     def duration(self) -> float:
@@ -78,8 +95,11 @@ class Span:
         }
         if self.attrs:
             record["attrs"] = dict(self.attrs)
-        if self.synthetic:
-            record["synthetic"] = True
+        if self.stages:
+            record["stages"] = {
+                stage: {"seconds": seconds, "calls": calls}
+                for stage, (seconds, calls) in self.stages.items()
+            }
         if self.children:
             record["children"] = [c.as_dict() for c in self.children]
         return record
@@ -89,6 +109,21 @@ class Span:
             f"Span({self.name!r}, {self.duration * 1e3:.3f}ms, "
             f"{len(self.children)} children)"
         )
+
+
+def stage_totals(spans: Iterable[Span]) -> Dict[str, List[float]]:
+    """``{stage: [seconds, laps]}`` summed over every span of the given
+    trees (roots and all their descendants)."""
+    totals: Dict[str, List[float]] = {}
+    pending = list(spans)
+    while pending:
+        span = pending.pop()
+        pending.extend(span.children)
+        for stage, (seconds, calls) in span.stages.items():
+            cell = totals.setdefault(stage, [0.0, 0])
+            cell[0] += seconds
+            cell[1] += calls
+    return totals
 
 
 class Tracer:
@@ -144,17 +179,6 @@ class Tracer:
             if index % self.sample_every == 0:
                 self._root_kept += 1
                 self._finished.append(root)
-
-    def add_child(
-        self, parent: Span, name: str, duration: float, **attrs: object
-    ) -> Span:
-        """Attach a synthetic child span of known ``duration`` — used to
-        absorb :class:`~repro.lsm.readpath.ReadPathProfiler` stage deltas
-        as children of the enclosing tree-level span."""
-        child = Span(name, parent.start, attrs or None, synthetic=True)
-        child.end = parent.start + max(0.0, float(duration))
-        parent.children.append(child)
-        return child
 
     # ------------------------------------------------------------------
     # Introspection / export

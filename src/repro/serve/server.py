@@ -21,14 +21,17 @@ Admission control is a bounded mailbox per lane, handed over in blocks
 (open-loop backpressure — the drop counter is the overload signal), while
 :meth:`KVServer.submit` blocks the producer (closed-loop backpressure). A
 batch that raises fails its requests (``Request.error``) and closes its
-lane; ``submit`` and ``stop`` report it, the other lanes serve on.
+lane; ``submit``, ``checkpoint`` and ``stop`` report it, the other lanes
+serve on.
 
 A background :class:`TuningLoop` closes a mission window per lane every
 ``window_ops`` completed requests, feeds the per-shard stats to the lane's
 tuner (e.g. :class:`~repro.core.lerp.Lerp`) and applies the resulting
 transition under the lane lock — model updates and structural transitions
-happen *while traffic flows* on the other lanes. Between windows the
-server can be checkpointed with :meth:`KVServer.checkpoint`.
+happen *while traffic flows* on the other lanes. A tuner that raises ends
+tuning, not serving: its lane's window reopens, every lane keeps its
+current policies, and ``checkpoint`` / ``stop`` report the cause. Between
+windows the server can be checkpointed with :meth:`KVServer.checkpoint`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from itertools import groupby
+from operator import attrgetter
+from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +61,9 @@ REQ_DELETE = 2
 REQ_RANGE = 3
 
 REQ_NAMES = {REQ_GET: "get", REQ_PUT: "put", REQ_DELETE: "delete", REQ_RANGE: "range"}
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_kind_of = attrgetter("kind")
 
 
 class Request:
@@ -95,16 +103,23 @@ class Request:
         if kind not in REQ_NAMES:
             raise ServeError(f"unknown request kind: {kind}")
         self.kind = kind
-        self.key = int(key)
-        self.value = int(value)
+        self.key = key = int(key)
+        self.value = value = int(value)
+        self.span = span = int(span)
+        # Rejected here, where outside input enters: raised later, in the
+        # lane worker's int64 conversion or put_batch, it would fail the
+        # whole lane.
+        last = key + span - 1 if kind == REQ_RANGE and span > 1 else key
+        if key < _INT64_MIN or last > _INT64_MAX or not _INT64_MIN <= value <= _INT64_MAX:
+            raise ServeError(
+                f"malformed request: key {key}, value {value} or range end "
+                f"{last} is outside int64"
+            )
         if kind == REQ_PUT:
-            # Rejected here, where outside input enters: raised later, in
-            # the lane worker's put_batch, it would fail the whole lane.
             try:
-                validate_value(self.value)
+                validate_value(value)
             except ValueError as exc:
                 raise ServeError(f"malformed put request: {exc}") from exc
-        self.span = int(span)
         self.tenant = tenant
         self.t_submit = 0.0
         self.t_done = 0.0
@@ -201,7 +216,6 @@ class _Lane:
         tree,
         queue_capacity: int,
         max_batch: int,
-        histogram_factory: Callable[[], LatencyHistogram],
     ) -> None:
         self.index = index
         self.tree = tree
@@ -209,7 +223,7 @@ class _Lane:
         self.max_batch = max_batch
         self.lock = threading.Lock()
         self.worker: Optional[threading.Thread] = None
-        self.histograms: Dict[str, LatencyHistogram] = defaultdict(histogram_factory)
+        self.histograms: Dict[str, LatencyHistogram] = defaultdict(LatencyHistogram)
         self.completed = 0
         # Running queue-depth statistics, sampled at every batch drain.
         self.depth_samples = 0
@@ -257,7 +271,6 @@ class KVServer:
         queue_capacity: int = 1024,
         max_batch: int = 512,
         window_ops: int = 0,
-        histogram_factory: Callable[[], LatencyHistogram] = LatencyHistogram,
         tracer=None,
     ) -> None:
         if queue_capacity < 1:
@@ -269,16 +282,16 @@ class KVServer:
         self.engine = engine
         #: Optional :class:`repro.obs.trace.Tracer`. When set, every served
         #: batch opens a ``serve.batch`` root span and the engine's own
-        #: batch spans (``store.*`` / ``lsm.*``, plus the read-path
-        #: profiler's synthetic ``stage.*`` children) nest beneath it via
-        #: the tracer's thread-local span stack. Host-wall-clock only —
+        #: batch spans (``store.*`` / ``lsm.*``, lapped per pipeline stage)
+        #: nest beneath it via the tracer's thread-local span stack.
+        #: Host-wall-clock only —
         #: simulated observables stay bit-identical (DESIGN.md §12).
         self.tracer = tracer
         if tracer is not None:
             engine.set_tracer(tracer)
         targets = list(engine.tuning_targets())
         self.lanes = [
-            _Lane(i, tree, queue_capacity, max_batch, histogram_factory)
+            _Lane(i, tree, queue_capacity, max_batch)
             for i, tree in enumerate(targets)
         ]
         self.n_lanes = len(self.lanes)
@@ -300,6 +313,8 @@ class KVServer:
         self._window_mutex = threading.Lock()
         self._running = False
         self._tuning_thread: Optional[threading.Thread] = None
+        #: What a tuner raised in the tuning loop (tuning has stopped).
+        self._tuning_error: Optional[BaseException] = None
         self._window_wake = threading.Event()
 
     # ------------------------------------------------------------------
@@ -310,6 +325,7 @@ class KVServer:
         if self._running:
             raise ServeError("server already running")
         self._running = True
+        self._tuning_error = None
         for lane in self.lanes:
             lane.queue.open()  # what a stop(drain=False) left is served first
             lane.tree.begin_mission()
@@ -330,7 +346,8 @@ class KVServer:
     def stop(self, drain: bool = True) -> None:
         """Stop serving; with ``drain`` everything admitted is served first,
         without it what is queued waits for the next ``start()``. The final
-        (partial) mission window is closed and recorded. Raises if a lane failed."""
+        (partial) mission window is closed and recorded. Raises if a lane
+        or the tuner failed."""
         if not self._running:
             return
         self._running = False
@@ -345,9 +362,15 @@ class KVServer:
             self._tuning_thread.join()
             self._tuning_thread = None
         self._close_window(tune=False)
+        self._raise_if_failed()
+
+    def _raise_if_failed(self) -> None:
+        """``ServeError`` chained to the first lane failure, else the tuner's."""
         for lane in self.lanes:
             if lane.queue.error is not None:
                 raise ServeError(f"lane {lane.index} failed") from lane.queue.error
+        if self._tuning_error is not None:
+            raise ServeError("tuning failed") from self._tuning_error
 
     def __enter__(self) -> "KVServer":
         return self.start()
@@ -379,26 +402,15 @@ class KVServer:
     # ------------------------------------------------------------------
     # Worker
     # ------------------------------------------------------------------
-    @staticmethod
-    def _flush_puts(tree, run: List[Request]) -> None:
-        """Apply a run of consecutive puts as one vectorized batch."""
-        if not run:
-            return
-        keys = np.fromiter((r.key for r in run), dtype=np.int64, count=len(run))
-        values = np.fromiter(
-            (r.value for r in run), dtype=np.int64, count=len(run)
-        )
-        tree.put_batch(keys, values)
-        run.clear()
-
     def _serve_batch(self, lane: _Lane, batch: List[Request]) -> None:
         """Serve one drained batch (under a ``serve.batch`` root span when
         a tracer is attached).
 
         Point requests run under the lane lock only. Within a batch, puts
-        and deletes are applied first (puts as one vectorized
-        ``put_batch``) and gets then resolved as one ``get_batch`` — the
-        same one-chunk reordering the offline :class:`MissionRunner` does.
+        and deletes are applied first (each run of consecutive same-kind
+        writes as one ``put_batch`` / ``delete_batch``) and gets then
+        resolved as one ``get_batch`` — the same one-chunk reordering the
+        offline :class:`MissionRunner` does.
         Range requests are *cross-shard* (hash partitioning does not
         preserve key order), so they run against the whole engine with
         every lane lock held — through
@@ -420,16 +432,15 @@ class KVServer:
             with lane.lock:
                 # Puts and deletes keep their relative submission order (a
                 # DELETE(k) → PUT(k, v) pair in one batch must leave v live):
-                # consecutive puts coalesce into one put_batch, deletes flush
-                # the run and go through the tombstone path individually.
-                run: List[Request] = []
-                for request in writes:
-                    if request.kind == REQ_PUT:
-                        run.append(request)
+                # each run of consecutive same-kind writes is one engine call.
+                for kind, group in groupby(writes, _kind_of):
+                    run = list(group)
+                    keys = np.fromiter((r.key for r in run), dtype=np.int64, count=len(run))
+                    if kind == REQ_DELETE:
+                        tree.delete_batch(keys)
                         continue
-                    self._flush_puts(tree, run)
-                    tree.delete(request.key)
-                self._flush_puts(tree, run)
+                    values = np.fromiter((r.value for r in run), dtype=np.int64, count=len(run))
+                    tree.put_batch(keys, values)
                 if reads:
                     keys = np.fromiter(
                         (r.key for r in reads), dtype=np.int64, count=len(reads)
@@ -513,15 +524,20 @@ class KVServer:
         """Close the current mission window on every lane (lane by lane,
         under the lane lock — other lanes keep serving), feed the tuners
         and open the next window. The window mutex keeps this and
-        :meth:`checkpoint` from interleaving window cuts."""
+        :meth:`checkpoint` from interleaving window cuts. A tuner that
+        raises is recorded and no tuner runs again; the window is still
+        cut on every lane and recorded."""
         with self._window_mutex:
             parts: List[MissionStats] = []
             policies: List[List[int]] = []
             for lane_index, lane in enumerate(self.lanes):
                 with lane.lock:
                     part = lane.tree.end_mission()
-                    if tune and self.tuners:
-                        self.tuners[lane_index].observe_mission(lane.tree, part)
+                    if tune and self.tuners and self._tuning_error is None:
+                        try:
+                            self.tuners[lane_index].observe_mission(lane.tree, part)
+                        except Exception as exc:
+                            self._tuning_error = exc
                     if tune:
                         lane.tree.begin_mission()
                     parts.append(part)
@@ -545,7 +561,10 @@ class KVServer:
         )
 
     def _tuning_loop(self) -> None:
-        while self._running:
+        """Cut a window whenever ``window_ops`` more requests completed,
+        until the server stops or a tuner fails (the lanes then serve on,
+        untuned, and ``stop`` / ``checkpoint`` raise the cause)."""
+        while self._running and self._tuning_error is None:
             self._window_wake.wait(timeout=0.05)
             self._window_wake.clear()
             if not self._running:
@@ -565,7 +584,8 @@ class KVServer:
         arriving; it queues while the snapshot is cut. Only a *running*
         server can be checkpointed this way (``stop()`` already closed
         the final window); snapshot a stopped server's engine directly
-        with :func:`repro.persist.save_engine`.
+        with :func:`repro.persist.save_engine`. Refused once a lane or the
+        tuner has failed: the engine is no longer in a state anyone chose.
         """
         from repro.persist import save_engine
 
@@ -574,6 +594,7 @@ class KVServer:
                 "checkpoint requires a running server; after stop() use "
                 "repro.persist.save_engine on the engine directly"
             )
+        self._raise_if_failed()
 
         # _window_mutex blocks a concurrent tuning-loop window cut while the
         # lanes are frozen in ascending order.

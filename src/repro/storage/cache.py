@@ -108,12 +108,6 @@ class LRUBlockCache:
         """Empty the cache without resetting hit/miss counters."""
         self._pages.clear()
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of accesses that hit, or 0.0 before any access."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------

@@ -52,6 +52,15 @@ class IOCounters:
             seq_writes=self.seq_writes,
         )
 
+    def __add__(self, other: "IOCounters") -> "IOCounters":
+        """Field-wise sum (how counters of independent shards aggregate)."""
+        return IOCounters(
+            random_reads=self.random_reads + other.random_reads,
+            random_writes=self.random_writes + other.random_writes,
+            seq_reads=self.seq_reads + other.seq_reads,
+            seq_writes=self.seq_writes + other.seq_writes,
+        )
+
     def diff(self, earlier: "IOCounters") -> "IOCounters":
         """Counters accumulated since ``earlier`` (an older snapshot)."""
         return IOCounters(

@@ -84,11 +84,10 @@ def test_sim_purity_good_fixture_is_silent(tmp_path):
     good = """\
         import numpy as np
 
-        from repro.lsm.readpath import perf_counter
 
-
-        def timed():
-            return perf_counter()
+        def timed(span):
+            if span is not None:
+                span.lap("bloom")
 
 
         def roll(seed):
@@ -104,18 +103,29 @@ def test_sim_purity_ignores_out_of_scope_modules(tmp_path):
     assert report.clean
 
 
-def test_sim_purity_allowlists_the_wall_timer_module(tmp_path):
-    source = """\
+def test_sim_purity_has_no_sanctioned_timer_and_no_excluded_file(tmp_path):
+    owner = """\
         import time
 
 
         def perf_counter():
             return time.perf_counter()
         """
+    user = """\
+        from repro.lsm.readpath import perf_counter
+
+
+        def timed():
+            return perf_counter()
+        """
     report = run_rules(
-        tmp_path, {"lsm/readpath.py": source}, rules=["SIM-PURITY"]
+        tmp_path,
+        {"lsm/readpath.py": owner, "lsm/hot.py": user},
+        rules=["SIM-PURITY"],
     )
-    assert report.clean
+    assert sorted(f.module for f in report.unsuppressed) == [
+        "lsm/hot.py", "lsm/readpath.py",
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,16 @@
 """Tests for repro.engine: the KVEngine protocol, the sharded store and the
 vectorized batch write path."""
 
+import contextlib
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_put import reference_delete, reference_put
+from test_readpath import DYADIC_COSTS, ENGINE_KINDS, make_engine
 
 from repro.config import SystemConfig, TransitionKind
 from repro.core.lerp import Lerp
@@ -12,7 +20,6 @@ from repro.core.tuners import StaticTuner
 from repro.engine import (
     KVEngine,
     ShardedStore,
-    merge_io_counters,
     merge_mission_stats,
     shard_of,
     shard_of_key,
@@ -47,6 +54,48 @@ def assert_mission_stats_equal(a, b, exact_times=True):
     else:
         assert a.io.total == pytest.approx(b.io.total, rel=0.05)
         assert a.total_time == pytest.approx(b.total_time, rel=0.05)
+
+
+def write_observables(engine):
+    """Everything a write may change: the view, the structure and, per
+    tree, memtable insertion order and the Bloom RNG state."""
+    trees = engine.tuning_targets()
+    return (
+        engine.view(),
+        [tree.describe() for tree in trees],
+        [list(tree.memtable._entries.items()) for tree in trees],
+        [tree._rng.bit_generator.state for tree in trees],
+    )
+
+
+@contextlib.contextmanager
+def write_twins(kind, config, data_dir):
+    """An engine of ``kind`` for the batch path and its twin for the
+    test-side per-key reference loop (``tests/reference_put.py``). A
+    durable store's twin is a bare tree: the reference writes skip the
+    WAL, and the store must be sim-identical to a bare tree anyway."""
+    batched = make_engine(kind, config, data_dir)
+    serial = make_engine("tree" if kind == "durable" else kind, config, None)
+    try:
+        yield batched, serial
+    finally:
+        if kind == "durable":
+            batched.close()
+
+
+def apply_write_stream(op, batched, serial, keys, values, chunk):
+    """``keys`` (and ``values`` for a put stream) through the batch path,
+    ``chunk`` at a time, and through the reference loop, key by key."""
+    if op == "put":
+        for start in range(0, len(keys), chunk):
+            batched.put_batch(keys[start : start + chunk], values[start : start + chunk])
+        for k, v in zip(keys.tolist(), values.tolist()):
+            reference_put(serial, k, v)
+    else:
+        for start in range(0, len(keys), chunk):
+            batched.delete_batch(keys[start : start + chunk])
+        for k in keys.tolist():
+            reference_delete(serial, k)
 
 
 class TestProtocol:
@@ -129,7 +178,7 @@ class TestPutBatch:
         values = np.arange(len(keys), dtype=np.int64)
         serial, batched = LSMTree(tiny_config), LSMTree(tiny_config)
         for k, v in zip(keys.tolist(), values.tolist()):
-            serial.put(k, v)
+            reference_put(serial, k, v)
         batched.put_batch(keys, values)
         assert serial.clock_now == batched.clock_now
         assert serial.io_counters == batched.io_counters
@@ -139,35 +188,49 @@ class TestPutBatch:
         _, bv = batched.get_batch(probe)
         assert (sv == bv).all()
 
-    def test_exactly_matches_per_key_puts(self, tiny_config, records):
+    @pytest.mark.parametrize("op", ("put", "delete"))
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_exactly_matches_per_key_puts(
+        self, tiny_config, records, tmp_path, kind, op
+    ):
+        """``put_batch`` / ``delete_batch`` ≡ the per-key reference loop in
+        every simulated observable, on every engine kind. The delete
+        stream runs over the ingested records: live keys, absent keys and
+        keys deleted twice."""
         keys, values = records
-        serial, batched = LSMTree(tiny_config), LSMTree(tiny_config)
-        for k, v in zip(keys.tolist(), values.tolist()):
-            serial.put(k, v)
-        for start in range(0, len(keys), 97):  # odd batch size crosses flushes
-            batched.put_batch(keys[start : start + 97], values[start : start + 97])
-        assert serial.clock_now == batched.clock_now
-        assert serial.io_counters == batched.io_counters
-        assert serial.describe() == batched.describe()
-        assert serial.stats.total_updates == batched.stats.total_updates
+        with write_twins(kind, tiny_config, str(tmp_path)) as (batched, serial):
+            if op == "delete":
+                for engine in (batched, serial):
+                    engine.put_batch(keys, values)
+                keys = np.concatenate([keys[::2], keys[::3] + 10**6, keys[::4]])
+            # An odd batch size crosses flush boundaries mid-batch.
+            apply_write_stream(op, batched, serial, keys, values, 97)
+            assert write_observables(serial) == write_observables(batched)
+            assert batched.view().total_updates >= len(keys)
 
-    def test_duplicate_heavy_stream_matches_per_key_puts(self, tiny_config, rng):
-        """Skewed update streams (many overwrites) must keep exact flush
-        boundaries through the batch path, across many flush cycles."""
+    @pytest.mark.parametrize("op", ("put", "delete"))
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_duplicate_heavy_stream_matches_per_key_puts(
+        self, tiny_config, rng, tmp_path, kind, op
+    ):
+        """Skewed write streams (many overwrites, or many re-deletes) must
+        keep exact flush boundaries through the batch path, across many
+        flush cycles."""
         keys = rng.integers(0, 120, size=6000).astype(np.int64)  # heavy dups
         values = rng.integers(0, 2**31, size=6000).astype(np.int64)
-        serial, batched = LSMTree(tiny_config), LSMTree(tiny_config)
-        for k, v in zip(keys.tolist(), values.tolist()):
-            serial.put(k, v)
-        for start in range(0, len(keys), 113):
-            batched.put_batch(keys[start : start + 113], values[start : start + 113])
-        assert serial.clock_now == batched.clock_now
-        assert serial.io_counters == batched.io_counters
-        assert serial.describe() == batched.describe()
-        probe = np.arange(120, dtype=np.int64)
-        _, sv = serial.get_batch(probe)
-        _, bv = batched.get_batch(probe)
-        assert (sv == bv).all()
+        with write_twins(kind, tiny_config, str(tmp_path)) as (batched, serial):
+            if op == "delete":
+                for engine in (batched, serial):
+                    engine.put_batch(keys, values)
+                keys = rng.integers(0, 160, size=6000).astype(np.int64)
+            apply_write_stream(op, batched, serial, keys, values, 113)
+            assert write_observables(serial) == write_observables(batched)
+            probe = np.arange(160, dtype=np.int64)
+            sf, sv = serial.get_batch(probe)
+            bf, bv = batched.get_batch(probe)
+            assert (sf == bf).all() and (sv == bv).all()
+            if op == "delete":  # 6000 draws over 160 keys hit every one
+                assert not bf.any()
 
     def test_batch_with_duplicate_keys(self, tiny_config):
         tree = LSMTree(tiny_config)
@@ -176,28 +239,37 @@ class TestPutBatch:
         tree.put_batch(keys, values)
         assert tree.get(5) == 3
 
-    def test_rejects_tombstone_values(self, tiny_config):
+    @pytest.mark.parametrize("method", ("put_batch", "bulk_load"))
+    def test_rejects_tombstone_values(self, tiny_config, method):
         tree = LSMTree(tiny_config)
-        with pytest.raises(ValueError):
-            tree.put_batch(
-                np.array([1], dtype=np.int64),
-                np.array([TOMBSTONE], dtype=np.int64),
-            )
-        with pytest.raises(ValueError):
-            tree.put_batch(np.arange(3, dtype=np.int64), np.arange(2, dtype=np.int64))
+        write = getattr(tree, method)
+        with pytest.raises(ValueError, match="tombstone sentinel"):
+            write(np.array([1, 2, 3]), np.array([10, TOMBSTONE, 30]))
+        with pytest.raises(ValueError, match="equal length"):
+            write(np.arange(3, dtype=np.int64), np.arange(2, dtype=np.int64))
+        assert tree.total_entries == 0 and tree.n_levels == 0
 
+    @pytest.mark.parametrize("method", ("put_batch", "bulk_load"))
     @pytest.mark.parametrize("n_shards", (1, 4))
-    def test_sharded_rejected_batch_applies_nothing(self, tiny_config, n_shards):
+    def test_sharded_rejected_batch_applies_nothing(
+        self, tiny_config, n_shards, method
+    ):
         store = ShardedStore(tiny_config, n_shards)
         keys = np.arange(40, dtype=np.int64)
         values = keys + 1
         # Poison the entry whose home shard is visited last.
         values[int(np.argmax(shard_of(keys, n_shards)))] = TOMBSTONE
         with pytest.raises(ValueError):
-            store.put_batch(keys, values)
+            getattr(store, method)(keys, values)
         assert store.total_entries == 0
         assert store.stats.total_updates == 0
         assert store.clock_now == 0.0
+        # A delete batch that cannot be converted is rejected whole, too.
+        store.put_batch(keys, keys)
+        before = store.view()
+        with pytest.raises(OverflowError):
+            store.delete_batch([1, 2, 2**63])
+        assert store.view() == before
 
     def test_empty_batch_is_noop(self, tiny_config):
         tree = LSMTree(tiny_config)
@@ -210,7 +282,7 @@ class TestPutBatch:
         serial = ShardedStore(tiny_config, 4)
         batched = ShardedStore(tiny_config, 4)
         for k, v in zip(keys.tolist(), values.tolist()):
-            serial.put(k, v)
+            reference_put(serial, k, v)
         batched.put_batch(keys, values)
         assert serial.clock_now == batched.clock_now
         assert serial.io_counters == batched.io_counters
@@ -337,7 +409,7 @@ class TestCrossShardCorrectness:
         sharded.get_batch(keys[:500])
         sharded.range_lookup(int(keys.min()), int(keys.min()) + 10_000)
         mission = sharded.end_mission()
-        collectors = sharded.stats.per_shard
+        collectors = [shard.stats for shard in sharded.shards]
         assert len(collectors) == 4
         # Totals are exact sums of the per-shard collectors.
         assert sharded.stats.total_lookups == sum(c.total_lookups for c in collectors)
@@ -360,8 +432,8 @@ class TestCrossShardCorrectness:
         assert mission.n_updates == len(keys)
         assert mission.n_ranges == 1
         # Aggregated I/O and clock views sum the shards too.
-        assert sharded.io_counters == merge_io_counters(
-            [s.io_counters for s in sharded.shards]
+        assert sharded.io_counters == reduce(
+            add, [s.io_counters for s in sharded.shards]
         )
         assert sharded.clock_now == sum(s.clock_now for s in sharded.shards)
 
@@ -416,7 +488,9 @@ class TestCrossShardCorrectness:
         assert all(s.policies()[0] == 4 for s in sharded.shards)
         sharded.check_invariants()
         assert sharded.policies() == sharded.shards[0].policies()
-        assert len(sharded.policies_per_shard()) == 4
+        assert sharded.view().policies == tuple(
+            tuple(s.policies()) for s in sharded.shards
+        )
 
     def test_bulk_load_requires_empty(self, tiny_config, records):
         keys, values = records
@@ -424,6 +498,68 @@ class TestCrossShardCorrectness:
         sharded.bulk_load(keys, values)
         with pytest.raises(TreeStateError):
             sharded.bulk_load(keys, values)
+
+
+class TestEngineView:
+    """``view()``: one immutable reading per engine, ``+`` across shards."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=300),
+        key_space=st.integers(min_value=1, max_value=900),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_fold_law(self, n, key_space, seed):
+        """A store's view is the left fold of its shards' views, ``+`` is
+        associative, and one shard reads exactly as the bare tree does.
+        Dyadic cost constants make every float sum exact, so regrouping
+        may demand bit equality."""
+        config = SystemConfig(
+            write_buffer_bytes=4 * 1024,
+            size_ratio=3,
+            block_cache_pages=16,
+            seed=11,
+            costs=DYADIC_COSTS,
+        )
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, key_space, size=n)
+        values = rng.integers(0, 10**6, size=n)
+        probes = rng.integers(0, key_space + 8, size=64)
+        los = rng.integers(0, key_space, size=8)
+        tree, one, four = LSMTree(config), ShardedStore(config, 1), ShardedStore(config, 4)
+        for engine in (tree, one, four):
+            engine.set_named_policy("tiering")
+            engine.begin_mission()
+            engine.put_batch(keys, values)
+            engine.delete_batch(keys[::7])
+            engine.get_batch(probes)
+            engine.range_scan_batch(los, los + 25)
+            engine.end_mission()
+        assert one.view() == tree.view()
+        a, b, c, d = (shard.view() for shard in four.shards)
+        assert four.view() == ((a + b) + c) + d
+        assert (a + b) + (c + d) == a + (b + (c + d)) == ((a + b) + c) + d
+        # What the fold must preserve: counts land on exactly one shard,
+        # per-target tuples stay in shard order.
+        assert four.view().total_updates == tree.view().total_updates
+        assert four.view().total_ranges == tree.view().total_ranges == 8
+        assert four.view().policies == tuple(tuple(s.policies()) for s in four.shards)
+        assert four.view().n_levels == max(s.n_levels for s in four.shards)
+        assert four.view().windows_closed == 4
+        assert four.stats == four.view()  # ``stats`` is the view
+
+    def test_view_is_a_snapshot(self, tiny_config):
+        tree = LSMTree(tiny_config)
+        tree.put_batch(np.arange(40), np.arange(40))
+        before = tree.view()
+        frozen = (before.clock_now, dict(before.level_write_time), before.io_counters.seq_writes)
+        tree.put_batch(np.arange(40, 80), np.arange(40))
+        assert (
+            before.clock_now, before.level_write_time, before.io_counters.seq_writes
+        ) == frozen
+        assert tree.view() != before
+        with pytest.raises(AttributeError):
+            before.clock_now = 0.0
 
 
 class TestDurableShards:
@@ -474,12 +610,9 @@ class TestDurableShards:
             for log, engine in zip(missions, (memory, durable)):
                 log.append(engine.end_mission())
 
-        assert durable.clock_now == memory.clock_now
-        assert durable.io_counters == memory.io_counters
-        assert durable.cache_hits == memory.cache_hits > 0
-        assert durable.cache_misses == memory.cache_misses
-        assert durable.cache_hit_rate == memory.cache_hit_rate
-        assert durable.policies_per_shard() == memory.policies_per_shard()
+        # Clock, charges, counts, counters, cache traffic, per-shard policies.
+        assert durable.view() == memory.view()
+        assert memory.cache_hits > 0
         # The stacked range scan charges each shard through its own clock
         # and collector: durable and in-memory agree shard by shard.
         for mem_shard, dur_shard in zip(memory.shards, durable.shards):

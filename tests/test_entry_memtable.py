@@ -11,6 +11,18 @@ from repro.lsm.entry import TOMBSTONE, merge_sorted_sources, validate_value
 from repro.lsm.memtable import MemTable
 
 
+def buffer_put(table, key, value):
+    """One write through the memtable's one write entry."""
+    table.put_batch(
+        np.array([key], dtype=np.int64), np.array([value], dtype=np.int64)
+    )
+
+
+def buffer_delete(table, key):
+    """A delete is a write of the tombstone."""
+    buffer_put(table, key, TOMBSTONE)
+
+
 class TestEntry:
     def test_validate_value_rejects_tombstone(self):
         with pytest.raises(ValueError):
@@ -111,39 +123,34 @@ class TestMemTable:
 
     def test_put_get(self):
         table = MemTable(4)
-        table.put(1, 100)
+        buffer_put(table, 1, 100)
         assert table.get(1) == 100
         assert table.get(2) is None
 
     def test_overwrite_keeps_size(self):
         table = MemTable(4)
-        table.put(1, 100)
-        table.put(1, 200)
+        buffer_put(table, 1, 100)
+        buffer_put(table, 1, 200)
         assert len(table) == 1
         assert table.get(1) == 200
 
     def test_is_full(self):
         table = MemTable(2)
-        table.put(1, 1)
+        buffer_put(table, 1, 1)
         assert not table.is_full
-        table.put(2, 2)
+        buffer_put(table, 2, 2)
         assert table.is_full
 
     def test_delete_buffers_tombstone(self):
         table = MemTable(4)
-        table.delete(9)
+        buffer_delete(table, 9)
         assert table.get(9) == TOMBSTONE
         assert 9 in table
-
-    def test_put_rejects_tombstone_value(self):
-        table = MemTable(4)
-        with pytest.raises(ValueError):
-            table.put(1, TOMBSTONE)
 
     def test_drain_sorted_returns_sorted_and_clears(self):
         table = MemTable(8)
         for key in (5, 1, 3):
-            table.put(key, key * 10)
+            buffer_put(table, key, key * 10)
         keys, values = table.drain_sorted()
         assert keys.tolist() == [1, 3, 5]
         assert values.tolist() == [10, 30, 50]
@@ -156,8 +163,8 @@ class TestMemTable:
 
     def test_drain_keeps_tombstones(self):
         table = MemTable(4)
-        table.put(1, 10)
-        table.delete(2)
+        buffer_put(table, 1, 10)
+        buffer_delete(table, 2)
         keys, values = table.drain_sorted()
         assert keys.tolist() == [1, 2]
         assert values.tolist() == [10, TOMBSTONE]
@@ -165,7 +172,7 @@ class TestMemTable:
     def test_range_items_scan(self):
         table = MemTable(8)
         for key in range(6):
-            table.put(key, key)
+            buffer_put(table, key, key)
         assert range_items_scan(table, 2, 4) == {2: 2, 3: 3, 4: 4}
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 100)), max_size=60))
@@ -174,7 +181,7 @@ class TestMemTable:
         table = MemTable(1000)
         model = {}
         for key, value in operations:
-            table.put(key, value)
+            buffer_put(table, key, value)
             model[key] = value
         for key in model:
             assert table.get(key) == model[key]
@@ -185,8 +192,8 @@ class TestMemTable:
         table = MemTable(64)
         rng = np.random.default_rng(5)
         for key in rng.integers(0, 40, size=50):
-            table.put(int(key), int(key) * 7)
-        table.delete(3)
+            buffer_put(table, int(key), int(key) * 7)
+        buffer_delete(table, 3)
         probes = rng.integers(-5, 60, size=200)
         buffered, values = table.get_batch(probes)
         for i, key in enumerate(probes.tolist()):
@@ -199,8 +206,8 @@ class TestMemTable:
 
     def test_get_batch_surfaces_tombstones(self):
         table = MemTable(8)
-        table.put(1, 10)
-        table.delete(2)
+        buffer_put(table, 1, 10)
+        buffer_delete(table, 2)
         buffered, values = table.get_batch(np.asarray([1, 2, 3]))
         assert buffered.tolist() == [True, True, False]
         assert values[0] == 10

@@ -200,7 +200,7 @@ class TestLerpEdgeCases:
         lerp = Lerp(small_config, fast_lerp_config())
         tree_store = RusKey(small_config, tuner=lerp)
         mission = MissionStats(index=0, n_lookups=1, read_time=1e-6)
-        lerp.observe_mission(tree_store.tree, mission)  # no levels yet
+        lerp.observe_mission(tree_store.engine, mission)  # no levels yet
 
     def test_policy_stays_within_bounds(self, small_config):
         store = run_store(small_config, fast_lerp_config(), n_missions=25,

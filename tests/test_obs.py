@@ -2,7 +2,7 @@
 
 Covers the metrics registry (registration guards, label cardinality,
 Prometheus/JSON exposition, hypothesis-checked merge associativity), span
-tracing (nesting, deterministic sampling, profiler absorption), the RL
+tracing (nesting, deterministic sampling, stage laps), the RL
 decision audit log (recording, timeline rendering, persistence through
 tuner snapshots), and — the subsystem's hard invariant — the
 **zero-sim-impact twin**: a run with every telemetry layer enabled is
@@ -21,7 +21,7 @@ from repro.core.lerp import Lerp, LerpConfig
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
 from repro.errors import ObsError
-from repro.lsm.readpath import ReadPathProfiler
+from repro.lsm.rangepath import RANGE_STAGES
 from repro.lsm.tree import LSMTree
 from repro.obs import (
     DecisionAuditLog,
@@ -237,22 +237,25 @@ class TestTracer:
         assert tracer.roots_seen == 9
         assert tracer.roots_kept == 3
 
-    def test_synthetic_children_and_jsonl(self, tmp_path):
+    def test_laps_and_jsonl(self, tmp_path):
         tracer = Tracer()
         with tracer.span("parent") as span:
-            tracer.add_child(span, "stage.bloom", 0.002, level=1)
+            span.lap("bloom")
+            span.lap("cache")
+            span.lap("bloom")
+        assert span.stages["bloom"][1] == 2 and span.stages["cache"][1] == 1
+        assert sum(s for s, _ in span.stages.values()) <= span.duration
         path = tmp_path / "spans.jsonl"
         assert tracer.export_jsonl(str(path)) == 1
         record = json.loads(path.read_text().splitlines()[0])
-        (child,) = record["children"]
-        assert child["name"] == "stage.bloom"
-        assert child["synthetic"] is True
-        assert child["duration"] == pytest.approx(0.002)
+        assert "children" not in record  # a lap is not a span
+        assert record["stages"]["bloom"] == {
+            "seconds": span.stages["bloom"][0], "calls": 2,
+        }
 
-    def test_tree_spans_absorb_profiler_stages(self):
+    def test_tree_spans_lap_their_stages(self):
         config = SystemConfig()
         tree = LSMTree(config)
-        tree.read_profiler = ReadPathProfiler()
         keys = np.arange(300, dtype=np.int64)
         tree.bulk_load(keys, keys)
         tracer = Tracer()
@@ -260,8 +263,7 @@ class TestTracer:
         tree.get_batch(keys[:64])
         (root,) = tracer.spans()
         assert root.name == "lsm.get_batch"
-        stages = {c.name for c in root.children if c.synthetic}
-        assert any(name.startswith("stage.") for name in stages)
+        assert {"memtable", "search", "bloom"} <= set(root.stages)
 
     def test_invalid_config_raises(self):
         with pytest.raises(ObsError):
@@ -404,17 +406,19 @@ class TestCollection:
 # ======================================================================
 # The zero-sim-impact twin (the subsystem's hard invariant)
 # ======================================================================
-def simulated_fingerprint(store) -> dict:
-    io = store.engine.io_counters
-    return {
-        "clock": store.engine.clock_now,
-        "entries": store.engine.total_entries,
-        "cache": (store.engine.cache_hits, store.engine.cache_misses),
-        "io": (io.random_reads, io.random_writes, io.seq_reads, io.seq_writes),
-        "latencies": store.latency_series().tolist(),
-        "sim_times": [m.total_time for m in store.mission_log],
-        "policies": store.policy_history,
-    }
+def simulated_fingerprint(store) -> tuple:
+    return store.view(), store.mission_log, store.policy_history
+
+
+def stages_under(spans, name) -> set:
+    """Stage names lapped on any span called ``name`` in the given trees."""
+    found, pending = set(), list(spans)
+    while pending:
+        span = pending.pop()
+        pending.extend(span.children)
+        if span.name == name:
+            found |= set(span.stages)
+    return found
 
 
 class TestZeroSimImpact:
@@ -428,17 +432,33 @@ class TestZeroSimImpact:
         """Metrics + tracing + audit on vs everything off: every simulated
         observable must match bit for bit (no SimClock charge, no RNG
         draw, no counter touched by any telemetry layer)."""
-        bare = run_small(small_store(initial_policy, cache_pages))
+        def run(store):
+            run_small(store)
+            # Three consecutive roots: every-3rd sampling keeps one of them.
+            for _ in range(3):
+                store.range_scan_batch(np.array([10, 700]), np.array([90, 760]))
+            return store
+
+        bare = run(small_store(initial_policy, cache_pages))
 
         inst = small_store(initial_policy, cache_pages)
-        inst.engine.set_tracer(Tracer(sample_every=2))
+        # Every 3rd root: a mission's roots alternate put / get, so an
+        # even stride would keep only the puts.
+        tracer = Tracer(sample_every=3)
+        inst.engine.set_tracer(tracer)
         audit = DecisionAuditLog()
         inst.attach_audit(audit)
-        run_small(inst)
+        run(inst)
         collect_store_metrics(inst)  # collection reads, never mutates
 
         assert simulated_fingerprint(bare) == simulated_fingerprint(inst)
         assert len(audit) > 0
+        # The laps were taken: the twin ran the instrumented path.
+        spans = tracer.spans()
+        assert stages_under(spans, "lsm.get_batch") == {
+            "memtable", "search", "bloom", "cache"
+        }
+        assert stages_under(spans, "store.range_scan_batch") == set(RANGE_STAGES)
 
     def test_detach_restores_bare_path(self):
         store = small_store(tune=False)

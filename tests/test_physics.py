@@ -37,10 +37,10 @@ class TestAmplificationPhysics:
         amps = []
         for policy in (1, 5, 10):
             store = run_static(policy, gamma=0.0)
-            io = store.tree.disk.counters
+            io = store.io_counters
             amps.append(
                 measured_write_amplification(
-                    io, store.stats.total_updates, store.config.entries_per_page
+                    io, store.view().total_updates, store.config.entries_per_page
                 )
             )
         assert amps[0] > amps[1] > amps[2]
@@ -52,7 +52,8 @@ class TestAmplificationPhysics:
         times = []
         for policy in (1, 10):
             store = run_static(policy, gamma=1.0, n_missions=20)
-            times.append(store.stats.total_read_time / store.stats.total_lookups)
+            view = store.view()
+            times.append(view.total_read_time / view.total_lookups)
         assert times[1] > times[0]
 
     def test_zero_result_lookups_cost_less_with_stricter_blooms(self):
@@ -71,7 +72,7 @@ class TestAmplificationPhysics:
             store.run_missions(workload.missions(10, 600))
             reads.append(
                 measured_read_amplification(
-                    store.tree.disk.counters, store.stats.total_lookups
+                    store.io_counters, store.view().total_lookups
                 )
             )
         assert reads[1] < reads[0]
@@ -110,7 +111,7 @@ class TestMonkeyPhysics:
             store.bulk_load(keys, values, distribute=True)
             store.run_missions(workload.missions(12, 600))
             reads[scheme] = measured_read_amplification(
-                store.tree.disk.counters, store.stats.total_lookups
+                store.io_counters, store.view().total_lookups
             )
         assert reads[BloomScheme.MONKEY] < reads[BloomScheme.UNIFORM]
 
@@ -141,7 +142,7 @@ class TestCacheAndChunkingPhysics:
         for _ in range(40):
             for key in range(20):  # hot set far smaller than the cache
                 store.get(key)
-        assert store.tree.cache.hit_rate > 0.5
+        assert store.cache_hits > store.cache_misses
 
     def test_chunk_sizes_agree_on_write_path(self, tiny_config):
         """Chunked execution reorders reads only; the write path (flushes,

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_range import range_items_scan, reference_range_scan_batch
+from test_entry_memtable import buffer_delete, buffer_put
 from test_readpath import (
     ENGINE_KINDS,
     assert_trees_match_twins,
@@ -34,7 +35,7 @@ from repro.lsm import FLSMTree
 from repro.lsm.iterators import live_items
 from repro.lsm.memtable import MemTable
 from repro.lsm.rangepath import RANGE_STAGES, multi_arange, scan_batch
-from repro.lsm.readpath import STAGES, ReadPathProfiler
+from repro.obs import Tracer
 from repro.serve.server import REQ_GET, REQ_PUT, REQ_RANGE, KVServer, Request
 from repro.workload.spec import (
     OP_LOOKUP,
@@ -94,11 +95,13 @@ def pairs_per_range(result):
 
 def reference_over_trees(twins, los, his):
     """Per-tree reference scans merged per range: the trees are
-    key-disjoint, so a range's answer is the key-sorted union."""
-    parts = [
-        pairs_per_range(reference_range_scan_batch(twin, los, his))
-        for twin in twins
-    ]
+    key-disjoint, so a range's answer is the key-sorted union. The
+    reference counts every range on every tree it scans; ``scan_batch``
+    leaves op counting to the engines, so the counts are taken back."""
+    parts = []
+    for twin in twins:
+        parts.append(pairs_per_range(reference_range_scan_batch(twin, los, his)))
+        twin.stats.count_range(-len(los))
     return [sorted(sum(per_tree, [])) for per_tree in zip(*parts)]
 
 
@@ -411,19 +414,20 @@ class TestStackedScanOverTrees:
             assert sim_observables(tree) == sim_observables(twin)
         assert seq_reads == [tree.disk.counters.seq_reads for tree in trees]
 
-    def test_profiler_charged_once_per_call(self):
-        # A profiler shared by every scanned tree sees one call, not one
-        # per tree; a tree with its own profiler is charged separately.
+    def test_stages_lapped_once_per_store_call(self):
+        # The scan over every shard is one pass: the store's span is
+        # lapped once per stage, not once per tree.
         store, rng = loaded_store(4)
-        shared, own = ReadPathProfiler(), ReadPathProfiler()
-        for shard in store.shards[:3]:
-            shard.read_profiler = shared
-        store.shards[3].read_profiler = own
+        tracer = Tracer()
+        store.set_tracer(tracer)
         los, his = make_ranges(rng, 40, key_space=30000)
         store.range_scan_batch(los, his)
-        for prof in (shared, own):
-            assert prof.n_range_batches == 1 and prof.n_ranges == 40
-            assert all(prof.calls[stage] == 1 for stage in RANGE_STAGES)
+        (span,) = tracer.spans()
+        assert span.name == "store.range_scan_batch" and not span.children
+        assert span.attrs["n_ranges"] == 40
+        assert {stage: calls for stage, (_, calls) in span.stages.items()} == dict.fromkeys(
+            RANGE_STAGES, 1
+        )
 
 
 class TestShardedConformance:
@@ -590,10 +594,10 @@ class TestMemtableSortedView:
         table = MemTable(256)
         rng = np.random.default_rng(2)
         for key in rng.integers(0, 500, size=120).tolist():
-            table.put(key, key * 3)
-        table.delete(7)
-        table.put(13, 1)
-        table.delete(13)  # tombstone over a live buffered key
+            buffer_put(table, key, key * 3)
+        buffer_delete(table, 7)
+        buffer_put(table, 13, 1)
+        buffer_delete(table, 13)  # tombstone over a live buffered key
         if with_view:
             table.sorted_view()
             assert table._sorted_view is not None
@@ -620,7 +624,7 @@ class TestMemtableSortedView:
 
     def test_stale_view_rebuild(self):
         table = self._table(with_view=True)
-        table.put(10_000, 5)  # invalidates the view
+        buffer_put(table, 10_000, 5)  # invalidates the view
         assert table._sorted_view is None
         # The next reader rebuilds the view and must see the write.
         assert _view_items(table, 10_000, 10_000) == {10_000: 5}
@@ -657,42 +661,35 @@ class TestLiveItemsUsesSortedView:
             assert tree.get(key) == lookup[key]
 
 
-class TestRangeProfiler:
-    def test_range_stages_registered(self):
-        assert set(RANGE_STAGES) < set(STAGES)
+class TestRangeStageLaps:
+    def _traced_twin(self, tree):
+        traced = FLSMTree(tree.config)
+        traced.load_state_dict(tree.state_dict())
+        tracer = Tracer()
+        traced.set_tracer(tracer)
+        return traced, tracer
 
-    def test_profiling_does_not_change_simulation(self):
+    def test_tracing_does_not_change_simulation(self):
         tree, rng = build_stacked_tree("tiering")
-        profiled = FLSMTree(tree.config)
-        profiled.read_profiler = ReadPathProfiler()
-        profiled.load_state_dict(tree.state_dict())
+        traced, _ = self._traced_twin(tree)
         los, his = make_ranges(rng, 120)
         assert_batch_equal(
             tree.range_scan_batch(los, his),
-            profiled.range_scan_batch(los, his),
+            traced.range_scan_batch(los, his),
         )
-        assert sim_observables(tree) == sim_observables(profiled)
+        assert sim_observables(tree) == sim_observables(traced)
 
-    def test_stages_populated_and_reported(self):
+    def test_stages_populated(self):
         tree, rng = build_stacked_tree("tiering")
-        profiled = FLSMTree(tree.config)
-        profiled.read_profiler = ReadPathProfiler()
-        profiled.load_state_dict(tree.state_dict())
+        traced, tracer = self._traced_twin(tree)
         los, his = make_ranges(rng, 50)
-        profiled.range_scan_batch(los, his)
-        prof = profiled.read_profiler
-        assert prof.n_range_batches == 1 and prof.n_ranges == 50
-        assert prof.n_batches == 0  # point counters untouched
-        for stage in RANGE_STAGES:
-            assert prof.calls[stage] == 1
-        summary = prof.summary()
-        assert summary["n_range_batches"] == 1
-        assert summary["n_ranges"] == 50
-        report = prof.format_report()
-        for stage in RANGE_STAGES:
-            assert stage in report
-        prof.reset()
-        assert prof.n_range_batches == 0 and prof.n_ranges == 0
+        traced.range_scan_batch(los, his)
+        (span,) = tracer.spans()
+        assert span.name == "lsm.range_scan_batch"
+        assert span.attrs["n_ranges"] == 50
+        # The four range stages, once each, and no point stage.
+        assert tuple(span.stages) == RANGE_STAGES
+        assert all(calls == 1 for _, calls in span.stages.values())
 
 
 class TestMultiArange:

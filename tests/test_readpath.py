@@ -12,6 +12,9 @@ the memtable sorted-view cache.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
+import io
+import pathlib
 import tempfile
 
 import numpy as np
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_get import reference_get_batch
+from test_entry_memtable import buffer_delete, buffer_put
 
 from repro.config import BloomMode, CostModelParams, SystemConfig
 from repro.durable.store import DurableStore
@@ -28,8 +32,9 @@ from repro.lsm import FLSMTree
 from repro.lsm.entry import TOMBSTONE
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.memtable import MemTable
-from repro.lsm.readpath import STAGES, ReadPathProfiler
+from repro.lsm.rangepath import RANGE_STAGES
 from repro.lsm.tree import LSMTree
+from repro.obs import Tracer, stage_totals
 from repro.storage.cache import LRUBlockCache
 from repro.storage.clock import SimClock
 from repro.storage.pager import DiskModel
@@ -92,20 +97,23 @@ def build_stacked_tree(
     return tree, rng
 
 
+#: Stages ``get_batch`` laps on its span, in pipeline order.
+POINT_STAGES = ("memtable", "search", "bloom", "cache")
+
+
 def sim_observables(tree):
-    """Everything the simulation contract says a lookup may change."""
+    """Everything the simulation contract says an operation may change:
+    the view (clock, charges, counts, counters) plus what it summarises
+    away — block-cache contents and the Bloom RNG stream."""
     return (
-        tree.clock.now,
-        tree.stats.total_read_time,
-        dict(tree.stats.level_read_time),
+        tree.view(),
         tree.cache.state_dict(),
-        tree.disk.counters.state_dict(),
         tree._rng.bit_generator.state,
     )
 
 
-#: Every engine a scalar read can enter through; all of them inherit the
-#: same ``get`` / ``range_lookup`` pair (``repro.lsm.tree.ScalarReads``).
+#: Every engine a scalar op can enter through; all of them inherit the
+#: same derived scalars (``repro.lsm.tree.DerivedMembers``).
 ENGINE_KINDS = ("tree", "sharded-1", "sharded-4", "durable")
 
 
@@ -158,19 +166,9 @@ def drawn_engine_with_twins(data, kind):
                 engine.close()
 
 
-def read_observables(tree):
-    """:func:`sim_observables` plus cache traffic and operation counts."""
-    return sim_observables(tree) + (
-        tree.cache.hits,
-        tree.cache.misses,
-        tree.stats.total_lookups,
-        tree.stats.total_ranges,
-    )
-
-
 def assert_trees_match_twins(engine, twins):
     for tree, twin in zip(engine.tuning_targets(), twins):
-        assert read_observables(tree) == read_observables(twin)
+        assert sim_observables(tree) == sim_observables(twin)
 
 
 class TestBitIdenticalToReference:
@@ -544,7 +542,7 @@ class TestMemtableSortedView:
     def test_view_reused_across_batches(self):
         table = MemTable(64)
         for i in range(20):
-            table.put(i * 3, i)
+            buffer_put(table, i * 3, i)
         self._probe(table, list(range(40)))
         view = table._sorted_view
         assert view is not None
@@ -554,8 +552,8 @@ class TestMemtableSortedView:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda t: t.put(999, 1),
-            lambda t: t.delete(3),
+            lambda t: buffer_put(t, 999, 1),
+            lambda t: buffer_delete(t, 3),
             lambda t: t.put_batch(
                 np.array([7, 8], dtype=np.int64),
                 np.array([1, 2], dtype=np.int64),
@@ -567,7 +565,7 @@ class TestMemtableSortedView:
     def test_any_write_invalidates_view(self, mutate):
         table = MemTable(64)
         for i in range(20):
-            table.put(i * 3, i)
+            buffer_put(table, i * 3, i)
         self._probe(table, list(range(40)))
         assert table._sorted_view is not None
         mutate(table)
@@ -575,7 +573,7 @@ class TestMemtableSortedView:
 
     def test_load_state_dict_invalidates_view(self):
         table = MemTable(64)
-        table.put(1, 10)
+        buffer_put(table, 1, 10)
         state = table.state_dict()
         self._probe(table, [1])
         table.load_state_dict(state)
@@ -586,8 +584,8 @@ class TestMemtableSortedView:
         # results must match regardless of which path answered.
         table = MemTable(64)
         for i in range(30):
-            table.put(i * 2, i)
-        table.delete(4)
+            buffer_put(table, i * 2, i)
+        buffer_delete(table, 4)
         assert table._sorted_view is None
         buffered, values = self._probe(table, [0, 1, 4, 58])
         assert buffered.tolist() == [True, False, True, True]
@@ -596,7 +594,7 @@ class TestMemtableSortedView:
     def test_drain_reuses_valid_view(self):
         table = MemTable(64)
         for key, value in ((5, 50), (1, 10), (3, 30)):
-            table.put(key, value)
+            buffer_put(table, key, value)
         self._probe(table, [1, 2, 3, 4, 5] * 13)  # batch >= len builds view
         view = table._sorted_view
         assert view is not None
@@ -609,58 +607,78 @@ class TestMemtableSortedView:
     def test_drain_without_view_sorts(self):
         table = MemTable(8)
         for key in (9, 2, 7):
-            table.put(key, key * 10)
+            buffer_put(table, key, key * 10)
         keys, values = table.drain_sorted()
         assert keys.tolist() == [2, 7, 9]
         assert values.tolist() == [20, 70, 90]
 
 
-class TestReadPathProfiler:
-    def test_disabled_by_default(self, tiny_config):
-        assert LSMTree(tiny_config).read_profiler is None
+class TestReadPathStageLaps:
+    """The tree's one observer: with a tracer attached, ``get_batch`` laps
+    its pipeline stages on the span it opened."""
 
-    def test_profiling_does_not_change_simulation(self):
+    def _traced_twin(self, tree):
+        traced = FLSMTree(tree.config)
+        traced.load_state_dict(tree.state_dict())
+        tracer = Tracer()
+        traced.set_tracer(tracer)
+        return traced, tracer
+
+    def test_tracing_does_not_change_simulation(self):
         tree, rng = build_stacked_tree("tiering", cache_pages=16)
-        profiled = FLSMTree(tree.config)
-        profiled.read_profiler = ReadPathProfiler()
-        profiled.load_state_dict(tree.state_dict())
+        assert tree.tracer is None  # detached by default
+        traced, tracer = self._traced_twin(tree)
         probes = rng.integers(0, 15000, size=2000).astype(np.int64)
         found_plain, values_plain = tree.get_batch(probes)
-        found_prof, values_prof = profiled.get_batch(probes)
-        np.testing.assert_array_equal(found_plain, found_prof)
-        np.testing.assert_array_equal(values_plain, values_prof)
-        assert sim_observables(tree) == sim_observables(profiled)
+        found_traced, values_traced = traced.get_batch(probes)
+        np.testing.assert_array_equal(found_plain, found_traced)
+        np.testing.assert_array_equal(values_plain, values_traced)
+        assert sim_observables(tree) == sim_observables(traced)
+        assert set(stage_totals(tracer.spans())) == set(POINT_STAGES)
 
     def test_stages_populated(self):
         tree, rng = build_stacked_tree("tiering", cache_pages=16)
-        profiled = FLSMTree(tree.config)
-        profiled.read_profiler = ReadPathProfiler()
-        profiled.load_state_dict(tree.state_dict())
-        probes = rng.integers(0, 15000, size=2000).astype(np.int64)
-        profiled.get_batch(probes)
-        prof = profiled.read_profiler
-        assert prof.n_batches == 1 and prof.n_keys == 2000
-        summary = prof.summary()
-        assert set(summary["stages"]) == set(STAGES)
-        assert prof.seconds["memtable"] >= 0.0
-        assert prof.calls["bloom"] > 0  # disk levels were probed
-        assert prof.total_seconds == sum(prof.seconds.values())
+        traced, tracer = self._traced_twin(tree)
+        traced.get_batch(rng.integers(0, 15000, size=2000).astype(np.int64))
+        (span,) = tracer.spans()
+        assert span.name == "lsm.get_batch" and span.attrs["n_keys"] == 2000
+        assert set(span.stages) == set(POINT_STAGES)
+        assert span.stages["memtable"][1] == 1
+        assert span.stages["bloom"][1] > 0  # disk levels were probed
+        assert all(seconds >= 0.0 for seconds, _ in span.stages.values())
+        # Every interval up to the last lap belongs to a stage.
+        lapped = sum(seconds for seconds, _ in span.stages.values())
+        assert lapped <= span.duration
+        assert span.as_dict()["stages"]["bloom"]["calls"] == span.stages["bloom"][1]
 
-    def test_summary_fractions_sum_to_one(self):
-        prof = ReadPathProfiler()
-        prof.add("memtable", 0.25)
-        prof.add("bloom", 0.75)
-        fractions = [
-            stage["fraction"] for stage in prof.summary()["stages"].values()
-        ]
-        assert sum(fractions) == pytest.approx(1.0)
+    def test_stage_totals_folds_whole_trees(self):
+        tracer = Tracer()
+        with tracer.span("outer") as outer:
+            outer.lap("a")
+            with tracer.span("inner") as inner:
+                inner.lap("a")
+                inner.lap("b")
+            outer.lap("a")
+        totals = stage_totals(tracer.spans())
+        assert totals["a"][1] == 3 and totals["b"][1] == 1
+        assert totals["a"][0] == pytest.approx(
+            outer.stages["a"][0] + inner.stages["a"][0]
+        )
 
-    def test_format_report_and_reset(self):
-        prof = ReadPathProfiler()
-        prof.note_batch(10)
-        prof.add("cache", 0.001)
-        report = prof.format_report()
-        for stage in STAGES:
-            assert stage in report
-        prof.reset()
-        assert prof.n_batches == 0 and prof.total_seconds == 0.0
+    def test_profile_script_reports_every_stage(self):
+        """``scripts/profile_read_path.py`` folds the spans into the table
+        the profiler used to print: all eight stages, point and range."""
+        path = pathlib.Path(__file__).parent.parent / "scripts" / "profile_read_path.py"
+        spec = importlib.util.spec_from_file_location("profile_read_path", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert script.main([
+                "--n-records", "3000", "--batches", "2", "--batch-size", "256",
+                "--range-batches", "2", "--range-batch-size", "32",
+            ]) == 0
+        rows = {line.split("|")[0].strip(): line for line in out.getvalue().splitlines()}
+        assert script.STAGES == POINT_STAGES + RANGE_STAGES
+        for stage in script.STAGES:
+            assert int(rows[stage].split("|")[3]) > 0, rows[stage]

@@ -54,7 +54,7 @@ class TestMissionLoop:
         workload = UniformWorkload(500, lookup_fraction=0.5, seed=1)
         stats = store.run_workload(workload, n_missions=4, mission_size=100)
         assert len(stats) == 4
-        assert store.tree.total_entries >= 500
+        assert store.total_entries >= 500
 
     def test_run_workload_rejects_double_load(self, small_config):
         store = RusKey(small_config, tuner=StaticTuner(1))

@@ -20,7 +20,7 @@ import pytest
 from repro.bench import bench_scale
 from repro.config import SystemConfig
 from repro.core.lerp import Lerp, LerpConfig
-from repro.core.tuners import StaticTuner
+from repro.core.tuners import StaticTuner, Tuner
 from repro.engine.sharded import ShardedStore, shard_of_key
 from repro.errors import ConfigError, ServeError
 from repro.lsm import TOMBSTONE, FLSMTree
@@ -96,22 +96,42 @@ class TestRequestRouting:
                 == direct.range_lookup(50, 69)
             )
 
-    def test_delete_then_put_in_one_batch_keeps_put(self):
+    @pytest.mark.parametrize(
+        "block, calls, expected",
+        [
+            (
+                [(REQ_PUT, 42, 1), (REQ_DELETE, 42, 0), (REQ_PUT, 42, 2), (REQ_DELETE, 7, 0)],
+                [("put", 1), ("delete", 1), ("put", 1), ("delete", 1)],
+                {42: 2, 7: None},
+            ),
+            (   # PUT a, PUT b, DEL a, DEL c, PUT a: three runs, three calls
+                [(REQ_PUT, 1, 10), (REQ_PUT, 2, 20), (REQ_DELETE, 1, 0),
+                 (REQ_DELETE, 3, 0), (REQ_PUT, 1, 11)],
+                [("put", 2), ("delete", 2), ("put", 1)],
+                {1: 11, 2: 20, 3: None},
+            ),
+        ],
+        ids=["alternating", "runs"],
+    )
+    def test_delete_then_put_in_one_batch_keeps_put(self, block, calls, expected):
         """Puts and deletes preserve their relative submission order
-        within a drained batch: DELETE(k) → PUT(k, v) leaves v live."""
+        within a drained batch — DELETE(k) → PUT(k, v) leaves v live —
+        and each run of consecutive same-kind writes is one engine call."""
         store, _ = loaded_store(n_shards=1)
         server = KVServer(store, max_batch=64)
         lane = server.lanes[0]
+        made = []
+        put_batch, delete_batch = lane.tree.put_batch, lane.tree.delete_batch
+        lane.tree.put_batch = lambda k, v: (made.append(("put", len(k))), put_batch(k, v))
+        lane.tree.delete_batch = lambda k: (made.append(("delete", len(k))), delete_batch(k))
         lane.queue.open()  # enqueue without workers: one exact batch
-        server.submit(Request(REQ_PUT, 42, value=1))
-        server.submit(Request(REQ_DELETE, 42))
-        server.submit(Request(REQ_PUT, 42, value=2))
-        server.submit(Request(REQ_DELETE, 7))
+        for kind, key, value in block:
+            server.submit(Request(kind, key, value=value))
         batch = lane.queue.take(64, timeout=0.0)
-        assert len(batch) == 4
+        assert len(batch) == len(block)
         server._serve_batch(lane, batch)
-        assert store.get(42) == 2
-        assert store.get(7) is None
+        assert made == calls
+        assert {key: store.get(key) for key in expected} == expected
 
     def test_missing_key_returns_none(self):
         store, _ = loaded_store()
@@ -144,6 +164,30 @@ class TestRequestRouting:
         with pytest.raises(ServeError):
             Request(REQ_PUT, 1, value=TOMBSTONE)
         Request(REQ_DELETE, 1, value=TOMBSTONE)  # value is ignored
+
+    @pytest.mark.parametrize(
+        "kind, key, fields",
+        [
+            (REQ_GET, 2**63, {}),
+            (REQ_DELETE, -(2**63) - 1, {}),
+            (REQ_RANGE, 2**63 - 2, {"span": 10}),  # the range end overflows
+            (REQ_PUT, 1, {"value": 2**63}),
+        ],
+        ids=["key-high", "key-low", "range-end", "value"],
+    )
+    def test_request_outside_int64_rejected_at_construction(self, kind, key, fields):
+        # Admitted, it would raise OverflowError in the worker's int64
+        # conversion and fail the lane for everyone queued behind it.
+        store, _ = loaded_store(n_shards=1)
+        with KVServer(store) as server:
+            with pytest.raises(ServeError, match="outside int64"):
+                server.submit(Request(kind, key, **fields), timeout=5.0)
+            # Nothing was admitted; the lane still serves, up to the edges.
+            assert await_result(server, Request(REQ_GET, 2**63 - 1, wait=True)) is None
+            keys, _ = await_result(
+                server, Request(REQ_RANGE, 2**63 - 10, span=10, wait=True)
+            )
+            assert len(keys) == 0
 
     def test_submit_requires_running_server(self):
         store, _ = loaded_store()
@@ -364,6 +408,59 @@ class TestLaneFailure:
         assert not stopper.is_alive(), "stop() hung on the failed lane"
         assert len(stopped) == 1 and stopped[0].__cause__ is boom
         assert bad.completed == 0  # failed requests are not completions
+
+    def test_raising_tuner_ends_tuning_not_serving(self, tmp_path):
+        """A tuner that raises inside a window cut is recorded, not lost:
+        its lane's window reopens and every lane serves on under its
+        current policies, tuning stops, ``checkpoint`` refuses and
+        ``stop`` closes the final window, then raises the cause."""
+        boom = RuntimeError("tuner fault")
+
+        class FailsOnSecondCall(Tuner):
+            calls = 0
+
+            def observe_mission(self, tree, mission):
+                self.calls += 1
+                if self.calls == 2:
+                    raise boom
+
+        store, _ = loaded_store(n_shards=2)
+        tuners = [FailsOnSecondCall(), FailsOnSecondCall()]
+        server = KVServer(store, tuners=tuners, window_ops=50).start()
+
+        def serve(n):
+            for key in range(n):
+                await_result(server, Request(REQ_PUT, key, value=key, wait=True), 5.0)
+
+        def wait_for(condition):
+            deadline = time.perf_counter() + 5.0
+            while not condition():
+                assert time.perf_counter() < deadline, "tuning loop stalled"
+                time.sleep(0.005)
+
+        serve(60)
+        wait_for(lambda: len(server.windows) == 1)  # both tuners: call 1
+        serve(60)  # window 2: lane 0's tuner raises, lane 1's is not asked
+        server._tuning_thread.join(timeout=5.0)
+        assert not server._tuning_thread.is_alive()
+        assert [t.calls for t in tuners] == [2, 1]
+        # The failing cut was still made on every lane and recorded, and
+        # every lane's next window is open.
+        assert len(server.windows) == 2
+        assert all(lane.tree.stats.in_mission for lane in server.lanes)
+
+        serve(60)  # untuned, but served
+        assert server.total_completed == 180 and len(server.windows) == 2
+        with pytest.raises(ServeError) as refused:
+            server.checkpoint(str(tmp_path / "live.snap"))
+        assert refused.value.__cause__ is boom
+        with pytest.raises(ServeError) as stopped:
+            server.stop()
+        assert stopped.value.__cause__ is boom
+        # stop() closed the final window before raising: nothing is left
+        # open and every served op is in exactly one window.
+        assert not any(lane.tree.stats.in_mission for lane in server.lanes)
+        assert sum(w.stats.n_operations for w in server.windows) == 180
 
 
 class TestLoadGeneration:

@@ -6,14 +6,16 @@ and (2) per-level training of *all* levels with no policy propagation. The
 first cannot finish learning in time; the second fails to reach the optimum
 from Level 3 down for lack of samples.
 
-Scaled-down equivalent: run all three Lerp modes for the same mission
-budget and compare convergence and settled latency.
+Scaled-down equivalent: run the three tuners — ``Lerp``, ``JointLerp`` and
+``AllLevelsLerp``, one hyperparameter set — for
+the same mission budget and compare convergence and settled latency.
 """
 
 from _common import emit_metrics, emit_report, metrics_from_results, settled_mean
 
 from repro.bench import base_config, bench_lerp_config, bench_scale
 from repro.bench.harness import Experiment, SystemSpec, run_experiment
+from repro.core import AllLevelsLerp, JointLerp, Lerp
 from repro.workload.uniform import UniformWorkload
 
 
@@ -22,12 +24,13 @@ def run_ablation():
     config = base_config()
     workload = UniformWorkload(scale.n_records, lookup_fraction=0.5, seed=29)
 
-    def spec(name, mode):
+    def spec(name, tuner_class):
         return SystemSpec(
             name,
-            lambda config: None,
+            lambda config: tuner_class(
+                config, bench_lerp_config(scale.n_missions)
+            ),
             initial_policy=1,
-            lerp_config=bench_lerp_config(scale.n_missions, mode=mode),
         )
 
     experiment = Experiment(
@@ -37,9 +40,9 @@ def run_ablation():
         mission_size=scale.mission_size,
         base_config=config,
         systems=[
-            spec("level-based (RusKey)", "level"),
-            spec("joint action space", "joint"),
-            spec("all levels, no propagation", "all-levels"),
+            spec("level-based (RusKey)", Lerp),
+            spec("joint action space", JointLerp),
+            spec("all levels, no propagation", AllLevelsLerp),
         ],
     )
     return run_experiment(experiment)

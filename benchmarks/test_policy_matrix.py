@@ -2,9 +2,9 @@
 
 Beyond the paper: ArceKV and CAMAL treat the merge-discipline choice
 (tiering vs leveling vs lazy-leveling) as the tuning knob that matters most
-under workload drift. This benchmark opens that dimension to Lerp as a
-discrete RL action (``LerpConfig.tune_policy``) and compares it against
-each discipline held statically, across the three static mixes and the
+under workload drift. This benchmark tunes that dimension as a discrete RL
+action (``repro.core.NamedPolicyLerp``) and compares it against each
+discipline held statically, across the three static mixes and the
 five-session dynamic schedule.
 
 Expected shape: each static discipline is sub-optimal somewhere — leveling

@@ -27,7 +27,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.bench import bench_scale, policy_matrix_experiment  # noqa: E402
-from repro.bench.harness import _build_store  # noqa: E402
+from repro.bench.harness import build_store  # noqa: E402
 from repro.lsm.policy import classify_policies  # noqa: E402
 from repro.obs.audit import (  # noqa: E402
     DecisionAuditLog,
@@ -42,7 +42,7 @@ def build_timeline(seed: int = 0):
     scale = bench_scale()
     experiment = policy_matrix_experiment("dynamic", scale=scale, seed=seed)
     system = next(s for s in experiment.systems if s.name == "Lerp+policy")
-    store = _build_store(experiment, system)
+    store = build_store(experiment, system)
     audit = DecisionAuditLog()
     store.attach_audit(audit)
     missions = experiment.workload.missions(

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.bench.harness import Experiment, SystemSpec
-from repro.config import BloomScheme, SystemConfig, TransitionKind
+from repro.config import BloomScheme, SystemConfig
 from repro.core.lerp import LerpConfig
+from repro.core.named_policy import NamedPolicyLerp
 from repro.core.state import POLICY_STATE_DIM, STATE_DIM
 from repro.core.tuners import (
+    PAPER_GREEDY_THRESHOLDS,
     GreedyThresholdTuner,
     LazyLevelingTuner,
     NamedPolicyTuner,
@@ -129,7 +131,7 @@ def base_config(
 
 
 def bench_lerp_config(
-    n_missions: int, seed: int = 0, mode: str = "level", stages: int = 1
+    n_missions: int, seed: int = 0, stages: int = 1
 ) -> LerpConfig:
     """Lerp hyperparameters sized so tuning converges within ~45 % of the
     run (the paper's tuning takes ~300 of 2000 missions; shorter runs get a
@@ -144,15 +146,21 @@ def bench_lerp_config(
         ddpg=DDPGConfig(state_dim=STATE_DIM, action_dim=1, noise_decay=decay),
         max_stage_missions=max(60, int(0.55 * n_missions / stages)),
         stable_window=min(25, max(10, n_missions // (12 * stages))),
-        mode=mode,
         seed=seed,
     )
+
+
+def static_baselines() -> List[SystemSpec]:
+    """The paper's Aggressive / Moderate / Lazy fixed-``K`` baselines."""
+    return [
+        SystemSpec(f"K={k} ({label})", lambda config, k=k: StaticTuner(k), k)
+        for k, label in ((1, "Aggressive"), (5, "Moderate"), (10, "Lazy"))
+    ]
 
 
 def standard_systems(
     n_missions: int,
     include_lazy_leveling: bool = False,
-    transition: TransitionKind = TransitionKind.FLEXIBLE,
     seed: int = 0,
 ) -> List[SystemSpec]:
     """RusKey plus the paper's baselines (Aggressive/Moderate/Lazy, and
@@ -168,18 +176,10 @@ def standard_systems(
                 stages=2 if include_lazy_leveling else 1,
             ),
         ),
-        SystemSpec("K=1 (Aggressive)", lambda config: StaticTuner(1), 1),
-        SystemSpec("K=5 (Moderate)", lambda config: StaticTuner(5), 5),
-        SystemSpec("K=10 (Lazy)", lambda config: StaticTuner(10), 10),
+        *static_baselines(),
     ]
     if include_lazy_leveling:
-        systems.append(
-            SystemSpec(
-                "Lazy-Leveling",
-                lambda config: LazyLevelingTuner(),
-                initial_policy=10,
-            )
-        )
+        systems.append(SystemSpec("Lazy-Leveling", lambda config: LazyLevelingTuner(), 10))
     return systems
 
 
@@ -244,18 +244,9 @@ def dynamic_workload_experiment(
     )
     n_missions = workload.total_missions
     lerp = bench_lerp_config(scale.session_missions, seed=seed)
-    systems = [
-        SystemSpec("RusKey", lambda config: None, 1, lerp_config=lerp),
-    ]
+    systems = [SystemSpec("RusKey", lambda config: None, 1, lerp_config=lerp)]
     if include_greedy:
-        for h_bottom, h_top in [
-            (0.50, 0.50),
-            (0.33, 0.67),
-            (0.25, 0.75),
-            (0.10, 0.90),
-            (0.25, 0.50),
-            (0.50, 0.75),
-        ]:
+        for h_bottom, h_top in PAPER_GREEDY_THRESHOLDS:
             systems.append(
                 SystemSpec(
                     f"Greedy,{int(h_bottom * 100)}%,{int(h_top * 100)}%",
@@ -264,13 +255,7 @@ def dynamic_workload_experiment(
                 )
             )
     else:
-        systems.extend(
-            [
-                SystemSpec("K=1 (Aggressive)", lambda config: StaticTuner(1), 1),
-                SystemSpec("K=5 (Moderate)", lambda config: StaticTuner(5), 5),
-                SystemSpec("K=10 (Lazy)", lambda config: StaticTuner(10), 10),
-            ]
-        )
+        systems.extend(static_baselines())
     return Experiment(
         name="fig12-dynamic-greedy" if include_greedy else "fig7-dynamic",
         workload=workload,
@@ -295,7 +280,7 @@ POLICY_MATRIX_MIXES = ("write-heavy", "balanced", "read-heavy", "dynamic")
 
 
 def policy_lerp_config(n_missions: int, seed: int = 0) -> LerpConfig:
-    """Lerp hyperparameters for the named-policy action dimension.
+    """:class:`~repro.core.named_policy.NamedPolicyLerp` hyperparameters.
 
     The policy agent explores three arms with ε-greedy; ε anneals from 1 to
     its floor within ~45 % of the run (per session for dynamic schedules),
@@ -304,7 +289,6 @@ def policy_lerp_config(n_missions: int, seed: int = 0) -> LerpConfig:
     budget = max(30, int(0.45 * n_missions))
     decay = math.exp(math.log(0.05) / budget)  # epsilon 1.0 -> 0.05
     return LerpConfig(
-        tune_policy=True,
         policy_dqn=DQNConfig(
             state_dim=POLICY_STATE_DIM,
             n_actions=len(POLICY_NAMES),
@@ -320,24 +304,18 @@ def policy_matrix_systems(
     n_missions: int, size_ratio: int = 10, seed: int = 0
 ) -> List[SystemSpec]:
     """Lerp driving the policy action vs the three static disciplines."""
-    return [
-        SystemSpec(
-            "Lerp+policy",
-            lambda config: None,  # default Lerp, policy dimension enabled
-            initial_policy=1,
-            lerp_config=policy_lerp_config(n_missions, seed=seed),
-        ),
-        SystemSpec("Leveling", lambda config: NamedPolicyTuner("leveling"), 1),
-        SystemSpec(
-            "Tiering",
-            lambda config: NamedPolicyTuner("tiering"),
-            initial_policy=size_ratio,
-        ),
-        SystemSpec(
-            "Lazy-Leveling",
-            lambda config: NamedPolicyTuner("lazy-leveling"),
-            initial_policy=size_ratio,
-        ),
+    lerp_config = policy_lerp_config(n_missions, seed=seed)
+    tuned = SystemSpec(
+        "Lerp+policy", lambda config: NamedPolicyLerp(config, lerp_config), 1
+    )
+    statics = (
+        ("Leveling", "leveling", 1),
+        ("Tiering", "tiering", size_ratio),
+        ("Lazy-Leveling", "lazy-leveling", size_ratio),
+    )
+    return [tuned] + [
+        SystemSpec(name, lambda config, policy=policy: NamedPolicyTuner(policy), k)
+        for name, policy, k in statics
     ]
 
 

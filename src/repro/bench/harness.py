@@ -181,7 +181,9 @@ def _resume_fingerprint(
     }
 
 
-def _build_store(experiment: Experiment, system: SystemSpec) -> RusKey:
+def build_store(experiment: Experiment, system: SystemSpec) -> RusKey:
+    """The loaded store ``system`` describes, ready for the experiment's
+    first mission (the one ``SystemSpec`` → store builder)."""
     config = experiment.base_config.with_updates(
         initial_policy=system.initial_policy
     )
@@ -233,7 +235,7 @@ def run_system(experiment: Experiment, system: SystemSpec) -> SeriesResult:
                 "rerun with the matching settings"
             )
     if store is None:
-        store = _build_store(experiment, system)
+        store = build_store(experiment, system)
     done = store.missions_run
     missions = experiment.workload.missions(
         experiment.n_missions, experiment.mission_size

@@ -2,18 +2,23 @@
 
 from repro.core.detector import WorkloadChangeDetector
 from repro.core.extensions import BloomBudgetExtension
-from repro.core.lerp import Lerp, LerpConfig, discretize_action
+from repro.core.joint import JointLerp
+from repro.core.lerp import AllLevelsLerp, Lerp, LerpConfig
 from repro.core.missions import MissionRunner
+from repro.core.named_policy import (
+    NamedPolicyLerp,
+    current_policy_action,
+    policy_state,
+)
 from repro.core.propagation import PolicyPropagator
 from repro.core.ruskey import RusKey
 from repro.core.state import (
     POLICY_STATE_DIM,
     STATE_DIM,
     RunningScale,
-    current_policy_action,
+    discretize_action,
     level_state,
     mission_reward,
-    policy_state,
 )
 from repro.core.tuners import (
     GreedyThresholdTuner,
@@ -28,6 +33,9 @@ from repro.core.tuners import (
 __all__ = [
     "RusKey",
     "Lerp",
+    "AllLevelsLerp",
+    "JointLerp",
+    "NamedPolicyLerp",
     "LerpConfig",
     "discretize_action",
     "MissionRunner",

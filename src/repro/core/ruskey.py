@@ -19,9 +19,10 @@ Tuning composes across shards in two ways:
 * ``tuner=`` — one *shared* tuner instance observes every shard's tree and
   per-shard mission stats in turn (the natural fit for stateless baselines
   such as :class:`~repro.core.tuners.StaticTuner`);
-* default / ``tuner_factory=`` — one *independent* tuner per shard (the
-  default builds one :class:`~repro.core.lerp.Lerp` per shard, the
-  per-instance-model composition of CAMAL/ArceKV style tuning).
+* default / ``tuners=[...]`` — one *independent* tuner per shard (the
+  default builds one :class:`~repro.core.lerp.Lerp` per shard through
+  :func:`~repro.core.lerp.per_shard_tuners`, the per-instance-model
+  composition of CAMAL/ArceKV style tuning).
 
 The same facade also hosts the baselines — pass a
 :class:`~repro.core.tuners.StaticTuner` for the paper's Aggressive /
@@ -30,13 +31,12 @@ Moderate / Lazy configurations, or any other tuner.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import SystemConfig, TransitionKind
-from repro.core.lerp import Lerp, LerpConfig
+from repro.core.lerp import Lerp, LerpConfig, per_shard_tuners
 from repro.core.missions import MissionRunner
 from repro.core.tuners import Tuner
 from repro.engine.sharded import ShardedStore
@@ -61,7 +61,6 @@ class RusKey(DerivedMembers):
         chunk_size: int = 64,
         engine=None,
         n_shards: int = 1,
-        tuner_factory: Optional[Callable[[SystemConfig], Tuner]] = None,
         tuners: Optional[List[Tuner]] = None,
     ) -> None:
         self.config = config if config is not None else SystemConfig()
@@ -85,32 +84,20 @@ class RusKey(DerivedMembers):
                     f"got {len(tuners)} tuners for {len(targets)} tuning "
                     "targets; pass one per target"
                 )
-            self.tuners = list(tuners)
-        elif tuner_factory is not None:
-            self.tuners: List[Tuner] = [
-                tuner_factory(self.config) for _ in targets
-            ]
+            self.tuners: List[Tuner] = list(tuners)
         elif tuner is not None:
             self.tuners = [tuner] * len(targets)
         else:
-            # Offset each shard tuner's RNG seed the same way ShardedStore
-            # offsets shard tree seeds: with one seed the per-shard Lerps
-            # would draw identical exploration noise over near-identical
-            # shard stats and tune in lockstep instead of independently.
             base = lerp_config if lerp_config is not None else LerpConfig()
-            self.tuners = [
-                Lerp(
-                    self.config,
-                    base if i == 0 else dataclasses.replace(base, seed=base.seed + i),
-                )
-                for i in range(len(targets))
-            ]
+            self.tuners = per_shard_tuners(Lerp, self.config, base, len(targets))
         #: The (first) tuner; with independent per-shard tuners see
         #: :attr:`tuners` for the rest.
         self.tuner: Tuner = self.tuners[0]
         self.runner = MissionRunner(engine, chunk_size=chunk_size)
         self.mission_log: List[MissionStats] = []
         self.policy_history: List[List[int]] = []
+        #: The one log :meth:`attach_audit` handed to every tuner.
+        self.audit = None
 
     # ------------------------------------------------------------------
     # Data access (pass-through to the engine)
@@ -169,7 +156,9 @@ class RusKey(DerivedMembers):
         """Attach one :class:`repro.obs.audit.DecisionAuditLog` to every
         distinct tuner (a shared tuner instance is attached once). Audit
         recording is host-side only — simulated results are bit-identical
-        with or without it (DESIGN.md §12)."""
+        with or without it (DESIGN.md §12). The store snapshots the log
+        once and re-attaches it as one instance on restore."""
+        self.audit = audit
         for tuner in dict.fromkeys(self.tuners):
             tuner.attach_audit(audit)
 
@@ -227,16 +216,18 @@ class RusKey(DerivedMembers):
     def state_dict(self) -> dict:
         """Full serializable snapshot of the store: engine, tuner(s) and the
         controller's mission/policy logs. A shared tuner (one instance
-        observing every shard) is snapshotted once."""
+        observing every shard) is snapshotted once, and so is the audit log
+        attached through :meth:`attach_audit`."""
         shared = all(t is self.tuners[0] for t in self.tuners)
+        tuner_states = [t.state_dict() for t in self.tuners[: 1 if shared else None]]
+        for tuner, tuner_state in zip(self.tuners, tuner_states):
+            if self.audit is not None and getattr(tuner, "audit", None) is self.audit:
+                tuner_state["audit"] = None  # the store's copy is the one written
         return {
             "engine": self.engine.state_dict(),
             "tuners_shared": shared,
-            "tuners": (
-                [self.tuners[0].state_dict()]
-                if shared
-                else [t.state_dict() for t in self.tuners]
-            ),
+            "tuners": tuner_states,
+            "audit": None if self.audit is None else self.audit.state_dict(),
             "mission_log": [m.state_dict() for m in self.mission_log],
             "policy_history": [list(p) for p in self.policy_history],
             "chunk_size": self.runner.chunk_size,
@@ -249,23 +240,20 @@ class RusKey(DerivedMembers):
         saved = state["tuners"]
         saved_shared = bool(state["tuners_shared"])
         shared = all(t is self.tuners[0] for t in self.tuners)
-        if saved_shared != shared and len(self.tuners) > 1:
+        distinct = self.tuners[: 1 if shared else None]
+        mismatch = saved_shared != shared and len(self.tuners) > 1
+        if mismatch or len(saved) != len(distinct):
             raise SnapshotError(
-                "tuner topology mismatch: snapshot was taken with "
-                f"{'a shared tuner' if saved_shared else 'independent tuners'}"
-                f", this store has "
-                f"{'a shared tuner' if shared else 'independent tuners'}"
+                f"tuner topology mismatch: snapshot holds {len(saved)} tuner "
+                f"state(s) (shared: {saved_shared}), this store has "
+                f"{len(distinct)} distinct tuner(s) (shared: {shared})"
             )
-        if saved_shared:
-            self.tuners[0].load_state_dict(saved[0])
-        else:
-            if len(saved) != len(self.tuners):
-                raise SnapshotError(
-                    f"tuner-count mismatch: snapshot has {len(saved)}, "
-                    f"this store has {len(self.tuners)}"
-                )
-            for tuner, tuner_state in zip(self.tuners, saved):
-                tuner.load_state_dict(tuner_state)
+        for tuner, tuner_state in zip(distinct, saved):
+            tuner.load_state_dict(tuner_state)
+        if state.get("audit") is not None:  # absent before the shared log
+            from repro.obs.audit import DecisionAuditLog
+
+            self.attach_audit(DecisionAuditLog.from_state_dict(state["audit"]))
         self.mission_log = [
             MissionStats.from_state_dict(m) for m in state["mission_log"]
         ]

@@ -1,4 +1,4 @@
-"""RL state construction for Lerp.
+"""What Lerp knows about one level: features, reward, scale, agent.
 
 "The state captures the parameters related to the FLSM-tree and the workload
 within a mission. Our model state consists of internal statistics of the
@@ -9,62 +9,70 @@ statistics such as the read/write ratio in the previous mission."
 
 :func:`level_state` builds the per-level feature vector from exactly those
 quantities, normalized so every feature is roughly in [0, 1] regardless of
-mission size or device speed.
+mission size or device speed; :func:`mission_reward` is the two-term reward;
+:class:`LevelAgent` owns both, plus the DDPG agent they feed, for one level.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
+
 import numpy as np
 
 from repro.errors import RLError
-from repro.lsm.policy import POLICY_NAMES, classify_policies, policy_index
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
+from repro.rl.ddpg import DDPGAgent
+
+if TYPE_CHECKING:
+    from repro.core.lerp import LerpConfig
 
 #: Dimensionality of the per-level state vector.
 STATE_DIM = 8
 
-#: Dimensionality of the named-policy (tree-global) state vector.
+#: Dimensionality of the named-policy (tree-global) state vector
+#: (:func:`repro.core.named_policy.policy_state`).
 POLICY_STATE_DIM = 8
+
+#: Continuous actions below/above these thresholds map to ΔK = -1 / +1.
+ACTION_THRESHOLD = 1.0 / 3.0
+
+
+def discretize_action(action: float) -> int:
+    """Map a continuous action in [-1, 1] to ΔK ∈ {-1, 0, +1}."""
+    if action < -ACTION_THRESHOLD:
+        return -1
+    if action > ACTION_THRESHOLD:
+        return 1
+    return 0
 
 
 class RunningScale:
     """Calibrate-then-freeze normalization anchor for latencies.
 
     The scale averages its first ``calibration_samples`` inputs (a plain
-    running mean) and then *freezes*. An adaptive scale cannot be used to
-    normalize an RL reward here: it tracks whatever latency the current
-    policy produces, so any policy held long enough drifts toward the same
-    normalized reward (≈ 1) and the agent ends up comparing early samples
-    against late samples instead of policy against policy. A frozen anchor
-    keeps the reward an absolute (affine) function of latency within one
+    running mean) and then *freezes*. An adaptive scale would track whatever
+    latency the current policy produces, so any policy held long enough
+    drifts toward the same normalized reward (≈ 1) and the agent compares
+    early samples against late ones instead of policy against policy. A
+    frozen anchor keeps the reward an affine function of latency within one
     workload era; :meth:`boost` re-opens calibration when the workload
     shifts and latency magnitudes genuinely change.
-
-    ``alpha`` is retained as the (slow) post-calibration adaptation rate;
-    the default of 0 freezes completely.
     """
 
-    # Hyperparameters fixed at construction (the owner's config re-supplies
-    # them); only the anchor value and sample count are mutable state.
-    _snapshot_exempt = frozenset({"alpha", "calibration_samples"})
+    # Fixed at construction; only the anchor value and sample count are
+    # mutable state.
+    _snapshot_exempt = frozenset({"calibration_samples"})
 
-    def __init__(
-        self,
-        alpha: float = 0.0,
-        initial: float = 0.0,
-        calibration_samples: int = 8,
-    ) -> None:
-        if not 0.0 <= alpha <= 1.0:
-            raise RLError(f"alpha must be in [0, 1], got {alpha}")
+    def __init__(self, calibration_samples: int = 8) -> None:
         if calibration_samples < 1:
             raise RLError(
                 f"calibration_samples must be >= 1, got {calibration_samples}"
             )
-        self.alpha = alpha
         self.calibration_samples = calibration_samples
-        self.value = initial
-        self._count = 1 if initial > 0.0 else 0
+        self.value = 0.0
+        self._count = 0
 
     def update(self, sample: float) -> float:
         """Fold ``sample`` into the anchor and return the current scale."""
@@ -75,8 +83,6 @@ class RunningScale:
             self.value = sample
         elif self._count <= self.calibration_samples:
             self.value += (sample - self.value) / self._count
-        elif self.alpha > 0.0:
-            self.value += self.alpha * (sample - self.value)
         return self.value
 
     def boost(self) -> None:
@@ -94,8 +100,7 @@ class RunningScale:
     # Snapshot hooks (see repro.persist)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """The mutable pieces: the anchor value and the sample count (the
-        hyperparameters come from the owner's config at reconstruction)."""
+        """The mutable pieces: the anchor value and the sample count."""
         return {"value": self.value, "count": self._count}
 
     def load_state_dict(self, state: dict) -> None:
@@ -147,61 +152,6 @@ def level_state(
     )
 
 
-def current_policy_action(tree: LSMTree) -> int:
-    """The discrete named-policy action the tree currently embodies.
-
-    A pinned tree reports its pin; an unpinned tree whose ``K`` vector
-    matches a named discipline reports that; anything else (e.g. the K=5
-    Moderate baseline, or mid-tuning per-level vectors) defaults to the
-    leveling action — the paper's initial configuration.
-    """
-    name = tree.named_policy()
-    if name is None:
-        name = classify_policies(tree.policies(), tree.config.size_ratio)
-    return policy_index(name) if name is not None else 0
-
-
-def policy_state(
-    tree: LSMTree,
-    mission: MissionStats,
-    e2e_scale: RunningScale,
-) -> np.ndarray:
-    """Tree-global feature vector for the named-policy action dimension.
-
-    Features (all ~[0, 1]):
-
-    0.   mission lookup fraction γ (point + range)
-    1.   mission range fraction (range scans punish tiering hardest)
-    2.   end-to-end latency per op (normalized by the e2e running scale)
-    3-5. one-hot of the current named policy (leveling/tiering/lazy-leveling)
-    6.   tree depth / 8
-    7.   mean runs per level / ``2T`` (read-amplification / merge-debt proxy)
-    """
-    ops = max(1, mission.n_operations)
-    t = tree.config.size_ratio
-    one_hot = np.zeros(len(POLICY_NAMES))
-    one_hot[current_policy_action(tree)] = 1.0
-    mean_runs = (
-        float(np.mean([level.n_runs for level in tree.levels]))
-        if tree.levels
-        else 0.0
-    )
-    head = np.asarray(
-        [
-            mission.lookup_fraction,
-            mission.n_ranges / ops,
-            e2e_scale.normalize(mission.total_time / ops),
-        ]
-    )
-    tail = np.asarray(
-        [
-            min(tree.n_levels / 8.0, 1.0),
-            min(mean_runs / (2.0 * t), 1.0),
-        ]
-    )
-    return np.concatenate([head, one_hot, tail]).astype(np.float64)
-
-
 def mission_reward(
     mission: MissionStats,
     level_no: int,
@@ -219,14 +169,186 @@ def mission_reward(
     latency is a small share of the end-to-end latency, so normalizing both
     by one scale would bury the local signal (exactly the signal the
     level-based model exists to exploit) under end-to-end compaction noise.
+    Pure: folding the mission into the scales is the caller's move.
     """
     if not 0.0 <= alpha <= 1.0:
         raise RLError(f"alpha must be in [0, 1], got {alpha}")
     ops = max(1, mission.n_operations)
     t_level = mission.level_time(level_no) / ops
     t_e2e = mission.total_time / ops
-    level_scale.update(t_level)
     return -(
         alpha * level_scale.normalize(t_level)
         + (1.0 - alpha) * e2e_scale.normalize(t_e2e)
     )
+
+
+class LevelAgent:
+    """Everything Lerp learns and remembers about one level.
+
+    Constructing one draws its networks' initial weights from ``rng`` (the
+    owning tuner's one generator), so *when* a tuner first asks for a level
+    is part of its draw sequence.
+    """
+
+    # Wiring the owning tuner re-supplies when it rebuilds the part.
+    _snapshot_exempt = frozenset({"level_no", "config", "size_ratio", "_rng"})
+
+    def __init__(
+        self,
+        level_no: int,
+        config: "LerpConfig",
+        size_ratio: int,
+        rng: np.random.Generator,
+    ) -> None:
+        self.level_no = level_no
+        self.config = config
+        self.size_ratio = size_ratio
+        self._rng = rng
+        self.agent = DDPGAgent(config.ddpg, rng)
+        self.scale = RunningScale()
+        #: The previous step's (state, raw action), awaiting its reward.
+        self.last: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.reward_window: Deque[float] = deque(maxlen=config.reward_smoothing)
+        # Per-policy raw (unnormalized) combined latency observed while that
+        # policy was active this workload era: what a finished stage reads.
+        self.arm_stats: Dict[int, List[float]] = {}
+
+    def step(
+        self,
+        tree: LSMTree,
+        mission: MissionStats,
+        e2e_scale: RunningScale,
+        burning_in: bool,
+        audit: Callable[..., None],
+    ) -> Optional[int]:
+        """One tuning move for this level: learn from the previous action's
+        reward, pick ΔK, apply it. Returns the level's new ``K``, or
+        ``None`` while ``burning_in`` (the mission is still recorded)."""
+        cfg = self.config
+        level = tree.level(self.level_no)
+        ops = max(1, mission.n_operations)
+        combined_latency = (
+            cfg.alpha * mission.level_time(self.level_no) / ops
+            + (1.0 - cfg.alpha) * mission.total_time / ops
+        )
+        self.arm_stats.setdefault(level.policy, []).append(combined_latency)
+        state = level_state(tree, mission, self.level_no, self.scale, e2e_scale)
+        # The state sees the scale as it was; the reward sees it updated.
+        self.scale.update(mission.level_time(self.level_no) / ops)
+        self.reward_window.append(
+            mission_reward(mission, self.level_no, cfg.alpha, self.scale, e2e_scale)
+        )
+        reward = float(np.mean(self.reward_window))
+        if burning_in:
+            # Scales are still calibrating; acting or learning now would
+            # absorb the warm-up trend into the critic.
+            return None
+        if self.last is not None:
+            self.agent.observe(*self.last, reward, state)
+            for _ in range(cfg.updates_per_mission):
+                self.agent.update()
+        raw, delta = self._select_action(state)
+        new_policy = int(np.clip(level.policy + delta, 1, self.size_ratio))
+        if new_policy != level.policy:
+            tree.set_policy(self.level_no, new_policy, cfg.transition)
+        audit(
+            "level_action",
+            level=self.level_no,
+            delta=int(delta),
+            k=new_policy,
+            sigma=float(self.agent.noise.sigma),
+            reward=float(reward),
+        )
+        self.last = (state, raw)
+        self.agent.decay_noise()
+        return new_policy
+
+    def _select_action(self, state: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Returns (raw action for the replay buffer, ΔK).
+
+        Besides the agent's own exploration noise, a small ε share of
+        actions is drawn uniformly from {-1, 0, +1} (ε decays with the
+        noise): a saturated tanh actor would otherwise stop producing
+        counterfactual actions long before the critic has seen all policies,
+        trapping short stages at whatever K the first random walk reached.
+        """
+        agent = self.agent
+        epsilon = 0.3 * min(1.0, agent.noise.sigma / max(agent.config.noise_sigma, 1e-9))
+        if self._rng.random() < epsilon:
+            delta = int(self._rng.integers(-1, 2))
+            # Store a representative continuous action for the critic.
+            return np.asarray([0.8 * delta], dtype=float), delta
+        raw = agent.act(state, explore=True)
+        return raw, discretize_action(float(raw[0]))
+
+    def measured_best(self) -> Optional[int]:
+        """Among the policies held for at least three missions this era, the
+        one with the lowest neighbor-smoothed mean combined latency;
+        ``None`` when no policy has three samples."""
+        arms = {
+            policy: (float(np.mean(latencies)), len(latencies))
+            for policy, latencies in self.arm_stats.items()
+            if len(latencies) >= 3
+        }
+        if not arms:
+            return None
+
+        # The cost surface is smooth in K, so averaging each arm with its
+        # neighbors damps lucky small-sample arms without biasing the argmin.
+        def smoothed(policy: int) -> float:
+            total = total_weight = 0.0
+            for neighbor, weight in ((policy - 1, 0.5), (policy, 1.0), (policy + 1, 0.5)):
+                if neighbor in arms:
+                    mean, count = arms[neighbor]
+                    effective = weight * min(count, 20)
+                    total += effective * mean
+                    total_weight += effective
+            return total / total_weight
+
+        return min(arms, key=smoothed)
+
+    def follow_actor(self, k: int) -> int:
+        """From ``k``, greedily follow the actor's deterministic ΔK
+        recommendations (substituting the policy-dependent features of the
+        last observed state at each step) until a fixed point."""
+        if self.last is None:
+            return k
+        t = self.size_ratio
+        state = self.last[0].copy()
+        for _ in range(t):
+            state[0] = k / t
+            state[6] = min(k * state[1] / (2.0 * t), 1.0)
+            action = float(self.agent.actor.forward(state[None, :])[0, 0])
+            next_k = int(np.clip(k + discretize_action(action), 1, t))
+            if next_k == k:
+                break
+            k = next_k
+        return k
+
+    def restart(self, exploration_scale: float = 1.0) -> None:
+        """New workload era: keep networks, replay and optimizers; forget
+        the episode, re-open scale calibration, and explore again at
+        ``exploration_scale`` of the configured noise."""
+        self.last = None
+        self.reward_window.clear()
+        self.arm_stats.clear()
+        self.scale.boost()
+        self.agent.reset_exploration(self.agent.config.noise_sigma * exploration_scale)
+
+    def state_dict(self) -> Dict[str, object]:
+        return {
+            "agent": self.agent.state_dict(),
+            "scale": self.scale.state_dict(),
+            "last": self.last,
+            "reward_window": list(self.reward_window),
+            "arm_stats": {k: list(v) for k, v in self.arm_stats.items()},
+        }
+
+    def load_state_dict(self, state: Dict[str, object]) -> None:
+        self.agent.load_state_dict(state["agent"])
+        self.scale.load_state_dict(state["scale"])
+        last = state["last"]
+        self.last = None if last is None else (np.array(last[0]), np.array(last[1]))
+        window = self.config.reward_smoothing
+        self.reward_window = deque(state["reward_window"], maxlen=window)
+        self.arm_stats = {int(k): list(v) for k, v in state["arm_stats"].items()}

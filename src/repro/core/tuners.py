@@ -11,7 +11,7 @@ compaction policies before the next one. Implementations:
   Figure 12: when the observed lookup share drops below ``h_bottom`` the
   policy is incremented (lazier); above ``h_top`` it is decremented
   (more aggressive).
-* :class:`repro.core.lerp.Lerp` — the RL tuner (separate module).
+* :class:`repro.core.lerp.Lerp` — the RL tuner (DESIGN.md "Tuner anatomy").
 """
 
 from __future__ import annotations
@@ -36,12 +36,9 @@ class Tuner:
         """Forget any adaptive state (between experiment repetitions)."""
 
     def attach_audit(self, audit) -> None:
-        """Attach a :class:`repro.obs.audit.DecisionAuditLog`.
-
-        The non-RL baselines make no decisions worth auditing, so the base
-        hook is a no-op; :class:`repro.core.lerp.Lerp` overrides it and
-        records every arm pick, ΔK move, commit and restart.
-        """
+        """Attach a :class:`repro.obs.audit.DecisionAuditLog`. A no-op here
+        (the baselines make no decisions worth auditing); the learned tuners
+        (:mod:`repro.core.lerp`) record every decision."""
         return None
 
     # ------------------------------------------------------------------
@@ -51,9 +48,8 @@ class Tuner:
         """Serializable snapshot of any adaptive state.
 
         The base tuners (static, lazy-leveling, greedy-threshold) hold only
-        construction-time configuration, so the default is empty;
-        :class:`repro.core.lerp.Lerp` overrides both hooks with its full
-        learned state.
+        construction-time configuration, so the default is empty; the
+        learned tuners override both hooks with their full learned state.
         """
         return {}
 
@@ -187,14 +183,13 @@ class GreedyThresholdTuner(Tuner):
                 tree.set_policy(level.level_no, level.policy - 1, self.transition)
 
 
+#: The Figure 12 ``(h_bottom, h_top)`` settings: four symmetric, two biased.
+PAPER_GREEDY_THRESHOLDS = (
+    (0.50, 0.50), (0.33, 0.67), (0.25, 0.75), (0.10, 0.90),
+    (0.25, 0.50), (0.50, 0.75),
+)
+
+
 def paper_greedy_variants() -> "list[GreedyThresholdTuner]":
-    """The Figure 12 threshold settings: four symmetric, two biased."""
-    settings = [
-        (0.50, 0.50),
-        (0.33, 0.67),
-        (0.25, 0.75),
-        (0.10, 0.90),
-        (0.25, 0.50),
-        (0.50, 0.75),
-    ]
-    return [GreedyThresholdTuner(h_bottom, h_top) for h_bottom, h_top in settings]
+    """One tuner per Figure 12 threshold setting."""
+    return [GreedyThresholdTuner(hb, ht) for hb, ht in PAPER_GREEDY_THRESHOLDS]

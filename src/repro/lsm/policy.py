@@ -22,9 +22,9 @@ Re-pinning uses the flexible transition (active-run capacity only), so it
 moves no data and charges no simulated time.
 
 The named axis is also a discrete RL action dimension: :data:`POLICY_NAMES`
-fixes the action encoding used by :class:`repro.core.lerp.Lerp` when
-``tune_policy`` is enabled, by the tuning-surface protocol
-(:meth:`repro.engine.base.KVEngine.set_named_policy`) and by snapshots
+fixes the action encoding used by
+:class:`repro.core.named_policy.NamedPolicyLerp`, by the tuning-surface
+protocol (:meth:`repro.engine.base.KVEngine.set_named_policy`) and by snapshots
 (policies persist by name).
 """
 

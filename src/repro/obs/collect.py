@@ -194,8 +194,8 @@ def collect_tuner_metrics(
     """Registry view of a tuner list (one label per ``shard`` position).
 
     Works for any :class:`~repro.core.tuners.Tuner`; fields specific to
-    :class:`~repro.core.lerp.Lerp` (restarts, convergence, model-update
-    time) appear only when present.
+    the learned tuners (restarts, convergence, model-update time) appear
+    only when present. A shared tuner and a shared audit log count once.
     """
     registry = registry if registry is not None else MetricsRegistry()
     restarts = registry.counter(
@@ -205,12 +205,7 @@ def collect_tuner_metrics(
     )
     converged = registry.gauge(
         "repro_tuner_converged",
-        "1 once the tuner considers per-level tuning converged",
-        labels=("shard",),
-    )
-    policy_converged = registry.gauge(
-        "repro_tuner_policy_converged",
-        "1 once the named-policy arm is committed",
+        "1 once the tuner considers tuning converged (committed / propagated)",
         labels=("shard",),
     )
     model_seconds = registry.counter(
@@ -223,9 +218,9 @@ def collect_tuner_metrics(
         "decision audit events recorded",
         labels=("shard",),
     )
-    seen = set()
+    seen = set()  # ids of tuners and audit logs already counted
     for index, tuner in enumerate(tuners):
-        if id(tuner) in seen:  # a shared tuner counts once
+        if id(tuner) in seen:
             continue
         seen.add(id(tuner))
         shard = str(index)
@@ -233,16 +228,13 @@ def collect_tuner_metrics(
             restarts.labels(shard=shard).inc(int(tuner.restarts))
         if hasattr(tuner, "converged"):
             converged.labels(shard=shard).set(int(bool(tuner.converged)))
-        if hasattr(tuner, "policy_converged"):
-            policy_converged.labels(shard=shard).set(
-                int(bool(tuner.policy_converged))
-            )
         if hasattr(tuner, "total_model_update_s"):
             model_seconds.labels(shard=shard).inc(
                 float(tuner.total_model_update_s)
             )
         audit = getattr(tuner, "audit", None)
-        if audit is not None:
+        if audit is not None and id(audit) not in seen:
+            seen.add(id(audit))
             audit_events.labels(shard=shard).inc(len(audit))
     return registry
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import __version__
 from repro.config import (
@@ -51,7 +51,9 @@ from repro.config import (
     config_from_state,
     config_to_state,
 )
-from repro.core.lerp import Lerp, LerpConfig
+from repro.core.joint import JointLerp
+from repro.core.lerp import AllLevelsLerp, Lerp, LerpConfig
+from repro.core.named_policy import NamedPolicyLerp
 from repro.core.ruskey import RusKey
 from repro.core.tuners import Tuner
 from repro.durable.atomio import publish_bytes
@@ -61,6 +63,11 @@ from repro.errors import SnapshotError
 from repro.lsm.tree import LSMTree
 from repro.rl.ddpg import DDPGConfig
 from repro.rl.dqn import DQNConfig
+
+#: The learned tuners a blueprint can name (rebuilt from class + config).
+_LERP_CLASSES = {
+    cls.__name__: cls for cls in (Lerp, AllLevelsLerp, JointLerp, NamedPolicyLerp)
+}
 
 MAGIC = "repro-snapshot"
 FORMAT_VERSION = 1
@@ -83,26 +90,64 @@ def lerp_config_to_state(config: LerpConfig) -> Dict[str, object]:
     state = dataclasses.asdict(config)
     state["transition"] = config.transition.value
     state["ddpg"]["hidden"] = list(config.ddpg.hidden)
-    state["dqn"]["hidden"] = list(config.dqn.hidden)
     state["policy_dqn"]["hidden"] = list(config.policy_dqn.hidden)
     return state
 
 
-def lerp_config_from_state(state: Dict[str, object]) -> LerpConfig:
-    """Rebuild a ``LerpConfig`` from :func:`lerp_config_to_state` output."""
+def lerp_config_from_state(state: Dict[str, Any]) -> LerpConfig:
+    """Rebuild a ``LerpConfig`` from :func:`lerp_config_to_state` output —
+    or from what the one-class ``Lerp`` wrote before the tuners were split:
+    its ``mode`` / ``tune_policy`` now pick the class
+    (:func:`_lerp_class_name`) and are dropped here with the never-used
+    ``dqn``; ``agent_kind="dqn"`` or a non-zero ``scale_alpha`` selected code
+    that no longer exists and is refused."""
     fields = dict(state)
+    if fields.pop("agent_kind", "ddpg") != "ddpg" or fields.get("scale_alpha"):
+        raise SnapshotError(
+            "snapshot was taken with LerpConfig.agent_kind='dqn' or a "
+            "non-zero scale_alpha; neither is supported any more"
+        )
+    for dropped in ("scale_alpha", "mode", "tune_policy", "dqn"):
+        fields.pop(dropped, None)
     fields["transition"] = TransitionKind(fields["transition"])
-    ddpg = dict(fields["ddpg"])
-    ddpg["hidden"] = tuple(ddpg["hidden"])
-    fields["ddpg"] = DDPGConfig(**ddpg)
-    dqn = dict(fields["dqn"])
-    dqn["hidden"] = tuple(dqn["hidden"])
-    fields["dqn"] = DQNConfig(**dqn)
-    if "policy_dqn" in fields:  # absent in pre-policy snapshots
-        policy_dqn = dict(fields["policy_dqn"])
-        policy_dqn["hidden"] = tuple(policy_dqn["hidden"])
-        fields["policy_dqn"] = DQNConfig(**policy_dqn)
+    for key, cls in (("ddpg", DDPGConfig), ("policy_dqn", DQNConfig)):
+        if key in fields:  # policy_dqn is absent in pre-policy snapshots
+            agent = dict(fields[key])
+            fields[key] = cls(**{**agent, "hidden": tuple(agent["hidden"])})
     return LerpConfig(**fields)
+
+
+def _lerp_class_name(blueprint: Dict[str, Any]) -> str:
+    """The tuner class a ``"lerp"`` blueprint names — or, in a file from
+    before the split, the one its config's ``tune_policy`` (which overrode
+    ``mode``) or ``mode`` selected."""
+    config = blueprint["config"]
+    by_mode = {"joint": "JointLerp", "all-levels": "AllLevelsLerp"}
+    selected = by_mode.get(config.get("mode"), "Lerp")
+    if config.get("tune_policy"):
+        selected = "NamedPolicyLerp"
+    return str(blueprint.get("class", selected))
+
+
+def _split_tuner_state(state: Dict[str, Any]) -> Dict[str, Any]:
+    """A tuner state as the split tuners read it. The one-class ``Lerp``
+    wrote every flow's keys, the per-level ones as five flat dicts keyed by
+    level (now one ``levels`` record per level) and the joint transition
+    under the fake level ``-1`` of ``last`` (now ``last`` itself); the
+    named-policy keys did not move, and each class reads only its own."""
+    if "agents" not in state:
+        return state
+    levels = {
+        level_no: {
+            "agent": agent_state,
+            "scale": state["level_scales"][level_no],
+            "last": state["last"].get(level_no),
+            "reward_window": state["reward_windows"].get(level_no, []),
+            "arm_stats": state["arm_stats"].get(level_no, {}),
+        }
+        for level_no, agent_state in state["agents"].items()
+    }
+    return {**state, "levels": levels, "last": state["last"].get(-1)}
 
 
 # ----------------------------------------------------------------------
@@ -234,12 +279,15 @@ def load_engine(path: str):
 def _tuner_blueprint(tuner: Tuner) -> Dict[str, object]:
     """How to rebuild ``tuner`` in a fresh process.
 
-    Lerp tuners are rebuilt from their (plain-data) config; the simple
-    baselines hold only construction-time configuration and pickle cleanly.
-    Anything else must be supplied by the caller at load time.
+    The learned tuners are rebuilt from their class name and (plain-data)
+    config; the simple baselines hold only construction-time configuration
+    and pickle cleanly. Anything else must be supplied by the caller at
+    load time.
     """
-    if isinstance(tuner, Lerp):
-        return {"kind": "lerp", "config": lerp_config_to_state(tuner.config)}
+    name = type(tuner).__name__
+    if _LERP_CLASSES.get(name) is type(tuner):
+        config = lerp_config_to_state(tuner.config)
+        return {"kind": "lerp", "class": name, "config": config}
     try:
         return {"kind": "pickled", "data": pickle.dumps(tuner, protocol=4)}
     except Exception as exc:
@@ -253,7 +301,12 @@ def _tuner_from_blueprint(
     blueprint: Dict[str, object], system_config: SystemConfig
 ) -> Tuner:
     if blueprint["kind"] == "lerp":
-        return Lerp(system_config, lerp_config_from_state(blueprint["config"]))
+        name = _lerp_class_name(blueprint)
+        if name not in _LERP_CLASSES:
+            raise SnapshotError(f"unknown tuner class in snapshot: {name!r}")
+        return _LERP_CLASSES[name](
+            system_config, lerp_config_from_state(blueprint["config"])
+        )
     return pickle.loads(blueprint["data"])
 
 
@@ -279,7 +332,7 @@ def load_tuner(path: str) -> Tuner:
     tuner = _tuner_from_blueprint(
         state["blueprint"], config_from_state(state["system_config"])
     )
-    tuner.load_state_dict(state["tuner"])
+    tuner.load_state_dict(_split_tuner_state(state["tuner"]))
     return tuner
 
 
@@ -336,26 +389,23 @@ def store_from_snapshot(
     n_targets = len(engine.tuning_targets())
     blueprints = state["tuner_blueprints"]
     shared = bool(state["store"]["tuners_shared"])
-    if tuner_factory is not None:
+    tuners: List[Tuner]
+    if tuner_factory is None:
+        tuners = [_tuner_from_blueprint(b, config) for b in blueprints]
+    else:
+        tuners = [tuner_factory(config) for _ in range(1 if shared else n_targets)]
+    if shared:
         # Preserve the snapshot's topology: a shared tuner stays one
         # instance, so its (single) saved state restores into every slot.
-        if shared:
-            shared_tuner = tuner_factory(config)
-            tuners: List[Tuner] = [shared_tuner] * n_targets
-        else:
-            tuners = [tuner_factory(config) for _ in range(n_targets)]
-    elif shared and n_targets > 1:
-        shared_tuner = _tuner_from_blueprint(blueprints[0], config)
-        tuners = [shared_tuner] * n_targets
-    else:
-        tuners = [_tuner_from_blueprint(b, config) for b in blueprints]
+        tuners = tuners[:1] * n_targets
     store = RusKey(
         config,
         engine=engine,
         tuners=tuners,
         chunk_size=int(state["chunk_size"]),
     )
-    store.load_state_dict(state["store"])
+    saved = [_split_tuner_state(s) for s in state["store"]["tuners"]]
+    store.load_state_dict({**state["store"], "tuners": saved})
     return store
 
 

@@ -28,7 +28,7 @@ from repro.bench.experiments import (
     bench_scale,
 )
 from repro.config import SystemConfig
-from repro.core.lerp import Lerp
+from repro.core.lerp import Lerp, per_shard_tuners
 from repro.core.tuners import StaticTuner, Tuner
 from repro.engine.sharded import ShardedStore
 from repro.serve.loadgen import LoadReport, TenantSpec, run_load
@@ -152,11 +152,7 @@ def build_server(
             else 40
         )
         lerp_config = bench_lerp_config(max(40, n_windows), seed=seed)
-        tuners = [
-            Lerp(config, lerp_config if i == 0 else
-                 _reseed_lerp(lerp_config, seed + i))
-            for i in range(n_shards)
-        ]
+        tuners = per_shard_tuners(Lerp, config, lerp_config, n_shards)
     else:
         tuners = [StaticTuner(static_policy)] * n_shards
     return KVServer(
@@ -166,12 +162,6 @@ def build_server(
         max_batch=serving.max_batch,
         window_ops=serving.window_ops,
     )
-
-
-def _reseed_lerp(lerp_config, seed: int):
-    import dataclasses
-
-    return dataclasses.replace(lerp_config, seed=seed)
 
 
 def _default_workload(

@@ -105,7 +105,7 @@ class TestRunningScale:
         assert scale.value == pytest.approx(20.0)
 
     def test_freezes_after_calibration(self):
-        scale = RunningScale(alpha=0.0, calibration_samples=2)
+        scale = RunningScale(calibration_samples=2)
         scale.update(10.0)
         scale.update(20.0)
         frozen = scale.value
@@ -113,14 +113,8 @@ class TestRunningScale:
             scale.update(1000.0)
         assert scale.value == pytest.approx(frozen)
 
-    def test_post_calibration_ema_when_alpha_positive(self):
-        scale = RunningScale(alpha=0.5, calibration_samples=1)
-        scale.update(10.0)
-        scale.update(20.0)
-        assert scale.value == pytest.approx(15.0)
-
     def test_boost_reopens_calibration(self):
-        scale = RunningScale(alpha=0.0, calibration_samples=1)
+        scale = RunningScale(calibration_samples=1)
         scale.update(10.0)
         scale.update(99.0)  # frozen, ignored
         assert scale.value == pytest.approx(10.0)
@@ -138,8 +132,6 @@ class TestRunningScale:
         assert RunningScale().normalize(5.0) == 0.0
 
     def test_validation(self):
-        with pytest.raises(RLError):
-            RunningScale(alpha=1.5)
         with pytest.raises(RLError):
             RunningScale(calibration_samples=0)
         with pytest.raises(RLError):
@@ -183,7 +175,7 @@ class TestStateAndReward:
         assert after[0] > before[0]
 
     def test_reward_prefers_lower_latency(self):
-        level_scale, e2e_scale = RunningScale(alpha=1e-9), RunningScale(alpha=1e-9)
+        level_scale, e2e_scale = RunningScale(), RunningScale()
         level_scale.update(0.01)
         e2e_scale.update(0.02)
         slow = mission_reward(
@@ -199,6 +191,14 @@ class TestStateAndReward:
         e2e_scale.update(0.02)
         reward = mission_reward(make_mission(), 1, 0.5, level_scale, e2e_scale)
         assert reward <= 0.0
+
+    def test_reward_is_pure(self):
+        level_scale, e2e_scale = RunningScale(), RunningScale()
+        level_scale.update(0.01)
+        e2e_scale.update(0.02)
+        before = level_scale.state_dict(), e2e_scale.state_dict()
+        mission_reward(make_mission(), 1, 0.5, level_scale, e2e_scale)
+        assert (level_scale.state_dict(), e2e_scale.state_dict()) == before
 
     def test_reward_alpha_validation(self):
         with pytest.raises(RLError):

@@ -673,8 +673,9 @@ class TestRusKeyEngineFacade:
         assert len(store.tuners) == 3
         assert all(isinstance(t, Lerp) for t in store.tuners)
         assert len({id(t) for t in store.tuners}) == 3
-        # Independent tuners must not share an exploration RNG stream.
-        assert len({t.config.seed for t in store.tuners}) == 3
+        # Independent tuners must not share an exploration RNG stream:
+        # shard i's is seeded seed + i.
+        assert [t.config.seed for t in store.tuners] == [0, 1, 2]
 
     def test_engine_and_n_shards_conflict_rejected(self, tiny_config):
         with pytest.raises(ConfigError):
@@ -689,11 +690,12 @@ class TestRusKeyEngineFacade:
         store = RusKey(tiny_config, tuner=tuner, n_shards=3)
         assert store.tuners == [tuner, tuner, tuner]
 
-    def test_tuner_factory_builds_independent_tuners(self, tiny_config):
-        store = RusKey(
-            tiny_config, n_shards=2, tuner_factory=lambda cfg: StaticTuner(3)
-        )
-        assert len({id(t) for t in store.tuners}) == 2
+    def test_tuners_list_gives_each_shard_its_own(self, tiny_config):
+        tuners = [StaticTuner(3), StaticTuner(3)]
+        store = RusKey(tiny_config, n_shards=2, tuners=tuners)
+        assert [id(t) for t in store.tuners] == [id(t) for t in tuners]
+        with pytest.raises(ConfigError):
+            RusKey(tiny_config, n_shards=3, tuners=tuners)
 
     def test_sharded_mission_loop_tunes_every_shard(self, tiny_config):
         store = RusKey(tiny_config, tuner=StaticTuner(2), n_shards=4)

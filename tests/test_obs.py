@@ -337,20 +337,30 @@ class TestAuditLog:
         assert len(restored.audit) == len(audit)
         assert restored.missions_observed == store.tuner.missions_observed
 
-    def test_store_snapshot_carries_audit(self, tmp_path):
+    def test_store_snapshot_carries_one_shared_audit(self, tmp_path):
+        """A log attached through the store is one log: written once per
+        snapshot, restored as one instance on every tuner, and it keeps
+        growing with every shard's decisions."""
         store = small_store(n_shards=2)
-        store.attach_audit(DecisionAuditLog())
-        run_small(store, n_missions=3)
+        audit = DecisionAuditLog()
+        store.attach_audit(audit)
+        run_small(store, n_missions=4)
+        assert len(audit) > 0
         path = str(tmp_path / "store.ckpt")
         save_store(store, path)
         restored = load_store(path)
-        total = sum(
-            len(t.audit) for t in dict.fromkeys(restored.tuners) if t.audit
-        )
-        expected = sum(
-            len(t.audit) for t in dict.fromkeys(store.tuners) if t.audit
-        )
-        assert total == expected > 0
+        assert restored.tuners[0] is not restored.tuners[1]
+        assert restored.tuners[0].audit is restored.tuners[1].audit
+        assert restored.audit is restored.tuners[0].audit
+        assert len(restored.audit) == len(audit)
+        workload = UniformWorkload(n_records=1500, lookup_fraction=0.5, seed=3)
+        for mission in list(workload.missions(6, 200))[4:]:
+            store.run_mission(mission)
+            restored.run_mission(mission)
+        assert len(restored.audit) == len(audit) > len(store.mission_log)
+        # ...and a tuner saved on its own still carries the log.
+        save_tuner(store.tuner, store.config, path)
+        assert len(load_tuner(path).audit) == len(audit)
 
     def test_obs_snapshot_round_trip(self, tmp_path):
         registry = MetricsRegistry()
@@ -401,6 +411,21 @@ class TestCollection:
         text = registry.render("prometheus")
         assert "repro_tuner_model_seconds" in text
         assert "repro_store_missions 4" in text
+
+    def test_shared_audit_log_is_counted_once(self):
+        store = small_store(n_shards=2)
+        audit = DecisionAuditLog()
+        store.attach_audit(audit)
+        run_small(store)
+        parsed = parse_prometheus_text(
+            collect_store_metrics(store).render("prometheus")
+        )
+        events = sum(
+            value
+            for (name, _), value in parsed["samples"].items()
+            if name == "repro_tuner_audit_events"
+        )
+        assert events == len(audit) > 0
 
 
 # ======================================================================

@@ -21,7 +21,9 @@ from repro.bench.harness import (
     run_system,
 )
 from repro.config import BloomMode, SystemConfig
-from repro.core.lerp import Lerp, LerpConfig
+from repro.core.joint import JointLerp
+from repro.core.lerp import AllLevelsLerp, Lerp, LerpConfig, per_shard_tuners
+from repro.core.named_policy import NamedPolicyLerp
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
 from repro.engine.sharded import ShardedStore
@@ -35,10 +37,13 @@ from repro.persist import (
     load_snapshot,
     load_store,
     load_tuner,
+    lerp_config_from_state,
+    lerp_config_to_state,
     save_engine,
     save_snapshot,
     save_store,
     save_tuner,
+    store_from_snapshot,
 )
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.dqn import DQNAgent, DQNConfig
@@ -259,13 +264,83 @@ def lerp_test_config(seed=3):
     )
 
 
-def build_store(config, n_shards=1):
+TUNER_CLASSES = [Lerp, AllLevelsLerp, JointLerp, NamedPolicyLerp]
+
+
+def build_store(config, n_shards=1, tuner_class=Lerp):
     return RusKey(
         config,
-        lerp_config=lerp_test_config(),
+        tuners=per_shard_tuners(tuner_class, config, lerp_test_config(), n_shards),
         n_shards=n_shards,
         chunk_size=32,
     )
+
+
+#: What the one-class ``Lerp`` (before the four-tuner split) had in its
+#: config for each of today's classes.
+PARENT_FLAGS = {
+    "Lerp": dict(mode="level", tune_policy=False),
+    "AllLevelsLerp": dict(mode="all-levels", tune_policy=False),
+    "JointLerp": dict(mode="joint", tune_policy=False),
+    "NamedPolicyLerp": dict(mode="level", tune_policy=True),
+}
+
+
+def as_the_parent_wrote_it(payload):
+    """Rewrite a store snapshot payload into the one-class ``Lerp``'s
+    layout: no class name in the blueprint but ``mode`` / ``tune_policy``
+    (and the three fields nothing set) in its config; a tuner state of
+    every flow's keys, the per-level ones as five flat dicts and the joint
+    transition under level ``-1`` of ``last``."""
+    state = payload["state"]
+    for blueprint, tuner in zip(
+        state["tuner_blueprints"], state["store"]["tuners"]
+    ):
+        blueprint["config"].update(
+            PARENT_FLAGS[blueprint.pop("class")],
+            agent_kind="ddpg",
+            dqn=dict(blueprint["config"]["policy_dqn"], n_actions=3),
+            scale_alpha=0.0,
+        )
+        levels = tuner.pop("levels", {})
+        joint_last = tuner.pop("last", None)
+        tuner.update(
+            agents={n: part["agent"] for n, part in levels.items()},
+            level_scales={n: part["scale"] for n, part in levels.items()},
+            last={
+                n: part["last"]
+                for n, part in levels.items()
+                if part["last"] is not None
+            },
+            reward_windows={
+                n: part["reward_window"]
+                for n, part in levels.items()
+                if part["reward_window"]
+            },
+            arm_stats={
+                n: part["arm_stats"]
+                for n, part in levels.items()
+                if part["arm_stats"]
+            },
+        )
+        if joint_last is not None:
+            tuner["last"][-1] = joint_last
+        for key, empty in (
+            ("joint_agent", None),
+            ("policy_agent", None),
+            ("policy_last", None),
+            ("policy_arm_stats", {}),
+            ("policy_history", []),
+            ("policy_stage_missions", 0),
+            ("policy_converged", False),
+            ("k_history", []),
+            ("stage_missions", 0),
+            ("stage_idx", 0),
+            ("learned", []),
+            ("propagated", None),
+        ):
+            tuner.setdefault(key, empty)
+    return payload
 
 
 @pytest.fixture
@@ -284,37 +359,74 @@ class TestStoreBitExactResume:
     def _missions(self, workload):
         return list(workload.missions(self.N, 300))
 
-    @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_lerp_tuned_resume_is_bit_exact(
-        self, store_config, workload, tmp_path, n_shards
-    ):
+    def _straight_and_half(self, store_config, workload, n_shards, tuner_class):
+        """An uninterrupted N-mission run, and a twin stopped at N/2."""
         missions = self._missions(workload)
         keys, values = workload.load_records()
-
-        straight = build_store(store_config, n_shards)
+        straight = build_store(store_config, n_shards, tuner_class)
         straight.bulk_load(keys, values)
         for mission in missions:
             straight.run_mission(mission)
-
-        half = build_store(store_config, n_shards)
+        half = build_store(store_config, n_shards, tuner_class)
         half.bulk_load(keys, values)
         for mission in missions[: self.N // 2]:
             half.run_mission(mission)
-        path = os.fspath(tmp_path / "store.ckpt")
-        save_store(half, path)
+        return straight, half
 
-        resumed = load_store(path)
+    def _finish_and_compare(self, straight, resumed, workload, tuner_class):
         assert resumed.missions_run == self.N // 2
-        for mission in missions[self.N // 2 :]:
+        assert all(type(t) is tuner_class for t in resumed.tuners)
+        for mission in self._missions(workload)[self.N // 2 :]:
             resumed.run_mission(mission)
-
         assert len(resumed.mission_log) == self.N
         assert straight.mission_log == resumed.mission_log
-        assert straight.engine.clock_now == resumed.engine.clock_now
+        assert straight.view() == resumed.view()
         assert straight.engine.describe() == resumed.engine.describe()
         assert straight.policy_history == resumed.policy_history
-        assert straight.tuner.converged == resumed.tuner.converged
-        assert straight.tuner.restarts == resumed.tuner.restarts
+        for ours, theirs in zip(straight.tuners, resumed.tuners):
+            assert ours.converged == theirs.converged
+            assert ours.restarts == theirs.restarts
+            assert ours.state_dict()["rng"] == theirs.state_dict()["rng"]
+
+    @pytest.mark.parametrize("tuner_class", TUNER_CLASSES)
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_lerp_tuned_resume_is_bit_exact(
+        self, store_config, workload, tmp_path, n_shards, tuner_class
+    ):
+        straight, half = self._straight_and_half(
+            store_config, workload, n_shards, tuner_class
+        )
+        path = os.fspath(tmp_path / "store.ckpt")
+        save_store(half, path)
+        self._finish_and_compare(
+            straight, load_store(path), workload, tuner_class
+        )
+
+    @pytest.mark.parametrize("tuner_class", TUNER_CLASSES)
+    def test_parent_layout_tuner_snapshot_resumes_bit_exact(
+        self, store_config, workload, tmp_path, tuner_class
+    ):
+        """A file from before the tuners were split (flat per-level dicts,
+        ``mode`` / ``tune_policy`` in the config) loads into the class its
+        flags selected and continues like the uninterrupted run."""
+        straight, half = self._straight_and_half(
+            store_config, workload, 1, tuner_class
+        )
+        path = os.fspath(tmp_path / "store.ckpt")
+        save_store(half, path)
+        payload = roundtrip(as_the_parent_wrote_it(load_snapshot(path)))
+        assert "class" not in payload["state"]["tuner_blueprints"][0]
+        assert "levels" not in payload["state"]["store"]["tuners"][0]
+        self._finish_and_compare(
+            straight, store_from_snapshot(payload), workload, tuner_class
+        )
+
+    def test_parent_config_with_removed_code_paths_is_refused(self):
+        state = lerp_config_to_state(lerp_test_config())
+        assert lerp_config_from_state(state) == lerp_test_config()
+        for removed in (dict(agent_kind="dqn"), dict(scale_alpha=0.1)):
+            with pytest.raises(SnapshotError):
+                lerp_config_from_state({**state, **removed})
 
     def test_shared_tuner_restores_as_one_instance(
         self, store_config, workload, tmp_path
@@ -348,7 +460,7 @@ class TestStoreBitExactResume:
         state = shared.state_dict()
         independent = RusKey(
             store_config,
-            tuner_factory=lambda c: StaticTuner(3),
+            tuners=[StaticTuner(3), StaticTuner(3)],
             n_shards=2,
             chunk_size=32,
         )
@@ -478,22 +590,19 @@ class TestLerpWarmStart:
 
         fresh = Lerp(store_config, lerp_test_config())
         fresh.load_state_dict(state)
-        trained_params = [
-            layer.copy() for layer in fresh._agents[1].actor.state_dict()
-        ]
+        agent = fresh._levels[1].agent
+        trained_params = [layer.copy() for layer in agent.actor.state_dict()]
         fresh.warm_start(exploration_scale=0.5)
         assert not fresh.converged
         assert fresh.restarts == 0
         assert fresh._stage_idx == 0
         assert len(fresh._k_history) == 0
         # Networks retained...
-        for kept, trained in zip(
-            fresh._agents[1].actor.state_dict(), trained_params
-        ):
+        assert fresh._levels[1].agent is agent
+        for kept, trained in zip(agent.actor.state_dict(), trained_params):
             np.testing.assert_array_equal(kept, trained)
         # ...replay retained, exploration reduced.
-        assert len(fresh._agents[1].replay) > 0
-        agent = fresh._agents[1]
+        assert len(agent.replay) > 0
         assert agent.noise.sigma == pytest.approx(
             agent.config.noise_sigma * 0.5
         )

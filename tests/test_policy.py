@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SystemConfig, TransitionKind
-from repro.core import NamedPolicyTuner, RusKey, StaticTuner
+from repro.core import NamedPolicyLerp, NamedPolicyTuner, RusKey, StaticTuner
 from repro.core.lerp import LerpConfig
 from repro.cost.amplification import named_policy_write_amplification
 from repro.engine.base import KVEngine
@@ -353,7 +353,6 @@ def test_bottom_level_tombstone_not_dropped_across_run_stack():
 # ----------------------------------------------------------------------
 def _policy_lerp_config(**overrides) -> LerpConfig:
     defaults = dict(
-        tune_policy=True,
         stable_window=6,
         max_stage_missions=40,
         burn_in_missions=2,
@@ -363,43 +362,47 @@ def _policy_lerp_config(**overrides) -> LerpConfig:
     return LerpConfig(**defaults)
 
 
+def _policy_store(config, **overrides) -> RusKey:
+    tuner = NamedPolicyLerp(config, _policy_lerp_config(**overrides))
+    return RusKey(config, tuner=tuner)
+
+
 class TestPolicyActionDimension:
     def test_converges_and_pins(self, small_config):
-        store = RusKey(small_config, lerp_config=_policy_lerp_config())
+        store = _policy_store(small_config)
         workload = UniformWorkload(
             n_records=5_000, lookup_fraction=0.1, seed=7, name="wh"
         )
         store.run_workload(workload, n_missions=60, mission_size=400)
         tuner = store.tuner
-        assert tuner.policy_converged
+        assert tuner.converged
         assert store.named_policy() in POLICY_NAMES
         # Write-heavy: the committed discipline is not pure leveling.
         assert store.named_policy() != "leveling"
 
     def test_restart_reopens_exploration(self, small_config):
-        config = _policy_lerp_config(detector_threshold=0.05)
-        store = RusKey(small_config, lerp_config=config)
+        store = _policy_store(small_config, detector_threshold=0.05)
         write_heavy = UniformWorkload(
             n_records=4_000, lookup_fraction=0.1, seed=7, name="wh"
         )
         store.run_workload(write_heavy, n_missions=50, mission_size=300)
-        assert store.tuner.policy_converged
+        assert store.tuner.converged
         read_heavy = UniformWorkload(
             n_records=4_000, lookup_fraction=0.9, seed=8, name="rh"
         )
         store.run_missions(read_heavy.missions(5, 300))
         assert store.tuner.restarts >= 1
-        assert not store.tuner.policy_converged
+        assert not store.tuner.converged
 
     def test_validation(self):
         from repro.errors import RLError
         from repro.rl.dqn import DQNConfig
 
         with pytest.raises(RLError):
-            LerpConfig(
-                tune_policy=True,
-                policy_dqn=DQNConfig(state_dim=8, n_actions=5),
-            ).validate()
+            NamedPolicyLerp(
+                SystemConfig(),
+                LerpConfig(policy_dqn=DQNConfig(state_dim=8, n_actions=5)),
+            )
 
     def test_snapshot_roundtrip_mid_tuning(self, small_config):
         """Checkpoint mid-exploration, restore into a fresh store, finish:
@@ -407,15 +410,13 @@ class TestPolicyActionDimension:
         workload = UniformWorkload(
             n_records=4_000, lookup_fraction=0.3, seed=9, name="mix"
         )
-        lerp_config = _policy_lerp_config()
-
-        straight = RusKey(small_config, lerp_config=lerp_config)
+        straight = _policy_store(small_config)
         straight.run_workload(workload, n_missions=30, mission_size=300)
 
-        resumed = RusKey(small_config, lerp_config=lerp_config)
+        resumed = _policy_store(small_config)
         resumed.run_workload(workload, n_missions=15, mission_size=300)
         snapshot = resumed.state_dict()
-        fresh = RusKey(small_config, lerp_config=lerp_config)
+        fresh = _policy_store(small_config)
         fresh.load_state_dict(snapshot)
         fresh.run_missions(
             list(workload.missions(30, 300))[15:]

@@ -26,22 +26,27 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, ServeError, WorkloadError
+from repro.lsm.entry import TOMBSTONE
 from repro.serve.latency import LatencyHistogram
 from repro.serve.server import (
     REQ_GET,
     REQ_PUT,
     REQ_RANGE,
+    TOMBSTONE_PUT,
     KVServer,
     Request,
 )
 from repro.workload.spec import OP_LOOKUP, OP_RANGE, OP_UPDATE, Mission, WorkloadSpec
 
-_KIND_FROM_OP = {OP_LOOKUP: REQ_GET, OP_UPDATE: REQ_PUT, OP_RANGE: REQ_RANGE}
+#: Request kind by mission op code (a table, so a column translates in one take).
+_KIND_OF_OP = np.zeros(3, dtype=np.int64)
+_KIND_OF_OP[[OP_LOOKUP, OP_UPDATE, OP_RANGE]] = REQ_GET, REQ_PUT, REQ_RANGE
 
 
 def requests_from_mission(
@@ -49,22 +54,32 @@ def requests_from_mission(
 ) -> Iterator[Request]:
     """Translate one mission's rows into :class:`Request` objects.
 
-    Columns are converted to plain lists up front — producer threads sit
-    on the serving hot path, so per-row numpy scalar unboxing matters.
+    The block is checked once, vectorised, before the first request is
+    yielded — every row ``Request(...)`` would reject is a ``ServeError`` here
+    too — and the objects are then built from plain-int lists without per-row
+    checks: producer threads sit on the serving hot path.
     """
-    kinds = mission.kinds.tolist()
-    keys = mission.keys.tolist()
-    values = mission.values.tolist()
-    spans = mission.spans.tolist()
-    for op, key, value, span in zip(kinds, keys, values, spans):
-        yield Request(
-            _KIND_FROM_OP[op],
-            key,
-            value=value,
-            span=span,
-            tenant=tenant,
-            wait=wait,
+    try:
+        ops, keys, values, spans = (
+            np.asarray(c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind in "uO" else c,
+                       np.int64)  # uint64 / object: as Python ints, which numpy range-checks
+            for c in (mission.kinds, mission.keys, mission.values, mission.spans)
         )
+    except OverflowError as exc:
+        raise ServeError("malformed request block: an entry is outside int64") from exc
+    unknown = (ops < 0) | (ops >= len(_KIND_OF_OP))
+    if unknown.any():
+        raise ServeError(f"unknown request kind: {ops[unknown][0]}")
+    kinds = _KIND_OF_OP[ops]
+    wide = (kinds == REQ_RANGE) & (spans > 1)
+    # key + span - 1 > INT64_MAX, arranged so that nothing overflows.
+    if (keys[wide] > np.iinfo(np.int64).max - (spans[wide] - 1)).any():
+        raise ServeError("malformed request block: a range end is outside int64")
+    if (values[kinds == REQ_PUT] == TOMBSTONE).any():
+        raise ServeError(TOMBSTONE_PUT)
+    build = Request.prevalidated
+    for kind, key, value, span in zip(*(c.tolist() for c in (kinds, keys, values, spans))):
+        yield build(kind, key, value, span, tenant, wait)
 
 
 def request_stream(
@@ -80,14 +95,9 @@ def request_stream(
     generators re-seed per call, and dynamic schedules advance through
     their phases), then flattened into requests.
     """
-    n_missions = -(-n_ops // mission_size)  # ceil
-    emitted = 0
-    for mission in workload.missions(n_missions, mission_size):
-        for request in requests_from_mission(mission, tenant, wait):
-            if emitted >= n_ops:
-                return
-            emitted += 1
-            yield request
+    missions = workload.missions(-(-n_ops // mission_size), mission_size)  # ceil
+    blocks = (requests_from_mission(mission, tenant, wait) for mission in missions)
+    return islice(chain.from_iterable(blocks), n_ops)
 
 
 @dataclass
@@ -291,11 +301,7 @@ def run_load(
                 wait=tenant.closed_loop,
             )
             if tenant.closed_loop:
-                clients.append(
-                    ClosedLoopClient(
-                        server, stream, name=tenant.name
-                    )
-                )
+                clients.append(ClosedLoopClient(server, stream, name=tenant.name))
             else:
                 clients.append(
                     OpenLoopClient(

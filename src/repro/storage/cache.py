@@ -10,7 +10,8 @@ experiments can exercise exactly that effect.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterator
+from operator import index
+from typing import Dict, Hashable, Iterator, Set, Tuple
 
 from repro.errors import SnapshotError
 
@@ -19,15 +20,20 @@ class LRUBlockCache:
     """Fixed-capacity LRU cache keyed by ``(run_id, page_index)`` pairs.
 
     A ``capacity`` of 0 disables caching entirely (every probe misses).
+    ``_pages`` is the one recency list; ``_by_run`` (``run_id`` → its resident
+    pages, never an empty set) indexes it so that dropping a run touches
+    that run's pages only.
     """
 
-    __slots__ = ("_capacity", "_pages", "hits", "misses")
+    __slots__ = ("_capacity", "_pages", "_by_run", "hits", "misses")
+    _snapshot_exempt = frozenset({"_by_run"})  # derived from _pages, rebuilt on load
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self._capacity = capacity
-        self._pages: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._pages: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
+        self._by_run: Dict[int, Set[int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -41,35 +47,15 @@ class LRUBlockCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._pages
 
-    def __iter__(self) -> Iterator[Hashable]:
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self._pages)
-
-    def access(self, key: Hashable) -> bool:
-        """Record an access to ``key``.
-
-        Returns ``True`` on a cache hit. On a miss the page is admitted
-        (evicting the least recently used page if the cache is full).
-        """
-        if self._capacity == 0:
-            self.misses += 1
-            return False
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._pages[key] = None
-        if len(self._pages) > self._capacity:
-            self._pages.popitem(last=False)
-        return False
 
     def access_batch(self, run_id: int, page_indices) -> int:
         """Record accesses to ``(run_id, page)`` for each page, in order.
 
-        Returns the number of hits. State-machine-equivalent to calling
-        :meth:`access` per page — same hit/miss tallies, same admissions,
-        same LRU recency and eviction order — with the per-call overhead
-        (attribute lookups, capacity branch) hoisted out of the loop.
+        Returns the number of hits. A miss admits the page, evicting the
+        least recently used one if the cache is full
+        (``tests/reference_cache.py`` states the same machine page by page).
         ``page_indices`` must be plain ints (callers ``.tolist()`` numpy
         arrays so snapshot page keys stay JSON-clean).
         """
@@ -78,6 +64,8 @@ class LRUBlockCache:
             self.misses += n
             return 0
         pages = self._pages
+        by_run = self._by_run
+        resident = by_run.get(run_id)
         capacity = self._capacity
         hits = 0
         for page in page_indices:
@@ -87,8 +75,16 @@ class LRUBlockCache:
                 hits += 1
             else:
                 pages[key] = None
+                if resident is None:
+                    resident = by_run[run_id] = set()
+                resident.add(page)
                 if len(pages) > capacity:
-                    pages.popitem(last=False)
+                    # Never the page just admitted: ``resident`` stays non-empty.
+                    old_run, old_page = pages.popitem(last=False)[0]
+                    old = by_run[old_run]
+                    old.remove(old_page)
+                    if not old:
+                        del by_run[old_run]
         self.hits += hits
         self.misses += n - hits
         return hits
@@ -97,16 +93,17 @@ class LRUBlockCache:
         """Drop every cached page belonging to run ``run_id``.
 
         Called when a run is deleted by compaction. Returns the number of
-        pages dropped.
+        pages dropped; costs that many steps, whatever the cache holds.
         """
-        stale = [key for key in self._pages if key[0] == run_id]
-        for key in stale:
-            del self._pages[key]
+        stale = self._by_run.pop(run_id, ())
+        for page in stale:
+            del self._pages[(run_id, page)]
         return len(stale)
 
     def clear(self) -> None:
         """Empty the cache without resetting hit/miss counters."""
         self._pages.clear()
+        self._by_run.clear()
 
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)
@@ -124,16 +121,21 @@ class LRUBlockCache:
         """Restore cache contents and counters in place.
 
         The receiving cache must have the capacity the snapshot was taken
-        with — resident pages beyond a smaller capacity would silently
-        change future hit patterns.
+        with, and the snapshot must fit it: a miss evicts one page per
+        admission, so a cache loaded over capacity would stay over it.
         """
-        if int(state["capacity"]) != self._capacity:
+        try:
+            keys = [(index(run_id), index(page)) for run_id, page in state["pages"]]
+        except (TypeError, ValueError):
+            raise SnapshotError("cache snapshot pages must be (run_id, page) int pairs") from None
+        if int(state["capacity"]) != self._capacity or len(keys) > self._capacity:
             raise SnapshotError(
-                f"cache capacity mismatch: snapshot has {state['capacity']}, "
-                f"this cache holds {self._capacity}"
+                f"cache snapshot (capacity {state['capacity']}, {len(keys)} pages) "
+                f"does not fit this cache of capacity {self._capacity}"
             )
-        self._pages.clear()
-        for key in state["pages"]:
-            self._pages[key] = None
+        self.clear()
+        for run_id, page in keys:
+            self._pages[(run_id, page)] = None
+            self._by_run.setdefault(run_id, set()).add(page)
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])

@@ -5,9 +5,9 @@ direct I/O. It does not store page contents (run data lives in numpy arrays
 owned by the runs themselves); it *prices* page accesses and keeps the I/O
 counters that the statistics collector and the RL state vector consume.
 
-Random reads model point-lookup page fetches (the paper's ``I_r``); random
-writes model metadata/WAL-style writes (``I_w``); sequential reads and writes
-model compaction traffic, which streams large sorted runs.
+Random reads model point-lookup page fetches (the paper's ``I_r``); sequential
+reads and writes model compaction traffic, which streams large sorted runs.
+Nothing issues random writes (``I_w``): that counter stays for the snapshot layout.
 """
 
 from __future__ import annotations
@@ -120,27 +120,14 @@ class DiskModel:
     # ------------------------------------------------------------------
     # Point I/O (lookups)
     # ------------------------------------------------------------------
-    def random_read(self, run_id: int, page_index: int) -> float:
-        """Read one page of ``run_id`` at random; cached pages cost nothing."""
-        if page_index < 0:
-            raise StorageError(f"page_index must be >= 0, got {page_index}")
-        if self._cache.access((run_id, page_index)):
-            return 0.0
-        self.counters.random_reads += 1
-        cost = self._costs.random_read_s
-        self._clock.advance(cost)
-        return cost
-
     def random_read_batch(self, run_id: int, page_indices) -> float:
         """Read several pages of one run; returns total charged seconds.
 
-        With no cache configured, the whole batch is priced in one step.
-        With a cache, the batch runs through
-        :meth:`LRUBlockCache.access_batch` — hit/miss tallies, admissions
-        and eviction order are exactly those of a per-page
-        :meth:`random_read` loop, and the clock/total accumulate by
-        repeated per-miss addition (:meth:`SimClock.advance_repeated`) so
-        simulated charges are bit-identical to per-page charging.
+        Cached pages cost nothing. With no cache configured, the whole
+        batch is priced in one step. With a cache, the batch runs through
+        :meth:`LRUBlockCache.access_batch`, and the clock/total accumulate
+        by repeated per-miss addition (:meth:`SimClock.advance_repeated`)
+        so simulated charges are bit-identical to charging page by page.
         """
         n = len(page_indices)
         if n == 0:
@@ -160,15 +147,6 @@ class DiskModel:
         misses = n - hits
         self.counters.random_reads += misses
         return self._clock.advance_repeated(self._costs.random_read_s, misses)
-
-    def random_write(self, n_pages: int = 1) -> float:
-        """Write ``n_pages`` pages at random offsets."""
-        if n_pages < 0:
-            raise StorageError(f"n_pages must be >= 0, got {n_pages}")
-        self.counters.random_writes += n_pages
-        cost = n_pages * self._costs.random_write_s
-        self._clock.advance(cost)
-        return cost
 
     # ------------------------------------------------------------------
     # Streaming I/O (flush / compaction)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference_cache import ReferenceLRUCache
 from reference_get import reference_get_batch
 from test_entry_memtable import buffer_delete, buffer_put
 
@@ -431,7 +432,7 @@ class TestCacheBatchAccess:
             for _ in range(30)
         ]
         batched = LRUBlockCache(capacity)
-        looped = LRUBlockCache(capacity)
+        looped = ReferenceLRUCache(capacity)
         for i, pages in enumerate(batches):
             run_id = i % 3
             hits = batched.access_batch(run_id, pages)
@@ -456,8 +457,8 @@ class TestCacheBatchAccess:
 
 
 class TestDiskBatchRead:
-    def _disk(self, capacity):
-        return DiskModel(CostModelParams(), SimClock(), LRUBlockCache(capacity))
+    def _disk(self, capacity, cache=LRUBlockCache):
+        return DiskModel(CostModelParams(), SimClock(), cache(capacity))
 
     def test_no_cache_keeps_single_shot_pricing(self):
         # With caching disabled the whole batch is priced as one n*cost
@@ -476,13 +477,15 @@ class TestDiskBatchRead:
     def test_random_read_batch_equals_loop(self, capacity):
         rng = np.random.default_rng(9)
         batched = self._disk(capacity)
-        looped = self._disk(capacity)
+        looped = self._disk(capacity, ReferenceLRUCache)
         for i in range(25):
             pages = rng.integers(0, 10, size=rng.integers(0, 16))
             run_id = i % 2
             total = batched.random_read_batch(run_id, pages)
+            # One page at a time on the per-page cache; summed left to right
+            # like the clock (advance_repeated(s, 1) is the scalar charge).
             expected = sum(
-                looped.random_read(run_id, page) for page in pages.tolist()
+                looped.random_read_batch(run_id, [page]) for page in pages.tolist()
             )
             assert total == expected
             # Clock must accumulate bit-identically, not just approximately.

@@ -35,9 +35,11 @@ from repro.serve import (
     Request,
     TenantSpec,
     request_stream,
+    requests_from_mission,
     run_load,
 )
 from repro.serve.server import _Mailbox
+from repro.workload.spec import OP_LOOKUP, OP_RANGE, OP_UPDATE, Mission
 from repro.workload.uniform import UniformWorkload
 
 
@@ -571,6 +573,84 @@ class TestLoadGeneration:
         missions = list(workload.missions(3, 100))
         expected_keys = [int(k) for m in missions for k in m.keys][:250]
         assert [r.key for r in stream] == expected_keys
+
+    @staticmethod
+    def _mission(n=2_000, seed=4, **columns):
+        rng = np.random.default_rng(seed)
+        base = {
+            "kinds": rng.integers(0, 3, n),
+            "keys": rng.integers(-(2**40), 2**40, n),
+            "values": rng.integers(-(2**40), 2**40, n),
+            "spans": rng.integers(0, 64, n),
+        }
+        return Mission(**{**base, **columns})
+
+    def test_block_builds_what_the_validating_constructor_builds(self, monkeypatch):
+        mission = self._mission()
+        # The int64 edges are legal: a range ending on the last key, a
+        # tombstone-valued row that is not a put.
+        mission.kinds[:3] = OP_RANGE, OP_LOOKUP, OP_UPDATE
+        mission.keys[:3] = 2**63 - 10, -(2**63), 2**63 - 1
+        mission.values[:3] = 0, TOMBSTONE, 2**63 - 1
+        mission.spans[:3] = 10, 0, 0
+        kind_of = {OP_LOOKUP: REQ_GET, OP_UPDATE: REQ_PUT, OP_RANGE: REQ_RANGE}
+        expected = [
+            Request(kind_of[op], key, value=value, span=span, tenant="t", wait=True)
+            for op, key, value, span in zip(
+                mission.kinds.tolist(), mission.keys.tolist(),
+                mission.values.tolist(), mission.spans.tolist(),
+            )
+        ]
+        calls = []
+        real_init = Request.__init__
+        monkeypatch.setattr(
+            Request, "__init__", lambda self, *a, **k: calls.append(a) or real_init(self, *a, **k)
+        )
+        built = list(requests_from_mission(mission, "t", True))
+        assert calls == []  # validated per block, not per object
+        assert len(built) == len(mission)
+        for request, twin in zip(built, expected):
+            assert type(request) is Request
+            for slot in Request.__slots__:
+                got, want = getattr(request, slot), getattr(twin, slot)
+                if slot == "done":
+                    assert isinstance(got, threading.Event) and not got.is_set()
+                else:
+                    assert got == want and type(got) is type(want), slot
+        assert all(r.done is None for r in requests_from_mission(mission))
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ({"kinds": 7}, "unknown request kind: 7"),
+            ({"kinds": -1}, "unknown request kind: -1"),
+            ({"kinds": OP_LOOKUP, "keys": 2**63}, "outside int64"),
+            ({"kinds": OP_LOOKUP, "keys": -(2**63) - 1}, "outside int64"),
+            ({"kinds": OP_RANGE, "keys": 2**63 - 2, "spans": 10}, "range end"),
+            ({"kinds": OP_UPDATE, "values": 2**63}, "outside int64"),
+            ({"kinds": OP_UPDATE, "values": TOMBSTONE}, "tombstone"),
+        ],
+        ids=["op-code", "op-negative", "key-high", "key-low", "range-end", "value", "tombstone-put"],
+    )
+    def test_block_with_one_bad_row_yields_nothing(self, row, match):
+        # The columns arrive as Python ints (what does not fit int64 cannot
+        # arrive any other way); the bad row sits last, so a per-row check
+        # would have yielded 1,999 requests before raising.
+        mission = self._mission()
+        columns = {
+            name: getattr(mission, name).tolist()
+            for name in ("kinds", "keys", "values", "spans")
+        }
+        for name, value in row.items():
+            columns[name][-1] = value
+        yielded = []
+        with pytest.raises(ServeError, match=match):
+            for request in requests_from_mission(Mission(**columns)):
+                yielded.append(request)
+        assert yielded == []
+        wide = {name: np.array(column, dtype=object) for name, column in columns.items()}
+        with pytest.raises(ServeError, match=match):
+            next(requests_from_mission(Mission(**wide)))
 
 
 class TestTuningLoop:

@@ -1,10 +1,18 @@
 """Tests for repro.storage: clock, cache, disk model."""
 
-import pytest
+import pickle
+from collections import OrderedDict
 
+import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from reference_cache import ReferenceLRUCache
+
+from repro import RusKey
 from repro.config import CostModelParams
-from repro.errors import StorageError
+from repro.errors import SnapshotError, StorageError
 from repro.storage import DiskModel, IOCounters, LRUBlockCache, SimClock
+from repro.workload import YCSBWorkload
 
 
 class TestSimClock:
@@ -49,56 +57,222 @@ class TestSimClock:
         assert "now=" in repr(SimClock())
 
 
+def both(capacity):
+    """The shipped cache and its per-page reference, side by side."""
+    return LRUBlockCache(capacity), ReferenceLRUCache(capacity)
+
+
+def assert_same_machine(cache, reference):
+    """Equal observable state, and the per-run index in step with it."""
+    assert list(cache) == list(reference)
+    assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
+    indexed = {
+        (run_id, page) for run_id, pages in cache._by_run.items() for page in pages
+    }
+    assert indexed == set(cache)
+    assert sum(map(len, cache._by_run.values())) == len(cache)
+    assert all(cache._by_run.values())  # no empty set kept
+
+
 class TestLRUBlockCache:
     def test_zero_capacity_never_hits(self):
-        cache = LRUBlockCache(0)
-        assert cache.access((1, 0)) is False
-        assert cache.access((1, 0)) is False
-        assert cache.hits == 0
-        assert cache.misses == 2
+        cache, reference = both(0)
+        assert reference.access((1, 0)) is False
+        assert reference.access((1, 0)) is False
+        assert cache.access_batch(1, [0, 0]) == 0
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert_same_machine(cache, reference)
 
     def test_hit_after_admission(self):
-        cache = LRUBlockCache(2)
-        assert cache.access((1, 0)) is False
-        assert cache.access((1, 0)) is True
+        cache, reference = both(2)
+        assert reference.access((1, 0)) is False
+        assert reference.access((1, 0)) is True
+        assert cache.access_batch(1, [0]) == 0
+        assert cache.access_batch(1, [0]) == 1
         assert (cache.hits, cache.misses) == (1, 1)
+        assert_same_machine(cache, reference)
 
     def test_lru_eviction_order(self):
-        cache = LRUBlockCache(2)
-        cache.access((1, 0))
-        cache.access((1, 1))
-        cache.access((1, 0))  # refresh (1,0); (1,1) is now LRU
-        cache.access((1, 2))  # evicts (1,1)
-        assert (1, 1) not in cache
-        assert (1, 0) in cache
-        assert (1, 2) in cache
+        cache, reference = both(2)
+        # 0, 1, then 0 again: (1, 1) is now LRU and the miss on 2 evicts it.
+        for machine in (cache, reference):
+            machine.access_batch(1, [0, 1, 0, 2])
+        assert list(cache) == [(1, 0), (1, 2)]
+        assert_same_machine(cache, reference)
 
     def test_capacity_bound(self):
-        cache = LRUBlockCache(3)
-        for i in range(10):
-            cache.access((0, i))
+        cache, reference = both(3)
+        for machine in (cache, reference):
+            machine.access_batch(0, list(range(10)))
         assert len(cache) == 3
+        assert_same_machine(cache, reference)
 
     def test_invalidate_run_drops_only_that_run(self):
-        cache = LRUBlockCache(8)
-        cache.access((1, 0))
-        cache.access((1, 1))
-        cache.access((2, 0))
-        dropped = cache.invalidate_run(1)
-        assert dropped == 2
-        assert (2, 0) in cache
-        assert len(cache) == 1
+        cache, reference = both(8)
+        for machine in (cache, reference):
+            machine.access_batch(1, [0, 1])
+            machine.access_batch(2, [0])
+            assert machine.invalidate_run(1) == 2
+            assert machine.invalidate_run(1) == 0
+        assert list(cache) == [(2, 0)]
+        assert_same_machine(cache, reference)
+
+    def test_eviction_of_a_runs_last_page_forgets_the_run(self):
+        cache, reference = both(2)
+        for machine in (cache, reference):
+            machine.access_batch(1, [0])
+            machine.access_batch(2, [0, 1])  # evicts (1, 0)
+            assert machine.invalidate_run(1) == 0
+        assert 1 not in cache._by_run
+        assert_same_machine(cache, reference)
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
             LRUBlockCache(-1)
 
     def test_clear_keeps_counters(self):
-        cache = LRUBlockCache(2)
-        cache.access((1, 0))
-        cache.clear()
+        cache, reference = both(2)
+        for machine in (cache, reference):
+            machine.access_batch(1, [0])
+            machine.clear()
         assert len(cache) == 0
         assert cache.misses == 1
+        assert_same_machine(cache, reference)
+
+    def test_snapshot_over_capacity_rejected(self):
+        # A miss evicts one page per admission: loaded over capacity, the
+        # cache would stay over capacity for good.
+        cache = LRUBlockCache(2)
+        cache.access_batch(1, [0])
+        state = {"capacity": 2, "pages": [(1, i) for i in range(5)], "hits": 0, "misses": 0}
+        with pytest.raises(SnapshotError, match="5 pages"):
+            cache.load_state_dict(state)
+        assert list(cache) == [(1, 0)]  # a refused load changes nothing
+
+    @pytest.mark.parametrize("key", ("x", (1,), (1, 2, 3), (1, "2"), (1.0, 2), None))
+    def test_snapshot_key_that_is_not_an_int_pair_rejected(self, key):
+        cache = LRUBlockCache(4)
+        state = {"capacity": 4, "pages": [(1, 0), key], "hits": 0, "misses": 0}
+        with pytest.raises(SnapshotError, match="int pairs"):
+            cache.load_state_dict(state)
+        assert len(cache) == 0 and not cache._by_run
+
+    def test_invalidate_run_never_walks_the_recency_list(self):
+        """Count-based, not timed: a drop costs the pages it drops."""
+
+        class CountingPages(OrderedDict):
+            walks = 0
+
+            def __iter__(self):
+                CountingPages.walks += 1
+                return super().__iter__()
+
+            def keys(self):
+                CountingPages.walks += 1
+                return super().keys()
+
+            def items(self):
+                CountingPages.walks += 1
+                return super().items()
+
+        cache = LRUBlockCache(50_000)
+        for run_id in range(500):
+            cache.access_batch(run_id, list(range(100)))
+        cache._pages = CountingPages(cache._pages)
+        CountingPages.walks = 0
+        dropped = sum(cache.invalidate_run(run_id) for run_id in range(250, 1250))
+        assert dropped == 250 * 100  # 250 resident runs, 750 unknown ids
+        assert len(cache) == 25_000
+        assert CountingPages.walks == 0
+        list(cache)
+        assert CountingPages.walks == 1  # the counter does count
+
+
+class CacheComparedToReference(RuleBasedStateMachine):
+    """The indexed cache and the per-page reference are one state machine."""
+
+    def __init__(self):
+        super().__init__()
+        self.cache, self.reference = both(0)
+
+    @initialize(capacity=st.integers(0, 12))
+    def sized(self, capacity):
+        self.cache, self.reference = both(capacity)
+
+    @rule(run_id=st.integers(0, 4), pages=st.lists(st.integers(0, 9), max_size=12))
+    def access_batch(self, run_id, pages):
+        assert self.cache.access_batch(run_id, pages) == sum(
+            self.reference.access((run_id, page)) for page in pages
+        )
+
+    @rule(run_id=st.integers(0, 5))
+    def invalidate_run(self, run_id):
+        assert self.cache.invalidate_run(run_id) == self.reference.invalidate_run(run_id)
+
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        self.reference.clear()
+
+    @rule()
+    def snapshot_roundtrip(self):
+        state = pickle.loads(pickle.dumps(self.cache.state_dict()))
+        assert state == self.reference.state_dict()
+        self.cache = LRUBlockCache(self.cache.capacity)
+        self.cache.load_state_dict(state)
+
+    @invariant()
+    def same_machine(self):
+        assert_same_machine(self.cache, self.reference)
+
+
+TestCacheComparedToReference = CacheComparedToReference.TestCase
+
+
+class TestWholeStoreOnTheReferenceCache:
+    """Equivalence end to end: a store whose trees run on the per-page
+    reference and one on the shipped cache, same workload, Lerp tuning."""
+
+    @pytest.mark.parametrize("n_shards", (1, 4))
+    @pytest.mark.parametrize("cache_pages", (64, 4_096))
+    def test_twin_run_ends_with_the_same_cache(
+        self, small_config, monkeypatch, n_shards, cache_pages
+    ):
+        config = small_config.with_updates(block_cache_pages=cache_pages)
+        workload = YCSBWorkload(
+            6_000, lookup_fraction=0.5, range_fraction=0.2, range_span=16, seed=5
+        )
+
+        def run():
+            store = RusKey(config, n_shards=n_shards)
+            store.run_workload(workload, n_missions=8, mission_size=500)
+            return store
+
+        dropped = []
+        real_drop = LRUBlockCache.invalidate_run
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                LRUBlockCache,
+                "invalidate_run",
+                lambda cache, run_id: dropped.append(real_drop(cache, run_id)) or dropped[-1],
+            )
+            shipped = run()
+        # The run exercised what the index is for: drops of resident pages.
+        assert sum(dropped) > 100
+        monkeypatch.setattr("repro.lsm.tree.LRUBlockCache", ReferenceLRUCache)
+        reference = run()
+        trees = shipped.engine.tuning_targets()
+        twins = reference.engine.tuning_targets()
+        assert all(type(twin.cache) is ReferenceLRUCache for twin in twins)
+        for tree, twin in zip(trees, twins):
+            assert list(tree.cache) == list(twin.cache)
+            assert 0 < len(tree.cache) <= cache_pages
+            assert_same_machine(tree.cache, twin.cache)
+            assert tree.clock.now == twin.clock.now
+        assert shipped.engine.view() == reference.engine.view()
+        assert shipped.mission_log == reference.mission_log
+        if cache_pages == 64:  # evictions too
+            assert all(len(tree.cache) == cache_pages for tree in trees)
 
 
 class TestIOCounters:
@@ -138,15 +312,15 @@ class TestDiskModel:
 
     def test_random_read_charges_and_counts(self):
         disk, clock = self._make()
-        cost = disk.random_read(1, 0)
+        cost = disk.random_read_batch(1, [0])
         assert cost == pytest.approx(10e-6)
         assert clock.now == pytest.approx(10e-6)
         assert disk.counters.random_reads == 1
 
     def test_random_read_cached_is_free(self):
         disk, clock = self._make(cache_pages=4)
-        disk.random_read(1, 0)
-        cost = disk.random_read(1, 0)
+        disk.random_read_batch(1, [0])
+        cost = disk.random_read_batch(1, [0])
         assert cost == 0.0
         assert disk.counters.random_reads == 1
 
@@ -186,15 +360,14 @@ class TestDiskModel:
         with pytest.raises(StorageError):
             disk.compaction_cpu(-1)
         with pytest.raises(StorageError):
-            disk.random_read(1, -1)
-        with pytest.raises(StorageError):
-            disk.random_write(-1)
+            # The cache-off branch prices a batch without reading its pages.
+            self._make(cache_pages=4)[0].random_read_batch(1, [-1])
 
     def test_drop_run_invalidates_cache(self):
         disk, _ = self._make(cache_pages=4)
-        disk.random_read(7, 0)
+        disk.random_read_batch(7, [0])
         disk.drop_run(7)
-        assert disk.random_read(7, 0) > 0  # miss again after invalidation
+        assert disk.random_read_batch(7, [0]) > 0  # miss again after invalidation
 
     def test_zero_page_operations_are_free(self):
         disk, clock = self._make()

@@ -109,8 +109,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.size_ratio < 2:
-            raise ConfigError(f"size_ratio must be >= 2, got {self.size_ratio}")
+        if not 2 <= self.size_ratio <= 255:
+            # T is each level's max_policy; LevelLookupIndex ranks runs in a uint8.
+            raise ConfigError(f"size_ratio must be in [2, 255], got {self.size_ratio}")
         if self.entry_bytes <= 0:
             raise ConfigError(f"entry_bytes must be > 0, got {self.entry_bytes}")
         if self.page_bytes < self.entry_bytes:

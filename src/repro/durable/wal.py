@@ -178,6 +178,8 @@ class WalWriter:
         self.syncs = 0
         #: Highest seqno covered by an appended record (0 when none yet).
         self.max_seqno = 0
+        #: Whether anything was appended since the last fsync.
+        self._dirty = False
 
     def _append(self, frame: bytes, max_seqno: int) -> None:
         if self._fh.closed:
@@ -190,6 +192,7 @@ class WalWriter:
             os.fsync(self._fh.fileno())
             faults.die()
         self._fh.write(frame)
+        self._dirty = True
         self.records_appended += 1
         self.bytes_appended += len(frame)
         self.max_seqno = max(self.max_seqno, max_seqno)
@@ -214,13 +217,16 @@ class WalWriter:
         self._append(encode_record(OP_SYNC, seqno), seqno)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._dirty = False
         self.syncs += 1
         faults.maybe_crash("wal.sync")
 
     def close(self) -> None:
+        """Close the segment; fsyncs only what no :meth:`sync` covered yet."""
         if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            if self._dirty:
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
             self._fh.close()
 
 

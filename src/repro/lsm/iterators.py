@@ -21,15 +21,9 @@ def live_items(tree: LSMTree) -> "Tuple[np.ndarray, np.ndarray]":
 
     Tombstoned keys are excluded. No simulated cost is charged.
     """
-    key_arrays = []
-    value_arrays = []
-    for level in reversed(tree.levels):  # deepest (oldest) first
-        for run in level.runs:  # oldest → newest within the level
-            if run.n_entries:
-                key_arrays.append(run.keys)
-                value_arrays.append(run.values)
+    # Deepest level first, oldest → newest within a level, the buffer last.
+    runs = [run for level in reversed(tree.levels) for run in level.runs]
     mk, mv = tree.memtable.sorted_view()
-    if len(mk):
-        key_arrays.append(mk)
-        value_arrays.append(mv)
-    return merge_sorted_sources(key_arrays, value_arrays, drop_tombstones=True)
+    return merge_sorted_sources(
+        [run.keys for run in runs] + [mk], [run.values for run in runs] + [mv], drop_tombstones=True
+    )

@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import PolicyError, TreeStateError
+from repro.lsm.entry import merge_sorted_sources
 from repro.lsm.run import SortedRun
 
 
@@ -37,7 +38,9 @@ class LevelLookupIndex:
     This is the in-memory metadata a real system holds per run (fence
     pointers + filters), folded level-wide so a batch lookup resolves the
     run-probe schedule of every key in one binary search instead of one per
-    run. Stacked runs are merged into fresh arrays. A **single run** is its
+    run. Stacked runs are merged into fresh arrays by the tree's one merge
+    kernel (:func:`~repro.lsm.entry.merge_sorted_sources`), 21 B per key:
+    ``rank`` is ``uint8``, ``positions`` ``int32``. A **single run** is its
     own index, zero-copy: ``keys``/``values`` *are* the run's arrays and
     ``rank``/``positions`` are ``None`` — every held key has rank 0 and a
     slot is its own in-run position. The index is immutable;
@@ -55,29 +58,11 @@ class LevelLookupIndex:
         if len(runs) == 1:
             self.keys, self.values = runs[0].keys, runs[0].values
             return
-        # Newest first, so a stable sort leaves the newest copy of a
-        # duplicated key in front and ``rank`` is the probe order of
-        # ``get_batch`` (runs[-1] is probed first).
-        filled = [
-            (rank, run) for rank, run in enumerate(reversed(runs)) if run.n_entries
-        ]
-        if not filled:
-            self.keys = self.values = np.zeros(0, dtype=np.int64)
-            return
-        all_keys = np.concatenate([run.keys for _, run in filled])
-        order = np.argsort(all_keys, kind="stable")
-        sorted_keys = all_keys[order]
-        first = np.ones(len(sorted_keys), dtype=bool)
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        newest = order[first]
-        self.keys = sorted_keys[first]
-        self.rank = np.concatenate(
-            [np.full(run.n_entries, rank, dtype=np.int64) for rank, run in filled]
-        )[newest]
-        self.values = np.concatenate([run.values for _, run in filled])[newest]
-        self.positions = np.concatenate(
-            [np.arange(run.n_entries, dtype=np.int64) for _, run in filled]
-        )[newest]
+        if len(runs) > 255 or any(run.n_entries >= 1 << 31 for run in runs):
+            raise TreeStateError("an index ranks <= 255 runs (uint8) of < 2**31 entries (int32)")
+        self.keys, self.values, self.rank, self.positions = merge_sorted_sources(
+            [run.keys for run in runs], [run.values for run in runs], origin=True
+        )
 
     def newest_ranks(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Probe schedule for ``keys`` from one binary search: ``(rank, slot)``.
@@ -226,12 +211,12 @@ class Level:
         mutation sites.
         """
         run_ids = tuple(run.run_id for run in self.runs)
-        cached = self._lookup_cache
-        if cached is not None and cached[0] == run_ids:
-            return cached[1]
-        index = LevelLookupIndex(self.runs)
-        self._lookup_cache = (run_ids, index)
-        return index
+        if self._lookup_cache is None or self._lookup_cache[0] != run_ids:
+            # Drop the stale index *before* building its successor, the
+            # level's largest transient: the two never need to coexist.
+            self._lookup_cache = None
+            self._lookup_cache = (run_ids, LevelLookupIndex(self.runs))
+        return self._lookup_cache[1]
 
     # ------------------------------------------------------------------
     # Run management (invoked by the tree)

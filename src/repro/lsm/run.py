@@ -14,7 +14,7 @@ is exactly what the paper's flexible transition adjusts.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class SortedRun:
     def entries_per_page(self) -> int:
         """Entries per fence-pointer page (the page of rank ``r`` is
         ``r // entries_per_page``); used by the stacked level index to
-        compute page indices without a per-run :meth:`find_batch`."""
+        compute page indices without a per-run binary search."""
         return self._entries_per_page
 
     @property
@@ -125,14 +125,10 @@ class SortedRun:
     # ------------------------------------------------------------------
     # Point lookups
     # ------------------------------------------------------------------
-    def bloom_positive(self, key: int) -> bool:
-        """Whether the Bloom filter directs a disk probe for ``key``."""
-        return self._bloom.might_contain(key)
-
     def bloom_positive_batch(
         self, keys: np.ndarray, present: "np.ndarray | None" = None
     ) -> np.ndarray:
-        """Vectorized :meth:`bloom_positive`.
+        """Whether the Bloom filter directs a disk probe, per key.
 
         ``present`` is an optional exact-membership mask (from the stacked
         level index); the analytical filter uses it to skip its internal
@@ -140,47 +136,6 @@ class SortedRun:
         bit-array filter ignores it.
         """
         return self._bloom.might_contain_batch(keys, present=present)
-
-    def position_of(self, key: int) -> int:
-        """Rank ``key`` would occupy; used by fence pointers."""
-        return int(np.searchsorted(self.keys, key))
-
-    def page_of_position(self, position: int) -> int:
-        """Page index holding the entry at ``position`` (clamped to the run)."""
-        if self.n_entries == 0:
-            return 0
-        position = min(max(position, 0), self.n_entries - 1)
-        return position // self._entries_per_page
-
-    def find(self, key: int) -> Tuple[bool, int, int]:
-        """Exact search: ``(found, value, page_index)``.
-
-        ``page_index`` is the page a fence-pointer-guided probe would read,
-        whether or not the key is present (a Bloom false positive still costs
-        that one page read).
-        """
-        pos = self.position_of(key)
-        page = self.page_of_position(pos)
-        if pos < self.n_entries and self.keys[pos] == key:
-            return True, int(self.values[pos]), page
-        return False, 0, page
-
-    def find_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`find`: ``(found_mask, values, page_indices)``."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if self.n_entries == 0:
-            n = len(keys)
-            return (
-                np.zeros(n, dtype=bool),
-                np.zeros(n, dtype=np.int64),
-                np.zeros(n, dtype=np.int64),
-            )
-        pos = np.searchsorted(self.keys, keys)
-        clamped = np.minimum(pos, self.n_entries - 1)
-        found = self.keys[clamped] == keys
-        values = np.where(found, self.values[clamped], 0)
-        pages = clamped // self._entries_per_page
-        return found, values, pages
 
     # ------------------------------------------------------------------
     # Snapshot hooks (see repro.persist)

@@ -27,7 +27,7 @@ import numpy as np
 from repro.bloom.allocation import allocate_fprs
 from repro.config import SystemConfig, TransitionKind
 from repro.errors import PolicyError, SnapshotError, TreeStateError
-from repro.lsm.entry import TOMBSTONE, merge_sorted_sources, validate_batch
+from repro.lsm.entry import TOMBSTONE, merge_block, merge_sorted_sources, validate_batch
 from repro.lsm.level import Level
 from repro.lsm.memtable import MemTable
 from repro.lsm.policy import CompactionPolicy, PolicyLike, resolve_policy
@@ -438,12 +438,9 @@ class LSMTree(DerivedMembers):
         runs = list(level.runs)
         total_pages = sum(run.n_pages for run in runs)
         n_entries = level.data_entries
-        sources = [(run.keys, run.values) for run in runs]
         is_bottom = all(l.is_empty for l in self.levels[level_no:])
         keys, values = merge_sorted_sources(
-            [k for k, _ in sources],
-            [v for _, v in sources],
-            drop_tombstones=is_bottom,
+            [run.keys for run in runs], [run.values for run in runs], drop_tombstones=is_bottom
         )
         cost = self.disk.sequential_read(total_pages)
         cost += self.disk.compaction_cpu(n_entries)
@@ -785,10 +782,12 @@ class LSMTree(DerivedMembers):
         if self.total_entries:
             raise TreeStateError("bulk_load requires an empty tree")
         keys, values = validate_batch(keys, values)
-        keys, values = merge_sorted_sources([keys], [values])
-        n = len(keys)
-        if n == 0:
+        if len(keys) == 0:
             return
+        # Callers hand over unsorted keys, a later duplicate winning: that is
+        # the primitive's input, not the blocked kernel's sorted sources.
+        keys, values = merge_block([keys], [values])
+        n = len(keys)
         bottom_no = 1
         while self.config.level_capacity_entries(bottom_no) < n:
             bottom_no += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
+from reference_get import page_of_position
 
 from repro.lsm.entry import merge_sorted_sources
 from repro.lsm.memtable import MemTable
@@ -40,8 +41,8 @@ def range_slice(run, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, int]:
     if start >= stop:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty.copy(), 0
-    first_page = run.page_of_position(start)
-    last_page = run.page_of_position(stop - 1)
+    first_page = page_of_position(run, start)
+    last_page = page_of_position(run, stop - 1)
     return run.keys[start:stop], run.values[start:stop], last_page - first_page + 1
 
 

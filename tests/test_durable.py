@@ -167,6 +167,46 @@ def test_wal_writer_reader_roundtrip(tmp_path):
     np.testing.assert_array_equal(reader.records[0].values, [50, 70])
 
 
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Every ``os.fsync`` issued while the test runs, as a growing list."""
+    calls = []
+    real = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
+    return calls
+
+
+def test_wal_close_fsyncs_only_unsynced_appends(tmp_path, fsyncs):
+    clean = WalWriter(segment_path(str(tmp_path), 1))
+    clean.append_put(1, np.array([5]), np.array([50]))
+    clean.sync(1)
+    assert len(fsyncs) == 1
+    clean.close()  # nothing appended since the sync: nothing left to make durable
+    assert len(fsyncs) == 1
+    dirty = WalWriter(segment_path(str(tmp_path), 2))
+    dirty.append_put(2, np.array([6]), np.array([60]))
+    dirty.close()
+    assert len(fsyncs) == 2
+    assert [r.op for r in WalReader(dirty.path).records] == [OP_PUT]
+
+
+def test_flush_cycle_costs_four_fsyncs(store_dir, tiny_config, fsyncs):
+    """WAL ack, SSTable, directory, manifest — and no fifth one for closing
+    the segment the ack just synced."""
+    store = DurableStore(store_dir, tiny_config)
+    capacity = tiny_config.buffer_capacity_entries
+    cycles = 0
+    for start in range(0, 3 * capacity, capacity):
+        before = len(fsyncs), store.telemetry["sstables_written"]
+        keys = np.arange(start, start + capacity)
+        store.put_batch(keys, keys + 1)
+        if store.telemetry["sstables_written"] - before[1] == 1:
+            assert len(fsyncs) - before[0] == 4
+            cycles += 1
+    assert cycles >= 2
+    store.close()
+
+
 def test_wal_sync_marker_rejects_payload():
     assert replay_wal_bytes(encode_record(OP_SYNC, 9))[0][0].seqno == 9
     bad = encode_record(OP_DELETE, 9, np.array([1]))

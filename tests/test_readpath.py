@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_cache import ReferenceLRUCache
-from reference_get import reference_get_batch
+from reference_get import find, find_batch, reference_get_batch
 from test_entry_memtable import buffer_delete, buffer_put
 
 from repro.config import BloomMode, CostModelParams, SystemConfig
@@ -370,7 +370,7 @@ class TestLevelLookupIndex:
         for i, key in enumerate(probe.tolist()):
             expected_rank = n_runs
             for j, run in enumerate(newest_first):
-                hit, value, page = run.find(key)
+                hit, value, page = find(run, key)
                 if hit:
                     expected_rank = j
                     assert values[i] == value
@@ -412,7 +412,7 @@ class TestLevelLookupIndex:
             [run.keys[0], run.keys[5] + 1, run.keys[-1], run.keys[-1] + 9]
         )
         rank, slot = index.newest_ranks(probe)
-        hit, _, pages = run.find_batch(probe)
+        hit, _, pages = find_batch(run, probe)
         np.testing.assert_array_equal(rank == 0, hit)
         np.testing.assert_array_equal(rank == 1, ~hit)
         everything = np.arange(len(probe))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_get import bloom_positive, find, find_batch, page_of_position
 from reference_range import range_slice
 
 from repro.config import BloomMode
@@ -83,30 +84,30 @@ class TestSortedRunConstruction:
 class TestSortedRunLookups:
     def test_find_present(self):
         run = make_run([10, 20, 30])
-        found, value, page = run.find(20)
+        found, value, page = find(run, 20)
         assert found and value == 200
 
     def test_find_absent_gives_probe_page(self):
         run = make_run(range(0, 40, 2), entries_per_page=4)
-        found, _, page = run.find(33)
+        found, _, page = find(run, 33)
         assert not found
         assert 0 <= page < run.n_pages
 
     def test_page_of_position_layout(self):
         run = make_run(range(10), entries_per_page=4)
-        assert run.page_of_position(0) == 0
-        assert run.page_of_position(3) == 0
-        assert run.page_of_position(4) == 1
-        assert run.page_of_position(9) == 2
+        assert page_of_position(run, 0) == 0
+        assert page_of_position(run, 3) == 0
+        assert page_of_position(run, 4) == 1
+        assert page_of_position(run, 9) == 2
 
     def test_find_batch_matches_single(self):
         rng = np.random.default_rng(3)
         keys = np.sort(rng.choice(1000, size=100, replace=False))
         run = make_run(keys)
         probes = rng.integers(0, 1200, size=200).astype(np.int64)
-        found, values, pages = run.find_batch(probes)
+        found, values, pages = find_batch(run, probes)
         for i, probe in enumerate(probes):
-            f, v, p = run.find(int(probe))
+            f, v, p = find(run, int(probe))
             assert found[i] == f
             assert pages[i] == p
             if f:
@@ -114,17 +115,17 @@ class TestSortedRunLookups:
 
     def test_find_batch_empty_run(self):
         run = make_run([])
-        found, values, pages = run.find_batch(np.asarray([1, 2], dtype=np.int64))
+        found, values, pages = find_batch(run, np.asarray([1, 2], dtype=np.int64))
         assert not found.any()
 
     def test_bloom_negative_only_for_absent(self):
         run = make_run([1, 2, 3], fpr=0.5)
         for key in (1, 2, 3):
-            assert run.bloom_positive(key)
+            assert bloom_positive(run, key)
 
     def test_bitarray_mode_works(self):
         run = make_run(range(100), bloom=BloomMode.BIT_ARRAY, fpr=0.01)
-        assert run.bloom_positive(50)
+        assert bloom_positive(run, 50)
         batch = run.bloom_positive_batch(np.arange(100, dtype=np.int64))
         assert batch.all()
 

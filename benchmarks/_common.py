@@ -68,6 +68,29 @@ def emit_metrics(name: str, payload: dict) -> None:
     (METRICS_DIR / f"{name}.prom").write_text(registry.render("prometheus"))
 
 
+#: One simulated series per (experiment name, system name) for the whole
+#: session. A canonical experiment is a pure function of its name at the
+#: session's fixed scale, so the name is the key; a fingerprint of the run
+#: could not see what a ``make_tuner`` closure builds.
+_SERIES: dict = {}
+
+
+def run_cached(experiment, systems=None) -> dict:
+    """``run_experiment`` over the named ``systems`` (default: all), each
+    series simulated at most once per session — Fig. 9 re-reads Fig. 8's
+    balanced panel, Fig. 12 Fig. 7's RusKey."""
+    from repro.bench import run_system
+
+    results = {}
+    for system in experiment.systems:
+        if systems is None or system.name in systems:
+            key = (experiment.name, system.name)
+            if key not in _SERIES:
+                _SERIES[key] = run_system(experiment, system)
+            results[system.name] = _SERIES[key]
+    return results
+
+
 def metrics_from_results(results) -> dict:
     """Per-system summary numbers from a ``{name: SeriesResult}`` mapping
     — simulated quantities only, deterministic at a fixed scale and seed."""

@@ -10,22 +10,32 @@ best average rank (1.2 vs 1.8+ for the best greedy).
 
 import numpy as np
 
-from _common import emit_metrics, emit_report, metrics_from_results
+from _common import emit_metrics, emit_report, metrics_from_results, run_cached
 
 from repro.bench import (
     SESSION_NAMES,
     dynamic_workload_experiment,
     format_latency_series,
     format_ranking_table,
-    run_experiment,
     session_bounds,
     session_rankings,
 )
+from repro.bench.harness import _resume_fingerprint
 
 
 def run_greedy_comparison():
     experiment = dynamic_workload_experiment(include_greedy=True)
-    results = run_experiment(experiment)
+    # RusKey's series is Fig. 7's: the same schedule, config and Lerp.
+    fig7 = dynamic_workload_experiment()
+    ruskey, greedy = experiment.systems[0], experiment.systems[1:]
+    assert experiment.base_config == fig7.base_config
+    assert _resume_fingerprint(experiment, ruskey) == _resume_fingerprint(
+        fig7, fig7.systems[0]
+    )
+    results = {
+        **run_cached(fig7, [ruskey.name]),
+        **run_cached(experiment, [system.name for system in greedy]),
+    }
     bounds = session_bounds(experiment.workload)
     return results, bounds
 

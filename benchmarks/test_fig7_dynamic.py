@@ -8,7 +8,7 @@ paper's Table 3 shows it achieving the best average performance rank (1.2).
 
 import numpy as np
 
-from _common import emit_metrics, emit_report, metrics_from_results
+from _common import emit_metrics, emit_report, metrics_from_results, run_cached
 
 from repro.bench import (
     SESSION_NAMES,
@@ -16,7 +16,6 @@ from repro.bench import (
     format_latency_series,
     format_policy_trace,
     format_ranking_table,
-    run_experiment,
     session_bounds,
     session_rankings,
 )
@@ -24,7 +23,7 @@ from repro.bench import (
 
 def run_dynamic():
     experiment = dynamic_workload_experiment()
-    results = run_experiment(experiment)
+    results = run_cached(experiment)
     bounds = session_bounds(experiment.workload)
     return results, bounds
 

@@ -9,21 +9,19 @@ visibly on the balanced workload where per-level tuning pays off.
 
 import pytest
 
-from _common import emit_metrics, emit_report, metrics_from_results, settled_mean
+from _common import emit_metrics, emit_report, metrics_from_results, run_cached, settled_mean
 
 from repro.bench import (
     format_latency_series,
     format_policy_trace,
     format_summary,
-    run_experiment,
     static_workload_experiment,
 )
 from repro.config import BloomScheme
 
 
 def run_panel(mix):
-    experiment = static_workload_experiment(mix, scheme=BloomScheme.MONKEY)
-    return run_experiment(experiment)
+    return run_cached(static_workload_experiment(mix, scheme=BloomScheme.MONKEY))
 
 
 @pytest.mark.parametrize("mix", ["read-heavy", "write-heavy", "balanced"])

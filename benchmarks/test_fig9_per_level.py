@@ -7,23 +7,20 @@ lower end-to-end latency. Left panel: end-to-end latency; right panel:
 per-level latency breakdown.
 """
 
-from _common import emit_metrics, emit_report, metrics_from_results
+from _common import emit_metrics, emit_report, metrics_from_results, run_cached
 
 from repro.bench import (
     format_per_level_latency,
     format_summary,
-    run_experiment,
     static_workload_experiment,
 )
 from repro.config import BloomScheme
 
 
 def run_fig9():
+    # Fig. 8's balanced panel: the same two series, simulated once.
     experiment = static_workload_experiment("balanced", scheme=BloomScheme.MONKEY)
-    experiment.systems = [
-        s for s in experiment.systems if s.name in ("RusKey", "Lazy-Leveling")
-    ]
-    return run_experiment(experiment)
+    return run_cached(experiment, ["RusKey", "Lazy-Leveling"])
 
 
 def level_time_breakdown(result, last_fraction=0.35):

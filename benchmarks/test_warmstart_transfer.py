@@ -35,11 +35,9 @@ def test_warmstart_transfer(benchmark):
         "warmstart_transfer",
         {
             "systems": {
-                run.name: {
+                run.system: {
                     "mean_latency_ms": run.mean_latency() * 1e3,
-                    "sim_total_s": float(
-                        sum(m.total_time for m in run.missions)
-                    ),
+                    "sim_total_s": run.total_time(),
                     "n_missions": len(run.missions),
                 }
                 for run in (result.warm, result.cold)

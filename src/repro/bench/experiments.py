@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from repro.bench.harness import Experiment, SystemSpec
 from repro.config import BloomScheme, SystemConfig
@@ -36,7 +37,8 @@ from repro.errors import ConfigError
 from repro.lsm.policy import POLICY_NAMES
 from repro.rl.ddpg import DDPGConfig
 from repro.rl.dqn import DQNConfig
-from repro.workload.dynamic import DynamicWorkload, paper_dynamic_workload
+from repro.workload.dynamic import PAPER_SESSIONS, DynamicWorkload, paper_dynamic_workload
+from repro.workload.spec import WorkloadSpec
 from repro.workload.uniform import UniformWorkload
 from repro.workload.ycsb import YCSBWorkload
 
@@ -55,45 +57,38 @@ class BenchScale:
     fig10_missions: int
 
 
+@dataclass(frozen=True)
+class ServingScale:
+    """Run-shape parameters of one serving-experiment tier: the open-loop
+    clients offer exactly ``n_ops`` requests at ``rate``, so every
+    configuration faces the same request stream."""
+
+    n_ops: int  # offered requests
+    rate: float  # open-loop offered rate (requests / wall second)
+    window_ops: int  # mission-window length (completed requests)
+    queue_capacity: int  # per-lane admission queue bound
+    max_batch: int  # per-lane drain batch
+    mission_size: int  # generator mission granularity
+
+
+# The scale tiers, one row each, in field order.
 _SCALES = {
-    "quick": BenchScale(
-        name="quick",
-        write_buffer_bytes=64 * 1024,
-        n_records=24_000,
-        mission_size=800,
-        n_missions=240,
-        session_missions=160,
-        fig10_mission_size=2_500,
-        fig10_missions=60,
-    ),
-    "default": BenchScale(
-        name="default",
-        write_buffer_bytes=128 * 1024,
-        n_records=50_000,
-        mission_size=1_200,
-        n_missions=500,
-        session_missions=350,
-        fig10_mission_size=5_000,
-        fig10_missions=120,
-    ),
-    "full": BenchScale(
-        name="full",
-        write_buffer_bytes=128 * 1024,
-        n_records=200_000,
-        mission_size=2_000,
-        n_missions=2_000,
-        session_missions=1_000,
-        fig10_mission_size=20_000,
-        fig10_missions=120,
-    ),
+    scale.name: scale
+    for scale in (
+        BenchScale("quick", 64 * 1024, 24_000, 800, 240, 160, 2_500, 60),
+        BenchScale("default", 128 * 1024, 50_000, 1_200, 500, 350, 5_000, 120),
+        BenchScale("full", 128 * 1024, 200_000, 2_000, 2_000, 1_000, 20_000, 120),
+    )
+}
+# The serving experiments' row of each tier, in field order.
+_SERVING_SCALES = {
+    "quick": ServingScale(60_000, 40_000.0, 6_000, 512, 256, 1_000),
+    "default": ServingScale(150_000, 50_000.0, 12_000, 768, 384, 1_200),
+    "full": ServingScale(600_000, 60_000.0, 25_000, 1_024, 512, 2_000),
 }
 
 #: The workload mixes of Figures 6, 8 and 11 (lookup fractions).
-STATIC_MIXES = {
-    "read-heavy": 0.9,
-    "write-heavy": 0.1,
-    "balanced": 0.5,
-}
+STATIC_MIXES = {"read-heavy": 0.9, "write-heavy": 0.1, "balanced": 0.5}
 
 
 def bench_scale() -> BenchScale:
@@ -104,6 +99,11 @@ def bench_scale() -> BenchScale:
             f"REPRO_BENCH_SCALE must be one of {sorted(_SCALES)}, got {name!r}"
         )
     return _SCALES[name]
+
+
+def serving_scale(scale: Optional[BenchScale] = None) -> ServingScale:
+    """The serving row of ``scale``'s tier (default: the active tier)."""
+    return _SERVING_SCALES[(scale or bench_scale()).name]
 
 
 def base_config(
@@ -130,9 +130,7 @@ def base_config(
     )
 
 
-def bench_lerp_config(
-    n_missions: int, seed: int = 0, stages: int = 1
-) -> LerpConfig:
+def bench_lerp_config(n_missions: int, seed: int = 0, stages: int = 1) -> LerpConfig:
     """Lerp hyperparameters sized so tuning converges within ~45 % of the
     run (the paper's tuning takes ~300 of 2000 missions; shorter runs get a
     proportionally faster exploration decay). ``stages`` is the number of
@@ -165,22 +163,30 @@ def standard_systems(
 ) -> List[SystemSpec]:
     """RusKey plus the paper's baselines (Aggressive/Moderate/Lazy, and
     optionally Lazy-Leveling for the Monkey-scheme experiments)."""
+    lerp = bench_lerp_config(n_missions, seed=seed, stages=2 if include_lazy_leveling else 1)
     systems = [
-        SystemSpec(
-            name="RusKey",
-            make_tuner=lambda config: None,  # default Lerp
-            initial_policy=1,
-            lerp_config=bench_lerp_config(
-                n_missions,
-                seed=seed,
-                stages=2 if include_lazy_leveling else 1,
-            ),
-        ),
+        SystemSpec("RusKey", lambda config: None, 1, lerp_config=lerp),  # default Lerp
         *static_baselines(),
     ]
     if include_lazy_leveling:
         systems.append(SystemSpec("Lazy-Leveling", lambda config: LazyLevelingTuner(), 10))
     return systems
+
+
+def _experiment(
+    name: str,
+    workload: WorkloadSpec,
+    n_missions: int,
+    systems: List[SystemSpec],
+    scale: BenchScale,
+    seed: int,
+    scheme: BloomScheme = BloomScheme.UNIFORM,
+) -> Experiment:
+    """``systems`` over ``workload`` on the paper's config at ``scale``."""
+    return Experiment(
+        name, workload, n_missions, scale.mission_size,
+        base_config(scheme, scale, seed=seed), systems=systems,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -196,37 +202,20 @@ def static_workload_experiment(
     if mix not in STATIC_MIXES:
         raise ConfigError(f"mix must be one of {sorted(STATIC_MIXES)}, got {mix!r}")
     scale = scale or bench_scale()
-    workload = UniformWorkload(
-        n_records=scale.n_records,
-        lookup_fraction=STATIC_MIXES[mix],
-        seed=seed + 17,
-        name=mix,
-    )
-    figure = "fig6" if scheme is BloomScheme.UNIFORM else "fig8"
-    return Experiment(
-        name=f"{figure}-{mix}",
-        workload=workload,
-        n_missions=scale.n_missions,
-        mission_size=scale.mission_size,
-        base_config=base_config(scheme, scale, seed=seed),
-        systems=standard_systems(
-            scale.n_missions,
-            include_lazy_leveling=(scheme is BloomScheme.MONKEY),
-            seed=seed,
-        ),
+    monkey = scheme is BloomScheme.MONKEY
+    return _experiment(
+        f"{'fig8' if monkey else 'fig6'}-{mix}",
+        UniformWorkload(scale.n_records, STATIC_MIXES[mix], seed + 17, name=mix),
+        scale.n_missions,
+        standard_systems(scale.n_missions, include_lazy_leveling=monkey, seed=seed),
+        scale, seed, scheme,
     )
 
 
 # ----------------------------------------------------------------------
 # Figure 7 / Table 3 / Figure 12: the five-session dynamic workload
 # ----------------------------------------------------------------------
-SESSION_NAMES = [
-    "read-heavy",
-    "balanced",
-    "write-heavy",
-    "write-inclined",
-    "read-inclined",
-]
+SESSION_NAMES = [session for session, _ in PAPER_SESSIONS]
 
 
 def dynamic_workload_experiment(
@@ -238,11 +227,8 @@ def dynamic_workload_experiment(
     threshold tuners) on the five-session dynamic workload."""
     scale = scale or bench_scale()
     workload = paper_dynamic_workload(
-        n_records=scale.n_records,
-        missions_per_session=scale.session_missions,
-        seed=seed + 23,
+        scale.n_records, scale.session_missions, seed=seed + 23
     )
-    n_missions = workload.total_missions
     lerp = bench_lerp_config(scale.session_missions, seed=seed)
     systems = [SystemSpec("RusKey", lambda config: None, 1, lerp_config=lerp)]
     if include_greedy:
@@ -256,13 +242,9 @@ def dynamic_workload_experiment(
             )
     else:
         systems.extend(static_baselines())
-    return Experiment(
-        name="fig12-dynamic-greedy" if include_greedy else "fig7-dynamic",
-        workload=workload,
-        n_missions=n_missions,
-        mission_size=scale.mission_size,
-        base_config=base_config(BloomScheme.UNIFORM, scale, seed=seed),
-        systems=systems,
+    return _experiment(
+        "fig12-dynamic-greedy" if include_greedy else "fig7-dynamic",
+        workload, workload.total_missions, systems, scale, seed,
     )
 
 
@@ -300,14 +282,10 @@ def policy_lerp_config(n_missions: int, seed: int = 0) -> LerpConfig:
     )
 
 
-def policy_matrix_systems(
-    n_missions: int, size_ratio: int = 10, seed: int = 0
-) -> List[SystemSpec]:
+def policy_matrix_systems(n_missions: int, size_ratio: int = 10, seed: int = 0) -> List[SystemSpec]:
     """Lerp driving the policy action vs the three static disciplines."""
     lerp_config = policy_lerp_config(n_missions, seed=seed)
-    tuned = SystemSpec(
-        "Lerp+policy", lambda config: NamedPolicyLerp(config, lerp_config), 1
-    )
+    tuned = SystemSpec("Lerp+policy", lambda config: NamedPolicyLerp(config, lerp_config), 1)
     statics = (
         ("Leveling", "leveling", 1),
         ("Tiering", "tiering", size_ratio),
@@ -327,37 +305,25 @@ def policy_matrix_experiment(
     """One panel of the policy matrix: static leveling vs static tiering vs
     static lazy-leveling vs Lerp driving the named-policy action."""
     scale = scale or bench_scale()
+    workload: WorkloadSpec
     if mix == "dynamic":
         workload = paper_dynamic_workload(
-            n_records=scale.n_records,
-            missions_per_session=scale.session_missions,
-            seed=seed + 41,
+            scale.n_records, scale.session_missions, seed=seed + 41
         )
         n_missions = workload.total_missions
         per_era_missions = scale.session_missions
     elif mix in STATIC_MIXES:
         workload = UniformWorkload(
-            n_records=scale.n_records,
-            lookup_fraction=STATIC_MIXES[mix],
-            seed=seed + 41,
-            name=f"policy-{mix}",
+            scale.n_records, STATIC_MIXES[mix], seed + 41, name=f"policy-{mix}"
         )
-        n_missions = scale.n_missions
-        per_era_missions = n_missions
+        n_missions = per_era_missions = scale.n_missions
     else:
-        raise ConfigError(
-            f"mix must be one of {POLICY_MATRIX_MIXES}, got {mix!r}"
-        )
-    config = base_config(BloomScheme.UNIFORM, scale, seed=seed)
-    return Experiment(
-        name=f"policy-matrix-{mix}",
-        workload=workload,
-        n_missions=n_missions,
-        mission_size=scale.mission_size,
-        base_config=config,
-        systems=policy_matrix_systems(
-            per_era_missions, size_ratio=config.size_ratio, seed=seed
-        ),
+        raise ConfigError(f"mix must be one of {POLICY_MATRIX_MIXES}, got {mix!r}")
+    size_ratio = base_config(scale=scale).size_ratio
+    return _experiment(
+        f"policy-matrix-{mix}", workload, n_missions,
+        policy_matrix_systems(per_era_missions, size_ratio=size_ratio, seed=seed),
+        scale, seed,
     )
 
 
@@ -372,25 +338,26 @@ def ycsb_experiment(
     """Figure 11 panels: read-heavy / write-heavy / balanced / range."""
     scale = scale or bench_scale()
     if panel == "range":
-        workload: YCSBWorkload = YCSBWorkload.paper_range_mix(
-            scale.n_records, seed=seed + 31
-        )
+        workload = YCSBWorkload.paper_range_mix(scale.n_records, seed=seed + 31)
         n_missions = max(40, scale.n_missions // 4)  # range scans are slow
     elif panel in STATIC_MIXES:
         workload = YCSBWorkload(
-            n_records=scale.n_records,
-            lookup_fraction=STATIC_MIXES[panel],
-            seed=seed + 31,
-            name=f"ycsb-{panel}",
+            scale.n_records, STATIC_MIXES[panel], seed + 31, name=f"ycsb-{panel}"
         )
         n_missions = scale.n_missions
     else:
         raise ConfigError(f"unknown YCSB panel: {panel!r}")
-    return Experiment(
-        name=f"fig11-{panel}",
-        workload=workload,
-        n_missions=n_missions,
-        mission_size=scale.mission_size,
-        base_config=base_config(BloomScheme.UNIFORM, scale, seed=seed),
-        systems=standard_systems(n_missions, seed=seed),
+    return _experiment(
+        f"fig11-{panel}", workload, n_missions,
+        standard_systems(n_missions, seed=seed), scale, seed,
     )
+
+
+#: The canonical experiments by name, at the active scale and seed 0 —
+#: what ``python -m repro.bench.harness <name>`` runs.
+NAMED_EXPERIMENTS: Dict[str, Callable[[], Experiment]] = {
+    "dynamic": dynamic_workload_experiment,
+    "dynamic-greedy": partial(dynamic_workload_experiment, include_greedy=True),
+    **{f"static:{mix}": partial(static_workload_experiment, mix) for mix in STATIC_MIXES},
+    **{f"ycsb:{panel}": partial(ycsb_experiment, panel) for panel in [*STATIC_MIXES, "range"]},
+}

@@ -153,37 +153,55 @@ def checkpoint_path(experiment: Experiment, system: SystemSpec) -> str:
     )
 
 
+def _workload_fingerprint(workload: WorkloadSpec) -> object:
+    """What generates ``workload``'s mission stream: its public scalar
+    parameters (seed, mix, record count, ...), per phase for a dynamic
+    schedule."""
+    if hasattr(workload, "phases"):
+        return workload.name, [
+            (_workload_fingerprint(phase.spec), phase.n_missions)
+            for phase in workload.phases
+        ]
+    return sorted(
+        (key, value)
+        for key, value in vars(workload).items()
+        if not key.startswith("_") and isinstance(value, (bool, int, float, str))
+    )
+
+
 def _resume_fingerprint(
     experiment: Experiment, system: SystemSpec
 ) -> Dict[str, object]:
     """Identifies the run a checkpoint was cut from.
 
-    The store config alone cannot distinguish two scale tiers that share a
-    ``SystemConfig`` but differ in record count, mission size or tuner
-    hyperparameters, so this fingerprint is saved in checkpoint meta and
-    must match on resume. (Tuners built by a custom ``make_tuner`` closure
-    are beyond fingerprinting; ``lerp_config`` covers the default path.)
+    The store config alone cannot distinguish two runs that share a
+    ``SystemConfig`` but differ in workload seed, mix, record count,
+    mission size or tuner hyperparameters, so this fingerprint is saved in
+    checkpoint meta and must match on resume. (Tuners built by a custom
+    ``make_tuner`` closure are beyond fingerprinting; ``lerp_config``
+    covers the default path.)
     """
-    workload = experiment.workload
-    n_records = getattr(workload, "n_records", None)
-    if n_records is None and hasattr(workload, "phases"):
-        n_records = getattr(workload.phases[0].spec, "n_records", None)
     lerp_config = None
     if system.lerp_config is not None:
         from repro.persist import lerp_config_to_state
 
         lerp_config = lerp_config_to_state(system.lerp_config)
     return {
-        "workload": workload.name,
+        "workload": _workload_fingerprint(experiment.workload),
         "mission_size": experiment.mission_size,
-        "n_records": n_records,
         "lerp_config": lerp_config,
     }
 
 
-def build_store(experiment: Experiment, system: SystemSpec) -> RusKey:
+def build_store(experiment: Experiment, system: SystemSpec, engine=None) -> RusKey:
     """The loaded store ``system`` describes, ready for the experiment's
-    first mission (the one ``SystemSpec`` → store builder)."""
+    first mission — the one ``SystemSpec`` → store builder, for the
+    figures, the warm-start transfer and the serving experiments alike.
+
+    ``engine`` (default: a tree, or a ``ShardedStore`` of
+    ``system.n_shards``) is what a durable server passes in; an engine that
+    already holds data — a reopened durable directory — is not re-loaded.
+    """
     config = experiment.base_config.with_updates(
         initial_policy=system.initial_policy
     )
@@ -196,10 +214,11 @@ def build_store(experiment: Experiment, system: SystemSpec) -> RusKey:
         tuner=tuner,
         lerp_config=system.lerp_config,
         chunk_size=experiment.chunk_size,
+        engine=engine,
         n_shards=system.n_shards,
     )
     workload = experiment.workload
-    if hasattr(workload, "load_records"):
+    if hasattr(workload, "load_records") and not store.engine.total_entries:
         keys, values = workload.load_records()  # type: ignore[attr-defined]
         store.bulk_load(keys, values, distribute=experiment.distribute_load)
     return store
@@ -219,11 +238,9 @@ def run_system(experiment: Experiment, system: SystemSpec) -> SeriesResult:
 
         payload = load_snapshot(ckpt_path, expected_kind="store")
         store = store_from_snapshot(payload)
-        expected_config = experiment.base_config.with_updates(
-            initial_policy=system.initial_policy
-        )
         if (
-            store.config != expected_config
+            store.config
+            != experiment.base_config.with_updates(initial_policy=system.initial_policy)
             or store.runner.chunk_size != experiment.chunk_size
             or payload["meta"].get("fingerprint")
             != _resume_fingerprint(experiment, system)
@@ -251,14 +268,9 @@ def run_system(experiment: Experiment, system: SystemSpec) -> SeriesResult:
         ):
             from repro.persist import save_store
 
-            save_store(
-                store,
-                ckpt_path,
-                meta={
-                    "experiment": experiment.name,
-                    "fingerprint": _resume_fingerprint(experiment, system),
-                },
-            )
+            fingerprint = _resume_fingerprint(experiment, system)
+            meta = {"experiment": experiment.name, "fingerprint": fingerprint}
+            save_store(store, ckpt_path, meta=meta)
     # A checkpoint may hold more missions than this run asked for (resuming
     # a shortened experiment); report exactly the requested prefix.
     return SeriesResult(
@@ -316,33 +328,12 @@ def session_rankings(
 # ----------------------------------------------------------------------
 # Command line: run a named experiment with checkpoint/resume support
 # ----------------------------------------------------------------------
-def _named_experiment(name: str) -> Experiment:
-    """Build one of the canonical experiments by name.
-
-    Imported lazily: :mod:`repro.bench.experiments` imports this module.
-    """
-    from repro.bench import experiments
-
-    if name == "dynamic":
-        return experiments.dynamic_workload_experiment()
-    if name == "dynamic-greedy":
-        return experiments.dynamic_workload_experiment(include_greedy=True)
-    kind, _, panel = name.partition(":")
-    if kind == "static" and panel:
-        return experiments.static_workload_experiment(panel)
-    if kind == "ycsb" and panel:
-        return experiments.ycsb_experiment(panel)
-    raise WorkloadError(
-        f"unknown experiment {name!r}; use dynamic, dynamic-greedy, "
-        "static:<read-heavy|write-heavy|balanced> or "
-        "ycsb:<read-heavy|write-heavy|balanced|range>"
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """``python -m repro.bench.harness <experiment> [options]``."""
     import argparse
 
+    # Imported here: repro.bench.experiments imports this module.
+    from repro.bench.experiments import NAMED_EXPERIMENTS
     from repro.bench.reporting import format_summary
 
     parser = argparse.ArgumentParser(
@@ -350,46 +341,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Run a canonical experiment with optional "
         "checkpoint-every-K-missions and bit-exact --resume.",
     )
+    parser.add_argument("experiment", choices=NAMED_EXPERIMENTS)
     parser.add_argument(
-        "experiment",
-        help="dynamic | dynamic-greedy | static:<mix> | ycsb:<panel>",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="K",
+        "--checkpoint-every", type=int, default=0, metavar="K",
         help="snapshot each system every K missions (0 disables)",
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        default="checkpoints",
+        "--checkpoint-dir", default="checkpoints",
         help="directory for checkpoint files (default: checkpoints/)",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
+        "--resume", action="store_true",
         help="continue from existing checkpoints instead of starting over",
     )
     parser.add_argument(
-        "--last-n",
-        type=int,
-        default=None,
+        "--last-n", type=int, default=None,
         help="missions to average in the summary (default: all)",
     )
     args = parser.parse_args(argv)
     if args.checkpoint_every < 0:
         parser.error("--checkpoint-every must be >= 0")
-    experiment = _named_experiment(args.experiment)
+    experiment = NAMED_EXPERIMENTS[args.experiment]()
     experiment.checkpoint_every = args.checkpoint_every
     experiment.checkpoint_dir = args.checkpoint_dir
     experiment.resume = args.resume
     results = run_experiment(experiment)
-    print(
-        format_summary(
-            results, last_n=args.last_n, title=f"== {experiment.name} =="
-        )
-    )
+    print(format_summary(results, last_n=args.last_n, title=f"== {experiment.name} =="))
     return 0
 
 

@@ -16,52 +16,34 @@ claim directly:
 3. **Report** — per-phase latency for both, plus adaptation-phase and
    settled means (``bench_reports/warmstart_transfer.txt``).
 
-Both transfer stores process an identical mission stream against identical
-initial data, so every difference in the series is attributable to the
-tuner's starting state.
+Each run is one :func:`~repro.bench.harness.run_system` call whose
+``make_tuner`` hands over the experiment's own :class:`Lerp`. Both transfer
+stores process an identical mission stream against identical initial data,
+so every difference in the series is attributable to the tuner's starting
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.bench.experiments import BenchScale, base_config, bench_lerp_config, bench_scale
-from repro.config import SystemConfig
-from repro.core.lerp import Lerp, LerpConfig
-from repro.core.ruskey import RusKey
-from repro.lsm.stats import MissionStats
-from repro.workload.dynamic import DynamicWorkload, WorkloadPhase
-from repro.workload.uniform import UniformWorkload
-
-
-@dataclass
-class TransferRun:
-    """One store's trajectory through the transfer schedule."""
-
-    name: str
-    missions: List[MissionStats]
-    policy_history: List[List[int]]
-    tuner_restarts: int
-
-    @property
-    def latencies(self) -> np.ndarray:
-        return np.asarray([m.latency_per_op for m in self.missions])
-
-    def mean_latency(self, start: int = 0, stop: Optional[int] = None) -> float:
-        series = self.latencies[start:stop]
-        return float(series.mean()) if len(series) else 0.0
+from repro.bench.harness import Experiment, SeriesResult, SystemSpec, run_system
+from repro.core.lerp import Lerp
+from repro.workload.dynamic import DynamicWorkload, dynamic_schedule
 
 
 @dataclass
 class TransferResult:
     """Everything the warm-start transfer experiment produces."""
 
-    pretrain: TransferRun
-    warm: TransferRun
-    cold: TransferRun
+    pretrain: SeriesResult
+    warm: SeriesResult
+    cold: SeriesResult
+    #: Each run's tuner by run name (``pretrain``, ``cold-start``,
+    #: ``warm-start``), as it stood at the end of its run.
+    tuners: Dict[str, Lerp]
     n_transfer_missions: int
 
     def adaptation_window(self) -> int:
@@ -69,35 +51,11 @@ class TransferResult:
         return max(1, self.n_transfer_missions // 3)
 
 
-def _dynamic_schedule(
-    mixes: List[float],
-    names: List[str],
-    n_records: int,
-    missions_per_session: int,
-    seed: int,
-    label: str,
-) -> DynamicWorkload:
-    phases = [
-        WorkloadPhase(
-            UniformWorkload(
-                n_records,
-                lookup_fraction=lookup_fraction,
-                seed=seed + i,
-                name=names[i],
-            ),
-            missions_per_session,
-        )
-        for i, lookup_fraction in enumerate(mixes)
-    ]
-    return DynamicWorkload(phases, name=label)
-
-
 def pretrain_schedule(scale: BenchScale, seed: int = 0) -> DynamicWorkload:
     """Schedule A: the mixes Lerp trains on (read-heavy → write-heavy →
     balanced)."""
-    return _dynamic_schedule(
-        [0.9, 0.1, 0.5],
-        ["read-heavy", "write-heavy", "balanced"],
+    return dynamic_schedule(
+        [("read-heavy", 0.9), ("write-heavy", 0.1), ("balanced", 0.5)],
         scale.n_records,
         scale.session_missions,
         seed + 41,
@@ -108,34 +66,12 @@ def pretrain_schedule(scale: BenchScale, seed: int = 0) -> DynamicWorkload:
 def transfer_schedule(scale: BenchScale, seed: int = 0) -> DynamicWorkload:
     """Schedule B: *unseen* mixes (read-inclined → write-inclined), a new
     generator seed and therefore new key/value draws."""
-    return _dynamic_schedule(
-        [0.7, 0.3],
-        ["read-inclined", "write-inclined"],
+    return dynamic_schedule(
+        [("read-inclined", 0.7), ("write-inclined", 0.3)],
         scale.n_records,
         scale.session_missions,
         seed + 97,
         "transfer-unseen",
-    )
-
-
-def _run_store(
-    store: RusKey,
-    workload: DynamicWorkload,
-    mission_size: int,
-    name: str,
-) -> TransferRun:
-    keys, values = workload.load_records()
-    store.bulk_load(keys, values, distribute=True)
-    for mission in workload.missions(workload.total_missions, mission_size):
-        store.run_mission(mission)
-    restarts = (
-        store.tuner.restarts if isinstance(store.tuner, Lerp) else 0
-    )
-    return TransferRun(
-        name=name,
-        missions=store.mission_log,
-        policy_history=store.policy_history,
-        tuner_restarts=restarts,
     )
 
 
@@ -146,36 +82,29 @@ def run_warmstart_transfer(
 ) -> TransferResult:
     """Run the full pretrain → (warm vs cold) transfer experiment."""
     scale = scale or bench_scale()
-    config: SystemConfig = base_config(scale=scale, seed=seed)
+    config = base_config(scale=scale, seed=seed)
+    transfer_lerp = bench_lerp_config(scale.session_missions, seed=seed + 1)
+    tuners = {
+        "pretrain": Lerp(config, bench_lerp_config(scale.session_missions, seed=seed)),
+        "cold-start": Lerp(config, transfer_lerp),
+        "warm-start": Lerp(config, transfer_lerp),
+    }
 
-    schedule_a = pretrain_schedule(scale, seed)
-    lerp_a: LerpConfig = bench_lerp_config(scale.session_missions, seed=seed)
-    pretrain_store = RusKey(config, lerp_config=lerp_a)
-    pretrain = _run_store(
-        pretrain_store, schedule_a, scale.mission_size, "pretrain"
-    )
-    tuner_state = pretrain_store.tuner.state_dict()
+    def run(schedule: DynamicWorkload, name: str) -> SeriesResult:
+        # RusKey's default chunking (64), which these runs have always used.
+        experiment = Experiment(
+            schedule.name, schedule, schedule.total_missions, scale.mission_size,
+            config, chunk_size=64,
+        )
+        return run_system(experiment, SystemSpec(name, lambda config: tuners[name]))
 
+    pretrain = run(pretrain_schedule(scale, seed), "pretrain")
     schedule_b = transfer_schedule(scale, seed)
-    lerp_b: LerpConfig = bench_lerp_config(
-        scale.session_missions, seed=seed + 1
-    )
-
-    cold_store = RusKey(config, lerp_config=lerp_b)
-    cold = _run_store(cold_store, schedule_b, scale.mission_size, "cold-start")
-
-    warm_store = RusKey(config, lerp_config=lerp_b)
-    assert isinstance(warm_store.tuner, Lerp)
-    warm_store.tuner.load_state_dict(tuner_state)
-    warm_store.tuner.warm_start(exploration_scale=exploration_scale)
-    warm = _run_store(warm_store, schedule_b, scale.mission_size, "warm-start")
-
-    return TransferResult(
-        pretrain=pretrain,
-        warm=warm,
-        cold=cold,
-        n_transfer_missions=schedule_b.total_missions,
-    )
+    cold = run(schedule_b, "cold-start")
+    tuners["warm-start"].load_state_dict(tuners["pretrain"].state_dict())
+    tuners["warm-start"].warm_start(exploration_scale=exploration_scale)
+    warm = run(schedule_b, "warm-start")
+    return TransferResult(pretrain, warm, cold, tuners, schedule_b.total_missions)
 
 
 def format_transfer_report(
@@ -201,34 +130,26 @@ def format_transfer_report(
     header = f"{'mission':>8} | {'warm-start':>12} | {'cold-start':>12}"
     lines.append(header)
     lines.append("-" * len(header))
-    n = min(len(result.warm.missions), len(result.cold.missions))
-    for i in range(0, n, every):
-        lines.append(
-            f"{i:>8} | {result.warm.latencies[i] * 1e3:12.5f} "
-            f"| {result.cold.latencies[i] * 1e3:12.5f}"
-        )
+    warm, cold = result.warm.latencies, result.cold.latencies
+    for i in range(0, min(len(warm), len(cold)), every):
+        lines.append(f"{i:>8} | {warm[i] * 1e3:12.5f} | {cold[i] * 1e3:12.5f}")
     adapt = result.adaptation_window()
     settle = max(1, result.n_transfer_missions // 3)
     lines.append("")
     lines.append(f"{'phase':>24} | {'warm-start':>12} | {'cold-start':>12}")
-    lines.append(
-        f"{'adaptation (first ' + str(adapt) + ')':>24} "
-        f"| {result.warm.mean_latency(0, adapt) * 1e3:12.5f} "
-        f"| {result.cold.mean_latency(0, adapt) * 1e3:12.5f}"
-    )
-    lines.append(
-        f"{'settled (last ' + str(settle) + ')':>24} "
-        f"| {result.warm.mean_latency(n - settle) * 1e3:12.5f} "
-        f"| {result.cold.mean_latency(n - settle) * 1e3:12.5f}"
-    )
-    lines.append(
-        f"{'overall':>24} "
-        f"| {result.warm.mean_latency() * 1e3:12.5f} "
-        f"| {result.cold.mean_latency() * 1e3:12.5f}"
-    )
+    for label, window in (
+        (f"adaptation (first {adapt})", slice(0, adapt)),
+        (f"settled (last {settle})", slice(-settle, None)),
+        ("overall", slice(None)),
+    ):
+        lines.append(
+            f"{label:>24} | {warm[window].mean() * 1e3:12.5f} "
+            f"| {cold[window].mean() * 1e3:12.5f}"
+        )
     lines.append("")
     lines.append(
         f"tuner restarts (workload shifts detected): "
-        f"warm={result.warm.tuner_restarts} cold={result.cold.tuner_restarts}"
+        f"warm={result.tuners['warm-start'].restarts} "
+        f"cold={result.tuners['cold-start'].restarts}"
     )
     return "\n".join(lines)

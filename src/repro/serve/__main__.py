@@ -18,16 +18,17 @@ offline benchmarks; all latencies printed are wall-clock.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from repro.bench.experiments import bench_scale
 from repro.serve.experiments import (
-    _default_workload,
     build_server,
     format_serving_report,
     run_serving_comparison,
     serving_scale,
+    serving_workload,
 )
 from repro.serve.loadgen import TenantSpec, run_load
 
@@ -137,13 +138,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--data-dir only applies to --backend durable")
 
     scale = bench_scale()
-    serving = serving_scale(scale)
-    if args.ops is not None:
-        serving.n_ops = args.ops
-    if args.rate is not None:
-        serving.rate = args.rate
-    if args.window_ops is not None:
-        serving.window_ops = args.window_ops
+    overrides = {"n_ops": args.ops, "rate": args.rate, "window_ops": args.window_ops}
+    serving = dataclasses.replace(
+        serving_scale(scale),
+        **{field: value for field, value in overrides.items() if value is not None},
+    )
 
     if args.compare:
         runs = run_serving_comparison(
@@ -158,13 +157,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0
 
-    workload = _default_workload(
-        scale, args.seed, serving.n_ops, serving.mission_size
-    )
     server = build_server(
         args.shards,
         args.tuned,
-        workload=workload,
         serving=serving,
         scale=scale,
         seed=args.seed,
@@ -189,7 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 tuner.attach_audit(audit)
     tenant = TenantSpec(
         name="cli",
-        workload=workload,
+        workload=serving_workload(scale, serving, args.seed),
         n_ops=serving.n_ops,
         rate=serving.rate,
         n_clients=args.clients,

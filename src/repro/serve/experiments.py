@@ -2,9 +2,11 @@
 
 This is the serving-layer counterpart of :mod:`repro.bench.experiments`:
 one function builds a loaded :class:`KVServer` for a (shards × tuner)
-configuration, one runs the open-loop tail-latency comparison the
-``serving_tail_latency`` benchmark and the ``python -m repro.serve`` CLI
-share, and one formats the paper-style text report.
+configuration — through :func:`repro.bench.harness.build_store`, the one
+builder every experiment shares — one runs the open-loop tail-latency
+comparison the ``serving_tail_latency`` benchmark and the
+``python -m repro.serve`` CLI share, and one formats the paper-style text
+report. Run shapes per tier are :func:`repro.bench.experiments.serving_scale`.
 
 The headline comparison puts the same offered load (an open-loop Poisson
 stream replaying the paper's five-session dynamic schedule) on four
@@ -23,91 +25,54 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.experiments import (
     BenchScale,
+    ServingScale,
     base_config,
     bench_lerp_config,
     bench_scale,
+    serving_scale,
 )
-from repro.config import SystemConfig
-from repro.core.lerp import Lerp, per_shard_tuners
-from repro.core.tuners import StaticTuner, Tuner
-from repro.engine.sharded import ShardedStore
+from repro.bench.harness import Experiment, SystemSpec, build_store
+from repro.core.tuners import StaticTuner
 from repro.serve.loadgen import LoadReport, TenantSpec, run_load
 from repro.serve.server import KVServer
-from repro.workload.dynamic import paper_dynamic_workload
-from repro.workload.spec import WorkloadSpec
+from repro.workload.dynamic import PAPER_SESSIONS, DynamicWorkload, paper_dynamic_workload
 
 
-@dataclass
-class ServingScale:
-    """Run-shape parameters of one serving-experiment tier: the open-loop
-    clients offer exactly ``n_ops`` requests at ``rate``, so every
-    configuration faces the same request stream."""
-
-    n_ops: int  # offered requests
-    rate: float  # open-loop offered rate (requests / wall second)
-    window_ops: int  # mission-window length (completed requests)
-    queue_capacity: int  # per-lane admission queue bound
-    max_batch: int  # per-lane drain batch
-    mission_size: int  # generator mission granularity
-
-
-def serving_scale(scale: Optional[BenchScale] = None) -> ServingScale:
-    """Serving run shapes per ``REPRO_BENCH_SCALE`` tier."""
-    scale = scale or bench_scale()
-    if scale.name == "quick":
-        return ServingScale(
-            n_ops=60_000,
-            rate=40_000.0,
-            window_ops=6_000,
-            queue_capacity=512,
-            max_batch=256,
-            mission_size=1_000,
-        )
-    if scale.name == "full":
-        return ServingScale(
-            n_ops=600_000,
-            rate=60_000.0,
-            window_ops=25_000,
-            queue_capacity=1_024,
-            max_batch=512,
-            mission_size=2_000,
-        )
-    return ServingScale(
-        n_ops=150_000,
-        rate=50_000.0,
-        window_ops=12_000,
-        queue_capacity=768,
-        max_batch=384,
-        mission_size=1_200,
+def serving_workload(
+    scale: BenchScale, serving: ServingScale, seed: int = 0
+) -> DynamicWorkload:
+    """The five-session dynamic schedule, sessions sized in *missions* so
+    the tier's ``n_ops`` requests sweep every one."""
+    return paper_dynamic_workload(
+        scale.n_records,
+        max(1, serving.n_ops // (len(PAPER_SESSIONS) * serving.mission_size)),
+        seed=seed + 23,
     )
 
 
 def build_server(
     n_shards: int,
     tuned: bool,
-    config: Optional[SystemConfig] = None,
-    workload: Optional[WorkloadSpec] = None,
     serving: Optional[ServingScale] = None,
     scale: Optional[BenchScale] = None,
     seed: int = 0,
     static_policy: int = 5,
-    split_buffer: bool = True,
     backend: str = "memory",
     data_dir: Optional[str] = None,
 ) -> KVServer:
-    """A loaded, not-yet-started server for one configuration.
+    """A loaded, not-yet-started server for one configuration over
+    :func:`serving_workload`'s records, built by ``build_store``.
 
-    ``split_buffer`` divides the write buffer by ``n_shards`` so every
-    configuration runs under the same *total* memory budget — the fair
-    control for shard-count comparisons (per-shard flushes become smaller
-    and stall their lane for less wall time).
+    The write buffer is divided by ``n_shards`` so every configuration
+    runs under the same *total* memory budget — the fair control for
+    shard-count comparisons (per-shard flushes become smaller and stall
+    their lane for less wall time).
 
-    ``backend`` selects the engine: ``"memory"`` (the default
-    :class:`ShardedStore`) or ``"durable"``, which serves from a
+    ``backend`` selects the engine: ``"memory"`` (a tree or a
+    ``ShardedStore``) or ``"durable"``, a single-shard
     :class:`~repro.durable.store.DurableStore` rooted at ``data_dir``
-    (WAL + SSTables + manifest; single shard only — the durable store is
-    one tree). A durable server survives ``kill -9``: acknowledged
-    writes are replayed from the WAL on the next open.
+    that survives ``kill -9`` (acknowledged writes are replayed from the
+    WAL on the next open; a reopened directory is not loaded again).
     """
     if backend not in ("memory", "durable"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -118,62 +83,44 @@ def build_server(
             raise ValueError("backend='durable' requires a data_dir")
     scale = scale or bench_scale()
     serving = serving or serving_scale(scale)
-    if config is None:
-        config = base_config(scale=scale, seed=seed)
     # Static baselines serve from their steady-state structure; RusKey
     # starts at leveling (K=1) as in the paper's experiments.
-    config = config.with_updates(initial_policy=1 if tuned else static_policy)
-    if split_buffer and n_shards > 1:
+    policy = 1 if tuned else static_policy
+    config = base_config(scale=scale, seed=seed).with_updates(initial_policy=policy)
+    if n_shards > 1:
         config = config.with_updates(
             write_buffer_bytes=max(
                 config.entry_bytes * 8, config.write_buffer_bytes // n_shards
             )
         )
-    if workload is None:
-        workload = _default_workload(
-            scale, seed, serving.n_ops, serving.mission_size
-        )
+    # window_ops == 0 disables the background tuning loop but a Lerp can
+    # still be attached; size its schedule for a nominal budget.
+    n_windows = (
+        max(1, serving.n_ops // serving.window_ops) if serving.window_ops > 0 else 40
+    )
+    experiment = Experiment(
+        "serving", serving_workload(scale, serving, seed), n_windows,
+        serving.mission_size, config,
+    )
+    system = SystemSpec(
+        "serving",
+        (lambda config: None) if tuned else (lambda config: StaticTuner(static_policy)),
+        policy,
+        lerp_config=bench_lerp_config(max(40, n_windows), seed=seed) if tuned else None,
+        n_shards=n_shards,
+    )
+    engine = None
     if backend == "durable":
         from repro.durable.store import DurableStore
 
         engine = DurableStore(data_dir, config)
-        if engine.total_entries == 0:  # fresh directory: seed the dataset
-            engine.bulk_load(*workload.load_records(), distribute=True)
-    else:
-        engine = ShardedStore(config, n_shards)
-        engine.bulk_load(*workload.load_records(), distribute=True)
-    tuners: Sequence[Tuner]
-    if tuned:
-        # window_ops == 0 disables the background tuning loop but a Lerp
-        # can still be attached; size its schedule for a nominal budget.
-        n_windows = (
-            max(1, serving.n_ops // serving.window_ops)
-            if serving.window_ops > 0
-            else 40
-        )
-        lerp_config = bench_lerp_config(max(40, n_windows), seed=seed)
-        tuners = per_shard_tuners(Lerp, config, lerp_config, n_shards)
-    else:
-        tuners = [StaticTuner(static_policy)] * n_shards
+    store = build_store(experiment, system, engine)
     return KVServer(
-        engine,
-        tuners=list(tuners),
+        store.engine,
+        tuners=store.tuners,
         queue_capacity=serving.queue_capacity,
         max_batch=serving.max_batch,
         window_ops=serving.window_ops,
-    )
-
-
-def _default_workload(
-    scale: BenchScale, seed: int, total_ops: int, mission_size: int
-) -> WorkloadSpec:
-    """The five-session dynamic schedule, phase lengths in *missions* sized
-    so a request stream of ``total_ops`` sweeps every session."""
-    missions_per_session = max(1, total_ops // (5 * mission_size))
-    return paper_dynamic_workload(
-        n_records=scale.n_records,
-        missions_per_session=missions_per_session,
-        seed=seed + 23,
     )
 
 
@@ -202,21 +149,10 @@ def run_serving_config(
     """Serve the dynamic schedule open-loop against one configuration."""
     scale = scale or bench_scale()
     serving = serving or serving_scale(scale)
-    workload = _default_workload(
-        scale, seed, serving.n_ops, serving.mission_size
-    )
-    server = build_server(
-        n_shards,
-        tuned,
-        workload=workload,
-        serving=serving,
-        scale=scale,
-        seed=seed,
-        static_policy=static_policy,
-    )
+    server = build_server(n_shards, tuned, serving, scale, seed, static_policy)
     tenant = TenantSpec(
         name="dynamic",
-        workload=workload,
+        workload=serving_workload(scale, serving, seed),
         n_ops=serving.n_ops,
         rate=rate if rate is not None else serving.rate,
         mission_size=serving.mission_size,
@@ -254,14 +190,7 @@ def run_serving_comparison(
     runs: Dict[str, ServingRun] = {}
     for n_shards in shard_counts:
         for tuned in (False, True):
-            run = run_serving_config(
-                n_shards,
-                tuned,
-                scale=scale,
-                serving=serving,
-                seed=seed,
-                rate=rate,
-            )
+            run = run_serving_config(n_shards, tuned, scale, serving, seed, rate)
             runs[run.name] = run
             print(
                 f"[serve] {run.name}: {run.report.throughput:,.0f} req/s, "

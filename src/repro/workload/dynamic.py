@@ -4,7 +4,9 @@ The paper's headline experiment (Figure 7) concatenates five sessions with
 different lookup/update mixes: read-heavy (10 % updates), balanced (50 %),
 write-heavy (90 %), write-inclined (70 %) and read-inclined (30 %).
 :class:`DynamicWorkload` chains any sequence of workload specs;
-:func:`paper_dynamic_workload` builds exactly the Figure 7 schedule.
+:func:`dynamic_schedule` builds one from ``(session name, lookup fraction)``
+pairs: the Figure 7 schedule (:func:`paper_dynamic_workload`, also the
+serving experiments' request stream) and the warm-start transfer's two.
 """
 
 from __future__ import annotations
@@ -90,31 +92,52 @@ class DynamicWorkload(WorkloadSpec):
             emitted += take
 
 
+#: The Figure 7 sessions as ``(session name, lookup fraction)``: update
+#: fractions 10/50/90/70/30 %. Each lookup fraction is ``1 - u`` in float
+#: (``1 - 0.9`` is not ``0.1``): the value every committed report's
+#: missions were drawn against.
+PAPER_SESSIONS: List[Tuple[str, float]] = [
+    (name, 1.0 - update_fraction)
+    for name, update_fraction in (
+        ("read-heavy", 0.1),
+        ("balanced", 0.5),
+        ("write-heavy", 0.9),
+        ("write-inclined", 0.7),
+        ("read-inclined", 0.3),
+    )
+]
+
+
+def dynamic_schedule(
+    sessions: Sequence[Tuple[str, float]],
+    n_records: int,
+    missions_per_session: int,
+    seed: int = 0,
+    name: str = "dynamic",
+) -> DynamicWorkload:
+    """One uniform-key phase per ``(session name, lookup fraction)``, all
+    over one record space, session ``i`` seeded ``seed + i``."""
+    return DynamicWorkload(
+        [
+            WorkloadPhase(
+                UniformWorkload(
+                    n_records, lookup_fraction=fraction, seed=seed + i, name=session
+                ),
+                missions_per_session,
+            )
+            for i, (session, fraction) in enumerate(sessions)
+        ],
+        name=name,
+    )
+
+
 def paper_dynamic_workload(
     n_records: int,
     missions_per_session: int,
     seed: int = 0,
 ) -> DynamicWorkload:
     """The Figure 7 schedule: read-heavy → balanced → write-heavy →
-    write-inclined → read-inclined (update fractions 10/50/90/70/30 %)."""
-    update_fractions = [0.1, 0.5, 0.9, 0.7, 0.3]
-    session_names = [
-        "read-heavy",
-        "balanced",
-        "write-heavy",
-        "write-inclined",
-        "read-inclined",
-    ]
-    phases = [
-        WorkloadPhase(
-            UniformWorkload(
-                n_records,
-                lookup_fraction=1.0 - update_fraction,
-                seed=seed + i,
-                name=session_names[i],
-            ),
-            missions_per_session,
-        )
-        for i, update_fraction in enumerate(update_fractions)
-    ]
-    return DynamicWorkload(phases, name="paper-dynamic")
+    write-inclined → read-inclined (:data:`PAPER_SESSIONS`)."""
+    return dynamic_schedule(
+        PAPER_SESSIONS, n_records, missions_per_session, seed, "paper-dynamic"
+    )

@@ -1,5 +1,8 @@
 """Tests for the benchmark harness (repro.bench)."""
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.bench import (
@@ -14,20 +17,26 @@ from repro.bench import (
     format_policy_trace,
     format_ranking_table,
     format_summary,
+    format_transfer_report,
     rank_systems,
     run_experiment,
     run_system,
+    run_warmstart_transfer,
     session_bounds,
     session_rankings,
     standard_systems,
     static_workload_experiment,
+    transfer_schedule,
     ycsb_experiment,
 )
+from repro.bench.experiments import NAMED_EXPERIMENTS
 from repro.bench.harness import SeriesResult
+from repro.bench.harness import main as harness_main
 from repro.config import BloomScheme, SystemConfig
 from repro.core.tuners import StaticTuner
-from repro.errors import ConfigError, WorkloadError
+from repro.errors import ConfigError, SnapshotError, WorkloadError
 from repro.lsm.stats import MissionStats
+from repro.workload.dynamic import DynamicWorkload, WorkloadPhase
 from repro.workload.uniform import UniformWorkload
 
 
@@ -46,6 +55,15 @@ def tiny_experiment(n_missions=6, systems=None):
             SystemSpec("K=1", lambda config: StaticTuner(1), 1),
             SystemSpec("K=10", lambda config: StaticTuner(10), 10),
         ],
+    )
+
+
+def _two_phases(second_mix):
+    return DynamicWorkload(
+        [
+            WorkloadPhase(UniformWorkload(1500, 0.5, seed=9), 3),
+            WorkloadPhase(UniformWorkload(1500, second_mix, seed=9), 3),
+        ]
     )
 
 
@@ -143,6 +161,34 @@ class TestHarness:
         for name in first:
             assert first[name].missions == second[name].missions
 
+    @pytest.mark.parametrize(
+        "checkpointed, resumed_on",
+        [
+            (UniformWorkload(1500, 0.5, seed=9), UniformWorkload(1500, 0.5, seed=10)),
+            (UniformWorkload(1500, 0.5, seed=9), UniformWorkload(1500, 0.7, seed=9)),
+            (_two_phases(0.1), _two_phases(0.9)),
+        ],
+        ids=["seed", "mix", "later-phase"],
+    )
+    def test_resume_refuses_a_checkpoint_of_another_stream(
+        self, tmp_path, checkpointed, resumed_on
+    ):
+        """A checkpoint cut at mission 3 of one mission stream must not be
+        continued on another: that splices two streams into one series."""
+        system = SystemSpec("K=1", lambda config: StaticTuner(1), 1)
+        first = tiny_experiment(n_missions=3, systems=[system])
+        first.workload = checkpointed
+        first.checkpoint_every, first.checkpoint_dir = 3, os.fspath(tmp_path)
+        run_system(first, system)
+        resumed = tiny_experiment(n_missions=6, systems=[system])
+        resumed.workload = resumed_on
+        resumed.checkpoint_dir, resumed.resume = os.fspath(tmp_path), True
+        with pytest.raises(SnapshotError, match="workload shape"):
+            run_system(resumed, system)
+        # The stream the checkpoint was cut from resumes.
+        resumed.workload = checkpointed
+        assert len(run_system(resumed, system).missions) == 6
+
 
 class TestExperimentConfigs:
     def test_scale_from_env(self, monkeypatch):
@@ -200,6 +246,43 @@ class TestExperimentConfigs:
             assert experiment.name == f"fig11-{panel}"
         with pytest.raises(ConfigError):
             ycsb_experiment("nope")
+
+    def test_named_experiments_table_drives_the_cli(self, capsys):
+        names = {build().name for build in NAMED_EXPERIMENTS.values()}
+        assert len(names) == len(NAMED_EXPERIMENTS)  # one experiment per name
+        assert "fig7-dynamic" in names and "fig11-range" in names
+        with pytest.raises(SystemExit):
+            harness_main(["static:mixed-up"])
+        error = capsys.readouterr().err
+        assert all(repr(name) in error for name in NAMED_EXPERIMENTS)
+
+
+class TestWarmStartTransfer:
+    def test_warm_run_continues_the_pretrained_tuner(self):
+        scale = dataclasses.replace(
+            bench_scale(),
+            write_buffer_bytes=16 * 1024,
+            n_records=2_000,
+            mission_size=100,
+            session_missions=12,
+        )
+        result = run_warmstart_transfer(scale=scale)
+        n = result.n_transfer_missions
+        assert n == transfer_schedule(scale).total_missions == 24
+        # Both transfer runs cover the whole schedule.
+        assert len(result.warm.missions) == len(result.cold.missions) == n
+        assert len(result.pretrain.missions) == 36
+        tuners = result.tuners
+        assert len({id(tuner) for tuner in tuners.values()}) == 3
+        assert tuners["pretrain"].missions_observed == 36
+        assert tuners["cold-start"].missions_observed == n
+        # Loaded from the pretrained tuner, not built fresh: its count of
+        # observed missions continues the pretrained one's.
+        assert tuners["warm-start"].missions_observed == 36 + n
+        assert tuners["warm-start"].state_dict()["levels"].keys() >= (
+            tuners["pretrain"].state_dict()["levels"].keys()
+        )
+        assert "tuner restarts" in format_transfer_report(result, transfer_schedule(scale))
 
 
 class TestReporting:

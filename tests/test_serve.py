@@ -951,3 +951,50 @@ class TestServingComparison:
         for run in runs.values():
             assert run.report.offered == 400
             assert run.report.completed == run.report.accepted
+
+
+class TestServeCLI:
+    """``python -m repro.serve`` in-process: the server comes out of the one
+    experiment builder (``repro.bench.harness.build_store``) on both
+    backends."""
+
+    LOAD = ["--ops", "300", "--rate", "20000", "--window-ops", "100"]
+
+    @pytest.fixture(autouse=True)
+    def quick_tier(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
+
+    def test_memory_backend_two_tuned_shards(self, capsys):
+        from repro.serve.__main__ import main
+
+        assert main(["--shards", "2", "--tuned", *self.LOAD]) == 0
+        out = capsys.readouterr().out
+        assert "2 shard(s), Lerp-tuned" in out
+        # The quick tier's 512-slot lanes hold the whole offer: nothing drops.
+        assert "offered 300 accepted 300 completed 300 dropped 0" in out
+
+    def test_durable_backend_recovers_instead_of_reloading(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.durable.store import DurableStore
+        from repro.serve.__main__ import main
+
+        loads = []
+        bulk_load = DurableStore.bulk_load
+
+        def counting_bulk_load(store, *args, **kwargs):
+            loads.append(store.data_dir)
+            return bulk_load(store, *args, **kwargs)
+
+        monkeypatch.setattr(DurableStore, "bulk_load", counting_bulk_load)
+        data_dir = os.fspath(tmp_path / "kv")
+        args = ["--backend", "durable", "--data-dir", data_dir, "--tuned", *self.LOAD]
+        assert main(args) == 0
+        assert loads == [data_dir]
+        assert main(args) == 0
+        assert loads == [data_dir]  # the second run recovered the directory
+        assert "completed 300" in capsys.readouterr().out
+        n_records = bench_scale().n_records
+        with DurableStore(data_dir) as store:
+            found, _ = store.get_batch(np.arange(0, n_records, 97, dtype=np.int64))
+        assert found.all()

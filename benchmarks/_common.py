@@ -33,39 +33,20 @@ def emit_report(name: str, text: str) -> None:
 
 
 def emit_metrics(name: str, payload: dict) -> None:
-    """Persist one benchmark's machine-readable metrics.
+    """Persist one benchmark's machine-readable metrics as ``<name>.json``.
 
     ``payload`` must be JSON-serializable; the active ``REPRO_BENCH_SCALE``
     is stamped in so the comparison script can refuse cross-scale diffs.
-
-    Every numeric leaf is routed through a :class:`repro.obs.metrics.
-    MetricsRegistry` (one labeled gauge series per dotted path): the same
-    record is written both as ``<name>.json`` (the trajectory snapshot
-    bench_compare diffs) and as ``<name>.prom`` Prometheus text. The
-    ``registry_sourced`` stamp asserts the registry round-trip happened —
-    ``bench_compare.py`` hard-fails if a benchmark silently stops making
-    it (booleans are invisible to the numeric differs, so the stamp
-    itself can never register as simulated drift).
     """
-    from repro.obs.metrics import flatten_numeric, registry_from_payload
-
     METRICS_DIR.mkdir(parents=True, exist_ok=True)
-    registry = registry_from_payload(name, payload)
-    family = registry.gauge("repro_bench_metric", labels=("benchmark", "path"))
-    for path, value in flatten_numeric(payload):
-        # The registry is the source of record: every numeric leaf must
-        # round-trip through its series before being persisted.
-        assert family.labels(benchmark=name, path=path).value == value
     record = {
         "benchmark": name,
         "scale": os.environ.get("REPRO_BENCH_SCALE", "default"),
-        "registry_sourced": True,
         **payload,
     }
     (METRICS_DIR / f"{name}.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"
     )
-    (METRICS_DIR / f"{name}.prom").write_text(registry.render("prometheus"))
 
 
 #: One simulated series per (experiment name, system name) for the whole

@@ -126,22 +126,6 @@ def compare(
         compare_numbers = True
 
     failures = 0
-    # Registry sourcing is part of the contract once a benchmark has it:
-    # emit_metrics routes every numeric leaf through the obs metrics
-    # registry and stamps the record. A benchmark that silently stops
-    # doing so (stamp present in the baseline, gone from the PR) fails
-    # hard — the booleans themselves are invisible to the numeric diff.
-    for name in sorted(set(pr_benchmarks) & set(base_benchmarks)):
-        base_sourced = bool(
-            base_benchmarks[name].get("registry_sourced", False)
-        )
-        pr_sourced = bool(pr_benchmarks[name].get("registry_sourced", False))
-        if base_sourced and not pr_sourced:
-            print(
-                f"FAIL: {name} stopped emitting registry-sourced metrics "
-                "(registry_sourced stamp lost)"
-            )
-            failures += 1
     if compare_numbers:
         for name in sorted(set(pr_benchmarks) & set(base_benchmarks)):
             pr_leaves = dict(numeric_leaves(pr_benchmarks[name]))

@@ -3,8 +3,10 @@
 Three layers, one contract (DESIGN.md §12):
 
 * :mod:`repro.obs.metrics` — labeled counter/gauge/histogram families
-  with associative cross-shard merge and Prometheus-text + JSON
-  exposition (``MetricsRegistry.render()``);
+  with Prometheus-text + JSON exposition (``MetricsRegistry.render()``).
+  A registry is a view: :mod:`repro.obs.collect` builds it from live or
+  restored objects on demand; it is never merged or persisted, and a
+  histogram series is a :class:`~repro.serve.latency.LatencyHistogram`;
 * :mod:`repro.obs.trace` — nested wall-clock spans through
   ``KVServer._serve_batch`` → ``ShardedStore`` → ``LSMTree``, each batch
   span lapped per pipeline stage, with deterministic sampling and JSONL
@@ -20,7 +22,7 @@ runs are bit-identical in every simulated observable, and disabled
 instrumentation costs one ``is None`` test per stage boundary.
 
 ``python -m repro.obs`` renders the registry view of a live demo run or
-of any ``repro.persist`` snapshot file.
+of an engine, store or tuner snapshot file from ``repro.persist``.
 """
 
 from repro.obs.audit import (
@@ -35,16 +37,7 @@ from repro.obs.collect import (
     collect_store_metrics,
     collect_tuner_metrics,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    HistogramMetric,
-    MetricFamily,
-    MetricsRegistry,
-    flatten_numeric,
-    parse_prometheus_text,
-    registry_from_payload,
-)
+from repro.obs.metrics import Counter, Gauge, MetricFamily, MetricsRegistry
 from repro.obs.trace import Span, Tracer, stage_totals
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
     "Counter",
     "DecisionAuditLog",
     "Gauge",
-    "HistogramMetric",
     "MetricFamily",
     "MetricsRegistry",
     "Span",
@@ -63,8 +55,5 @@ __all__ = [
     "collect_server_metrics",
     "collect_store_metrics",
     "collect_tuner_metrics",
-    "flatten_numeric",
     "format_decision_timeline",
-    "parse_prometheus_text",
-    "registry_from_payload",
 ]

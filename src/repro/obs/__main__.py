@@ -2,8 +2,9 @@
 
 Examples::
 
-    # Metrics view of any repro.persist snapshot (engine / store / tuner
-    # / obs kinds are auto-detected from the file):
+    # Metrics view of a repro.persist snapshot (the engine / store / tuner
+    # kind is read from the file; the view is rebuilt from the restored
+    # objects):
     python -m repro.obs run.ckpt
     python -m repro.obs run.ckpt --format json
 
@@ -38,12 +39,10 @@ def _registry_from_snapshot(
     """Rebuild the snapshotted component and collect its registry view.
 
     Engine/store/tuner state round-trips bit-exactly, so the collected
-    registry equals the live system's view at snapshot time; ``obs``
-    snapshots carry a saved registry directly.
+    registry equals the live system's view at snapshot time.
     """
     from repro.persist import (
         load_engine,
-        load_obs,
         load_snapshot,
         load_tuner,
         store_from_snapshot,
@@ -55,11 +54,14 @@ def _registry_from_snapshot(
     if kind == "store":
         store = store_from_snapshot(load_snapshot(path, expected_kind="store"))
         registry = collect_store_metrics(store)
-        audits = [
-            t.audit
-            for t in dict.fromkeys(store.tuners)
-            if getattr(t, "audit", None) is not None
-        ]
+        # Restored tuners are distinct objects that may share one log.
+        audits = list(
+            dict.fromkeys(
+                t.audit
+                for t in store.tuners
+                if getattr(t, "audit", None) is not None
+            )
+        )
         merged: Optional[DecisionAuditLog] = None
         if len(audits) == 1:
             merged = audits[0]
@@ -72,12 +74,9 @@ def _registry_from_snapshot(
     if kind == "tuner":
         tuner = load_tuner(path)
         return collect_tuner_metrics([tuner]), getattr(tuner, "audit", None)
-    if kind == "obs":
-        registry, audit = load_obs(path)
-        return registry if registry is not None else MetricsRegistry(), audit
     raise ReproError(
         f"snapshot kind {kind!r} has no registry view "
-        "(expected engine / store / tuner / obs)"
+        "(expected engine / store / tuner)"
     )
 
 
@@ -85,7 +84,6 @@ def _run_demo(missions: int, fmt: str) -> int:
     """A tiny tuned run with every telemetry layer enabled."""
     from repro.core.lerp import LerpConfig
     from repro.core.ruskey import RusKey
-    from repro.obs.collect import collect_store_metrics
     from repro.workload import UniformWorkload
 
     workload = UniformWorkload(n_records=4000, lookup_fraction=0.5, seed=7)
@@ -123,7 +121,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "snapshot",
         nargs="?",
-        help="a repro.persist snapshot file (engine/store/tuner/obs kind)",
+        help="a repro.persist snapshot file (engine/store/tuner kind)",
     )
     parser.add_argument(
         "--format",

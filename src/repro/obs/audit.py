@@ -15,8 +15,8 @@ charge no simulated time, so attaching a log leaves every simulated
 observable bit-identical (the twin test in ``tests/test_obs.py``).
 
 Persistence: an attached log rides its tuner's ``state_dict()`` (a
-``Lerp`` snapshot carries its audit events), and can also be saved
-standalone via :func:`repro.persist.save_obs`.
+``Lerp`` snapshot carries its audit events), and a log attached through
+``RusKey.attach_audit`` is written once per store snapshot.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class AuditEvent:
 class DecisionAuditLog:
     """An append-only sequence of :class:`AuditEvent` records.
 
-    One log may be shared by several tuners (e.g. one per shard) — pass a
-    ``source`` when attaching so events stay attributable; the sequence
-    number provides a total order either way.
+    One log may be shared by several tuners (``RusKey.attach_audit`` hands
+    the same log to every shard's tuner). Events carry no shard: the
+    sequence number gives them a total order, not an owner.
     """
 
     def __init__(self) -> None:

@@ -3,11 +3,13 @@
 These collectors *read* engine, tuner and server state into a
 :class:`~repro.obs.metrics.MetricsRegistry` — they never mutate what they
 observe, so collecting is safe at any point between missions and has zero
-simulated impact by construction. Because every value here is sourced
-from state that round-trips bit-exactly through :mod:`repro.persist`
-snapshots, the registry view of a restored system equals the view of the
-live system it was cut from (wall-clock serving histograms, which
-snapshots deliberately exclude, are collected only from live servers).
+simulated impact by construction. They are the only way a registry gets
+its values: a registry is never merged, saved or restored. Because every
+value here is sourced from state that round-trips bit-exactly through
+:mod:`repro.persist` snapshots, the registry view of a restored system
+equals the view of the live system it was cut from (wall-clock serving
+histograms, which snapshots deliberately exclude, are collected only from
+live servers).
 
 Label vocabulary: ``shard`` (tree index within the engine), ``level``
 (LSM level number, 0 = memtable pseudo-level), ``tenant`` (serving
@@ -280,8 +282,7 @@ def collect_server_metrics(
         shard = str(index)
         completed.labels(shard=shard, op="completed").inc(int(lane.completed))
         completed.labels(shard=shard, op="rejected").inc(int(lane.rejected))
-        for tenant, hist in lane.histograms.items():
-            latency.labels(shard=shard, tenant=tenant).merge_histogram(
-                hist.copy()
-            )
+        # The lane's worker may add a tenant meanwhile: read a snapshot.
+        for tenant, hist in list(lane.histograms.items()):
+            latency.labels(shard=shard, tenant=tenant).merge(hist)
     return registry

@@ -5,18 +5,16 @@ and each family holds one series per distinct label-value tuple. Three
 kinds are supported:
 
 * **counter** — monotone non-negative accumulator (``inc``);
-* **gauge** — a set-point (``set`` / ``inc``); in this codebase gauges
-  carry *distributive* quantities (entry counts, clock totals), so the
-  cross-shard merge rule is addition, same as counters;
-* **histogram** — log-bucketed distribution reusing
-  :class:`~repro.serve.latency.LatencyHistogram`'s geometric bucket math,
-  so serving-layer latency histograms merge straight into the registry.
+* **gauge** — a set-point (``set`` / ``inc``);
+* **histogram** — a :class:`~repro.serve.latency.LatencyHistogram` per
+  series (``record`` / ``record_many`` / ``merge``), so a serving lane's
+  latency histogram folds straight into its series.
 
-Registries **merge associatively and commutatively** (counters/gauges add,
-histograms add bucket-wise), which is what makes per-shard and per-process
-registries aggregate after the fact exactly like
-:class:`LatencyHistogram` parts do — a hypothesis property test in
-``tests/test_obs.py`` checks this.
+A registry is a *view*: :mod:`repro.obs.collect` builds one from live or
+restored engines, tuners and servers whenever it is asked, and renders it.
+It is never merged, snapshotted or restored — the state it shows already
+round-trips through :mod:`repro.persist` snapshots, and a per-shard value
+is a ``shard``-labeled series of one view rather than a second registry.
 
 Everything here is host-side bookkeeping: nothing touches the simulated
 clock, the Bloom RNG stream, or any engine counter. The registry observes;
@@ -29,34 +27,20 @@ import json
 import math
 import re
 from threading import Lock
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ObsError
-from repro.serve.latency import (
-    DEFAULT_BUCKETS_PER_DECADE,
-    DEFAULT_MAX_LATENCY,
-    DEFAULT_MIN_LATENCY,
-    LatencyHistogram,
-)
+from repro.serve.latency import LatencyHistogram
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Default per-family series ceiling. High-cardinality labels (request ids,
-#: raw keys) are an observability anti-pattern — the guard turns them into
-#: a loud error instead of unbounded memory.
-DEFAULT_MAX_SERIES = 1024
+#: Per-family series ceiling. High-cardinality labels (request ids, raw
+#: keys) are an observability anti-pattern — the guard turns them into a
+#: loud error instead of unbounded memory.
+MAX_SERIES = 1024
 
 
 def _escape_label_value(value: str) -> str:
@@ -86,7 +70,7 @@ def _label_text(names: Sequence[str], values: Sequence[str]) -> str:
 
 
 class Counter:
-    """Monotone accumulator; merge rule is addition."""
+    """Monotone accumulator."""
 
     kind = "counter"
     __slots__ = ("value",)
@@ -99,21 +83,9 @@ class Counter:
             raise ObsError(f"counter increments must be >= 0, got {amount}")
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"value": self.value}
-
-    def load_state_dict(self, state: Mapping[str, object]) -> None:
-        self.value = float(state["value"])
-
 
 class Gauge:
-    """A set-point. The merge rule is addition: registry gauges carry
-    distributive quantities (entries, simulated seconds, queue depths), so
-    cross-shard aggregation sums — the same rule ``ShardedStore`` applies
-    to its own counters."""
+    """A set-point."""
 
     kind = "gauge"
     __slots__ = ("value",)
@@ -127,50 +99,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def merge(self, other: "Gauge") -> None:
-        self.value += other.value
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"value": self.value}
-
-    def load_state_dict(self, state: Mapping[str, object]) -> None:
-        self.value = float(state["value"])
-
-
-class HistogramMetric:
-    """A log-bucketed distribution (``LatencyHistogram`` under the hood)."""
-
-    kind = "histogram"
-    __slots__ = ("hist",)
-
-    def __init__(
-        self,
-        min_value: float = DEFAULT_MIN_LATENCY,
-        max_value: float = DEFAULT_MAX_LATENCY,
-        buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE,
-    ) -> None:
-        self.hist = LatencyHistogram(min_value, max_value, buckets_per_decade)
-
-    def observe(self, value: float) -> None:
-        self.hist.record(value)
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        self.hist.record_many(values)
-
-    def merge_histogram(self, hist: LatencyHistogram) -> None:
-        """Fold an existing :class:`LatencyHistogram` (e.g. a serving-lane
-        latency histogram) into this series; bucketing must match."""
-        self.hist.merge(hist)
-
-    def merge(self, other: "HistogramMetric") -> None:
-        self.hist.merge(other.hist)
-
-    def state_dict(self) -> Dict[str, object]:
-        return self.hist.state_dict()
-
-    def load_state_dict(self, state: Mapping[str, object]) -> None:
-        self.hist = LatencyHistogram.from_state_dict(dict(state))
-
 
 class MetricFamily:
     """One metric name + label schema, holding one series per label tuple."""
@@ -181,7 +109,6 @@ class MetricFamily:
         kind: str,
         help: str,
         label_names: Sequence[str],
-        max_series: int,
         factory: Callable[[], object],
         lock: Lock,
     ) -> None:
@@ -192,13 +119,10 @@ class MetricFamily:
                 raise ObsError(f"invalid label name {label!r} on {name!r}")
         if len(set(label_names)) != len(label_names):
             raise ObsError(f"duplicate label names on {name!r}")
-        if max_series < 1:
-            raise ObsError(f"max_series must be >= 1, got {max_series}")
         self.name = name
         self.kind = kind
         self.help = help
         self.label_names: Tuple[str, ...] = tuple(label_names)
-        self.max_series = int(max_series)
         self._factory = factory
         self._series: Dict[Tuple[str, ...], object] = {}
         self._lock = lock
@@ -207,7 +131,7 @@ class MetricFamily:
         """The series for one label-value assignment (created on first
         use). The label *names* must match the family schema exactly; the
         values are stringified. Raises :class:`ObsError` once the family
-        exceeds ``max_series`` distinct label tuples."""
+        exceeds ``MAX_SERIES`` distinct label tuples."""
         if set(labels) != set(self.label_names):
             raise ObsError(
                 f"metric {self.name!r} takes labels "
@@ -223,10 +147,10 @@ class MetricFamily:
         with self._lock:
             series = self._series.get(key)
             if series is None:
-                if len(self._series) >= self.max_series:
+                if len(self._series) >= MAX_SERIES:
                     raise ObsError(
                         f"metric {self.name!r} exceeded its series budget "
-                        f"({self.max_series}); a label is likely carrying "
+                        f"({MAX_SERIES}); a label is likely carrying "
                         "unbounded values (keys, request ids, ...)"
                     )
                 series = self._factory()
@@ -238,28 +162,14 @@ class MetricFamily:
         with self._lock:
             return sorted(self._series.items())
 
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def compatible_with(self, other: "MetricFamily") -> bool:
-        return (
-            self.name == other.name
-            and self.kind == other.kind
-            and self.label_names == other.label_names
-        )
-
 
 class MetricsRegistry:
-    """A named collection of metric families with associative merge and
-    Prometheus-text / JSON exposition."""
+    """A named collection of metric families with Prometheus-text / JSON
+    exposition."""
 
-    # Process-local mutex, recreated fresh in every process.
-    _snapshot_exempt = frozenset({"_lock"})
-
-    def __init__(self, default_max_series: int = DEFAULT_MAX_SERIES) -> None:
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
         self._lock = Lock()
-        self.default_max_series = int(default_max_series)
 
     # ------------------------------------------------------------------
     # Registration
@@ -270,7 +180,6 @@ class MetricsRegistry:
         kind: str,
         help: str,
         labels: Sequence[str],
-        max_series: Optional[int],
         factory: Callable[[], object],
     ) -> MetricFamily:
         with self._lock:
@@ -284,55 +193,29 @@ class MetricsRegistry:
                         f"as {kind} with labels {list(labels)}"
                     )
                 return existing
-            family = MetricFamily(
-                name,
-                kind,
-                help,
-                labels,
-                max_series or self.default_max_series,
-                factory,
-                self._lock,
-            )
+            family = MetricFamily(name, kind, help, labels, factory, self._lock)
             self._families[name] = family
             return family
 
     def counter(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        max_series: Optional[int] = None,
+        self, name: str, help: str = "", labels: Sequence[str] = ()
     ) -> MetricFamily:
         """Register (or fetch) a counter family. Idempotent for identical
         shape; an incompatible re-registration raises."""
-        return self._family(name, "counter", help, labels, max_series, Counter)
+        return self._family(name, "counter", help, labels, Counter)
 
     def gauge(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        max_series: Optional[int] = None,
+        self, name: str, help: str = "", labels: Sequence[str] = ()
     ) -> MetricFamily:
         """Register (or fetch) a gauge family."""
-        return self._family(name, "gauge", help, labels, max_series, Gauge)
+        return self._family(name, "gauge", help, labels, Gauge)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        max_series: Optional[int] = None,
-        min_value: float = DEFAULT_MIN_LATENCY,
-        max_value: float = DEFAULT_MAX_LATENCY,
-        buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE,
+        self, name: str, help: str = "", labels: Sequence[str] = ()
     ) -> MetricFamily:
-        """Register (or fetch) a log-bucketed histogram family."""
-
-        def factory() -> HistogramMetric:
-            return HistogramMetric(min_value, max_value, buckets_per_decade)
-
-        return self._family(name, "histogram", help, labels, max_series, factory)
+        """Register (or fetch) a histogram family: each series is a
+        :class:`LatencyHistogram`."""
+        return self._family(name, "histogram", help, labels, LatencyHistogram)
 
     def families(self) -> List[MetricFamily]:
         """All families sorted by metric name."""
@@ -341,44 +224,6 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
-
-    # ------------------------------------------------------------------
-    # Merge (associative + commutative)
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``other`` into this registry in place and return ``self``.
-
-        Counters and gauges add, histograms add bucket-wise; series
-        missing on one side are copied over. The operation is associative
-        and commutative, so per-shard registries aggregate in any
-        grouping — exactly the ``LatencyHistogram.merge`` contract lifted
-        to whole registries.
-        """
-        for theirs in other.families():
-            mine = self._family(
-                theirs.name,
-                theirs.kind,
-                theirs.help,
-                theirs.label_names,
-                theirs.max_series,
-                theirs._factory,
-            )
-            if not mine.compatible_with(theirs):  # pragma: no cover - _family raises first
-                raise ObsError(f"incompatible families for {theirs.name!r}")
-            for key, series in theirs.series():
-                target = mine._child(key)
-                fresh = theirs._factory()
-                fresh.load_state_dict(series.state_dict())
-                target.merge(fresh)
-        return self
-
-    @classmethod
-    def merged(cls, parts: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
-        """A fresh registry holding the sum of ``parts``."""
-        result = cls()
-        for part in parts:
-            result.merge(part)
-        return result
 
     # ------------------------------------------------------------------
     # Exposition
@@ -405,11 +250,10 @@ class MetricsRegistry:
                         f"{family.name}{base} {_format_value(series.value)}"
                     )
                     continue
-                hist = series.hist
                 cumulative = 0
-                for index in np.flatnonzero(hist.counts):
-                    cumulative = int(hist.counts[: index + 1].sum())
-                    _, hi = hist.bucket_edges(int(index))
+                for index in np.flatnonzero(series.counts):
+                    cumulative = int(series.counts[: index + 1].sum())
+                    _, hi = series.bucket_edges(int(index))
                     le = _label_text(
                         family.label_names + ("le",),
                         key + (_format_value(hi),),
@@ -418,11 +262,11 @@ class MetricsRegistry:
                 inf = _label_text(
                     family.label_names + ("le",), key + ("+Inf",)
                 )
-                lines.append(f"{family.name}_bucket{inf} {hist.count}")
+                lines.append(f"{family.name}_bucket{inf} {series.count}")
                 lines.append(
-                    f"{family.name}_sum{base} {_format_value(hist.sum)}"
+                    f"{family.name}_sum{base} {_format_value(series.sum)}"
                 )
-                lines.append(f"{family.name}_count{base} {hist.count}")
+                lines.append(f"{family.name}_count{base} {series.count}")
         return "\n".join(lines) + ("\n" if lines else "")
 
     def as_dict(self) -> Dict[str, object]:
@@ -438,16 +282,15 @@ class MetricsRegistry:
                 if family.kind in ("counter", "gauge"):
                     record["value"] = series.value
                 else:
-                    hist = series.hist
                     record.update(
-                        count=hist.count,
-                        sum=hist.sum,
-                        min=hist.min_seen if hist.count else 0.0,
-                        max=hist.max_seen,
-                        mean=hist.mean,
+                        count=series.count,
+                        sum=series.sum,
+                        min=series.min_seen if series.count else 0.0,
+                        max=series.max_seen,
+                        mean=series.mean,
                         **{
                             k.rsplit("_", 1)[0]: v
-                            for k, v in hist.percentile_summary(
+                            for k, v in series.percentile_summary(
                                 (50.0, 99.0, 99.9), unit="s"
                             ).items()
                         },
@@ -460,174 +303,3 @@ class MetricsRegistry:
                 "series": records,
             }
         return {"families": families}
-
-    # ------------------------------------------------------------------
-    # Persistence (see repro.persist.save_obs / load_obs)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot (primitives + numpy arrays only)."""
-        families: List[Dict[str, object]] = []
-        for family in self.families():
-            extra: Dict[str, object] = {}
-            if family.kind == "histogram":
-                probe = family._factory()
-                extra = {
-                    "min_value": probe.hist.min_latency,
-                    "max_value": probe.hist.max_latency,
-                    "buckets_per_decade": probe.hist.buckets_per_decade,
-                }
-            families.append(
-                {
-                    "name": family.name,
-                    "kind": family.kind,
-                    "help": family.help,
-                    "labels": list(family.label_names),
-                    "max_series": family.max_series,
-                    "series": [
-                        {"key": list(key), "state": series.state_dict()}
-                        for key, series in family.series()
-                    ],
-                    **extra,
-                }
-            )
-        return {"families": families, "default_max_series": self.default_max_series}
-
-    def load_state_dict(self, state: Mapping[str, object]) -> None:
-        """Restore the registry in place from :meth:`state_dict` output."""
-        self._families = {}
-        self.default_max_series = int(
-            state.get("default_max_series", DEFAULT_MAX_SERIES)
-        )
-        for fam_state in state["families"]:
-            kind = fam_state["kind"]
-            name = fam_state["name"]
-            kwargs = dict(
-                help=fam_state["help"],
-                labels=tuple(fam_state["labels"]),
-                max_series=int(fam_state["max_series"]),
-            )
-            if kind == "counter":
-                family = self.counter(name, **kwargs)
-            elif kind == "gauge":
-                family = self.gauge(name, **kwargs)
-            elif kind == "histogram":
-                family = self.histogram(
-                    name,
-                    min_value=float(fam_state["min_value"]),
-                    max_value=float(fam_state["max_value"]),
-                    buckets_per_decade=int(fam_state["buckets_per_decade"]),
-                    **kwargs,
-                )
-            else:
-                raise ObsError(f"unknown metric kind {kind!r} in state")
-            for item in fam_state["series"]:
-                series = family._child(tuple(item["key"]))
-                series.load_state_dict(item["state"])
-
-    @classmethod
-    def from_state_dict(cls, state: Mapping[str, object]) -> "MetricsRegistry":
-        registry = cls()
-        registry.load_state_dict(state)
-        return registry
-
-
-# ----------------------------------------------------------------------
-# Benchmark payload bridging (see benchmarks/_common.py)
-# ----------------------------------------------------------------------
-def flatten_numeric(
-    payload: object, prefix: str = ""
-) -> List[Tuple[str, float]]:
-    """Dotted-path numeric leaves of a nested dict/list payload, skipping
-    booleans — the same leaf set ``scripts/bench_compare.py`` diffs."""
-    leaves: List[Tuple[str, float]] = []
-    if isinstance(payload, Mapping):
-        for key in payload:
-            path = f"{prefix}.{key}" if prefix else str(key)
-            leaves.extend(flatten_numeric(payload[key], path))
-    elif isinstance(payload, (list, tuple)):
-        for i, item in enumerate(payload):
-            path = f"{prefix}.{i}" if prefix else str(i)
-            leaves.extend(flatten_numeric(item, path))
-    elif isinstance(payload, bool):
-        pass
-    elif isinstance(payload, (int, float, np.integer, np.floating)):
-        leaves.append((prefix, float(payload)))
-    return leaves
-
-
-def registry_from_payload(
-    benchmark: str,
-    payload: Mapping[str, object],
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """A registry holding one gauge series per numeric leaf of a benchmark
-    metrics record, labeled by benchmark name and dotted leaf path.
-
-    This makes every benchmark's machine-readable record exportable in
-    Prometheus text format without inventing per-benchmark metric names
-    (system names like ``"static K=5"`` are not legal metric-name
-    characters, but are fine as label values).
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    family = registry.gauge(
-        "repro_bench_metric",
-        "one series per numeric leaf of a benchmark metrics record",
-        labels=("benchmark", "path"),
-        max_series=4096,
-    )
-    for path, value in flatten_numeric(payload):
-        family.labels(benchmark=benchmark, path=path).set(value)
-    return registry
-
-
-# ----------------------------------------------------------------------
-# Exposition parsing (tests + CI smoke)
-# ----------------------------------------------------------------------
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$"
-)
-_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
-
-def _unescape_label_value(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-    )
-
-
-def parse_prometheus_text(text: str) -> Dict[str, object]:
-    """Parse Prometheus text exposition into ``{"types": {...},
-    "samples": {...}}`` where sample keys are ``(name, ((label, value),
-    ...))`` tuples. Strict enough for round-trip tests and the CI smoke;
-    not a general-purpose scraper."""
-    types: Dict[str, str] = {}
-    samples: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            name, _, kind = rest.partition(" ")
-            types[name] = kind.strip()
-            continue
-        if line.startswith("#"):
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ObsError(f"unparseable exposition line: {line!r}")
-        labels_text = match.group("labels") or ""
-        labels = tuple(
-            (name, _unescape_label_value(value))
-            for name, value in _LABEL_PAIR_RE.findall(labels_text)
-        )
-        value_text = match.group("value")
-        if value_text == "+Inf":
-            value = math.inf
-        elif value_text == "-Inf":
-            value = -math.inf
-        else:
-            value = float(value_text)
-        samples[(match.group("name"), labels)] = value
-    return {"types": types, "samples": samples}

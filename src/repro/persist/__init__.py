@@ -21,12 +21,10 @@ from repro.persist.snapshot import (
     lerp_config_from_state,
     lerp_config_to_state,
     load_engine,
-    load_obs,
     load_snapshot,
     load_store,
     load_tuner,
     save_engine,
-    save_obs,
     save_snapshot,
     save_store,
     save_tuner,
@@ -44,8 +42,6 @@ __all__ = [
     "load_tuner",
     "save_store",
     "load_store",
-    "save_obs",
-    "load_obs",
     "store_from_snapshot",
     "config_to_state",
     "config_from_state",

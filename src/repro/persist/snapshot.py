@@ -407,50 +407,3 @@ def store_from_snapshot(
     saved = [_split_tuner_state(s) for s in state["store"]["tuners"]]
     store.load_state_dict({**state["store"], "tuners": saved})
     return store
-
-
-# ----------------------------------------------------------------------
-# Telemetry snapshots (kind "obs")
-# ----------------------------------------------------------------------
-def save_obs(
-    path: str,
-    registry=None,
-    audit=None,
-    meta: Optional[Dict[str, object]] = None,
-) -> None:
-    """Snapshot telemetry state: a metrics registry and/or a decision
-    audit log.
-
-    Telemetry is host-side measurement, so it lives in its *own* snapshot
-    kind rather than inside engine snapshots — engine state keeps the
-    bit-exact-resume invariant (wall measurements excluded), while the
-    registry/audit view of a run survives checkpoint/restore through this
-    file (and an attached audit log additionally rides its Lerp's own
-    ``state_dict``).
-    """
-    state = {
-        "registry": None if registry is None else registry.state_dict(),
-        "audit": None if audit is None else audit.state_dict(),
-    }
-    save_snapshot(path, "obs", state, meta)
-
-
-def load_obs(path: str):
-    """Rebuild ``(registry, audit)`` from a :func:`save_obs` snapshot;
-    either element is ``None`` when it was not saved."""
-    from repro.obs.audit import DecisionAuditLog
-    from repro.obs.metrics import MetricsRegistry
-
-    payload = load_snapshot(path, expected_kind="obs")
-    state = payload["state"]
-    registry = (
-        None
-        if state["registry"] is None
-        else MetricsRegistry.from_state_dict(state["registry"])
-    )
-    audit = (
-        None
-        if state["audit"] is None
-        else DecisionAuditLog.from_state_dict(state["audit"])
-    )
-    return registry, audit

@@ -8,38 +8,43 @@ recorded value lands in a bucket whose edges are within a known *relative*
 error of the true value, so quantile estimates carry a guaranteed relative
 error bound of ``bucket_growth() - 1`` regardless of where the mass lies.
 
-Histograms are plain count arrays, so they **merge** by addition: per-shard
+Every histogram has the same bucket geometry (the constants below), so
+histograms are plain count arrays that **merge** by addition: per-shard
 and per-tenant histograms recorded lock-free by single writer threads are
 combined after the fact, and merging is associative and commutative (a
 property test in ``tests/test_latency.py`` checks this). Exact count, sum,
 min and max are tracked alongside the buckets, so means are exact and only
-quantiles are approximate.
+quantiles are approximate. This is also the series of a histogram family
+in :class:`repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+#: Resolution: 10^(1/40) growth ≈ 5.9 % relative quantile error.
+BUCKETS_PER_DECADE = 40
 
-#: Default resolution: 10^(1/40) growth ≈ 5.9 % relative quantile error.
-DEFAULT_BUCKETS_PER_DECADE = 40
+#: Measurable range: 100 ns .. 1000 s of wall-clock latency.
+MIN_LATENCY = 1e-7
+MAX_LATENCY = 1e3
 
-#: Default measurable range: 100 ns .. 1000 s of wall-clock latency.
-DEFAULT_MIN_LATENCY = 1e-7
-DEFAULT_MAX_LATENCY = 1e3
+N_BUCKETS = int(math.ceil(math.log10(MAX_LATENCY / MIN_LATENCY) * BUCKETS_PER_DECADE))
+# Precomputed for the index math.
+_LOG_MIN = math.log10(MIN_LATENCY)
+_SCALE = float(BUCKETS_PER_DECADE)
 
 
 class LatencyHistogram:
     """A mergeable histogram with geometrically spaced buckets.
 
-    Bucket ``i`` (``0 <= i < n_buckets``) covers latencies in
-    ``[min_latency * g**i, min_latency * g**(i+1))`` with
-    ``g = 10**(1/buckets_per_decade)``. Values below ``min_latency`` clamp
-    into the first bucket, values at or above ``max_latency`` into the
+    Bucket ``i`` (``0 <= i < N_BUCKETS``) covers latencies in
+    ``[MIN_LATENCY * g**i, MIN_LATENCY * g**(i+1))`` with
+    ``g = 10**(1/BUCKETS_PER_DECADE)``. Values below ``MIN_LATENCY`` clamp
+    into the first bucket, values at or above ``MAX_LATENCY`` into the
     last — the error bound holds for everything in range.
 
     Recording is not synchronized: each histogram must have a single
@@ -47,48 +52,23 @@ class LatencyHistogram:
     merge copies.
     """
 
-    # Bucket geometry derived deterministically from constructor arguments;
-    # only the counts array is mutable state.
-    _snapshot_exempt = frozenset({"n_buckets", "_log_min", "_scale"})
-
-    def __init__(
-        self,
-        min_latency: float = DEFAULT_MIN_LATENCY,
-        max_latency: float = DEFAULT_MAX_LATENCY,
-        buckets_per_decade: int = DEFAULT_BUCKETS_PER_DECADE,
-    ) -> None:
-        if min_latency <= 0.0 or max_latency <= min_latency:
-            raise ConfigError(
-                f"need 0 < min_latency < max_latency, got "
-                f"{min_latency}, {max_latency}"
-            )
-        if buckets_per_decade < 1:
-            raise ConfigError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        self.min_latency = float(min_latency)
-        self.max_latency = float(max_latency)
-        self.buckets_per_decade = int(buckets_per_decade)
-        decades = math.log10(self.max_latency / self.min_latency)
-        self.n_buckets = max(1, int(math.ceil(decades * buckets_per_decade)))
-        self.counts = np.zeros(self.n_buckets, dtype=np.int64)
+    def __init__(self) -> None:
+        self.counts = np.zeros(N_BUCKETS, dtype=np.int64)
         # Exact side statistics (buckets only approximate the distribution).
         self.count = 0
         self.sum = 0.0
         self.min_seen = math.inf
         self.max_seen = 0.0
-        # Precomputed for vectorized index math.
-        self._log_min = math.log10(self.min_latency)
-        self._scale = float(buckets_per_decade)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _index(self, seconds: float) -> int:
-        if seconds < self.min_latency:
+    @staticmethod
+    def _index(seconds: float) -> int:
+        if seconds < MIN_LATENCY:
             return 0
-        i = int((math.log10(seconds) - self._log_min) * self._scale)
-        return min(i, self.n_buckets - 1)
+        i = int((math.log10(seconds) - _LOG_MIN) * _SCALE)
+        return min(i, N_BUCKETS - 1)
 
     def record(self, seconds: float) -> None:
         """Record one latency measurement (in seconds)."""
@@ -115,10 +95,10 @@ class LatencyHistogram:
         lowest = float(values.min())
         if lowest < 0.0:
             raise ValueError("latencies must be >= 0")
-        clipped = np.maximum(values, self.min_latency)
-        idx = ((np.log10(clipped) - self._log_min) * self._scale).astype(np.int64)
-        np.minimum(idx, self.n_buckets - 1, out=idx)  # clipped: never below 0
-        self.counts += np.bincount(idx, minlength=self.n_buckets)
+        clipped = np.maximum(values, MIN_LATENCY)
+        idx = ((np.log10(clipped) - _LOG_MIN) * _SCALE).astype(np.int64)
+        np.minimum(idx, N_BUCKETS - 1, out=idx)  # clipped: never below 0
+        self.counts += np.bincount(idx, minlength=N_BUCKETS)
         self.count += len(values)
         self.sum += float(values.sum())
         self.min_seen = min(self.min_seen, lowest)
@@ -127,17 +107,8 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
     # Merging
     # ------------------------------------------------------------------
-    def compatible_with(self, other: "LatencyHistogram") -> bool:
-        return (
-            self.min_latency == other.min_latency
-            and self.max_latency == other.max_latency
-            and self.buckets_per_decade == other.buckets_per_decade
-        )
-
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Add ``other``'s contents into this histogram (in place)."""
-        if not self.compatible_with(other):
-            raise ConfigError("cannot merge histograms with different bucketing")
         self.counts += other.counts
         self.count += other.count
         self.sum += other.sum
@@ -146,9 +117,7 @@ class LatencyHistogram:
         return self
 
     def copy(self) -> "LatencyHistogram":
-        clone = LatencyHistogram(
-            self.min_latency, self.max_latency, self.buckets_per_decade
-        )
+        clone = LatencyHistogram()
         clone.counts = self.counts.copy()
         clone.count = self.count
         clone.sum = self.sum
@@ -163,8 +132,6 @@ class LatencyHistogram:
         min/max are unknowable, so they tighten to the outermost
         non-empty delta buckets' edges — the quantile error bound is
         unaffected."""
-        if not self.compatible_with(base):
-            raise ConfigError("cannot diff histograms with different bucketing")
         delta = self.copy()
         delta.counts = self.counts - base.counts
         if (delta.counts < 0).any() or self.count < base.count:
@@ -183,30 +150,12 @@ class LatencyHistogram:
         return delta
 
     @classmethod
-    def merged(
-        cls,
-        parts: Iterable["LatencyHistogram"],
-        template: Optional["LatencyHistogram"] = None,
-    ) -> "LatencyHistogram":
-        """A fresh histogram holding the sum of ``parts``.
-
-        With no parts the result is an empty histogram bucketed like
-        ``template`` (or default-bucketed when none is given)."""
-        result: Optional[LatencyHistogram] = None
+    def merged(cls, parts: Iterable["LatencyHistogram"]) -> "LatencyHistogram":
+        """A fresh histogram holding the sum of ``parts`` (empty with none)."""
+        result = cls()
         for part in parts:
-            if result is None:
-                result = part.copy()
-            else:
-                result.merge(part)
-        if result is not None:
-            return result
-        if template is not None:
-            return cls(
-                template.min_latency,
-                template.max_latency,
-                template.buckets_per_decade,
-            )
-        return cls()
+            result.merge(part)
+        return result
 
     # ------------------------------------------------------------------
     # Quantiles
@@ -214,12 +163,12 @@ class LatencyHistogram:
     def bucket_growth(self) -> float:
         """The geometric bucket width ``g``; quantiles are exact to within
         a factor of ``g`` (relative error ``g - 1``)."""
-        return 10.0 ** (1.0 / self.buckets_per_decade)
+        return 10.0 ** (1.0 / BUCKETS_PER_DECADE)
 
     def bucket_edges(self, index: int) -> Tuple[float, float]:
         """The ``[lo, hi)`` latency range bucket ``index`` covers."""
         g = self.bucket_growth()
-        lo = self.min_latency * g**index
+        lo = MIN_LATENCY * g**index
         return lo, lo * g
 
     def quantile_bounds(self, q: float) -> Tuple[float, float]:
@@ -310,43 +259,6 @@ class LatencyHistogram:
             f"n={self.count} mean={self.mean * 1e3:.3f}ms "
             f"{self.render()} max={self.max_seen * 1e3:.3f}ms"
         )
-
-    # ------------------------------------------------------------------
-    # Persistence (used by the obs metrics registry)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot (primitives + one numpy array)."""
-        return {
-            "min_latency": self.min_latency,
-            "max_latency": self.max_latency,
-            "buckets_per_decade": self.buckets_per_decade,
-            "counts": self.counts.copy(),
-            "count": self.count,
-            "sum": self.sum,
-            "min_seen": self.min_seen,
-            "max_seen": self.max_seen,
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: Dict[str, object]) -> "LatencyHistogram":
-        """Rebuild a histogram from :meth:`state_dict` output."""
-        hist = cls(
-            float(state["min_latency"]),
-            float(state["max_latency"]),
-            int(state["buckets_per_decade"]),
-        )
-        counts = np.asarray(state["counts"], dtype=np.int64)
-        if counts.shape != hist.counts.shape:
-            raise ConfigError(
-                f"histogram state has {counts.shape[0]} buckets, "
-                f"expected {hist.n_buckets}"
-            )
-        hist.counts = counts.copy()
-        hist.count = int(state["count"])
-        hist.sum = float(state["sum"])
-        hist.min_seen = float(state["min_seen"])
-        hist.max_seen = float(state["max_seen"])
-        return hist
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LatencyHistogram({self.summary()})"

@@ -3,7 +3,8 @@
 The two guarantees the serving reports rely on: quantiles are correct to
 within one geometric bucket of the exact sample quantile, and merging is
 exact (associative, commutative, lossless) so per-shard/per-tenant
-histograms can be combined in any order.
+histograms can be combined in any order. Every histogram has the same
+bucket geometry (``repro.serve.latency``'s constants).
 """
 
 import numpy as np
@@ -11,8 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
-from repro.serve.latency import LatencyHistogram
+from repro.serve.latency import (
+    BUCKETS_PER_DECADE,
+    MAX_LATENCY,
+    MIN_LATENCY,
+    N_BUCKETS,
+    LatencyHistogram,
+)
 
 #: Quantile points exercised against numpy (percent).
 POINTS = (10.0, 50.0, 90.0, 95.0, 99.0, 99.9)
@@ -24,14 +30,6 @@ def exact_quantile(data: np.ndarray, percent: float) -> float:
 
 
 class TestBucketing:
-    def test_rejects_bad_config(self):
-        with pytest.raises(ConfigError):
-            LatencyHistogram(min_latency=0.0)
-        with pytest.raises(ConfigError):
-            LatencyHistogram(min_latency=1.0, max_latency=0.5)
-        with pytest.raises(ConfigError):
-            LatencyHistogram(buckets_per_decade=0)
-
     def test_rejects_negative_latency(self):
         hist = LatencyHistogram()
         with pytest.raises(ValueError):
@@ -77,9 +75,9 @@ class TestBucketing:
         assert hist.max_seen == pytest.approx(float(values.max()))
 
     def test_out_of_range_values_clamp(self):
-        hist = LatencyHistogram(min_latency=1e-6, max_latency=1.0)
-        hist.record(1e-12)  # below range -> first bucket
-        hist.record(50.0)  # above range -> last bucket
+        hist = LatencyHistogram()
+        hist.record(MIN_LATENCY / 1e5)  # below range -> first bucket
+        hist.record(MAX_LATENCY * 50)  # above range -> last bucket
         assert hist.counts[0] == 1
         assert hist.counts[-1] == 1
         assert hist.count == 2
@@ -135,12 +133,6 @@ class TestQuantileErrorBounds:
 
 
 class TestMerge:
-    def test_merge_requires_same_bucketing(self):
-        a = LatencyHistogram(buckets_per_decade=10)
-        b = LatencyHistogram(buckets_per_decade=20)
-        with pytest.raises(ConfigError):
-            a.merge(b)
-
     def test_merge_equals_joint_recording(self, rng):
         x = rng.exponential(1e-3, size=1_000)
         y = rng.lognormal(-6.0, 1.0, size=700)
@@ -173,15 +165,14 @@ class TestMerge:
     def test_merge_associativity_property(self, parts, split):
         """((a+b)+c) == (a+(b+c)) == fold in any grouping: merging is
         associative, so any tree of per-shard/per-tenant merges agrees."""
-        template = LatencyHistogram(buckets_per_decade=15)
         hists = []
         for values in parts:
-            h = template.copy()
+            h = LatencyHistogram()
             h.record_many(np.asarray(values, dtype=np.float64))
             hists.append(h)
         split = min(split, len(hists))
-        left = LatencyHistogram.merged(hists[:split], template=template)
-        right = LatencyHistogram.merged(hists[split:], template=template)
+        left = LatencyHistogram.merged(hists[:split])
+        right = LatencyHistogram.merged(hists[split:])
         grouped = left.merge(right)  # (fold left) + (fold right)
         flat = LatencyHistogram.merged(hists)  # fold all, left to right
         assert np.array_equal(grouped.counts, flat.counts)
@@ -257,9 +248,13 @@ class TestReporting:
         text = hist.summary()
         assert "p99.9" in text and "mean" in text
 
-    def test_bucket_growth_matches_config(self):
-        hist = LatencyHistogram(buckets_per_decade=20)
-        assert hist.bucket_growth() == pytest.approx(10 ** (1 / 20))
+    def test_bucket_geometry_matches_constants(self):
+        hist = LatencyHistogram()
+        assert hist.bucket_growth() == pytest.approx(10 ** (1 / BUCKETS_PER_DECADE))
         lo, hi = hist.bucket_edges(0)
-        assert lo == pytest.approx(hist.min_latency)
+        assert lo == pytest.approx(MIN_LATENCY)
         assert hi / lo == pytest.approx(hist.bucket_growth())
+        # The buckets cover the whole measurable range, and no more than it.
+        assert len(hist.counts) == N_BUCKETS
+        assert hist.bucket_edges(N_BUCKETS - 1)[1] >= MAX_LATENCY * (1 - 1e-9)
+        assert hist.bucket_edges(N_BUCKETS - 2)[1] < MAX_LATENCY

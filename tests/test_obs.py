@@ -1,20 +1,19 @@
 """Tests for the telemetry subsystem (repro.obs, DESIGN.md §12).
 
 Covers the metrics registry (registration guards, label cardinality,
-Prometheus/JSON exposition, hypothesis-checked merge associativity), span
-tracing (nesting, deterministic sampling, stage laps), the RL
-decision audit log (recording, timeline rendering, persistence through
-tuner snapshots), and — the subsystem's hard invariant — the
-**zero-sim-impact twin**: a run with every telemetry layer enabled is
+Prometheus/JSON exposition, and a byte-for-byte golden of both renders of
+a store view), span tracing (nesting, deterministic sampling, stage laps),
+the RL decision audit log (recording, timeline rendering, persistence
+through tuner and store snapshots), and — the subsystem's hard invariant —
+the **zero-sim-impact twin**: a run with every telemetry layer enabled is
 bit-identical in all simulated observables to the same run without.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import SystemConfig
 from repro.core.lerp import Lerp, LerpConfig
@@ -28,18 +27,21 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     collect_engine_metrics,
+    collect_server_metrics,
     collect_store_metrics,
+    collect_tuner_metrics,
     format_decision_timeline,
-    parse_prometheus_text,
 )
+from repro.obs.metrics import MAX_SERIES
 from repro.persist import (
-    load_obs,
     load_store,
     load_tuner,
-    save_obs,
+    save_engine,
+    save_snapshot,
     save_store,
     save_tuner,
 )
+from repro.serve.latency import LatencyHistogram
 from repro.workload import UniformWorkload
 
 
@@ -72,6 +74,11 @@ def run_small(store, n_missions: int = 4, mission_size: int = 200, seed: int = 3
     return store
 
 
+def family_total(registry, name: str) -> float:
+    """Sum of a counter / gauge family's series."""
+    return sum(series.value for _, series in registry.get(name).series())
+
+
 # ======================================================================
 # Metrics registry
 # ======================================================================
@@ -84,7 +91,7 @@ class TestMetricsRegistry:
         depth = registry.gauge("queue_depth")
         depth.labels().set(7.0)
         lat = registry.histogram("latency_seconds")
-        lat.labels().observe(0.25)
+        lat.labels().record(0.25)
         families = registry.as_dict()["families"]
         assert families["requests_total"]["series"][0]["value"] == 3.0
         assert families["queue_depth"]["series"][0]["value"] == 7.0
@@ -116,98 +123,41 @@ class TestMetricsRegistry:
 
     def test_cardinality_guard(self):
         registry = MetricsRegistry()
-        family = registry.counter("ops", labels=("key",), max_series=4)
-        for i in range(4):
+        family = registry.counter("ops", labels=("key",))
+        for i in range(MAX_SERIES):
             family.labels(key=str(i)).inc()
         with pytest.raises(ObsError, match="series budget"):
             family.labels(key="overflow")
         # Existing series stay reachable after the guard trips.
         family.labels(key="0").inc()
 
-    def test_prometheus_exposition_parses_and_escapes(self):
+    def test_prometheus_exposition_escapes_and_accumulates(self):
         registry = MetricsRegistry()
         family = registry.gauge("g", "help text", labels=("name",))
         family.labels(name='with"quote\\and\nnewline').set(1.5)
-        registry.histogram("h").labels().observe_many([0.001, 0.01, 0.01])
-        parsed = parse_prometheus_text(registry.render("prometheus"))
-        assert parsed["types"]["g"] == "gauge"
-        assert parsed["types"]["h"] == "histogram"
-        values = {
-            name: value for (name, _), value in parsed["samples"].items()
-        }
-        assert values["g"] == 1.5
-        assert values["h_count"] == 3
-        # Cumulative buckets: the +Inf bucket equals the count.
-        inf_buckets = [
-            value
-            for (name, labels), value in parsed["samples"].items()
-            if name == "h_bucket" and ("le", "+Inf") in labels
-        ]
-        assert inf_buckets == [3.0]
+        registry.histogram("h").labels().record_many([0.001, 0.01, 0.01])
+        lines = registry.render("prometheus").splitlines()
+        assert "# TYPE g gauge" in lines and "# TYPE h histogram" in lines
+        assert 'g{name="with\\"quote\\\\and\\nnewline"} 1.5' in lines
+        # Cumulative buckets: one per non-empty bucket, then +Inf = count.
+        buckets = [line for line in lines if line.startswith("h_bucket")]
+        assert [b.rsplit(" ", 1)[1] for b in buckets] == ["1", "3", "3"]
+        assert buckets[-1] == 'h_bucket{le="+Inf"} 3'
+        assert "h_count 3" in lines
 
-    def test_state_dict_round_trip(self):
+    def test_histogram_series_is_a_latency_histogram(self):
+        """A histogram family's series is the serving layer's histogram
+        itself: a lane histogram merges in and its quantiles read back."""
         registry = MetricsRegistry()
-        registry.counter("ops", labels=("shard",)).labels(shard="1").inc(5)
-        registry.histogram("lat").labels().observe(0.125)
-        clone = MetricsRegistry.from_state_dict(registry.state_dict())
-        assert clone.render("prometheus") == registry.render("prometheus")
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(["a", "b", "c"]),
-                    st.integers(min_value=0, max_value=100),
-                ),
-                max_size=8,
-            ),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    def test_merge_associativity(self, parts):
-        """(A ⊕ B) ⊕ C == A ⊕ (B ⊕ C), exactly.
-
-        Values are integers (and histogram observations powers of two) so
-        float addition is exact and the comparison is bit-strict, the
-        same way per-shard registries merge into one fleet view.
-        """
-
-        def build(increments):
-            registry = MetricsRegistry()
-            ops = registry.counter("ops", labels=("shard",))
-            lat = registry.histogram("lat", labels=("shard",))
-            for shard, amount in increments:
-                ops.labels(shard=shard).inc(float(amount))
-                lat.labels(shard=shard).observe_many(
-                    [2.0 ** (amount % 8 - 4)] * (amount % 3)
-                )
-            return registry
-
-        a, b, c = (build(p) for p in parts)
-        left = MetricsRegistry.merged(
-            [MetricsRegistry.merged([build(parts[0]), build(parts[1])]), c]
-        )
-        right = MetricsRegistry.merged(
-            [a, MetricsRegistry.merged([build(parts[1]), build(parts[2])])]
-        )
-        assert left.render("prometheus") == right.render("prometheus")
-        assert left.render("json") == right.render("json")
-
-    def test_merge_sums_shard_series(self):
-        a = MetricsRegistry()
-        a.counter("ops", labels=("shard",)).labels(shard="0").inc(3)
-        b = MetricsRegistry()
-        b.counter("ops", labels=("shard",)).labels(shard="0").inc(4)
-        b.counter("ops", labels=("shard",)).labels(shard="1").inc(5)
-        merged = MetricsRegistry.merged([a, b])
-        view = {
-            tuple(r["labels"].items()): r["value"]
-            for r in merged.as_dict()["families"]["ops"]["series"]
-        }
-        assert view[(("shard", "0"),)] == 7.0
-        assert view[(("shard", "1"),)] == 5.0
+        series = registry.histogram("h").labels()
+        assert type(series) is LatencyHistogram
+        lane = LatencyHistogram()
+        lane.record_many([1e-3] * 20)
+        series.merge(lane)
+        assert series.count == 20
+        assert series.quantile(0.5) == lane.quantile(0.5)
+        (row,) = registry.as_dict()["families"]["h"]["series"]
+        assert row["count"] == 20
 
 
 # ======================================================================
@@ -362,18 +312,6 @@ class TestAuditLog:
         save_tuner(store.tuner, store.config, path)
         assert len(load_tuner(path).audit) == len(audit)
 
-    def test_obs_snapshot_round_trip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("ops").labels().inc(9)
-        audit = DecisionAuditLog()
-        audit.record("restart", None, reason="reset")
-        path = str(tmp_path / "obs.ckpt")
-        save_obs(path, registry=registry, audit=audit)
-        registry2, audit2 = load_obs(path)
-        assert registry2.render("prometheus") == registry.render("prometheus")
-        assert len(audit2) == 1
-        assert audit2.events[0].data["reason"] == "reset"
-
     def test_restart_reason_recorded(self):
         tuner = Lerp(SystemConfig(), LerpConfig())
         audit = DecisionAuditLog()
@@ -391,18 +329,9 @@ class TestCollection:
     def test_engine_registry_matches_engine_state(self):
         store = run_small(small_store(tune=False))
         registry = collect_engine_metrics(store.engine)
-        parsed = parse_prometheus_text(registry.render("prometheus"))
-        clock = sum(
-            value
-            for (name, _), value in parsed["samples"].items()
-            if name == "repro_sim_clock_seconds"
-        )
+        clock = family_total(registry, "repro_sim_clock_seconds")
         assert clock == pytest.approx(store.engine.clock_now, rel=0, abs=0)
-        entries = sum(
-            value
-            for (name, _), value in parsed["samples"].items()
-            if name == "repro_engine_entries"
-        )
+        entries = family_total(registry, "repro_engine_entries")
         assert int(entries) == store.engine.total_entries
 
     def test_store_registry_includes_tuner_series(self):
@@ -417,15 +346,152 @@ class TestCollection:
         audit = DecisionAuditLog()
         store.attach_audit(audit)
         run_small(store)
-        parsed = parse_prometheus_text(
-            collect_store_metrics(store).render("prometheus")
-        )
-        events = sum(
-            value
-            for (name, _), value in parsed["samples"].items()
-            if name == "repro_tuner_audit_events"
+        events = family_total(
+            collect_store_metrics(store), "repro_tuner_audit_events"
         )
         assert events == len(audit) > 0
+
+    def test_snapshot_timeline_prints_a_shared_log_once(self, tmp_path, capsys):
+        """Two tuners restored from one store snapshot share one audit log:
+        the CLI timeline has one row per event, not one per shard."""
+        from repro.obs.__main__ import main
+
+        store = small_store(n_shards=2)
+        audit = DecisionAuditLog()
+        store.attach_audit(audit)
+        run_small(store)
+        path = str(tmp_path / "store.ckpt")
+        save_store(store, path)
+        assert main([path, "--timeline"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) - 2 == len(audit) > 0  # header and rule, then events
+
+    @pytest.mark.parametrize("kind", ["engine", "store", "tuner"])
+    def test_snapshot_view_equals_live_view(self, kind, tmp_path, capsys):
+        """The registry is never saved: the CLI rebuilds the snapshotted
+        objects and collects them, and that view equals the live one (the
+        host-clock family aside)."""
+        from repro.obs.__main__ import main
+
+        store = small_store(cache_pages=64, n_shards=2)
+        store.attach_audit(DecisionAuditLog())
+        run_small(store)
+        path = str(tmp_path / f"{kind}.ckpt")
+        if kind == "engine":
+            save_engine(store.engine, path)
+            live = collect_engine_metrics(store.engine)
+        elif kind == "store":
+            save_store(store, path)
+            live = collect_store_metrics(store)
+        else:
+            save_tuner(store.tuner, store.config, path)
+            live = collect_tuner_metrics([store.tuner])
+        assert main([path, "--format", "json"]) == 0
+        restored = json.loads(capsys.readouterr().out)["families"]
+        want = live.as_dict()["families"]
+        for view in (restored, want):
+            view.pop(WALL_FAMILY, None)
+        assert restored == want
+
+    def test_snapshot_kind_without_a_view_is_refused(self, tmp_path, capsys):
+        """Only engine / store / tuner snapshots have a view; any other kind
+        (e.g. a file from when registries were saved as ``obs``) is an
+        error, not an empty registry."""
+        from repro.obs.__main__ import main
+
+        path = str(tmp_path / "old.ckpt")
+        save_snapshot(path, "obs", {})
+        assert main([path]) == 1
+        assert "snapshot kind 'obs' has no registry view" in capsys.readouterr().err
+
+    def test_server_collection_survives_a_tenant_added_mid_read(self):
+        """A lane worker may register a tenant while the collector walks the
+        lane's histograms; the collector reads a snapshot of the dict."""
+        from types import SimpleNamespace
+
+        class Intruding(LatencyHistogram):
+            """A tenant's histogram whose bucket read registers a new tenant
+            on the lane, as its worker can between two collector steps."""
+
+            def __init__(self, lane):
+                self._lane = None
+                super().__init__()
+                self.record_many([1e-3, 2e-3, 4e-3])
+                self._lane = lane  # from here on, every read intrudes
+
+            @property
+            def counts(self):
+                if self._lane is not None:
+                    self._lane.histograms.setdefault("late", LatencyHistogram())
+                return self._counts
+
+            @counts.setter
+            def counts(self, value):
+                self._counts = value
+
+        lane = SimpleNamespace(completed=3, rejected=0, histograms={})
+        lane.histograms["early"] = Intruding(lane)
+        server = SimpleNamespace(engine=LSMTree(SystemConfig()), lanes=[lane])
+        view = collect_server_metrics(server).as_dict()["families"]
+        (early,) = view["repro_serve_latency_seconds"]["series"]
+        assert early["labels"] == {"shard": "0", "tenant": "early"}
+        assert early["count"] == 3
+        assert "late" in lane.histograms
+
+
+# ======================================================================
+# Exposition golden: the rendered view of a fixed run, byte for byte
+# ======================================================================
+GOLDEN_PATHS = {
+    fmt: os.path.join(os.path.dirname(__file__), "data", f"obs_golden.{ext}")
+    for fmt, ext in (("prometheus", "prom"), ("json", "json"))
+}
+
+#: The one family of a store view read from the host clock.
+WALL_FAMILY = "repro_tuner_model_seconds"
+
+#: Fixed histogram inputs: six values (the scalar ``record_many`` body, two
+#: of them outside the bucket range) and forty (the vectorized body), all
+#: exact binary fractions so every sum is exact.
+GOLDEN_HISTOGRAM = {
+    "scalar": [1e-9, 2.0**-12, 2.0**-10, 2.0**-10, 0.125, 5e3],
+    "vector": [2.0 ** (k - 20) for k in range(40)],
+}
+
+
+def golden_renders() -> dict:
+    """Both renders of ``collect_store_metrics`` on a 2-shard Lerp run
+    (seed 3, cache on, one shared audit log), plus one registry histogram
+    fed fixed values, with the wall-clock family left out."""
+    store = small_store(cache_pages=64, n_shards=2)
+    store.attach_audit(DecisionAuditLog())
+    registry = collect_store_metrics(run_small(store, n_missions=6))
+    family = registry.histogram(
+        "repro_golden_seconds", "fixed inputs", labels=("path",)
+    )
+    for path, values in GOLDEN_HISTOGRAM.items():
+        family.labels(path=path).record_many(values)
+    prom = "".join(
+        line
+        for line in registry.render("prometheus").splitlines(keepends=True)
+        if WALL_FAMILY not in line
+    )
+    doc = json.loads(registry.render("json"))
+    del doc["families"][WALL_FAMILY]
+    return {
+        "prometheus": prom,
+        "json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    }
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_PATHS))
+def test_exposition_golden(fmt):
+    """Recorded at commit cb21891, before the registry lost its merge,
+    persistence and histogram wrapper: a change to the registry's shape
+    passes this unchanged or it changed a rendered line."""
+    with open(GOLDEN_PATHS[fmt], encoding="utf-8") as handle:
+        want = handle.read()
+    assert golden_renders()[fmt] == want
 
 
 # ======================================================================
@@ -524,3 +590,9 @@ class TestServeTracing:
         assert any(
             name.startswith(("lsm.", "store.")) for name in child_names
         ), child_names
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/test_obs.py
+    for fmt, text in golden_renders().items():
+        with open(GOLDEN_PATHS[fmt], "w", encoding="utf-8") as handle:
+            handle.write(text)

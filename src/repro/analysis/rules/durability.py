@@ -14,10 +14,10 @@ Flagged shapes:
 * ``os.replace`` in a function that never calls ``os.fsync`` — the
   renamed file's contents (or the rename) may not be durable;
 * a ``with open(..., "w"/"wb"/"a"/...)`` block whose function never
-  fsyncs — a complete write-and-close with no durability point. Files
-  held open as long-lived instance handles (WAL segments, manifest
-  writers) are not matched; their fsync discipline lives in their
-  explicit ``sync()`` methods.
+  fsyncs — a complete write-and-close with no durability point. The one
+  long-lived handle, :class:`repro.durable.log.LogAppender` (every WAL
+  segment and manifest file), is not matched; its fsyncs live in its
+  ``sync()`` and ``close()``.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ def atomic_file(
     mode: str = "wb",
     encoding: str | None = None,
     suffix: str = ".tmp",
-    dir_fsync: bool = True,
     before_replace: Callable[[], None] | None = None,
 ) -> Iterator[IO]:
     """Write ``path`` atomically: yield a temp-file handle; on clean exit
@@ -79,25 +78,10 @@ def atomic_file(
     if before_replace is not None:
         before_replace()
     os.replace(tmp, path)
-    if dir_fsync:
-        fsync_dir(os.path.dirname(os.path.abspath(path)))
+    fsync_dir(os.path.dirname(os.path.abspath(path)))
 
 
-def publish_bytes(
-    path: str,
-    data: bytes,
-    suffix: str = ".tmp",
-    dir_fsync: bool = True,
-    before_replace: Callable[[], None] | None = None,
-) -> int:
-    """Publish ``data`` at ``path`` via :func:`atomic_file`; returns the
-    byte count written."""
-    with atomic_file(
-        path,
-        "wb",
-        suffix=suffix,
-        dir_fsync=dir_fsync,
-        before_replace=before_replace,
-    ) as fh:
+def publish_bytes(path: str, data: bytes, suffix: str = ".tmp") -> None:
+    """Publish ``data`` at ``path`` via :func:`atomic_file`."""
+    with atomic_file(path, "wb", suffix=suffix) as fh:
         fh.write(data)
-    return len(data)

@@ -34,7 +34,7 @@ Instrumented points (see DESIGN.md §13 for the write protocol they cut):
 from __future__ import annotations
 
 import os
-from typing import Dict
+from typing import IO, Dict
 
 #: Exit status used by injected crashes; chosen to match the shell's code
 #: for a SIGKILL-ed process so harnesses treat both uniformly.
@@ -63,9 +63,8 @@ def reset_counts() -> None:
 def crash_hit(point: str) -> bool:
     """Record one hit of ``point``; ``True`` when the armed count is reached.
 
-    Callers that need to do damage *before* dying (write half a record,
-    flush it) branch on this and call :func:`die` themselves; plain
-    call sites use :func:`maybe_crash`.
+    Call sites use :func:`maybe_crash`, or :func:`tear` where the crash
+    interrupts a write.
     """
     armed = _armed()
     if point not in armed:
@@ -82,4 +81,14 @@ def die() -> None:
 def maybe_crash(point: str) -> None:
     """Die mid-operation when ``point`` reaches its armed count."""
     if crash_hit(point):
+        die()
+
+
+def tear(fh: IO[bytes], data: bytes, point: str) -> None:
+    """A torn write: when ``point`` reaches its armed count, only the first
+    half of ``data`` reaches the disk before the process dies."""
+    if crash_hit(point):
+        fh.write(data[: max(1, len(data) // 2)])
+        fh.flush()
+        os.fsync(fh.fileno())
         die()

@@ -1,12 +1,12 @@
 """Versioned manifest: an append-only edit log of the store's file set.
 
-A manifest file (``MANIFEST-%06d.log``) is a sequence of CRC-framed JSON
-edit records using the same ``u32 len | u32 crc32 | payload`` framing as
-the WAL. The first edit of every manifest is a *snapshot* edit carrying
-the full state (config, complete file list, metadata); subsequent edits
-are deltas. ``CURRENT`` is a one-line text file naming the live manifest
-and is only ever updated by an atomic ``os.replace`` — a crash leaves
-either the old or the new pointer, never garbage.
+A manifest file (``MANIFEST-%06d.log``) is a :mod:`repro.durable.log`
+whose payloads are JSON edit records. The first edit of every manifest is
+a *snapshot* edit carrying the full state (config, complete file list,
+metadata); subsequent edits are deltas. ``CURRENT`` is a one-line text
+file naming the live manifest and is only ever updated by an atomic
+``os.replace`` — a crash leaves either the old or the new pointer, never
+garbage.
 
 Edit record fields (all optional except where noted; unknown fields are
 ignored so the format can grow):
@@ -21,6 +21,10 @@ ignored so the format can grow):
 ``checkpoint_seqno``  every WAL op with seqno <= this is covered by the
                       SSTables named in the (post-edit) file set
 ``wal_head``          id of the WAL segment new appends go to
+
+and the tree metadata (:data:`META_FIELDS`), which the manifest carries
+without interpreting — the store does:
+
 ``n_levels``          depth of the tree at edit time (levels may be empty)
 ``policies``          ``[[policy, pending_or_null], ...]`` shallow → deep
 ``named_policy``      pinned named compaction policy or ``None``
@@ -38,18 +42,19 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
+import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.durable import faults
 from repro.durable.atomio import atomic_file
+from repro.durable.log import LogAppender, iter_frames
 from repro.errors import DurabilityError
-
-_FRAME = struct.Struct("<II")
 
 CURRENT_NAME = "CURRENT"
 MANIFEST_FMT = "MANIFEST-{:06d}.log"
+
+#: Tree metadata an edit may carry; the last value written wins.
+META_FIELDS = ("n_levels", "policies", "named_policy", "next_run_id", "bits_per_key")
 
 
 def manifest_path(directory: str, manifest_id: int) -> str:
@@ -72,34 +77,24 @@ def _jsonable(value):
 
 
 def encode_edit(edit: Dict[str, object]) -> bytes:
-    payload = json.dumps(_jsonable(edit), sort_keys=True).encode("utf-8")
-    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+    """One edit record payload (unframed)."""
+    return json.dumps(_jsonable(edit), sort_keys=True).encode("utf-8")
 
 
 def decode_edits(data: bytes) -> Tuple[List[Dict[str, object]], bool]:
     """All valid edits in ``data`` plus whether a torn tail was discarded."""
     edits: List[Dict[str, object]] = []
-    offset = 0
-    total = len(data)
-    while True:
-        if offset + _FRAME.size > total:
-            return edits, offset != total
-        length, crc = _FRAME.unpack_from(data, offset)
-        start = offset + _FRAME.size
-        end = start + length
-        if end > total:
-            return edits, True
-        payload = data[start:end]
-        if zlib.crc32(payload) != crc:
-            return edits, True
+    valid = 0
+    for payload, end in iter_frames(data):
         try:
             edit = json.loads(payload.decode("utf-8"))
         except ValueError:
-            return edits, True
+            break
         if not isinstance(edit, dict):
-            return edits, True
+            break
         edits.append(edit)
-        offset = end
+        valid = end
+    return edits, valid != len(data)
 
 
 class ManifestState:
@@ -111,17 +106,14 @@ class ManifestState:
         self.files: Dict[int, List[Tuple[int, str]]] = {}
         self.checkpoint_seqno = 0
         self.wal_head = 1
-        self.n_levels = 0
-        #: shallow → deep ``(policy, pending_policy_or_None)``.
-        self.policies: List[Tuple[int, Optional[int]]] = []
-        self.named_policy: Optional[str] = None
-        self.next_run_id = 0
-        self.bits_per_key: Optional[float] = None
+        #: The :data:`META_FIELDS` recorded so far, as written.
+        self.meta: Dict[str, object] = {}
         self.edits_applied = 0
 
     def apply_edit(self, edit: Dict[str, object]) -> None:
         if edit.get("snapshot"):
             self.files = {}
+            self.meta = {}
             for level, run_id, filename in edit.get("files", []):
                 self.files.setdefault(int(level), []).append(
                     (int(run_id), str(filename))
@@ -150,20 +142,7 @@ class ManifestState:
             self.checkpoint_seqno = int(edit["checkpoint_seqno"])
         if "wal_head" in edit:
             self.wal_head = int(edit["wal_head"])
-        if "n_levels" in edit:
-            self.n_levels = int(edit["n_levels"])
-        if "policies" in edit:
-            self.policies = [
-                (int(p), None if pending is None else int(pending))
-                for p, pending in edit["policies"]
-            ]
-        if "named_policy" in edit:
-            raw = edit["named_policy"]
-            self.named_policy = None if raw is None else str(raw)
-        if "next_run_id" in edit:
-            self.next_run_id = int(edit["next_run_id"])
-        if "bits_per_key" in edit:
-            self.bits_per_key = float(edit["bits_per_key"])
+        self.meta.update((key, edit[key]) for key in META_FIELDS if key in edit)
         self.edits_applied += 1
 
     def live_filenames(self) -> List[str]:
@@ -180,15 +159,10 @@ class ManifestState:
             ],
             "checkpoint_seqno": self.checkpoint_seqno,
             "wal_head": self.wal_head,
-            "n_levels": self.n_levels,
-            "policies": [[p, pending] for p, pending in self.policies],
-            "named_policy": self.named_policy,
-            "next_run_id": self.next_run_id,
+            **self.meta,
         }
         if self.config_state is not None:
             edit["config"] = self.config_state
-        if self.bits_per_key is not None:
-            edit["bits_per_key"] = self.bits_per_key
         return edit
 
 
@@ -196,33 +170,18 @@ class ManifestWriter:
     """Appends edit records to one manifest file, fsync per edit."""
 
     def __init__(self, directory: str, manifest_id: int) -> None:
-        self.directory = os.fspath(directory)
         self.manifest_id = manifest_id
-        self.path = manifest_path(self.directory, manifest_id)
-        self._fh = open(self.path, "ab")
+        self.log = LogAppender(manifest_path(directory, manifest_id), "manifest.torn")
         self.edits_written = 0
 
     def append_edit(self, edit: Dict[str, object]) -> None:
-        if self._fh.closed:
-            raise DurabilityError(f"manifest {self.path} is closed")
         faults.maybe_crash("manifest.edit")
-        frame = encode_edit(edit)
-        if faults.crash_hit("manifest.torn"):
-            # Injected torn append: half the edit record reaches disk.
-            self._fh.write(frame[: max(1, len(frame) // 2)])
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            faults.die()
-        self._fh.write(frame)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self.log.append(encode_edit(edit))
+        self.log.sync()
         self.edits_written += 1
 
     def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
+        self.log.close()
 
 
 def write_current(directory: str, manifest_id: int) -> None:
@@ -233,9 +192,8 @@ def write_current(directory: str, manifest_id: int) -> None:
     at any point leaves a valid pointer (old or new, never torn), and a
     completed swap survives the crash.
     """
-    target = current_path(directory)
     with atomic_file(
-        target,
+        current_path(directory),
         "w",
         encoding="utf-8",
         before_replace=lambda: faults.maybe_crash("manifest.swap"),
@@ -245,21 +203,15 @@ def write_current(directory: str, manifest_id: int) -> None:
 
 def read_current(directory: str) -> int:
     """Manifest id named by ``CURRENT``; raises when absent or malformed."""
-    path = current_path(directory)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(current_path(directory), encoding="utf-8") as fh:
             name = fh.read().strip()
     except FileNotFoundError:
         raise DurabilityError(f"no CURRENT file in {directory}") from None
-    prefix, suffix = "MANIFEST-", ".log"
-    if not (name.startswith(prefix) and name.endswith(suffix)):
+    match = re.fullmatch(r"MANIFEST-(\d+)\.log", name)
+    if match is None:
         raise DurabilityError(f"CURRENT names an invalid manifest: {name!r}")
-    try:
-        manifest_id = int(name[len(prefix) : -len(suffix)])
-    except ValueError:
-        raise DurabilityError(
-            f"CURRENT names an invalid manifest: {name!r}"
-        ) from None
+    manifest_id = int(match[1])
     if not os.path.exists(manifest_path(directory, manifest_id)):
         raise DurabilityError(f"CURRENT names a missing manifest: {name!r}")
     return manifest_id

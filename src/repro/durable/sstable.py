@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,6 @@ _HEADER = struct.Struct("<4sIIIQQIBBdQQQQQQQ")
 _FOOTER = struct.Struct("<I4s")
 
 _BLOOM_MODE_CODES = {BloomMode.BIT_ARRAY: 0, BloomMode.ANALYTICAL: 1}
-_BLOOM_MODE_FROM_CODE = {v: k for k, v in _BLOOM_MODE_CODES.items()}
 
 #: ``sst-%08d-L%02d.sst`` — run ``run_id`` installed at level ``level_no``.
 FILE_FMT = "sst-{:08d}-L{:02d}.sst"
@@ -58,20 +56,6 @@ FILE_FMT = "sst-{:08d}-L{:02d}.sst"
 
 def sstable_path(directory: str, run_id: int, level_no: int) -> str:
     return os.path.join(directory, FILE_FMT.format(run_id, level_no))
-
-
-class SSTableInfo(NamedTuple):
-    """Header metadata of a decoded SSTable."""
-
-    run_id: int
-    level_no: int
-    n_entries: int
-    entries_per_page: int
-    bloom_mode: BloomMode
-    sealed: bool
-    fpr: float
-    capacity_entries: int
-    file_bytes: int
 
 
 def _fence_pointers(keys: np.ndarray, entries_per_page: int) -> np.ndarray:
@@ -141,12 +125,8 @@ def write_sstable(path: str, run: SortedRun) -> int:
     footer = _FOOTER.pack(zlib.crc32(body), FOOTER_MAGIC)
 
     with atomic_file(path) as fh:
-        if faults.crash_hit("sst.partial"):
-            # Injected mid-write crash: half the body, no footer, no rename.
-            fh.write(body[: max(1, len(body) // 2)])
-            fh.flush()
-            os.fsync(fh.fileno())
-            faults.die()
+        # Injected mid-write crash: half the body, no footer, no rename.
+        faults.tear(fh, body, "sst.partial")
         fh.write(body)
         fh.write(footer)
     return len(body) + len(footer)
@@ -156,7 +136,7 @@ def read_sstable(
     path: str,
     bloom_mode: BloomMode,
     rng: np.random.Generator,
-) -> "tuple[SortedRun, SSTableInfo]":
+) -> SortedRun:
     """Open an SSTable, verify it, and rebuild its :class:`SortedRun`.
 
     ``bloom_mode``/``rng`` come from the owning tree's configuration so
@@ -204,7 +184,7 @@ def read_sstable(
         raise DurabilityError(f"SSTable {path}: bad footer magic {footer_magic!r}")
     if zlib.crc32(data[:footer_off]) != crc:
         raise DurabilityError(f"SSTable {path}: CRC mismatch")
-    if _BLOOM_MODE_FROM_CODE.get(bloom_code) is None:
+    if bloom_code not in _BLOOM_MODE_CODES.values():
         raise DurabilityError(f"SSTable {path}: unknown bloom mode {bloom_code}")
 
     keys = np.frombuffer(data, dtype="<i8", count=n_entries, offset=keys_off)
@@ -234,15 +214,4 @@ def read_sstable(
         stored = data[bloom_off : bloom_off + len(rebuilt_bytes)]
         if rebuilt_bits != bloom_bits or stored != rebuilt_bytes:
             raise DurabilityError(f"SSTable {path}: bloom block mismatch")
-    info = SSTableInfo(
-        run_id=int(run_id),
-        level_no=int(level_no),
-        n_entries=int(n_entries),
-        entries_per_page=int(entries_per_page),
-        bloom_mode=_BLOOM_MODE_FROM_CODE[bloom_code],
-        sealed=bool(sealed),
-        fpr=float(fpr),
-        capacity_entries=int(capacity_entries),
-        file_bytes=len(data),
-    )
-    return run, info
+    return run

@@ -12,7 +12,9 @@ primitives and overrides only what durability changes:
   flush cascade commits one manifest edit recording the adds, drops, the
   new WAL head and a conservative ``checkpoint_seqno``;
 * recovery replays MANIFEST → opens the live SSTables → replays the WAL
-  tail, then garbage-collects orphan files from interrupted commits.
+  tail, then sweeps away the files interrupted commits left behind;
+* a fresh store and a restored snapshot are installed alike, as a new
+  on-disk generation of the in-memory tree.
 
 Write protocol (the order is the whole durability argument)::
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import os
 from time import perf_counter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -66,21 +68,21 @@ from repro.durable.manifest import (
     ManifestState,
     ManifestWriter,
     current_path,
-    manifest_path,
     read_manifest,
     write_current,
 )
-from repro.durable.sstable import read_sstable, sstable_path, write_sstable
+from repro.durable.sstable import FILE_FMT, read_sstable, sstable_path, write_sstable
 from repro.durable.wal import (
-    OP_DELETE,
     OP_PUT,
+    OP_SYNC,
     WalReader,
     WalWriter,
     list_segments,
+    segment_id,
     segment_path,
 )
 from repro.errors import DurabilityError
-from repro.lsm.entry import TOMBSTONE, validate_batch
+from repro.lsm.entry import TOMBSTONE, validate_batch, validate_keys
 from repro.lsm.policy import PolicyLike, resolve_policy
 from repro.lsm.run import SortedRun
 from repro.lsm.tree import LSMTree
@@ -102,10 +104,6 @@ class RecoveryReport(NamedTuple):
     wal_ops_replayed: int
     wal_torn: bool
     orphans_removed: int
-
-
-def _sstable_filename(run_id: int, level_no: int) -> str:
-    return os.path.basename(sstable_path("", run_id, level_no))
 
 
 class DurableStore(LSMTree):
@@ -132,8 +130,8 @@ class DurableStore(LSMTree):
     # last_recovery/_closed/_in_mutator are per-process lifecycle flags.
     _snapshot_exempt = frozenset({
         "rotate_manifest_every", "telemetry", "_pending_ops",
-        "_pending_deletions", "_pending_wal_head", "_segment_max_seqno",
-        "_closed", "_in_mutator", "last_recovery",
+        "_pending_wal_head", "_segment_max_seqno", "_closed", "_in_mutator",
+        "last_recovery",
     })
 
     def __init__(
@@ -164,8 +162,7 @@ class DurableStore(LSMTree):
             "wall_manifest_s": 0.0,
             "wall_recovery_s": 0.0,
         }
-        self._pending_ops: List[List[object]] = []
-        self._pending_deletions: List[str] = []
+        self._pending_ops: List[List[Any]] = []
         self._pending_wal_head: Optional[int] = None
         #: WAL segment id -> highest seqno its on-disk records cover.
         self._segment_max_seqno: Dict[int, int] = {}
@@ -177,17 +174,11 @@ class DurableStore(LSMTree):
         os.makedirs(self.data_dir, exist_ok=True)
         if os.path.exists(current_path(self.data_dir)):
             self.last_recovery = self._recover(config)
-        else:
-            if config is None:
-                raise DurabilityError(
-                    f"{self.data_dir} holds no store and no config was given"
-                )
-            self.last_recovery = self._create(config)
-
-    # ------------------------------------------------------------------
-    # Creation / recovery
-    # ------------------------------------------------------------------
-    def _create(self, config: SystemConfig) -> RecoveryReport:
+            return
+        if config is None:
+            raise DurabilityError(
+                f"{self.data_dir} holds no store and no config was given"
+            )
         leftovers = [
             name
             for name in os.listdir(self.data_dir)
@@ -199,25 +190,10 @@ class DurableStore(LSMTree):
                 f"({sorted(leftovers)[:4]}...); refusing to overwrite"
             )
         super().__init__(config)
-        self._state = ManifestState()
-        self._state.config_state = config_to_state(config)
-        self._state.wal_head = 1
-        self._manifest = ManifestWriter(self.data_dir, 1)
-        self._manifest.append_edit(self._state.snapshot_edit())
-        self._state.edits_applied = 0  # own snapshot doesn't count as a delta
-        write_current(self.data_dir, 1)
-        self._wal = WalWriter(segment_path(self.data_dir, 1))
-        self._wal_head_id = 1
         self._next_seqno = 1
         self._acked_seqno = 0
-        self._applied_seqno = 0
-        # ``_flushed_seqno``: every op <= it has all its data in SSTables —
-        # the only value a manifest checkpoint may record. ``_inflight_floor``:
-        # the last *fully* applied op; while an op is mid-application it
-        # lags to op_start - 1, which is what a mid-op flush may claim.
-        self._flushed_seqno = 0
-        self._inflight_floor = 0
-        return RecoveryReport(
+        removed = self._install_generation(1)
+        self.last_recovery = RecoveryReport(
             created=True,
             manifest_id=1,
             manifest_edits=1,
@@ -230,8 +206,95 @@ class DurableStore(LSMTree):
             wal_records_replayed=0,
             wal_ops_replayed=0,
             wal_torn=False,
-            orphans_removed=0,
+            orphans_removed=removed,
         )
+
+    # ------------------------------------------------------------------
+    # Generations / recovery
+    # ------------------------------------------------------------------
+    def _install_generation(self, manifest_id: int) -> int:
+        """Write the in-memory tree out as a fresh on-disk generation and
+        remove every file of the one before; returns how many it removed.
+
+        The current runs become SSTables (none for a fresh store), a
+        snapshot manifest names them, ``CURRENT`` swaps to it once, WAL
+        segment 1 opens and the memtable (empty for a fresh store) is
+        re-journaled into it. Every op up to ``_next_seqno - 1`` is then in
+        SSTables except the memtable's, whose records take new seqnos past
+        it — so that is the checkpoint.
+        """
+        files = []
+        for level in self.levels:
+            for run in level.runs:
+                filename = FILE_FMT.format(run.run_id, level.level_no)
+                write_sstable(os.path.join(self.data_dir, filename), run)
+                files.append([level.level_no, run.run_id, filename])
+        checkpoint = self._next_seqno - 1
+        self._state = ManifestState()
+        self._state.apply_edit({
+            "snapshot": True,
+            "files": files,
+            "checkpoint_seqno": checkpoint,
+            "wal_head": 1,
+            "config": config_to_state(self.config),
+            **self._meta_fields(),
+        })
+        self._swap_manifest(manifest_id)
+        self._segment_max_seqno = {}
+        removed = self._sweep()
+        self._pending_ops = []
+        self._pending_wal_head = None
+        self._wal = WalWriter(segment_path(self.data_dir, 1))
+        self._wal_head_id = 1
+        # ``_flushed_seqno``: every op <= it has all its data in SSTables —
+        # the only value a manifest checkpoint may record. ``_inflight_floor``:
+        # the last *fully* applied op; while an op is mid-application it
+        # lags to op_start - 1, which is what a mid-op flush may claim.
+        self._flushed_seqno = checkpoint
+        keys, values = self.memtable.sorted_view()
+        live = values != TOMBSTONE
+        if live.any():
+            self._ack_wal(keys[live], values[live])
+        if (~live).any():
+            self._ack_wal(keys[~live])
+        self._applied_seqno = self._inflight_floor = self._next_seqno - 1
+        return removed
+
+    def _sweep(self) -> int:
+        """Delete every file no recovery path reads — temp files, SSTables
+        the manifest does not name, superseded manifests, WAL segments
+        ``_segment_max_seqno`` does not keep — and return how many."""
+        live = set(self._state.live_filenames())
+        current = os.path.basename(self._manifest.log.path)
+        removed = 0
+        for name in sorted(os.listdir(self.data_dir)):
+            file_id = segment_id(name)
+            if (
+                name.endswith(".tmp")
+                or (name.endswith(".sst") and name not in live)
+                or (name.startswith("MANIFEST-") and name != current)
+                or (file_id is not None and file_id not in self._segment_max_seqno)
+            ):
+                os.unlink(os.path.join(self.data_dir, name))
+                removed += 1
+        return removed
+
+    def _drop_covered_segments(self) -> int:
+        """Delete the retired WAL segments whose every seqno the manifest
+        checkpoint covers; returns how many."""
+        checkpoint = self._state.checkpoint_seqno
+        dropped = [
+            file_id
+            for file_id in sorted(self._segment_max_seqno)
+            if file_id < self._wal_head_id
+            and self._segment_max_seqno[file_id] <= checkpoint
+        ]
+        for file_id in dropped:
+            path = segment_path(self.data_dir, file_id)
+            if os.path.exists(path):
+                os.unlink(path)
+            del self._segment_max_seqno[file_id]
+        return len(dropped)
 
     def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
         t0 = perf_counter()
@@ -248,15 +311,16 @@ class DurableStore(LSMTree):
         config = recorded
 
         super().__init__(config)
-        if state.n_levels:
-            self._ensure_level(state.n_levels)
-        for level, (policy, pending) in zip(self.levels, state.policies):
-            level.set_policy_immediate(policy)
-            level.pending_policy = pending
-        if state.named_policy is not None:
-            self.compaction_policy = resolve_policy(state.named_policy)
-        if state.bits_per_key is not None and self.levels:
-            super().set_bits_per_key(state.bits_per_key)
+        meta: Dict[str, Any] = state.meta
+        if meta.get("n_levels"):
+            self._ensure_level(int(meta["n_levels"]))
+        for level, (policy, pending) in zip(self.levels, meta.get("policies", [])):
+            level.set_policy_immediate(int(policy))
+            level.pending_policy = None if pending is None else int(pending)
+        if meta.get("named_policy") is not None:
+            self.compaction_policy = resolve_policy(str(meta["named_policy"]))
+        if meta.get("bits_per_key") is not None and self.levels:
+            super().set_bits_per_key(float(meta["bits_per_key"]))
 
         # Open live SSTables in manifest order (per level: oldest first).
         runs_opened = 0
@@ -270,7 +334,7 @@ class DurableStore(LSMTree):
                     raise DurabilityError(
                         f"manifest names missing SSTable {filename}"
                     )
-                run, _ = read_sstable(path, config.bloom_mode, self._rng)
+                run = read_sstable(path, config.bloom_mode, self._rng)
                 if run.run_id != run_id or run.level_no != level_no:
                     raise DurabilityError(
                         f"SSTable {filename} identifies as run {run.run_id} "
@@ -291,72 +355,37 @@ class DurableStore(LSMTree):
                 tail.capacity_entries = level.active_run_capacity()
                 if tail.n_entries >= tail.capacity_entries:
                     tail.seal()
-        self._next_run_id = max(state.next_run_id, max_run_id + 1)
+        self._next_run_id = max(int(meta.get("next_run_id", 0)), max_run_id + 1)
         super().check_invariants()
 
         # Read every WAL segment; truncate torn tails to the last valid
         # record so post-recovery appends extend a clean prefix.
-        readers: List[Tuple[int, WalReader]] = []
+        readers: Dict[int, WalReader] = {}
         wal_torn = False
         for file_id, path in list_segments(self.data_dir):
-            reader = WalReader(path)
+            reader = readers[file_id] = WalReader(path)
             if reader.torn:
                 wal_torn = True
                 os.truncate(path, reader.valid_bytes)
-            readers.append((file_id, reader))
             self._segment_max_seqno[file_id] = reader.max_seqno
-
         checkpoint = state.checkpoint_seqno
-        recovered_seqno = checkpoint
-        for _, reader in readers:
-            recovered_seqno = max(recovered_seqno, reader.max_seqno)
+        recovered_seqno = max([checkpoint, *self._segment_max_seqno.values()])
 
-        # GC: orphan temp files, unreferenced SSTables (interrupted
-        # commits), superseded manifests, fully-covered WAL segments.
-        orphans = 0
-        live = set(state.live_filenames())
-        current_manifest = os.path.basename(
-            manifest_path(self.data_dir, manifest_id)
-        )
-        for name in sorted(os.listdir(self.data_dir)):
-            path = os.path.join(self.data_dir, name)
-            if name.endswith(".tmp"):
-                os.unlink(path)
-                orphans += 1
-            elif name.endswith(".sst") and name not in live:
-                os.unlink(path)
-                orphans += 1
-            elif (
-                name.startswith("MANIFEST-")
-                and name.endswith(".log")
-                and name != current_manifest
-            ):
-                os.unlink(path)
-                orphans += 1
-        # The live head is the highest segment on disk (a crash between
-        # opening a new segment and committing its manifest edit can leave
-        # the head one ahead of the recorded ``wal_head``).
-        head_id = state.wal_head
-        for file_id, _ in readers:
-            head_id = max(head_id, file_id)
-        kept_readers: List[Tuple[int, WalReader]] = []
-        for file_id, reader in readers:
-            if reader.max_seqno <= checkpoint and file_id < head_id:
-                os.unlink(segment_path(self.data_dir, file_id))
-                self._segment_max_seqno.pop(file_id, None)
-                orphans += 1
-            else:
-                kept_readers.append((file_id, reader))
-
-        # Wire up the live write path *before* replay: a replay-induced
-        # flush must commit durably like any other flush.
+        # GC what interrupted commits left behind. The live head is the
+        # highest segment on disk (a crash between opening a new segment
+        # and committing its manifest edit can leave the head one ahead of
+        # the recorded ``wal_head``).
         self._state = state
         self._manifest = ManifestWriter(self.data_dir, manifest_id)
         self._manifest.edits_written = state.edits_applied
-        self._wal = WalWriter(segment_path(self.data_dir, head_id))
-        self._wal_head_id = head_id
-        if head_id != state.wal_head:
-            self._pending_wal_head = head_id
+        self._wal_head_id = max([state.wal_head, *readers])
+        orphans = self._drop_covered_segments() + self._sweep()
+
+        # Wire up the live write path *before* replay: a replay-induced
+        # flush must commit durably like any other flush.
+        self._wal = WalWriter(segment_path(self.data_dir, self._wal_head_id))
+        if self._wal_head_id != state.wal_head:
+            self._pending_wal_head = self._wal_head_id
         self._next_seqno = recovered_seqno + 1
         self._acked_seqno = recovered_seqno
         self._applied_seqno = checkpoint
@@ -365,13 +394,14 @@ class DurableStore(LSMTree):
 
         # Replay the WAL tail (ops past the checkpoint) into the memtable
         # through the base-class write path: the ops are already journaled.
+        kept = [readers[file_id] for file_id in sorted(self._segment_max_seqno)]
         records_replayed = 0
         ops_replayed = 0
-        for _, reader in kept_readers:
+        for reader in kept:
             for record in reader.records:
-                if record.op not in (OP_PUT, OP_DELETE) or record.n_ops == 0:
+                if record.op == OP_SYNC or len(record.keys) == 0:
                     continue
-                first, last = record.seqno, record.seqno + record.n_ops - 1
+                first, last = record.seqno, record.last_seqno
                 if last <= checkpoint:
                     continue
                 skip = max(0, checkpoint - first + 1)
@@ -384,7 +414,7 @@ class DurableStore(LSMTree):
                     super().delete_batch(record.keys[skip:])
                 self._applied_seqno = last
                 records_replayed += 1
-                ops_replayed += record.n_ops - skip
+                ops_replayed += len(record.keys) - skip
         self._inflight_floor = self._applied_seqno = recovered_seqno
         if self._pending_ops:
             # A replay flush mid-commit never leaves buffered edits, but a
@@ -403,7 +433,7 @@ class DurableStore(LSMTree):
             recovered_entries=self.total_entries,
             checkpoint_seqno=checkpoint,
             recovered_seqno=recovered_seqno,
-            wal_segments=len(kept_readers),
+            wal_segments=len(kept),
             wal_records_replayed=records_replayed,
             wal_ops_replayed=ops_replayed,
             wal_torn=wal_torn,
@@ -417,7 +447,7 @@ class DurableStore(LSMTree):
         self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]
     ) -> None:
         faults.maybe_crash("commit.before")
-        filename = _sstable_filename(run.run_id, level_no)
+        filename = FILE_FMT.format(run.run_id, level_no)
         t0 = perf_counter()
         n_bytes = write_sstable(os.path.join(self.data_dir, filename), run)
         self.telemetry["wall_sstable_s"] += perf_counter() - t0
@@ -429,9 +459,7 @@ class DurableStore(LSMTree):
         faults.maybe_crash("commit.mid")
 
     def _runs_dropped(self, level_no: int, run_ids: Sequence[int]) -> None:
-        for run_id in run_ids:
-            self._pending_ops.append(["drop", level_no, run_id])
-            self._pending_deletions.append(_sstable_filename(run_id, level_no))
+        self._pending_ops.extend(["drop", level_no, run_id] for run_id in run_ids)
 
     def _flush_completed(self) -> None:
         """One flush cascade finished: commit its edits and rotate the WAL.
@@ -461,7 +489,7 @@ class DurableStore(LSMTree):
     def _rotate_wal(self) -> None:
         """Retire the live WAL segment and open the next one.
 
-        Called at flush commits: everything up to ``_checkpoint_floor`` is
+        Called at flush commits: everything up to ``_flushed_seqno`` is
         about to be covered by SSTables, so the retired segment becomes
         deletable once every seqno it holds falls under a later
         checkpoint. The new head id rides the same manifest edit.
@@ -487,8 +515,6 @@ class DurableStore(LSMTree):
         data into SSTables, so a metadata commit must not let the WAL tail
         (acked ops still living only in the memtable) become deletable.
         """
-        if self._closed:
-            raise DurabilityError(f"store at {self.data_dir} is closed")
         edit: Dict[str, object] = {
             "ops": self._pending_ops,
             "checkpoint_seqno": self._flushed_seqno,
@@ -502,40 +528,34 @@ class DurableStore(LSMTree):
         self.telemetry["manifest_edits"] += 1
         self.telemetry["commits"] += 1
         self._state.apply_edit(edit)
-        self._pending_ops = []
-        self._pending_wal_head = None
-        # The edit is durable; dropped tables and covered WAL segments are
-        # now unreferenced by any recovery path.
-        for filename in self._pending_deletions:
-            path = os.path.join(self.data_dir, filename)
-            if os.path.exists(path):
-                os.unlink(path)
-        self._pending_deletions = []
-        checkpoint = self._state.checkpoint_seqno
-        for file_id in sorted(self._segment_max_seqno):
-            if (
-                file_id < self._wal_head_id
-                and self._segment_max_seqno[file_id] <= checkpoint
-            ):
-                path = segment_path(self.data_dir, file_id)
+        # The edit is durable; the tables it drops and the WAL segments its
+        # checkpoint covers are now unreferenced by any recovery path.
+        for op in self._pending_ops:
+            if op[0] == "drop":
+                path = sstable_path(self.data_dir, op[2], op[1])
                 if os.path.exists(path):
                     os.unlink(path)
-                del self._segment_max_seqno[file_id]
+        self._pending_ops = []
+        self._pending_wal_head = None
+        self._drop_covered_segments()
         if self._manifest.edits_written >= self.rotate_manifest_every:
             self._rotate_manifest()
 
+    def _swap_manifest(self, manifest_id: int) -> None:
+        """Start ``MANIFEST-<manifest_id>`` with a snapshot edit of the
+        current state and atomically repoint CURRENT at it."""
+        self._manifest = ManifestWriter(self.data_dir, manifest_id)
+        self._manifest.append_edit(self._state.snapshot_edit())
+        write_current(self.data_dir, manifest_id)
+
     def _rotate_manifest(self) -> None:
-        """Write a snapshot manifest and atomically repoint CURRENT at it."""
+        """Move the edit log to a fresh manifest; the old one is deleted."""
         old = self._manifest
-        new_id = old.manifest_id + 1
-        writer = ManifestWriter(self.data_dir, new_id)
         t0 = perf_counter()
-        writer.append_edit(self._state.snapshot_edit())
-        write_current(self.data_dir, new_id)
+        self._swap_manifest(old.manifest_id + 1)
         self.telemetry["wall_manifest_s"] += perf_counter() - t0
         old.close()
-        os.unlink(old.path)
-        self._manifest = writer
+        os.unlink(old.log.path)
         self._manifest.edits_written = 0
         self.telemetry["manifest_rotations"] += 1
 
@@ -550,15 +570,12 @@ class DurableStore(LSMTree):
         this returns. Returns its first seqno."""
         seq = self._next_seqno
         t0 = perf_counter()
-        before = self._wal.bytes_appended
-        if values is None:
-            self._wal.append_delete(seq, keys)
-        else:
-            self._wal.append_put(seq, keys, values)
+        before = self._wal.log.bytes_appended
+        self._wal.append(seq, keys, values)
         self._next_seqno = seq + len(keys)
         self._wal.sync(self._next_seqno - 1)
         self.telemetry["wall_wal_s"] += perf_counter() - t0
-        self.telemetry["wal_bytes"] += self._wal.bytes_appended - before
+        self.telemetry["wal_bytes"] += self._wal.log.bytes_appended - before
         self.telemetry["wal_records"] += 1
         self.telemetry["wal_syncs"] += 1
         self._acked_seqno = self._next_seqno - 1
@@ -574,7 +591,7 @@ class DurableStore(LSMTree):
         self._journaled(super().put_batch, *validate_batch(keys, values))
 
     def delete_batch(self, keys: np.ndarray) -> None:
-        self._journaled(super().delete_batch, np.asarray(keys, dtype=np.int64))
+        self._journaled(super().delete_batch, validate_keys(keys))
 
     def _journaled(
         self, apply: Callable[..., None], keys: np.ndarray, *values: np.ndarray
@@ -598,7 +615,11 @@ class DurableStore(LSMTree):
         """Run an inherited mutator, then commit its buffered edits and the
         new policy metadata — once, at the outermost call: the base class
         nests these through ``self`` (``set_named_policy`` →
-        ``set_policies`` → ``set_policy`` → ``force_merge_level``)."""
+        ``set_policies`` → ``set_policy`` → ``force_merge_level``). A closed
+        store refuses before the mutator runs, so nothing is applied that
+        could not be committed."""
+        if self._closed:
+            raise DurabilityError(f"store at {self.data_dir} is closed")
         if self._in_mutator:
             mutator(*args)
             return
@@ -668,7 +689,8 @@ class DurableStore(LSMTree):
         """Whole-store snapshot (tree state + durable watermarks).
 
         ``repro.persist`` stores this alongside the config and data_dir;
-        :meth:`load_state_dict` re-materializes the directory from it.
+        :meth:`load_state_dict` installs the directory's next generation
+        from it.
         """
         return {
             "tree": super().state_dict(),
@@ -678,76 +700,16 @@ class DurableStore(LSMTree):
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore from a snapshot and re-materialize the directory.
-
-        The on-disk WAL/SSTables/manifest are replaced wholesale by the
-        snapshot's state: every run is rewritten as an SSTable, a fresh
-        manifest (and empty WAL) is installed, and the old generation's
-        files are removed — after this the directory recovers to exactly
-        the snapshot, not to whatever preceded the load.
-        """
+        """Restore from a snapshot and install it as the directory's next
+        generation (:meth:`_install_generation`): after this the directory
+        recovers to exactly the snapshot, not to whatever preceded the
+        load."""
         super().load_state_dict(state["tree"])
         self._next_seqno = int(state["next_seqno"])
         self._acked_seqno = int(state["acked_seqno"])
-        self._applied_seqno = self._inflight_floor = self._next_seqno - 1
-        self._rematerialize()
-
-    def _rematerialize(self) -> None:
-        """Rebuild every durable file from the current in-memory tree."""
         self._wal.close()
         self._manifest.close()
-        old_files = [
-            name
-            for name in os.listdir(self.data_dir)
-            if name.endswith((".sst", ".tmp"))
-            or name.startswith(("wal-", "MANIFEST-"))
-        ]
-        new_state = ManifestState()
-        new_state.config_state = config_to_state(self.config)
-        new_id = self._manifest.manifest_id + 1
-        kept: set = set()
-        for level in self.levels:
-            for run in level.runs:
-                filename = _sstable_filename(run.run_id, level.level_no)
-                write_sstable(os.path.join(self.data_dir, filename), run)
-                new_state.files.setdefault(level.level_no, []).append(
-                    (run.run_id, filename)
-                )
-                kept.add(filename)
-        # Everything up to the snapshot is in SSTables *except* the
-        # memtable, which is journaled into the fresh WAL below under new
-        # seqnos — so the checkpoint sits just before them.
-        checkpoint = self._next_seqno - 1
-        new_state.checkpoint_seqno = checkpoint
-        new_state.wal_head = 1
-        new_state.apply_edit(self._meta_fields())
-        writer = ManifestWriter(self.data_dir, new_id)
-        writer.append_edit(new_state.snapshot_edit())
-        write_current(self.data_dir, new_id)
-        for name in old_files:
-            if name in kept:
-                continue
-            path = os.path.join(self.data_dir, name)
-            if os.path.exists(path):
-                os.unlink(path)
-        self._manifest = writer
-        self._manifest.edits_written = 0
-        self._state = new_state
-        self._segment_max_seqno = {}
-        self._pending_ops = []
-        self._pending_deletions = []
-        self._pending_wal_head = None
-        self._wal = WalWriter(segment_path(self.data_dir, 1))
-        self._wal_head_id = 1
-        self._flushed_seqno = checkpoint
-        all_keys, all_values = self.memtable.sorted_view()
-        if len(all_keys):
-            live = all_values != TOMBSTONE
-            if live.any():
-                self._ack_wal(all_keys[live], all_values[live])
-            if (~live).any():
-                self._ack_wal(all_keys[~live])
-        self._applied_seqno = self._inflight_floor = self._next_seqno - 1
+        self._install_generation(self._manifest.manifest_id + 1)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.config import SystemConfig, TransitionKind
 from repro.errors import ConfigError, TreeStateError
-from repro.lsm.entry import validate_batch
+from repro.lsm.entry import validate_batch, validate_keys
 from repro.lsm.rangepath import empty_batch_result, scan_batch, validate_ranges
 from repro.lsm.stats import EngineView, MissionStats, sum_level_maps
 from repro.lsm.tree import DerivedMembers, LSMTree, open_span
@@ -166,7 +166,7 @@ class ShardedStore(DerivedMembers):
         """Group the keys per shard, then bulk-delete each group; as with
         :meth:`put_batch`, a batch that cannot be converted is rejected
         before any shard sees it."""
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = validate_keys(keys)
         if len(keys) == 0:
             return
         with open_span(self.tracer, "store.delete_batch", n_keys=len(keys)):

@@ -30,14 +30,22 @@ def validate_value(value: int) -> int:
     return value
 
 
+def validate_keys(keys: np.ndarray) -> np.ndarray:
+    """A key batch as a 1-D int64 array; any other shape is rejected."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 1:
+        raise ValueError(f"a batch must be a 1-D array, got shape {keys.shape}")
+    return keys
+
+
 def validate_batch(
     keys: np.ndarray, values: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Vectorized :func:`validate_value`: ``(keys, values)`` as equal-length
-    int64 arrays, rejecting any value that collides with the tombstone."""
-    keys = np.asarray(keys, dtype=np.int64)
+    1-D int64 arrays, rejecting any value that collides with the tombstone."""
+    keys = validate_keys(keys)
     values = np.asarray(values, dtype=np.int64)
-    if len(keys) != len(values):
+    if values.shape != keys.shape:
         raise ValueError("keys and values must have equal length")
     if (values == TOMBSTONE).any():
         raise ValueError(_COLLISION)

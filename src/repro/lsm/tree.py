@@ -27,7 +27,13 @@ import numpy as np
 from repro.bloom.allocation import allocate_fprs
 from repro.config import SystemConfig, TransitionKind
 from repro.errors import PolicyError, SnapshotError, TreeStateError
-from repro.lsm.entry import TOMBSTONE, merge_block, merge_sorted_sources, validate_batch
+from repro.lsm.entry import (
+    TOMBSTONE,
+    merge_block,
+    merge_sorted_sources,
+    validate_batch,
+    validate_keys,
+)
 from repro.lsm.level import Level
 from repro.lsm.memtable import MemTable
 from repro.lsm.policy import CompactionPolicy, PolicyLike, resolve_policy
@@ -313,7 +319,7 @@ class LSMTree(DerivedMembers):
         """Vectorized delete of many keys, in order: below the validation
         boundary a delete is a write of ``TOMBSTONE``, so it shares
         :meth:`put_batch`'s flush boundaries and cost charging exactly."""
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = validate_keys(keys)
         self._write_batch(
             "lsm.delete_batch", keys, np.full(len(keys), TOMBSTONE, dtype=np.int64)
         )

@@ -9,29 +9,41 @@ engine composes with the persist/obs/engine layers.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import os
+import tempfile
+from typing import Dict, List
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import BloomMode, TransitionKind
+from repro.config import BloomMode, SystemConfig, TransitionKind
 from repro.durable import (
     DurableStore,
     WalReader,
     WalWriter,
     read_manifest,
     read_sstable,
-    replay_wal_bytes,
     write_sstable,
 )
-from repro.durable.manifest import ManifestState, decode_edits, encode_edit
+from repro.durable.log import frame, iter_frames
+from repro.durable.manifest import (
+    ManifestState,
+    ManifestWriter,
+    decode_edits,
+    encode_edit,
+)
 from repro.durable.sstable import sstable_path
 from repro.durable.wal import (
     OP_DELETE,
     OP_PUT,
     OP_SYNC,
+    decode_record,
     encode_record,
     segment_path,
 )
@@ -71,8 +83,41 @@ def assert_contents(store, model):
 
 
 # ----------------------------------------------------------------------
-# WAL record framing
+# Log framing (the WAL's and the manifest's) and the WAL record codec
 # ----------------------------------------------------------------------
+payload_strategy = st.lists(st.binary(max_size=40), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload_strategy)
+def test_log_truncation_recovers_exact_prefix(payloads):
+    """Cutting a log at *every* byte offset yields exactly the frames that
+    fit entirely before the cut — never garbage, never a frame beyond it."""
+    frames = [frame(payload) for payload in payloads]
+    data = b"".join(frames)
+    boundaries = list(itertools.accumulate(map(len, frames)))
+    for cut in range(len(data) + 1):
+        n_whole = sum(1 for b in boundaries if b <= cut)
+        got = list(iter_frames(data[:cut]))
+        assert [payload for payload, _ in got] == payloads[:n_whole]
+        assert [end for _, end in got] == boundaries[:n_whole]
+
+
+@settings(max_examples=40, deadline=None)
+@given(payload_strategy, st.data())
+def test_log_corruption_yields_clean_prefix(payloads, data_strategy):
+    """Flipping any byte never raises and never invents frames: the
+    frames before the flip are read back, the one holding it ends the log."""
+    frames = [frame(payload) for payload in payloads]
+    data = bytearray(b"".join(frames))
+    pos = data_strategy.draw(
+        st.integers(min_value=0, max_value=len(data) - 1)
+    )
+    data[pos] ^= 0xFF
+    intact = sum(1 for b in itertools.accumulate(map(len, frames)) if b <= pos)
+    assert [payload for payload, _ in iter_frames(bytes(data))] == payloads[:intact]
+
+
 record_strategy = st.lists(
     st.tuples(
         st.sampled_from([OP_PUT, OP_DELETE, OP_SYNC]),
@@ -88,81 +133,28 @@ record_strategy = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(record_strategy)
-def test_wal_truncation_recovers_exact_prefix(specs):
-    """Cutting a WAL at *every* byte offset yields exactly the records
-    whose frames fit entirely before the cut — never garbage, never a
-    record beyond the cut."""
-    frames = []
-    records = []
+def test_wal_record_codec_roundtrip(specs):
     for op, seqno, key_list in specs:
-        keys = np.array(key_list, dtype=np.int64)
-        values = keys + 1
-        if op == OP_SYNC:
-            frames.append(encode_record(OP_SYNC, seqno))
-            records.append((op, seqno, 0))
-        elif op == OP_PUT:
-            frames.append(encode_record(OP_PUT, seqno, keys, values))
-            records.append((op, seqno, len(keys)))
-        else:
-            frames.append(encode_record(OP_DELETE, seqno, keys))
-            records.append((op, seqno, len(keys)))
-    data = b"".join(frames)
-    boundaries = []
-    offset = 0
-    for frame in frames:
-        offset += len(frame)
-        boundaries.append(offset)
-    for cut in range(len(data) + 1):
-        decoded, valid_bytes, torn = replay_wal_bytes(data[:cut])
-        n_whole = sum(1 for b in boundaries if b <= cut)
-        assert len(decoded) == n_whole
-        assert valid_bytes == (boundaries[n_whole - 1] if n_whole else 0)
-        assert torn == (cut != valid_bytes)
-        for rec, (op, seqno, n) in zip(decoded, records):
-            assert (rec.op, rec.seqno, len(rec.keys)) == (op, seqno, n)
-
-
-@settings(max_examples=40, deadline=None)
-@given(record_strategy, st.data())
-def test_wal_corruption_yields_clean_prefix(specs, data_strategy):
-    """Flipping any byte never raises and never invents records — replay
-    returns some prefix of what was written."""
-    frames = []
-    for op, seqno, key_list in specs:
-        keys = np.array(key_list, dtype=np.int64)
-        if op == OP_SYNC:
-            frames.append(encode_record(OP_SYNC, seqno))
-        elif op == OP_PUT:
-            frames.append(encode_record(OP_PUT, seqno, keys, keys))
-        else:
-            frames.append(encode_record(OP_DELETE, seqno, keys))
-    data = bytearray(b"".join(frames))
-    clean, _, _ = replay_wal_bytes(bytes(data))
-    pos = data_strategy.draw(
-        st.integers(min_value=0, max_value=len(data) - 1)
-    )
-    data[pos] ^= 0xFF
-    decoded, valid_bytes, _ = replay_wal_bytes(bytes(data))
-    assert len(decoded) <= len(clean)
-    assert valid_bytes <= len(data)
-    for rec, ref in zip(decoded, clean):
-        if rec.seqno != ref.seqno or rec.op != ref.op:
-            # The flipped byte landed in this record yet its CRC passed —
-            # impossible; anything before the flip must match exactly.
-            raise AssertionError("corruption produced a non-prefix record")
+        keys = np.array(key_list if op != OP_SYNC else [], dtype=np.int64)
+        record = decode_record(encode_record(op, seqno, keys, keys + 1))
+        assert (record.op, record.seqno) == (op, seqno)
+        np.testing.assert_array_equal(record.keys, keys)
+        np.testing.assert_array_equal(
+            record.values, keys + 1 if op == OP_PUT else []
+        )
 
 
 def test_wal_writer_reader_roundtrip(tmp_path):
     path = segment_path(str(tmp_path), 1)
     writer = WalWriter(path)
-    writer.append_put(1, np.array([5, 7]), np.array([50, 70]))
-    writer.append_delete(3, np.array([5]))
+    writer.append(1, np.array([5, 7]), np.array([50, 70]))
+    writer.append(3, np.array([5]))
     writer.sync(3)
     writer.close()
     reader = WalReader(path)
     assert not reader.torn
     assert [r.op for r in reader.records] == [OP_PUT, OP_DELETE, OP_SYNC]
-    assert reader.last_synced_seqno == 3
+    assert reader.records[-1].seqno == 3
     assert reader.max_seqno == 3
     np.testing.assert_array_equal(reader.records[0].values, [50, 70])
 
@@ -178,16 +170,24 @@ def fsyncs(monkeypatch):
 
 def test_wal_close_fsyncs_only_unsynced_appends(tmp_path, fsyncs):
     clean = WalWriter(segment_path(str(tmp_path), 1))
-    clean.append_put(1, np.array([5]), np.array([50]))
+    clean.append(1, np.array([5]), np.array([50]))
     clean.sync(1)
     assert len(fsyncs) == 1
     clean.close()  # nothing appended since the sync: nothing left to make durable
     assert len(fsyncs) == 1
     dirty = WalWriter(segment_path(str(tmp_path), 2))
-    dirty.append_put(2, np.array([6]), np.array([60]))
+    dirty.append(2, np.array([6]), np.array([60]))
     dirty.close()
     assert len(fsyncs) == 2
-    assert [r.op for r in WalReader(dirty.path).records] == [OP_PUT]
+    assert [r.op for r in WalReader(dirty.log.path).records] == [OP_PUT]
+
+
+def test_manifest_close_fsyncs_only_unsynced_edits(tmp_path, fsyncs):
+    writer = ManifestWriter(str(tmp_path), 1)
+    writer.append_edit({"checkpoint_seqno": 7})
+    assert len(fsyncs) == 1
+    writer.close()  # every edit was fsynced as it landed
+    assert len(fsyncs) == 1
 
 
 def test_flush_cycle_costs_four_fsyncs(store_dir, tiny_config, fsyncs):
@@ -207,14 +207,17 @@ def test_flush_cycle_costs_four_fsyncs(store_dir, tiny_config, fsyncs):
     store.close()
 
 
-def test_wal_sync_marker_rejects_payload():
-    assert replay_wal_bytes(encode_record(OP_SYNC, 9))[0][0].seqno == 9
-    bad = encode_record(OP_DELETE, 9, np.array([1]))
-    # Rewrite the op byte to SYNC: structurally invalid (n != 0), but the
-    # CRC was computed over the original payload, so the frame is simply
-    # rejected as torn.
-    records, _, torn = replay_wal_bytes(bad[:8] + b"\x03" + bad[9:])
-    assert records == [] and torn
+def test_wal_sync_marker_rejects_payload(tmp_path):
+    assert decode_record(encode_record(OP_SYNC, 9)).seqno == 9
+    # A delete's op byte rewritten to SYNC: a marker carrying a key is
+    # structurally invalid, so even behind a clean CRC it ends the segment.
+    bad = b"\x03" + encode_record(OP_DELETE, 9, np.array([1]))[1:]
+    assert decode_record(bad) is None
+    path = segment_path(str(tmp_path), 1)
+    with open(path, "wb") as fh:
+        fh.write(frame(encode_record(OP_SYNC, 4)) + frame(bad))
+    reader = WalReader(path)
+    assert [r.seqno for r in reader.records] == [4] and reader.torn
 
 
 # ----------------------------------------------------------------------
@@ -240,16 +243,14 @@ def test_sstable_roundtrip(tmp_path, tiny_config, mode):
     config = tiny_config.with_updates(bloom_mode=mode)
     tree, run = make_run(config)
     path = sstable_path(str(tmp_path), run.run_id, run.level_no)
-    write_sstable(path, run)
-    restored, info = read_sstable(path, mode, tree._rng)
+    assert write_sstable(path, run) == os.path.getsize(path)
+    restored = read_sstable(path, mode, tree._rng)
     np.testing.assert_array_equal(restored.keys, run.keys)
     np.testing.assert_array_equal(restored.values, run.values)
     assert restored.run_id == run.run_id
     assert restored.level_no == run.level_no
     assert restored.sealed == run.sealed
     assert restored.capacity_entries == run.capacity_entries
-    assert info.n_entries == run.n_entries
-    assert info.file_bytes == os.path.getsize(path)
 
 
 def test_sstable_rejects_any_corrupt_byte(tmp_path, bitarray_config):
@@ -310,8 +311,8 @@ def test_manifest_edits_apply_and_snapshot_roundtrip():
     replayed = ManifestState()
     replayed.apply_edit(state.snapshot_edit())
     assert replayed.files == state.files
-    assert replayed.policies == state.policies
-    assert replayed.named_policy == state.named_policy
+    assert replayed.meta == state.meta
+    assert replayed.meta["policies"] == [[1, None], [5, 3]]
     assert replayed.checkpoint_seqno == state.checkpoint_seqno
 
 
@@ -319,18 +320,17 @@ def test_manifest_drop_of_unknown_run_raises():
     state = ManifestState()
     with pytest.raises(DurabilityError):
         state.apply_edit({"ops": [["drop", 1, 42]]})
+    with pytest.raises(DurabilityError, match="unknown manifest op"):
+        state.apply_edit({"ops": [["rename", 1, 42]]})
 
 
 def test_manifest_torn_tail_discarded():
-    good = encode_edit({"checkpoint_seqno": 7}) + encode_edit(
-        {"checkpoint_seqno": 9}
-    )
+    first = frame(encode_edit({"checkpoint_seqno": 7}))
+    good = first + frame(encode_edit({"checkpoint_seqno": 9}))
     for cut in range(len(good) + 1):
         edits, torn = decode_edits(good[:cut])
         assert len(edits) <= 2
-        assert torn == (
-            cut not in (0, len(encode_edit({"checkpoint_seqno": 7})), len(good))
-        )
+        assert torn == (cut not in (0, len(first), len(good)))
     edits, torn = decode_edits(good)
     assert [e["checkpoint_seqno"] for e in edits] == [7, 9] and not torn
 
@@ -464,6 +464,52 @@ def test_store_refuses_tombstone_value(store_dir, tiny_config):
     reopened = DurableStore(store_dir)
     assert reopened.total_entries == 0
     reopened.close()
+
+
+def wal_bytes(data_dir):
+    """Every WAL segment's bytes, in segment order."""
+    return [
+        open(os.path.join(data_dir, name), "rb").read()
+        for name in sorted(os.listdir(data_dir))
+        if name.startswith("wal-")
+    ]
+
+
+def test_malformed_batch_refused_before_the_wal(store_dir, tiny_config):
+    """A (2, 3) batch would journal a frame whose header counts 2 keys
+    over a payload of 6 — read back as a torn tail that truncates every
+    later acknowledged write. It is refused before the WAL sees it."""
+    store = DurableStore(store_dir, tiny_config)
+    store.put_batch(np.arange(5), np.arange(5) + 100)
+    acked, view, wal = store.acked_seqno, store.view(), wal_bytes(store_dir)
+    grid = np.arange(6).reshape(2, 3)
+    with pytest.raises(ValueError):
+        store.put_batch(grid, grid)
+    with pytest.raises(ValueError):
+        store.delete_batch(grid)
+    assert store.acked_seqno == acked
+    assert store.view() == view
+    assert wal_bytes(store_dir) == wal
+    store.put_batch(np.arange(10, 15), np.arange(10, 15) + 100)
+    assert store.acked_seqno == 10 and store.get(12) == 112
+    store.close()
+    with DurableStore(store_dir) as reopened:
+        assert not reopened.last_recovery.wal_torn
+        assert reopened.get(12) == 112
+
+
+def test_closed_store_refuses_mutators_before_applying(store_dir, tiny_config):
+    store = DurableStore(store_dir, tiny_config)
+    fill(store, n_batches=3)
+    store.close()
+    policies, bits, view = store.policies(), store.bits_per_key, store.view()
+    with pytest.raises(DurabilityError):
+        store.set_policies([5, 5, 5], TransitionKind.FLEXIBLE)
+    with pytest.raises(DurabilityError):
+        store.set_bits_per_key(3.0)
+    assert store.policies() == policies
+    assert store.bits_per_key == bits
+    assert store.view() == view
 
 
 def test_store_policy_changes_survive_reopen(store_dir, tiny_config):
@@ -610,6 +656,122 @@ def test_persist_memtable_rejournaled(store_dir, tiny_config, tmp_path):
     reopened.close()
 
 
+def test_restored_store_twins_one_that_never_snapshotted(tmp_path, tiny_config):
+    """Checkpoint, restore, drive on: every simulated observable equals a
+    twin store that ran the same stream without the snapshot."""
+    from repro.persist.snapshot import load_engine, save_engine
+
+    twin = DurableStore(str(tmp_path / "twin"), tiny_config)
+    store = DurableStore(str(tmp_path / "store"), tiny_config)
+    for target in (twin, store):
+        fill(target, n_batches=7, seed=3)
+    snap = str(tmp_path / "engine.snap")
+    save_engine(store, snap)
+    store.close()
+    restored = load_engine(snap)
+    for target in (twin, restored):
+        fill(target, n_batches=7, seed=4)
+        target.set_policies([3, 2], TransitionKind.FLEXIBLE)
+        fill(target, n_batches=3, seed=5)
+    assert restored.view() == twin.view()
+    restored.check_invariants()
+    twin.close()
+    restored.close()
+
+
+# ----------------------------------------------------------------------
+# Golden on-disk bytes: nothing the store writes may move
+# ----------------------------------------------------------------------
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "durable_golden.json")
+
+#: ``conftest.tiny_config``'s values (a constant so ``__main__`` below can
+#: re-record without a fixture).
+GOLDEN_CONFIG = SystemConfig(
+    size_ratio=4,
+    entry_bytes=1024,
+    page_bytes=4096,
+    write_buffer_bytes=16 * 1024,
+    bits_per_key=8.0,
+    seed=7,
+)
+
+
+def durable_golden(root: str) -> Dict[str, object]:
+    """A fixed op stream — flushes, compactions, a delete batch, a policy
+    change, manifest rotations, ``save_engine`` → ``load_engine`` — and
+    what it left on disk: the sha256 of every SSTable as it is published
+    and of every WAL segment as it is deleted (or at the end), plus the
+    manifest's replayed state."""
+    from repro.persist.snapshot import load_engine, save_engine
+
+    data_dir = os.path.join(root, "store")
+    produced: Dict[str, List[str]] = {}
+    real_replace, real_unlink = os.replace, os.unlink
+
+    def record(path: str) -> None:
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        produced.setdefault(os.path.basename(path), []).append(digest)
+
+    def replace(src, dst):
+        real_replace(src, dst)
+        if str(dst).endswith(".sst"):
+            record(dst)
+
+    def unlink(path):
+        if os.path.basename(path).startswith("wal-"):
+            record(path)
+        real_unlink(path)
+
+    rng = np.random.default_rng(5)
+
+    def drive(store, n_batches: int) -> None:
+        for _ in range(n_batches):
+            keys = rng.integers(0, 400, size=40)
+            store.put_batch(keys, rng.integers(0, 10**6, size=40))
+
+    with mock.patch.object(os, "replace", replace), mock.patch.object(
+        os, "unlink", unlink
+    ):
+        store = DurableStore(data_dir, GOLDEN_CONFIG, rotate_manifest_every=3)
+        drive(store, 8)
+        store.delete_batch(np.arange(0, 400, 9))
+        store.set_policies([3, 2], TransitionKind.FLEXIBLE)
+        drive(store, 4)
+        store.put(999_983, 41)  # leaves the memtable non-empty
+        snap = os.path.join(root, "engine.snap")
+        save_engine(store, snap)
+        store.close()
+        store = load_engine(snap)
+        drive(store, 4)
+        store.delete(999_983)
+        store.close()
+        for name in sorted(os.listdir(data_dir)):
+            if name.startswith("wal-"):
+                record(os.path.join(data_dir, name))
+    state, manifest_id, torn = read_manifest(data_dir)
+    return {
+        "files": produced,
+        "manifest_id": manifest_id,
+        "manifest_torn": torn,
+        # Through JSON so a recorded and a live state compare alike.
+        "manifest": json.loads(json.dumps(state.snapshot_edit(), sort_keys=True)),
+    }
+
+
+def test_durable_golden_bytes(tmp_path):
+    """Recorded before the WAL and the manifest shared one log writer: a
+    refactor of ``durable/`` passes this unchanged or it changed a byte
+    the store writes."""
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        want = json.load(handle)
+    got = durable_golden(str(tmp_path))
+    assert got["files"].keys() == want["files"].keys()
+    for name, digests in want["files"].items():
+        assert got["files"][name] == digests, name
+    assert got == want
+
+
 def test_collect_durable_metrics(store_dir, tiny_config):
     from repro.obs import collect_durable_metrics
 
@@ -624,3 +786,12 @@ def test_collect_durable_metrics(store_dir, tiny_config):
     assert "repro_durable_recovery" in text
     assert "repro_sim_clock_seconds" in text
     reopened.close()
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/test_durable.py
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with tempfile.TemporaryDirectory() as root:
+        golden = durable_golden(root)
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=1, sort_keys=True)
+        handle.write("\n")

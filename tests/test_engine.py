@@ -271,6 +271,22 @@ class TestPutBatch:
             store.delete_batch([1, 2, 2**63])
         assert store.view() == before
 
+    @pytest.mark.parametrize("n_shards", (0, 4))
+    def test_two_dimensional_batch_rejected_before_counting(
+        self, tiny_config, n_shards
+    ):
+        """A batch is a 1-D array: a (2, 3) one is refused whole, before a
+        single update is counted."""
+        store = ShardedStore(tiny_config, n_shards) if n_shards else LSMTree(tiny_config)
+        store.put_batch(np.arange(5), np.arange(5) + 100)
+        before = store.view()
+        grid = np.arange(6).reshape(2, 3)
+        with pytest.raises(ValueError, match="1-D"):
+            store.put_batch(grid, grid)
+        with pytest.raises(ValueError, match="1-D"):
+            store.delete_batch(grid)
+        assert store.view() == before
+
     def test_empty_batch_is_noop(self, tiny_config):
         tree = LSMTree(tiny_config)
         tree.put_batch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))

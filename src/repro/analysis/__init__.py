@@ -21,13 +21,12 @@ path:
 
 This package is the linter that reads the code instead: a small rule
 engine (:mod:`repro.analysis.core`), the five rules above
-(:mod:`repro.analysis.rules`), pragma + baseline suppression, and text /
+(:mod:`repro.analysis.rules`), justified-pragma suppression, and text /
 JSON reporters behind a ``python -m repro.analysis`` CLI that exits
 non-zero on any unsuppressed finding. CI runs it next to ruff
 (DESIGN.md §14).
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import Analyzer, AnalysisReport, Finding, ModuleInfo, Rule
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import ALL_RULES, get_rules
@@ -36,7 +35,6 @@ __all__ = [
     "ALL_RULES",
     "AnalysisReport",
     "Analyzer",
-    "Baseline",
     "Finding",
     "ModuleInfo",
     "Rule",

@@ -2,9 +2,7 @@
 
 Exits non-zero on any unsuppressed finding (or analysis error), so CI
 can gate on it next to ruff. Default package root is the installed
-``repro`` package itself; default baseline is ``analysis_baseline.json``
-at the repo root (two levels above ``src/repro``), loaded only if it
-exists.
+``repro`` package itself.
 
 Examples::
 
@@ -12,7 +10,6 @@ Examples::
     python -m repro.analysis --format json        # JSON to stdout
     python -m repro.analysis --json out.json      # text + JSON artifact
     python -m repro.analysis --rules SIM-PURITY,LOCK-ORDER
-    python -m repro.analysis --write-baseline     # acknowledge current findings
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import argparse
 import os
 import sys
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import Analyzer
 from repro.analysis.report import render_json, render_text
 from repro.analysis.rules import ALL_RULES, get_rules
@@ -29,11 +25,6 @@ from repro.analysis.rules import ALL_RULES, get_rules
 
 def default_package_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def default_baseline_path(package_root: str) -> str:
-    repo_root = os.path.dirname(os.path.dirname(package_root))
-    return os.path.join(repo_root, "analysis_baseline.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,24 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON report to PATH (CI artifact)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file (default: analysis_baseline.json at the repo "
-        "root, if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report the full finding set)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current unsuppressed findings to the baseline file "
-        "and exit 0",
-    )
-    parser.add_argument(
         "--show-suppressed",
         action="store_true",
         help="include suppressed findings in the text report",
@@ -105,25 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.rules
         else None
     )
-    rules = get_rules(rule_names)
-
-    baseline_path = args.baseline or default_baseline_path(package_root)
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load_or_empty(baseline_path)
-
-    analyzer = Analyzer(package_root, rules, baseline=baseline)
-    report = analyzer.run()
-
-    if args.write_baseline:
-        fresh = Baseline.from_findings(report.unsuppressed, path=baseline_path)
-        target = fresh.save()
-        print(
-            f"wrote {len(fresh)} baseline entr{'y' if len(fresh) == 1 else 'ies'} "
-            f"to {target}"
-        )
-        return 0
-
+    report = Analyzer(package_root, get_rules(rule_names)).run()
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(render_json(report))

@@ -8,25 +8,22 @@ The moving parts:
   path prefixes it applies to (``scopes``) and yields raw findings from
   one module's AST.
 * :class:`Analyzer` — walks a package tree, runs every rule over every
-  in-scope module, assigns stable fingerprints, then applies the two
-  suppression layers (inline pragmas, committed baseline).
+  in-scope module, then applies the one suppression layer (inline pragmas).
 
-Suppression policy (DESIGN.md §14): a finding may be silenced either by
-an inline pragma **with a justification** on (or immediately above) the
+Suppression policy (DESIGN.md §14): a finding may be silenced only by an
+inline pragma **with a justification** on (or immediately above) the
 offending line::
 
     t0 = time.perf_counter()  # repro: allow[SIM-PURITY] wall telemetry only
 
-or by an entry in the committed baseline file (for findings that predate
-a rule and are tracked for burn-down). A pragma without a justification
-does not suppress — it is itself reported under the ``PRAGMA-FORMAT``
-pseudo-rule, so "allow" never silently degrades into "ignore".
+A pragma without a justification does not suppress — it is itself reported
+under the ``PRAGMA-FORMAT`` pseudo-rule, so "allow" never silently degrades
+into "ignore".
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -68,10 +65,9 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-    fingerprint: str = ""
-    #: ``None`` (live), ``"pragma"`` or ``"baseline"`` once suppressed.
+    #: ``None`` (live), or ``"pragma"`` once suppressed.
     suppressed_by: str | None = None
-    #: justification text of the suppressing pragma/baseline entry.
+    #: justification text of the suppressing pragma.
     justification: str = ""
 
     def location(self) -> str:
@@ -193,15 +189,6 @@ class AnalysisReport:
         return not self.unsuppressed and not self.errors
 
 
-def fingerprint_of(rule: str, module: str, snippet: str, occurrence: int) -> str:
-    """Stable identity of a finding: rule + module + normalized source
-    text + occurrence index among identical lines. Deliberately excludes
-    the line number so baseline entries survive unrelated edits above
-    the finding."""
-    basis = f"{rule}|{module}|{' '.join(snippet.split())}|{occurrence}"
-    return hashlib.sha1(basis.encode("utf-8")).hexdigest()[:16]
-
-
 class Analyzer:
     """Runs a rule set over every ``*.py`` under a package root.
 
@@ -209,7 +196,7 @@ class Analyzer:
     rules scope themselves by path relative to it (``lsm/tree.py``).
     """
 
-    def __init__(self, package_root: str, rules: list[Rule], baseline=None) -> None:
+    def __init__(self, package_root: str, rules: list[Rule]) -> None:
         if not os.path.isdir(package_root):
             raise ConfigError(f"package root is not a directory: {package_root}")
         names = [rule.name for rule in rules]
@@ -217,7 +204,6 @@ class Analyzer:
             raise ConfigError(f"duplicate rule names: {names}")
         self.package_root = package_root
         self.rules = rules
-        self.baseline = baseline
 
     def collect_files(self) -> list[str]:
         found: list[str] = []
@@ -271,22 +257,10 @@ class Analyzer:
                             snippet=module.line(pragma.line),
                         )
                     )
-            module_findings.sort(key=lambda f: (f.line, f.col, f.rule))
-            self._fingerprint(module_findings)
             self._suppress(module, module_findings)
             report.findings.extend(module_findings)
         report.findings.sort(key=lambda f: (f.module, f.line, f.col, f.rule))
         return report
-
-    def _fingerprint(self, findings: list[Finding]) -> None:
-        seen: dict[tuple[str, str], int] = {}
-        for finding in findings:
-            key = (finding.rule, " ".join(finding.snippet.split()))
-            occurrence = seen.get(key, 0)
-            seen[key] = occurrence + 1
-            finding.fingerprint = fingerprint_of(
-                finding.rule, finding.module, finding.snippet, occurrence
-            )
 
     def _suppress(self, module: ModuleInfo, findings: list[Finding]) -> None:
         for finding in findings:
@@ -296,9 +270,3 @@ class Analyzer:
             if pragma is not None:
                 finding.suppressed_by = "pragma"
                 finding.justification = pragma.reason
-                continue
-            if self.baseline is not None:
-                entry = self.baseline.lookup(finding.fingerprint)
-                if entry is not None:
-                    finding.suppressed_by = "baseline"
-                    finding.justification = entry.get("justification", "")

@@ -70,7 +70,6 @@ def render_json(report: AnalysisReport) -> str:
                 "col": f.col,
                 "message": f.message,
                 "snippet": f.snippet,
-                "fingerprint": f.fingerprint,
                 "suppressed_by": f.suppressed_by,
                 "justification": f.justification,
             }

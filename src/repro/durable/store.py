@@ -319,7 +319,7 @@ class DurableStore(LSMTree):
             level.pending_policy = None if pending is None else int(pending)
         if meta.get("named_policy") is not None:
             self.compaction_policy = resolve_policy(str(meta["named_policy"]))
-        if meta.get("bits_per_key") is not None and self.levels:
+        if meta.get("bits_per_key") is not None:
             super().set_bits_per_key(float(meta["bits_per_key"]))
 
         # Open live SSTables in manifest order (per level: oldest first).

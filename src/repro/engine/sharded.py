@@ -176,8 +176,9 @@ class ShardedStore(DerivedMembers):
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized lookups grouped per shard (one batch call per shard
         instead of one mask scan per shard); results scatter back in the
-        caller's order."""
-        keys = np.asarray(keys, dtype=np.int64)
+        caller's order. As with the writes, the batch is validated before
+        any shard counts a lookup."""
+        keys = validate_keys(keys)
         n = len(keys)
         found = np.zeros(n, dtype=bool)
         values = np.zeros(n, dtype=np.int64)

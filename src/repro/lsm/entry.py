@@ -15,6 +15,9 @@ import numpy as np
 
 #: Reserved value marking a deleted key. User values must not equal this.
 TOMBSTONE: int = np.iinfo(np.int64).min
+#: The largest unsigned entry a cast to int64 keeps (a uint64, so comparing
+#: against it never promotes to float).
+_INT64_MAX = np.uint64(np.iinfo(np.int64).max)
 
 _COLLISION = (
     "value collides with the tombstone sentinel; "
@@ -31,20 +34,28 @@ def validate_value(value: int) -> int:
 
 
 def validate_keys(keys: np.ndarray) -> np.ndarray:
-    """A key batch as a 1-D int64 array; any other shape is rejected."""
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.ndim != 1:
-        raise ValueError(f"a batch must be a 1-D array, got shape {keys.shape}")
-    return keys
+    """A key batch as a 1-D int64 array. Any other shape is rejected, and so
+    is anything a cast to int64 would change: a non-integer dtype (1.7 would
+    truncate to 1; Python ints outside int64 arrive as objects) or an
+    unsigned entry above ``INT64_MAX`` (2**63 would wrap to -2**63)."""
+    array = np.asarray(keys)
+    if array.ndim != 1:
+        raise ValueError(f"a batch must be a 1-D array, got shape {array.shape}")
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"a batch must hold integers, got dtype {array.dtype}")
+    if array.dtype.kind == "u" and array.size and array.max() > _INT64_MAX:
+        raise ValueError(f"a batch entry is outside int64: {array.max()}")
+    return array.astype(np.int64, copy=False)
 
 
 def validate_batch(
     keys: np.ndarray, values: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Vectorized :func:`validate_value`: ``(keys, values)`` as equal-length
-    1-D int64 arrays, rejecting any value that collides with the tombstone."""
+    1-D int64 arrays (each checked like :func:`validate_keys`), rejecting any
+    value that collides with the tombstone."""
     keys = validate_keys(keys)
-    values = np.asarray(values, dtype=np.int64)
+    values = validate_keys(values)
     if values.shape != keys.shape:
         raise ValueError("keys and values must have equal length")
     if (values == TOMBSTONE).any():

@@ -39,10 +39,10 @@ the view is host-side caching with no simulated cost, exactly like the
 point-lookup path.
 
 The per-op loop this path must match bit for bit lives test-side
-(``tests/reference_range.py``): the equivalence suite
-(``tests/test_rangepath.py``) and the ``range_path_scale`` benchmark both
-diff :meth:`LSMTree.range_scan_batch` against it on identical tree
-snapshots.
+(``tests/reference_range.py``): the differential oracle
+(``tests/test_oracle.py``) holds every engine's scans sim-identical to it,
+and the ``range_path_scale`` benchmark diffs :meth:`LSMTree.range_scan_batch`
+against it on identical tree snapshots.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.lsm.entry import TOMBSTONE
+from repro.lsm.entry import TOMBSTONE, validate_keys
 
 #: Stage names :func:`scan_batch` laps on the caller's span, in pipeline order.
 RANGE_STAGES = ("range_search", "range_charge", "range_gather", "range_merge")
@@ -67,14 +67,14 @@ def empty_batch_result(n_ranges: int) -> BatchResult:
 
 def validate_ranges(los, his) -> Tuple[np.ndarray, np.ndarray]:
     """``(los, his)`` as equal-length 1-d int64 arrays of inclusive ranges
-    with every ``lo <= hi``. Engines call this before counting or charging
-    anything, so a rejected batch leaves the simulation untouched."""
-    los = np.asarray(los, dtype=np.int64)
-    his = np.asarray(his, dtype=np.int64)
-    if los.shape != his.shape or los.ndim != 1:
+    with every ``lo <= hi``, each column checked like a key batch
+    (:func:`~repro.lsm.entry.validate_keys`). Engines call this before
+    counting or charging anything, so a rejected batch leaves the simulation
+    untouched."""
+    los, his = validate_keys(los), validate_keys(his)
+    if los.shape != his.shape:
         raise ValueError(
-            f"los/his must be 1-d arrays of equal length, got "
-            f"{los.shape} vs {his.shape}"
+            f"los/his must have equal length, got {los.shape} vs {his.shape}"
         )
     bad = los > his
     if bad.any():

@@ -480,9 +480,10 @@ class LSMTree(DerivedMembers):
         :class:`~repro.lsm.level.LevelLookupIndex` to compute every key's
         probe schedule across *all* runs of the level in one binary search,
         leaving only O(pending) mask work, the per-run Bloom draw, and page
-        charging in the per-run loop.
+        charging in the per-run loop. A batch ``validate_keys`` refuses is
+        rejected before a lookup is counted.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = validate_keys(keys)
         n = len(keys)
         self.stats.count_lookup(n)
         with open_span(self.tracer, "lsm.get_batch", n_keys=n) as span:

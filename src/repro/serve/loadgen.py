@@ -23,9 +23,10 @@ SimClock are never touched.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from typing import Dict, Iterator, List, Sequence
 
@@ -357,13 +358,19 @@ def run_load(
 
 def _reseeded(workload: WorkloadSpec, seed: int) -> WorkloadSpec:
     """A copy of ``workload`` with its stream seed offset (same record
-    space), so concurrent clients replay independent operation streams.
-    Workloads without a ``seed`` attribute are shared as-is (their mission
-    iterators are then consumed jointly, which is also well-defined)."""
+    space), so concurrent clients replay independent operation streams; a
+    dynamic schedule is reseeded phase by phase. A workload with neither a
+    ``seed`` nor ``phases`` is shared as-is: every ``missions()`` call is a
+    fresh generator, so its clients replay one identical stream."""
+    if hasattr(workload, "phases"):
+        clone = copy.copy(workload)
+        clone.phases = [  # type: ignore[attr-defined]
+            replace(phase, spec=_reseeded(phase.spec, seed))
+            for phase in workload.phases  # type: ignore[attr-defined]
+        ]
+        return clone
     if not hasattr(workload, "seed"):
         return workload
-    import copy
-
     clone = copy.copy(workload)
     try:
         clone.seed = workload.seed + seed  # type: ignore[attr-defined]

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.config import BloomMode, SystemConfig
+
+# ``pytest tests/test_oracle.py --hypothesis-profile=deep`` (the scheduled
+# workflow): the differential oracle at ten times its tier-1 example count.
+settings.register_profile("deep", max_examples=300)
 
 
 @pytest.fixture

@@ -2,21 +2,19 @@
 
 Each rule gets a *bad* fixture that must fire and a *good* fixture that
 must stay silent, written into a throwaway package tree so the rules run
-against exactly the code under test. The pragma and baseline suppression
-layers are round-tripped, the CLI's exit-code contract is exercised, and
-a final self-check asserts the real repo is clean under the committed
-baseline — the same gate CI runs.
+against exactly the code under test. Pragma suppression is exercised,
+the CLI's exit-code contract too, and a final self-check asserts the real
+repo is clean — the same gate CI runs.
 """
 
 import json
-import os
 import textwrap
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, get_rules
+from repro.analysis import Analyzer, get_rules
 from repro.analysis.__main__ import default_package_root, main
-from repro.analysis.core import PRAGMA_FORMAT, fingerprint_of
+from repro.analysis.core import PRAGMA_FORMAT
 from repro.analysis.report import render_json, render_text
 from repro.errors import ConfigError
 
@@ -31,10 +29,8 @@ def make_pkg(tmp_path, files):
     return str(root)
 
 
-def run_rules(tmp_path, files, rules=None, baseline=None):
-    root = make_pkg(tmp_path, files)
-    analyzer = Analyzer(root, get_rules(rules), baseline=baseline)
-    return analyzer.run()
+def run_rules(tmp_path, files, rules=None):
+    return Analyzer(make_pkg(tmp_path, files), get_rules(rules)).run()
 
 
 def rules_fired(report):
@@ -428,54 +424,6 @@ def test_pragma_for_a_different_rule_does_not_suppress(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Baseline suppression
-# ----------------------------------------------------------------------
-
-
-def test_baseline_round_trip_suppresses_and_survives_line_shifts(tmp_path):
-    files = {"lsm/legacy.py": SIM_BAD}
-    first = run_rules(tmp_path, files)
-    assert not first.clean
-
-    baseline_path = tmp_path / "baseline.json"
-    baseline = Baseline.from_findings(
-        first.unsuppressed, path=str(baseline_path)
-    )
-    baseline.save()
-    loaded = Baseline.load(str(baseline_path))
-    assert len(loaded) == len(first.unsuppressed)
-
-    again = run_rules(tmp_path, files, baseline=loaded)
-    assert again.clean
-    assert all(f.suppressed_by == "baseline" for f in again.suppressed)
-
-    # Fingerprints key on (rule, module, snippet, occurrence), not line
-    # numbers: prepending comment lines must not invalidate the baseline.
-    shifted = {"lsm/legacy.py": "# header\n# more header\n" + textwrap.dedent(SIM_BAD)}
-    moved = run_rules(tmp_path, shifted, baseline=loaded)
-    assert moved.clean
-
-
-def test_baseline_does_not_cover_new_findings(tmp_path):
-    first = run_rules(tmp_path, {"lsm/legacy.py": SIM_BAD})
-    baseline = Baseline.from_findings(first.unsuppressed)
-
-    grown = dict({"lsm/legacy.py": SIM_BAD})
-    grown["lsm/fresh.py"] = "import time\n\n\ndef t():\n    return time.time()\n"
-    report = run_rules(tmp_path, grown, baseline=baseline)
-    assert not report.clean
-    live = {f.module for f in report.unsuppressed}
-    assert live == {"lsm/fresh.py"}
-
-
-def test_fingerprint_occurrence_disambiguates_identical_snippets():
-    a = fingerprint_of("SIM-PURITY", "lsm/x.py", "t = time.time()", 0)
-    b = fingerprint_of("SIM-PURITY", "lsm/x.py", "t = time.time()", 1)
-    assert a != b
-    assert a == fingerprint_of("SIM-PURITY", "lsm/x.py", "t = time.time()", 0)
-
-
-# ----------------------------------------------------------------------
 # Reporters + CLI
 # ----------------------------------------------------------------------
 
@@ -498,47 +446,17 @@ def test_unknown_rule_name_raises():
 def test_cli_exit_codes_and_artifact(tmp_path, capsys):
     dirty = make_pkg(tmp_path, {"lsm/hot.py": SIM_BAD})
     artifact = tmp_path / "findings.json"
-    code = main(
-        [
-            "--package-root",
-            dirty,
-            "--no-baseline",
-            "--json",
-            str(artifact),
-        ]
-    )
+    code = main(["--package-root", dirty, "--json", str(artifact)])
     assert code == 1
     payload = json.loads(artifact.read_text())
     assert payload["counts"]["unsuppressed"] >= 4
     capsys.readouterr()
 
     clean = make_pkg(tmp_path / "ok", {"lsm/fine.py": "X = 1\n"})
-    assert main(["--package-root", clean, "--no-baseline"]) == 0
+    assert main(["--package-root", clean]) == 0
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "SIM-PURITY" in out
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    root = make_pkg(tmp_path, {"lsm/hot.py": SIM_BAD})
-    baseline = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "--package-root",
-                root,
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-            ]
-        )
-        == 0
-    )
-    assert baseline.exists()
-    assert (
-        main(["--package-root", root, "--baseline", str(baseline)]) == 0
-    )
-    capsys.readouterr()
 
 
 # ----------------------------------------------------------------------
@@ -546,13 +464,8 @@ def test_cli_write_baseline_then_clean(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
-def test_repo_is_clean_under_committed_baseline():
-    package_root = default_package_root()
-    repo_root = os.path.dirname(os.path.dirname(package_root))
-    baseline = Baseline.load_or_empty(
-        os.path.join(repo_root, "analysis_baseline.json")
-    )
-    report = Analyzer(package_root, get_rules(None), baseline=baseline).run()
+def test_repo_is_clean():
+    report = Analyzer(default_package_root(), get_rules(None)).run()
     assert report.clean, render_text(report)
     # The two sanctioned wall-clock sites (Lerp's model-update timer, both
     # halves in core/lerp.py) carry justified pragmas.

@@ -15,9 +15,7 @@ import types
 
 import numpy as np
 import pytest
-import test_engine
-import test_rangepath
-import test_readpath
+import test_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +27,6 @@ from repro.lsm.iterators import live_items
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.run import SortedRun
 from repro.lsm.tree import LSMTree
-
-records = test_engine.records  # the put twins' fixture
 
 
 def make_run(run_id, keys, values):
@@ -115,25 +111,9 @@ def small_block(monkeypatch):
 
 
 @pytest.mark.usefixtures("small_block")
-class TestGetTwinMultiBlock(test_readpath.TestBitIdenticalToReference):
-    """``reference_get`` twins, stacked indexes built block by block."""
-
-
-@pytest.mark.usefixtures("small_block")
-class TestRangeTwinMultiBlock(test_rangepath.TestBitIdenticalToReference):
-    """Range twins, compactions and the reference's own merge block by block."""
-
-
-@pytest.mark.usefixtures("small_block")
-class TestPutTwinMultiBlock:
-    """``reference_put`` / ``reference_delete`` twins on every engine kind."""
-
-    test_exactly_matches_per_key_puts = (
-        test_engine.TestPutBatch.test_exactly_matches_per_key_puts
-    )
-    test_duplicate_heavy_stream_matches_per_key_puts = (
-        test_engine.TestPutBatch.test_duplicate_heavy_stream_matches_per_key_puts
-    )
+class TestOracleMultiBlock(test_oracle.Oracle.TestCase):
+    """The differential oracle (tests/test_oracle.py), every compaction,
+    stacked index and reference merge cut into blocks."""
 
 
 class TestBulkLoadContract:

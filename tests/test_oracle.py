@@ -1,0 +1,629 @@
+"""The differential oracle: one state machine checks every engine.
+
+Hypothesis drives :class:`Oracle` through random rule sequences against a
+set of *systems* built from one drawn configuration:
+
+* ``tree`` — a bare :class:`LSMTree`;
+* ``reference`` / ``reference-4`` — one tree, or four routed like a
+  :class:`ShardedStore`, driven only through the per-op references
+  (``tests/reference_{put,get,range}.py``) and per-tree tuning calls;
+* ``sharded-1`` / ``sharded-4`` — :class:`ShardedStore` with 1 / 4 shards;
+* ``durable`` / ``durable-4`` — a :class:`DurableStore`, and a 4-shard
+  store of them built through ``tree_factory``;
+* ``scalar`` / ``scalar-4`` — a tree and a 4-shard store driven one key,
+  one range at a time (``exact`` profile only: dyadic costs, bit-array
+  Blooms and no cache make a batch read charge exactly what its keys read
+  one by one do).
+
+The model is a dict. After every rule: every system's contents equal the
+model, check_invariants() holds, and operation counts agree everywhere.
+Each group of :data:`GROUPS` is *sim-identical* — :func:`observables` is
+equal across it — so neither a tracer, a snapshot restore nor running per
+op may make one member's cost differ from another's, and a policy switch,
+under any transition kind, may change cost but never contents (the paper's
+§4 claim). A reopened durable store leaves its group (recovery
+replays the WAL tail on a fresh clock), and no reopen or crash may lose an
+acknowledged write. DESIGN.md §17 says how to add a system or a rule.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import tempfile
+from itertools import chain
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+from reference_get import reference_get_batch
+from reference_put import reference_delete, reference_put
+from reference_range import reference_range_scan_batch
+
+from repro.config import BloomMode, CostModelParams, SystemConfig, TransitionKind
+from repro.durable import DurableStore
+from repro.engine.sharded import ShardedStore, merge_mission_stats, shard_of
+from repro.errors import TreeStateError
+from repro.lsm.entry import TOMBSTONE
+from repro.lsm.iterators import live_items
+from repro.lsm.tree import LSMTree
+from repro.obs import Tracer
+from repro.persist import load_engine, load_snapshot, save_engine
+
+#: Power-of-two cost constants: every charge is a dyadic float, so sums
+#: come out bit-equal in any accumulation order.
+DYADIC_COSTS = CostModelParams(
+    random_read_s=2.0**-15,
+    random_write_s=2.0**-15,
+    seq_read_s=2.0**-17,
+    seq_write_s=2.0**-17,
+    run_probe_cpu_s=2.0**-18,
+    compaction_entry_cpu_s=2.0**-20,
+)
+
+_TINY = dict(
+    size_ratio=3, entry_bytes=1024, page_bytes=4096, write_buffer_bytes=4 * 1024, seed=3
+)
+PROFILES = {
+    # The default cost model; ``load`` draws the Bloom mode (analytical: an
+    # RNG draw per probe) and the cache size (none, or 16 pages) apart.
+    "default": SystemConfig(**_TINY),
+    # Where a per-op read is sim-identical to a batch one: the scalar systems join.
+    "exact": SystemConfig(**_TINY, bloom_mode=BloomMode.BIT_ARRAY, costs=DYADIC_COSTS),
+}
+
+#: Systems that must stay sim-identical, one group per routing.
+GROUPS = (
+    ("tree", "reference", "sharded-1", "durable", "scalar"),
+    ("sharded-4", "reference-4", "durable-4", "scalar-4"),
+)
+REFERENCES = {"reference", "reference-4"}
+PER_OP = {"scalar", "scalar-4"}
+DURABLE = ("durable", "durable-4")
+
+KEYS = st.integers(-8, 300)
+PROBES = st.integers(-16, 320)  # a few keys no write reaches
+VALUES = st.integers(TOMBSTONE + 1, 2**63 - 1)
+
+
+def batches(elements, long=64):
+    """Short batches (empty ones included) or long ones: a plain list
+    strategy averages five elements, too few to grow a tree deep."""
+    return st.lists(elements, max_size=8) | st.lists(elements, min_size=24, max_size=long)
+
+
+ITEMS = batches(st.tuples(KEYS, VALUES))
+TRANSITIONS = st.sampled_from(list(TransitionKind))
+NAMED_POLICIES = st.sampled_from(("leveling", "tiering", "lazy-leveling"))
+
+#: Inputs every engine must refuse, and the batch methods each applies to.
+_ALL = ("put_batch", "delete_batch", "get_batch", "range_scan_batch", "bulk_load")
+INVALID = {
+    "tombstone": ("put_batch", "bulk_load"),
+    "uint64": _ALL,
+    "float": _ALL,
+    "outside-int64": _ALL,
+    "2-D": _ALL,
+    "unequal": ("put_batch", "range_scan_batch", "bulk_load"),
+    "inverted": ("range_scan_batch",),
+}
+
+
+def observables(engine):
+    """What sim-identical engines must agree on: ``view()`` plus, per tree,
+    the three things a view summarises away — cache contents, the Bloom RNG
+    state and memtable insertion order."""
+    trees = engine.tuning_targets()
+    return (
+        engine.view(),
+        [tree.cache.state_dict() for tree in trees],
+        [tree._rng.bit_generator.state for tree in trees],
+        [list(tree.memtable._entries.items()) for tree in trees],
+    )
+
+
+def contents(engine):
+    """Every live entry as a dict, read without charging anything."""
+    out = {}
+    for tree in engine.tuning_targets():
+        keys, values = live_items(tree)
+        out.update(zip(keys.tolist(), values.tolist()))
+    return out
+
+
+def footprint(engine):
+    """What a refused call may not change: the observables (the view counts
+    every update and entry, the memtable shows every buffered write) and
+    the acknowledged WAL seqnos."""
+    acked = [getattr(tree, "acked_seqno", None) for tree in engine.tuning_targets()]
+    return observables(engine), acked
+
+
+def close(engine):
+    for tree in engine.tuning_targets():
+        if isinstance(tree, DurableStore):
+            tree.close()
+
+
+def columns(items):
+    keys = np.array([key for key, _ in items], dtype=np.int64)
+    return keys, np.array([value for _, value in items], dtype=np.int64)
+
+
+def answers(found, values):
+    return [int(v) if f else None for f, v in zip(found.tolist(), values.tolist())]
+
+
+def per_range(keys, values, offsets):
+    pairs = list(zip(keys.tolist(), values.tolist()))
+    bounds = offsets.tolist()
+    return [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def home_groups(keys, trees):
+    """``(tree, idx)`` per home tree, ``idx`` in batch order: a
+    :class:`ShardedStore`'s routing, restated test-side."""
+    homes = shard_of(keys, len(trees))
+    return [(tree, np.flatnonzero(homes == s)) for s, tree in enumerate(trees)]
+
+
+def reference_lookup(engine, keys):
+    found = np.zeros(len(keys), dtype=bool)
+    values = np.zeros(len(keys), dtype=np.int64)
+    for tree, idx in home_groups(keys, engine.tuning_targets()):
+        if len(idx):
+            found[idx], values[idx] = reference_get_batch(tree, keys[idx])
+    return answers(found, values)
+
+
+def reference_scan(engine, los, his):
+    """Every tree scanned by the per-op reference, merged per range (the
+    trees are key-disjoint). The reference counts a range on each tree it
+    scans; an engine counts it once, on the home tree of its ``lo``."""
+    trees = engine.tuning_targets()
+    homes = shard_of(los, len(trees))
+    parts = []
+    for s, tree in enumerate(trees):
+        parts.append(per_range(*reference_range_scan_batch(tree, los, his)))
+        tree.stats.count_range(-int(np.count_nonzero(homes != s)))
+    return [sorted(chain(*ranges)) for ranges in zip(*parts)]
+
+
+def build(name, config, root):
+    """A system of ``name``'s kind; a durable one opens (creates, or
+    recovers) its directories under ``root``."""
+    if name == "durable":
+        return DurableStore(os.path.join(root, name), config)
+    if name == "durable-4":
+        return ShardedStore(
+            config,
+            4,
+            tree_factory=lambda c, i: DurableStore(
+                os.path.join(root, f"{name}-{i}"), c.with_updates(seed=c.seed + i)
+            ),
+        )
+    if name == "sharded-1":
+        return ShardedStore(config, 1)
+    return ShardedStore(config, 4) if name.endswith("-4") else LSMTree(config)
+
+
+def invalid_args(kind, method, n, at, in_values):
+    """Arguments ``method`` must refuse: ``n`` good keys, entry ``at``
+    spoiled the way ``kind`` says (in the value column when ``in_values``)."""
+    good = np.arange(n, dtype=np.int64)
+    if kind == "2-D":
+        bad = np.arange(6).reshape(2, 3)
+    elif kind == "uint64":
+        bad = good.astype(np.uint64)
+        bad[at] = 2**63 + at  # a cast to int64 would wrap it negative
+    elif kind == "float":
+        bad = good + 0.7  # a cast to int64 would truncate it
+    elif kind == "outside-int64":
+        bad = good.tolist()
+        bad[at] = 2**64 + at if at % 2 else -(2**63) - 1 - at
+    else:
+        bad = good
+    if method in ("delete_batch", "get_batch"):
+        return (bad,)
+    if kind == "unequal":
+        return good, good[1:]
+    if method == "range_scan_batch":
+        if kind == "inverted":
+            his = good.copy()
+            his[at] -= 1
+            return good, his
+        return bad, bad
+    if kind == "tombstone":
+        values = good.copy()
+        values[at] = TOMBSTONE
+        return good, values
+    return (good, bad) if in_values else (bad, bad)
+
+
+class Oracle(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="oracle-")
+        self.config = None
+        self.systems = {}
+        self.model = {}
+        self.detached = set()  # reopened durable systems: contents only
+        self.in_mission = False
+
+    def build(self, name):
+        return build(name, self.config, self.root)
+
+    def groups(self):
+        for group in GROUPS:
+            members = [n for n in group if n in self.systems and n not in self.detached]
+            if members:
+                yield members
+
+    def driven(self, name):
+        """What ``name``'s calls go to: a reference system's trees one by
+        one (its routing is test-side), any other engine whole."""
+        engine = self.systems[name]
+        return engine.tuning_targets() if name in REFERENCES else [engine]
+
+    def assert_refused(self, data, kind):
+        """Every engine raises on each batch call ``kind`` spoils, and
+        nothing is applied, counted or journaled."""
+        calls = []
+        for method in INVALID[kind]:
+            n = data.draw(st.integers(1, 40))
+            at = data.draw(st.integers(0, n - 1))
+            calls.append((method, invalid_args(kind, method, n, at, data.draw(st.booleans()))))
+        for name, engine in self.systems.items():
+            if name in REFERENCES:
+                continue
+            before = footprint(engine)
+            occupied = engine.total_entries
+            for method, args in calls:
+                with pytest.raises(TreeStateError if method == "bulk_load" and occupied else ValueError):
+                    getattr(engine, method)(*args)
+                assert footprint(engine) == before, (name, method)
+
+    # ------------------------------------------------------------------
+    # Rules
+    # ------------------------------------------------------------------
+    def start(self, config, per_op, policy):
+        """Build every system (the scalar ones when ``per_op``) and pin
+        ``policy``."""
+        self.config = config
+        for group in GROUPS:
+            for name in group:
+                if per_op or name not in PER_OP:
+                    self.systems[name] = self.build(name)
+        if policy is not None:
+            self.tune("set_named_policy", policy, TransitionKind.FLEXIBLE)
+
+    @initialize(
+        profile=st.sampled_from(sorted(PROFILES)),
+        bloom_mode=st.sampled_from(list(BloomMode)),
+        cache_pages=st.sampled_from((0, 16)),
+        policy=st.none() | NAMED_POLICIES,
+        items=batches(st.tuples(KEYS, VALUES), long=300),
+        distribute=st.booleans(),
+        data=st.data(),
+    )
+    def load(self, profile, bloom_mode, cache_pages, policy, items, distribute, data):
+        """Build every system and pin ``policy``, then bulk-load them —
+        after every invalid input, which each of them must refuse while
+        empty."""
+        config = PROFILES[profile]
+        if profile == "default":
+            config = config.with_updates(bloom_mode=bloom_mode, block_cache_pages=cache_pages)
+        self.start(config, profile == "exact", policy)
+        for kind in INVALID:
+            self.assert_refused(data, kind)
+        keys, values = columns(items)
+        for name, engine in self.systems.items():
+            if name in REFERENCES:
+                for tree, idx in home_groups(keys, engine.tuning_targets()):
+                    tree.bulk_load(keys[idx], values[idx], distribute=distribute)
+            else:
+                engine.bulk_load(keys, values, distribute=distribute)
+        self.model.update(items)
+
+    @rule(items=ITEMS, per_op=st.booleans())
+    def put(self, items, per_op):
+        keys, values = columns(items)
+        for name, engine in self.systems.items():
+            if name in REFERENCES:
+                for key, value in items:
+                    reference_put(engine, key, value)
+            elif per_op or name in PER_OP:
+                for key, value in items:
+                    engine.put(key, value)
+            else:
+                engine.put_batch(keys, values)
+        self.model.update(items)
+
+    @rule(keys=batches(KEYS), per_op=st.booleans())
+    def delete(self, keys, per_op):
+        batch = np.array(keys, dtype=np.int64)
+        for name, engine in self.systems.items():
+            if name in REFERENCES:
+                for key in keys:
+                    reference_delete(engine, key)
+            elif per_op or name in PER_OP:
+                for key in keys:
+                    engine.delete(key)
+            else:
+                engine.delete_batch(batch)
+        for key in keys:
+            self.model.pop(key, None)
+
+    @rule(keys=batches(PROBES), per_op=st.booleans())
+    def get(self, keys, per_op):
+        batch = np.array(keys, dtype=np.int64)
+        want = [self.model.get(key) for key in keys]
+        for name, engine in self.systems.items():
+            if name in REFERENCES and per_op:
+                got = [reference_lookup(engine, batch[i : i + 1])[0] for i in range(len(keys))]
+            elif name in REFERENCES:
+                got = reference_lookup(engine, batch)
+            elif per_op or name in PER_OP:
+                got = [engine.get(key) for key in keys]
+            else:
+                got = answers(*engine.get_batch(batch))
+            assert got == want, name
+
+    @rule(
+        ranges=st.lists(st.tuples(PROBES, st.integers(0, 60)), max_size=10),
+        per_op=st.booleans(),
+    )
+    def range_scan(self, ranges, per_op):
+        los = np.array([lo for lo, _ in ranges], dtype=np.int64)
+        his = np.array([lo + span for lo, span in ranges], dtype=np.int64)
+        want = [
+            sorted((k, v) for k, v in self.model.items() if lo <= k <= hi)
+            for lo, hi in zip(los.tolist(), his.tolist())
+        ]
+        for name, engine in self.systems.items():
+            if name in REFERENCES:  # per range whatever the batch
+                got = reference_scan(engine, los, his)
+            elif per_op or name in PER_OP:
+                got = [engine.range_lookup(lo, hi) for lo, hi in zip(los.tolist(), his.tolist())]
+            else:
+                got = per_range(*engine.range_scan_batch(los, his))
+            assert got == want, name
+
+    def tune(self, method, *args):
+        """A tuning call: an engine takes it whole, a reference system
+        fans it out to its trees test-side."""
+        for name in self.systems:
+            for target in self.driven(name):
+                getattr(target, method)(*args)
+
+    @rule(level_no=st.integers(1, 5), policy=st.integers(1, 3), transition=TRANSITIONS)
+    def set_policy(self, level_no, policy, transition):
+        self.tune("set_policy", level_no, policy, transition)
+
+    @rule(policies=st.lists(st.integers(1, 3), min_size=1, max_size=5), transition=TRANSITIONS)
+    def set_policies(self, policies, transition):
+        self.tune("set_policies", policies, transition)
+
+    @rule(policy=NAMED_POLICIES, transition=TRANSITIONS)
+    def set_named_policy(self, policy, transition):
+        self.tune("set_named_policy", policy, transition)
+
+    @rule(bits=st.sampled_from((2.0, 5.0, 10.0)))
+    def set_bits_per_key(self, bits):
+        # A per-tree knob (repro.core.extensions tunes it tree by tree).
+        for engine in self.systems.values():
+            for tree in engine.tuning_targets():
+                tree.set_bits_per_key(bits)
+
+    @rule()
+    def cut_mission(self):
+        """Open a window on every system, or close it and compare the
+        records group by group; a reference closes its trees' windows and
+        merges them test-side."""
+        self.in_mission = not self.in_mission
+        if self.in_mission:
+            self.tune("begin_mission")
+            return
+        windows = {}
+        for name, engine in self.systems.items():
+            if name in REFERENCES:
+                trees = engine.tuning_targets()
+                index = trees[0].stats.windows_closed
+                windows[name] = merge_mission_stats(index, [t.end_mission() for t in trees])
+            else:
+                windows[name] = engine.end_mission()
+        for group in self.groups():
+            assert all(windows[name] == windows[group[0]] for name in group), group
+
+    @precondition(lambda self: not self.in_mission)
+    @rule(data=st.data())
+    def restore(self, data):
+        """``save_engine`` → ``load_engine``: the restored system replaces
+        the straight one and stays in its group."""
+        name = data.draw(st.sampled_from(sorted(self.systems)))
+        engine = self.systems[name]
+        path = os.path.join(self.root, "engine.snap")
+        save_engine(engine, path)
+        if name == "durable-4":
+            # load_engine would rebuild in-memory shards: restore the live
+            # durable shards in place, each as its directory's next generation.
+            engine.load_state_dict(load_snapshot(path, "engine")["state"]["engine"])
+        else:
+            close(engine)
+            self.systems[name] = load_engine(path)
+
+    @precondition(lambda self: not self.in_mission)
+    @rule(name=st.sampled_from(DURABLE))
+    def reopen(self, name):
+        """Close → reopen: every acknowledged write, the pinned policy, the
+        Bloom budget and — unless replaying a batch that straddled a flush
+        flushed again — every level's policy survives."""
+        def durable_state(tree):
+            return tree.acked_seqno, tree.named_policy(), tree.bits_per_key
+
+        def layout(tree):
+            return [(level.policy, level.pending_policy) for level in tree.levels]
+
+        trees = self.systems[name].tuning_targets()
+        before = [(durable_state(tree), layout(tree)) for tree in trees]
+        close(self.systems[name])
+        self.systems[name] = self.build(name)
+        self.detached.add(name)
+        for tree, (state, levels) in zip(self.systems[name].tuning_targets(), before):
+            assert durable_state(tree) == state
+            if not tree.telemetry["sstables_written"]:
+                assert layout(tree) == levels
+
+    @rule(name=st.sampled_from(DURABLE))
+    def crash(self, name):
+        """Copy the open store's directories — what a kill -9 leaves — and
+        recover the copy: it holds every acknowledged write."""
+        trees = self.systems[name].tuning_targets()
+        paths = [os.path.join(self.root, f"crash-{i}") for i in range(len(trees))]
+        copies = []
+        try:
+            for tree, path in zip(trees, paths):
+                shutil.copytree(tree.data_dir, path)
+                copies.append(DurableStore(path))
+            recovered = {}
+            for copy in copies:
+                recovered.update(contents(copy))
+            assert recovered == self.model
+            assert [c.acked_seqno for c in copies] == [t.acked_seqno for t in trees]
+        finally:
+            for copy in copies:
+                copy.close()
+            for path in paths:
+                shutil.rmtree(path, ignore_errors=True)
+
+    @rule(data=st.data())
+    def toggle_tracer(self, data):
+        engine = self.systems[data.draw(st.sampled_from(sorted(self.systems)))]
+        engine.set_tracer(Tracer() if engine.tracer is None else None)
+
+    # ------------------------------------------------------------------
+    # Invariants
+    # ------------------------------------------------------------------
+    @invariant()
+    def contents_equal_the_model(self):
+        for name, engine in self.systems.items():
+            engine.check_invariants()
+            assert contents(engine) == self.model, name
+
+    @invariant()
+    def counts_agree(self):
+        views = [e.view() for n, e in self.systems.items() if n not in self.detached]
+        counts = {(v.total_lookups, v.total_updates, v.total_ranges) for v in views}
+        assert len(counts) <= 1, counts
+
+    @invariant()
+    def groups_are_sim_identical(self):
+        for first, *rest in self.groups():
+            want = observables(self.systems[first])
+            for name in rest:
+                assert observables(self.systems[name]) == want, (first, name)
+
+    def teardown(self):
+        for engine in self.systems.values():
+            close(engine)
+        shutil.rmtree(self.root, ignore_errors=True)
+
+
+#: Tier-1 examples; the ``deep`` profile (tests/conftest.py) runs ten times as many.
+MAX_EXAMPLES = 30
+
+Oracle.TestCase.settings = settings(
+    max_examples=(
+        settings.default.max_examples
+        if settings.get_current_profile_name() == "deep"
+        else MAX_EXAMPLES
+    ),
+    stateful_step_count=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+TestOracle = Oracle.TestCase
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [(kind, method) for kind, methods in INVALID.items() for method in methods],
+    ids=lambda arg: arg,
+)
+@pytest.mark.parametrize("name", ("tree", "sharded-1", "sharded-4", "durable", "durable-4"))
+@pytest.mark.parametrize("loaded", (False, True), ids=("empty", "loaded"))
+def test_invalid_input_refused(tmp_path, loaded, name, kind, method):
+    """``load``'s refusals enumerated rather than drawn, and on populated
+    engines too: every engine kind, empty and holding levels plus a buffered
+    memtable, refuses every spoiled batch — the bad entry late, past where a
+    partial apply would stop — and nothing is applied, counted or journaled."""
+    engine = build(name, PROFILES["default"].with_updates(block_cache_pages=16), str(tmp_path))
+    try:
+        if loaded:
+            keys = np.arange(0, 900, 3, dtype=np.int64)
+            engine.bulk_load(keys, keys)
+            engine.put_batch(keys[::2] + 1, keys[::2])
+            engine.delete_batch(keys[::5])
+        for in_values in (False, True):
+            before = footprint(engine)
+            args = invalid_args(kind, method, 40, 30 + in_values, in_values)
+            with pytest.raises(TreeStateError if method == "bulk_load" and loaded else ValueError):
+                getattr(engine, method)(*args)
+            assert footprint(engine) == before
+    finally:
+        close(engine)
+
+
+@pytest.mark.parametrize("cache_pages", (0, 16))
+@pytest.mark.parametrize("bloom_mode", list(BloomMode), ids=lambda mode: mode.name.lower())
+def test_rules_reach_every_read_path_state(bloom_mode, cache_pages):
+    """A fixed rule sequence reaches each state the read paths branch on —
+    an empty run, single-run levels (the zero-copy lookup index), tombstones
+    on disk, Bloom false positives, stacked runs — and every system is read
+    by ``get`` and ``range_scan`` and checked against the invariants there."""
+    machine = Oracle()
+
+    def runs():
+        return [run for level in tree.levels for run in level.runs]
+
+    def read(keys):
+        machine.get(keys=keys, per_op=False)
+        machine.range_scan(ranges=[(lo, 60) for lo in range(-16, 320, 40)], per_op=False)
+        machine.contents_equal_the_model()
+        machine.counts_agree()
+        machine.groups_are_sim_identical()
+
+    try:
+        config = PROFILES["default"].with_updates(bloom_mode=bloom_mode, block_cache_pages=cache_pages)
+        machine.start(config, False, "leveling")
+        tree = machine.systems["tree"]
+        machine.set_bits_per_key(bits=2.0)  # false positives on most levels
+        # Tombstones flushed into an empty tree are dropped: an empty run.
+        machine.delete(keys=list(range(8)), per_op=False)
+        assert [run.n_entries for run in runs()] == [0]
+        read(list(range(-16, 320, 7)))
+
+        machine.put(items=[(key, key) for key in range(0, 300, 2)], per_op=False)
+        machine.delete(keys=list(range(0, 300, 6)), per_op=False)
+        assert len(tree.levels) >= 3
+        assert all(level.lookup_index().rank is None for level in tree.levels if level.runs)
+        assert any((run.values == TOMBSTONE).any() for run in runs())
+        pages = tree.cache.hits + tree.cache.misses
+        machine.get(keys=list(range(1, 300, 2)), per_op=False)  # keys no run holds
+        assert tree.cache.hits + tree.cache.misses > pages  # a false positive read a page
+        read(list(range(-16, 320, 7)))
+
+        machine.set_named_policy(policy="tiering", transition=TransitionKind.FLEXIBLE)
+        machine.put(items=[(key, -key) for key in range(1, 120, 2)], per_op=False)
+        assert max(level.n_runs for level in tree.levels) >= 2
+        read(list(range(-16, 320, 3)))
+    finally:
+        machine.teardown()

@@ -1,12 +1,12 @@
-"""Equivalence suite for the vectorized level-at-a-time read path.
+"""The level-at-a-time read path's parts.
 
-The stacked pipeline in :meth:`LSMTree.get_batch` must be **bit-identical**
-to the run-at-a-time reference (:func:`reference_get.reference_get_batch`)
-in every simulated observable, and semantically identical to per-key
-:meth:`LSMTree.get`. This module pins both contracts, plus the batched
-storage primitives the pipeline rides on (:meth:`LRUBlockCache.access_batch`,
-:meth:`DiskModel.random_read_batch`, :meth:`SimClock.advance_repeated`) and
-the memtable sorted-view cache.
+That :meth:`LSMTree.get_batch` is bit-identical to the run-at-a-time
+reference (``tests/reference_get.py``) and to per-key :meth:`LSMTree.get`,
+on every engine, is the differential oracle's (``tests/test_oracle.py``).
+This module pins the parts the pipeline rides on: the stacked level index,
+the batched storage primitives (:meth:`LRUBlockCache.access_batch`,
+:meth:`DiskModel.random_read_batch`, :meth:`SimClock.advance_repeated`), the
+memtable sorted-view cache and the stage laps a tracer records.
 """
 
 from __future__ import annotations
@@ -15,338 +15,46 @@ import contextlib
 import importlib.util
 import io
 import pathlib
-import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 from reference_cache import ReferenceLRUCache
-from reference_get import find, find_batch, reference_get_batch
+from reference_get import find, find_batch
 from test_entry_memtable import buffer_delete, buffer_put
 
-from repro.config import BloomMode, CostModelParams, SystemConfig
-from repro.durable.store import DurableStore
-from repro.engine.sharded import ShardedStore, shard_of_key
+from repro.config import CostModelParams, SystemConfig
 from repro.errors import StorageError
 from repro.lsm import FLSMTree
-from repro.lsm.entry import TOMBSTONE
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.memtable import MemTable
 from repro.lsm.rangepath import RANGE_STAGES
-from repro.lsm.tree import LSMTree
 from repro.obs import Tracer, stage_totals
 from repro.storage.cache import LRUBlockCache
 from repro.storage.clock import SimClock
 from repro.storage.pager import DiskModel
 
-#: Power-of-two cost constants: every per-event charge is a dyadic float, so
-#: per-key and batched accumulation orders produce bit-equal sums and the
-#: get_batch ≡ per-key-get property can demand exact equality.
-DYADIC_COSTS = CostModelParams(
-    random_read_s=2.0**-15,
-    random_write_s=2.0**-15,
-    seq_read_s=2.0**-17,
-    seq_write_s=2.0**-17,
-    run_probe_cpu_s=2.0**-18,
-    compaction_entry_cpu_s=2.0**-20,
-)
 
-POLICIES = ("leveling", "tiering", "lazy-leveling")
-#: ``build_stacked_tree`` input: leveling, every level exactly one run (so
-#: each level's lookup index is the zero-copy single-run one), the deepest
-#: of them an *empty* active run.
-SINGLE_RUNS = "single-runs"
-
-
-def build_stacked_tree(
-    policy,
-    *,
-    cache_pages=0,
-    bloom_mode=BloomMode.ANALYTICAL,
-    costs=None,
-    n=6000,
-    seed=3,
-):
+def build_stacked_tree(policy, *, cache_pages=0, n=6000, seed=3):
     """A multi-level tree with deletes sprinkled in, pinned to ``policy``."""
     cfg = SystemConfig(
         write_buffer_bytes=8 * 1024,
         size_ratio=4,
         block_cache_pages=cache_pages,
-        bloom_mode=bloom_mode,
         seed=seed,
-        costs=costs if costs is not None else CostModelParams(),
     )
     tree = FLSMTree(cfg)
-    if policy is not None:
-        tree.set_named_policy("leveling" if policy == SINGLE_RUNS else policy)
+    tree.set_named_policy(policy)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n * 2, size=n)
     values = rng.integers(0, 10**6, size=n)
     tree.put_batch(keys, values)
     for key in keys[:50].tolist():
         tree.delete(key)
-    if policy == SINGLE_RUNS:
-        # Flush the buffered tombstones so lookups hit them on disk, then
-        # hang an empty active run below everything else.
-        tree.put_batch(keys[50:400], values[50:400])
-        none = np.zeros(0, dtype=np.int64)
-        bottom = tree._ensure_level(tree.n_levels + 1)
-        bottom.replace_active(
-            tree._new_run(bottom, none, none, bottom.active_run_capacity())
-        )
     return tree, rng
 
 
 #: Stages ``get_batch`` laps on its span, in pipeline order.
 POINT_STAGES = ("memtable", "search", "bloom", "cache")
-
-
-def sim_observables(tree):
-    """Everything the simulation contract says an operation may change:
-    the view (clock, charges, counts, counters) plus what it summarises
-    away — block-cache contents and the Bloom RNG stream."""
-    return (
-        tree.view(),
-        tree.cache.state_dict(),
-        tree._rng.bit_generator.state,
-    )
-
-
-#: Every engine a scalar op can enter through; all of them inherit the
-#: same derived scalars (``repro.lsm.tree.DerivedMembers``).
-ENGINE_KINDS = ("tree", "sharded-1", "sharded-4", "durable")
-
-
-def make_engine(kind, cfg, data_dir):
-    if kind == "tree":
-        return LSMTree(cfg)
-    if kind == "durable":
-        return DurableStore(data_dir, cfg)
-    return ShardedStore(cfg, int(kind.rpartition("-")[2]))
-
-
-@contextlib.contextmanager
-def drawn_engine_with_twins(data, kind):
-    """A hypothesis-drawn engine of ``kind`` — batch writes, then tombstones
-    over live keys (some still buffered, so reads must shadow disk-resident
-    versions) — with plain-tree snapshot twins of the tree(s) behind it, in
-    shard order, for the reference loops to run against. Yields
-    ``(engine, twins, rng, key_space)``."""
-    cfg = SystemConfig(
-        write_buffer_bytes=4 * 1024,
-        size_ratio=3,
-        block_cache_pages=16,
-        seed=11,
-    )
-    n = data.draw(st.integers(min_value=0, max_value=400), label="n_writes")
-    key_space = data.draw(
-        st.integers(min_value=1, max_value=1200), label="key_space"
-    )
-    policy = data.draw(st.sampled_from(POLICIES), label="policy")
-    rng = np.random.default_rng(
-        data.draw(st.integers(min_value=0, max_value=2**31), label="seed")
-    )
-    with tempfile.TemporaryDirectory() as data_dir:
-        engine = make_engine(kind, cfg, data_dir)
-        engine.set_named_policy(policy)
-        if n:
-            keys = rng.integers(0, key_space, size=n)
-            engine.put_batch(keys, rng.integers(0, 10**6, size=n))
-            for key in keys[rng.random(n) < 0.1].tolist():
-                engine.delete(key)
-        twins = []
-        for tree in engine.tuning_targets():
-            twin = LSMTree(tree.config)
-            twin.load_state_dict(LSMTree.state_dict(tree))
-            twins.append(twin)
-        try:
-            yield engine, twins, rng, key_space
-        finally:
-            if kind == "durable":
-                engine.close()
-
-
-def assert_trees_match_twins(engine, twins):
-    for tree, twin in zip(engine.tuning_targets(), twins):
-        assert sim_observables(tree) == sim_observables(twin)
-
-
-class TestBitIdenticalToReference:
-    """New pipeline vs the verbatim pre-PR loop, on identical tree state."""
-
-    @pytest.mark.parametrize("policy", (None,) + POLICIES + (SINGLE_RUNS,))
-    @pytest.mark.parametrize("cache_pages", (0, 64))
-    @pytest.mark.parametrize(
-        "bloom_mode", (BloomMode.ANALYTICAL, BloomMode.BIT_ARRAY)
-    )
-    def test_get_batch_matches_reference(self, policy, cache_pages, bloom_mode):
-        tree, rng = build_stacked_tree(
-            policy, cache_pages=cache_pages, bloom_mode=bloom_mode
-        )
-        state = tree.state_dict()
-        probes = rng.integers(0, 15000, size=4000).astype(np.int64)
-
-        found_new, values_new = tree.get_batch(probes)
-        after_new = sim_observables(tree)
-
-        twin = FLSMTree(tree.config)
-        twin.load_state_dict(state)
-        found_ref, values_ref = reference_get_batch(twin, probes)
-        after_ref = sim_observables(twin)
-
-        np.testing.assert_array_equal(found_new, found_ref)
-        np.testing.assert_array_equal(values_new, values_ref)
-        assert after_new == after_ref
-
-    def test_stacked_runs_actually_exercised(self):
-        # Guard the fixture: tiering/lazy-leveling must produce a level with
-        # >= 2 runs, or the stacked-index path silently goes untested.
-        for policy in ("tiering", "lazy-leveling"):
-            tree, _ = build_stacked_tree(policy)
-            assert max(level.n_runs for level in tree.levels) >= 2, policy
-
-    @pytest.mark.parametrize(
-        "bloom_mode", (BloomMode.ANALYTICAL, BloomMode.BIT_ARRAY)
-    )
-    def test_single_run_cases_actually_exercised(self, bloom_mode):
-        # Guard the SINGLE_RUNS fixture the same way: one run per level, an
-        # empty one among them, and probes that reach past every run's
-        # max_key, land on on-disk tombstones and draw Bloom false positives.
-        tree, rng = build_stacked_tree(SINGLE_RUNS, bloom_mode=bloom_mode)
-        runs = [run for level in tree.levels for run in level.runs]
-        assert max(level.n_runs for level in tree.levels) == 1
-        assert len(runs) >= 4 and runs[-1].n_entries == 0
-        assert all(
-            level.lookup_index().rank is None
-            for level in tree.levels
-            if level.runs
-        )
-        probes = rng.integers(0, 15000, size=4000).astype(np.int64)
-        assert probes.max() > max(run.max_key for run in runs[:-1])
-        assert (np.concatenate([run.values for run in runs]) == TOMBSTONE).any()
-        found, _ = tree.get_batch(probes)
-        held = np.isin(probes, np.concatenate([run.keys for run in runs]))
-        assert (held & ~found).any()  # a tombstone answered the lookup
-        # More pages read than any exact probe schedule needs: every level
-        # above a key's home paid only for false positives.
-        assert tree.disk.counters.random_reads > int(held.sum())
-
-    def test_repeated_batches_stay_identical(self):
-        # Cache warm-up and memtable writes between batches must not break
-        # equivalence (the cached level index is invalidated by compaction,
-        # the sorted view by writes).
-        tree, rng = build_stacked_tree("tiering", cache_pages=32)
-        twin = FLSMTree(tree.config)
-        twin.load_state_dict(tree.state_dict())
-        for step in range(4):
-            probes = rng.integers(0, 15000, size=1000).astype(np.int64)
-            found_new, values_new = tree.get_batch(probes)
-            found_ref, values_ref = reference_get_batch(twin, probes)
-            np.testing.assert_array_equal(found_new, found_ref)
-            np.testing.assert_array_equal(values_new, values_ref)
-            assert sim_observables(tree) == sim_observables(twin)
-            extra_keys = rng.integers(0, 15000, size=40)
-            extra_values = rng.integers(0, 10**6, size=40)
-            tree.put_batch(extra_keys, extra_values)
-            twin.put_batch(extra_keys, extra_values)
-
-
-class TestBatchMatchesPerKeyGet:
-    """get_batch ≡ per-key get under dyadic costs + deterministic Blooms."""
-
-    def _check(self, tree, probes):
-        twin = FLSMTree(tree.config)
-        twin.load_state_dict(tree.state_dict())
-
-        t0 = tree.clock.now
-        found, values = tree.get_batch(probes)
-        batch_sim_s = tree.clock.now - t0
-
-        t0 = twin.clock.now
-        expected = [twin.get(key) for key in probes.tolist()]
-        scalar_sim_s = twin.clock.now - t0
-
-        for i, value in enumerate(expected):
-            assert found[i] == (value is not None)
-            if value is not None:
-                assert values[i] == value
-        assert batch_sim_s == scalar_sim_s
-        assert dict(tree.stats.level_read_time) == dict(
-            twin.stats.level_read_time
-        )
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_policies(self, policy):
-        tree, rng = build_stacked_tree(
-            policy, bloom_mode=BloomMode.BIT_ARRAY, costs=DYADIC_COSTS
-        )
-        probes = rng.integers(0, 15000, size=2000).astype(np.int64)
-        self._check(tree, probes)
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(data=st.data())
-    def test_property(self, policy, data):
-        n = data.draw(st.integers(min_value=0, max_value=400), label="n_writes")
-        key_space = data.draw(
-            st.integers(min_value=1, max_value=1200), label="key_space"
-        )
-        cfg = SystemConfig(
-            write_buffer_bytes=4 * 1024,
-            size_ratio=3,
-            bloom_mode=BloomMode.BIT_ARRAY,
-            seed=11,
-            costs=DYADIC_COSTS,
-        )
-        tree = FLSMTree(cfg)
-        tree.set_named_policy(policy)
-        rng = np.random.default_rng(
-            data.draw(st.integers(min_value=0, max_value=2**31), label="seed")
-        )
-        if n:
-            keys = rng.integers(0, key_space, size=n)
-            tree.put_batch(keys, rng.integers(0, 10**6, size=n))
-            # Tombstones over live keys, some still in the memtable, so the
-            # batch must shadow disk-resident versions mid-lookup.
-            for key in keys[rng.random(n) < 0.1].tolist():
-                tree.delete(key)
-        probes = rng.integers(
-            0, key_space + 16, size=data.draw(
-                st.integers(min_value=0, max_value=300), label="n_probes"
-            )
-        ).astype(np.int64)
-        self._check(tree, probes)
-
-    @pytest.mark.parametrize("kind", ENGINE_KINDS)
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(data=st.data())
-    def test_scalar_get_matches_reference(self, kind, data):
-        """Per-key ``get`` through every engine ≡ the reference loop on the
-        key's home tree: value, clock, per-level charges, IO and cache
-        counters, Bloom RNG, op counts."""
-        with drawn_engine_with_twins(data, kind) as (
-            engine, twins, rng, key_space
-        ):
-            n_probes = data.draw(
-                st.integers(min_value=0, max_value=120), label="n_probes"
-            )
-            for key in rng.integers(0, key_space + 16, size=n_probes).tolist():
-                home = twins[shard_of_key(key, len(twins))]
-                found, values = reference_get_batch(
-                    home, np.array([key], dtype=np.int64)
-                )
-                expected = int(values[0]) if found[0] else None
-                assert engine.get(key) == expected
-            assert_trees_match_twins(engine, twins)
 
 
 class TestLevelLookupIndex:
@@ -626,18 +334,6 @@ class TestReadPathStageLaps:
         tracer = Tracer()
         traced.set_tracer(tracer)
         return traced, tracer
-
-    def test_tracing_does_not_change_simulation(self):
-        tree, rng = build_stacked_tree("tiering", cache_pages=16)
-        assert tree.tracer is None  # detached by default
-        traced, tracer = self._traced_twin(tree)
-        probes = rng.integers(0, 15000, size=2000).astype(np.int64)
-        found_plain, values_plain = tree.get_batch(probes)
-        found_traced, values_traced = traced.get_batch(probes)
-        np.testing.assert_array_equal(found_plain, found_traced)
-        np.testing.assert_array_equal(values_plain, values_traced)
-        assert sim_observables(tree) == sim_observables(traced)
-        assert set(stage_totals(tracer.spans())) == set(POINT_STAGES)
 
     def test_stages_populated(self):
         tree, rng = build_stacked_tree("tiering", cache_pages=16)

@@ -38,7 +38,9 @@ from repro.serve import (
     requests_from_mission,
     run_load,
 )
+from repro.serve.loadgen import _reseeded
 from repro.serve.server import _Mailbox
+from repro.workload.dynamic import paper_dynamic_workload
 from repro.workload.spec import OP_LOOKUP, OP_RANGE, OP_UPDATE, Mission
 from repro.workload.uniform import UniformWorkload
 
@@ -573,6 +575,23 @@ class TestLoadGeneration:
         missions = list(workload.missions(3, 100))
         expected_keys = [int(k) for m in missions for k in m.keys][:250]
         assert [r.key for r in stream] == expected_keys
+
+    @pytest.mark.parametrize(
+        "workload",
+        [UniformWorkload(1_000, lookup_fraction=0.5, seed=0), paper_dynamic_workload(1_000, 1)],
+        ids=["uniform", "dynamic"],
+    )
+    def test_each_client_replays_its_own_stream(self, workload):
+        """``run_load`` reseeds client ``c`` by ``101 * c`` (at tenant seed
+        0): client 0 replays the workload's own stream, client 1 another —
+        a dynamic schedule is reseeded phase by phase."""
+
+        def stream(spec):
+            return [(r.kind, r.key, r.value) for r in request_stream(spec, 300, mission_size=100)]
+
+        first, second = (stream(_reseeded(workload, 101 * c)) for c in range(2))
+        assert first == stream(workload)
+        assert second != first
 
     @staticmethod
     def _mission(n=2_000, seed=4, **columns):

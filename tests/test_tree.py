@@ -1,13 +1,11 @@
-"""Tests for repro.lsm.tree: correctness against a dict model, compaction
-mechanics, cost accounting and invariants."""
+"""Tests for repro.lsm.tree: compaction mechanics, cost accounting and
+invariants. Correctness against a dict model, for this tree and every
+engine built on it, is the differential oracle's (``tests/test_oracle.py``)."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
-from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.config import SystemConfig, TransitionKind
+from repro.config import TransitionKind
 from repro.errors import TreeStateError
 from repro.lsm.iterators import live_items
 from repro.lsm.tree import LSMTree
@@ -304,58 +302,3 @@ class TestPolicyControl:
                 for key in range(40):
                     tree.get(key)
         assert cached.stats.total_read_time < base.stats.total_read_time
-
-
-class LSMTreeComparedToDict(RuleBasedStateMachine):
-    """Stateful property test: the tree behaves exactly like a dict."""
-
-    def __init__(self):
-        super().__init__()
-        self.tree = LSMTree(
-            SystemConfig(
-                size_ratio=3,
-                entry_bytes=1024,
-                page_bytes=4096,
-                write_buffer_bytes=8 * 1024,
-                seed=3,
-            )
-        )
-        self.model = {}
-
-    @rule(key=st.integers(0, 300), value=st.integers(0, 10**9))
-    def put(self, key, value):
-        self.tree.put(key, value)
-        self.model[key] = value
-
-    @rule(key=st.integers(0, 300))
-    def delete(self, key):
-        self.tree.delete(key)
-        self.model.pop(key, None)
-
-    @rule(key=st.integers(0, 350))
-    def lookup(self, key):
-        assert self.tree.get(key) == self.model.get(key)
-
-    @rule(a=st.integers(0, 350), b=st.integers(0, 350))
-    def range_scan(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        expected = sorted((k, v) for k, v in self.model.items() if lo <= k <= hi)
-        assert self.tree.range_lookup(lo, hi) == expected
-
-    @rule(policy=st.integers(1, 3))
-    def change_policy_flexible(self, policy):
-        for level in self.tree.levels:
-            self.tree.set_policy(level.level_no, policy, TransitionKind.FLEXIBLE)
-
-    @invariant()
-    def structural_invariants_hold(self):
-        self.tree.check_invariants()
-
-
-LSMTreeComparedToDict.TestCase.settings = settings(
-    max_examples=25,
-    stateful_step_count=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-TestLSMTreeStateful = LSMTreeComparedToDict.TestCase

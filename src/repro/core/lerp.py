@@ -238,13 +238,11 @@ class EpisodeTuner(Tuner):
         self.converged = bool(state["converged"])
         self.restarts = int(state["restarts"])
         self.total_model_update_s = float(state["total_model_update_s"])
-        # Audit keys are absent in pre-telemetry snapshots.
-        self.missions_observed = int(state.get("missions_observed", 0))
-        audit_state = state.get("audit")
-        if audit_state is not None:
+        self.missions_observed = int(state["missions_observed"])
+        if state["audit"] is not None:
             from repro.obs.audit import DecisionAuditLog
 
-            self.audit = DecisionAuditLog.from_state_dict(audit_state)
+            self.audit = DecisionAuditLog.from_state_dict(state["audit"])
         # Last: the subclass's freshly built agents drew construction-time
         # weights; continue the draw sequence exactly where it was cut.
         self._rng.bit_generator.state = state["rng"]

@@ -250,7 +250,7 @@ class RusKey(DerivedMembers):
             )
         for tuner, tuner_state in zip(distinct, saved):
             tuner.load_state_dict(tuner_state)
-        if state.get("audit") is not None:  # absent before the shared log
+        if state["audit"] is not None:
             from repro.obs.audit import DecisionAuditLog
 
             self.attach_audit(DecisionAuditLog.from_state_dict(state["audit"]))

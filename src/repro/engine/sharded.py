@@ -323,8 +323,7 @@ class ShardedStore(DerivedMembers):
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore every shard in place plus the window cursor (a
-        ``completed`` log in an older snapshot is ignored)."""
+        """Restore every shard in place plus the window cursor."""
         if int(state["n_shards"]) != self.n_shards:
             raise TreeStateError(
                 f"shard-count mismatch: snapshot has {state['n_shards']} "

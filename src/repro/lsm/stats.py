@@ -100,8 +100,6 @@ class MissionStats:
 
     @classmethod
     def from_state_dict(cls, state: Dict[str, object]) -> "MissionStats":
-        # Unknown keys are ignored: snapshots written before host time left
-        # this record still carry a ``model_update_time`` entry.
         io = IOCounters()
         io.load_state_dict(state["io"])
         return cls(
@@ -359,9 +357,7 @@ class StatsCollector:
         self._io_snapshot = None
         self._clock_snapshot = 0.0
         self._cache_snapshot = (0, 0)
-        # Snapshots written before the collector stopped keeping every
-        # window carry a ``completed`` list; its tail is the last window.
-        last = state.get("last_mission") or (state.get("completed") or [None])[-1]
+        last = state["last_mission"]
         self.last_mission = None if last is None else MissionStats.from_state_dict(last)
         self.total_read_time = float(state["total_read_time"])
         self.total_write_time = float(state["total_write_time"])

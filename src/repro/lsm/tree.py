@@ -67,25 +67,21 @@ class DerivedMembers:
 
     def put(self, key: int, value: int) -> None:
         """Insert or overwrite one entry."""
-        self.put_batch(
-            np.array([key], dtype=np.int64), np.array([value], dtype=np.int64)
-        )
+        self.put_batch(np.array([key]), np.array([value]))
 
     def delete(self, key: int) -> None:
         """Delete one key (a tombstone write)."""
-        self.delete_batch(np.array([key], dtype=np.int64))
+        self.delete_batch(np.array([key]))
 
     def get(self, key: int) -> Optional[int]:
         """Latest value for ``key``, or ``None`` if absent or deleted."""
-        found, values = self.get_batch(np.array([key], dtype=np.int64))
+        found, values = self.get_batch(np.array([key]))
         return int(values[0]) if found[0] else None
 
     def range_lookup(self, lo: int, hi: int) -> List[Tuple[int, int]]:
         """All live entries with ``lo <= key <= hi`` as ``(key, value)``
         pairs in key order."""
-        keys, values, _ = self.range_scan_batch(
-            np.array([lo], dtype=np.int64), np.array([hi], dtype=np.int64)
-        )
+        keys, values, _ = self.range_scan_batch(np.array([lo]), np.array([hi]))
         return list(zip(keys.tolist(), values.tolist()))
 
     @property
@@ -942,8 +938,7 @@ class LSMTree(DerivedMembers):
         self._next_run_id = int(state["next_run_id"])
         self.bits_per_key = float(state["bits_per_key"])
         self._fpr_depth = int(state["fpr_depth"])
-        # Absent in pre-policy snapshots (format additions stay readable).
-        named = state.get("named_policy")
+        named = state["named_policy"]
         self.compaction_policy = (
             resolve_policy(named) if named is not None else None
         )

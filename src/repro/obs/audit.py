@@ -58,7 +58,7 @@ class AuditEvent:
 
     @classmethod
     def from_state_dict(cls, state: Mapping[str, object]) -> "AuditEvent":
-        mission = state.get("mission")
+        mission = state["mission"]
         return cls(
             seq=int(state["seq"]),
             kind=str(state["kind"]),

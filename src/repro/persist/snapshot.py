@@ -6,11 +6,13 @@ runs must be resumable. This module is the on-disk half of that story; the
 in-memory half is the ``state_dict()`` / ``load_state_dict()`` hooks that
 every stateful component implements (see DESIGN.md §6).
 
-A snapshot file is a single pickled payload::
+A snapshot file is one frame of :mod:`repro.durable.log` (``u32 length |
+u32 crc32 | payload``, the frame the WAL and the manifest are written in)
+around a pickled payload::
 
     {
         "magic": "repro-snapshot",
-        "format_version": 1,
+        "format_version": 2,
         "kind": "engine" | "store" | "tuner",
         "repro_version": "...",          # library that wrote the file
         "meta": {...},                   # caller-supplied annotations
@@ -18,10 +20,12 @@ A snapshot file is a single pickled payload::
     }
 
 ``state`` contains only primitives, numpy arrays and nested containers of
-them — never live objects — so the format survives refactors of the classes
-it describes. ``load_snapshot`` validates magic, version and kind before
-anything is interpreted; mismatches raise :class:`SnapshotError` instead of
-failing deep inside a restore.
+them — never live objects. ``load_snapshot`` checks the frame's CRC before
+unpickling, then magic, version and kind before anything is interpreted; a
+truncated or corrupt file, or one of any other version, raises
+:class:`SnapshotError` instead of failing deep inside a restore. A layout
+change bumps ``FORMAT_VERSION``: a file of another version is refused,
+never reinterpreted.
 
 Restore invariants (asserted by ``tests/test_persist.py``):
 
@@ -42,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import __version__
 from repro.config import (
@@ -57,6 +61,7 @@ from repro.core.named_policy import NamedPolicyLerp
 from repro.core.ruskey import RusKey
 from repro.core.tuners import Tuner
 from repro.durable.atomio import publish_bytes
+from repro.durable.log import frame, iter_frames
 from repro.durable.store import DurableStore
 from repro.engine.sharded import ShardedStore
 from repro.errors import SnapshotError
@@ -70,15 +75,21 @@ _LERP_CLASSES = {
 }
 
 MAGIC = "repro-snapshot"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-#: Engine classes the loader can rebuild from a blueprint, by tag. Order
-#: matters when classifying: subclasses before their bases.
-_ENGINE_TAGS = (
-    ("durable", DurableStore),
-    ("sharded", ShardedStore),
-    ("lsm", LSMTree),
-)
+#: Engine tag → (class, an empty one from config, shard count and the
+#: engine's saved state). Subclasses before their bases: the first
+#: ``isinstance`` match names an engine. A durable store reopens the
+#: directory its state names (re-materialization happens in
+#: ``load_state_dict``).
+_ENGINES = {
+    "durable": (
+        DurableStore,
+        lambda config, n_shards, state: DurableStore(str(state["data_dir"]), config),
+    ),
+    "sharded": (ShardedStore, lambda config, n_shards, state: ShardedStore(config, n_shards)),
+    "lsm": (LSMTree, lambda config, n_shards, state: LSMTree(config)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -95,59 +106,14 @@ def lerp_config_to_state(config: LerpConfig) -> Dict[str, object]:
 
 
 def lerp_config_from_state(state: Dict[str, Any]) -> LerpConfig:
-    """Rebuild a ``LerpConfig`` from :func:`lerp_config_to_state` output —
-    or from what the one-class ``Lerp`` wrote before the tuners were split:
-    its ``mode`` / ``tune_policy`` now pick the class
-    (:func:`_lerp_class_name`) and are dropped here with the never-used
-    ``dqn``; ``agent_kind="dqn"`` or a non-zero ``scale_alpha`` selected code
-    that no longer exists and is refused."""
-    fields = dict(state)
-    if fields.pop("agent_kind", "ddpg") != "ddpg" or fields.get("scale_alpha"):
-        raise SnapshotError(
-            "snapshot was taken with LerpConfig.agent_kind='dqn' or a "
-            "non-zero scale_alpha; neither is supported any more"
-        )
-    for dropped in ("scale_alpha", "mode", "tune_policy", "dqn"):
-        fields.pop(dropped, None)
-    fields["transition"] = TransitionKind(fields["transition"])
-    for key, cls in (("ddpg", DDPGConfig), ("policy_dqn", DQNConfig)):
-        if key in fields:  # policy_dqn is absent in pre-policy snapshots
-            agent = dict(fields[key])
-            fields[key] = cls(**{**agent, "hidden": tuple(agent["hidden"])})
-    return LerpConfig(**fields)
-
-
-def _lerp_class_name(blueprint: Dict[str, Any]) -> str:
-    """The tuner class a ``"lerp"`` blueprint names — or, in a file from
-    before the split, the one its config's ``tune_policy`` (which overrode
-    ``mode``) or ``mode`` selected."""
-    config = blueprint["config"]
-    by_mode = {"joint": "JointLerp", "all-levels": "AllLevelsLerp"}
-    selected = by_mode.get(config.get("mode"), "Lerp")
-    if config.get("tune_policy"):
-        selected = "NamedPolicyLerp"
-    return str(blueprint.get("class", selected))
-
-
-def _split_tuner_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """A tuner state as the split tuners read it. The one-class ``Lerp``
-    wrote every flow's keys, the per-level ones as five flat dicts keyed by
-    level (now one ``levels`` record per level) and the joint transition
-    under the fake level ``-1`` of ``last`` (now ``last`` itself); the
-    named-policy keys did not move, and each class reads only its own."""
-    if "agents" not in state:
-        return state
-    levels = {
-        level_no: {
-            "agent": agent_state,
-            "scale": state["level_scales"][level_no],
-            "last": state["last"].get(level_no),
-            "reward_window": state["reward_windows"].get(level_no, []),
-            "arm_stats": state["arm_stats"].get(level_no, {}),
-        }
-        for level_no, agent_state in state["agents"].items()
+    """Rebuild a ``LerpConfig`` from :func:`lerp_config_to_state` output."""
+    agents = {
+        key: cls(**{**state[key], "hidden": tuple(state[key]["hidden"])})
+        for key, cls in (("ddpg", DDPGConfig), ("policy_dqn", DQNConfig))
     }
-    return {**state, "levels": levels, "last": state["last"].get(-1)}
+    return LerpConfig(
+        **{**state, **agents, "transition": TransitionKind(state["transition"])}
+    )
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +139,7 @@ def save_snapshot(
     }
     path = os.fspath(path)
     try:
-        blob = pickle.dumps(payload, protocol=4)
+        blob = frame(pickle.dumps(payload, protocol=4))
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         raise SnapshotError(
             f"snapshot state for {path} is not serializable (state dicts "
@@ -188,12 +154,21 @@ def save_snapshot(
 def load_snapshot(
     path: str, expected_kind: Optional[str] = None
 ) -> Dict[str, object]:
-    """Read and validate a snapshot; returns the full payload dict."""
+    """Read and validate a snapshot; returns the full payload dict. The
+    file must be exactly one CRC-clean frame, checked before unpickling."""
     try:
         with open(os.fspath(path), "rb") as fh:
-            payload = pickle.load(fh)
+            data = fh.read()
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
+    blob, end = next(iter_frames(memoryview(data)), (b"", -1))
+    if end != len(data):
+        raise SnapshotError(
+            f"{path} is not one CRC-clean snapshot frame: truncated, "
+            f"corrupt, or written before format version {FORMAT_VERSION}"
+        )
+    try:
+        payload = pickle.loads(blob)
     except (pickle.UnpicklingError, EOFError) as exc:
         raise SnapshotError(f"{path} is not a repro snapshot: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != MAGIC:
@@ -215,35 +190,28 @@ def load_snapshot(
 # ----------------------------------------------------------------------
 # Engines
 # ----------------------------------------------------------------------
-def _classify_engine(engine: object) -> str:
-    for tag, cls in _ENGINE_TAGS:
+def _engine_identity(engine: object, config: SystemConfig) -> Dict[str, object]:
+    """What rebuilds ``engine``'s empty shell: its tag, config and shard
+    count (written alike by the ``engine`` and ``store`` kinds)."""
+    for tag, (cls, _) in _ENGINES.items():
         if isinstance(engine, cls):
-            return tag
+            return {
+                "engine_kind": tag,
+                "config": config_to_state(config),
+                "n_shards": getattr(engine, "n_shards", 1),
+            }
     raise SnapshotError(
         f"cannot snapshot engine of type {type(engine).__name__}; known "
-        f"kinds are {[tag for tag, _ in _ENGINE_TAGS]}"
+        f"kinds are {list(_ENGINES)}"
     )
 
 
-def _build_engine(
-    tag: str,
-    config: SystemConfig,
-    n_shards: int,
-    engine_state: Optional[Dict[str, object]] = None,
-):
-    if tag == "durable":
-        if not engine_state or "data_dir" not in engine_state:
-            raise SnapshotError(
-                "durable engine snapshot carries no data_dir to reopen"
-            )
-        # Re-materialization happens in load_state_dict; opening the
-        # directory here just establishes (or recovers) the store files.
-        return DurableStore(str(engine_state["data_dir"]), config)
-    if tag == "sharded":
-        return ShardedStore(config, n_shards)
-    if tag in ("lsm", "flsm"):  # older snapshots tag the same tree "flsm"
-        return LSMTree(config)
-    raise SnapshotError(f"unknown engine kind in snapshot: {tag!r}")
+def _engine_from_identity(
+    state: Dict[str, Any], config: SystemConfig, engine_state: Dict[str, Any]
+) -> Any:
+    """The empty engine :func:`_engine_identity` describes."""
+    _, build = _ENGINES[state["engine_kind"]]
+    return build(config, int(state["n_shards"]), engine_state)
 
 
 def save_engine(
@@ -251,11 +219,8 @@ def save_engine(
 ) -> None:
     """Snapshot a bare engine (tree or sharded store) with its config, so
     :func:`load_engine` can rebuild it without any caller-supplied context."""
-    tag = _classify_engine(engine)
     state = {
-        "engine_kind": tag,
-        "config": config_to_state(engine.config),
-        "n_shards": getattr(engine, "n_shards", 1),
+        **_engine_identity(engine, engine.config),
         "engine": engine.state_dict(),
     }
     save_snapshot(path, "engine", state, meta)
@@ -263,12 +228,9 @@ def save_engine(
 
 def load_engine(path: str):
     """Rebuild and restore an engine from a :func:`save_engine` snapshot."""
-    payload = load_snapshot(path, expected_kind="engine")
-    state = payload["state"]
+    state = load_snapshot(path, expected_kind="engine")["state"]
     config = config_from_state(state["config"])
-    engine = _build_engine(
-        state["engine_kind"], config, int(state["n_shards"]), state["engine"]
-    )
+    engine = _engine_from_identity(state, config, state["engine"])
     engine.load_state_dict(state["engine"])
     return engine
 
@@ -281,8 +243,7 @@ def _tuner_blueprint(tuner: Tuner) -> Dict[str, object]:
 
     The learned tuners are rebuilt from their class name and (plain-data)
     config; the simple baselines hold only construction-time configuration
-    and pickle cleanly. Anything else must be supplied by the caller at
-    load time.
+    and pickle cleanly.
     """
     name = type(tuner).__name__
     if _LERP_CLASSES.get(name) is type(tuner):
@@ -298,13 +259,10 @@ def _tuner_blueprint(tuner: Tuner) -> Dict[str, object]:
 
 
 def _tuner_from_blueprint(
-    blueprint: Dict[str, object], system_config: SystemConfig
+    blueprint: Dict[str, Any], system_config: SystemConfig
 ) -> Tuner:
     if blueprint["kind"] == "lerp":
-        name = _lerp_class_name(blueprint)
-        if name not in _LERP_CLASSES:
-            raise SnapshotError(f"unknown tuner class in snapshot: {name!r}")
-        return _LERP_CLASSES[name](
+        return _LERP_CLASSES[blueprint["class"]](
             system_config, lerp_config_from_state(blueprint["config"])
         )
     return pickle.loads(blueprint["data"])
@@ -327,12 +285,11 @@ def save_tuner(
 
 def load_tuner(path: str) -> Tuner:
     """Rebuild and restore a tuner from a :func:`save_tuner` snapshot."""
-    payload = load_snapshot(path, expected_kind="tuner")
-    state = payload["state"]
+    state = load_snapshot(path, expected_kind="tuner")["state"]
     tuner = _tuner_from_blueprint(
         state["blueprint"], config_from_state(state["system_config"])
     )
-    tuner.load_state_dict(_split_tuner_state(state["tuner"]))
+    tuner.load_state_dict(state["tuner"])
     return tuner
 
 
@@ -350,9 +307,7 @@ def save_store(
         store.tuners[:1] if store_state["tuners_shared"] else store.tuners
     )
     state = {
-        "engine_kind": _classify_engine(store.engine),
-        "config": config_to_state(store.config),
-        "n_shards": getattr(store.engine, "n_shards", 1),
+        **_engine_identity(store.engine, store.config),
         "chunk_size": store_state["chunk_size"],
         "tuner_blueprints": [_tuner_blueprint(t) for t in unique_tuners],
         "store": store_state,
@@ -360,50 +315,31 @@ def save_store(
     save_snapshot(path, "store", state, meta)
 
 
-def load_store(
-    path: str,
-    tuner_factory: Optional[Callable[[SystemConfig], Tuner]] = None,
-) -> RusKey:
+def load_store(path: str) -> RusKey:
     """Rebuild and restore a :class:`RusKey` from a :func:`save_store`
-    snapshot. ``tuner_factory`` overrides the snapshot's tuner blueprints
-    (e.g. to rebuild a custom tuner subclass yourself); the snapshot's
-    saved tuner state is loaded into the rebuilt tuners either way, and a
-    shared-tuner snapshot is rebuilt as one shared instance."""
-    payload = load_snapshot(path, expected_kind="store")
-    return store_from_snapshot(payload, tuner_factory=tuner_factory)
+    snapshot; a shared-tuner snapshot is rebuilt as one shared instance."""
+    return store_from_snapshot(load_snapshot(path, expected_kind="store"))
 
 
-def store_from_snapshot(
-    payload: Dict[str, object],
-    tuner_factory: Optional[Callable[[SystemConfig], Tuner]] = None,
-) -> RusKey:
+def store_from_snapshot(payload: Dict[str, Any]) -> RusKey:
     """Like :func:`load_store`, from an already-loaded snapshot payload
     (lets callers that inspect ``payload['meta']`` first avoid
     deserializing the file twice)."""
     state = payload["state"]
     config = config_from_state(state["config"])
-    n_shards = int(state["n_shards"])
-    engine = _build_engine(
-        state["engine_kind"], config, n_shards, state["store"]["engine"]
-    )
-    n_targets = len(engine.tuning_targets())
-    blueprints = state["tuner_blueprints"]
-    shared = bool(state["store"]["tuners_shared"])
-    tuners: List[Tuner]
-    if tuner_factory is None:
-        tuners = [_tuner_from_blueprint(b, config) for b in blueprints]
-    else:
-        tuners = [tuner_factory(config) for _ in range(1 if shared else n_targets)]
-    if shared:
+    engine = _engine_from_identity(state, config, state["store"]["engine"])
+    tuners: List[Tuner] = [
+        _tuner_from_blueprint(b, config) for b in state["tuner_blueprints"]
+    ]
+    if state["store"]["tuners_shared"]:
         # Preserve the snapshot's topology: a shared tuner stays one
         # instance, so its (single) saved state restores into every slot.
-        tuners = tuners[:1] * n_targets
+        tuners = tuners[:1] * len(engine.tuning_targets())
     store = RusKey(
         config,
         engine=engine,
         tuners=tuners,
         chunk_size=int(state["chunk_size"]),
     )
-    saved = [_split_tuner_state(s) for s in state["store"]["tuners"]]
-    store.load_state_dict({**state["store"], "tuners": saved})
+    store.load_state_dict(state["store"])
     return store

@@ -104,12 +104,17 @@ ITEMS = batches(st.tuples(KEYS, VALUES))
 TRANSITIONS = st.sampled_from(list(TransitionKind))
 NAMED_POLICIES = st.sampled_from(("leveling", "tiering", "lazy-leveling"))
 
-#: Inputs every engine must refuse, and the batch methods each applies to.
+#: Inputs every engine must refuse, and the methods each applies to: a
+#: derived scalar op refuses what its one-element batch does.
 _ALL = ("put_batch", "delete_batch", "get_batch", "range_scan_batch", "bulk_load")
+SCALAR = ("put", "delete", "get", "range_lookup")
+#: The spoiled scalar of each kind (``2**63`` arrives as a uint64).
+SCALAR_BAD = {"uint64": 2**63, "float": 1.7, "bool": True}
 INVALID = {
     "tombstone": ("put_batch", "bulk_load"),
-    "uint64": _ALL,
-    "float": _ALL,
+    "uint64": _ALL + SCALAR,
+    "float": _ALL + SCALAR,
+    "bool": _ALL + SCALAR,
     "outside-int64": _ALL,
     "2-D": _ALL,
     "unequal": ("put_batch", "range_scan_batch", "bulk_load"),
@@ -218,6 +223,11 @@ def build(name, config, root):
 def invalid_args(kind, method, n, at, in_values):
     """Arguments ``method`` must refuse: ``n`` good keys, entry ``at``
     spoiled the way ``kind`` says (in the value column when ``in_values``)."""
+    if method in SCALAR:
+        bad = SCALAR_BAD[kind]
+        if method in ("delete", "get"):
+            return (bad,)
+        return (at, bad) if in_values else (bad, at)
     good = np.arange(n, dtype=np.int64)
     if kind == "2-D":
         bad = np.arange(6).reshape(2, 3)
@@ -226,6 +236,8 @@ def invalid_args(kind, method, n, at, in_values):
         bad[at] = 2**63 + at  # a cast to int64 would wrap it negative
     elif kind == "float":
         bad = good + 0.7  # a cast to int64 would truncate it
+    elif kind == "bool":
+        bad = good % 2 == 1  # a cast to int64 would read 0 / 1
     elif kind == "outside-int64":
         bad = good.tolist()
         bad[at] = 2**64 + at if at % 2 else -(2**63) - 1 - at
@@ -274,7 +286,7 @@ class Oracle(RuleBasedStateMachine):
         return engine.tuning_targets() if name in REFERENCES else [engine]
 
     def assert_refused(self, data, kind):
-        """Every engine raises on each batch call ``kind`` spoils, and
+        """Every engine raises on each call ``kind`` spoils, and
         nothing is applied, counted or journaled."""
         calls = []
         for method in INVALID[kind]:
@@ -564,7 +576,8 @@ def test_invalid_input_refused(tmp_path, loaded, name, kind, method):
     """``load``'s refusals enumerated rather than drawn, and on populated
     engines too: every engine kind, empty and holding levels plus a buffered
     memtable, refuses every spoiled batch — the bad entry late, past where a
-    partial apply would stop — and nothing is applied, counted or journaled."""
+    partial apply would stop — and every spoiled scalar op, and nothing is
+    applied, counted or journaled."""
     engine = build(name, PROFILES["default"].with_updates(block_cache_pages=16), str(tmp_path))
     try:
         if loaded:

@@ -28,6 +28,7 @@ from repro.core.lerp import AllLevelsLerp, Lerp, LerpConfig, per_shard_tuners
 from repro.core.named_policy import NamedPolicyLerp
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
+from repro.durable.log import frame
 from repro.engine.sharded import ShardedStore
 from repro.errors import SnapshotError
 from repro.lsm import FLSMTree
@@ -39,13 +40,10 @@ from repro.persist import (
     load_snapshot,
     load_store,
     load_tuner,
-    lerp_config_from_state,
-    lerp_config_to_state,
     save_engine,
     save_snapshot,
     save_store,
     save_tuner,
-    store_from_snapshot,
 )
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.dqn import DQNAgent, DQNConfig
@@ -57,16 +55,14 @@ def roundtrip(state):
     return pickle.loads(pickle.dumps(state, protocol=4))
 
 
-def drive_engine(engine, first, last, seed=3, n_keys=3000, ops=400):
-    """Run deterministic missions [first, last) against a bare engine."""
-    rng = np.random.default_rng(seed)
+def drive_engine(engine, n_missions, n_keys=3000, ops=400):
+    """Run deterministic missions against a bare engine."""
+    rng = np.random.default_rng(3)
     missions = []
-    for index in range(last):
+    for _ in range(n_missions):
         keys = rng.integers(0, n_keys, size=ops)
         values = rng.integers(0, 10**6, size=ops)
         probes = rng.integers(0, n_keys, size=ops)
-        if index < first:
-            continue
         engine.begin_mission()
         engine.put_batch(keys, values)
         engine.get_batch(probes)
@@ -78,56 +74,7 @@ def drive_engine(engine, first, last, seed=3, n_keys=3000, ops=400):
 class TestEngineBitExactResume:
     """That a restored engine — tree, sharded, durable — is sim-identical to
     the straight one is the differential oracle's restore rule
-    (``tests/test_oracle.py``); these are the formats and refusals."""
-
-    CONFIGS = {
-        "lsm": lambda: LSMTree(
-            SystemConfig(size_ratio=4, write_buffer_bytes=16 * 1024, seed=7)
-        ),
-        "sharded": lambda: ShardedStore(
-            SystemConfig(
-                size_ratio=4,
-                write_buffer_bytes=16 * 1024,
-                seed=7,
-                block_cache_pages=16,
-            ),
-            3,
-        ),
-    }
-
-    @pytest.mark.parametrize("kind", ("lsm", "sharded"))
-    def test_parent_format_snapshot_resumes_bit_exact(self, kind):
-        """A snapshot written before the engine-side mission logs went —
-        every collector carrying its full ``completed`` list instead of
-        ``last_mission``, a sharded store its aggregated one — still
-        loads, and the resumed run ``==`` the uninterrupted one."""
-        make = self.CONFIGS[kind]
-        straight = make()
-        drive_engine(straight, 0, 6)
-
-        checkpointed = make()
-        merged, parts = [], []
-        for index in range(6):
-            merged += drive_engine(checkpointed, index, index + 1)
-            parts.append(checkpointed.last_mission_breakdown())
-        state = checkpointed.state_dict()
-        tree_states = state["shards"] if kind == "sharded" else [state]
-        for target, tree_state in enumerate(tree_states):
-            del tree_state["stats"]["last_mission"]
-            tree_state["stats"]["completed"] = [
-                window[target].state_dict() for window in parts
-            ]
-        if kind == "sharded":
-            state["completed"] = [m.state_dict() for m in merged]
-
-        restored = make()
-        restored.load_state_dict(roundtrip(state))
-        assert list(restored.last_mission_breakdown()) == list(parts[-1])
-        assert drive_engine(straight, 6, 12, seed=4) == drive_engine(
-            restored, 6, 12, seed=4
-        )
-        assert straight.view() == restored.view()
-        restored.check_invariants()
+    (``tests/test_oracle.py``); these are the refusals."""
 
     def test_mid_mission_snapshot_rejected(self, tiny_config):
         tree = LSMTree(tiny_config)
@@ -244,73 +191,6 @@ def build_store(config, n_shards=1, tuner_class=Lerp):
     )
 
 
-#: What the one-class ``Lerp`` (before the four-tuner split) had in its
-#: config for each of today's classes.
-PARENT_FLAGS = {
-    "Lerp": dict(mode="level", tune_policy=False),
-    "AllLevelsLerp": dict(mode="all-levels", tune_policy=False),
-    "JointLerp": dict(mode="joint", tune_policy=False),
-    "NamedPolicyLerp": dict(mode="level", tune_policy=True),
-}
-
-
-def as_the_parent_wrote_it(payload):
-    """Rewrite a store snapshot payload into the one-class ``Lerp``'s
-    layout: no class name in the blueprint but ``mode`` / ``tune_policy``
-    (and the three fields nothing set) in its config; a tuner state of
-    every flow's keys, the per-level ones as five flat dicts and the joint
-    transition under level ``-1`` of ``last``."""
-    state = payload["state"]
-    for blueprint, tuner in zip(
-        state["tuner_blueprints"], state["store"]["tuners"]
-    ):
-        blueprint["config"].update(
-            PARENT_FLAGS[blueprint.pop("class")],
-            agent_kind="ddpg",
-            dqn=dict(blueprint["config"]["policy_dqn"], n_actions=3),
-            scale_alpha=0.0,
-        )
-        levels = tuner.pop("levels", {})
-        joint_last = tuner.pop("last", None)
-        tuner.update(
-            agents={n: part["agent"] for n, part in levels.items()},
-            level_scales={n: part["scale"] for n, part in levels.items()},
-            last={
-                n: part["last"]
-                for n, part in levels.items()
-                if part["last"] is not None
-            },
-            reward_windows={
-                n: part["reward_window"]
-                for n, part in levels.items()
-                if part["reward_window"]
-            },
-            arm_stats={
-                n: part["arm_stats"]
-                for n, part in levels.items()
-                if part["arm_stats"]
-            },
-        )
-        if joint_last is not None:
-            tuner["last"][-1] = joint_last
-        for key, empty in (
-            ("joint_agent", None),
-            ("policy_agent", None),
-            ("policy_last", None),
-            ("policy_arm_stats", {}),
-            ("policy_history", []),
-            ("policy_stage_missions", 0),
-            ("policy_converged", False),
-            ("k_history", []),
-            ("stage_missions", 0),
-            ("stage_idx", 0),
-            ("learned", []),
-            ("propagated", None),
-        ):
-            tuner.setdefault(key, empty)
-    return payload
-
-
 @pytest.fixture
 def workload():
     return UniformWorkload(n_records=4000, lookup_fraction=0.5, seed=11)
@@ -327,8 +207,13 @@ class TestStoreBitExactResume:
     def _missions(self, workload):
         return list(workload.missions(self.N, 300))
 
-    def _straight_and_half(self, store_config, workload, n_shards, tuner_class):
-        """An uninterrupted N-mission run, and a twin stopped at N/2."""
+    @pytest.mark.parametrize("tuner_class", TUNER_CLASSES)
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_lerp_tuned_resume_is_bit_exact(
+        self, store_config, workload, tmp_path, n_shards, tuner_class
+    ):
+        """An uninterrupted N-mission run, and a twin stopped at N/2, saved,
+        loaded and finished: the two are indistinguishable."""
         missions = self._missions(workload)
         keys, values = workload.load_records()
         straight = build_store(store_config, n_shards, tuner_class)
@@ -339,12 +224,13 @@ class TestStoreBitExactResume:
         half.bulk_load(keys, values)
         for mission in missions[: self.N // 2]:
             half.run_mission(mission)
-        return straight, half
+        path = os.fspath(tmp_path / "store.ckpt")
+        save_store(half, path)
 
-    def _finish_and_compare(self, straight, resumed, workload, tuner_class):
+        resumed = load_store(path)
         assert resumed.missions_run == self.N // 2
         assert all(type(t) is tuner_class for t in resumed.tuners)
-        for mission in self._missions(workload)[self.N // 2 :]:
+        for mission in missions[self.N // 2 :]:
             resumed.run_mission(mission)
         assert len(resumed.mission_log) == self.N
         assert straight.mission_log == resumed.mission_log
@@ -355,46 +241,6 @@ class TestStoreBitExactResume:
             assert ours.converged == theirs.converged
             assert ours.restarts == theirs.restarts
             assert ours.state_dict()["rng"] == theirs.state_dict()["rng"]
-
-    @pytest.mark.parametrize("tuner_class", TUNER_CLASSES)
-    @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_lerp_tuned_resume_is_bit_exact(
-        self, store_config, workload, tmp_path, n_shards, tuner_class
-    ):
-        straight, half = self._straight_and_half(
-            store_config, workload, n_shards, tuner_class
-        )
-        path = os.fspath(tmp_path / "store.ckpt")
-        save_store(half, path)
-        self._finish_and_compare(
-            straight, load_store(path), workload, tuner_class
-        )
-
-    @pytest.mark.parametrize("tuner_class", TUNER_CLASSES)
-    def test_parent_layout_tuner_snapshot_resumes_bit_exact(
-        self, store_config, workload, tmp_path, tuner_class
-    ):
-        """A file from before the tuners were split (flat per-level dicts,
-        ``mode`` / ``tune_policy`` in the config) loads into the class its
-        flags selected and continues like the uninterrupted run."""
-        straight, half = self._straight_and_half(
-            store_config, workload, 1, tuner_class
-        )
-        path = os.fspath(tmp_path / "store.ckpt")
-        save_store(half, path)
-        payload = roundtrip(as_the_parent_wrote_it(load_snapshot(path)))
-        assert "class" not in payload["state"]["tuner_blueprints"][0]
-        assert "levels" not in payload["state"]["store"]["tuners"][0]
-        self._finish_and_compare(
-            straight, store_from_snapshot(payload), workload, tuner_class
-        )
-
-    def test_parent_config_with_removed_code_paths_is_refused(self):
-        state = lerp_config_to_state(lerp_test_config())
-        assert lerp_config_from_state(state) == lerp_test_config()
-        for removed in (dict(agent_kind="dqn"), dict(scale_alpha=0.1)):
-            with pytest.raises(SnapshotError):
-                lerp_config_from_state({**state, **removed})
 
     def test_shared_tuner_restores_as_one_instance(
         self, store_config, workload, tmp_path
@@ -411,11 +257,6 @@ class TestStoreBitExactResume:
 
         resumed = load_store(path)
         assert resumed.tuners[0] is resumed.tuners[1]
-
-        # A caller-supplied factory must preserve the shared topology too,
-        # so the single saved tuner state reaches every slot.
-        rebuilt = load_store(path, tuner_factory=lambda c: StaticTuner(3))
-        assert rebuilt.tuners[0] is rebuilt.tuners[1]
 
     def test_tuner_topology_mismatch_rejected(self, store_config, workload):
         keys, values = workload.load_records()
@@ -465,32 +306,6 @@ class TestSnapshotFiles:
         assert restored.clock_now == tree.clock_now
         assert restored.config == tree.config
 
-    def test_flsm_tagged_snapshot_loads_as_lsm(self, store_config, tmp_path):
-        """Snapshots written while ``FLSMTree`` was a subclass are tagged
-        ``"flsm"`` and carry a ``transition_log``; both stay readable."""
-        tree = LSMTree(store_config)
-        tree.put_batch(np.arange(500), np.arange(500))
-        path = os.fspath(tmp_path / "old.snap")
-        save_engine(tree, path)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        assert payload["state"]["engine_kind"] == "lsm"
-        payload["state"]["engine_kind"] = "flsm"
-        payload["state"]["engine"]["transition_log"] = [
-            {"at": 0.0, "level": 1, "policy": 3, "cost": 0.0}
-        ]
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        restored = load_engine(path)
-        assert type(restored) is LSMTree
-        assert restored.describe() == tree.describe()
-        restored.check_invariants()
-        resaved = os.fspath(tmp_path / "new.snap")
-        save_engine(restored, resaved)
-        state = load_snapshot(resaved)["state"]
-        assert state["engine_kind"] == "lsm"
-        assert "transition_log" not in state["engine"]
-
     def test_tuner_roundtrip(self, store_config, workload, tmp_path):
         store = build_store(store_config)
         keys, values = workload.load_records()
@@ -524,23 +339,58 @@ class TestSnapshotFiles:
         with pytest.raises(SnapshotError):
             load_snapshot(os.fspath(tmp_path / "missing"))
 
-    def test_version_mismatch(self, tmp_path):
-        path = os.fspath(tmp_path / "future")
+    @pytest.mark.parametrize("version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1])
+    def test_version_mismatch(self, tmp_path, version):
+        path = os.fspath(tmp_path / "other")
         save_snapshot(path, "engine", {})
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["format_version"] = FORMAT_VERSION + 1
+        payload = load_snapshot(path)
+        payload["format_version"] = version
         with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        with pytest.raises(SnapshotError):
+            fh.write(frame(pickle.dumps(payload)))
+        with pytest.raises(SnapshotError, match="format version"):
             load_snapshot(path)
 
     def test_pickle_rejects_foreign_payload(self, tmp_path):
         path = os.fspath(tmp_path / "dictfile")
         with open(path, "wb") as fh:
-            pickle.dump({"hello": "world"}, fh)
-        with pytest.raises(SnapshotError):
+            fh.write(frame(pickle.dumps({"hello": "world"})))
+        with pytest.raises(SnapshotError, match="not a repro snapshot"):
             load_snapshot(path)
+
+    def test_damaged_or_unframed_file_is_refused(
+        self, store_config, workload, tmp_path
+    ):
+        """A snapshot is one CRC frame, checked before anything is
+        unpickled: every truncation, every single-byte flip and the
+        unframed pickle the first format wrote raise ``SnapshotError``."""
+        store = build_store(store_config, n_shards=2)
+        keys, values = workload.load_records()
+        store.bulk_load(keys, values)
+        for mission in workload.missions(4, 300):
+            store.run_mission(mission)
+        path = os.fspath(tmp_path / "store.ckpt")
+        save_store(store, path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        v1 = load_snapshot(path)
+        v1["format_version"] = 1
+
+        rng = np.random.default_rng(29)
+        damaged = [data[:end] for end in range(0, len(data), len(data) // 150)]
+        for at, mask in zip(
+            rng.integers(0, len(data), 250), rng.integers(1, 256, 250)
+        ):
+            flipped = bytearray(data)
+            flipped[at] ^= mask
+            damaged.append(bytes(flipped))
+        damaged.append(pickle.dumps(v1, protocol=4))
+        damaged_path = os.fspath(tmp_path / "damaged.ckpt")
+        for blob in damaged:
+            with open(damaged_path, "wb") as fh:
+                fh.write(blob)
+            with pytest.raises(SnapshotError):
+                load_store(damaged_path)
+        load_store(path)  # the undamaged file still loads
 
 
 class TestLerpWarmStart:
@@ -643,7 +493,7 @@ class TestCacheStatsSurfaced:
             block_cache_pages=64,
         )
         tree = FLSMTree(config)
-        missions = drive_engine(tree, 0, 4)
+        missions = drive_engine(tree, 4)
         totals = (
             sum(m.cache_hits for m in missions),
             sum(m.cache_misses for m in missions),
@@ -660,7 +510,7 @@ class TestCacheStatsSurfaced:
             block_cache_pages=32,
         )
         store = ShardedStore(config, 3)
-        missions = drive_engine(store, 0, 4)
+        missions = drive_engine(store, 4)
         per_shard = sum(s.cache.hits for s in store.shards)
         assert store.cache_hits == per_shard
         assert sum(m.cache_hits for m in missions) == per_shard

@@ -45,8 +45,8 @@ class TestMissionStats:
         assert MissionStats.from_state_dict(state) == mission
 
     def test_stale_model_update_time_key_still_loads(self):
-        """Snapshots written before host time left the record carry a
-        ``model_update_time`` entry; readers ignore it."""
+        """The record is read field by field, so a key it no longer has
+        (``model_update_time``, a host-clock field) is never read back."""
         mission = MissionStats(index=0, n_lookups=1, sim_duration=0.25)
         state = dict(mission.state_dict(), model_update_time=0.0123)
         assert MissionStats.from_state_dict(state) == mission

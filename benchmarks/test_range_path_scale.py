@@ -16,6 +16,8 @@ two paths; ``sim_total_s`` enters the metrics snapshot. How much faster the
 batched path runs on the host is ``perfbench``'s ``lsm.range_scan_batch_s``.
 """
 
+import copy
+
 import numpy as np
 from _common import emit_metrics, emit_report
 from reference_range import reference_range_scan_batch
@@ -69,8 +71,7 @@ def _range_batches(scale):
 
 def _run_panel(scale, policy):
     tree = _build_tree(scale, policy)
-    twin = FLSMTree(tree.config)
-    twin.load_state_dict(tree.state_dict())
+    twin = copy.deepcopy(tree)
     batches = _range_batches(scale)
 
     outputs_new = [tree.range_scan_batch(los, his) for los, his in batches]

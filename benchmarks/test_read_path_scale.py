@@ -17,6 +17,8 @@ two paths; ``sim_total_s`` enters the metrics snapshot. How much faster the
 vectorized path runs on the host is ``perfbench``'s ``lsm.get_batch_s``.
 """
 
+import copy
+
 import numpy as np
 from _common import emit_metrics, emit_report
 from reference_get import reference_get_batch
@@ -76,8 +78,7 @@ def _probe_batches(keys, zipfian):
 
 def _run_panel(scale, policy, zipfian, cache_pages):
     tree, keys = _build_tree(scale, policy, cache_pages)
-    twin = FLSMTree(tree.config)
-    twin.load_state_dict(tree.state_dict())
+    twin = copy.deepcopy(tree)
     batches = _probe_batches(keys, zipfian)
 
     outputs_new = [tree.get_batch(batch) for batch in batches]

@@ -13,14 +13,12 @@ path:
 * **LOCK-ORDER** — multi-lane lock acquisition in ``serve/`` goes through
   :func:`repro.serve.locks.ordered_lane_locks`, never ad-hoc nested
   acquisition (DESIGN.md §7).
-* **SNAPSHOT-COMPLETENESS** — a class with ``state_dict()`` must account
-  for every attribute its ``__init__`` assigns (DESIGN.md §6).
 * **DURABLE-FSYNC** — file publishes in ``durable/``/``persist/`` go
   through :mod:`repro.durable.atomio` (tmp → fsync → rename → dir fsync);
   bare rename/un-fsynced writes are flagged (DESIGN.md §13).
 
 This package is the linter that reads the code instead: a small rule
-engine (:mod:`repro.analysis.core`), the five rules above
+engine (:mod:`repro.analysis.core`), the four rules above
 (:mod:`repro.analysis.rules`), justified-pragma suppression, and text /
 JSON reporters behind a ``python -m repro.analysis`` CLI that exits
 non-zero on any unsuppressed finding. CI runs it next to ruff

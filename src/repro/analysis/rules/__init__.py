@@ -7,7 +7,6 @@ from repro.analysis.rules.durability import DurableFsyncRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.obs_impact import ObsZeroImpactRule
 from repro.analysis.rules.sim_purity import SimPurityRule
-from repro.analysis.rules.snapshot import SnapshotCompletenessRule
 from repro.errors import ConfigError
 
 #: Every shipped rule, in report order.
@@ -15,7 +14,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     SimPurityRule,
     ObsZeroImpactRule,
     LockOrderRule,
-    SnapshotCompletenessRule,
     DurableFsyncRule,
 )
 

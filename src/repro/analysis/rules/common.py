@@ -91,23 +91,3 @@ def param_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
     if args.kwarg:
         names.append(args.kwarg.arg)
     return {n for n in names if n not in ("self", "cls")}
-
-
-def self_attr_name(node: ast.AST) -> str | None:
-    """``x`` for an expression of the exact shape ``self.x``."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def str_constants(node: ast.AST) -> set[str]:
-    """Every string literal appearing anywhere under ``node``."""
-    return {
-        sub.value
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-    }

@@ -45,7 +45,6 @@ MUTATOR_METHODS = frozenset(
         "delete_batch",
         "end_mission",
         "get_batch",
-        "load_state_dict",
         "observe_mission",
         "put",
         "put_batch",

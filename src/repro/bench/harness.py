@@ -181,15 +181,10 @@ def _resume_fingerprint(
     ``make_tuner`` closure are beyond fingerprinting; ``lerp_config``
     covers the default path.)
     """
-    lerp_config = None
-    if system.lerp_config is not None:
-        from repro.persist import lerp_config_to_state
-
-        lerp_config = lerp_config_to_state(system.lerp_config)
     return {
         "workload": _workload_fingerprint(experiment.workload),
         "mission_size": experiment.mission_size,
-        "lerp_config": lerp_config,
+        "lerp_config": repr(system.lerp_config),
     }
 
 
@@ -234,10 +229,10 @@ def run_system(experiment: Experiment, system: SystemSpec) -> SeriesResult:
     store: Optional[RusKey] = None
     if experiment.resume and ckpt_path and os.path.exists(ckpt_path):
         from repro.errors import SnapshotError
-        from repro.persist import load_snapshot, store_from_snapshot
+        from repro.persist import load_snapshot
 
         payload = load_snapshot(ckpt_path, expected_kind="store")
-        store = store_from_snapshot(payload)
+        store = payload["object"]
         if (
             store.config
             != experiment.base_config.with_updates(initial_policy=system.initial_policy)

@@ -6,11 +6,11 @@ the same point through sample efficiency. This experiment measures that
 claim directly:
 
 1. **Pretrain** — RusKey runs a multi-session dynamic schedule A; the
-   trained tuner (networks, replay, optimizer moments, scales) is
-   snapshotted with :meth:`repro.core.lerp.Lerp.state_dict`.
+   trained tuner (networks, replay, optimizer moments, scales) is copied
+   whole (``copy.deepcopy``, what a snapshot round trip restores).
 2. **Transfer** — two fresh stores run an *unseen* dynamic schedule B (new
    mixes, new seed, fresh data): *cold-start* begins from scratch;
-   *warm-start* loads the pretrained tuner state and re-enters tuning via
+   *warm-start* starts from the pretrained copy and re-enters tuning via
    :meth:`~repro.core.lerp.Lerp.warm_start` (episode bookkeeping cleared,
    exploration reduced — the critic already knows the cost surface).
 3. **Report** — per-phase latency for both, plus adaptation-phase and
@@ -25,6 +25,7 @@ state.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -83,11 +84,9 @@ def run_warmstart_transfer(
     """Run the full pretrain → (warm vs cold) transfer experiment."""
     scale = scale or bench_scale()
     config = base_config(scale=scale, seed=seed)
-    transfer_lerp = bench_lerp_config(scale.session_missions, seed=seed + 1)
     tuners = {
         "pretrain": Lerp(config, bench_lerp_config(scale.session_missions, seed=seed)),
-        "cold-start": Lerp(config, transfer_lerp),
-        "warm-start": Lerp(config, transfer_lerp),
+        "cold-start": Lerp(config, bench_lerp_config(scale.session_missions, seed=seed + 1)),
     }
 
     def run(schedule: DynamicWorkload, name: str) -> SeriesResult:
@@ -101,7 +100,7 @@ def run_warmstart_transfer(
     pretrain = run(pretrain_schedule(scale, seed), "pretrain")
     schedule_b = transfer_schedule(scale, seed)
     cold = run(schedule_b, "cold-start")
-    tuners["warm-start"].load_state_dict(tuners["pretrain"].state_dict())
+    tuners["warm-start"] = copy.deepcopy(tuners["pretrain"])
     tuners["warm-start"].warm_start(exploration_scale=exploration_scale)
     warm = run(schedule_b, "warm-start")
     return TransferResult(pretrain, warm, cold, tuners, schedule_b.total_missions)

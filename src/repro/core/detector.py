@@ -19,10 +19,6 @@ from repro.errors import ConfigError
 class WorkloadChangeDetector:
     """EMA-based shift detector over the mission lookup fraction."""
 
-    # Detection hyperparameters, re-supplied by the owning Lerp at
-    # reconstruction; only the mutable EMA/run-length state is snapshotted.
-    _snapshot_exempt = frozenset({"threshold", "ema_alpha", "consecutive"})
-
     def __init__(
         self,
         threshold: float = 0.12,
@@ -78,19 +74,3 @@ class WorkloadChangeDetector:
     def reset(self) -> None:
         self._ema = None
         self._streak = 0
-
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        return {
-            "ema": self._ema,
-            "streak": self._streak,
-            "changes_detected": self.changes_detected,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        ema = state["ema"]
-        self._ema = None if ema is None else float(ema)
-        self._streak = int(state["streak"])
-        self.changes_detected = int(state["changes_detected"])

@@ -38,10 +38,6 @@ class BloomBudgetExtension(Tuner):
     compaction — evaluating a move needs a full window of missions.
     """
 
-    # Constructor configuration (identity + sweep schedule), rebuilt from
-    # the blueprint and never mutated after __init__.
-    _snapshot_exempt = frozenset({"name", "window", "step", "min_bits", "max_bits"})
-
     def __init__(
         self,
         base_tuner: Tuner,
@@ -93,24 +89,3 @@ class BloomBudgetExtension(Tuner):
         self._previous_window = None
         self._direction = 1.0
         self.budget_history.clear()
-
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """The hill-climb state plus the wrapped tuner's state."""
-        return {
-            "base_tuner": self.base_tuner.state_dict(),
-            "latencies": list(self._latencies),
-            "previous_window": self._previous_window,
-            "direction": self._direction,
-            "budget_history": list(self.budget_history),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.base_tuner.load_state_dict(state["base_tuner"])
-        self._latencies = [float(x) for x in state["latencies"]]
-        previous = state["previous_window"]
-        self._previous_window = None if previous is None else float(previous)
-        self._direction = float(state["direction"])
-        self.budget_history = [float(x) for x in state["budget_history"]]

@@ -9,7 +9,7 @@ cannot finish learning in time.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -92,20 +92,3 @@ class JointLerp(EpisodeTuner):
     def reset(self) -> None:
         self._joint_agent = None
         super().reset()
-
-    def state_dict(self) -> Dict[str, object]:
-        agent = self._joint_agent
-        return {
-            **super().state_dict(),
-            "joint_agent": None if agent is None else agent.state_dict(),
-            "last": self._last,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._joint_agent = None
-        if state["joint_agent"] is not None:
-            self._joint_agent = self._make_agent()
-            self._joint_agent.load_state_dict(state["joint_agent"])
-        last = state["last"]
-        self._last = None if last is None else (np.array(last[0]), np.array(last[1]))
-        super().load_state_dict(state)

@@ -112,15 +112,11 @@ class EpisodeTuner(Tuner):
     """The episode every learned tuner shares; a tuner is this plus a step.
 
     A subclass defines :meth:`_step` and extends — calling ``super()`` —
-    ``_restart`` (its episode bookkeeping, its agents' exploration),
-    ``reset`` (its agents), ``state_dict`` and ``load_state_dict`` (its
-    parts). Agents are built lazily from :attr:`_rng` at first use;
-    ``load_state_dict`` rebuilds them *before* calling ``super()``, which
-    restores the RNG last.
+    ``_restart`` (its episode bookkeeping, its agents' exploration) and
+    ``reset`` (its agents). Agents are built lazily from :attr:`_rng` at
+    first use, so *when* a part is built is part of the draw sequence; a
+    pickled tuner carries its parts and the RNG as they are.
     """
-
-    # Immutable wiring rebuilt from the blueprint.
-    _snapshot_exempt = frozenset({"system_config", "config"})
 
     def __init__(self, system_config: SystemConfig, config: Optional[LerpConfig] = None):
         self.system_config = system_config
@@ -215,38 +211,6 @@ class EpisodeTuner(Tuner):
         self.detector.reset()
         self._scale = RunningScale()
 
-    def state_dict(self) -> Dict[str, object]:
-        """The shared episode; each tuner adds its own parts."""
-        return {
-            "rng": self._rng.bit_generator.state,
-            "detector": self.detector.state_dict(),
-            "scale": self._scale.state_dict(),
-            "burn_in_left": self._burn_in_left,
-            "converged": self.converged,
-            "restarts": self.restarts,
-            "total_model_update_s": self.total_model_update_s,
-            "missions_observed": self.missions_observed,
-            "audit": None if self.audit is None else self.audit.state_dict(),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore in place; the tuner must have been constructed with an
-        equivalent :class:`LerpConfig` (same agent architecture)."""
-        self.detector.load_state_dict(state["detector"])
-        self._scale.load_state_dict(state["scale"])
-        self._burn_in_left = int(state["burn_in_left"])
-        self.converged = bool(state["converged"])
-        self.restarts = int(state["restarts"])
-        self.total_model_update_s = float(state["total_model_update_s"])
-        self.missions_observed = int(state["missions_observed"])
-        if state["audit"] is not None:
-            from repro.obs.audit import DecisionAuditLog
-
-            self.audit = DecisionAuditLog.from_state_dict(state["audit"])
-        # Last: the subclass's freshly built agents drew construction-time
-        # weights; continue the draw sequence exactly where it was cut.
-        self._rng.bit_generator.state = state["rng"]
-
 
 class AllLevelsLerp(EpisodeTuner):
     """Section 7's "all levels, no propagation": a level agent for *every*
@@ -281,16 +245,6 @@ class AllLevelsLerp(EpisodeTuner):
         self._levels.clear()
         super().reset()
 
-    def state_dict(self) -> Dict[str, object]:
-        levels = {n: part.state_dict() for n, part in self._levels.items()}
-        return {**super().state_dict(), "levels": levels}
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._levels = {}
-        for level_no, part_state in state["levels"].items():
-            self._level(int(level_no)).load_state_dict(part_state)
-        super().load_state_dict(state)
-
 
 class Lerp(AllLevelsLerp):
     """The RusKey tuning model: the level agents tuned in stages, one level
@@ -298,7 +252,6 @@ class Lerp(AllLevelsLerp):
 
     name = "ruskey"
 
-    _snapshot_exempt = frozenset({"propagator"})  # wiring, like system_config
     # perfbench's tracer patches ``vars(Lerp)["observe_mission"]``.
     observe_mission = EpisodeTuner.observe_mission
 
@@ -398,22 +351,3 @@ class Lerp(AllLevelsLerp):
         self._learned = []
         self._propagated = None
         self._k_history.clear()
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            **super().state_dict(),
-            "k_history": list(self._k_history),
-            "stage_missions": self._stage_missions,
-            "stage_idx": self._stage_idx,
-            "learned": list(self._learned),
-            "propagated": None if self._propagated is None else list(self._propagated),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._k_history = deque(state["k_history"], maxlen=self.config.stable_window)
-        self._stage_missions = int(state["stage_missions"])
-        self._stage_idx = int(state["stage_idx"])
-        self._learned = [int(k) for k in state["learned"]]
-        propagated = state["propagated"]
-        self._propagated = None if propagated is None else [int(k) for k in propagated]
-        super().load_state_dict(state)

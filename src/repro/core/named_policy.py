@@ -210,27 +210,3 @@ class NamedPolicyLerp(EpisodeTuner):
     def reset(self) -> None:
         self._agent = None
         super().reset()
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            **super().state_dict(),
-            "policy_agent": None if self._agent is None else self._agent.state_dict(),
-            "policy_last": self._last,
-            "policy_arm_stats": {a: list(v) for a, v in self._arm_stats.items()},
-            "policy_history": list(self._history),
-            "policy_stage_missions": self._stage_missions,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self._agent = None
-        if state["policy_agent"] is not None:
-            self._agent = DQNAgent(self.config.policy_dqn, self._rng)
-            self._agent.load_state_dict(state["policy_agent"])
-        last = state["policy_last"]
-        self._last = None if last is None else (np.array(last[0]), int(last[1]))
-        arm_stats = state["policy_arm_stats"]
-        self._arm_stats = {int(a): list(v) for a, v in arm_stats.items()}
-        window = self.config.stable_window
-        self._history = deque(state["policy_history"], maxlen=window)
-        self._stage_missions = int(state["policy_stage_missions"])
-        super().load_state_dict(state)

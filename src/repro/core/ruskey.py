@@ -40,7 +40,7 @@ from repro.core.lerp import Lerp, LerpConfig, per_shard_tuners
 from repro.core.missions import MissionRunner
 from repro.core.tuners import Tuner
 from repro.engine.sharded import ShardedStore
-from repro.errors import ConfigError, SnapshotError, WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.lsm.stats import EngineView, MissionStats
 from repro.lsm.tree import DerivedMembers, LSMTree
 from repro.workload.spec import Mission, WorkloadSpec
@@ -48,10 +48,6 @@ from repro.workload.spec import Mission, WorkloadSpec
 
 class RusKey(DerivedMembers):
     """A storage engine driven by (pluggable) tuning models."""
-
-    # config is the immutable blueprint; tuner aliases tuners[0], which
-    # state_dict already serializes.
-    _snapshot_exempt = frozenset({"config", "tuner"})
 
     def __init__(
         self,
@@ -156,8 +152,7 @@ class RusKey(DerivedMembers):
         """Attach one :class:`repro.obs.audit.DecisionAuditLog` to every
         distinct tuner (a shared tuner instance is attached once). Audit
         recording is host-side only — simulated results are bit-identical
-        with or without it (DESIGN.md §12). The store snapshots the log
-        once and re-attaches it as one instance on restore."""
+        with or without it (DESIGN.md §12)."""
         self.audit = audit
         for tuner in dict.fromkeys(self.tuners):
             tuner.attach_audit(audit)
@@ -205,59 +200,10 @@ class RusKey(DerivedMembers):
         """Run a pre-built mission stream."""
         return [self.run_mission(mission) for mission in missions]
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist and DESIGN.md §6)
-    # ------------------------------------------------------------------
     @property
     def missions_run(self) -> int:
         """Number of missions processed so far (the resume cursor)."""
         return len(self.mission_log)
-
-    def state_dict(self) -> dict:
-        """Full serializable snapshot of the store: engine, tuner(s) and the
-        controller's mission/policy logs. A shared tuner (one instance
-        observing every shard) is snapshotted once, and so is the audit log
-        attached through :meth:`attach_audit`."""
-        shared = all(t is self.tuners[0] for t in self.tuners)
-        tuner_states = [t.state_dict() for t in self.tuners[: 1 if shared else None]]
-        for tuner, tuner_state in zip(self.tuners, tuner_states):
-            if self.audit is not None and getattr(tuner, "audit", None) is self.audit:
-                tuner_state["audit"] = None  # the store's copy is the one written
-        return {
-            "engine": self.engine.state_dict(),
-            "tuners_shared": shared,
-            "tuners": tuner_states,
-            "audit": None if self.audit is None else self.audit.state_dict(),
-            "mission_log": [m.state_dict() for m in self.mission_log],
-            "policy_history": [list(p) for p in self.policy_history],
-            "chunk_size": self.runner.chunk_size,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore engine, tuner(s) and logs in place. The store must have
-        been constructed with the same config, topology and tuner kinds."""
-        self.engine.load_state_dict(state["engine"])
-        saved = state["tuners"]
-        saved_shared = bool(state["tuners_shared"])
-        shared = all(t is self.tuners[0] for t in self.tuners)
-        distinct = self.tuners[: 1 if shared else None]
-        mismatch = saved_shared != shared and len(self.tuners) > 1
-        if mismatch or len(saved) != len(distinct):
-            raise SnapshotError(
-                f"tuner topology mismatch: snapshot holds {len(saved)} tuner "
-                f"state(s) (shared: {saved_shared}), this store has "
-                f"{len(distinct)} distinct tuner(s) (shared: {shared})"
-            )
-        for tuner, tuner_state in zip(distinct, saved):
-            tuner.load_state_dict(tuner_state)
-        if state["audit"] is not None:
-            from repro.obs.audit import DecisionAuditLog
-
-            self.attach_audit(DecisionAuditLog.from_state_dict(state["audit"]))
-        self.mission_log = [
-            MissionStats.from_state_dict(m) for m in state["mission_log"]
-        ]
-        self.policy_history = [list(p) for p in state["policy_history"]]
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -61,10 +61,6 @@ class RunningScale:
     shifts and latency magnitudes genuinely change.
     """
 
-    # Fixed at construction; only the anchor value and sample count are
-    # mutable state.
-    _snapshot_exempt = frozenset({"calibration_samples"})
-
     def __init__(self, calibration_samples: int = 8) -> None:
         if calibration_samples < 1:
             raise RLError(
@@ -95,17 +91,6 @@ class RunningScale:
         if self.value <= 0.0:
             return 0.0
         return float(min(sample / self.value, 10.0))
-
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """The mutable pieces: the anchor value and the sample count."""
-        return {"value": self.value, "count": self._count}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.value = float(state["value"])
-        self._count = int(state["count"])
 
 
 def level_state(
@@ -189,9 +174,6 @@ class LevelAgent:
     owning tuner's one generator), so *when* a tuner first asks for a level
     is part of its draw sequence.
     """
-
-    # Wiring the owning tuner re-supplies when it rebuilds the part.
-    _snapshot_exempt = frozenset({"level_no", "config", "size_ratio", "_rng"})
 
     def __init__(
         self,
@@ -334,21 +316,3 @@ class LevelAgent:
         self.arm_stats.clear()
         self.scale.boost()
         self.agent.reset_exploration(self.agent.config.noise_sigma * exploration_scale)
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "agent": self.agent.state_dict(),
-            "scale": self.scale.state_dict(),
-            "last": self.last,
-            "reward_window": list(self.reward_window),
-            "arm_stats": {k: list(v) for k, v in self.arm_stats.items()},
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        self.agent.load_state_dict(state["agent"])
-        self.scale.load_state_dict(state["scale"])
-        last = state["last"]
-        self.last = None if last is None else (np.array(last[0]), np.array(last[1]))
-        window = self.config.reward_smoothing
-        self.reward_window = deque(state["reward_window"], maxlen=window)
-        self.arm_stats = {int(k): list(v) for k, v in state["arm_stats"].items()}

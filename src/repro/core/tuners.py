@@ -41,22 +41,6 @@ class Tuner:
         (:mod:`repro.core.lerp`) record every decision."""
         return None
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot of any adaptive state.
-
-        The base tuners (static, lazy-leveling, greedy-threshold) hold only
-        construction-time configuration, so the default is empty; the
-        learned tuners override both hooks with their full learned state.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore adaptive state from :meth:`state_dict` output."""
-        return None
-
 
 class NoOpTuner(Tuner):
     """Leaves the tree exactly as configured."""

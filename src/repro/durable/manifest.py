@@ -12,7 +12,7 @@ Edit record fields (all optional except where noted; unknown fields are
 ignored so the format can grow):
 
 ``snapshot``          bool — this edit rebases state instead of patching it
-``config``            :func:`repro.persist.snapshot.config_to_state` dict
+``config``            :func:`repro.config.config_to_state` dict
                       (snapshot edits only)
 ``files``             ``[[level, run_id, filename], ...]`` full live file
                       list in level-then-age order (snapshot edits only)

@@ -123,16 +123,16 @@ class DurableStore(LSMTree):
     write path.
     """
 
-    # Durable state lives in the WAL/manifest/SSTables on disk, not in the
-    # pickle snapshot: the _pending_* accumulators and _segment_max_seqno
-    # map are re-derived by _recover() on reopen, rotate_manifest_every
-    # comes from the blueprint, telemetry is host-side measurement, and
-    # last_recovery/_closed/_in_mutator are per-process lifecycle flags.
-    _snapshot_exempt = frozenset({
-        "rotate_manifest_every", "telemetry", "_pending_ops",
-        "_pending_wal_head", "_segment_max_seqno", "_closed", "_in_mutator",
-        "last_recovery",
-    })
+    #: This process's handle on ``data_dir``: the open options, the log
+    #: writers, the commit bookkeeping, telemetry and lifecycle flags. A
+    #: pickle leaves them out; :meth:`__setstate__` reopens the directory
+    #: with the default options.
+    _PROCESS_FIELDS = (
+        "rotate_manifest_every", "telemetry", "_pending_ops", "_pending_wal_head",
+        "_segment_max_seqno", "_closed", "_in_mutator", "last_recovery", "_wal",
+        "_manifest", "_state", "_wal_head_id", "_flushed_seqno", "_applied_seqno",
+        "_inflight_floor",
+    )
 
     def __init__(
         self,
@@ -683,32 +683,24 @@ class DurableStore(LSMTree):
                     )
 
     # ------------------------------------------------------------------
-    # Snapshot interop (repro.persist): a DurableStore can still checkpoint
+    # Pickling (repro.persist): the tree and its WAL position travel; the
+    # directory is reopened where the store is loaded
     # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Whole-store snapshot (tree state + durable watermarks).
+    def __getstate__(self) -> Dict[str, object]:
+        state = super().__getstate__()
+        for name in self._PROCESS_FIELDS:
+            del state[name]
+        return state
 
-        ``repro.persist`` stores this alongside the config and data_dir;
-        :meth:`load_state_dict` installs the directory's next generation
-        from it.
-        """
-        return {
-            "tree": super().state_dict(),
-            "data_dir": self.data_dir,
-            "next_seqno": self._next_seqno,
-            "acked_seqno": self._acked_seqno,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore from a snapshot and install it as the directory's next
-        generation (:meth:`_install_generation`): after this the directory
-        recovers to exactly the snapshot, not to whatever preceded the
-        load."""
-        super().load_state_dict(state["tree"])
-        self._next_seqno = int(state["next_seqno"])
-        self._acked_seqno = int(state["acked_seqno"])
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        """Reopen ``data_dir`` (recovering or creating it), then install
+        the loaded tree as its next generation
+        (:meth:`_install_generation`): after this the directory recovers
+        to exactly the loaded tree, not to whatever it held before."""
+        DurableStore.__init__(self, state["data_dir"], state["config"])
         self._wal.close()
         self._manifest.close()
+        vars(self).update(state)
         self._install_generation(self._manifest.manifest_id + 1)
 
     # ------------------------------------------------------------------

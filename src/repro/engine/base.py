@@ -12,7 +12,7 @@ the LSM layer does not need to import this package (no inheritance, no
 import cycle): any object with the right methods *is* an engine, and
 ``isinstance(obj, KVEngine)`` checks conformance at runtime.
 
-The protocol lists the 18 *primitive* members — what an engine must
+The protocol lists the 16 *primitive* members — what an engine must
 implement itself. What follows from them (scalar ``get`` / ``range_lookup``
 / ``put`` / ``delete`` as one-element batches; ``clock_now`` /
 ``io_counters`` / ``cache_hits`` / ``cache_misses`` / ``total_entries`` as
@@ -51,7 +51,6 @@ The contract, beyond plain data access:
 from __future__ import annotations
 
 from typing import (
-    Dict,
     List,
     Optional,
     Protocol,
@@ -148,27 +147,6 @@ class KVEngine(Protocol):
         to the engine's batch entry points. Tracing is host-wall-clock
         observation only — it must leave every simulated observable
         bit-identical (the zero-sim-impact contract, DESIGN.md §12)."""
-        ...
-
-    # -- persistence ----------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Full serializable snapshot of the engine (between missions).
-
-        The returned mapping contains only primitives, numpy arrays and
-        nested containers thereof; :mod:`repro.persist` wraps it in a
-        versioned snapshot file. A restored engine must be *bit-exact*:
-        running the same operation stream after a save/load cycle yields
-        the same stats, clock, counters and tree structure as never having
-        snapshotted at all.
-        """
-        ...
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the engine in place from :meth:`state_dict` output.
-
-        The engine must have been constructed with the same
-        :class:`SystemConfig` (and topology) the snapshot was taken under.
-        """
         ...
 
     # -- introspection --------------------------------------------------

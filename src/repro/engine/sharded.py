@@ -89,10 +89,6 @@ class ShardedStore(DerivedMembers):
     independent across shards).
     """
 
-    # config is the shared immutable blueprint; tracer is an injected
-    # observer re-attached by the embedding layer, excluded by design.
-    _snapshot_exempt = frozenset({"config", "tracer"})
-
     def __init__(
         self,
         config: SystemConfig,
@@ -310,28 +306,6 @@ class ShardedStore(DerivedMembers):
         for shard in self.shards:
             shard.check_invariants()
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist and DESIGN.md §6)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Per-shard snapshots plus the store's aggregation state."""
-        return {
-            "n_shards": self.n_shards,
-            "shards": [shard.state_dict() for shard in self.shards],
-            "mission_index": self._mission_index,
-            "last_breakdown": [m.state_dict() for m in self._last_breakdown],
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore every shard in place plus the window cursor."""
-        if int(state["n_shards"]) != self.n_shards:
-            raise TreeStateError(
-                f"shard-count mismatch: snapshot has {state['n_shards']} "
-                f"shards, this store has {self.n_shards}"
-            )
-        for shard, shard_state in zip(self.shards, state["shards"]):
-            shard.load_state_dict(shard_state)
-        self._mission_index = int(state["mission_index"])
-        self._last_breakdown = [
-            MissionStats.from_state_dict(m) for m in state["last_breakdown"]
-        ]
+    def __getstate__(self) -> Dict[str, object]:
+        # The tracer is host wiring, re-attached by whoever loads the store.
+        return {**vars(self), "tracer": None}

@@ -127,9 +127,6 @@ class Level:
         "_lookup_cache",
     )
 
-    # Derived lookup index, rebuilt lazily from the runs on first use.
-    _snapshot_exempt = frozenset({"_lookup_cache"})
-
     def __init__(
         self,
         level_no: int,
@@ -303,35 +300,11 @@ class Level:
                 )
 
     # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
+    # Pickling: the lookup index is derived, rebuilt lazily after load
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the level and its runs (oldest first)."""
-        return {
-            "level_no": self.level_no,
-            "capacity_entries": self.capacity_entries,
-            "policy": self.policy,
-            "pending_policy": self.pending_policy,
-            "fpr": self.fpr,
-            "max_policy": self.max_policy,
-            "runs": [run.state_dict() for run in self.runs],
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: dict, run_builder) -> "Level":
-        """Rebuild a level; ``run_builder(run_state)`` reconstructs each run
-        (the tree supplies one bound to its Bloom mode and RNG)."""
-        level = cls(
-            level_no=int(state["level_no"]),
-            capacity_entries=int(state["capacity_entries"]),
-            policy=int(state["policy"]),
-            fpr=float(state["fpr"]),
-            max_policy=int(state["max_policy"]),
-        )
-        pending = state["pending_policy"]
-        level.pending_policy = None if pending is None else int(pending)
-        level.runs = [run_builder(run_state) for run_state in state["runs"]]
-        return level
+    def __getstate__(self) -> tuple:
+        slots = {name: getattr(self, name) for name in self.__slots__}
+        return None, {**slots, "_lookup_cache": None}
 
     def __repr__(self) -> str:
         return (

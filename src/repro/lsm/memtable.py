@@ -7,11 +7,11 @@ buffered as tombstones so they can shadow older on-disk versions.
 Batch lookups run against a **lazily-built sorted view** of the buffer
 (parallel key/value arrays sorted by key). The view is built at most once
 per write generation: any mutation (:meth:`MemTable.put_batch`,
-:meth:`MemTable.clear`, :meth:`MemTable.load_state_dict`) invalidates it,
-and the next batch read
-rebuilds it. Read-heavy phases therefore pay the ``O(M log M)`` sort once
-instead of on every ``get_batch``, and :meth:`MemTable.drain_sorted` reuses
-a still-valid view instead of re-sorting at flush time.
+:meth:`MemTable.clear`) invalidates it, and the next batch read rebuilds
+it; a pickle leaves it out. Read-heavy phases therefore pay the
+``O(M log M)`` sort once instead of on every ``get_batch``, and
+:meth:`MemTable.drain_sorted` reuses a still-valid view instead of
+re-sorting at flush time.
 """
 
 from __future__ import annotations
@@ -178,25 +178,6 @@ class MemTable:
         self._entries.clear()
         self._sorted_view = None
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot: buffered entries in insertion order."""
-        m = len(self._entries)
-        keys = np.fromiter(self._entries.keys(), dtype=np.int64, count=m)
-        values = np.fromiter(self._entries.values(), dtype=np.int64, count=m)
-        return {"capacity": self._capacity, "keys": keys, "values": values}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the buffer in place, preserving insertion order."""
-        if int(state["capacity"]) != self._capacity:
-            raise ConfigError(
-                f"memtable capacity mismatch: snapshot has {state['capacity']}, "
-                f"this buffer holds {self._capacity}"
-            )
-        self._entries.clear()
-        self._entries.update(
-            zip(state["keys"].tolist(), state["values"].tolist())
-        )
-        self._sorted_view = None
+    def __getstate__(self) -> tuple:
+        # The sorted view is derived: a loaded buffer rebuilds it on demand.
+        return None, {"_capacity": self._capacity, "_entries": self._entries, "_sorted_view": None}

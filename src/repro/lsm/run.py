@@ -40,10 +40,6 @@ class SortedRun:
         "_entries_per_page",
     )
 
-    # The filter is a pure function of (keys, fpr, run_id); from_state_dict
-    # rebuilds it bit-identically rather than serializing the bit array.
-    _snapshot_exempt = frozenset({"_bloom"})
-
     def __init__(
         self,
         run_id: int,
@@ -138,48 +134,21 @@ class SortedRun:
         return self._bloom.might_contain_batch(keys, present=present)
 
     # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
+    # Pickling: a bit-array filter is a pure function of (keys, fpr,
+    # run_id), rebuilt bit-identically on load rather than written; the
+    # analytical one is a reference to the owning tree's RNG
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the run.
+    def __getstate__(self) -> dict:
+        state = {name: getattr(self, name) for name in self.__slots__}
+        if isinstance(self._bloom, BitArrayBloomFilter):
+            state["_bloom"] = None
+        return state
 
-        The Bloom filter is not serialized: both implementations are exactly
-        reconstructible from the run's keys — the bit-array filter is a
-        deterministic function of ``(keys, fpr, run_id)`` and the analytical
-        filter holds no state beyond a reference to the owner's RNG (whose
-        state the owning tree snapshots).
-        """
-        return {
-            "run_id": self.run_id,
-            "level_no": self.level_no,
-            "keys": self.keys.copy(),
-            "values": self.values.copy(),
-            "fpr": self.fpr,
-            "capacity_entries": self.capacity_entries,
-            "entries_per_page": self._entries_per_page,
-            "sealed": self.sealed,
-        }
-
-    @classmethod
-    def from_state_dict(
-        cls,
-        state: dict,
-        bloom_mode: BloomMode,
-        rng: np.random.Generator,
-    ) -> "SortedRun":
-        """Rebuild a run (and its Bloom filter) from :meth:`state_dict`."""
-        return cls(
-            run_id=int(state["run_id"]),
-            level_no=int(state["level_no"]),
-            keys=state["keys"],
-            values=state["values"],
-            fpr=float(state["fpr"]),
-            capacity_entries=int(state["capacity_entries"]),
-            entries_per_page=int(state["entries_per_page"]),
-            bloom_mode=bloom_mode,
-            rng=rng,
-            sealed=bool(state["sealed"]),
-        )
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        if self._bloom is None:
+            self._bloom = BitArrayBloomFilter(self.keys, self.fpr, salt=self.run_id)
 
     def __repr__(self) -> str:
         state = "sealed" if self.sealed else "active"

@@ -78,49 +78,6 @@ class MissionStats:
             level_no, 0.0
         )
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot of one mission record (every field)."""
-        return {
-            "index": self.index,
-            "n_lookups": self.n_lookups,
-            "n_updates": self.n_updates,
-            "n_ranges": self.n_ranges,
-            "read_time": self.read_time,
-            "write_time": self.write_time,
-            "level_read_time": dict(self.level_read_time),
-            "level_write_time": dict(self.level_write_time),
-            "io": self.io.state_dict(),
-            "sim_duration": self.sim_duration,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: Dict[str, object]) -> "MissionStats":
-        io = IOCounters()
-        io.load_state_dict(state["io"])
-        return cls(
-            index=int(state["index"]),
-            n_lookups=int(state["n_lookups"]),
-            n_updates=int(state["n_updates"]),
-            n_ranges=int(state["n_ranges"]),
-            read_time=float(state["read_time"]),
-            write_time=float(state["write_time"]),
-            level_read_time={
-                int(k): float(v) for k, v in state["level_read_time"].items()
-            },
-            level_write_time={
-                int(k): float(v) for k, v in state["level_write_time"].items()
-            },
-            io=io,
-            sim_duration=float(state["sim_duration"]),
-            cache_hits=int(state["cache_hits"]),
-            cache_misses=int(state["cache_misses"]),
-        )
-
 
 def sum_level_maps(maps: Iterable[Dict[int, float]]) -> Dict[int, float]:
     """Per-level sum of level → seconds maps, accumulated in ``maps`` order
@@ -322,51 +279,13 @@ class StatsCollector:
         if self._current is not None:
             self._current.n_ranges += n
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable snapshot of the collector.
-
-        Snapshots are only valid between missions: an open window holds a
-        reference to live engine counters that cannot be restored into a
-        fresh process.
-        """
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickled between missions only: an open window holds a reference
+        to live engine counters that cannot be carried across processes
+        (the one "between missions" rule, DESIGN.md §6)."""
         if self._current is not None:
             raise SnapshotError(
                 "cannot snapshot a StatsCollector mid-mission; "
                 "close the window first"
             )
-        return {
-            "mission_index": self.windows_closed,
-            "last_mission": self.last_mission and self.last_mission.state_dict(),
-            "total_read_time": self.total_read_time,
-            "total_write_time": self.total_write_time,
-            "total_lookups": self.total_lookups,
-            "total_updates": self.total_updates,
-            "total_ranges": self.total_ranges,
-            "level_read_time": dict(self.level_read_time),
-            "level_write_time": dict(self.level_write_time),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the collector in place (aggregated views keep their
-        reference to this object)."""
-        self.windows_closed = int(state["mission_index"])
-        self._current = None
-        self._io_snapshot = None
-        self._clock_snapshot = 0.0
-        self._cache_snapshot = (0, 0)
-        last = state["last_mission"]
-        self.last_mission = None if last is None else MissionStats.from_state_dict(last)
-        self.total_read_time = float(state["total_read_time"])
-        self.total_write_time = float(state["total_write_time"])
-        self.total_lookups = int(state["total_lookups"])
-        self.total_updates = int(state["total_updates"])
-        self.total_ranges = int(state["total_ranges"])
-        self.level_read_time = {
-            int(k): float(v) for k, v in state["level_read_time"].items()
-        }
-        self.level_write_time = {
-            int(k): float(v) for k, v in state["level_write_time"].items()
-        }
+        return vars(self)

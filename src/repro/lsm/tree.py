@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.bloom.allocation import allocate_fprs
 from repro.config import SystemConfig, TransitionKind
-from repro.errors import PolicyError, SnapshotError, TreeStateError
+from repro.errors import PolicyError, TreeStateError
 from repro.lsm.entry import (
     TOMBSTONE,
     merge_block,
@@ -112,10 +112,6 @@ class DerivedMembers:
 
 class LSMTree(DerivedMembers):
     """A simulated LSM-tree key-value store with per-level policies."""
-
-    # The tracer is wiring owned by the embedding layer and re-attached
-    # after load, never snapshotted.
-    _snapshot_exempt = frozenset({"tracer"})
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
@@ -882,67 +878,6 @@ class LSMTree(DerivedMembers):
         if len(self.memtable) > self.memtable.capacity_entries:
             raise TreeStateError("memtable over capacity")
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist and DESIGN.md §6)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        """Full serializable snapshot of the tree.
-
-        Captures everything needed for a bit-exact restore: structure
-        (levels, runs, memtable), accounting (clock, stats, I/O counters,
-        block-cache contents) and determinism state (the Bloom RNG).
-        Snapshots are only valid between missions.
-        """
-        if self.stats.in_mission:
-            raise SnapshotError(
-                "cannot snapshot an engine mid-mission; close the window first"
-            )
-        return {
-            "clock": self.clock.state_dict(),
-            "io": self.disk.counters.state_dict(),
-            "cache": self.cache.state_dict(),
-            "stats": self.stats.state_dict(),
-            "memtable": self.memtable.state_dict(),
-            "levels": [level.state_dict() for level in self.levels],
-            "rng": self._rng.bit_generator.state,
-            "next_run_id": self._next_run_id,
-            "bits_per_key": self.bits_per_key,
-            "fpr_depth": self._fpr_depth,
-            "named_policy": self.named_policy(),
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the tree in place from :meth:`state_dict` output.
-
-        The tree must have been constructed with the same
-        :class:`SystemConfig` the snapshot was taken under; shared
-        sub-objects (clock, collector, cache, counters) are mutated rather
-        than replaced so external references stay valid.
-        """
-        self.clock.load_state_dict(state["clock"])
-        self.disk.counters.load_state_dict(state["io"])
-        self.cache.load_state_dict(state["cache"])
-        self.stats.load_state_dict(state["stats"])
-        self.memtable.load_state_dict(state["memtable"])
-        self._rng.bit_generator.state = state["rng"]
-
-        def build_run(run_state: Dict[str, object]) -> SortedRun:
-            return SortedRun.from_state_dict(
-                run_state, self.config.bloom_mode, self._rng
-            )
-
-        self.levels = [
-            Level.from_state_dict(level_state, build_run)
-            for level_state in state["levels"]
-        ]
-        self._next_run_id = int(state["next_run_id"])
-        self.bits_per_key = float(state["bits_per_key"])
-        self._fpr_depth = int(state["fpr_depth"])
-        named = state["named_policy"]
-        self.compaction_policy = (
-            resolve_policy(named) if named is not None else None
-        )
-        # Structural check only: whatever a subclass's check_invariants
-        # adds (the durable store's manifest agreement) is re-established
-        # by its own load_state_dict after this returns.
-        LSMTree.check_invariants(self)
+    def __getstate__(self) -> Dict[str, object]:
+        # The tracer is host wiring, re-attached by whoever loads the tree.
+        return {**vars(self), "tracer": None}

@@ -41,24 +41,19 @@ def _registry_from_snapshot(
     Engine/store/tuner state round-trips bit-exactly, so the collected
     registry equals the live system's view at snapshot time.
     """
-    from repro.persist import (
-        load_engine,
-        load_snapshot,
-        load_tuner,
-        store_from_snapshot,
-    )
+    from repro.persist import load_snapshot
 
-    kind = load_snapshot(path)["kind"]
+    payload = load_snapshot(path)
+    kind, restored = payload["kind"], payload["object"]
     if kind == "engine":
-        return collect_engine_metrics(load_engine(path)), None
+        return collect_engine_metrics(restored), None
     if kind == "store":
-        store = store_from_snapshot(load_snapshot(path, expected_kind="store"))
-        registry = collect_store_metrics(store)
-        # Restored tuners are distinct objects that may share one log.
+        registry = collect_store_metrics(restored)
+        # Tuners restored from one store share the log they shared live.
         audits = list(
             dict.fromkeys(
                 t.audit
-                for t in store.tuners
+                for t in restored.tuners
                 if getattr(t, "audit", None) is not None
             )
         )
@@ -72,8 +67,7 @@ def _registry_from_snapshot(
                     merged.record(event.kind, event.mission, **event.data)
         return registry, merged
     if kind == "tuner":
-        tuner = load_tuner(path)
-        return collect_tuner_metrics([tuner]), getattr(tuner, "audit", None)
+        return collect_tuner_metrics([restored]), getattr(restored, "audit", None)
     raise ReproError(
         f"snapshot kind {kind!r} has no registry view "
         "(expected engine / store / tuner)"

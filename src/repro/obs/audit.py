@@ -14,16 +14,15 @@ The log is host-side bookkeeping only: events are recorded inside
 charge no simulated time, so attaching a log leaves every simulated
 observable bit-identical (the twin test in ``tests/test_obs.py``).
 
-Persistence: an attached log rides its tuner's ``state_dict()`` (a
-``Lerp`` snapshot carries its audit events), and a log attached through
-``RusKey.attach_audit`` is written once per store snapshot.
+Persistence: an attached log is part of its tuner, so a tuner or store
+snapshot carries it — once, however many tuners share it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 #: Event kinds a Lerp emits, in the order they typically appear.
 EVENT_KINDS = (
@@ -47,24 +46,6 @@ class AuditEvent:
     mission: Optional[int] = None
     #: Kind-specific fields (arm, epsilon, reward, ...) — JSON-able only.
     data: Dict[str, object] = field(default_factory=dict)
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "mission": self.mission,
-            "data": dict(self.data),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state: Mapping[str, object]) -> "AuditEvent":
-        mission = state["mission"]
-        return cls(
-            seq=int(state["seq"]),
-            kind=str(state["kind"]),
-            mission=None if mission is None else int(mission),
-            data=dict(state["data"]),
-        )
 
 
 class DecisionAuditLog:
@@ -100,32 +81,11 @@ class DecisionAuditLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "seq": self._seq,
-            "events": [e.state_dict() for e in self.events],
-        }
-
-    def load_state_dict(self, state: Mapping[str, object]) -> None:
-        self._seq = int(state["seq"])
-        self.events = [
-            AuditEvent.from_state_dict(e) for e in state["events"]
-        ]
-
-    @classmethod
-    def from_state_dict(cls, state: Mapping[str, object]) -> "DecisionAuditLog":
-        log = cls()
-        log.load_state_dict(state)
-        return log
-
     def export_jsonl(self, path: str) -> int:
         """One JSON object per event; returns the number written."""
         with open(path, "w", encoding="utf-8") as handle:
             for event in self.events:
-                handle.write(json.dumps(event.state_dict()) + "\n")
+                handle.write(json.dumps(asdict(event)) + "\n")
         return len(self.events)
 
 

@@ -8,18 +8,15 @@ High-level entry points::
     store = load_store("run.ckpt")         # fresh process, bit-exact resume
 
     save_engine(tree, "tree.snap")         # just a storage engine
-    save_tuner(lerp, config, "lerp.snap")  # just a trained tuner (transfer)
+    save_tuner(lerp, "lerp.snap")          # just a trained tuner (transfer)
 
-See DESIGN.md §6 for the format and the restore invariants.
+A snapshot is the pickled object in a versioned, CRC-framed envelope that
+is checked before the object is unpickled; see DESIGN.md §6.
 """
 
 from repro.persist.snapshot import (
     FORMAT_VERSION,
     MAGIC,
-    config_from_state,
-    config_to_state,
-    lerp_config_from_state,
-    lerp_config_to_state,
     load_engine,
     load_snapshot,
     load_store,
@@ -28,7 +25,6 @@ from repro.persist.snapshot import (
     save_snapshot,
     save_store,
     save_tuner,
-    store_from_snapshot,
 )
 
 __all__ = [
@@ -42,9 +38,4 @@ __all__ = [
     "load_tuner",
     "save_store",
     "load_store",
-    "store_from_snapshot",
-    "config_to_state",
-    "config_from_state",
-    "lerp_config_to_state",
-    "lerp_config_from_state",
 ]

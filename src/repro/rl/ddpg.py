@@ -68,10 +68,6 @@ class DDPGConfig:
 class DDPGAgent:
     """One actor-critic learner over a continuous action space."""
 
-    # config is the immutable blueprint; _rng aliases the Lerp-owned
-    # generator, whose bit-generator state Lerp serializes exactly once.
-    _snapshot_exempt = frozenset({"config", "_rng"})
-
     def __init__(self, config: DDPGConfig, rng: np.random.Generator) -> None:
         config.validate()
         self.config = config
@@ -185,35 +181,3 @@ class DDPGAgent:
         self.target_critic.soft_update_from(self.critic, cfg.tau)
         self.updates_done += 1
         return loss
-
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Everything learned or mutated since construction: the four
-        networks, both optimizers, the replay buffer, the exploration-noise
-        process and the update counter. The RNG shared with the owner is
-        snapshotted by the owner."""
-        return {
-            "actor": self.actor.state_dict(),
-            "critic": self.critic.state_dict(),
-            "target_actor": self.target_actor.state_dict(),
-            "target_critic": self.target_critic.state_dict(),
-            "actor_opt": self.actor_opt.state_dict(),
-            "critic_opt": self.critic_opt.state_dict(),
-            "replay": self.replay.state_dict(),
-            "noise": self.noise.state_dict(),
-            "updates_done": self.updates_done,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the agent in place (networks must match in architecture)."""
-        self.actor.load_state_dict(state["actor"])
-        self.critic.load_state_dict(state["critic"])
-        self.target_actor.load_state_dict(state["target_actor"])
-        self.target_critic.load_state_dict(state["target_critic"])
-        self.actor_opt.load_state_dict(state["actor_opt"])
-        self.critic_opt.load_state_dict(state["critic_opt"])
-        self.replay.load_state_dict(state["replay"])
-        self.noise.load_state_dict(state["noise"])
-        self.updates_done = int(state["updates_done"])

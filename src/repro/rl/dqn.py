@@ -52,10 +52,6 @@ class DQNConfig:
 class DQNAgent:
     """ε-greedy Q-learner with a target network."""
 
-    # config is the immutable blueprint; _rng aliases the Lerp-owned
-    # generator, whose bit-generator state Lerp serializes exactly once.
-    _snapshot_exempt = frozenset({"config", "_rng"})
-
     def __init__(self, config: DQNConfig, rng: np.random.Generator) -> None:
         config.validate()
         self.config = config
@@ -127,27 +123,3 @@ class DQNAgent:
         if self.updates_done % cfg.target_sync_every == 0:
             self.target_net.copy_params_from(self.q_net)
         return loss
-
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Networks, optimizer, replay, ε and the update counter. The RNG
-        shared with the owner is snapshotted by the owner."""
-        return {
-            "q_net": self.q_net.state_dict(),
-            "target_net": self.target_net.state_dict(),
-            "opt": self.opt.state_dict(),
-            "replay": self.replay.state_dict(),
-            "epsilon": self.epsilon,
-            "updates_done": self.updates_done,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the agent in place (networks must match in architecture)."""
-        self.q_net.load_state_dict(state["q_net"])
-        self.target_net.load_state_dict(state["target_net"])
-        self.opt.load_state_dict(state["opt"])
-        self.replay.load_state_dict(state["replay"])
-        self.epsilon = float(state["epsilon"])
-        self.updates_done = int(state["updates_done"])

@@ -46,6 +46,10 @@ class Layer:
     def grads(self) -> List[np.ndarray]:
         return []
 
+    def __getstate__(self) -> dict:
+        # An activation's only attribute is its last forward's scratch.
+        return dict.fromkeys(vars(self))
+
 
 class Linear(Layer):
     """Fully connected layer ``y = x @ W + b`` with He initialization."""
@@ -81,6 +85,17 @@ class Linear(Layer):
 
     def grads(self) -> List[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
+
+    def __getstate__(self) -> dict:
+        # Parameters and gradients are views of the owning MLP's flat
+        # vectors, which re-binds them on load; the shape is all that is
+        # the layer's own.
+        return {"shape": self.weight.shape}
+
+    def __setstate__(self, state: dict) -> None:
+        self.weight = np.empty(state["shape"])
+        self.bias = np.empty(state["shape"][1])
+        self._x = None
 
 
 class ReLU(Layer):
@@ -123,13 +138,6 @@ class MLP:
     ``None`` (identity, e.g. critics) or ``"tanh"`` (actors).
     """
 
-    # layers' weight/bias arrays are views into flat_params, which
-    # state_dict copies out through params(); flat_grads is scratch that
-    # load_state_dict zeroes; in_dim/out_dim are fixed architecture.
-    _snapshot_exempt = frozenset(
-        {"layers", "in_dim", "out_dim", "flat_params", "flat_grads"}
-    )
-
     def __init__(
         self,
         in_dim: int,
@@ -151,10 +159,14 @@ class MLP:
             raise RLError(f"unknown output activation: {output_activation!r}")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        #: Every parameter, and every gradient, of the network as one
-        #: vector each, in :meth:`params` order; the layers hold views.
-        self.flat_params = np.concatenate([p.ravel() for p in self.params()])
-        self.flat_grads = np.zeros_like(self.flat_params)
+        self._bind(np.concatenate([p.ravel() for p in self.params()]))
+
+    def _bind(self, flat_params: np.ndarray) -> None:
+        """Own ``flat_params`` and a zeroed gradient vector of its layout —
+        every parameter, and every gradient, of the network as one vector
+        each, in :meth:`params` order — and point the layers at views."""
+        self.flat_params = flat_params
+        self.flat_grads = np.zeros_like(flat_params)
         params = iter(self.split(self.flat_params))
         grads = iter(self.split(self.flat_grads))
         for layer in self.layers:
@@ -229,26 +241,13 @@ class MLP:
         self.flat_params += tau * other.flat_params
 
     # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
+    # Pickling: the parameter vector once; gradients are scratch
     # ------------------------------------------------------------------
-    def state_dict(self) -> List[np.ndarray]:
-        """Copies of every parameter array, in :meth:`params` order."""
-        return [p.copy() for p in self.params()]
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        del state["flat_grads"]
+        return state
 
-    def load_state_dict(self, state: Sequence[np.ndarray]) -> None:
-        """Restore parameters *in place* (the layers' arrays are views into
-        the flat vector the optimizers step, so they must not be replaced).
-        Gradients are zeroed."""
-        params = self.params()
-        if len(state) != len(params):
-            raise RLError(
-                f"parameter count mismatch: snapshot has {len(state)}, "
-                f"network has {len(params)}"
-            )
-        for mine, theirs in zip(params, state):
-            if mine.shape != theirs.shape:
-                raise RLError(
-                    f"parameter shape mismatch: {mine.shape} vs {theirs.shape}"
-                )
-            mine[...] = theirs
-        self.zero_grad()
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind(self.flat_params)

@@ -13,10 +13,6 @@ class OrnsteinUhlenbeckNoise:
     ``dx = theta * (mu - x) dt + sigma * sqrt(dt) * N(0, 1)``
     """
 
-    # Hyperparameters fixed at construction plus the shared Lerp-owned RNG;
-    # only the evolving noise state vector is serialized.
-    _snapshot_exempt = frozenset({"mu", "theta", "dt", "_rng"})
-
     def __init__(
         self,
         action_dim: int,
@@ -52,14 +48,3 @@ class OrnsteinUhlenbeckNoise:
     def scale_sigma(self, factor: float) -> None:
         """Decay (or boost) the noise magnitude, clipped to stay >= 0."""
         self.sigma = max(0.0, self.sigma * factor)
-
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """The mutable pieces: current sigma and the process position."""
-        return {"sigma": self.sigma, "state": self._state.copy()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.sigma = float(state["sigma"])
-        self._state[...] = state["state"]

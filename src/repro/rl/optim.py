@@ -12,13 +12,8 @@ class Adam:
     """Adam (Kingma & Ba) over one network's flat parameter vector.
 
     The moments are flat vectors laid out like ``net.flat_params``, so a
-    step is one elementwise pass over the whole network; snapshots still
-    carry them as per-parameter lists (``net.split``).
+    step is one elementwise pass over the whole network.
     """
-
-    # _net's parameters are serialized by the MLP itself (and its gradient
-    # vector is scratch); lr/beta1/beta2/eps are constructor hyperparameters.
-    _snapshot_exempt = frozenset({"_net", "lr", "beta1", "beta2", "eps"})
 
     def __init__(
         self,
@@ -54,28 +49,3 @@ class Adam:
         self._net.flat_params -= (
             self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
         )
-
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the moment estimates and step count."""
-        split = self._net.split
-        return {
-            "kind": "adam",
-            "t": self._t,
-            "m": [m.copy() for m in split(self._m)],
-            "v": [v.copy() for v in split(self._v)],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore moments in place (they are paired with live parameters)."""
-        pairs = []
-        for flat, theirs in ((self._m, state["m"]), (self._v, state["v"])):
-            mine = self._net.split(flat)
-            if [a.shape for a in mine] != [np.shape(b) for b in theirs]:
-                raise RLError("optimizer state does not match parameter layout")
-            pairs.extend(zip(mine, theirs))
-        self._t = int(state["t"])
-        for mine_array, their_array in pairs:
-            mine_array[...] = their_array

@@ -17,8 +17,8 @@ from repro.errors import RLError
 class ReplayBuffer:
     """Circular buffer of transitions with uniform sampling."""
 
-    # Shared Lerp-owned generator; its state is serialized once by Lerp.
-    _snapshot_exempt = frozenset({"_rng"})
+    #: The preallocated columns, ``capacity`` rows each.
+    _COLUMNS = ("_states", "_actions", "_rewards", "_next_states", "_dones")
 
     def __init__(
         self,
@@ -87,39 +87,17 @@ class ReplayBuffer:
         self._size = 0
         self._cursor = 0
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot: the filled portion of every column plus
-        the write cursor. The sampling RNG is owned (and snapshotted) by
-        the agent's owner."""
-        n = self._size
-        return {
-            "capacity": self.capacity,
-            "size": n,
-            "cursor": self._cursor,
-            "states": self._states[:n].copy(),
-            "actions": self._actions[:n].copy(),
-            "rewards": self._rewards[:n].copy(),
-            "next_states": self._next_states[:n].copy(),
-            "dones": self._dones[:n].copy(),
-        }
+    def __getstate__(self) -> dict:
+        # Only the filled rows of each column are state.
+        state = dict(vars(self))
+        for name in self._COLUMNS:
+            state[name] = state[name][: self._size]
+        return state
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the buffer contents in place."""
-        if int(state["capacity"]) != self.capacity:
-            raise RLError(
-                f"replay capacity mismatch: snapshot has {state['capacity']}, "
-                f"this buffer holds {self.capacity}"
-            )
-        n = int(state["size"])
-        if not 0 <= n <= self.capacity:
-            raise RLError(f"invalid replay size in snapshot: {n}")
-        self._states[:n] = state["states"]
-        self._actions[:n] = state["actions"]
-        self._rewards[:n] = state["rewards"]
-        self._next_states[:n] = state["next_states"]
-        self._dones[:n] = state["dones"]
-        self._size = n
-        self._cursor = int(state["cursor"]) % self.capacity
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        for name in self._COLUMNS:
+            filled = state[name]
+            column = np.zeros((self.capacity, *filled.shape[1:]))
+            column[: len(filled)] = filled
+            setattr(self, name, column)

@@ -50,6 +50,27 @@ _KIND_OF_OP = np.zeros(3, dtype=np.int64)
 _KIND_OF_OP[[OP_LOOKUP, OP_UPDATE, OP_RANGE]] = REQ_GET, REQ_PUT, REQ_RANGE
 
 
+def _int64_column(name: str, column) -> np.ndarray:
+    """One mission column as int64. A column of floats or bools, or an
+    object column holding one, is refused, never truncated."""
+    if not isinstance(column, np.ndarray):  # a list: numpy would promote it to float
+        column = np.array(column, dtype=object)
+    kind = column.dtype.kind
+    if kind == "O":
+        integral = all(
+            isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in column.flat
+        )
+    else:
+        integral = kind in "iu"
+    if not integral:
+        raise ServeError(f"malformed request block: the {name} column holds a non-integer")
+    try:
+        # uint64 / object: as Python ints, which numpy range-checks
+        return np.asarray(column.tolist() if kind in "uO" else column, np.int64)
+    except OverflowError as exc:
+        raise ServeError("malformed request block: an entry is outside int64") from exc
+
+
 def requests_from_mission(
     mission: Mission, tenant: str = "", wait: bool = False
 ) -> Iterator[Request]:
@@ -60,14 +81,10 @@ def requests_from_mission(
     too — and the objects are then built from plain-int lists without per-row
     checks: producer threads sit on the serving hot path.
     """
-    try:
-        ops, keys, values, spans = (
-            np.asarray(c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind in "uO" else c,
-                       np.int64)  # uint64 / object: as Python ints, which numpy range-checks
-            for c in (mission.kinds, mission.keys, mission.values, mission.spans)
-        )
-    except OverflowError as exc:
-        raise ServeError("malformed request block: an entry is outside int64") from exc
+    ops, keys, values, spans = (
+        _int64_column(name, getattr(mission, name))
+        for name in ("kinds", "keys", "values", "spans")
+    )
     unknown = (ops < 0) | (ops >= len(_KIND_OF_OP))
     if unknown.any():
         raise ServeError(f"unknown request kind: {ops[unknown][0]}")

@@ -39,9 +39,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict, deque
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -65,6 +66,15 @@ REQ_NAMES = {REQ_GET: "get", REQ_PUT: "put", REQ_DELETE: "delete", REQ_RANGE: "r
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 TOMBSTONE_PUT = "malformed put request: value collides with the tombstone sentinel"
 _kind_of = attrgetter("kind")
+
+
+def _integer(field: str, x: object) -> int:
+    """``x`` as a Python int; a bool, a float or any other non-integer is
+    refused, never truncated."""
+    if not isinstance(x, bool):
+        with suppress(TypeError):
+            return index(x)
+    raise ServeError(f"malformed request: {field} {x!r} is not an integer")
 
 
 class Request:
@@ -101,12 +111,13 @@ class Request:
         tenant: str = "",
         wait: bool = False,
     ) -> None:
+        kind = _integer("kind", kind)
         if kind not in REQ_NAMES:
             raise ServeError(f"unknown request kind: {kind}")
         self.kind = kind
-        self.key = key = int(key)
-        self.value = value = int(value)
-        self.span = span = int(span)
+        self.key = key = _integer("key", key)
+        self.value = value = _integer("value", value)
+        self.span = span = _integer("span", span)
         # Rejected here, where outside input enters: raised later, in the
         # lane worker's int64 conversion or put_batch, it would fail the
         # whole lane.

@@ -10,10 +10,7 @@ experiments can exercise exactly that effect.
 from __future__ import annotations
 
 from collections import OrderedDict
-from operator import index
 from typing import Dict, Hashable, Iterator, Set, Tuple
-
-from repro.errors import SnapshotError
 
 
 class LRUBlockCache:
@@ -26,7 +23,6 @@ class LRUBlockCache:
     """
 
     __slots__ = ("_capacity", "_pages", "_by_run", "hits", "misses")
-    _snapshot_exempt = frozenset({"_by_run"})  # derived from _pages, rebuilt on load
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
@@ -57,7 +53,7 @@ class LRUBlockCache:
         least recently used one if the cache is full
         (``tests/reference_cache.py`` states the same machine page by page).
         ``page_indices`` must be plain ints (callers ``.tolist()`` numpy
-        arrays so snapshot page keys stay JSON-clean).
+        arrays, so a page key is an int pair).
         """
         n = len(page_indices)
         if self._capacity == 0:
@@ -106,36 +102,14 @@ class LRUBlockCache:
         self._by_run.clear()
 
     # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
+    # Pickling: ``_by_run`` is derived from ``_pages`` and rebuilt on load
     # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot: resident pages in LRU order plus counters."""
-        return {
-            "capacity": self._capacity,
-            "pages": list(self._pages),  # oldest → most recently used
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_by_run"}
 
-    def load_state_dict(self, state: dict) -> None:
-        """Restore cache contents and counters in place.
-
-        The receiving cache must have the capacity the snapshot was taken
-        with, and the snapshot must fit it: a miss evicts one page per
-        admission, so a cache loaded over capacity would stay over it.
-        """
-        try:
-            keys = [(index(run_id), index(page)) for run_id, page in state["pages"]]
-        except (TypeError, ValueError):
-            raise SnapshotError("cache snapshot pages must be (run_id, page) int pairs") from None
-        if int(state["capacity"]) != self._capacity or len(keys) > self._capacity:
-            raise SnapshotError(
-                f"cache snapshot (capacity {state['capacity']}, {len(keys)} pages) "
-                f"does not fit this cache of capacity {self._capacity}"
-            )
-        self.clear()
-        for run_id, page in keys:
-            self._pages[(run_id, page)] = None
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._by_run = {}
+        for run_id, page in self._pages:
             self._by_run.setdefault(run_id, set()).add(page)
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])

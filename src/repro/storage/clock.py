@@ -73,19 +73,5 @@ class SimClock:
             )
         self._now = now
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the clock."""
-        return {"now": self._now}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the clock in place from :meth:`state_dict` output."""
-        now = float(state["now"])
-        if now < 0:
-            raise StorageError(f"clock cannot be restored to {now}")
-        self._now = now
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.6f}s)"

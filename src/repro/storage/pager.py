@@ -70,26 +70,6 @@ class IOCounters:
             seq_writes=self.seq_writes - earlier.seq_writes,
         )
 
-    # ------------------------------------------------------------------
-    # Snapshot hooks (see repro.persist)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Serializable snapshot of the counters."""
-        return {
-            "random_reads": self.random_reads,
-            "random_writes": self.random_writes,
-            "seq_reads": self.seq_reads,
-            "seq_writes": self.seq_writes,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore the counters in place (the owning ``DiskModel`` and any
-        stats snapshots keep referring to this object)."""
-        self.random_reads = int(state["random_reads"])
-        self.random_writes = int(state["random_writes"])
-        self.seq_reads = int(state["seq_reads"])
-        self.seq_writes = int(state["seq_writes"])
-
 
 class DiskModel:
     """Prices page accesses on the simulated device and advances the clock.

@@ -17,8 +17,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Hashable, Iterator
 
-from repro.errors import SnapshotError
-
 
 class ReferenceLRUCache:
     """Fixed-capacity LRU keyed by ``(run_id, page_index)``; 0 disables it."""
@@ -74,19 +72,8 @@ class ReferenceLRUCache:
     def clear(self) -> None:
         self._pages.clear()
 
-    def state_dict(self) -> dict:
-        return {
-            "capacity": self._capacity,
-            "pages": list(self._pages),  # oldest → most recently used
-            "hits": self.hits,
-            "misses": self.misses,
-        }
 
-    def load_state_dict(self, state: dict) -> None:
-        if int(state["capacity"]) != self._capacity:
-            raise SnapshotError("cache capacity mismatch")
-        self._pages.clear()
-        for key in state["pages"]:
-            self._pages[key] = None
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
+def cache_state(cache) -> tuple:
+    """What two caches that are one state machine agree on: the resident
+    pages in LRU order (oldest first) and the hit / miss counters."""
+    return list(cache), cache.hits, cache.misses

@@ -229,80 +229,6 @@ def test_lock_order_ignores_reacquiring_the_same_lock_name(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# SNAPSHOT-COMPLETENESS
-# ----------------------------------------------------------------------
-
-
-def test_snapshot_rule_flags_uncovered_attribute(tmp_path):
-    bad = """\
-        class Box:
-            def __init__(self):
-                self.a = 1
-                self.b = 2
-
-            def state_dict(self):
-                return {"a": self.a}
-        """
-    report = run_rules(
-        tmp_path, {"lsm/box.py": bad}, rules=["SNAPSHOT-COMPLETENESS"]
-    )
-    assert len(report.unsuppressed) == 1
-    assert "self.b" in report.unsuppressed[0].message
-
-
-def test_snapshot_rule_good_fixture_is_silent(tmp_path):
-    good = """\
-        class Box:
-            # caches are derived, never serialized
-            _snapshot_exempt = frozenset({"_cache"})
-
-            def __init__(self):
-                self.a = 1
-                self._count = 0
-                self._cache = None
-
-            def state_dict(self):
-                return {"a": self.a, "count": self._count}
-        """
-    report = run_rules(
-        tmp_path, {"lsm/box.py": good}, rules=["SNAPSHOT-COMPLETENESS"]
-    )
-    assert report.clean
-
-
-def test_snapshot_rule_accepts_load_side_coverage(tmp_path):
-    source = """\
-        class Box:
-            def __init__(self):
-                self.a = 1
-                self.b = 2
-
-            def state_dict(self):
-                return {"a": self.a, "b": 0}
-
-            def load_state_dict(self, state):
-                self.a = state["a"]
-                self.b = state["b"]
-        """
-    report = run_rules(
-        tmp_path, {"lsm/box.py": source}, rules=["SNAPSHOT-COMPLETENESS"]
-    )
-    assert report.clean
-
-
-def test_snapshot_rule_skips_classes_without_state_dict(tmp_path):
-    source = """\
-        class Plain:
-            def __init__(self):
-                self.anything = 1
-        """
-    report = run_rules(
-        tmp_path, {"lsm/plain.py": source}, rules=["SNAPSHOT-COMPLETENESS"]
-    )
-    assert report.clean
-
-
-# ----------------------------------------------------------------------
 # DURABLE-FSYNC
 # ----------------------------------------------------------------------
 

@@ -276,12 +276,10 @@ class TestWarmStartTransfer:
         assert len({id(tuner) for tuner in tuners.values()}) == 3
         assert tuners["pretrain"].missions_observed == 36
         assert tuners["cold-start"].missions_observed == n
-        # Loaded from the pretrained tuner, not built fresh: its count of
+        # Copied from the pretrained tuner, not built fresh: its count of
         # observed missions continues the pretrained one's.
         assert tuners["warm-start"].missions_observed == 36 + n
-        assert tuners["warm-start"].state_dict()["levels"].keys() >= (
-            tuners["pretrain"].state_dict()["levels"].keys()
-        )
+        assert tuners["warm-start"]._levels.keys() >= tuners["pretrain"]._levels.keys()
         assert "tuner restarts" in format_transfer_report(result, transfer_schedule(scale))
 
 

@@ -196,9 +196,9 @@ class TestStateAndReward:
         level_scale, e2e_scale = RunningScale(), RunningScale()
         level_scale.update(0.01)
         e2e_scale.update(0.02)
-        before = level_scale.state_dict(), e2e_scale.state_dict()
+        before = vars(level_scale).copy(), vars(e2e_scale).copy()
         mission_reward(make_mission(), 1, 0.5, level_scale, e2e_scale)
-        assert (level_scale.state_dict(), e2e_scale.state_dict()) == before
+        assert (vars(level_scale), vars(e2e_scale)) == before
 
     def test_reward_alpha_validation(self):
         with pytest.raises(RLError):

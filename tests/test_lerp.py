@@ -269,7 +269,7 @@ def golden_stream(flow):
         "policy_history": store.policy_history,
         "latencies": store.latency_series().tolist(),
         "events": [[e.kind, e.mission, e.data] for e in audit.events],
-        "rng": tuner.state_dict()["rng"],
+        "rng": tuner._rng.bit_generator.state,
     }
 
 

@@ -236,15 +236,18 @@ class TestAuditLog:
         actions = log.filter("policy_action")
         assert [e.data["arm"] for e in actions] == ["tiering", "leveling"]
 
-    def test_state_dict_round_trip(self):
+    def test_jsonl_export_writes_one_record_per_event(self, tmp_path):
         log = DecisionAuditLog()
         log.record("level_action", 2, level=1, delta=1, k=3, sigma=0.2)
-        clone = DecisionAuditLog.from_state_dict(log.state_dict())
-        assert len(clone) == 1
-        assert clone.events[0].state_dict() == log.events[0].state_dict()
-        # The sequence counter survives: new events keep a total order.
-        clone.record("restart", None, reason="detector")
-        assert clone.events[-1].seq == 1
+        log.record("restart", None, reason="detector")
+        path = tmp_path / "audit.jsonl"
+        assert log.export_jsonl(str(path)) == 2
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records == [
+            {"seq": 0, "kind": "level_action", "mission": 2,
+             "data": {"level": 1, "delta": 1, "k": 3, "sigma": 0.2}},
+            {"seq": 1, "kind": "restart", "mission": None, "data": {"reason": "detector"}},
+        ]
 
     def test_timeline_renders_decisions(self):
         log = DecisionAuditLog()
@@ -280,7 +283,7 @@ class TestAuditLog:
         assert all(e.mission is not None for e in audit.events)
         # The log rides the tuner snapshot (persist round trip).
         path = str(tmp_path / "lerp.snap")
-        save_tuner(store.tuner, store.config, path)
+        save_tuner(store.tuner, path)
         restored = load_tuner(path)
         assert isinstance(restored, Lerp)
         assert restored.audit is not None
@@ -288,9 +291,9 @@ class TestAuditLog:
         assert restored.missions_observed == store.tuner.missions_observed
 
     def test_store_snapshot_carries_one_shared_audit(self, tmp_path):
-        """A log attached through the store is one log: written once per
-        snapshot, restored as one instance on every tuner, and it keeps
-        growing with every shard's decisions."""
+        """A log attached through the store is one log: pickled once,
+        restored as one instance on every tuner, and it keeps growing with
+        every shard's decisions."""
         store = small_store(n_shards=2)
         audit = DecisionAuditLog()
         store.attach_audit(audit)
@@ -309,7 +312,7 @@ class TestAuditLog:
             restored.run_mission(mission)
         assert len(restored.audit) == len(audit) > len(store.mission_log)
         # ...and a tuner saved on its own still carries the log.
-        save_tuner(store.tuner, store.config, path)
+        save_tuner(store.tuner, path)
         assert len(load_tuner(path).audit) == len(audit)
 
     def test_restart_reason_recorded(self):
@@ -384,7 +387,7 @@ class TestCollection:
             save_store(store, path)
             live = collect_store_metrics(store)
         else:
-            save_tuner(store.tuner, store.config, path)
+            save_tuner(store.tuner, path)
             live = collect_tuner_metrics([store.tuner])
         assert main([path, "--format", "json"]) == 0
         restored = json.loads(capsys.readouterr().out)["families"]

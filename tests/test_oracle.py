@@ -44,6 +44,7 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+from reference_cache import cache_state
 from reference_get import reference_get_batch
 from reference_put import reference_delete, reference_put
 from reference_range import reference_range_scan_batch
@@ -56,7 +57,7 @@ from repro.lsm.entry import TOMBSTONE
 from repro.lsm.iterators import live_items
 from repro.lsm.tree import LSMTree
 from repro.obs import Tracer
-from repro.persist import load_engine, load_snapshot, save_engine
+from repro.persist import load_engine, save_engine
 
 #: Power-of-two cost constants: every charge is a dyadic float, so sums
 #: come out bit-equal in any accumulation order.
@@ -124,12 +125,13 @@ INVALID = {
 
 def observables(engine):
     """What sim-identical engines must agree on: ``view()`` plus, per tree,
-    the three things a view summarises away — cache contents, the Bloom RNG
-    state and memtable insertion order."""
+    the three things a view summarises away — cache contents (pages in
+    recency order, and the counters), the Bloom RNG state and memtable
+    insertion order."""
     trees = engine.tuning_targets()
     return (
         engine.view(),
-        [tree.cache.state_dict() for tree in trees],
+        [cache_state(tree.cache) for tree in trees],
         [tree._rng.bit_generator.state for tree in trees],
         [list(tree.memtable._entries.items()) for tree in trees],
     )
@@ -464,13 +466,8 @@ class Oracle(RuleBasedStateMachine):
         engine = self.systems[name]
         path = os.path.join(self.root, "engine.snap")
         save_engine(engine, path)
-        if name == "durable-4":
-            # load_engine would rebuild in-memory shards: restore the live
-            # durable shards in place, each as its directory's next generation.
-            engine.load_state_dict(load_snapshot(path, "engine")["state"]["engine"])
-        else:
-            close(engine)
-            self.systems[name] = load_engine(path)
+        close(engine)
+        self.systems[name] = load_engine(path)
 
     @precondition(lambda self: not self.in_mission)
     @rule(name=st.sampled_from(DURABLE))

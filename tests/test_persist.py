@@ -1,5 +1,5 @@
-"""Tests for the checkpoint/restore subsystem (repro.persist and the
-state_dict hooks threaded through every layer).
+"""Tests for the checkpoint/restore subsystem (repro.persist): a snapshot
+is the pickled object in a versioned, CRC-framed envelope.
 
 The central property is **bit-exact resume** (DESIGN.md §6): running N
 missions straight vs. checkpointing at N/2, restoring into a fresh object
@@ -7,11 +7,15 @@ graph (forced through real serialization) and finishing must yield
 identical mission statistics (every field — ``MissionStats`` carries no
 host-clock measurement), simulated clock and tree structure. For a bare
 engine the differential oracle's restore rule pins it; this module pins it
-for tuned stores, snapshot formats and tuners.
+for tuned stores, snapshot formats and tuners, and guards the pickled
+layout (``tests/data/snapshot_layout.json``).
 """
 
+import io
+import json
 import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -28,20 +32,21 @@ from repro.core.lerp import AllLevelsLerp, Lerp, LerpConfig, per_shard_tuners
 from repro.core.named_policy import NamedPolicyLerp
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
+from repro.durable import DurableStore
 from repro.durable.log import frame
 from repro.engine.sharded import ShardedStore
 from repro.errors import SnapshotError
 from repro.lsm import FLSMTree
-from repro.lsm.memtable import MemTable
 from repro.lsm.tree import LSMTree
+from repro.obs.audit import DecisionAuditLog
 from repro.persist import (
     FORMAT_VERSION,
+    MAGIC,
     load_engine,
     load_snapshot,
     load_store,
     load_tuner,
     save_engine,
-    save_snapshot,
     save_store,
     save_tuner,
 )
@@ -50,9 +55,49 @@ from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.workload.uniform import UniformWorkload
 
 
-def roundtrip(state):
-    """Force a state dict through real serialization."""
-    return pickle.loads(pickle.dumps(state, protocol=4))
+def roundtrip(obj):
+    """Force an object through real serialization."""
+    return pickle.loads(pickle.dumps(obj, protocol=4))
+
+
+class Tripwire:
+    """Counts its unpickling: a refused file must never build one."""
+
+    built = 0
+
+    def __init__(self):
+        self.armed = True
+
+    def __setstate__(self, state):
+        Tripwire.built += 1
+
+
+@pytest.fixture(autouse=True)
+def disarm_tripwire():
+    Tripwire.built = 0
+
+
+def write_envelope(path, version=FORMAT_VERSION, kind="engine"):
+    """A framed envelope around a pickled :class:`Tripwire`."""
+    envelope = {
+        "magic": MAGIC,
+        "format_version": version,
+        "kind": kind,
+        "repro_version": "0",
+        "meta": {},
+        "object": pickle.dumps(Tripwire(), protocol=4),
+    }
+    with open(path, "wb") as fh:
+        fh.write(frame(pickle.dumps(envelope, protocol=4)))
+
+
+def directory_bytes(directory):
+    """Every file of ``directory`` with its contents."""
+    contents = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            contents[name] = fh.read()
+    return contents
 
 
 def drive_engine(engine, n_missions, n_keys=3000, ops=400):
@@ -76,28 +121,15 @@ class TestEngineBitExactResume:
     the straight one is the differential oracle's restore rule
     (``tests/test_oracle.py``); these are the refusals."""
 
-    def test_mid_mission_snapshot_rejected(self, tiny_config):
+    def test_mid_mission_snapshot_rejected(self, tiny_config, tmp_path):
         tree = LSMTree(tiny_config)
+        path = os.fspath(tmp_path / "tree.snap")
         tree.begin_mission()
         with pytest.raises(SnapshotError):
-            tree.state_dict()
+            save_engine(tree, path)
+        assert not os.path.exists(path)
         tree.end_mission()
-        tree.state_dict()  # fine between missions
-
-    def test_shard_count_mismatch_rejected(self):
-        config = SystemConfig(size_ratio=4, write_buffer_bytes=16 * 1024)
-        store = ShardedStore(config, 2)
-        state = store.state_dict()
-        other = ShardedStore(config, 3)
-        with pytest.raises(Exception):
-            other.load_state_dict(state)
-
-    def test_memtable_capacity_mismatch_rejected(self):
-        table = MemTable(8)
-        table.put_batch(np.array([1]), np.array([1]))
-        state = table.state_dict()
-        with pytest.raises(Exception):
-            MemTable(16).load_state_dict(state)
+        save_engine(tree, path)  # fine between missions
 
 
 class TestAgentStateDict:
@@ -114,24 +146,12 @@ class TestAgentStateDict:
                 out.append(a)
             return out
 
-        rng_a = np.random.default_rng(0)
-        a = DDPGAgent(config, rng_a)
-        train(a, np.random.default_rng(9), 12)
-
-        rng_b = np.random.default_rng(0)
-        b = DDPGAgent(config, rng_b)
+        b = DDPGAgent(config, np.random.default_rng(0))
         train(b, np.random.default_rng(9), 6)
-        state = roundtrip(b.state_dict())
-        rng_state = rng_b.bit_generator.state
-
-        rng_c = np.random.default_rng(123)  # different construction draws
-        c = DDPGAgent(config, rng_c)
-        c.load_state_dict(state)
-        rng_c.bit_generator.state = rng_state
+        c = roundtrip(b)
 
         # Finish both; with identical restored state + RNG the trajectories
-        # must coincide. (Sessions a and b diverged at step 6: a's driver
-        # rng had advanced differently, so compare b/c only.)
+        # must coincide.
         tail_b = train(b, np.random.default_rng(5), 6)
         tail_c = train(c, np.random.default_rng(5), 6)
         for x, y in zip(tail_b, tail_c):
@@ -139,38 +159,20 @@ class TestAgentStateDict:
 
     def test_dqn_roundtrip_continues_identically(self):
         config = DQNConfig(state_dim=4, n_actions=3, hidden=(8,), warmup=4)
-        rng_b = np.random.default_rng(0)
-        b = DQNAgent(config, rng_b)
+        b = DQNAgent(config, np.random.default_rng(0))
         driver = np.random.default_rng(9)
         for _ in range(8):
             s = driver.random(4)
             action = b.act(s)
             b.observe(s, action, -1.0, driver.random(4))
             b.update()
-        state = roundtrip(b.state_dict())
-        rng_state = rng_b.bit_generator.state
-
-        c = DQNAgent(config, np.random.default_rng(77))
-        c.load_state_dict(state)
-        c._rng.bit_generator.state = rng_state
+        c = roundtrip(b)
         # Same b — continue both with identical drivers.
         d1 = np.random.default_rng(5)
         d2 = np.random.default_rng(5)
         for _ in range(6):
             s = d1.random(4)
             assert b.act(s) == c.act(d2.random(4))
-
-    def test_network_shape_mismatch_rejected(self):
-        small = DDPGAgent(
-            DDPGConfig(state_dim=4, action_dim=1, hidden=(8,)),
-            np.random.default_rng(0),
-        )
-        big = DDPGAgent(
-            DDPGConfig(state_dim=4, action_dim=1, hidden=(16,)),
-            np.random.default_rng(0),
-        )
-        with pytest.raises(Exception):
-            big.load_state_dict(small.state_dict())
 
 
 def lerp_test_config(seed=3):
@@ -240,7 +242,7 @@ class TestStoreBitExactResume:
         for ours, theirs in zip(straight.tuners, resumed.tuners):
             assert ours.converged == theirs.converged
             assert ours.restarts == theirs.restarts
-            assert ours.state_dict()["rng"] == theirs.state_dict()["rng"]
+            assert ours._rng.bit_generator.state == theirs._rng.bit_generator.state
 
     def test_shared_tuner_restores_as_one_instance(
         self, store_config, workload, tmp_path
@@ -257,24 +259,6 @@ class TestStoreBitExactResume:
 
         resumed = load_store(path)
         assert resumed.tuners[0] is resumed.tuners[1]
-
-    def test_tuner_topology_mismatch_rejected(self, store_config, workload):
-        keys, values = workload.load_records()
-        shared = RusKey(
-            store_config, tuner=StaticTuner(3), n_shards=2, chunk_size=32
-        )
-        shared.bulk_load(keys, values)
-        for mission in self._missions(workload)[:2]:
-            shared.run_mission(mission)
-        state = shared.state_dict()
-        independent = RusKey(
-            store_config,
-            tuners=[StaticTuner(3), StaticTuner(3)],
-            n_shards=2,
-            chunk_size=32,
-        )
-        with pytest.raises(SnapshotError):
-            independent.load_state_dict(state)
 
     def test_static_tuner_store_roundtrip(self, store_config, workload, tmp_path):
         missions = self._missions(workload)
@@ -313,7 +297,7 @@ class TestSnapshotFiles:
         for mission in workload.missions(6, 300):
             store.run_mission(mission)
         path = os.fspath(tmp_path / "lerp.snap")
-        save_tuner(store.tuner, store_config, path)
+        save_tuner(store.tuner, path)
         restored = load_tuner(path)
         assert isinstance(restored, Lerp)
         assert restored.config == store.tuner.config
@@ -339,16 +323,39 @@ class TestSnapshotFiles:
         with pytest.raises(SnapshotError):
             load_snapshot(os.fspath(tmp_path / "missing"))
 
-    @pytest.mark.parametrize("version", [FORMAT_VERSION - 1, FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, FORMAT_VERSION - 1, FORMAT_VERSION + 1])
     def test_version_mismatch(self, tmp_path, version):
+        """A file of any other version — 2 is the state-dict layout this one
+        replaced — is refused before its object is unpickled."""
         path = os.fspath(tmp_path / "other")
-        save_snapshot(path, "engine", {})
-        payload = load_snapshot(path)
-        payload["format_version"] = version
-        with open(path, "wb") as fh:
-            fh.write(frame(pickle.dumps(payload)))
+        write_envelope(path, version=version)
         with pytest.raises(SnapshotError, match="format version"):
             load_snapshot(path)
+        assert Tripwire.built == 0
+
+    def test_wrong_kind_is_refused_before_unpickling(self, tmp_path):
+        path = os.fspath(tmp_path / "engine.snap")
+        write_envelope(path, kind="engine")
+        with pytest.raises(SnapshotError, match="expected 'store'"):
+            load_store(path)
+        assert Tripwire.built == 0
+        load_engine(path)
+        assert Tripwire.built == 1
+
+    def test_durable_snapshot_of_the_wrong_kind_leaves_its_directory(
+        self, store_config, tmp_path
+    ):
+        store = DurableStore(os.fspath(tmp_path / "data"), store_config)
+        store.put_batch(np.arange(500), np.arange(500))
+        path = os.fspath(tmp_path / "durable.snap")
+        save_engine(store, path)
+        store.close()
+        before = directory_bytes(store.data_dir)
+        with pytest.raises(SnapshotError):
+            load_store(path)
+        assert directory_bytes(store.data_dir) == before
+        load_engine(path).close()
+        assert directory_bytes(store.data_dir) != before  # the next generation
 
     def test_pickle_rejects_foreign_payload(self, tmp_path):
         path = os.fspath(tmp_path / "dictfile")
@@ -402,14 +409,10 @@ class TestLerpWarmStart:
         store.bulk_load(keys, values)
         for mission in workload.missions(16, 300):
             store.run_mission(mission)
-        tuner = store.tuner
-        assert isinstance(tuner, Lerp)
-        state = roundtrip(tuner.state_dict())
-
-        fresh = Lerp(store_config, lerp_test_config())
-        fresh.load_state_dict(state)
+        assert isinstance(store.tuner, Lerp)
+        fresh = roundtrip(store.tuner)
         agent = fresh._levels[1].agent
-        trained_params = [layer.copy() for layer in agent.actor.state_dict()]
+        trained_params = agent.actor.flat_params.copy()
         fresh.warm_start(exploration_scale=0.5)
         assert not fresh.converged
         assert fresh.restarts == 0
@@ -417,8 +420,7 @@ class TestLerpWarmStart:
         assert len(fresh._k_history) == 0
         # Networks retained...
         assert fresh._levels[1].agent is agent
-        for kept, trained in zip(agent.actor.state_dict(), trained_params):
-            np.testing.assert_array_equal(kept, trained)
+        np.testing.assert_array_equal(agent.actor.flat_params, trained_params)
         # ...replay retained, exploration reduced.
         assert len(agent.replay) > 0
         assert agent.noise.sigma == pytest.approx(
@@ -514,3 +516,95 @@ class TestCacheStatsSurfaced:
         per_shard = sum(s.cache.hits for s in store.shards)
         assert store.cache_hits == per_shard
         assert sum(m.cache_hits for m in missions) == per_shard
+
+
+# ----------------------------------------------------------------------
+# The pickled layout is versioned
+# ----------------------------------------------------------------------
+LAYOUT_PATH = os.path.join(os.path.dirname(__file__), "data", "snapshot_layout.json")
+
+
+class LayoutRecorder(pickle.Pickler):
+    """Pickles like ``save_snapshot`` and records, for every ``repro``
+    object, its class and the attribute names its pickle carries."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO(), protocol=4)
+        self.layout = {}
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if cls.__module__.startswith("repro."):
+            reduced = obj.__reduce_ex__(4)
+            state = reduced[2] if len(reduced) > 2 else None
+            if isinstance(state, tuple):  # (__dict__, slots)
+                state = {**(state[0] or {}), **state[1]}
+            names = self.layout.setdefault(f"{cls.__module__}.{cls.__qualname__}", set())
+            names.update(state or ())
+        return NotImplemented
+
+
+def record_layout(root):
+    """The layout every kind of snapshot pickles: each learned tuner and a
+    static one on 1 and 3 shards with an audit log attached, a durable
+    store and a sharded store of durable shards."""
+    config = SystemConfig(size_ratio=4, write_buffer_bytes=16 * 1024, seed=7)
+    workload = UniformWorkload(n_records=4000, lookup_fraction=0.5, seed=11)
+    keys, values = workload.load_records()
+    objects = []
+    for n_shards in (1, 3):
+        stores = [build_store(config, n_shards, cls) for cls in TUNER_CLASSES]
+        stores.append(RusKey(config, tuner=StaticTuner(3), n_shards=n_shards))
+        for store in stores:
+            store.attach_audit(DecisionAuditLog())
+            store.bulk_load(keys, values)
+            store.run_missions(workload.missions(6, 300))
+        objects += stores
+    durable = DurableStore(os.path.join(root, "durable"), config)
+    sharded = ShardedStore(
+        config,
+        3,
+        tree_factory=lambda c, i: DurableStore(os.path.join(root, f"shard-{i}"), c),
+    )
+    for engine in (durable, sharded):
+        engine.bulk_load(keys, values)
+        engine.put_batch(keys[:500], values[:500] + 1)
+        objects.append(engine)
+    recorder = LayoutRecorder()
+    for obj in objects:
+        recorder.dump(obj)
+    for engine in (durable, *sharded.shards):
+        engine.close()
+    return {name: sorted(names) for name, names in sorted(recorder.layout.items())}
+
+
+def test_snapshot_layout_is_versioned(tmp_path):
+    """``tests/data/snapshot_layout.json`` lists every class a snapshot
+    pickles, with the attributes it pickles, under the ``FORMAT_VERSION``
+    that reads it: a renamed attribute or a moved class that does not bump
+    the version fails here, naming the class. Re-record with
+    ``PYTHONPATH=src python tests/test_persist.py`` after the bump."""
+    with open(LAYOUT_PATH, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    layout = record_layout(os.fspath(tmp_path))
+    changed = sorted(
+        name
+        for name in layout.keys() | golden["classes"].keys()
+        if layout.get(name) != golden["classes"].get(name)
+    )
+    assert golden["format_version"] == FORMAT_VERSION, (
+        f"the layout golden was recorded at format version "
+        f"{golden['format_version']}; re-record it for {FORMAT_VERSION}"
+    )
+    assert not changed, (
+        f"the pickled layout of {changed} changed under format version "
+        f"{FORMAT_VERSION}: bump repro.persist.FORMAT_VERSION and re-record"
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        recorded = record_layout(scratch)
+    with open(LAYOUT_PATH, "w", encoding="utf-8") as fh:
+        json.dump({"format_version": FORMAT_VERSION, "classes": recorded}, fh, indent=1)
+        fh.write("\n")

@@ -11,6 +11,7 @@ the memtable sorted view the pipeline rides on (:meth:`MemTable.sorted_view`,
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -95,7 +96,7 @@ class TestMissionRunnerBatchesRanges:
         assert got.read_time == want.read_time
         assert got.write_time == want.write_time
         assert got.level_read_time == want.level_read_time
-        assert got.io.state_dict() == want.io.state_dict()
+        assert got.io == want.io
         assert chunked.clock.now == replay.clock.now
 
 
@@ -114,8 +115,7 @@ class TestServeConformance:
 
     def test_served_batch_matches_direct_engine(self):
         server, store, rng = self._server()
-        direct = ShardedStore(store.config, store.n_shards)
-        direct.load_state_dict(store.state_dict())
+        direct = copy.deepcopy(store)
         lane = server.lanes[0]
         requests = [
             Request(REQ_PUT, 17, value=1),
@@ -236,8 +236,7 @@ class TestLiveItemsUsesSortedView:
 
 class TestRangeStageLaps:
     def _traced_twin(self, tree):
-        traced = FLSMTree(tree.config)
-        traced.load_state_dict(tree.state_dict())
+        traced = copy.deepcopy(tree)
         tracer = Tracer()
         traced.set_tracer(tracer)
         return traced, tracer

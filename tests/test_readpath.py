@@ -12,13 +12,15 @@ memtable sorted-view cache and the stage laps a tracer records.
 from __future__ import annotations
 
 import contextlib
+import copy
 import importlib.util
 import io
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
-from reference_cache import ReferenceLRUCache
+from reference_cache import ReferenceLRUCache, cache_state
 from reference_get import find, find_batch
 from test_entry_memtable import buffer_delete, buffer_put
 
@@ -150,12 +152,12 @@ class TestCacheBatchAccess:
             assert hits == expected_hits
             # Full state machine equality: resident pages in LRU order,
             # hit/miss counters.
-            assert batched.state_dict() == looped.state_dict()
+            assert cache_state(batched) == cache_state(looped)
 
     def test_empty_batch_is_noop(self):
         cache = LRUBlockCache(4)
         assert cache.access_batch(1, []) == 0
-        assert cache.state_dict() == LRUBlockCache(4).state_dict()
+        assert cache_state(cache) == cache_state(LRUBlockCache(4))
 
     def test_capacity_zero_counts_misses(self):
         cache = LRUBlockCache(0)
@@ -198,8 +200,8 @@ class TestDiskBatchRead:
             assert total == expected
             # Clock must accumulate bit-identically, not just approximately.
             assert batched.clock.now == looped.clock.now
-            assert batched.counters.state_dict() == looped.counters.state_dict()
-            assert batched.cache.state_dict() == looped.cache.state_dict()
+            assert batched.counters == looped.counters
+            assert cache_state(batched.cache) == cache_state(looped.cache)
 
     def test_negative_page_rejected_when_cached(self):
         # Only the cache-enabled branch materializes the page array; the
@@ -210,11 +212,11 @@ class TestDiskBatchRead:
             disk.random_read_batch(1, np.array([0, -1, 2]))
 
     def test_snapshot_page_keys_stay_json_clean(self):
-        # access_batch receives .tolist()'d pages, so the snapshot must hold
-        # plain ints (numpy ints would break JSON round-trips).
+        # access_batch receives .tolist()'d pages, so the cache holds plain
+        # int pairs (numpy ints would break JSON round-trips).
         disk = self._disk(8)
         disk.random_read_batch(3, np.array([1, 2, 1]))
-        for run_id, page in disk.cache.state_dict()["pages"]:
+        for run_id, page in disk.cache:
             assert type(run_id) is int and type(page) is int
 
 
@@ -282,13 +284,15 @@ class TestMemtableSortedView:
         mutate(table)
         assert table._sorted_view is None
 
-    def test_load_state_dict_invalidates_view(self):
+    def test_pickle_leaves_out_view(self):
         table = MemTable(64)
         buffer_put(table, 1, 10)
-        state = table.state_dict()
         self._probe(table, [1])
-        table.load_state_dict(state)
-        assert table._sorted_view is None
+        assert table._sorted_view is not None
+        loaded = pickle.loads(pickle.dumps(table))
+        assert loaded._sorted_view is None
+        found, values = self._probe(loaded, [1])
+        assert found.tolist() == [True] and values.tolist() == [10]
 
     def test_stale_view_small_batch_still_correct(self):
         # Small batches against a stale view take the dict-probe fallback;
@@ -329,8 +333,7 @@ class TestReadPathStageLaps:
     its pipeline stages on the span it opened."""
 
     def _traced_twin(self, tree):
-        traced = FLSMTree(tree.config)
-        traced.load_state_dict(tree.state_dict())
+        traced = copy.deepcopy(tree)
         tracer = Tracer()
         traced.set_tracer(tracer)
         return traced, tracer

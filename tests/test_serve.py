@@ -170,21 +170,32 @@ class TestRequestRouting:
         Request(REQ_DELETE, 1, value=TOMBSTONE)  # value is ignored
 
     @pytest.mark.parametrize(
-        "kind, key, fields",
+        "kind, key, fields, match",
         [
-            (REQ_GET, 2**63, {}),
-            (REQ_DELETE, -(2**63) - 1, {}),
-            (REQ_RANGE, 2**63 - 2, {"span": 10}),  # the range end overflows
-            (REQ_PUT, 1, {"value": 2**63}),
+            (REQ_GET, 2**63, {}, "outside int64"),
+            (REQ_DELETE, -(2**63) - 1, {}, "outside int64"),
+            (REQ_RANGE, 2**63 - 2, {"span": 10}, "outside int64"),  # the range end overflows
+            (REQ_PUT, 1, {"value": 2**63}, "outside int64"),
+            # Truncated by int(), these would read key 1, write 2 to key 1
+            # and scan a span of 2.
+            (REQ_GET, 1.7, {}, "key 1.7 is not an integer"),
+            (REQ_PUT, True, {"value": 2.9}, "key True is not an integer"),
+            (REQ_PUT, 1, {"value": 2.9}, "value 2.9 is not an integer"),
+            (REQ_RANGE, 5, {"span": 2.5}, "span 2.5 is not an integer"),
+            (1.0, 5, {}, "kind 1.0 is not an integer"),
         ],
-        ids=["key-high", "key-low", "range-end", "value"],
+        ids=[
+            "key-high", "key-low", "range-end", "value",
+            "float-key", "bool-key", "float-value", "float-span", "float-kind",
+        ],
     )
-    def test_request_outside_int64_rejected_at_construction(self, kind, key, fields):
+    def test_request_outside_int64_rejected_at_construction(self, kind, key, fields, match):
         # Admitted, it would raise OverflowError in the worker's int64
-        # conversion and fail the lane for everyone queued behind it.
+        # conversion and fail the lane for everyone queued behind it; a
+        # non-integer would be served truncated.
         store, _ = loaded_store(n_shards=1)
         with KVServer(store) as server:
-            with pytest.raises(ServeError, match="outside int64"):
+            with pytest.raises(ServeError, match=match):
                 server.submit(Request(kind, key, **fields), timeout=5.0)
             # Nothing was admitted; the lane still serves, up to the edges.
             assert await_result(server, Request(REQ_GET, 2**63 - 1, wait=True)) is None
@@ -671,6 +682,21 @@ class TestLoadGeneration:
         with pytest.raises(ServeError, match=match):
             next(requests_from_mission(Mission(**wide)))
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"keys": [1.7], "values": [3.9]},  # truncated: a put of 3 to key 1
+            {"keys": np.array([True])},  # converted: key 1
+            {"values": np.array([2.5], dtype=object)},
+            {"spans": np.array([True], dtype=object)},
+        ],
+        ids=["float-columns", "bool-column", "object-float", "object-bool"],
+    )
+    def test_block_with_a_non_integer_column_is_refused(self, columns):
+        base = {"kinds": [OP_UPDATE], "keys": [1], "values": [3], "spans": [0]}
+        with pytest.raises(ServeError, match="column holds a non-integer"):
+            next(requests_from_mission(Mission(**{**base, **columns})))
+
 
 class TestTuningLoop:
     def test_windows_close_while_serving(self):
@@ -799,7 +825,7 @@ class TestSimulationContract:
                 mirror.get_batch(np.array(gets, dtype=np.int64))
 
         assert store.clock_now == mirror.clock_now
-        assert store.io_counters.state_dict() == mirror.io_counters.state_dict()
+        assert store.io_counters == mirror.io_counters
         assert store.stats.total_lookups == mirror.stats.total_lookups
         assert store.stats.total_updates == mirror.stats.total_updates
         assert store.stats.total_read_time == mirror.stats.total_read_time
@@ -859,6 +885,25 @@ class TestCheckpointing:
         assert restored.n_shards == 2
         assert restored.total_entries == store.total_entries
         # The snapshot captured the live tree structure exactly.
+        assert [s.describe() for s in restored.shards] == [
+            s.describe() for s in store.shards
+        ]
+
+    def test_checkpoint_with_a_tracer_attached_loads(self, tmp_path):
+        """A tracer is host wiring: the snapshot leaves it out, the live
+        engine keeps it, and the loaded engine comes back untraced."""
+        store, workload = loaded_store(n_shards=2)
+        path = os.path.join(tmp_path, "traced.snap")
+        tracer = Tracer()
+        with KVServer(store, tracer=tracer) as server:
+            for request in request_stream(workload, 200, tenant="t", wait=True):
+                await_result(server, request)
+            server.checkpoint(path)
+        assert tracer.spans()
+        assert store.tracer is tracer
+        restored = load_engine(path)
+        assert restored.tracer is None
+        assert all(shard.tracer is None for shard in restored.shards)
         assert [s.describe() for s in restored.shards] == [
             s.describe() for s in store.shards
         ]

@@ -30,27 +30,6 @@ class TestMissionStats:
         assert mission.level_time(2) == pytest.approx(2.0)
         assert mission.level_time(3) == 0.0
 
-    def test_state_dict_covers_every_field(self):
-        """The record carries simulated quantities only, so its snapshot is
-        the whole record: a round trip is ``==``, nothing excluded."""
-        import dataclasses
-
-        mission = MissionStats(
-            index=3, n_lookups=2, n_updates=1, read_time=0.5, sim_duration=0.75,
-            level_read_time={1: 0.5}, io=IOCounters(random_reads=4),
-            cache_hits=1, cache_misses=3,
-        )
-        state = mission.state_dict()
-        assert set(state) == {f.name for f in dataclasses.fields(MissionStats)}
-        assert MissionStats.from_state_dict(state) == mission
-
-    def test_stale_model_update_time_key_still_loads(self):
-        """The record is read field by field, so a key it no longer has
-        (``model_update_time``, a host-clock field) is never read back."""
-        mission = MissionStats(index=0, n_lookups=1, sim_duration=0.25)
-        state = dict(mission.state_dict(), model_update_time=0.0123)
-        assert MissionStats.from_state_dict(state) == mission
-
 
 class TestStatsCollector:
     def test_attribution_accumulates(self):

@@ -10,7 +10,7 @@ from reference_cache import ReferenceLRUCache
 
 from repro import RusKey
 from repro.config import CostModelParams
-from repro.errors import SnapshotError, StorageError
+from repro.errors import StorageError
 from repro.storage import DiskModel, IOCounters, LRUBlockCache, SimClock
 from repro.workload import YCSBWorkload
 
@@ -139,24 +139,6 @@ class TestLRUBlockCache:
         assert cache.misses == 1
         assert_same_machine(cache, reference)
 
-    def test_snapshot_over_capacity_rejected(self):
-        # A miss evicts one page per admission: loaded over capacity, the
-        # cache would stay over capacity for good.
-        cache = LRUBlockCache(2)
-        cache.access_batch(1, [0])
-        state = {"capacity": 2, "pages": [(1, i) for i in range(5)], "hits": 0, "misses": 0}
-        with pytest.raises(SnapshotError, match="5 pages"):
-            cache.load_state_dict(state)
-        assert list(cache) == [(1, 0)]  # a refused load changes nothing
-
-    @pytest.mark.parametrize("key", ("x", (1,), (1, 2, 3), (1, "2"), (1.0, 2), None))
-    def test_snapshot_key_that_is_not_an_int_pair_rejected(self, key):
-        cache = LRUBlockCache(4)
-        state = {"capacity": 4, "pages": [(1, 0), key], "hits": 0, "misses": 0}
-        with pytest.raises(SnapshotError, match="int pairs"):
-            cache.load_state_dict(state)
-        assert len(cache) == 0 and not cache._by_run
-
     def test_invalidate_run_never_walks_the_recency_list(self):
         """Count-based, not timed: a drop costs the pages it drops."""
 
@@ -216,10 +198,7 @@ class CacheComparedToReference(RuleBasedStateMachine):
 
     @rule()
     def snapshot_roundtrip(self):
-        state = pickle.loads(pickle.dumps(self.cache.state_dict()))
-        assert state == self.reference.state_dict()
-        self.cache = LRUBlockCache(self.cache.capacity)
-        self.cache.load_state_dict(state)
+        self.cache = pickle.loads(pickle.dumps(self.cache))
 
     @invariant()
     def same_machine(self):

@@ -2,13 +2,13 @@
 """CI smoke for the telemetry subsystem (DESIGN.md §12).
 
 Runs the same short tuned, sharded workload twice — once with every
-telemetry layer enabled (metrics collection, serve-path tracing, decision
+telemetry layer enabled (the view, engine-path tracing, decision
 audit) and once bare — and asserts the **zero-sim-impact contract**:
 every simulated observable is bit-identical between the twins. Then
 exercises the observable surface of the instrumented twin end to end:
 
-* the registry view carries the engine families, its shard-labeled
-  simulated clocks sum to the store's clock, and both renders work;
+* the view's per-shard simulated clocks sum to the store's clock, and its
+  JSON round-trips;
 * the sampled span export is valid JSONL with nested engine spans;
 * the audit log is non-empty and renders as a decision timeline.
 
@@ -32,8 +32,8 @@ from repro.core.ruskey import RusKey  # noqa: E402
 from repro.obs import (  # noqa: E402
     DecisionAuditLog,
     Tracer,
-    collect_store_metrics,
     format_decision_timeline,
+    telemetry_view,
 )
 from repro.workload import UniformWorkload  # noqa: E402
 
@@ -83,18 +83,16 @@ def main() -> int:
     print(f"ok: engine view, {len(inst.mission_log)} mission records and "
           f"policy history bit-identical (clock={clock_now:.6f}s)")
 
-    # --- 2. exposition ------------------------------------------------
-    registry = collect_store_metrics(inst)
-    for family in ("repro_sim_clock_seconds", "repro_ops",
-                   "repro_engine_entries", "repro_missions"):
-        assert registry.get(family) is not None, f"missing family {family}"
-    clocks = [c.value for _, c in registry.get("repro_sim_clock_seconds").series()]
+    # --- 2. the view ------------------------------------------------
+    view = telemetry_view(inst)
+    clocks = [shard["clock_now"] for shard in view["shards"]]
     assert len(clocks) == 2 and abs(sum(clocks) - clock_now) < 1e-9
-    prom = registry.render("prometheus")
-    assert "# TYPE repro_sim_clock_seconds counter" in prom.splitlines()
-    json.loads(registry.render("json"))
-    print(f"ok: registry view sums to the clock over {len(clocks)} shards, "
-          f"prometheus ({len(prom.splitlines())} lines) and json render")
+    text = json.dumps(view, indent=2, sort_keys=True)
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+    assert len(view["windows"]) == N_MISSIONS
+    print(f"ok: view sums to the clock over {len(clocks)} shards, "
+          f"{len(view['windows'])} windows, JSON round-trips "
+          f"({len(text.splitlines())} lines)")
 
     # --- 3. spans -----------------------------------------------------
     assert tracer.roots_seen > 0 and tracer.roots_kept > 0

@@ -27,8 +27,8 @@ production LSM store recovers from (DESIGN.md §13):
 
 SimClock stays the source of truth for benchmarks: all simulated I/O is
 still charged through :class:`~repro.storage.pager.DiskModel`; the wall
-time spent on real file I/O is telemetry only
-(:func:`repro.obs.collect.collect_durable_metrics`).
+time spent on real file I/O is telemetry only (``DurableStore.telemetry``,
+reported per shard by :func:`repro.obs.telemetry_view`).
 """
 
 from repro.durable.atomio import atomic_file, fsync_dir, publish_bytes

@@ -45,8 +45,8 @@ SimClock discipline: the inherited engine charges all simulated costs
 exactly as a bare tree does — the durable overrides never touch the
 simulated clock, RNG, cache or counters, so a ``DurableStore`` is
 bit-identical to a bare ``LSMTree`` in every simulated observable. Wall
-time spent on real file I/O is tallied in :attr:`telemetry` and exported
-through :func:`repro.obs.collect.collect_durable_metrics`.
+time spent on real file I/O is tallied in :attr:`telemetry`, which
+:func:`repro.obs.telemetry_view` reports beside the shard's ``view()``.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class DurableStore(LSMTree):
         self.data_dir = os.fspath(data_dir)
         self.rotate_manifest_every = max(2, int(rotate_manifest_every))
         #: Wall-clock/file-volume telemetry (never simulated state); see
-        #: :func:`repro.obs.collect.collect_durable_metrics`.
+        #: :func:`repro.obs.telemetry_view`.
         self.telemetry: Dict[str, float] = {
             "wal_records": 0,
             "wal_bytes": 0,

@@ -52,9 +52,9 @@ class ServeError(ReproError):
 
 
 class ObsError(ReproError):
-    """The observability layer was misused (duplicate metric registration
-    with a different shape, wrong label set, label-cardinality overflow,
-    malformed exposition text)."""
+    """The observability layer was misused (a tracer's bounds out of range)
+    or asked for a view it cannot give (a snapshot of another kind, or one
+    holding a durable store)."""
 
 
 class DurabilityError(ReproError):

@@ -1,80 +1,82 @@
-"""Telemetry CLI: render the registry view of a snapshot or a demo run.
+"""Telemetry CLI: print the view of a snapshot or a demo run as JSON.
 
 Examples::
 
-    # Metrics view of a repro.persist snapshot (the engine / store / tuner
-    # kind is read from the file; the view is rebuilt from the restored
-    # objects):
+    # The view of a repro.persist snapshot (the engine / store / tuner kind
+    # is read from the file; the view is read from the restored objects):
     python -m repro.obs run.ckpt
-    python -m repro.obs run.ckpt --format json
 
     # Decision timeline replay of an audit-carrying snapshot:
     python -m repro.obs run.ckpt --timeline
 
     # Self-contained demo: short tuned run with tracing + audit on,
-    # printing the Prometheus exposition, a span tree and the timeline:
+    # printing the view, a span tree and the timeline:
     python -m repro.obs --demo
+
+A snapshot holding a DurableStore is refused: restoring one installs it
+into its data directory (DESIGN.md §6), which a viewer must not rewrite.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import json
+import pickle
 import sys
-from typing import Optional, Tuple
 
-from repro.errors import ReproError
+from repro.durable.store import DurableStore
+from repro.errors import ObsError, ReproError
+from repro.lsm.policy import classify_policies
 from repro.obs.audit import DecisionAuditLog, format_decision_timeline
-from repro.obs.collect import (
-    collect_engine_metrics,
-    collect_store_metrics,
-    collect_tuner_metrics,
-)
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.obs.view import audit_logs, telemetry_view
+from repro.persist.snapshot import read_envelope
 
 
-def _registry_from_snapshot(
-    path: str,
-) -> Tuple[MetricsRegistry, Optional[DecisionAuditLog]]:
-    """Rebuild the snapshotted component and collect its registry view.
+class _NoDurableUnpickler(pickle.Unpickler):
+    """Refuses the graph at its first DurableStore class reference, which
+    precedes every DurableStore ``__setstate__``."""
 
-    Engine/store/tuner state round-trips bit-exactly, so the collected
-    registry equals the live system's view at snapshot time.
-    """
-    from repro.persist import load_snapshot
-
-    payload = load_snapshot(path)
-    kind, restored = payload["kind"], payload["object"]
-    if kind == "engine":
-        return collect_engine_metrics(restored), None
-    if kind == "store":
-        registry = collect_store_metrics(restored)
-        # Tuners restored from one store share the log they shared live.
-        audits = list(
-            dict.fromkeys(
-                t.audit
-                for t in restored.tuners
-                if getattr(t, "audit", None) is not None
+    def find_class(self, module, name):
+        cls = super().find_class(module, name)
+        if isinstance(cls, type) and issubclass(cls, DurableStore):
+            raise ObsError(
+                "the snapshot holds a DurableStore, and a durable snapshot "
+                "restores into its data directory; open that directory with "
+                "DurableStore instead of viewing the snapshot"
             )
+        return cls
+
+
+def _load(path: str):
+    """``(kind, object)`` of an engine / store / tuner snapshot."""
+    envelope = read_envelope(path)
+    kind = envelope["kind"]
+    if kind not in ("engine", "store", "tuner"):
+        raise ObsError(
+            f"snapshot kind {kind!r} has no view (expected engine / store / tuner)"
         )
-        merged: Optional[DecisionAuditLog] = None
-        if len(audits) == 1:
-            merged = audits[0]
-        elif audits:
-            merged = DecisionAuditLog()
-            for audit in audits:
-                for event in audit.events:
-                    merged.record(event.kind, event.mission, **event.data)
-        return registry, merged
-    if kind == "tuner":
-        return collect_tuner_metrics([restored]), getattr(restored, "audit", None)
-    raise ReproError(
-        f"snapshot kind {kind!r} has no registry view "
-        "(expected engine / store / tuner)"
-    )
+    return kind, _NoDurableUnpickler(io.BytesIO(envelope["object"])).load()
 
 
-def _run_demo(missions: int, fmt: str) -> int:
+def _timeline(kind: str, restored) -> str:
+    """The decision timeline of the restored tuners' audit events, with the
+    store column filled from a store's policy history."""
+    audit = DecisionAuditLog()
+    for log in audit_logs(getattr(restored, "tuners", [restored])):
+        for event in log.events:
+            audit.record(event.kind, event.mission, **event.data)
+    if len(audit) == 0:
+        raise ObsError("snapshot carries no decision audit events")
+    history = None
+    if kind == "store":
+        size_ratio = restored.config.size_ratio
+        history = [classify_policies(p, size_ratio) for p in restored.policy_history]
+    return format_decision_timeline(audit, history)
+
+
+def _run_demo(missions: int) -> int:
     """A tiny tuned run with every telemetry layer enabled."""
     from repro.core.lerp import LerpConfig
     from repro.core.ruskey import RusKey
@@ -93,7 +95,7 @@ def _run_demo(missions: int, fmt: str) -> int:
     store.bulk_load(keys, values)
     for mission in workload.missions(missions, 600):
         store.run_mission(mission)
-    print(collect_store_metrics(store).render(fmt))
+    print(json.dumps(telemetry_view(store), indent=2, sort_keys=True))
     print(f"--- spans (kept {tracer.roots_kept}/{tracer.roots_seen} roots)")
     for root in tracer.spans()[:3]:
         _print_span(root)
@@ -118,15 +120,9 @@ def main(argv=None) -> int:
         help="a repro.persist snapshot file (engine/store/tuner kind)",
     )
     parser.add_argument(
-        "--format",
-        choices=("prometheus", "json"),
-        default="prometheus",
-        help="exposition format (default: prometheus text)",
-    )
-    parser.add_argument(
         "--timeline",
         action="store_true",
-        help="print the decision-timeline replay instead of metrics",
+        help="print the decision-timeline replay instead of the view",
     )
     parser.add_argument(
         "--output", help="write to this file instead of stdout"
@@ -144,24 +140,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.demo:
-        return _run_demo(args.missions, args.format)
+        return _run_demo(args.missions)
     if not args.snapshot:
         parser.error("pass a snapshot path or --demo")
     try:
-        registry, audit = _registry_from_snapshot(args.snapshot)
+        kind, restored = _load(args.snapshot)
+        if args.timeline:
+            text = _timeline(kind, restored)
+        else:
+            text = json.dumps(telemetry_view(restored), indent=2, sort_keys=True)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.timeline:
-        if audit is None or len(audit) == 0:
-            print(
-                "error: snapshot carries no decision audit events",
-                file=sys.stderr,
-            )
-            return 1
-        text = format_decision_timeline(audit)
-    else:
-        text = registry.render(args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -19,14 +19,15 @@ around a pickled envelope, a plain dict::
         "object": b"...",                # the object, itself a pickle
     }
 
-:func:`load_snapshot` checks the frame's CRC, then magic, version and kind,
-and only then unpickles the object — so no class's ``__setstate__`` runs
-for a file that is refused. A truncated or corrupt file, or one of any
-other version, raises :class:`SnapshotError`. A class names what a pickle
-leaves out in ``__getstate__`` / ``__setstate__``; a change to what any
-class pickles bumps ``FORMAT_VERSION``, and a file of another version is
-refused, never reinterpreted (``tests/data/snapshot_layout.json`` records
-the layout and fails when it changes under the same version).
+:func:`read_envelope` checks the frame's CRC, then magic, version and
+kind; :func:`load_snapshot` only then unpickles the object — so no class's
+``__setstate__`` runs for a file that is refused. A truncated or corrupt
+file, or one of any other version, raises :class:`SnapshotError`. A class
+names what a pickle leaves out in ``__getstate__`` / ``__setstate__``; a
+change to what any class pickles bumps ``FORMAT_VERSION``, and a file of
+another version is refused, never reinterpreted
+(``tests/data/snapshot_layout.json`` records the layout and fails when it
+changes under the same version).
 
 Restore invariants (asserted by ``tests/test_persist.py`` and the
 differential oracle's restore rule):
@@ -85,10 +86,10 @@ def save_snapshot(
         raise SnapshotError(f"cannot write snapshot to {path}: {exc}") from exc
 
 
-def load_snapshot(path: str, expected_kind: Optional[str] = None) -> Dict[str, Any]:
-    """Read and validate a snapshot; returns the envelope with its
-    ``"object"`` unpickled. The file must be exactly one CRC-clean frame,
-    and magic, version and kind must match, before the object is touched."""
+def read_envelope(path: str, expected_kind: Optional[str] = None) -> Dict[str, Any]:
+    """Read and validate a snapshot's envelope; its ``"object"`` is still
+    the pickled bytes. The file must be exactly one CRC-clean frame, and
+    magic, version and kind must match."""
     try:
         with open(os.fspath(path), "rb") as fh:
             data = fh.read()
@@ -117,6 +118,13 @@ def load_snapshot(path: str, expected_kind: Optional[str] = None) -> Dict[str, A
             f"{path} holds a {envelope.get('kind')!r} snapshot, "
             f"expected {expected_kind!r}"
         )
+    return envelope
+
+
+def load_snapshot(path: str, expected_kind: Optional[str] = None) -> Dict[str, Any]:
+    """The validated envelope (:func:`read_envelope`) with its ``"object"``
+    unpickled: nothing is unpickled for a file that is refused."""
+    envelope = read_envelope(path, expected_kind)
     envelope["object"] = pickle.loads(envelope["object"])
     return envelope
 

@@ -14,8 +14,9 @@ and per-tenant histograms recorded lock-free by single writer threads are
 combined after the fact, and merging is associative and commutative (a
 property test in ``tests/test_latency.py`` checks this). Exact count, sum,
 min and max are tracked alongside the buckets, so means are exact and only
-quantiles are approximate. This is also the series of a histogram family
-in :class:`repro.obs.metrics.MetricsRegistry`.
+quantiles are approximate. :func:`repro.obs.telemetry_view` reports each
+lane's per-tenant histogram by its count, sum, min, max, mean and
+:meth:`LatencyHistogram.percentile_summary`.
 """
 
 from __future__ import annotations

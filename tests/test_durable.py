@@ -581,19 +581,18 @@ def test_durable_golden_bytes(tmp_path):
     assert got == want
 
 
-def test_collect_durable_metrics(store_dir, tiny_config):
-    from repro.obs import collect_durable_metrics
+def test_view_reports_durable_telemetry(store_dir, tiny_config):
+    from repro.obs import telemetry_view
 
     store = DurableStore(store_dir, tiny_config)
     fill(store, n_batches=6)
     store.close()
     reopened = DurableStore(store_dir)
-    registry = collect_durable_metrics(reopened)
-    text = registry.render("prometheus")
-    assert "repro_durable_events" in text
-    assert "repro_durable_bytes" in text
-    assert "repro_durable_recovery" in text
-    assert "repro_sim_clock_seconds" in text
+    (shard,) = telemetry_view(reopened)["shards"]
+    assert shard["last_recovery"] == reopened.last_recovery._asdict()
+    assert shard["telemetry"] == reopened.telemetry
+    assert shard["acked_seqno"] == reopened.acked_seqno > 0
+    assert shard["clock_now"] == reopened.clock_now
     reopened.close()
 
 

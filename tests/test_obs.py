@@ -1,11 +1,12 @@
 """Tests for the telemetry subsystem (repro.obs, DESIGN.md §12).
 
-Covers the metrics registry (registration guards, label cardinality,
-Prometheus/JSON exposition, and a byte-for-byte golden of both renders of
-a store view), span tracing (nesting, deterministic sampling, stage laps),
-the RL decision audit log (recording, timeline rendering, persistence
-through tuner and store snapshots), and — the subsystem's hard invariant —
-the **zero-sim-impact twin**: a run with every telemetry layer enabled is
+Covers the view (each shard's records, shared tuners and audit logs once,
+snapshot view equal to the live one, durable snapshots refused before
+anything is unpickled, and the mission windows that say why the tuner
+switched), span tracing (nesting, deterministic sampling, stage laps), the
+RL decision audit log (recording, timeline rendering, persistence through
+tuner and store snapshots), and — the subsystem's hard invariant — the
+**zero-sim-impact twin**: a run with every telemetry layer enabled is
 bit-identical in all simulated observables to the same run without.
 """
 
@@ -14,25 +15,22 @@ import os
 
 import numpy as np
 import pytest
+from test_oracle import build
 
 from repro.config import SystemConfig
 from repro.core.lerp import Lerp, LerpConfig
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
 from repro.errors import ObsError
+from repro.lsm.policy import classify_policies
 from repro.lsm.rangepath import RANGE_STAGES
 from repro.lsm.tree import LSMTree
 from repro.obs import (
     DecisionAuditLog,
-    MetricsRegistry,
     Tracer,
-    collect_engine_metrics,
-    collect_server_metrics,
-    collect_store_metrics,
-    collect_tuner_metrics,
     format_decision_timeline,
+    telemetry_view,
 )
-from repro.obs.metrics import MAX_SERIES
 from repro.persist import (
     load_store,
     load_tuner,
@@ -72,92 +70,6 @@ def run_small(store, n_missions: int = 4, mission_size: int = 200, seed: int = 3
     for mission in workload.missions(n_missions, mission_size):
         store.run_mission(mission)
     return store
-
-
-def family_total(registry, name: str) -> float:
-    """Sum of a counter / gauge family's series."""
-    return sum(series.value for _, series in registry.get(name).series())
-
-
-# ======================================================================
-# Metrics registry
-# ======================================================================
-class TestMetricsRegistry:
-    def test_counter_gauge_histogram_basics(self):
-        registry = MetricsRegistry()
-        requests = registry.counter("requests_total", "requests served")
-        requests.labels().inc()
-        requests.labels().inc(2.0)
-        depth = registry.gauge("queue_depth")
-        depth.labels().set(7.0)
-        lat = registry.histogram("latency_seconds")
-        lat.labels().record(0.25)
-        families = registry.as_dict()["families"]
-        assert families["requests_total"]["series"][0]["value"] == 3.0
-        assert families["queue_depth"]["series"][0]["value"] == 7.0
-        assert families["latency_seconds"]["series"][0]["count"] == 1
-
-    def test_counter_rejects_negative_increment(self):
-        registry = MetricsRegistry()
-        family = registry.counter("c")
-        with pytest.raises(ObsError):
-            family.labels().inc(-1.0)
-
-    def test_registration_is_idempotent_and_shape_checked(self):
-        registry = MetricsRegistry()
-        a = registry.counter("ops", labels=("shard",))
-        assert registry.counter("ops", labels=("shard",)) is a
-        with pytest.raises(ObsError):
-            registry.gauge("ops", labels=("shard",))
-        with pytest.raises(ObsError):
-            registry.counter("ops", labels=("shard", "tenant"))
-
-    def test_label_names_must_match_exactly(self):
-        registry = MetricsRegistry()
-        family = registry.counter("ops", labels=("shard", "tenant"))
-        family.labels(shard="0", tenant="a").inc()
-        with pytest.raises(ObsError):
-            family.labels(shard="0")
-        with pytest.raises(ObsError):
-            family.labels(shard="0", tenant="a", extra="x")
-
-    def test_cardinality_guard(self):
-        registry = MetricsRegistry()
-        family = registry.counter("ops", labels=("key",))
-        for i in range(MAX_SERIES):
-            family.labels(key=str(i)).inc()
-        with pytest.raises(ObsError, match="series budget"):
-            family.labels(key="overflow")
-        # Existing series stay reachable after the guard trips.
-        family.labels(key="0").inc()
-
-    def test_prometheus_exposition_escapes_and_accumulates(self):
-        registry = MetricsRegistry()
-        family = registry.gauge("g", "help text", labels=("name",))
-        family.labels(name='with"quote\\and\nnewline').set(1.5)
-        registry.histogram("h").labels().record_many([0.001, 0.01, 0.01])
-        lines = registry.render("prometheus").splitlines()
-        assert "# TYPE g gauge" in lines and "# TYPE h histogram" in lines
-        assert 'g{name="with\\"quote\\\\and\\nnewline"} 1.5' in lines
-        # Cumulative buckets: one per non-empty bucket, then +Inf = count.
-        buckets = [line for line in lines if line.startswith("h_bucket")]
-        assert [b.rsplit(" ", 1)[1] for b in buckets] == ["1", "3", "3"]
-        assert buckets[-1] == 'h_bucket{le="+Inf"} 3'
-        assert "h_count 3" in lines
-
-    def test_histogram_series_is_a_latency_histogram(self):
-        """A histogram family's series is the serving layer's histogram
-        itself: a lane histogram merges in and its quantiles read back."""
-        registry = MetricsRegistry()
-        series = registry.histogram("h").labels()
-        assert type(series) is LatencyHistogram
-        lane = LatencyHistogram()
-        lane.record_many([1e-3] * 20)
-        series.merge(lane)
-        assert series.count == 20
-        assert series.quantile(0.5) == lane.quantile(0.5)
-        (row,) = registry.as_dict()["families"]["h"]["series"]
-        assert row["count"] == 20
 
 
 # ======================================================================
@@ -326,37 +238,74 @@ class TestAuditLog:
 
 
 # ======================================================================
-# Collection
+# The view
 # ======================================================================
+#: The one field of a view read from the host clock.
+WALL_FIELD = "total_model_update_s"
+
+
+def cli_view(path, capsys) -> dict:
+    """The JSON ``python -m repro.obs <path>`` prints."""
+    from repro.obs.__main__ import main
+
+    assert main([path]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def as_json(view: dict) -> dict:
+    """A live view as the CLI prints it, without the host-clock field."""
+    view = json.loads(json.dumps(view))
+    for tuner in view.get("tuners", ()):
+        tuner.pop(WALL_FIELD, None)
+    return view
+
+
+def tree_bytes(root) -> dict:
+    """Every file under ``root`` with its contents."""
+    contents = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as fh:
+                contents[os.path.relpath(path, root)] = fh.read()
+    return contents
+
+
 class TestCollection:
     def test_engine_registry_matches_engine_state(self):
+        """Each shard's record is its own ``view()``: the per-shard clocks
+        fold, in shard order, to exactly the engine's clock."""
         store = run_small(small_store(tune=False))
-        registry = collect_engine_metrics(store.engine)
-        clock = family_total(registry, "repro_sim_clock_seconds")
-        assert clock == pytest.approx(store.engine.clock_now, rel=0, abs=0)
-        entries = family_total(registry, "repro_engine_entries")
-        assert int(entries) == store.engine.total_entries
+        shards = telemetry_view(store.engine)["shards"]
+        clock = sum(shard["clock_now"] for shard in shards)
+        assert len(shards) == 2 and clock == store.engine.clock_now
+        assert sum(s["total_entries"] for s in shards) == store.engine.total_entries
 
     def test_store_registry_includes_tuner_series(self):
         store = run_small(small_store())
-        registry = collect_store_metrics(store)
-        text = registry.render("prometheus")
-        assert "repro_tuner_model_seconds" in text
-        assert "repro_store_missions 4" in text
+        view = telemetry_view(store)
+        assert [set(t) for t in view["tuners"]] == [
+            {"restarts", "converged", WALL_FIELD}
+        ] * 2
+        assert view["missions_run"] == len(view["windows"]) == 4
+        assert view["windows"][-1]["policies"] == store.policy_history[-1]
+        json.dumps(view)  # plain JSON-able records
 
     def test_shared_audit_log_is_counted_once(self):
         store = small_store(n_shards=2)
         audit = DecisionAuditLog()
         store.attach_audit(audit)
         run_small(store)
-        events = family_total(
-            collect_store_metrics(store), "repro_tuner_audit_events"
-        )
-        assert events == len(audit) > 0
+        view = telemetry_view(store)
+        assert len(view["audit"]) == len(audit) > 0
+        # A tuner shared by both shards is one record too.
+        shared = RusKey(n_shards=2, tuner=Lerp(SystemConfig(), LerpConfig()))
+        assert len(telemetry_view(shared)["tuners"]) == 1
 
     def test_snapshot_timeline_prints_a_shared_log_once(self, tmp_path, capsys):
         """Two tuners restored from one store snapshot share one audit log:
-        the CLI timeline has one row per event, not one per shard."""
+        the CLI timeline has one row per event, not one per shard, and its
+        store column is the snapshot's policy history."""
         from repro.obs.__main__ import main
 
         store = small_store(n_shards=2)
@@ -366,55 +315,95 @@ class TestCollection:
         path = str(tmp_path / "store.ckpt")
         save_store(store, path)
         assert main([path, "--timeline"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        text = capsys.readouterr().out
+        lines = text.splitlines()
         assert len(lines) - 2 == len(audit) > 0  # header and rule, then events
+        size_ratio = store.config.size_ratio
+        history = [classify_policies(p, size_ratio) for p in store.policy_history]
+        assert text == format_decision_timeline(audit, history)
 
     @pytest.mark.parametrize("kind", ["engine", "store", "tuner"])
     def test_snapshot_view_equals_live_view(self, kind, tmp_path, capsys):
-        """The registry is never saved: the CLI rebuilds the snapshotted
-        objects and collects them, and that view equals the live one (the
-        host-clock family aside)."""
-        from repro.obs.__main__ import main
-
+        """The view is never saved: the CLI reads it off the snapshotted
+        objects, and it equals the live one (the host-clock field aside)."""
         store = small_store(cache_pages=64, n_shards=2)
         store.attach_audit(DecisionAuditLog())
         run_small(store)
         path = str(tmp_path / f"{kind}.ckpt")
-        if kind == "engine":
-            save_engine(store.engine, path)
-            live = collect_engine_metrics(store.engine)
-        elif kind == "store":
-            save_store(store, path)
-            live = collect_store_metrics(store)
-        else:
-            save_tuner(store.tuner, path)
-            live = collect_tuner_metrics([store.tuner])
-        assert main([path, "--format", "json"]) == 0
-        restored = json.loads(capsys.readouterr().out)["families"]
-        want = live.as_dict()["families"]
-        for view in (restored, want):
-            view.pop(WALL_FAMILY, None)
-        assert restored == want
+        live = {"engine": store.engine, "store": store, "tuner": store.tuner}[kind]
+        {"engine": save_engine, "store": save_store, "tuner": save_tuner}[kind](live, path)
+        assert as_json(cli_view(path, capsys)) == as_json(telemetry_view(live))
 
     def test_snapshot_kind_without_a_view_is_refused(self, tmp_path, capsys):
         """Only engine / store / tuner snapshots have a view; any other kind
         (e.g. a file from when registries were saved as ``obs``) is an
-        error, not an empty registry."""
+        error, not an empty view."""
         from repro.obs.__main__ import main
 
         path = str(tmp_path / "old.ckpt")
         save_snapshot(path, "obs", {})
         assert main([path]) == 1
-        assert "snapshot kind 'obs' has no registry view" in capsys.readouterr().err
+        assert "snapshot kind 'obs' has no view" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["durable", "durable-4", "store"])
+    def test_durable_snapshot_is_refused_and_leaves_its_directory(
+        self, kind, tiny_config, tmp_path, capsys
+    ):
+        """Restoring a durable snapshot installs it into its data directory,
+        so the viewer refuses it before anything is unpickled: the files
+        keep their names and bytes, and the live store's next acknowledged
+        write survives a reopen."""
+        from repro.obs.__main__ import main
+
+        root = str(tmp_path / "data")
+        name = "durable" if kind == "store" else kind
+        engine = build(name, tiny_config, root)
+        keys = np.arange(2000, dtype=np.int64)
+        engine.put_batch(keys, keys * 2)
+        path = str(tmp_path / "view.snap")
+        if kind == "store":
+            save_store(RusKey(tiny_config, engine=engine), path)
+        else:
+            save_engine(engine, path)
+        before = tree_bytes(root)
+        assert main([path]) == 1
+        assert "restores into its data directory" in capsys.readouterr().err
+        assert tree_bytes(root) == before
+        engine.put(1, 5)
+        for tree in engine.tuning_targets():
+            tree.close()
+        reopened = build(name, tiny_config, root)
+        assert reopened.get(1) == 5
+        for tree in reopened.tuning_targets():
+            tree.close()
+
+    def test_switches_are_explained_by_the_audit(self, tmp_path, capsys):
+        """North-star 4 from a store snapshot's JSON alone: every mission
+        window whose policies differ from the previous window's has an
+        audit event at that mission, the decision that made the switch."""
+        store = small_store(n_shards=2)
+        store.attach_audit(DecisionAuditLog())
+        run_small(store, n_missions=30)
+        path = str(tmp_path / "store.ckpt")
+        save_store(store, path)
+        view = cli_view(path, capsys)
+        audited = {event["mission"] for event in view["audit"]}
+        windows = view["windows"]
+        switches = [
+            w["index"]
+            for prev, w in zip(windows, windows[1:])
+            if w["policies"] != prev["policies"]
+        ]
+        assert switches and set(switches) <= audited
 
     def test_server_collection_survives_a_tenant_added_mid_read(self):
-        """A lane worker may register a tenant while the collector walks the
-        lane's histograms; the collector reads a snapshot of the dict."""
+        """A lane worker may register a tenant while the view walks the
+        lane's histograms; the view reads a copy of the dict."""
         from types import SimpleNamespace
 
         class Intruding(LatencyHistogram):
             """A tenant's histogram whose bucket read registers a new tenant
-            on the lane, as its worker can between two collector steps."""
+            on the lane, as its worker can between two view steps."""
 
             def __init__(self, lane):
                 self._lane = None
@@ -434,67 +423,14 @@ class TestCollection:
 
         lane = SimpleNamespace(completed=3, rejected=0, histograms={})
         lane.histograms["early"] = Intruding(lane)
-        server = SimpleNamespace(engine=LSMTree(SystemConfig()), lanes=[lane])
-        view = collect_server_metrics(server).as_dict()["families"]
-        (early,) = view["repro_serve_latency_seconds"]["series"]
-        assert early["labels"] == {"shard": "0", "tenant": "early"}
-        assert early["count"] == 3
+        server = SimpleNamespace(
+            engine=LSMTree(SystemConfig()), lanes=[lane], windows=[], tuners=[]
+        )
+        (record,) = telemetry_view(server)["lanes"]
+        assert list(record["tenants"]) == ["early"]
+        assert record["tenants"]["early"]["count"] == 3
+        assert record["completed"] == 3
         assert "late" in lane.histograms
-
-
-# ======================================================================
-# Exposition golden: the rendered view of a fixed run, byte for byte
-# ======================================================================
-GOLDEN_PATHS = {
-    fmt: os.path.join(os.path.dirname(__file__), "data", f"obs_golden.{ext}")
-    for fmt, ext in (("prometheus", "prom"), ("json", "json"))
-}
-
-#: The one family of a store view read from the host clock.
-WALL_FAMILY = "repro_tuner_model_seconds"
-
-#: Fixed histogram inputs: six values (the scalar ``record_many`` body, two
-#: of them outside the bucket range) and forty (the vectorized body), all
-#: exact binary fractions so every sum is exact.
-GOLDEN_HISTOGRAM = {
-    "scalar": [1e-9, 2.0**-12, 2.0**-10, 2.0**-10, 0.125, 5e3],
-    "vector": [2.0 ** (k - 20) for k in range(40)],
-}
-
-
-def golden_renders() -> dict:
-    """Both renders of ``collect_store_metrics`` on a 2-shard Lerp run
-    (seed 3, cache on, one shared audit log), plus one registry histogram
-    fed fixed values, with the wall-clock family left out."""
-    store = small_store(cache_pages=64, n_shards=2)
-    store.attach_audit(DecisionAuditLog())
-    registry = collect_store_metrics(run_small(store, n_missions=6))
-    family = registry.histogram(
-        "repro_golden_seconds", "fixed inputs", labels=("path",)
-    )
-    for path, values in GOLDEN_HISTOGRAM.items():
-        family.labels(path=path).record_many(values)
-    prom = "".join(
-        line
-        for line in registry.render("prometheus").splitlines(keepends=True)
-        if WALL_FAMILY not in line
-    )
-    doc = json.loads(registry.render("json"))
-    del doc["families"][WALL_FAMILY]
-    return {
-        "prometheus": prom,
-        "json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    }
-
-
-@pytest.mark.parametrize("fmt", sorted(GOLDEN_PATHS))
-def test_exposition_golden(fmt):
-    """Recorded at commit cb21891, before the registry lost its merge,
-    persistence and histogram wrapper: a change to the registry's shape
-    passes this unchanged or it changed a rendered line."""
-    with open(GOLDEN_PATHS[fmt], encoding="utf-8") as handle:
-        want = handle.read()
-    assert golden_renders()[fmt] == want
 
 
 # ======================================================================
@@ -543,7 +479,7 @@ class TestZeroSimImpact:
         audit = DecisionAuditLog()
         inst.attach_audit(audit)
         run(inst)
-        collect_store_metrics(inst)  # collection reads, never mutates
+        telemetry_view(inst)  # the view reads, never mutates
 
         assert simulated_fingerprint(bare) == simulated_fingerprint(inst)
         assert len(audit) > 0
@@ -593,9 +529,9 @@ class TestServeTracing:
         assert any(
             name.startswith(("lsm.", "store.")) for name in child_names
         ), child_names
+        # The view's lane records add up to what the server completed.
+        lanes = json.loads(json.dumps(telemetry_view(server)))["lanes"]
+        completed = sum(lane["completed"] for lane in lanes)
+        assert completed == server.total_completed > 0
+        assert sum(lane["tenants"]["t"]["count"] for lane in lanes) == completed
 
-
-if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/test_obs.py
-    for fmt, text in golden_renders().items():
-        with open(GOLDEN_PATHS[fmt], "w", encoding="utf-8") as handle:
-            handle.write(text)

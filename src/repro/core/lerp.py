@@ -24,7 +24,6 @@ brute-force approaches), and :mod:`repro.core.named_policy`.
 from __future__ import annotations
 
 import dataclasses
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
@@ -40,6 +39,7 @@ from repro.errors import RLError
 from repro.lsm.policy import POLICY_NAMES
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
+from repro.obs.trace import Span
 from repro.rl.ddpg import DDPGConfig
 from repro.rl.dqn import DQNConfig
 
@@ -149,15 +149,15 @@ class EpisodeTuner(Tuner):
             self.audit.record(kind, mission if mission >= 0 else None, **data)
 
     def observe_mission(self, tree: LSMTree, mission: MissionStats) -> None:
-        # repro: allow[SIM-PURITY] total_model_update_s is a documented
-        # host-wall measurement (paper Fig. 13: tuner overhead); obs exports
-        # it, it never enters SimClock or the decision state.
-        started = time.perf_counter()
+        # total_model_update_s is host wall time (paper Fig. 13: tuner
+        # overhead), lapped on a span held for this call, so the clock is
+        # read in obs/; it never enters SimClock or the decision state.
+        watch = Span("tuner.observe_mission")
         try:
             self._observe(tree, mission)
         finally:
-            # repro: allow[SIM-PURITY] closing half of the wall measurement above.
-            self.total_model_update_s += time.perf_counter() - started
+            watch.lap("model_update")
+            self.total_model_update_s += watch.stages["model_update"][0]
 
     def _observe(self, tree: LSMTree, mission: MissionStats) -> None:
         self.missions_observed += 1

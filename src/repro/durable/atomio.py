@@ -12,9 +12,11 @@ Every file *publish* in the durability chain (SSTables, the manifest
    itself* may not survive a crash, resurrecting the old file (or, for
    a first publish, no file at all) after recovery.
 
-This module owns that sequence. The DURABLE-FSYNC static rule
-(:mod:`repro.analysis`) flags any ``durable/``/``persist/`` code that
-renames or write-closes files outside it (DESIGN.md §13, §14).
+This module owns that sequence. CI's durable-publish greps hold the
+rest of ``durable/`` and ``persist/`` to it: ``os.replace`` appears only
+here, ``os.rename`` nowhere, and a write-mode ``open`` or an ``os.fsync``
+only here, in the log appender and in the fault injector (DESIGN.md §13,
+§14).
 """
 
 from __future__ import annotations

@@ -12,12 +12,14 @@ A span that is open can be *lapped*: :meth:`Span.lap` charges the wall
 time since the span opened (or since its previous lap) to a named stage,
 so a batch entry point attributes its own duration to its pipeline stages
 without opening a context manager per stage. The clock is read here, never
-at the call site — simulated-path packages hold no host timer at all.
+at the call site — simulated-path packages hold no host timer at all. A
+span built without a ``start`` reads it itself, so a caller outside any
+tracer can hold one as a stopwatch and lap it.
 
 Design constraints (the PR 6/7 invariant):
 
 * **Zero simulated impact.** The tracer reads ``time.perf_counter`` only.
-  It never charges the :class:`~repro.storage.simclock.SimClock`, never
+  It never charges the :class:`~repro.storage.clock.SimClock`, never
   draws from any RNG (sampling is a deterministic counter, not a coin
   flip), and never touches engine counters — instrumented-on and
   instrumented-off runs are bit-identical in every simulated observable
@@ -56,9 +58,11 @@ class Span:
     def __init__(
         self,
         name: str,
-        start: float,
+        start: Optional[float] = None,
         attrs: Optional[Dict[str, object]] = None,
     ) -> None:
+        if start is None:
+            start = perf_counter()
         self.name = name
         self.start = start
         self.end = start

@@ -14,7 +14,7 @@ Layers (DESIGN.md §7):
 """
 
 from repro.serve.latency import LatencyHistogram
-from repro.serve.locks import ascending_lane_order, ordered_lane_locks
+from repro.serve.locks import ordered_lane_locks
 from repro.serve.loadgen import (
     ClientResult,
     ClosedLoopClient,
@@ -46,7 +46,6 @@ from repro.serve.experiments import (
 
 __all__ = [
     "LatencyHistogram",
-    "ascending_lane_order",
     "ordered_lane_locks",
     "KVServer",
     "Request",

@@ -4,9 +4,10 @@ Cross-shard work (coalesced range batches, live checkpoints) must hold
 every lane lock at once. Two threads doing that concurrently deadlock
 unless both acquire in the same global order, so this module is the one
 sanctioned way to take more than one lane lock: locks are acquired in
-ascending lane-index order and released in reverse. The LOCK-ORDER
-static rule (:mod:`repro.analysis`) flags any ad-hoc multi-lock
-acquisition in ``serve/`` that bypasses it (DESIGN.md §7, §14).
+ascending lane-index order and released in reverse. The test-side
+LOCK-ORDER check (``tests/test_invariants.py``) fails on any explicit
+``acquire()`` / ``release()`` or nested multi-lock ``with`` elsewhere in
+``serve/`` (DESIGN.md §7, §14).
 """
 
 from __future__ import annotations
@@ -15,19 +16,10 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
 
-def ascending_lane_order(lanes: Sequence) -> list:
-    """Lanes sorted by ascending shard index — *the* global lock order.
-
-    Accepts any sequence of objects with an ``index`` attribute (the
-    serving ``_Lane``); objects without one keep their given position,
-    which lets plain lock sequences reuse the helper in tests.
-    """
-    return sorted(lanes, key=lambda lane: getattr(lane, "index", 0))
-
-
 @contextmanager
 def ordered_lane_locks(lanes: Sequence) -> Iterator[list]:
-    """Hold every lane's ``lock``, acquired in ascending index order.
+    """Hold every lane's ``lock``, acquired in ascending ``lane.index``
+    order — *the* global lock order.
 
     Yields the lanes in acquisition order. Releases in reverse on exit,
     including when the body raises. Do **not** call this while already
@@ -35,7 +27,7 @@ def ordered_lane_locks(lanes: Sequence) -> Iterator[list]:
     full set is acquired through one call (single-lane work takes
     ``with lane.lock:`` directly).
     """
-    ordered = ascending_lane_order(lanes)
+    ordered = sorted(lanes, key=lambda lane: lane.index)
     held = []
     try:
         for lane in ordered:

@@ -5,10 +5,13 @@ Runs the ``offline_dynamic`` shape of ``perfbench/`` (200k records bulk-loaded,
 the paper's five-session dynamic workload, one FLSM-tree tuned by Lerp, cache
 off) and prints, for each of the three places that allocate in proportion to a
 level — the compaction merge (``merge_sorted_sources`` as ``lsm/tree.py`` calls
-it), the stacked point-lookup index (``LevelLookupIndex``) and run construction
+it), the stacked point-lookup index (``LevelLookupIndex``: keys, ranks and
+positions, 13 B per unique key and no value) and run construction
 (``LSMTree._new_run``: the Bloom filter) — the call with the largest *transient*:
 ``tracemalloc`` peak inside the call minus what was live when it was entered,
-beside that live size and the call's input entries. ``--rss`` runs the same
+beside that live size and the call's input entries. A compaction frees the
+index of every level it rewrites before it merges, so a merge's live size
+holds no index it is about to make stale. ``--rss`` runs the same
 missions untraced and prints ``ru_maxrss`` after the load and after each
 segment instead (``tracemalloc`` itself costs resident memory, so the two
 cannot share a process); that is the number ``perfbench`` gates as

@@ -63,9 +63,9 @@ def validate_batch(
     return keys, values
 
 
-#: Entries per merge block. A constant, not a knob: wall time and peak memory
-#: are flat between 2**15 and 2**17 (DESIGN.md §16).
-MERGE_BLOCK = 1 << 16
+#: Entries per merge block. A constant, not a knob: 2**14 has the lowest peak
+#: RSS measured, and wall time is flat around it (DESIGN.md §16).
+MERGE_BLOCK = 1 << 14
 
 Arrays = Sequence[np.ndarray]
 
@@ -78,9 +78,9 @@ def merge_block(
 ) -> Tuple[np.ndarray, ...]:
     """The single-block primitive: concat → stable argsort → group mask.
 
-    Returns what :func:`merge_sorted_sources` does, with the origin columns
-    when ``lo`` (where each array starts in its source) is given. It sorts,
-    so it also takes unsorted arrays with duplicates: later entries win.
+    Returns what :func:`merge_sorted_sources` does, the origin columns when
+    ``lo`` (where each array starts in its source) is given. It sorts, so
+    it also takes unsorted arrays with duplicates: later entries win.
     """
     keys = np.concatenate(key_arrays)
     # Stable sort keeps the concatenation order within equal keys, so the
@@ -92,7 +92,6 @@ def merge_block(
     keep[-1] = True
     newest, keys = order[keep], keys[keep]
     del order, keep  # the values gather is the peak: hold no more than it needs
-    columns = [keys, np.concatenate(value_arrays)[newest]]
     if lo is not None:
         # ``newest`` indexes the concatenation: label that with each array's
         # rank (the last array is 0), and undo each array's offset in it.
@@ -100,11 +99,12 @@ def merge_block(
         ranks = np.arange(len(sizes) - 1, -1, -1, dtype=np.uint8)
         rank = np.repeat(ranks, sizes)[newest]
         shift = [end - size - at for end, size, at in zip(accumulate(sizes), sizes, lo)]
-        columns += [rank, (newest - np.array(shift[::-1])[rank]).astype(np.int32)]
+        return keys, rank, (newest - np.array(shift[::-1])[rank]).astype(np.int32)
+    values = np.concatenate(value_arrays)[newest]
     if drop_tombstones:
-        alive = columns[1] != TOMBSTONE
-        columns = [column[alive] for column in columns]
-    return tuple(columns)
+        alive = values != TOMBSTONE
+        return keys[alive], values[alive]
+    return keys, values
 
 
 def merge_sorted_sources(
@@ -119,10 +119,10 @@ def merge_sorted_sources(
     and duplicate-free — the blocks below are cut by binary search — and
     arrays later in the list are newer and win duplicate keys. The output is
     sorted by key with unique keys; ``drop_tombstones`` (merging into the
-    bottom of the tree) removes deleted keys from it. ``origin`` adds two
-    columns saying where each output entry came from: ``rank`` (uint8), how
-    many newer arrays follow its source (0 is ``key_arrays[-1]``), and
-    ``positions`` (int32), its index there.
+    bottom of the tree) removes deleted keys from it. ``origin`` returns
+    ``(keys, rank, positions)`` instead and gathers no value: ``rank``
+    (uint8) counts the newer arrays after the entry's source (0 is
+    ``key_arrays[-1]``) and ``positions`` (int32) is its index there.
 
     Every source is cut at quantiles of the widest one and each key-range
     block goes through :func:`merge_block` into a preallocated output that
@@ -131,8 +131,10 @@ def merge_sorted_sources(
     """
     if len(key_arrays) != len(value_arrays):
         raise ValueError("key_arrays and value_arrays must have equal length")
+    if origin and drop_tombstones:
+        raise ValueError("origin columns carry no value to drop a tombstone by")
     total = sum(len(k) for k in key_arrays)
-    dtypes = (np.int64, np.int64, np.uint8, np.int32)[: 4 if origin else 2]
+    dtypes = (np.int64, np.uint8, np.int32) if origin else (np.int64, np.int64)
     if total == 0:
         return tuple(np.zeros(0, dtype=dtype) for dtype in dtypes)
     if total <= 2 * MERGE_BLOCK:

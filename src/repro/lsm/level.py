@@ -25,42 +25,40 @@ from repro.lsm.run import SortedRun
 class LevelLookupIndex:
     """Read-only point-lookup index over *all* runs of one level.
 
-    For each **unique** key in the level it keeps the entry from the
+    For each **unique** key in the level it locates the entry of the
     *newest* run that contains it, in parallel arrays indexed by *slot*:
 
     * ``keys``  — unique keys present anywhere in the level, sorted;
     * ``rank``  — newest-first run rank containing the key (``0`` is the
       newest run, i.e. ``runs[-1]``);
-    * ``values``/``positions`` — value and within-run position of that
-      newest entry (position drives the fence-pointer page:
-      ``position // entries_per_page``).
+    * ``positions`` — within-run position of that newest entry: its value
+      is ``runs[-1 - rank].values[position]`` and its fence-pointer page
+      ``position // entries_per_page``.
 
     This is the in-memory metadata a real system holds per run (fence
     pointers + filters), folded level-wide so a batch lookup resolves the
     run-probe schedule of every key in one binary search instead of one per
     run. Stacked runs are merged into fresh arrays by the tree's one merge
-    kernel (:func:`~repro.lsm.entry.merge_sorted_sources`), 21 B per key:
-    ``rank`` is ``uint8``, ``positions`` ``int32``. A **single run** is its
-    own index, zero-copy: ``keys``/``values`` *are* the run's arrays and
+    kernel (:func:`~repro.lsm.entry.merge_sorted_sources`), 13 B per key and
+    no value: ``rank`` is ``uint8``, ``positions`` ``int32``. A **single
+    run** is its own index, zero-copy: ``keys`` *is* the run's array and
     ``rank``/``positions`` are ``None`` — every held key has rank 0 and a
     slot is its own in-run position. The index is immutable;
-    :meth:`Level.lookup_index` caches it keyed on the level's run list
-    (runs are immutable once created, so the tuple of run ids identifies
-    the content exactly).
+    :meth:`Level.lookup_index` caches it keyed on the level's run ids.
     """
 
-    __slots__ = ("n_runs", "keys", "rank", "values", "positions")
+    __slots__ = ("n_runs", "keys", "rank", "positions")
 
     def __init__(self, runs: List[SortedRun]) -> None:
         self.n_runs = len(runs)
         self.rank: Optional[np.ndarray] = None
         self.positions: Optional[np.ndarray] = None
         if len(runs) == 1:
-            self.keys, self.values = runs[0].keys, runs[0].values
+            self.keys = runs[0].keys
             return
         if len(runs) > 255 or any(run.n_entries >= 1 << 31 for run in runs):
             raise TreeStateError("an index ranks <= 255 runs (uint8) of < 2**31 entries (int32)")
-        self.keys, self.values, self.rank, self.positions = merge_sorted_sources(
+        self.keys, self.rank, self.positions = merge_sorted_sources(
             [run.keys for run in runs], [run.values for run in runs], origin=True
         )
 
@@ -70,9 +68,9 @@ class LevelLookupIndex:
         ``rank[i]`` is the newest-first rank of the run that resolves
         ``keys[i]``, or the sentinel ``n_runs`` when the level holds no copy
         of the key (the key stays pending through every run). ``slot[i]``
-        is the index entry the search landed on: ``values[slot]`` is the
-        resolving value where ``rank < n_runs``, and
-        :meth:`run_positions` turns slots into fence-pointer positions.
+        is the index entry the search landed on: :meth:`run_positions`
+        turns slots into in-run positions, where a hit's value and
+        fence-pointer page are.
         """
         n_index = len(self.keys)
         if n_index == 0:
@@ -204,8 +202,8 @@ class Level:
         Lazily built and cached until the run list changes. Runs are
         immutable once created (the active run is *replaced* wholesale on
         every merge, never edited), so the tuple of run ids is a complete
-        content fingerprint — no invalidation hooks are needed at the
-        mutation sites.
+        content fingerprint and the only validity rule;
+        :meth:`drop_lookup_index` frees memory, it does not invalidate.
         """
         run_ids = tuple(run.run_id for run in self.runs)
         if self._lookup_cache is None or self._lookup_cache[0] != run_ids:
@@ -214,6 +212,10 @@ class Level:
             self._lookup_cache = None
             self._lookup_cache = (run_ids, LevelLookupIndex(self.runs))
         return self._lookup_cache[1]
+
+    def drop_lookup_index(self) -> None:
+        """Free the cached index before a compaction rewrites this level."""
+        self._lookup_cache = None
 
     # ------------------------------------------------------------------
     # Run management (invoked by the tree)

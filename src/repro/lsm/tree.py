@@ -354,15 +354,14 @@ class LSMTree(DerivedMembers):
         I/O and CPU is charged to ``level_no`` as write time.
         """
         level = self._ensure_level(level_no)
+        level.drop_lookup_index()
         active = level.active_run
-        merge_inputs: List[Tuple[np.ndarray, np.ndarray]] = []
+        merge_inputs = list(sources)
         read_pages = source_pages
-        n_input_entries = sum(len(k) for k, _ in sources)
         if active is not None:
-            merge_inputs.append((active.keys, active.values))
+            merge_inputs.insert(0, (active.keys, active.values))
             read_pages += active.n_pages
-            n_input_entries += active.n_entries
-        merge_inputs.extend(sources)
+        key_arrays, value_arrays = zip(*merge_inputs)
 
         # A tombstone may only be dropped when the merge output covers every
         # older copy of its key: all deeper levels must be empty AND this
@@ -370,17 +369,14 @@ class LSMTree(DerivedMembers):
         # lazy-leveling the bottom level stacks sealed runs, and a key
         # deleted there would resurrect if its tombstone were dropped from
         # the active-run merge).
-        levels_below = self.levels[level_no:]
-        is_bottom = all(l.is_empty for l in levels_below)
+        is_bottom = all(l.is_empty for l in self.levels[level_no:])
         covers_level = not level.sealed_runs
         keys, values = merge_sorted_sources(
-            [k for k, _ in merge_inputs],
-            [v for _, v in merge_inputs],
-            drop_tombstones=is_bottom and covers_level,
+            key_arrays, value_arrays, drop_tombstones=is_bottom and covers_level
         )
 
         cost = self.disk.sequential_read(read_pages)
-        cost += self.disk.compaction_cpu(n_input_entries)
+        cost += self.disk.compaction_cpu(sum(map(len, key_arrays)))
         cost += self.disk.sequential_write(self.config.pages_for_entries(len(keys)))
         self.stats.add_write(level_no, cost)
 
@@ -412,6 +408,7 @@ class LSMTree(DerivedMembers):
         runs = list(level.runs)  # oldest → newest
         total_pages = sum(run.n_pages for run in runs)
         sources = [(run.keys, run.values) for run in runs]
+        level.drop_lookup_index()
         dropped = level.drop_all_runs()
         for run in dropped:
             self.disk.drop_run(run.run_id)
@@ -436,6 +433,7 @@ class LSMTree(DerivedMembers):
         runs = list(level.runs)
         total_pages = sum(run.n_pages for run in runs)
         n_entries = level.data_entries
+        level.drop_lookup_index()
         is_bottom = all(l.is_empty for l in self.levels[level_no:])
         keys, values = merge_sorted_sources(
             [run.keys for run in runs], [run.values for run in runs], drop_tombstones=is_bottom
@@ -564,10 +562,8 @@ class LSMTree(DerivedMembers):
             if len(pos_idx) == 0:
                 continue
             hit = present_j[positives]
-            pages = (
-                index.run_positions(run, pk, slot, pos_idx, hit)
-                // run.entries_per_page
-            )
+            positions = index.run_positions(run, pk, slot, pos_idx, hit)
+            pages = positions // run.entries_per_page
             if span is not None:
                 span.lap("search")
             io_cost = disk.random_read_batch(run.run_id, pages)
@@ -575,9 +571,8 @@ class LSMTree(DerivedMembers):
                 span.lap("cache")
             stats.add_read(level_no, io_cost)
             if hit.any():
-                hit_sel = pos_idx[hit]
-                hit_idx = pending[hit_sel]
-                hit_values = index.values[slot[hit_sel]]
+                hit_idx = pending[pos_idx[hit]]
+                hit_values = run.values[positions[hit]]
                 real = hit_values != TOMBSTONE
                 found[hit_idx] = real
                 values[hit_idx] = np.where(real, hit_values, 0)

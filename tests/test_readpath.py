@@ -24,8 +24,9 @@ from reference_cache import ReferenceLRUCache, cache_state
 from reference_get import find, find_batch
 from test_entry_memtable import buffer_delete, buffer_put
 
-from repro.config import CostModelParams, SystemConfig
+from repro.config import CostModelParams, SystemConfig, TransitionKind
 from repro.errors import StorageError
+import repro.lsm.tree as tree_module
 from repro.lsm import FLSMTree
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.memtable import MemTable
@@ -74,7 +75,7 @@ class TestLevelLookupIndex:
             np.concatenate([run.keys for run in level.runs])
         )
         rank, slot = index.newest_ranks(probe)
-        values, positions = index.values[slot], index.positions[slot]
+        positions = index.positions[slot]
         n_runs = level.n_runs
         newest_first = list(reversed(level.runs))
         for i, key in enumerate(probe.tolist()):
@@ -83,7 +84,7 @@ class TestLevelLookupIndex:
                 hit, value, page = find(run, key)
                 if hit:
                     expected_rank = j
-                    assert values[i] == value
+                    assert newest_first[rank[i]].values[positions[i]] == value
                     assert positions[i] == np.searchsorted(run.keys, key)
                     break
             assert rank[i] == expected_rank
@@ -104,6 +105,58 @@ class TestLevelLookupIndex:
         level = self._runs(tree)
         assert level.lookup_index() is level.lookup_index()
 
+    def test_compaction_frees_the_indexes_it_replaces(self, monkeypatch):
+        """No merge runs while a level it rewrites still caches its index:
+        the stale index and the merge output must not share the peak."""
+        tree, rng = build_stacked_tree("tiering")
+        rewriting, checked = [], []
+
+        def entered(method):
+            def wrapper(self, level_no, *args, **kwargs):
+                rewriting.append(level_no)
+                try:
+                    return method(self, level_no, *args, **kwargs)
+                finally:
+                    rewriting.pop()
+            return wrapper
+
+        for name in ("_admit", "_merge_level_down", "rebuild_level_in_place"):
+            monkeypatch.setattr(
+                tree_module.LSMTree, name, entered(getattr(tree_module.LSMTree, name))
+            )
+        merge = tree_module.merge_sorted_sources
+
+        def merge_at_entry(*args, **kwargs):
+            checked.append(tuple(rewriting))
+            for level_no in rewriting:
+                assert tree.level(level_no)._lookup_cache is None, level_no
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "merge_sorted_sources", merge_at_entry)
+
+        def cache_every_index():
+            for level in tree.levels:
+                level.lookup_index()
+
+        def flush():
+            calls = len(checked)
+            while len(checked) == calls:
+                tree.put_batch(rng.integers(0, 12_000, size=4), rng.integers(0, 10**6, size=4))
+            return checked[calls]
+
+        flush()  # level 1 starts empty: give it a run
+        assert tree.level(1).n_runs
+        cache_every_index()  # a flush into level 1's active run
+        assert flush() == (1,)
+        bottom = len(tree.levels)
+        assert tree.level(1).n_runs and tree.level(bottom).n_runs >= 2
+        cache_every_index()  # a greedy merge-down of level 1 into level 2
+        tree.set_policy(1, tree.level(1).policy % 4 + 1, TransitionKind.GREEDY)
+        assert checked[-1] == (1, 2)
+        cache_every_index()  # a greedy rebuild of the bottom level in place
+        tree.set_policy(bottom, tree.level(bottom).policy % 4 + 1, TransitionKind.GREEDY)
+        assert checked[-1] == (bottom,)
+
     def test_empty_runs_skipped(self):
         index = LevelLookupIndex([])
         rank, slot = index.newest_ranks(np.array([1, 2, 3], dtype=np.int64))
@@ -111,20 +164,21 @@ class TestLevelLookupIndex:
         assert len(slot) == 3
 
     def test_single_run_index_is_the_run(self):
-        """One run needs no merged copy: the index shares its arrays, and a
+        """One run needs no merged copy: the index shares its keys, and a
         slot is the clamped in-run position of hit and miss alike."""
         tree, _ = build_stacked_tree("leveling")
         run = next(l for l in tree.levels if l.n_runs == 1).runs[0]
         index = LevelLookupIndex([run])
-        assert index.keys is run.keys and index.values is run.values
+        assert index.keys is run.keys
         assert index.rank is None and index.positions is None
         probe = np.array(
             [run.keys[0], run.keys[5] + 1, run.keys[-1], run.keys[-1] + 9]
         )
         rank, slot = index.newest_ranks(probe)
-        hit, _, pages = find_batch(run, probe)
+        hit, values, pages = find_batch(run, probe)
         np.testing.assert_array_equal(rank == 0, hit)
         np.testing.assert_array_equal(rank == 1, ~hit)
+        np.testing.assert_array_equal(run.values[slot[hit]], values[hit])
         everything = np.arange(len(probe))
         np.testing.assert_array_equal(
             index.run_positions(run, probe, slot, everything, hit)

@@ -156,8 +156,7 @@ class EpisodeTuner(Tuner):
         try:
             self._observe(tree, mission)
         finally:
-            watch.lap("model_update")
-            self.total_model_update_s += watch.stages["model_update"][0]
+            self.total_model_update_s += watch.lap("model_update")
 
     def _observe(self, tree: LSMTree, mission: MissionStats) -> None:
         self.missions_observed += 1

@@ -52,7 +52,6 @@ time spent on real file I/O is tallied in :attr:`telemetry`, which
 from __future__ import annotations
 
 import os
-from time import perf_counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -86,6 +85,7 @@ from repro.lsm.entry import TOMBSTONE, validate_batch, validate_keys
 from repro.lsm.policy import PolicyLike, resolve_policy
 from repro.lsm.run import SortedRun
 from repro.lsm.tree import LSMTree
+from repro.obs.trace import Span
 
 
 class RecoveryReport(NamedTuple):
@@ -143,8 +143,8 @@ class DurableStore(LSMTree):
     ) -> None:
         self.data_dir = os.fspath(data_dir)
         self.rotate_manifest_every = max(2, int(rotate_manifest_every))
-        #: Wall-clock/file-volume telemetry (never simulated state); see
-        #: :func:`repro.obs.telemetry_view`.
+        #: Wall-clock/file-volume telemetry, never simulated state (``wall_*_s``
+        #: are laps on a span held for the call); see :func:`repro.obs.telemetry_view`.
         self.telemetry: Dict[str, float] = {
             "wal_records": 0,
             "wal_bytes": 0,
@@ -297,7 +297,7 @@ class DurableStore(LSMTree):
         return len(dropped)
 
     def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
-        t0 = perf_counter()
+        watch = Span("durable.recover")
         state, manifest_id, manifest_torn = read_manifest(self.data_dir)
         if state.config_state is None:
             raise DurabilityError(
@@ -421,7 +421,7 @@ class DurableStore(LSMTree):
             # replay that ended exactly on a flush boundary may; land them.
             self._commit()
 
-        self.telemetry["wall_recovery_s"] += perf_counter() - t0
+        self.telemetry["wall_recovery_s"] += watch.lap("recover")
         self.telemetry["orphans_removed"] += orphans
         self.telemetry["wal_records_replayed"] += records_replayed
         return RecoveryReport(
@@ -448,9 +448,9 @@ class DurableStore(LSMTree):
     ) -> None:
         faults.maybe_crash("commit.before")
         filename = FILE_FMT.format(run.run_id, level_no)
-        t0 = perf_counter()
+        watch = Span("durable.sstable")
         n_bytes = write_sstable(os.path.join(self.data_dir, filename), run)
-        self.telemetry["wall_sstable_s"] += perf_counter() - t0
+        self.telemetry["wall_sstable_s"] += watch.lap("sstable")
         self.telemetry["sstables_written"] += 1
         self.telemetry["sstable_bytes"] += n_bytes
         if replaced_run_id is not None:
@@ -522,9 +522,9 @@ class DurableStore(LSMTree):
         edit.update(self._meta_fields())
         if self._pending_wal_head is not None:
             edit["wal_head"] = self._pending_wal_head
-        t0 = perf_counter()
+        watch = Span("durable.manifest")
         self._manifest.append_edit(edit)
-        self.telemetry["wall_manifest_s"] += perf_counter() - t0
+        self.telemetry["wall_manifest_s"] += watch.lap("manifest")
         self.telemetry["manifest_edits"] += 1
         self.telemetry["commits"] += 1
         self._state.apply_edit(edit)
@@ -551,9 +551,9 @@ class DurableStore(LSMTree):
     def _rotate_manifest(self) -> None:
         """Move the edit log to a fresh manifest; the old one is deleted."""
         old = self._manifest
-        t0 = perf_counter()
+        watch = Span("durable.manifest")
         self._swap_manifest(old.manifest_id + 1)
-        self.telemetry["wall_manifest_s"] += perf_counter() - t0
+        self.telemetry["wall_manifest_s"] += watch.lap("manifest")
         old.close()
         os.unlink(old.log.path)
         self._manifest.edits_written = 0
@@ -569,12 +569,12 @@ class DurableStore(LSMTree):
         are none — and fsync its sync marker; the op is acknowledged when
         this returns. Returns its first seqno."""
         seq = self._next_seqno
-        t0 = perf_counter()
+        watch = Span("durable.wal")
         before = self._wal.log.bytes_appended
         self._wal.append(seq, keys, values)
         self._next_seqno = seq + len(keys)
         self._wal.sync(self._next_seqno - 1)
-        self.telemetry["wall_wal_s"] += perf_counter() - t0
+        self.telemetry["wall_wal_s"] += watch.lap("wal")
         self.telemetry["wal_bytes"] += self._wal.log.bytes_appended - before
         self.telemetry["wal_records"] += 1
         self.telemetry["wal_syncs"] += 1

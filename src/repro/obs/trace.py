@@ -72,17 +72,18 @@ class Span:
         self.stages: Dict[str, List[float]] = {}
         self._lap_from = start
 
-    def lap(self, stage: str) -> None:
+    def lap(self, stage: str) -> float:
         """Charge the wall time since the span opened, or since its
-        previous lap, to ``stage``."""
+        previous lap, to ``stage``, and return it."""
         now = perf_counter()
+        seconds, self._lap_from = now - self._lap_from, now
         cell = self.stages.get(stage)
         if cell is None:
-            self.stages[stage] = [now - self._lap_from, 1]
+            self.stages[stage] = [seconds, 1]
         else:
-            cell[0] += now - self._lap_from
+            cell[0] += seconds
             cell[1] += 1
-        self._lap_from = now
+        return seconds
 
     @property
     def duration(self) -> float:

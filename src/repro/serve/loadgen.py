@@ -175,7 +175,11 @@ class OpenLoopClient(threading.Thread):
             if target > now:
                 time.sleep(target - now)
             result.offered += 1
-            if try_submit(request):
+            try:
+                admitted = try_submit(request)
+            except ServeError:  # a failed lane (run_load raises it) or a stopped server
+                break
+            if admitted:
                 result.accepted += 1
             else:
                 result.dropped += 1
@@ -207,7 +211,11 @@ class ClosedLoopClient(threading.Thread):
             if request.done is None:
                 request.done = threading.Event()
             result.offered += 1
-            if not self.server.submit(request, timeout=self.timeout):
+            try:
+                admitted = self.server.submit(request, timeout=self.timeout)
+            except ServeError:  # a failed lane (run_load raises it) or a stopped server
+                break
+            if not admitted:
                 result.dropped += 1
                 continue
             result.accepted += 1
@@ -290,6 +298,7 @@ def run_load(
 ) -> LoadReport:
     """Run every tenant's clients against a **started** server and wait for
     the traffic to finish; the server is left running (callers stop it).
+    A failed lane stops its clients and is raised here at once (``ServeError``).
 
     Latency histograms are read *after* all clients join and the queues
     drain, so single-writer recording needs no synchronization.
@@ -341,8 +350,12 @@ def run_load(
     while (
         server.total_completed - base_completed < accepted
         and time.perf_counter() < deadline
+        and all(lane.queue.error is None for lane in server.lanes)
     ):
         time.sleep(0.002)
+    for lane in server.lanes:
+        if lane.queue.error is not None:
+            raise ServeError(f"lane {lane.index} failed under load") from lane.queue.error
     wall = time.perf_counter() - started
     results = [c.result for c in clients]  # type: ignore[attr-defined]
     # Report this call's delta against the server's cumulative metrics.

@@ -282,10 +282,9 @@ class KVServer:
     """Serves live request traffic over a :class:`KVEngine`.
 
     ``engine`` may be a single tree or a :class:`ShardedStore`; one lane is
-    created per tuning target. ``tuners`` (optional) is one tuner per lane,
-    or a single tuner shared by all lanes; with ``window_ops > 0`` a
-    background loop closes a mission window every that-many completed
-    requests and lets the tuners adapt the live store.
+    created per tuning target. ``tuners`` (optional) is a list of one tuner
+    per lane; with ``window_ops > 0`` a background loop closes a mission
+    window every that-many completed requests and lets the tuners adapt it.
     """
 
     def __init__(
@@ -319,16 +318,9 @@ class KVServer:
             for i, tree in enumerate(targets)
         ]
         self.n_lanes = len(self.lanes)
-        if tuners is None:
-            self.tuners: List[object] = []
-        elif not isinstance(tuners, (list, tuple)):
-            self.tuners = [tuners] * self.n_lanes
-        else:
-            if len(tuners) != self.n_lanes:
-                raise ConfigError(
-                    f"got {len(tuners)} tuners for {self.n_lanes} lanes"
-                )
-            self.tuners = list(tuners)
+        self.tuners: List[object] = list(tuners or ())
+        if self.tuners and len(self.tuners) != self.n_lanes:
+            raise ConfigError(f"got {len(self.tuners)} tuners for {self.n_lanes} lanes")
         self.window_ops = window_ops
         self.windows: List[ServerWindow] = []
         #: Serializes window closing between the tuning loop and
@@ -405,11 +397,6 @@ class KVServer:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def _lane_for(self, key: int) -> _Lane:
-        if self.n_lanes == 1:
-            return self.lanes[0]
-        return self.lanes[shard_of_key(key, self.n_lanes)]
-
     def try_submit(self, request: Request) -> bool:
         """Open-loop admission: enqueue or reject immediately (mailbox full
         = backpressure). Returns ``False`` on rejection; never blocks."""
@@ -419,7 +406,7 @@ class KVServer:
         """Closed-loop admission: block the producer until the lane mailbox
         has room (or ``timeout`` elapses — then reject). Raises when the
         server is not running or the lane has failed (chained to the cause)."""
-        lane = self._lane_for(request.key)
+        lane = self.lanes[0 if self.n_lanes == 1 else shard_of_key(request.key, self.n_lanes)]
         request.t_submit = time.perf_counter()
         return lane.queue.put(request, timeout)
 

@@ -13,25 +13,31 @@ set of *systems* built from one drawn configuration:
 * ``scalar`` / ``scalar-4`` — a tree and a 4-shard store driven one key,
   one range at a time (``exact`` profile only: dyadic costs, bit-array
   Blooms and no cache make a batch read charge exactly what its keys read
-  one by one do).
+  one by one do);
+* ``served-4`` — a :class:`KVServer` over a 4-shard store, each batch one
+  request block, each window cut by ``KVServer.checkpoint``; ``replay-4`` —
+  a 4-shard store replaying, by its batch methods, the cuts its lanes served.
 
 The model is a dict. After every rule: every system's contents equal the
 model, check_invariants() holds, and operation counts agree everywhere.
-Each group of :data:`GROUPS` is *sim-identical* — :func:`observables` is
-equal across it — so neither a tracer, a snapshot restore nor running per
-op may make one member's cost differ from another's, and a policy switch,
-under any transition kind, may change cost but never contents (the paper's
-§4 claim). A reopened durable store leaves its group (recovery
-replays the WAL tail on a fresh clock), and no reopen or crash may lose an
-acknowledged write. DESIGN.md §17 says how to add a system or a rule.
+Each group of :data:`GROUPS` is *sim-identical* (:meth:`Oracle.observed`),
+so no tracer, snapshot restore, per-op run or server may make one member's
+cost or tuning differ from another's, and a policy switch, under any
+transition kind or tuner, may change cost but never contents (the paper's
+§4 claim). A reopened durable store leaves its group (recovery replays the
+WAL tail on a fresh clock), and no reopen or crash may lose an acknowledged
+write. DESIGN.md §17 says how to add a system or a rule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import tempfile
-from itertools import chain
+import time
+from collections import deque
+from itertools import chain, compress, product
 
 import numpy as np
 import pytest
@@ -50,14 +56,19 @@ from reference_put import reference_delete, reference_put
 from reference_range import reference_range_scan_batch
 
 from repro.config import BloomMode, CostModelParams, SystemConfig, TransitionKind
+from repro.core.lerp import Lerp, LerpConfig, per_shard_tuners
+from repro.core.tuners import StaticTuner
 from repro.durable import DurableStore
 from repro.engine.sharded import ShardedStore, merge_mission_stats, shard_of
-from repro.errors import TreeStateError
+from repro.errors import ServeError, TreeStateError
 from repro.lsm.entry import TOMBSTONE
 from repro.lsm.iterators import live_items
 from repro.lsm.tree import LSMTree
-from repro.obs import Tracer
-from repro.persist import load_engine, save_engine
+from repro.obs import DecisionAuditLog, Tracer
+from repro.persist import load_engine, load_tuner, save_engine, save_tuner
+from repro.serve import REQ_DELETE, REQ_GET, REQ_PUT, REQ_RANGE, KVServer, Request
+from repro.serve import ordered_lane_locks, requests_from_mission
+from repro.workload.spec import OP_LOOKUP, OP_RANGE, OP_UPDATE, Mission
 
 #: Power-of-two cost constants: every charge is a dyadic float, so sums
 #: come out bit-equal in any accumulation order.
@@ -85,10 +96,21 @@ PROFILES = {
 GROUPS = (
     ("tree", "reference", "sharded-1", "durable", "scalar"),
     ("sharded-4", "reference-4", "durable-4", "scalar-4"),
+    ("served-4", "replay-4"),
 )
 REFERENCES = {"reference", "reference-4"}
 PER_OP = {"scalar", "scalar-4"}
 DURABLE = ("durable", "durable-4")
+SERVED, REPLAY = "served-4", "replay-4"  # data reach both through Oracle.serve
+TIMEOUT = 10.0  # a served request or span that takes longer has hung
+
+#: The tuners ``load`` may put on a system: one per target, seeded ``base + i``.
+LERP = LerpConfig(burn_in_missions=0, updates_per_mission=1)  # acts from the first window
+TUNERS = {
+    "none": lambda config, n: [],
+    "static": lambda config, n: [StaticTuner(2) for _ in range(n)],
+    "lerp": lambda config, n: per_shard_tuners(Lerp, config, LERP, n),
+}
 
 KEYS = st.integers(-8, 300)
 PROBES = st.integers(-16, 320)  # a few keys no write reaches
@@ -122,15 +144,46 @@ INVALID = {
     "inverted": ("range_scan_batch",),
 }
 
+#: Requests a server must refuse, ``(kind, mission op, key, value, span)`` with one
+#: field spoiled, as a ``Request`` and as a one-row mission block (a delete has no op).
+BAD_REQUESTS = {
+    "unknown-kind": (99, 99, 1, 0, 0),
+    "float-kind": (1.0, 1.0, 5, 0, 0),
+    "tombstone-put": (REQ_PUT, OP_UPDATE, 1, TOMBSTONE, 0),
+    "key-high": (REQ_GET, OP_LOOKUP, 2**63, 0, 0),
+    "key-low": (REQ_DELETE, None, -(2**63) - 1, 0, 0),
+    "range-end": (REQ_RANGE, OP_RANGE, 2**63 - 2, 0, 10),
+    "value": (REQ_PUT, OP_UPDATE, 1, 2**63, 0),
+    "uint64-key": (REQ_GET, OP_LOOKUP, np.uint64(2**63), 0, 0),
+    "float-key": (REQ_GET, OP_LOOKUP, 1.7, 0, 0),  # int() would truncate this and the next 3
+    "bool-key": (REQ_PUT, OP_UPDATE, True, 2, 0),
+    "float-value": (REQ_PUT, OP_UPDATE, 1, 2.9, 0),
+    "float-span": (REQ_RANGE, OP_RANGE, 5, 0, 2.5),
+}
+OFFERS = [(case, "Request") for case in BAD_REQUESTS] + [
+    (case, "mission") for case, row in BAD_REQUESTS.items() if row[1] is not None
+]
+
+
+def offer(server, case, via):
+    kind, op, key, value, span = BAD_REQUESTS[case]
+    if via == "Request":
+        requests = [Request(kind, key, value=value, span=span)]
+    else:
+        requests = requests_from_mission(Mission([op], [key], [value], [span]))
+    for request in requests:
+        server.submit(request, timeout=TIMEOUT)
+
 
 def observables(engine):
     """What sim-identical engines must agree on: ``view()`` plus, per tree,
-    the three things a view summarises away — cache contents (pages in
-    recency order, and the counters), the Bloom RNG state and memtable
-    insertion order."""
+    what a view summarises away — its levels (``describe()``), cache
+    contents (pages in recency order, and the counters), the Bloom RNG
+    state and memtable insertion order."""
     trees = engine.tuning_targets()
     return (
         engine.view(),
+        [tree.describe() for tree in trees],
         [cache_state(tree.cache) for tree in trees],
         [tree._rng.bit_generator.state for tree in trees],
         [list(tree.memtable._entries.items()) for tree in trees],
@@ -222,6 +275,38 @@ def build(name, config, root):
     return ShardedStore(config, 4) if name.endswith("-4") else LSMTree(config)
 
 
+def serve(engine):
+    """The served system's server: a lane per shard, no tuning loop, every batch traced."""
+    return KVServer(engine, window_ops=0, tracer=Tracer(sample_every=1))
+
+
+def served_cuts(tracer, n_requests):
+    """``(lane, n_requests)`` of each ``serve.batch`` span, in closing order, once
+    they cover ``n_requests`` (a span closes after its requests complete)."""
+    deadline = time.monotonic() + TIMEOUT
+    while True:
+        spans = [span.attrs for span in tracer.spans() if span.name == "serve.batch"]
+        if sum(attrs["n_requests"] for attrs in spans) >= n_requests:
+            tracer.reset()
+            return [(attrs["lane"], attrs["n_requests"]) for attrs in spans]
+        assert time.monotonic() < deadline, "a served batch never closed its span"
+        time.sleep(0.001)
+
+
+def replay(engine, cut):
+    """One served cut through ``engine``'s batch methods (a rule's block is one kind)."""
+    (kind,) = {request.kind for request in cut}
+    keys, values, spans = np.array([(r.key, r.value, r.span) for r in cut], np.int64).T.copy()
+    if kind == REQ_PUT:
+        engine.put_batch(keys, values)
+    elif kind == REQ_DELETE:
+        engine.delete_batch(keys)
+    elif kind == REQ_GET:
+        engine.get_batch(keys)
+    else:
+        engine.range_scan_batch(keys, keys + (spans - 1))  # no overflow at the int64 edge
+
+
 def invalid_args(kind, method, n, at, in_values):
     """Arguments ``method`` must refuse: ``n`` good keys, entry ``at``
     spoiled the way ``kind`` says (in the value column when ``in_values``)."""
@@ -268,6 +353,8 @@ class Oracle(RuleBasedStateMachine):
         self.root = tempfile.mkdtemp(prefix="oracle-")
         self.config = None
         self.systems = {}
+        self.servers = {}  # name -> the running KVServer over that system's engine
+        self.tuners = {}  # name -> one tuner per tuning target
         self.model = {}
         self.detached = set()  # reopened durable systems: contents only
         self.in_mission = False
@@ -287,6 +374,37 @@ class Oracle(RuleBasedStateMachine):
         engine = self.systems[name]
         return engine.tuning_targets() if name in REFERENCES else [engine]
 
+    def direct(self, name):
+        """Held around a direct call on ``name``'s engine: a served one's lane locks."""
+        return ordered_lane_locks(self.servers[name].lanes if name in self.servers else ())
+
+    def observed(self, name):
+        """:func:`observables` and each learned tuner's audit events (a baseline keeps none)."""
+        tuners = [tuner for tuner in self.tuners[name] if hasattr(tuner, "audit")]
+        return observables(self.systems[name]), [tuner.audit.events for tuner in tuners]
+
+    def unserved(self):
+        """The systems a data rule calls itself (:meth:`serve` reaches the rest)."""
+        return [(name, e) for name, e in self.systems.items() if name not in (SERVED, REPLAY)]
+
+    def serve(self, requests, by_lane=False):
+        """Submit ``requests`` to the served system as one ``wait=True`` block, await
+        them, and replay each lane's cuts on the twin, routed by ``shard_of``. With
+        ``by_lane`` one lane's go at a time: a range reads every shard, so the
+        cross-lane order is then the oracle's, not thread timing's."""
+        server, twin = self.servers[SERVED], self.systems[REPLAY]
+        homes = shard_of(np.array([r.key for r in requests], dtype=np.int64), server.n_lanes)
+        lanes = [deque(compress(requests, homes == lane)) for lane in range(server.n_lanes)]
+        for block in [list(lane) for lane in lanes] if by_lane else [requests]:
+            for request in block:
+                assert server.submit(request, timeout=TIMEOUT)
+            for request in block:
+                assert request.done.wait(TIMEOUT) and request.error is None
+            for lane, n_requests in served_cuts(server.tracer, len(block)):
+                replay(twin, [lanes[lane].popleft() for _ in range(n_requests)])
+        assert not any(lanes)
+        return requests
+
     def assert_refused(self, data, kind):
         """Every engine raises on each call ``kind`` spoils, and
         nothing is applied, counted or journaled."""
@@ -296,7 +414,7 @@ class Oracle(RuleBasedStateMachine):
             at = data.draw(st.integers(0, n - 1))
             calls.append((method, invalid_args(kind, method, n, at, data.draw(st.booleans()))))
         for name, engine in self.systems.items():
-            if name in REFERENCES:
+            if name in REFERENCES or name in self.servers:
                 continue
             before = footprint(engine)
             occupied = engine.total_entries
@@ -308,49 +426,66 @@ class Oracle(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # Rules
     # ------------------------------------------------------------------
-    def start(self, config, per_op, policy):
-        """Build every system (the scalar ones when ``per_op``) and pin
-        ``policy``."""
+    def start(self, config, per_op, policy, tuner="none"):
+        """Build every system (the scalar ones when ``per_op``) with
+        ``tuner`` on each target, pin ``policy`` and start serving."""
         self.config = config
         for group in GROUPS:
             for name in group:
                 if per_op or name not in PER_OP:
-                    self.systems[name] = self.build(name)
+                    self.systems[name] = engine = self.build(name)
+                    self.tuners[name] = TUNERS[tuner](config, len(engine.tuning_targets()))
+        for each in chain.from_iterable(self.tuners.values()):
+            each.attach_audit(DecisionAuditLog())  # its own log
         if policy is not None:
             self.tune("set_named_policy", policy, TransitionKind.FLEXIBLE)
+        self.servers[SERVED] = serve(self.systems[SERVED]).start()
+        self.systems[REPLAY].begin_mission()
 
     @initialize(
         profile=st.sampled_from(sorted(PROFILES)),
         bloom_mode=st.sampled_from(list(BloomMode)),
         cache_pages=st.sampled_from((0, 16)),
         policy=st.none() | NAMED_POLICIES,
+        tuner=st.sampled_from(sorted(TUNERS)),
         items=batches(st.tuples(KEYS, VALUES), long=300),
         distribute=st.booleans(),
         data=st.data(),
     )
-    def load(self, profile, bloom_mode, cache_pages, policy, items, distribute, data):
-        """Build every system and pin ``policy``, then bulk-load them —
-        after every invalid input, which each of them must refuse while
-        empty."""
+    def load(self, profile, bloom_mode, cache_pages, policy, tuner, items, distribute, data):
+        """Build every system, put ``tuner`` on it and pin ``policy``, then
+        bulk-load them — after every invalid input and bad request, which
+        each of them must refuse while empty."""
         config = PROFILES[profile]
         if profile == "default":
             config = config.with_updates(bloom_mode=bloom_mode, block_cache_pages=cache_pages)
-        self.start(config, profile == "exact", policy)
+        self.start(config, profile == "exact", policy, tuner)
         for kind in INVALID:
             self.assert_refused(data, kind)
+        for server, (case, via) in product(self.servers.values(), OFFERS):
+            with pytest.raises(ServeError):
+                offer(server, case, via)
+        self.cut_mission(reopen=False)  # load is two windows, each tuned: the bulk load,
         keys, values = columns(items)
         for name, engine in self.systems.items():
             if name in REFERENCES:
                 for tree, idx in home_groups(keys, engine.tuning_targets()):
                     tree.bulk_load(keys[idx], values[idx], distribute=distribute)
             else:
-                engine.bulk_load(keys, values, distribute=distribute)
+                with self.direct(name):
+                    engine.bulk_load(keys, values, distribute=distribute)
         self.model.update(items)
+        # and reads up to the int64 edges: nothing refused was admitted, all serve on.
+        self.cut_mission(reopen=True)
+        self.get(keys=[-(2**63), 2**63 - 1], per_op=False)
+        self.range_scan(ranges=[(2**63 - 10, 9)], per_op=False)
+        self.cut_mission(reopen=False)
 
     @rule(items=ITEMS, per_op=st.booleans())
     def put(self, items, per_op):
         keys, values = columns(items)
-        for name, engine in self.systems.items():
+        self.serve([Request(REQ_PUT, key, value=value, wait=True) for key, value in items])
+        for name, engine in self.unserved():
             if name in REFERENCES:
                 for key, value in items:
                     reference_put(engine, key, value)
@@ -364,7 +499,8 @@ class Oracle(RuleBasedStateMachine):
     @rule(keys=batches(KEYS), per_op=st.booleans())
     def delete(self, keys, per_op):
         batch = np.array(keys, dtype=np.int64)
-        for name, engine in self.systems.items():
+        self.serve([Request(REQ_DELETE, key, value=TOMBSTONE, wait=True) for key in keys])
+        for name, engine in self.unserved():
             if name in REFERENCES:
                 for key in keys:
                     reference_delete(engine, key)
@@ -380,7 +516,9 @@ class Oracle(RuleBasedStateMachine):
     def get(self, keys, per_op):
         batch = np.array(keys, dtype=np.int64)
         want = [self.model.get(key) for key in keys]
-        for name, engine in self.systems.items():
+        served = self.serve([Request(REQ_GET, key, wait=True) for key in keys])
+        assert [request.result for request in served] == want, SERVED
+        for name, engine in self.unserved():
             if name in REFERENCES and per_op:
                 got = [reference_lookup(engine, batch[i : i + 1])[0] for i in range(len(keys))]
             elif name in REFERENCES:
@@ -402,7 +540,11 @@ class Oracle(RuleBasedStateMachine):
             sorted((k, v) for k, v in self.model.items() if lo <= k <= hi)
             for lo, hi in zip(los.tolist(), his.tolist())
         ]
-        for name, engine in self.systems.items():
+        requests = [Request(REQ_RANGE, lo, span=span + 1, wait=True) for lo, span in ranges]
+        served = self.serve(requests, by_lane=True)
+        got = [list(zip(*(column.tolist() for column in r.result))) for r in served]
+        assert got == want, SERVED
+        for name, engine in self.unserved():
             if name in REFERENCES:  # per range whatever the batch
                 got = reference_scan(engine, los, his)
             elif per_op or name in PER_OP:
@@ -411,12 +553,13 @@ class Oracle(RuleBasedStateMachine):
                 got = per_range(*engine.range_scan_batch(los, his))
             assert got == want, name
 
-    def tune(self, method, *args):
-        """A tuning call: an engine takes it whole, a reference system
-        fans it out to its trees test-side."""
-        for name in self.systems:
-            for target in self.driven(name):
-                getattr(target, method)(*args)
+    def tune(self, method, *args, per_tree=False):
+        """A tuning call: an engine takes it whole (unless ``per_tree``), a
+        reference system fans it out to its trees test-side."""
+        for name, engine in self.systems.items():
+            with self.direct(name):
+                for target in engine.tuning_targets() if per_tree else self.driven(name):
+                    getattr(target, method)(*args)
 
     @rule(level_no=st.integers(1, 5), policy=st.integers(1, 3), transition=TRANSITIONS)
     def set_policy(self, level_no, policy, transition):
@@ -433,41 +576,75 @@ class Oracle(RuleBasedStateMachine):
     @rule(bits=st.sampled_from((2.0, 5.0, 10.0)))
     def set_bits_per_key(self, bits):
         # A per-tree knob (repro.core.extensions tunes it tree by tree).
-        for engine in self.systems.values():
-            for tree in engine.tuning_targets():
-                tree.set_bits_per_key(bits)
+        self.tune("set_bits_per_key", bits, per_tree=True)
 
-    @rule()
-    def cut_mission(self):
-        """Open a window on every system, or close it and compare the
-        records group by group; a reference closes its trees' windows and
-        merges them test-side."""
-        self.in_mission = not self.in_mission
-        if self.in_mission:
-            self.tune("begin_mission")
-            return
-        windows = {}
-        for name, engine in self.systems.items():
-            if name in REFERENCES:
-                trees = engine.tuning_targets()
-                index = trees[0].stats.windows_closed
-                windows[name] = merge_mission_stats(index, [t.end_mission() for t in trees])
+    def close_windows(self, names, tune):
+        """Close each open window in ``names`` — a served one by
+        ``KVServer.checkpoint`` into ``<root>/<name>.snap``, a reference's
+        tree by tree — and compare the records (merged, and per target)
+        group by group; with ``tune``, each tuner then observes its part."""
+        records = {}
+        for name in names:
+            engine = self.systems[name]
+            if name in self.servers:
+                tracer, server = engine.tracer, self.servers[name]
+                server.checkpoint(os.path.join(self.root, f"{name}.snap"))
+                assert engine.tracer is tracer  # left out of the snapshot, not detached
+                merged, parts = server.windows[-1].stats, server.windows[-1].parts
+            elif name in REFERENCES:
+                parts = [tree.end_mission() for tree in engine.tuning_targets()]
+                merged = merge_mission_stats(0, parts)
             else:
-                windows[name] = engine.end_mission()
+                merged, parts = engine.end_mission(), engine.last_mission_breakdown()
+            # A merged index is its owner's count (a restored server's is new).
+            records[name] = dataclasses.replace(merged, index=0), list(parts)
+            if tune:
+                with self.direct(name):
+                    for tuner, tree, part in zip(self.tuners[name], engine.tuning_targets(), parts):
+                        tuner.observe_mission(tree, part)
         for group in self.groups():
-            assert all(windows[name] == windows[group[0]] for name in group), group
+            members = [name for name in group if name in records]
+            assert all(records[name] == records[members[0]] for name in members), members
+
+    @rule(reopen=st.booleans())
+    def cut_mission(self, reopen):
+        """Open a window on every system, or close them all and tune — then,
+        with ``reopen``, open the next. The served pair's is always open:
+        cut and reopened at once."""
+        if self.in_mission:
+            self.close_windows(list(self.systems), tune=True)
+            self.systems[REPLAY].begin_mission()
+        self.in_mission = not self.in_mission or reopen
+        if self.in_mission:
+            for name, _ in self.unserved():
+                for target in self.driven(name):
+                    target.begin_mission()
 
     @precondition(lambda self: not self.in_mission)
     @rule(data=st.data())
     def restore(self, data):
-        """``save_engine`` → ``load_engine``: the restored system replaces
-        the straight one and stays in its group."""
+        """``save_engine`` → ``load_engine`` (untraced), ``save_tuner`` →
+        ``load_tuner`` per tuner: the restored system stays in its group. The
+        served pair go together: a new server serves the checkpoint that cut
+        their window (tuning nothing); the twin round-trips in between."""
         name = data.draw(st.sampled_from(sorted(self.systems)))
-        engine = self.systems[name]
-        path = os.path.join(self.root, "engine.snap")
-        save_engine(engine, path)
-        close(engine)
-        self.systems[name] = load_engine(path)
+        served = name in (SERVED, REPLAY)
+        if served:
+            self.close_windows((SERVED, REPLAY), tune=False)
+            self.servers.pop(SERVED).stop()
+        for name in (SERVED, REPLAY) if served else (name,):
+            path = os.path.join(self.root, f"{name}.snap")
+            if name != SERVED:
+                save_engine(self.systems[name], path)
+                close(self.systems[name])
+            self.systems[name] = engine = load_engine(path)
+            assert {engine.tracer, *(tree.tracer for tree in engine.tuning_targets())} == {None}
+            for i, tuner in enumerate(self.tuners[name]):
+                save_tuner(tuner, path)
+                self.tuners[name][i] = load_tuner(path)
+        if served:
+            self.servers[SERVED] = serve(self.systems[SERVED]).start()
+            self.systems[REPLAY].begin_mission()
 
     @precondition(lambda self: not self.in_mission)
     @rule(name=st.sampled_from(DURABLE))
@@ -515,8 +692,10 @@ class Oracle(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def toggle_tracer(self, data):
-        engine = self.systems[data.draw(st.sampled_from(sorted(self.systems)))]
-        engine.set_tracer(Tracer() if engine.tracer is None else None)
+        name = data.draw(st.sampled_from(sorted(self.systems)))
+        with self.direct(name):  # a served batch's own span is the server's
+            engine = self.systems[name]
+            engine.set_tracer(Tracer() if engine.tracer is None else None)
 
     # ------------------------------------------------------------------
     # Invariants
@@ -536,14 +715,16 @@ class Oracle(RuleBasedStateMachine):
     @invariant()
     def groups_are_sim_identical(self):
         for first, *rest in self.groups():
-            want = observables(self.systems[first])
+            want = self.observed(first)
             for name in rest:
-                assert observables(self.systems[name]) == want, (first, name)
+                assert self.observed(name) == want, (first, name)
 
     def teardown(self):
         for engine in self.systems.values():
             close(engine)
         shutil.rmtree(self.root, ignore_errors=True)
+        for server in self.servers.values():  # last: it raises if a lane failed
+            server.stop()
 
 
 #: Tier-1 examples; the ``deep`` profile (tests/conftest.py) runs ten times as many.
@@ -563,18 +744,23 @@ TestOracle = Oracle.TestCase
 
 
 @pytest.mark.parametrize(
-    "kind, method",
-    [(kind, method) for kind, methods in INVALID.items() for method in methods],
+    "name, kind, method",
+    [
+        (name, kind, method)
+        for name in ("tree", "sharded-1", "sharded-4", "durable", "durable-4")
+        for kind, methods in INVALID.items()
+        for method in methods
+    ]
+    + [(SERVED, case, via) for case, via in OFFERS],
     ids=lambda arg: arg,
 )
-@pytest.mark.parametrize("name", ("tree", "sharded-1", "sharded-4", "durable", "durable-4"))
 @pytest.mark.parametrize("loaded", (False, True), ids=("empty", "loaded"))
 def test_invalid_input_refused(tmp_path, loaded, name, kind, method):
     """``load``'s refusals enumerated rather than drawn, and on populated
     engines too: every engine kind, empty and holding levels plus a buffered
     memtable, refuses every spoiled batch — the bad entry late, past where a
     partial apply would stop — and every spoiled scalar op, and nothing is
-    applied, counted or journaled."""
+    applied, counted or journaled; a server refuses every bad request."""
     engine = build(name, PROFILES["default"].with_updates(block_cache_pages=16), str(tmp_path))
     try:
         if loaded:
@@ -582,6 +768,13 @@ def test_invalid_input_refused(tmp_path, loaded, name, kind, method):
             engine.bulk_load(keys, keys)
             engine.put_batch(keys[::2] + 1, keys[::2])
             engine.delete_batch(keys[::5])
+        if name == SERVED:
+            with serve(engine) as server:
+                before = footprint(engine)
+                with pytest.raises(ServeError):
+                    offer(server, kind, method)
+                assert footprint(engine) == before
+            return
         for in_values in (False, True):
             before = footprint(engine)
             args = invalid_args(kind, method, 40, 30 + in_values, in_values)

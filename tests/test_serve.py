@@ -1,11 +1,9 @@
 """Tests for the concurrent serving subsystem (repro.serve).
 
-Covers: correctness of served results against direct engine access, lane
-routing vs shard hashing, admission control (bounded queues, drops and
-blocking), open/closed-loop clients and tenant mixes, the window-boundary
-tuning loop (live policy changes, model updates while traffic flows),
-live checkpointing, and the SimClock/wall-clock split — serving must not
-perturb the engine's simulated accounting contract.
+Covers write order within a batch, admission control, the hand-off, lane and
+tuner failure, load generation, the live tuning loop, stop / restart and the
+CLI. Served results, routing, refusals, checkpoints and simulated costs are
+the differential oracle's ``served-4`` system (tests/test_oracle.py).
 """
 
 import dataclasses
@@ -13,6 +11,7 @@ import os
 import sys
 import threading
 import time
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -24,8 +23,6 @@ from repro.core.tuners import StaticTuner, Tuner
 from repro.engine.sharded import ShardedStore, shard_of_key
 from repro.errors import ConfigError, ServeError
 from repro.lsm import TOMBSTONE, FLSMTree
-from repro.obs.trace import Tracer
-from repro.persist import load_engine
 from repro.serve import (
     REQ_DELETE,
     REQ_GET,
@@ -70,36 +67,6 @@ def await_result(server, request, timeout=10.0):
 
 
 class TestRequestRouting:
-    def test_served_results_match_direct_engine(self):
-        """GET/PUT/DELETE/RANGE through the server agree with an identical
-        engine driven directly."""
-        store, workload = loaded_store(n_shards=2)
-        direct, _ = loaded_store(n_shards=2)
-        keys, values = workload.load_records()
-        with KVServer(store, max_batch=32) as server:
-            for key in (0, 17, 103, 3_999):
-                got = await_result(server, Request(REQ_GET, key, wait=True))
-                assert got == direct.get(key)
-            await_result(server, Request(REQ_PUT, 17, value=123456, wait=True))
-            direct.put(17, 123456)
-            assert (
-                await_result(server, Request(REQ_GET, 17, wait=True))
-                == direct.get(17)
-                == 123456
-            )
-            await_result(server, Request(REQ_DELETE, 103, wait=True))
-            direct.delete(103)
-            assert await_result(server, Request(REQ_GET, 103, wait=True)) is None
-            got = await_result(
-                server, Request(REQ_RANGE, 50, span=20, wait=True)
-            )
-            # Range results are (keys, values) array pairs, sorted by key.
-            got_keys, got_values = got
-            assert (
-                list(zip(got_keys.tolist(), got_values.tolist()))
-                == direct.range_lookup(50, 69)
-            )
-
     @pytest.mark.parametrize(
         "block, calls, expected",
         [
@@ -137,72 +104,12 @@ class TestRequestRouting:
         assert made == calls
         assert {key: store.get(key) for key in expected} == expected
 
-    def test_missing_key_returns_none(self):
-        store, _ = loaded_store()
-        with KVServer(store) as server:
-            assert (
-                await_result(server, Request(REQ_GET, 10**9, wait=True)) is None
-            )
-
-    def test_requests_route_to_home_shard_lane(self):
-        store, _ = loaded_store(n_shards=4)
-        server = KVServer(store)
-        for key in (3, 77, 1_234, 99_999):
-            lane = server._lane_for(key)
-            assert lane.index == shard_of_key(key, 4)
-
     def test_single_tree_engine_gets_one_lane(self):
         tree = FLSMTree(serve_config())
         with KVServer(tree) as server:
             assert server.n_lanes == 1
             await_result(server, Request(REQ_PUT, 5, value=55, wait=True))
             assert await_result(server, Request(REQ_GET, 5, wait=True)) == 55
-
-    def test_bad_request_kind_rejected(self):
-        with pytest.raises(ServeError):
-            Request(99, 1)
-
-    def test_put_of_tombstone_value_rejected_at_construction(self):
-        # Accepted here, it would raise inside the lane worker's put_batch,
-        # kill the lane thread and hang every later closed-loop client.
-        with pytest.raises(ServeError):
-            Request(REQ_PUT, 1, value=TOMBSTONE)
-        Request(REQ_DELETE, 1, value=TOMBSTONE)  # value is ignored
-
-    @pytest.mark.parametrize(
-        "kind, key, fields, match",
-        [
-            (REQ_GET, 2**63, {}, "outside int64"),
-            (REQ_DELETE, -(2**63) - 1, {}, "outside int64"),
-            (REQ_RANGE, 2**63 - 2, {"span": 10}, "outside int64"),  # the range end overflows
-            (REQ_PUT, 1, {"value": 2**63}, "outside int64"),
-            # Truncated by int(), these would read key 1, write 2 to key 1
-            # and scan a span of 2.
-            (REQ_GET, 1.7, {}, "key 1.7 is not an integer"),
-            (REQ_PUT, True, {"value": 2.9}, "key True is not an integer"),
-            (REQ_PUT, 1, {"value": 2.9}, "value 2.9 is not an integer"),
-            (REQ_RANGE, 5, {"span": 2.5}, "span 2.5 is not an integer"),
-            (1.0, 5, {}, "kind 1.0 is not an integer"),
-        ],
-        ids=[
-            "key-high", "key-low", "range-end", "value",
-            "float-key", "bool-key", "float-value", "float-span", "float-kind",
-        ],
-    )
-    def test_request_outside_int64_rejected_at_construction(self, kind, key, fields, match):
-        # Admitted, it would raise OverflowError in the worker's int64
-        # conversion and fail the lane for everyone queued behind it; a
-        # non-integer would be served truncated.
-        store, _ = loaded_store(n_shards=1)
-        with KVServer(store) as server:
-            with pytest.raises(ServeError, match=match):
-                server.submit(Request(kind, key, **fields), timeout=5.0)
-            # Nothing was admitted; the lane still serves, up to the edges.
-            assert await_result(server, Request(REQ_GET, 2**63 - 1, wait=True)) is None
-            keys, _ = await_result(
-                server, Request(REQ_RANGE, 2**63 - 10, span=10, wait=True)
-            )
-            assert len(keys) == 0
 
     def test_submit_requires_running_server(self):
         store, _ = loaded_store()
@@ -476,6 +383,30 @@ class TestLaneFailure:
         # open and every served op is in exactly one window.
         assert not any(lane.tree.stats.in_mission for lane in server.lanes)
         assert sum(w.stats.n_operations for w in server.windows) == 180
+
+
+    def test_run_load_stops_at_a_failed_lane(self, monkeypatch):
+        """A lane failing under load stops its open- and closed-loop clients
+        (none dies unhandled), and ``run_load`` raises at once, chained to
+        the cause, instead of waiting out ``drain_timeout``."""
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        store, workload = loaded_store(n_shards=2)
+        server = KVServer(store).start()
+        boom = RuntimeError("engine fault")
+        server.lanes[0].tree.get_batch = Mock(side_effect=boom)
+        tenants = [
+            TenantSpec(name="open", workload=workload, n_ops=2_000, rate=50_000.0, seed=1),
+            TenantSpec(name="closed", workload=workload, n_ops=300, n_clients=2, closed_loop=True),
+        ]
+        started = time.perf_counter()
+        with pytest.raises(ServeError) as raised:
+            run_load(server, tenants)
+        assert time.perf_counter() - started < 2.0
+        assert raised.value.__cause__ is boom
+        assert unhandled == []
+        with pytest.raises(ServeError):
+            server.stop()
 
 
 class TestLoadGeneration:
@@ -782,132 +713,7 @@ class TestTuningLoop:
         assert sim_total == pytest.approx(store.clock_now)
 
 
-class TestSimulationContract:
-    def test_serving_charges_identical_sim_costs_as_batch_path(self):
-        """Serving a request stream yields the *same simulated totals* as
-        pushing the identical per-lane batches through the engine offline:
-        wall-clock serving introduces no SimClock or RNG perturbation."""
-        ops = 600
-        workload = UniformWorkload(2_000, lookup_fraction=0.5, seed=21)
-        store, _ = loaded_store(n_shards=1, n_records=2_000, seed=21)
-        mirror, _ = loaded_store(n_shards=1, n_records=2_000, seed=21)
-
-        batch = 64
-        stream = list(request_stream(workload, ops, tenant="t", wait=True))
-        tracer = Tracer()
-        with KVServer(store, max_batch=batch, tracer=tracer) as server:
-            # Lockstep blocks: `batch` requests queued, then awaited. How
-            # the worker cuts them into batches is up to thread timing.
-            for start in range(0, ops, batch):
-                block = stream[start : start + batch]
-                for request in block:
-                    server.submit(request, timeout=10.0)
-                for request in block:
-                    assert request.done.wait(10.0)
-
-        # The mirror replays the batches the one lane actually served (its
-        # serve.batch spans, in order), so it does not depend on that.
-        served = [span.attrs["n_requests"] for span in tracer.spans()]
-        assert sum(served) == ops
-        assert {request.kind for request in stream} == {REQ_GET, REQ_PUT}
-        start = 0
-        for n_requests in served:
-            chunk = stream[start : start + n_requests]
-            start += n_requests
-            puts = [r for r in chunk if r.kind == REQ_PUT]
-            gets = [r.key for r in chunk if r.kind == REQ_GET]
-            if puts:
-                mirror.put_batch(
-                    np.array([r.key for r in puts], dtype=np.int64),
-                    np.array([r.value for r in puts], dtype=np.int64),
-                )
-            if gets:
-                mirror.get_batch(np.array(gets, dtype=np.int64))
-
-        assert store.clock_now == mirror.clock_now
-        assert store.io_counters == mirror.io_counters
-        assert store.stats.total_lookups == mirror.stats.total_lookups
-        assert store.stats.total_updates == mirror.stats.total_updates
-        assert store.stats.total_read_time == mirror.stats.total_read_time
-        assert store.stats.total_write_time == mirror.stats.total_write_time
-        assert [s.describe() for s in store.shards] == [
-            s.describe() for s in mirror.shards
-        ]
-
-    def test_twin_servers_close_equal_windows(self, tmp_path):
-        """Window records are simulated quantities only: two servers fed
-        the same requests in lockstep (one in flight, so batch composition
-        cannot follow host timing), with a window cut at the same point,
-        record ``==`` windows — merged stats and per-lane parts."""
-
-        def serve():
-            store, workload = loaded_store(n_shards=4, n_records=2_000, seed=21)
-            with KVServer(store) as server:
-                for i, request in enumerate(
-                    request_stream(workload, 300, tenant="t", wait=True)
-                ):
-                    await_result(server, request)
-                    if i == 149:
-                        server.checkpoint(os.fspath(tmp_path / "cut.ckpt"))
-            return server.windows
-
-        first, second = serve(), serve()
-        assert len(first) == 2
-        assert [w.stats for w in first] == [w.stats for w in second]
-        assert [w.parts for w in first] == [w.parts for w in second]
-        assert sum(w.stats.n_operations for w in first) == 300
-
-
 class TestCheckpointing:
-    def test_live_checkpoint_between_windows(self, tmp_path):
-        store, workload = loaded_store(n_shards=2)
-        path = os.path.join(tmp_path, "live.snap")
-        with KVServer(store, window_ops=200) as server:
-            run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="t",
-                        workload=workload,
-                        n_ops=600,
-                        rate=30_000.0,
-                        seed=12,
-                    )
-                ],
-            )
-            server.checkpoint(path)
-            # The server keeps serving after the snapshot.
-            probe = Request(REQ_GET, 1, wait=True)
-            assert server.submit(probe, timeout=5.0)
-            assert probe.done.wait(5.0)
-        restored = load_engine(path)
-        assert isinstance(restored, ShardedStore)
-        assert restored.n_shards == 2
-        assert restored.total_entries == store.total_entries
-        # The snapshot captured the live tree structure exactly.
-        assert [s.describe() for s in restored.shards] == [
-            s.describe() for s in store.shards
-        ]
-
-    def test_checkpoint_with_a_tracer_attached_loads(self, tmp_path):
-        """A tracer is host wiring: the snapshot leaves it out, the live
-        engine keeps it, and the loaded engine comes back untraced."""
-        store, workload = loaded_store(n_shards=2)
-        path = os.path.join(tmp_path, "traced.snap")
-        tracer = Tracer()
-        with KVServer(store, tracer=tracer) as server:
-            for request in request_stream(workload, 200, tenant="t", wait=True):
-                await_result(server, request)
-            server.checkpoint(path)
-        assert tracer.spans()
-        assert store.tracer is tracer
-        restored = load_engine(path)
-        assert restored.tracer is None
-        assert all(shard.tracer is None for shard in restored.shards)
-        assert [s.describe() for s in restored.shards] == [
-            s.describe() for s in store.shards
-        ]
-
     def test_checkpoint_requires_running_server(self, tmp_path):
         store, _ = loaded_store(n_shards=1)
         server = KVServer(store).start()

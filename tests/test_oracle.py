@@ -37,7 +37,7 @@ import shutil
 import tempfile
 import time
 from collections import deque
-from itertools import chain, compress, product
+from itertools import chain, compress
 
 import numpy as np
 import pytest
@@ -353,7 +353,8 @@ class Oracle(RuleBasedStateMachine):
         self.root = tempfile.mkdtemp(prefix="oracle-")
         self.config = None
         self.systems = {}
-        self.servers = {}  # name -> the running KVServer over that system's engine
+        self.server = None  # the running KVServer over SERVED's engine
+        self.served_windows = 0  # windows closed by SERVED's earlier servers
         self.tuners = {}  # name -> one tuner per tuning target
         self.model = {}
         self.detached = set()  # reopened durable systems: contents only
@@ -376,7 +377,7 @@ class Oracle(RuleBasedStateMachine):
 
     def direct(self, name):
         """Held around a direct call on ``name``'s engine: a served one's lane locks."""
-        return ordered_lane_locks(self.servers[name].lanes if name in self.servers else ())
+        return ordered_lane_locks(self.server.lanes if name == SERVED and self.server else ())
 
     def observed(self, name):
         """:func:`observables` and each learned tuner's audit events (a baseline keeps none)."""
@@ -392,7 +393,7 @@ class Oracle(RuleBasedStateMachine):
         them, and replay each lane's cuts on the twin, routed by ``shard_of``. With
         ``by_lane`` one lane's go at a time: a range reads every shard, so the
         cross-lane order is then the oracle's, not thread timing's."""
-        server, twin = self.servers[SERVED], self.systems[REPLAY]
+        server, twin = self.server, self.systems[REPLAY]
         homes = shard_of(np.array([r.key for r in requests], dtype=np.int64), server.n_lanes)
         lanes = [deque(compress(requests, homes == lane)) for lane in range(server.n_lanes)]
         for block in [list(lane) for lane in lanes] if by_lane else [requests]:
@@ -414,7 +415,7 @@ class Oracle(RuleBasedStateMachine):
             at = data.draw(st.integers(0, n - 1))
             calls.append((method, invalid_args(kind, method, n, at, data.draw(st.booleans()))))
         for name, engine in self.systems.items():
-            if name in REFERENCES or name in self.servers:
+            if name in REFERENCES or name == SERVED:
                 continue
             before = footprint(engine)
             occupied = engine.total_entries
@@ -439,7 +440,7 @@ class Oracle(RuleBasedStateMachine):
             each.attach_audit(DecisionAuditLog())  # its own log
         if policy is not None:
             self.tune("set_named_policy", policy, TransitionKind.FLEXIBLE)
-        self.servers[SERVED] = serve(self.systems[SERVED]).start()
+        self.server = serve(self.systems[SERVED]).start()
         self.systems[REPLAY].begin_mission()
 
     @initialize(
@@ -454,17 +455,13 @@ class Oracle(RuleBasedStateMachine):
     )
     def load(self, profile, bloom_mode, cache_pages, policy, tuner, items, distribute, data):
         """Build every system, put ``tuner`` on it and pin ``policy``, then
-        bulk-load them — after every invalid input and bad request, which
-        each of them must refuse while empty."""
+        bulk-load them — after every invalid input, which each must refuse while empty."""
         config = PROFILES[profile]
         if profile == "default":
             config = config.with_updates(bloom_mode=bloom_mode, block_cache_pages=cache_pages)
         self.start(config, profile == "exact", policy, tuner)
         for kind in INVALID:
             self.assert_refused(data, kind)
-        for server, (case, via) in product(self.servers.values(), OFFERS):
-            with pytest.raises(ServeError):
-                offer(server, case, via)
         self.cut_mission(reopen=False)  # load is two windows, each tuned: the bulk load,
         keys, values = columns(items)
         for name, engine in self.systems.items():
@@ -586,18 +583,20 @@ class Oracle(RuleBasedStateMachine):
         records = {}
         for name in names:
             engine = self.systems[name]
-            if name in self.servers:
-                tracer, server = engine.tracer, self.servers[name]
-                server.checkpoint(os.path.join(self.root, f"{name}.snap"))
+            if name == SERVED:
+                tracer = engine.tracer
+                self.server.checkpoint(os.path.join(self.root, f"{name}.snap"))
                 assert engine.tracer is tracer  # left out of the snapshot, not detached
-                merged, parts = server.windows[-1].stats, server.windows[-1].parts
+                stats, parts = self.server.windows[-1].stats, self.server.windows[-1].parts
+                # A restored server numbers its windows afresh; the twin counts on.
+                merged = dataclasses.replace(stats, index=stats.index + self.served_windows)
             elif name in REFERENCES:
+                index = engine.tuning_targets()[0].stats.windows_closed  # before the cut
                 parts = [tree.end_mission() for tree in engine.tuning_targets()]
-                merged = merge_mission_stats(0, parts)
+                merged = merge_mission_stats(index, parts)
             else:
                 merged, parts = engine.end_mission(), engine.last_mission_breakdown()
-            # A merged index is its owner's count (a restored server's is new).
-            records[name] = dataclasses.replace(merged, index=0), list(parts)
+            records[name] = merged, list(parts)
             if tune:
                 with self.direct(name):
                     for tuner, tree, part in zip(self.tuners[name], engine.tuning_targets(), parts):
@@ -631,7 +630,8 @@ class Oracle(RuleBasedStateMachine):
         served = name in (SERVED, REPLAY)
         if served:
             self.close_windows((SERVED, REPLAY), tune=False)
-            self.servers.pop(SERVED).stop()
+            self.served_windows += len(self.server.windows)
+            self.server.stop()
         for name in (SERVED, REPLAY) if served else (name,):
             path = os.path.join(self.root, f"{name}.snap")
             if name != SERVED:
@@ -643,7 +643,7 @@ class Oracle(RuleBasedStateMachine):
                 save_tuner(tuner, path)
                 self.tuners[name][i] = load_tuner(path)
         if served:
-            self.servers[SERVED] = serve(self.systems[SERVED]).start()
+            self.server = serve(self.systems[SERVED]).start()
             self.systems[REPLAY].begin_mission()
 
     @precondition(lambda self: not self.in_mission)
@@ -723,8 +723,8 @@ class Oracle(RuleBasedStateMachine):
         for engine in self.systems.values():
             close(engine)
         shutil.rmtree(self.root, ignore_errors=True)
-        for server in self.servers.values():  # last: it raises if a lane failed
-            server.stop()
+        if self.server is not None:  # last: it raises if a lane failed
+            self.server.stop()
 
 
 #: Tier-1 examples; the ``deep`` profile (tests/conftest.py) runs ten times as many.

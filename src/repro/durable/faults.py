@@ -33,6 +33,7 @@ Instrumented points (see DESIGN.md §13 for the write protocol they cut):
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import IO, Dict
 
@@ -44,15 +45,15 @@ _counts: Dict[str, int] = {}
 
 
 def _armed() -> Dict[str, int]:
-    spec = os.environ.get("REPRO_CRASH", "")
-    armed: Dict[str, int] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        point, _, nth = part.partition(":")
-        armed[point] = int(nth) if nth else 1
-    return armed
+    return _parse(os.environ.get("REPRO_CRASH", ""))
+
+
+@functools.lru_cache(maxsize=1)
+def _parse(spec: str) -> Dict[str, int]:
+    """What ``spec`` arms; parsed once per value of the variable (a test
+    re-arms within one process by setting it anew)."""
+    points = (part.strip().partition(":") for part in spec.split(","))
+    return {point: int(nth) if nth else 1 for point, _, nth in points if point}
 
 
 def reset_counts() -> None:

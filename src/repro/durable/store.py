@@ -63,6 +63,7 @@ from repro.config import (
     config_to_state,
 )
 from repro.durable import faults
+from repro.durable.atomio import fsync_dir
 from repro.durable.manifest import (
     ManifestState,
     ManifestWriter,
@@ -244,8 +245,7 @@ class DurableStore(LSMTree):
         removed = self._sweep()
         self._pending_ops = []
         self._pending_wal_head = None
-        self._wal = WalWriter(segment_path(self.data_dir, 1))
-        self._wal_head_id = 1
+        self._open_wal(1)
         # ``_flushed_seqno``: every op <= it has all its data in SSTables —
         # the only value a manifest checkpoint may record. ``_inflight_floor``:
         # the last *fully* applied op; while an op is mid-application it
@@ -383,7 +383,7 @@ class DurableStore(LSMTree):
 
         # Wire up the live write path *before* replay: a replay-induced
         # flush must commit durably like any other flush.
-        self._wal = WalWriter(segment_path(self.data_dir, self._wal_head_id))
+        self._open_wal(self._wal_head_id)
         if self._wal_head_id != state.wal_head:
             self._pending_wal_head = self._wal_head_id
         self._next_seqno = recovered_seqno + 1
@@ -501,10 +501,20 @@ class DurableStore(LSMTree):
             old.max_seqno, self._segment_max_seqno.get(old_id, 0)
         )
         new_id = old_id + 1
-        self._wal = WalWriter(segment_path(self.data_dir, new_id))
-        self._wal_head_id = new_id
+        self._open_wal(new_id)
         self._pending_wal_head = new_id
         self.telemetry["wal_rotations"] += 1
+
+    def _open_wal(self, file_id: int) -> None:
+        """Make segment ``file_id`` the live WAL head. A create is durable
+        once its directory is fsynced (:mod:`atomio`): a new segment's is,
+        before anything in it is acked."""
+        path = segment_path(self.data_dir, file_id)
+        created = not os.path.exists(path)
+        self._wal = WalWriter(path)
+        self._wal_head_id = file_id
+        if created:
+            fsync_dir(self.data_dir)
 
     def _commit(self) -> None:
         """Append one manifest edit covering all buffered structure changes

@@ -10,26 +10,32 @@ experiments can exercise exactly that effect.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterator, Set, Tuple
+from typing import Dict, Iterator, Tuple
+
+#: Pages per run a packed key can address: ``run_id << 32 | page``.
+PAGE_LIMIT = 1 << 32
+_PAGE_MASK = PAGE_LIMIT - 1
 
 
 class LRUBlockCache:
-    """Fixed-capacity LRU cache keyed by ``(run_id, page_index)`` pairs.
+    """Fixed-capacity LRU cache of ``(run_id, page_index)`` pages.
 
     A ``capacity`` of 0 disables caching entirely (every probe misses).
-    ``_pages`` is the one recency list; ``_by_run`` (``run_id`` → its resident
-    pages, never an empty set) indexes it so that dropping a run touches
-    that run's pages only.
+    ``_pages`` is the one recency list, keyed by the packed int
+    ``run_id << 32 | page`` (a page index must lie in ``[0, PAGE_LIMIT)``);
+    iteration, ``in`` and the pickle present ``(run_id, page)`` pairs.
+    ``_spans`` maps a run to one past the highest page it ever admitted, so
+    dropping a run pops that page range by key and never walks the list.
     """
 
-    __slots__ = ("_capacity", "_pages", "_by_run", "hits", "misses")
+    __slots__ = ("_capacity", "_pages", "_spans", "hits", "misses")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self._capacity = capacity
-        self._pages: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        self._by_run: Dict[int, Set[int]] = {}
+        self._pages: "OrderedDict[int, None]" = OrderedDict()
+        self._spans: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -40,11 +46,12 @@ class LRUBlockCache:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._pages
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        run_id, page = key
+        return 0 <= page < PAGE_LIMIT and (run_id << 32 | page) in self._pages
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
-        return iter(self._pages)
+        return ((key >> 32, key & _PAGE_MASK) for key in self._pages)
 
     def access_batch(self, run_id: int, page_indices) -> int:
         """Record accesses to ``(run_id, page)`` for each page, in order.
@@ -52,35 +59,29 @@ class LRUBlockCache:
         Returns the number of hits. A miss admits the page, evicting the
         least recently used one if the cache is full
         (``tests/reference_cache.py`` states the same machine page by page).
-        ``page_indices`` must be plain ints (callers ``.tolist()`` numpy
-        arrays, so a page key is an int pair).
+        ``page_indices`` must be plain ints in ``[0, PAGE_LIMIT)`` (callers
+        ``.tolist()`` numpy arrays; ``DiskModel.random_read_batch`` checks
+        the range).
         """
         n = len(page_indices)
-        if self._capacity == 0:
+        if self._capacity == 0 or n == 0:
             self.misses += n
             return 0
+        # Every page of the batch ends up admitted or already resident.
+        self._spans[run_id] = max(self._spans.get(run_id, 0), max(page_indices) + 1)
         pages = self._pages
-        by_run = self._by_run
-        resident = by_run.get(run_id)
         capacity = self._capacity
+        base = run_id << 32
         hits = 0
         for page in page_indices:
-            key = (run_id, page)
+            key = base | page
             if key in pages:
                 pages.move_to_end(key)
                 hits += 1
             else:
                 pages[key] = None
-                if resident is None:
-                    resident = by_run[run_id] = set()
-                resident.add(page)
                 if len(pages) > capacity:
-                    # Never the page just admitted: ``resident`` stays non-empty.
-                    old_run, old_page = pages.popitem(last=False)[0]
-                    old = by_run[old_run]
-                    old.remove(old_page)
-                    if not old:
-                        del by_run[old_run]
+                    pages.popitem(last=False)
         self.hits += hits
         self.misses += n - hits
         return hits
@@ -89,27 +90,29 @@ class LRUBlockCache:
         """Drop every cached page belonging to run ``run_id``.
 
         Called when a run is deleted by compaction. Returns the number of
-        pages dropped; costs that many steps, whatever the cache holds.
+        pages dropped; costs at most the run's page span, whatever the
+        cache holds, and nothing for a run that never admitted a page.
         """
-        stale = self._by_run.pop(run_id, ())
-        for page in stale:
-            del self._pages[(run_id, page)]
-        return len(stale)
+        base = run_id << 32
+        span = self._spans.pop(run_id, 0)
+        pop = self._pages.pop  # a resident page maps to None, an absent one to 0
+        return sum(pop(key, 0) is None for key in range(base, base + span))
 
     def clear(self) -> None:
         """Empty the cache without resetting hit/miss counters."""
         self._pages.clear()
-        self._by_run.clear()
+        self._spans.clear()
 
     # ------------------------------------------------------------------
-    # Pickling: ``_by_run`` is derived from ``_pages`` and rebuilt on load
+    # Pickling: ``(run_id, page)`` pairs in LRU order; ``_spans`` is
+    # derived from them and rebuilt on load
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__ if name != "_by_run"}
+        pages = OrderedDict.fromkeys(self)
+        return dict(_capacity=self._capacity, _pages=pages, hits=self.hits, misses=self.misses)
 
     def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._by_run = {}
-        for run_id, page in self._pages:
-            self._by_run.setdefault(run_id, set()).add(page)
+        LRUBlockCache.__init__(self, state["_capacity"])
+        for run_id, page in state["_pages"]:  # oldest first: no eviction
+            self.access_batch(run_id, [page])
+        self.hits, self.misses = state["hits"], state["misses"]

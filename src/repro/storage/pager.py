@@ -12,13 +12,13 @@ Nothing issues random writes (``I_w``): that counter stays for the snapshot layo
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.config import CostModelParams
 from repro.errors import StorageError
-from repro.storage.cache import LRUBlockCache
+from repro.storage.cache import PAGE_LIMIT, LRUBlockCache
 from repro.storage.clock import SimClock
 
 
@@ -45,30 +45,15 @@ class IOCounters:
 
     def snapshot(self) -> "IOCounters":
         """An independent copy of the current counters."""
-        return IOCounters(
-            random_reads=self.random_reads,
-            random_writes=self.random_writes,
-            seq_reads=self.seq_reads,
-            seq_writes=self.seq_writes,
-        )
+        return replace(self)
 
     def __add__(self, other: "IOCounters") -> "IOCounters":
         """Field-wise sum (how counters of independent shards aggregate)."""
-        return IOCounters(
-            random_reads=self.random_reads + other.random_reads,
-            random_writes=self.random_writes + other.random_writes,
-            seq_reads=self.seq_reads + other.seq_reads,
-            seq_writes=self.seq_writes + other.seq_writes,
-        )
+        return IOCounters(*(a + b for a, b in zip(vars(self).values(), vars(other).values())))
 
     def diff(self, earlier: "IOCounters") -> "IOCounters":
         """Counters accumulated since ``earlier`` (an older snapshot)."""
-        return IOCounters(
-            random_reads=self.random_reads - earlier.random_reads,
-            random_writes=self.random_writes - earlier.random_writes,
-            seq_reads=self.seq_reads - earlier.seq_reads,
-            seq_writes=self.seq_writes - earlier.seq_writes,
-        )
+        return IOCounters(*(a - b for a, b in zip(vars(self).values(), vars(earlier).values())))
 
 
 class DiskModel:
@@ -115,13 +100,12 @@ class DiskModel:
         if self._cache.capacity == 0:
             self._cache.misses += n
             self.counters.random_reads += n
-            cost = n * self._costs.random_read_s
-            self._clock.advance(cost)
-            return cost
+            return self._charge(n, self._costs.random_read_s, "n")
         pages = np.asarray(page_indices)
-        if pages.size and int(pages.min()) < 0:
+        low, high = int(pages.min()), int(pages.max())
+        if low < 0 or high >= PAGE_LIMIT:
             raise StorageError(
-                f"page_index must be >= 0, got {int(pages.min())}"
+                f"page_index must lie in [0, 2**32), got {low if low < 0 else high}"
             )
         hits = self._cache.access_batch(run_id, pages.tolist())
         misses = n - hits
@@ -133,20 +117,14 @@ class DiskModel:
     # ------------------------------------------------------------------
     def sequential_read(self, n_pages: int) -> float:
         """Stream-read ``n_pages`` pages (compaction input)."""
-        if n_pages < 0:
-            raise StorageError(f"n_pages must be >= 0, got {n_pages}")
+        cost = self._charge(n_pages, self._costs.seq_read_s, "n_pages")
         self.counters.seq_reads += n_pages
-        cost = n_pages * self._costs.seq_read_s
-        self._clock.advance(cost)
         return cost
 
     def sequential_write(self, n_pages: int) -> float:
         """Stream-write ``n_pages`` pages (flush or compaction output)."""
-        if n_pages < 0:
-            raise StorageError(f"n_pages must be >= 0, got {n_pages}")
+        cost = self._charge(n_pages, self._costs.seq_write_s, "n_pages")
         self.counters.seq_writes += n_pages
-        cost = n_pages * self._costs.seq_write_s
-        self._clock.advance(cost)
         return cost
 
     # ------------------------------------------------------------------
@@ -155,18 +133,18 @@ class DiskModel:
     def probe_cpu(self, n_runs: int = 1) -> float:
         """CPU cost of probing the metadata of ``n_runs`` sorted runs
         (the paper's ``c_r``)."""
-        if n_runs < 0:
-            raise StorageError(f"n_runs must be >= 0, got {n_runs}")
-        cost = n_runs * self._costs.run_probe_cpu_s
-        self._clock.advance(cost)
-        return cost
+        return self._charge(n_runs, self._costs.run_probe_cpu_s, "n_runs")
 
     def compaction_cpu(self, n_entries: int) -> float:
         """CPU cost of merge-sorting ``n_entries`` entries (the paper's
         ``c_w``)."""
-        if n_entries < 0:
-            raise StorageError(f"n_entries must be >= 0, got {n_entries}")
-        cost = n_entries * self._costs.compaction_entry_cpu_s
+        return self._charge(n_entries, self._costs.compaction_entry_cpu_s, "n_entries")
+
+    def _charge(self, n: int, unit_s: float, name: str) -> float:
+        """Advance the clock by ``n`` units of ``unit_s`` seconds in one step."""
+        if n < 0:
+            raise StorageError(f"{name} must be >= 0, got {n}")
+        cost = n * unit_s
         self._clock.advance(cost)
         return cost
 

@@ -1,12 +1,12 @@
 """The per-page LRU block cache, kept as the executable specification.
 
 ``src/`` ships one cache (``repro.storage.cache.LRUBlockCache``): pages are
-accessed a batch at a time and a per-run index makes ``invalidate_run`` cost
-the pages it drops. This is the cache it replaced — one ``access`` per page,
-``invalidate_run`` scanning every resident key, no index — on the same
-``OrderedDict`` recency list. The shipped cache must be **state-machine
-identical** to it: same return values, same ``hits`` / ``misses``, same
-resident pages in the same LRU order after every step.
+accessed a batch at a time, keyed by one packed int, and a per-run page span
+bounds what ``invalidate_run`` looks at. This is the cache it replaced —
+one ``access`` per page, ``invalidate_run`` scanning every resident key, no
+index — on the same ``OrderedDict`` recency list. The shipped cache must
+be **state-machine identical** to it: same return values, same ``hits`` /
+``misses``, same resident pages in the same LRU order after every step.
 ``tests/test_storage.py`` and ``tests/test_readpath.py`` import it; it
 offers ``access_batch`` (the per-page loop) so a ``DiskModel`` or a whole
 tree can run on it as the twin.

@@ -52,6 +52,11 @@ def test_injection_spec_parsing(monkeypatch):
     faults.reset_counts()
     armed = faults._armed()
     assert armed == {"wal.append": 3, "manifest.swap": 1}
+    assert faults._armed() is armed  # parsed once per value of the variable
+    # Re-arming within the process takes effect at the next hit.
+    monkeypatch.setenv("REPRO_CRASH", "wal.sync:2")
+    faults.reset_counts()
+    assert [faults.crash_hit("wal.sync") for _ in range(3)] == [False, True, False]
     monkeypatch.delenv("REPRO_CRASH")
     faults.reset_counts()
     assert faults._armed() == {}

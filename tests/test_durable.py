@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import tempfile
 from typing import Dict, List
 from unittest import mock
@@ -192,9 +193,10 @@ def test_manifest_close_fsyncs_only_unsynced_edits(tmp_path, fsyncs):
     assert len(fsyncs) == 1
 
 
-def test_flush_cycle_costs_four_fsyncs(store_dir, tiny_config, fsyncs):
-    """WAL ack, SSTable, directory, manifest — and no fifth one for closing
-    the segment the ack just synced."""
+def test_flush_cycle_costs_five_fsyncs(store_dir, tiny_config, fsyncs):
+    """WAL ack, SSTable, directory, the directory again for the WAL segment
+    the flush opens, manifest — and no sixth one for closing the segment the
+    ack just synced."""
     store = DurableStore(store_dir, tiny_config)
     capacity = tiny_config.buffer_capacity_entries
     cycles = 0
@@ -203,10 +205,69 @@ def test_flush_cycle_costs_four_fsyncs(store_dir, tiny_config, fsyncs):
         keys = np.arange(start, start + capacity)
         store.put_batch(keys, keys + 1)
         if store.telemetry["sstables_written"] - before[1] == 1:
-            assert len(fsyncs) - before[0] == 4
+            assert len(fsyncs) - before[0] == 5
             cycles += 1
     assert cycles >= 2
     store.close()
+
+
+def test_new_wal_segment_reaches_a_directory_fsync_before_an_ack(
+    store_dir, tiny_config, monkeypatch
+):
+    """A file create is durable only once its directory is fsynced: every
+    WAL segment the store creates — segment 1 of a new store, each rotation,
+    segment 1 of the generation a restore installs, which re-journals the
+    memtable at once — is created, then the directory fsynced, then acked
+    into."""
+    from repro.durable import atomio, store as store_module
+
+    events = []
+    real_fsync_dir, real_init, real_sync = atomio.fsync_dir, WalWriter.__init__, WalWriter.sync
+
+    def fsync_dir(directory):
+        events.append(("fsync_dir", os.path.abspath(directory)))
+        real_fsync_dir(directory)
+
+    def init(self, path):
+        if not os.path.exists(path):
+            events.append(("create", os.path.basename(path)))
+        real_init(self, path)
+
+    def sync(self, seqno):
+        events.append(("ack", os.path.basename(self.log.path)))
+        real_sync(self, seqno)
+
+    for owner in (atomio, store_module):
+        monkeypatch.setattr(owner, "fsync_dir", fsync_dir)
+    monkeypatch.setattr(WalWriter, "__init__", init)
+    monkeypatch.setattr(WalWriter, "sync", sync)
+    store = DurableStore(store_dir, tiny_config)
+    fill(store, n_batches=10)
+    store.put(1, 2)  # a memtable for the restore to re-journal
+    blob = pickle.dumps(store)
+    store.close()
+    restored = pickle.loads(blob)
+    restored.put(3, 4)
+    restored.close()
+
+    unsynced = set()
+    for kind, name in events:
+        if kind == "create":
+            unsynced.add(name)
+        elif kind == "fsync_dir":
+            assert name == os.path.abspath(store_dir)
+            unsynced.clear()
+        else:
+            assert name not in unsynced, f"acked into {name} before its directory fsync"
+    first = ("create", os.path.basename(segment_path(store_dir, 1)))
+    created = [event for event in events if event[0] == "create"]
+    assert len(created) > store.telemetry["wal_rotations"] >= 2
+    assert created.count(first) == 2  # the new store's and the restore's
+    # The restore acked its re-journaled memtable into segment 1 before
+    # ``restored.put`` wrote anything.
+    restore = max(i for i, event in enumerate(events) if event == first)
+    synced = ("fsync_dir", os.path.abspath(store_dir))
+    assert events[restore:][:3] == [first, synced, ("ack", first[1])]
 
 
 def test_wal_sync_marker_rejects_payload(tmp_path):

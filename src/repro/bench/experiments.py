@@ -354,7 +354,7 @@ def ycsb_experiment(
 
 
 #: The canonical experiments by name, at the active scale and seed 0 —
-#: what ``python -m repro.bench.harness <name>`` runs.
+#: what ``python -m repro.bench <name>`` runs.
 NAMED_EXPERIMENTS: Dict[str, Callable[[], Experiment]] = {
     "dynamic": dynamic_workload_experiment,
     "dynamic-greedy": partial(dynamic_workload_experiment, include_greedy=True),

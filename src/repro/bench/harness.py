@@ -9,7 +9,7 @@ Long experiments can be checkpointed and resumed: set
 ``Experiment.checkpoint_every`` (missions per checkpoint) and re-run with
 ``resume=True`` — or drive it from the command line::
 
-    python -m repro.bench.harness dynamic --checkpoint-every 100 --resume
+    python -m repro.bench dynamic --checkpoint-every 100 --resume
 
 Resume is *bit-exact*: workload generators are deterministic from their
 seed, so the already-processed prefix of the mission stream is regenerated
@@ -30,7 +30,7 @@ from repro.config import SystemConfig
 from repro.core.lerp import LerpConfig
 from repro.core.ruskey import RusKey
 from repro.core.tuners import Tuner
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.lsm.stats import MissionStats
 from repro.workload.spec import WorkloadSpec
 
@@ -71,17 +71,9 @@ class SeriesResult:
         """Per-mission mean latency per operation (simulated seconds)."""
         return np.asarray([m.latency_per_op for m in self.missions])
 
-    @property
-    def read_latencies(self) -> np.ndarray:
-        """Per-mission total lookup time (simulated seconds)."""
-        return np.asarray([m.read_time for m in self.missions])
-
-    @property
-    def write_latencies(self) -> np.ndarray:
-        """Per-mission total update/compaction time (simulated seconds)."""
-        return np.asarray([m.write_time for m in self.missions])
-
     def mean_latency(self, last_n: Optional[int] = None) -> float:
+        if last_n is not None and last_n < 1:
+            raise ConfigError(f"last_n must be >= 1, got {last_n}")
         series = self.latencies
         if last_n is not None:
             series = series[-last_n:]
@@ -285,13 +277,6 @@ def run_experiment(experiment: Experiment) -> Dict[str, SeriesResult]:
     return results
 
 
-def rank_systems(
-    results: Dict[str, SeriesResult], last_n: Optional[int] = None
-) -> List[str]:
-    """System names ordered best (lowest converged latency) to worst."""
-    return sorted(results, key=lambda name: results[name].mean_latency(last_n))
-
-
 def session_rankings(
     results: Dict[str, SeriesResult],
     session_bounds: Sequence[int],
@@ -318,52 +303,3 @@ def session_rankings(
         for position, name in enumerate(ordered, start=1):
             ranks[name].append(position)
     return ranks
-
-
-# ----------------------------------------------------------------------
-# Command line: run a named experiment with checkpoint/resume support
-# ----------------------------------------------------------------------
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``python -m repro.bench.harness <experiment> [options]``."""
-    import argparse
-
-    # Imported here: repro.bench.experiments imports this module.
-    from repro.bench.experiments import NAMED_EXPERIMENTS
-    from repro.bench.reporting import format_summary
-
-    parser = argparse.ArgumentParser(
-        prog="repro.bench.harness",
-        description="Run a canonical experiment with optional "
-        "checkpoint-every-K-missions and bit-exact --resume.",
-    )
-    parser.add_argument("experiment", choices=NAMED_EXPERIMENTS)
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="K",
-        help="snapshot each system every K missions (0 disables)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", default="checkpoints",
-        help="directory for checkpoint files (default: checkpoints/)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="continue from existing checkpoints instead of starting over",
-    )
-    parser.add_argument(
-        "--last-n", type=int, default=None,
-        help="missions to average in the summary (default: all)",
-    )
-    args = parser.parse_args(argv)
-    if args.checkpoint_every < 0:
-        parser.error("--checkpoint-every must be >= 0")
-    experiment = NAMED_EXPERIMENTS[args.experiment]()
-    experiment.checkpoint_every = args.checkpoint_every
-    experiment.checkpoint_dir = args.checkpoint_dir
-    experiment.resume = args.resume
-    results = run_experiment(experiment)
-    print(format_summary(results, last_n=args.last_n, title=f"== {experiment.name} =="))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

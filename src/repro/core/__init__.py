@@ -1,7 +1,6 @@
 """RusKey core: the tuning models, mission loop and system facade."""
 
 from repro.core.detector import WorkloadChangeDetector
-from repro.core.extensions import BloomBudgetExtension
 from repro.core.joint import JointLerp
 from repro.core.lerp import AllLevelsLerp, Lerp, LerpConfig
 from repro.core.missions import MissionRunner
@@ -24,10 +23,8 @@ from repro.core.tuners import (
     GreedyThresholdTuner,
     LazyLevelingTuner,
     NamedPolicyTuner,
-    NoOpTuner,
     StaticTuner,
     Tuner,
-    paper_greedy_variants,
 )
 
 __all__ = [
@@ -41,14 +38,11 @@ __all__ = [
     "MissionRunner",
     "PolicyPropagator",
     "WorkloadChangeDetector",
-    "BloomBudgetExtension",
     "Tuner",
-    "NoOpTuner",
     "StaticTuner",
     "LazyLevelingTuner",
     "NamedPolicyTuner",
     "GreedyThresholdTuner",
-    "paper_greedy_variants",
     "STATE_DIM",
     "POLICY_STATE_DIM",
     "RunningScale",

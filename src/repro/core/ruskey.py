@@ -214,6 +214,8 @@ class RusKey(DerivedMembers):
 
     def mean_latency(self, last_n: Optional[int] = None) -> float:
         """Mean per-op latency over the last ``last_n`` missions (or all)."""
+        if last_n is not None and last_n < 1:
+            raise ConfigError(f"last_n must be >= 1, got {last_n}")
         series = self.latency_series()
         if len(series) == 0:
             return 0.0

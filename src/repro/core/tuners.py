@@ -42,15 +42,6 @@ class Tuner:
         return None
 
 
-class NoOpTuner(Tuner):
-    """Leaves the tree exactly as configured."""
-
-    name = "noop"
-
-    def observe_mission(self, tree: LSMTree, mission: MissionStats) -> None:
-        return None
-
-
 class StaticTuner(Tuner):
     """Pins every level (including newly created ones) to one policy."""
 
@@ -172,8 +163,3 @@ PAPER_GREEDY_THRESHOLDS = (
     (0.50, 0.50), (0.33, 0.67), (0.25, 0.75), (0.10, 0.90),
     (0.25, 0.50), (0.50, 0.75),
 )
-
-
-def paper_greedy_variants() -> "list[GreedyThresholdTuner]":
-    """One tuner per Figure 12 threshold setting."""
-    return [GreedyThresholdTuner(hb, ht) for hb, ht in PAPER_GREEDY_THRESHOLDS]

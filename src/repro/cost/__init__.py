@@ -1,27 +1,16 @@
-"""White-box cost models: Eq. 5 operation costs, Table 2 transition costs,
-and amplification estimators."""
+"""White-box cost models: Eq. 5 operation costs and Table 2 transition
+costs."""
 
-from repro.cost.amplification import (
-    level_read_amplification,
-    level_write_amplification,
-    measured_read_amplification,
-    measured_write_amplification,
-    tree_write_amplification,
-)
 from repro.cost.model import (
     clamp_policy,
     lemma_next_policy,
     level_operation_cost,
     optimal_policies_whitebox,
-    optimal_policy_continuous,
     propagate_policies,
-    tree_operation_cost,
 )
 from repro.cost.transition import (
     TransitionCosts,
     TransitionScenario,
-    amortized_greedy_immediate_ios,
-    amortized_lazy_delay_seconds,
     flexible_costs,
     greedy_costs,
     lazy_costs,
@@ -30,23 +19,14 @@ from repro.cost.transition import (
 
 __all__ = [
     "level_operation_cost",
-    "optimal_policy_continuous",
     "clamp_policy",
     "lemma_next_policy",
     "propagate_policies",
-    "tree_operation_cost",
     "optimal_policies_whitebox",
     "TransitionScenario",
     "TransitionCosts",
     "greedy_costs",
     "lazy_costs",
     "flexible_costs",
-    "amortized_greedy_immediate_ios",
-    "amortized_lazy_delay_seconds",
     "paper_case_study",
-    "level_read_amplification",
-    "level_write_amplification",
-    "tree_write_amplification",
-    "measured_read_amplification",
-    "measured_write_amplification",
 ]

@@ -27,7 +27,7 @@ what the RL tuner converges to.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 from repro.bloom.allocation import allocate_fprs
 from repro.config import CostModelParams, SystemConfig
@@ -62,39 +62,6 @@ def level_operation_cost(
     )
     update_cpu = (size_ratio / policy) * costs.compaction_entry_cpu_s * (1.0 - gamma)
     return query_io + query_cpu + update_io + update_cpu
-
-
-def optimal_policy_continuous(
-    level_no: int,
-    f1: float,
-    lookup_fraction: float,
-    costs: CostModelParams,
-    size_ratio: int,
-    entry_bytes: int,
-    page_bytes: int,
-) -> float:
-    """The real-valued ``K*`` minimizing Eq. 5 under Monkey FPRs
-    (``f_i = f_1 · T^{i-1}``): ``K*² = X / (Y·T^{i-1} + Z)``.
-
-    Degenerate workloads are handled explicitly: a read-only workload
-    (γ = 1) wants the most aggressive policy (K* → its lower bound) and a
-    write-only workload (γ = 0) the laziest (K* → ∞, to be clamped by the
-    caller).
-    """
-    gamma = lookup_fraction
-    t = size_ratio
-    x = (
-        t * entry_bytes * (costs.seq_read_s + costs.seq_write_s) * (1 - gamma)
-        + t * page_bytes * costs.compaction_entry_cpu_s * (1 - gamma)
-    )
-    y = page_bytes * f1 * costs.random_read_s * gamma
-    z = page_bytes * costs.run_probe_cpu_s * gamma
-    denominator = y * t ** (level_no - 1) + z
-    if denominator <= 0.0:
-        return math.inf  # γ == 0: no read pressure at all
-    if x <= 0.0:
-        return 0.0  # γ == 1: no write pressure at all
-    return math.sqrt(x / denominator)
 
 
 def clamp_policy(k: float, size_ratio: int) -> int:
@@ -143,29 +110,6 @@ def propagate_policies(
         policies.append(clamp_policy(nxt, size_ratio))
         prev_prev, prev = prev, max(nxt, 1.0)
     return policies
-
-
-def tree_operation_cost(
-    policies: Sequence[int],
-    fprs: Sequence[float],
-    lookup_fraction: float,
-    config: SystemConfig,
-) -> float:
-    """Expected time per operation summed over all levels."""
-    if len(policies) != len(fprs):
-        raise ConfigError("policies and fprs must have equal length")
-    return sum(
-        level_operation_cost(
-            policy,
-            fpr,
-            lookup_fraction,
-            config.costs,
-            config.size_ratio,
-            config.entry_bytes,
-            config.page_bytes,
-        )
-        for policy, fpr in zip(policies, fprs)
-    )
 
 
 def optimal_policies_whitebox(

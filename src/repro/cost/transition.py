@@ -30,9 +30,8 @@ from repro.errors import ConfigError
 
 @dataclass(frozen=True)
 class TransitionScenario:
-    """Inputs of the Table 2 analysis. ``x`` and ``gamma`` may be ``None``
-    to request the amortized expectation (both distributed uniformly in
-    (0, 1), giving x = 1/2 as in the paper's case study)."""
+    """Inputs of the Table 2 analysis. ``x`` and ``γ`` default to 1/2, as
+    in the paper's case study."""
 
     size_ratio: int  # T
     level_capacity_bytes: float  # C
@@ -139,16 +138,6 @@ def flexible_costs(s: TransitionScenario) -> TransitionCosts:
     return TransitionCosts(
         immediate_ios=0.0, delay_seconds=0.0, additional_ios=additional
     )
-
-
-def amortized_greedy_immediate_ios(s: TransitionScenario) -> float:
-    """Expected immediate greedy cost over a uniform fill ratio: ``C/2B``."""
-    return s.level_capacity_bytes / (2.0 * s.page_bytes)
-
-
-def amortized_lazy_delay_seconds(s: TransitionScenario) -> float:
-    """Expected lazy delay over a uniform fill ratio: ``C/(2·N_u·E)``."""
-    return s.level_capacity_bytes / (2.0 * s.updates_per_second * s.entry_bytes)
 
 
 def paper_case_study() -> "dict[str, TransitionCosts]":

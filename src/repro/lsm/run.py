@@ -14,7 +14,7 @@ is exactly what the paper's flexible transition adjusts.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -105,14 +105,6 @@ class SortedRun:
     @property
     def is_at_capacity(self) -> bool:
         return self.n_entries >= self.capacity_entries
-
-    @property
-    def min_key(self) -> Optional[int]:
-        return int(self.keys[0]) if self.n_entries else None
-
-    @property
-    def max_key(self) -> Optional[int]:
-        return int(self.keys[-1]) if self.n_entries else None
 
     def seal(self) -> None:
         """Mark the run immutable; further policy changes never touch it."""

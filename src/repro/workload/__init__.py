@@ -1,4 +1,4 @@
-"""Workload generation: uniform, Zipfian/YCSB, dynamic schedules, traces."""
+"""Workload generation: uniform, Zipfian/YCSB and dynamic schedules."""
 
 from repro.workload.dynamic import (
     DynamicWorkload,
@@ -13,10 +13,9 @@ from repro.workload.spec import (
     WorkloadSpec,
     mission_from_mix,
 )
-from repro.workload.trace import TraceRecorder, TraceWorkload
 from repro.workload.uniform import UniformWorkload
 from repro.workload.ycsb import YCSBWorkload
-from repro.workload.zipf import UniformSampler, ZipfianSampler
+from repro.workload.zipf import ZipfianSampler
 
 __all__ = [
     "Mission",
@@ -28,10 +27,7 @@ __all__ = [
     "UniformWorkload",
     "YCSBWorkload",
     "ZipfianSampler",
-    "UniformSampler",
     "DynamicWorkload",
     "WorkloadPhase",
     "paper_dynamic_workload",
-    "TraceRecorder",
-    "TraceWorkload",
 ]

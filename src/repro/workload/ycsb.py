@@ -4,8 +4,8 @@ The paper evaluates RusKey "under the YCSB standard benchmarks ... We use
 the default Zipfian distribution, in which the update frequency and access
 frequency of keys follow the power law" (Figure 11), with the same
 compositions as the uniform experiments plus a 50 % range-scan / 50 % update
-mix. :class:`YCSBWorkload` reproduces that generator; classmethods provide
-the named YCSB core mixes (A-F) for completeness.
+mix. :class:`YCSBWorkload` reproduces that generator;
+:meth:`YCSBWorkload.paper_range_mix` builds the range mix.
 """
 
 from __future__ import annotations
@@ -53,38 +53,6 @@ class YCSBWorkload(WorkloadSpec):
         self.value_space = value_space
         self.seed = seed
         self.name = name or f"ycsb(γ={lookup_fraction:.2f}, zipf={zipf_exponent})"
-
-    # ------------------------------------------------------------------
-    # Named YCSB core workloads
-    # ------------------------------------------------------------------
-    @classmethod
-    def workload_a(cls, n_records: int, seed: int = 0) -> "YCSBWorkload":
-        """YCSB A: 50 % reads, 50 % updates (update heavy)."""
-        return cls(n_records, lookup_fraction=0.5, seed=seed, name="ycsb-a")
-
-    @classmethod
-    def workload_b(cls, n_records: int, seed: int = 0) -> "YCSBWorkload":
-        """YCSB B: 95 % reads, 5 % updates (read mostly)."""
-        return cls(n_records, lookup_fraction=0.95, seed=seed, name="ycsb-b")
-
-    @classmethod
-    def workload_c(cls, n_records: int, seed: int = 0) -> "YCSBWorkload":
-        """YCSB C: 100 % reads."""
-        return cls(n_records, lookup_fraction=1.0, seed=seed, name="ycsb-c")
-
-    @classmethod
-    def workload_e(
-        cls, n_records: int, seed: int = 0, range_span: int = 64
-    ) -> "YCSBWorkload":
-        """YCSB E: 95 % range scans, 5 % updates."""
-        return cls(
-            n_records,
-            lookup_fraction=0.95,
-            range_fraction=1.0,
-            range_span=range_span,
-            seed=seed,
-            name="ycsb-e",
-        )
 
     @classmethod
     def paper_range_mix(

@@ -57,25 +57,3 @@ class ZipfianSampler:
         if self.scrambled:
             return self._scramble(ranks)
         return ranks.astype(np.int64)
-
-    def probability_of_rank(self, rank: int) -> float:
-        """P(the rank-th most popular item) — used by distribution tests."""
-        if not 0 <= rank < self.n_items:
-            raise WorkloadError(f"rank out of range: {rank}")
-        previous = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - previous)
-
-
-class UniformSampler:
-    """Uniform sampling over ``[0, n_items)`` with the same interface."""
-
-    def __init__(self, n_items: int, rng: np.random.Generator) -> None:
-        if n_items < 1:
-            raise WorkloadError(f"n_items must be >= 1, got {n_items}")
-        self.n_items = n_items
-        self._rng = rng
-
-    def sample(self, size: int) -> np.ndarray:
-        if size < 0:
-            raise WorkloadError(f"size must be >= 0, got {size}")
-        return self._rng.integers(0, self.n_items, size=size, dtype=np.int64)

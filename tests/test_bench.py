@@ -2,9 +2,13 @@
 
 import dataclasses
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.bench import (
     Experiment,
     SystemSpec,
@@ -18,7 +22,6 @@ from repro.bench import (
     format_ranking_table,
     format_summary,
     format_transfer_report,
-    rank_systems,
     run_experiment,
     run_system,
     run_warmstart_transfer,
@@ -31,7 +34,7 @@ from repro.bench import (
 )
 from repro.bench.experiments import NAMED_EXPERIMENTS
 from repro.bench.harness import SeriesResult
-from repro.bench.harness import main as harness_main
+from repro.bench.__main__ import main as bench_main
 from repro.config import BloomScheme, SystemConfig
 from repro.core.tuners import StaticTuner
 from repro.errors import ConfigError, SnapshotError, WorkloadError
@@ -96,18 +99,19 @@ class TestHarness:
         with pytest.raises(WorkloadError):
             tiny_experiment(n_missions=0)
 
-    def test_rank_systems_orders_by_latency(self):
-        results = {
-            "fast": SeriesResult("fast", [self._mission(0.1)], [[1]]),
-            "slow": SeriesResult("slow", [self._mission(0.9)], [[1]]),
-        }
-        assert rank_systems(results) == ["fast", "slow"]
-
     @staticmethod
     def _mission(latency):
         return MissionStats(
             index=0, n_lookups=10, read_time=latency * 10, write_time=0.0
         )
+
+    def test_mean_latency_refuses_nonpositive_last_n(self):
+        missions = [self._mission(v) for v in (0.001, 0.002, 0.003)]
+        result = SeriesResult("x", missions, [[1]] * 3)
+        assert result.mean_latency(last_n=2) == pytest.approx(0.0025)
+        for last_n in (0, -1):
+            with pytest.raises(ConfigError):
+                result.mean_latency(last_n=last_n)
 
     def test_session_rankings(self):
         def series(values):
@@ -129,11 +133,10 @@ class TestHarness:
     def test_series_read_write_split(self):
         experiment = tiny_experiment()
         result = run_system(experiment, experiment.systems[0])
-        assert (result.read_latencies >= 0).all()
-        assert (result.write_latencies >= 0).all()
-        assert result.total_time() == pytest.approx(
-            float(result.read_latencies.sum() + result.write_latencies.sum())
-        )
+        reads = [m.read_time for m in result.missions]
+        writes = [m.write_time for m in result.missions]
+        assert min(reads) >= 0 and min(writes) >= 0
+        assert result.total_time() == pytest.approx(sum(reads) + sum(writes))
 
     def test_twin_runs_are_equal_records_and_byte_equal_reports(self):
         """Results are a pure function of (config, seed): no field of a
@@ -252,9 +255,22 @@ class TestExperimentConfigs:
         assert len(names) == len(NAMED_EXPERIMENTS)  # one experiment per name
         assert "fig7-dynamic" in names and "fig11-range" in names
         with pytest.raises(SystemExit):
-            harness_main(["static:mixed-up"])
+            bench_main(["static:mixed-up"])
         error = capsys.readouterr().err
         assert all(repr(name) in error for name in NAMED_EXPERIMENTS)
+        with pytest.raises(SystemExit):
+            bench_main(["dynamic", "--last-n", "0"])
+        assert "--last-n must be >= 1" in capsys.readouterr().err
+
+    def test_cli_module_runs_once(self):
+        """``python -m repro.bench`` imports no module that then runs
+        again as ``__main__`` (that import prints a RuntimeWarning)."""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.bench", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestWarmStartTransfer:

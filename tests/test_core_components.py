@@ -9,7 +9,6 @@ from repro.core import (
     GreedyThresholdTuner,
     LazyLevelingTuner,
     MissionRunner,
-    NoOpTuner,
     PolicyPropagator,
     RunningScale,
     STATE_DIM,
@@ -17,7 +16,6 @@ from repro.core import (
     WorkloadChangeDetector,
     level_state,
     mission_reward,
-    paper_greedy_variants,
 )
 from repro.core.tuners import Tuner
 from repro.engine.sharded import ShardedStore
@@ -222,14 +220,6 @@ class TestStaticTuner:
         with pytest.raises(ConfigError):
             StaticTuner(0)
 
-    def test_noop_tuner_does_nothing(self, tiny_config):
-        tree = LSMTree(tiny_config)
-        for i in range(200):
-            tree.put(i, i)
-        policies = tree.policies()
-        NoOpTuner().observe_mission(tree, make_mission())
-        assert tree.policies() == policies
-
     def test_base_tuner_is_abstract(self, tiny_config):
         with pytest.raises(NotImplementedError):
             Tuner().observe_mission(LSMTree(tiny_config), make_mission())
@@ -312,11 +302,6 @@ class TestGreedyThresholdTuner:
         mission.level_write_time.clear()
         tuner.observe_mission(tree, mission)
         assert all(k == 4 for k in tree.policies())  # decreased from 5
-
-    def test_paper_variants(self):
-        variants = paper_greedy_variants()
-        assert len(variants) == 6
-        assert variants[0].name == "greedy(50%,50%)"
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,5 @@
 """Tests for repro.cost: Table 2 transition formulas, Eq. 5 operation
-costs, Eq. 4 propagation and amplification estimators."""
+costs and Eq. 4 propagation."""
 
 import math
 
@@ -10,27 +10,17 @@ from hypothesis import strategies as st
 from repro.config import BloomScheme, CostModelParams, SystemConfig
 from repro.cost import (
     TransitionScenario,
-    amortized_greedy_immediate_ios,
-    amortized_lazy_delay_seconds,
     clamp_policy,
     flexible_costs,
     greedy_costs,
     lazy_costs,
     lemma_next_policy,
     level_operation_cost,
-    level_read_amplification,
-    level_write_amplification,
-    measured_read_amplification,
-    measured_write_amplification,
     optimal_policies_whitebox,
-    optimal_policy_continuous,
     paper_case_study,
     propagate_policies,
-    tree_operation_cost,
-    tree_write_amplification,
 )
 from repro.errors import ConfigError
-from repro.storage.pager import IOCounters
 
 
 def paper_scenario(**overrides):
@@ -74,15 +64,6 @@ class TestTable2CaseStudy:
         flexible = flexible_costs(scenario)
         assert flexible.immediate_ios == 0.0
         assert flexible.delay_seconds == 0.0
-
-    def test_amortized_forms(self):
-        scenario = paper_scenario()
-        assert amortized_greedy_immediate_ios(scenario) == pytest.approx(
-            1_024_000 / (2 * 4096)
-        )
-        assert amortized_lazy_delay_seconds(scenario) == pytest.approx(
-            1_024_000 / (2 * scenario.updates_per_second * 1024)
-        )
 
 
 class TestTransitionCostOrdering:
@@ -158,16 +139,6 @@ class TestOperationCost:
                 1, 0.02, 1.5, self.costs, 10, 1024, 4096
             )
 
-    def test_tree_cost_sums_levels(self):
-        config = SystemConfig()
-        single = tree_operation_cost([5], [0.02], 0.5, config)
-        double = tree_operation_cost([5, 5], [0.02, 0.02], 0.5, config)
-        assert double == pytest.approx(2 * single)
-
-    def test_tree_cost_validates_lengths(self):
-        with pytest.raises(ConfigError):
-            tree_operation_cost([5], [0.02, 0.02], 0.5, SystemConfig())
-
 
 class TestOptimalPolicy:
     def test_read_heavy_wants_aggressive(self):
@@ -195,13 +166,6 @@ class TestOptimalPolicy:
         config = SystemConfig(bloom_scheme=BloomScheme.MONKEY, bits_per_key=4.0)
         policies = optimal_policies_whitebox(0.5, 4, config)
         assert policies == sorted(policies, reverse=True)
-
-    def test_continuous_optimum_degenerate_cases(self):
-        costs = CostModelParams()
-        assert math.isinf(
-            optimal_policy_continuous(1, 0.02, 0.0, costs, 10, 1024, 4096)
-        )
-        assert optimal_policy_continuous(1, 0.02, 1.0, costs, 10, 1024, 4096) == 0.0
 
     def test_clamp_policy(self):
         assert clamp_policy(0.4, 10) == 1
@@ -252,31 +216,3 @@ class TestPropagation:
     def test_lemma_rejects_invalid(self):
         with pytest.raises(ConfigError):
             lemma_next_policy(0, 5, 10)
-
-
-class TestAmplification:
-    def test_read_amplification_formula(self):
-        assert level_read_amplification(0.02, 5, 0.5) == pytest.approx(0.05)
-
-    def test_write_amplification_formula(self):
-        assert level_write_amplification(10, 2) == pytest.approx(5.0)
-
-    def test_tree_write_amplification(self):
-        assert tree_write_amplification(10, [1, 2, 5]) == pytest.approx(
-            10.0 + 5.0 + 2.0
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            level_read_amplification(0.02, 0, 0.5)
-        with pytest.raises(ConfigError):
-            level_read_amplification(0.02, 1, 1.5)
-        with pytest.raises(ConfigError):
-            level_write_amplification(1, 1)
-
-    def test_measured_amplifications(self):
-        io = IOCounters(random_reads=50, seq_writes=100)
-        assert measured_read_amplification(io, 25) == pytest.approx(2.0)
-        assert measured_write_amplification(io, 100, 4) == pytest.approx(4.0)
-        assert measured_read_amplification(io, 0) == 0.0
-        assert measured_write_amplification(io, 0, 4) == 0.0

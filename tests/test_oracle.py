@@ -572,7 +572,7 @@ class Oracle(RuleBasedStateMachine):
 
     @rule(bits=st.sampled_from((2.0, 5.0, 10.0)))
     def set_bits_per_key(self, bits):
-        # A per-tree knob (repro.core.extensions tunes it tree by tree).
+        # A per-tree knob: each tree keeps its own Bloom budget.
         self.tune("set_bits_per_key", bits, per_tree=True)
 
     def close_windows(self, names, tune):

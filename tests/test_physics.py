@@ -6,10 +6,6 @@ from repro.config import BloomScheme, SystemConfig
 from repro.core.missions import MissionRunner
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
-from repro.cost import (
-    measured_read_amplification,
-    measured_write_amplification,
-)
 from repro.lsm.tree import LSMTree
 from repro.workload.uniform import UniformWorkload
 
@@ -39,9 +35,8 @@ class TestAmplificationPhysics:
             store = run_static(policy, gamma=0.0)
             io = store.io_counters
             amps.append(
-                measured_write_amplification(
-                    io, store.view().total_updates, store.config.entries_per_page
-                )
+                io.total_writes * store.config.entries_per_page
+                / store.view().total_updates
             )
         assert amps[0] > amps[1] > amps[2]
         # Leveling rewrites entries many times; tiering only a handful.
@@ -71,9 +66,7 @@ class TestAmplificationPhysics:
             store.bulk_load(keys, values, distribute=True)
             store.run_missions(workload.missions(10, 600))
             reads.append(
-                measured_read_amplification(
-                    store.io_counters, store.view().total_lookups
-                )
+                store.io_counters.random_reads / store.view().total_lookups
             )
         assert reads[1] < reads[0]
 
@@ -110,8 +103,8 @@ class TestMonkeyPhysics:
             keys, values = workload.load_records()
             store.bulk_load(keys, values, distribute=True)
             store.run_missions(workload.missions(12, 600))
-            reads[scheme] = measured_read_amplification(
-                store.io_counters, store.view().total_lookups
+            reads[scheme] = (
+                store.io_counters.random_reads / store.view().total_lookups
             )
         assert reads[BloomScheme.MONKEY] < reads[BloomScheme.UNIFORM]
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig, TransitionKind
 from repro.core import NamedPolicyLerp, NamedPolicyTuner, RusKey, StaticTuner
 from repro.core.lerp import LerpConfig
-from repro.cost.amplification import named_policy_write_amplification
 from repro.engine.base import KVEngine
 from repro.engine.sharded import ShardedStore
 from repro.errors import PolicyError
@@ -76,16 +75,6 @@ class TestPolicyAbstraction:
         assert classify_policies([], 10) is None
         # Depth 1: leveling wins the [1] tie (encoding order).
         assert classify_policies([1], 10) == "leveling"
-
-    def test_analytic_write_amplification_ordering(self):
-        t, depth = 10, 4
-        leveling = named_policy_write_amplification("leveling", t, depth)
-        tiering = named_policy_write_amplification("tiering", t, depth)
-        lazy = named_policy_write_amplification("lazy-leveling", t, depth)
-        assert leveling == depth * t
-        assert tiering == depth
-        assert lazy == (depth - 1) + t
-        assert tiering < lazy < leveling
 
 
 # ----------------------------------------------------------------------

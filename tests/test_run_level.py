@@ -54,16 +54,14 @@ class TestSortedRunConstruction:
         run = make_run(range(0, 20, 2), entries_per_page=4)
         assert run.n_entries == 10
         assert run.n_pages == 3  # ceil(10/4)
-        assert run.min_key == 0
-        assert run.max_key == 18
+        assert run.keys[0] == 0 and run.keys[-1] == 18
         assert not run.is_empty
 
     def test_empty_run(self):
         run = make_run([])
         assert run.is_empty
         assert run.n_pages == 0
-        assert run.min_key is None
-        assert run.max_key is None
+        assert len(run.keys) == 0
 
     def test_capacity_flag(self):
         run = make_run([1, 2, 3], capacity=3)

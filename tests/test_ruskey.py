@@ -6,7 +6,7 @@ import pytest
 from repro.core.lerp import Lerp, LerpConfig
 from repro.core.ruskey import RusKey
 from repro.core.tuners import StaticTuner
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.workload.uniform import UniformWorkload
 
 
@@ -91,6 +91,13 @@ class TestMissionLoop:
 
     def test_mean_latency_empty(self, store):
         assert store.mean_latency() == 0.0
+
+    def test_mean_latency_refuses_nonpositive_last_n(self, store):
+        workload = UniformWorkload(500, lookup_fraction=0.5, seed=1)
+        store.run_workload(workload, n_missions=3, mission_size=50)
+        for last_n in (0, -1):
+            with pytest.raises(ConfigError):
+                store.mean_latency(last_n=last_n)
 
 
 class TestEndToEndTuning:

@@ -302,3 +302,48 @@ class TestPolicyControl:
                 for key in range(40):
                     tree.get(key)
         assert cached.stats.total_read_time < base.stats.total_read_time
+
+
+class TestSetBitsPerKey:
+    def test_updates_level_fprs(self, tiny_config):
+        tree = LSMTree(tiny_config)
+        for i in range(300):
+            tree.put(i, i)
+        old_fprs = [level.fpr for level in tree.levels]
+        tree.set_bits_per_key(tiny_config.bits_per_key * 2)
+        new_fprs = [level.fpr for level in tree.levels]
+        assert all(new < old for new, old in zip(new_fprs, old_fprs))
+
+    def test_existing_runs_keep_filters(self, tiny_config):
+        tree = LSMTree(tiny_config)
+        for i in range(300):
+            tree.put(i, i)
+        run = next(r for level in tree.levels for r in level.runs)
+        fpr_before = run.fpr
+        tree.set_bits_per_key(16.0)
+        assert run.fpr == fpr_before
+
+    def test_new_runs_use_new_budget(self, tiny_config):
+        tree = LSMTree(tiny_config)
+        for i in range(300):
+            tree.put(i, i)
+        tree.set_bits_per_key(16.0)
+        for i in range(300, 600):
+            tree.put(i, i)
+        newest = tree.levels[0].runs[-1]
+        assert newest.fpr == pytest.approx(tree.levels[0].fpr)
+
+    def test_rejects_nonpositive(self, tiny_config):
+        tree = LSMTree(tiny_config)
+        with pytest.raises(TreeStateError):
+            tree.set_bits_per_key(0.0)
+
+    def test_lookups_still_correct_after_change(self, tiny_config):
+        tree = LSMTree(tiny_config)
+        for i in range(400):
+            tree.put(i, i * 3)
+        tree.set_bits_per_key(2.0)
+        for i in range(400, 800):
+            tree.put(i, i * 3)
+        for key in (0, 200, 500, 799):
+            assert tree.get(key) == key * 3

@@ -6,7 +6,7 @@ Builds a steady-state FLSM-tree with a tracer attached
 :meth:`LSMTree.get_batch` and range batches through
 :meth:`LSMTree.range_scan_batch`, and prints the per-stage wall-clock
 breakdown the batch spans lapped (point stages: memtable / search / bloom /
-cache; range stages: range_search / range_charge / range_gather /
+charge; range stages: range_search / range_charge / range_gather /
 range_merge — a fold over ``tracer.spans()``) plus headline throughput.
 Pass ``--range-batches 0`` to profile point lookups only.
 
@@ -33,12 +33,13 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.lsm import FLSMTree
 from repro.lsm.rangepath import RANGE_STAGES
+from repro.lsm.readplan import PLAN_STAGES
 from repro.obs import Tracer, stage_totals
 from repro.workload.zipf import ZipfianSampler
 
 POLICIES = ("leveling", "tiering", "lazy-leveling")
 #: Stage rows of the report, in pipeline order.
-STAGES = ("memtable", "search", "bloom", "cache") + RANGE_STAGES
+STAGES = ("memtable",) + PLAN_STAGES + RANGE_STAGES
 
 
 def format_report(spans) -> tuple[str, float]:

@@ -105,16 +105,13 @@ class BitArrayBloomFilter:
         positions = self._positions(np.asarray([key], dtype=np.int64))[0]
         return bool(self._bits[positions].all())
 
-    def might_contain_batch(
-        self, keys: np.ndarray, present: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`might_contain` over an int64 array.
+    def draws(self, present: np.ndarray) -> int:
+        """Uniforms :meth:`might_contain_batch` consumes: none, it hashes."""
+        return 0
 
-        ``present`` (exact membership of each key, when the caller already
-        knows it) is accepted for interface parity with the analytical
-        filter; a real bit-array filter still has to hash every key, so it
-        is ignored here.
-        """
+    def might_contain_batch(self, keys: np.ndarray, present=None, uniforms=None) -> np.ndarray:
+        """Vectorized :meth:`might_contain` over an int64 array; the
+        analytical filter's hints are ignored (a real filter hashes)."""
         keys = np.asarray(keys, dtype=np.int64)
         if self._num_bits == 0:
             return np.ones(len(keys), dtype=bool)
@@ -139,9 +136,7 @@ class AnalyticalBloomFilter:
 
     __slots__ = ("_sorted_keys", "_fpr", "_rng", "_num_bits")
 
-    def __init__(
-        self, sorted_keys: np.ndarray, fpr: float, rng: np.random.Generator
-    ) -> None:
+    def __init__(self, sorted_keys: np.ndarray, fpr: float, rng: np.random.Generator) -> None:
         if not 0.0 < fpr <= 1.0:
             raise ConfigError(f"fpr must be in (0, 1], got {fpr}")
         self._sorted_keys = np.asarray(sorted_keys, dtype=np.int64)
@@ -150,9 +145,7 @@ class AnalyticalBloomFilter:
         if fpr >= 1.0 or len(sorted_keys) == 0:
             self._num_bits = 0
         else:
-            self._num_bits = int(
-                math.ceil(-len(sorted_keys) * math.log(fpr) / (_LN2 * _LN2))
-            )
+            self._num_bits = int(math.ceil(-len(sorted_keys) * math.log(fpr) / (_LN2 * _LN2)))
 
     def _contains(self, keys: np.ndarray) -> np.ndarray:
         if len(self._sorted_keys) == 0:
@@ -169,19 +162,18 @@ class AnalyticalBloomFilter:
             return True
         return bool(self._rng.random() < self._fpr)
 
-    def might_contain_batch(
-        self, keys: np.ndarray, present: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """Vectorized :meth:`might_contain`.
+    def draws(self, present: np.ndarray) -> int:
+        """Uniforms :meth:`might_contain_batch` takes: one per absent key."""
+        if self._fpr >= 1.0:
+            return 0
+        return len(present) - int(np.count_nonzero(present))
 
-        ``present`` is an optional exact-membership mask aligned with
-        ``keys``. When the caller already knows membership (the stacked
-        level index in :meth:`repro.lsm.tree.LSMTree.get_batch` does), the
-        internal binary search is skipped. The RNG is consumed *identically*
-        either way — one ``random(n_absent)`` draw over the same absent
-        mask in the same key order — so simulated results are bit-identical
-        with or without the hint.
-        """
+    def might_contain_batch(self, keys: np.ndarray, present=None, uniforms=None) -> np.ndarray:
+        """Vectorized :meth:`might_contain`. ``present`` (exact membership,
+        when the caller knows it) skips the binary search; ``uniforms`` are
+        the :meth:`draws` the caller took (the read plan draws once per
+        tree). The RNG stream is the same either way: one ``random(n)`` per
+        call over the absent keys, in key order."""
         if self._fpr >= 1.0:
             return np.ones(len(keys), dtype=bool)
         if present is None:
@@ -191,7 +183,9 @@ class AnalyticalBloomFilter:
         absent = ~result
         n_absent = int(np.count_nonzero(absent))
         if n_absent:
-            result[absent] = self._rng.random(n_absent) < self._fpr
+            if uniforms is None:
+                uniforms = self._rng.random(n_absent)
+            result[absent] = uniforms < self._fpr
         return result
 
     @property

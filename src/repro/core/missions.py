@@ -1,18 +1,15 @@
 """Mission execution against a storage engine.
 
 :class:`MissionRunner` applies a :class:`~repro.workload.spec.Mission` to
-any :class:`~repro.engine.base.KVEngine` (a single LSM/FLSM tree or a
-:class:`~repro.engine.sharded.ShardedStore`) and returns its
-:class:`~repro.lsm.stats.MissionStats`. Operations are processed in
-*chunks*: inside a chunk, updates are applied in their original order as
-one vectorized ``put_batch``, point lookups are then resolved as one
-vectorized ``get_batch``, and range lookups as one vectorized
-``range_scan_batch`` (bit-identical in cost and op accounting to per-op
-``range_lookup`` calls in chunk order — see :mod:`repro.lsm.rangepath`).
-``chunk_size=1`` degenerates to exact serial execution; larger chunks
-reorder lookups against updates by at most one chunk, which leaves the cost
-statistics of random workloads unchanged (tests verify serial and chunked
-runs agree) while making the large benchmarks an order of magnitude faster.
+any :class:`~repro.engine.base.KVEngine` and returns its
+:class:`~repro.lsm.stats.MissionStats`. The whole mission is checked
+before its window opens, then cut into *chunks* for the engine's
+``run_chunks``: per chunk, its updates in order, then its point lookups,
+then its ranges, charged as one ``put_batch`` / ``get_batch`` /
+``range_scan_batch`` per chunk would be (reads are charged once per flush
+interval, :mod:`repro.lsm.readplan`). ``chunk_size=1`` is exact serial
+execution; larger chunks reorder lookups against updates by at most one
+chunk, which leaves the cost statistics of random workloads unchanged.
 """
 
 from __future__ import annotations
@@ -20,8 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.lsm.entry import validate_batch, validate_keys
+from repro.lsm.readplan import MissionChunks
 from repro.lsm.stats import MissionStats
 from repro.workload.spec import OP_LOOKUP, OP_RANGE, OP_UPDATE, Mission
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class MissionRunner:
@@ -35,41 +36,45 @@ class MissionRunner:
 
     def run(self, mission: Mission) -> MissionStats:
         """Execute ``mission`` and return its statistics."""
+        chunks = self.chunks(mission)
         engine = self.engine
         engine.begin_mission()
         # The window closes on the way out of a failing mission too (a
-        # rejected batch raises from put_batch), so the engine stays usable.
+        # durable write may raise), so the engine stays usable.
         try:
-            self._run_chunks(mission)
+            engine.run_chunks(chunks)
         finally:
             stats = engine.end_mission()
         return stats
 
-    def _run_chunks(self, mission: Mission) -> None:
-        engine = self.engine
-        # The three op masks are taken once per mission: each kind's ops
-        # are gathered in stream order, and ``cuts[i]:cuts[i + 1]`` is chunk
-        # ``i``'s share of them, so a chunk is three array slices.
+    def chunks(self, mission: Mission) -> MissionChunks:
+        """``mission``'s columns by op kind, cut every ``chunk_size`` ops.
+
+        Refuses, before anything runs: an unknown op kind or a range whose
+        end passes ``INT64_MAX`` (:class:`WorkloadError`, the rule
+        :func:`repro.serve.loadgen.requests_from_mission` enforces), and
+        what the batch methods refuse — a non-integer column, an update
+        writing the tombstone sentinel (``ValueError``)."""
+        kinds = np.asarray(mission.kinds)
+        upd, get, rng = (kinds == op for op in (OP_UPDATE, OP_LOOKUP, OP_RANGE))
+        unknown = ~(upd | get | rng)
+        if unknown.any():
+            raise WorkloadError(f"unknown op kind: {kinds[unknown][0]}")
+        keys = validate_keys(mission.keys)
+        upd_keys, upd_values = validate_batch(keys[upd], np.asarray(mission.values)[upd])
+        los = keys[rng]
+        spans = validate_keys(np.asarray(mission.spans)[rng])
+        wide = spans > 1
+        # lo + span - 1 > INT64_MAX, arranged so that nothing overflows.
+        if (los[wide] > _INT64_MAX - (spans[wide] - 1)).any():
+            raise WorkloadError("a range end is outside int64")
         edges = np.arange(0, len(mission) + self.chunk_size, self.chunk_size)
 
-        def of_kind(op: int):
-            at = (mission.kinds == op).nonzero()[0]
-            return at, at.searchsorted(edges).tolist()
+        def cuts(mask: np.ndarray):
+            return mask.nonzero()[0].searchsorted(edges).tolist()
 
-        upd, upd_cuts = of_kind(OP_UPDATE)
-        get, get_cuts = of_kind(OP_LOOKUP)
-        rng, rng_cuts = of_kind(OP_RANGE)
-        upd_keys, upd_values = mission.keys[upd], mission.values[upd]
-        get_keys = mission.keys[get]
-        los = mission.keys[rng]
-        his = los + np.maximum(mission.spans[rng] - 1, 0)
-        for i in range(len(edges) - 1):
-            a, b = upd_cuts[i], upd_cuts[i + 1]
-            if a < b:
-                engine.put_batch(upd_keys[a:b], upd_values[a:b])
-            a, b = get_cuts[i], get_cuts[i + 1]
-            if a < b:
-                engine.get_batch(get_keys[a:b])
-            a, b = rng_cuts[i], rng_cuts[i + 1]
-            if a < b:
-                engine.range_scan_batch(los[a:b], his[a:b])
+        return MissionChunks(
+            upd_keys, upd_values, cuts(upd),
+            keys[get], cuts(get),
+            los, los + np.where(wide, spans - 1, 0), cuts(rng),
+        )

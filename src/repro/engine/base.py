@@ -12,56 +12,26 @@ the LSM layer does not need to import this package (no inheritance, no
 import cycle): any object with the right methods *is* an engine, and
 ``isinstance(obj, KVEngine)`` checks conformance at runtime.
 
-The protocol lists the 16 *primitive* members — what an engine must
+The protocol lists the 17 *primitive* members — what an engine must
 implement itself. What follows from them (scalar ``get`` / ``range_lookup``
 / ``put`` / ``delete`` as one-element batches; ``clock_now`` /
 ``io_counters`` / ``cache_hits`` / ``cache_misses`` / ``total_entries`` as
 reads of ``view()``) is defined once, in
 :class:`~repro.lsm.tree.DerivedMembers`, which every engine inherits.
 
-The contract, beyond plain data access:
-
-* **Batch paths** — ``put_batch``/``delete_batch``/``get_batch``/
-  ``range_scan_batch`` are *the* data path. ``put_batch`` and
-  ``delete_batch`` must be semantically equivalent to a per-key loop
-  against the same engine state (identical flush boundaries and cost
-  charging), just vectorized; a delete is a write of the tombstone.
-* **One view** — ``view()`` is an immutable
-  :class:`~repro.lsm.stats.EngineView` of every cumulative simulated
-  observable; a sharded engine's is the left fold (``+``) of its shards',
-  and engines that must be sim-identical compare ``==``.
-* **Mission windows** — ``begin_mission``/``end_mission`` bracket one batch
-  of operations; ``end_mission`` returns the window's aggregated
-  :class:`~repro.lsm.stats.MissionStats`. For a sharded engine the returned
-  record sums the per-shard windows (see DESIGN.md, "Sharded stats
-  aggregation").
-* **Tuning surface** — ``tuning_targets`` exposes the underlying tree(s) a
-  :class:`~repro.core.tuners.Tuner` may adjust, and
-  ``last_mission_breakdown`` the matching per-target stats of the last
-  completed mission, so one tuner (or one tuner per shard) can be wired to
-  any engine without knowing its topology.
-* **Policy control** — ``set_policies`` sets the compaction policy of
-  levels ``1..len(policies)`` using a given transition kind on every
-  underlying tree; ``set_named_policy``/``named_policy`` do the same for
-  the named tiering/leveling/lazy-leveling dimension
-  (:mod:`repro.lsm.policy`), which is also the discrete policy action
-  surface the RL tuner drives.
+Each member's docstring states its part of the contract; DESIGN.md §3
+has the whole of it (batch paths equal to per-key loops, the one view and
+its merge law, mission windows, the tuning surface, policy control).
 """
 
 from __future__ import annotations
 
-from typing import (
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.config import SystemConfig, TransitionKind
+from repro.lsm.readplan import MissionChunks
 from repro.lsm.stats import EngineView, MissionStats
 
 
@@ -94,9 +64,13 @@ class KVEngine(Protocol):
         ``keys[offsets[i]:offsets[i + 1]]``."""
         ...
 
-    def bulk_load(
-        self, keys: np.ndarray, values: np.ndarray, distribute: bool = False
-    ) -> None:
+    def run_chunks(self, chunks: MissionChunks) -> None:
+        """Apply a mission's chunks (each chunk's updates, point lookups,
+        then ranges), sim-identical to one ``put_batch`` / ``get_batch``
+        / ``range_scan_batch`` call per chunk, results not built."""
+        ...
+
+    def bulk_load(self, keys: np.ndarray, values: np.ndarray, distribute: bool = False) -> None:
         """Populate an empty engine without charging simulated time."""
         ...
 
@@ -123,9 +97,7 @@ class KVEngine(Protocol):
         """Representative per-level compaction policies, shallow to deep."""
         ...
 
-    def set_policies(
-        self, new_policies: Sequence[int], transition: TransitionKind
-    ) -> None:
+    def set_policies(self, new_policies: Sequence[int], transition: TransitionKind) -> None:
         """Set the policy of levels ``1..len(policies)`` on every tree."""
         ...
 
@@ -134,9 +106,7 @@ class KVEngine(Protocol):
         ``None`` when levels are governed by raw per-level ``K`` values."""
         ...
 
-    def set_named_policy(
-        self, policy: object, transition: TransitionKind
-    ) -> None:
+    def set_named_policy(self, policy: object, transition: TransitionKind) -> None:
         """Pin every underlying tree to a named compaction policy
         (leveling / tiering / lazy-leveling) via ``transition``."""
         ...

@@ -1,22 +1,13 @@
-"""Hash-partitioned multi-tree engine.
+"""Hash-partitioned multi-tree engine (DESIGN.md §4).
 
 :class:`ShardedStore` splits the keyspace over ``n_shards`` independent
 FLSM-trees by a Fibonacci hash of the key. Each shard owns its clock, disk
-model, cache and :class:`~repro.lsm.stats.StatsCollector`; the store's
-:meth:`~ShardedStore.view` is the left fold of its shards' views, so
-everything written against the :class:`~repro.engine.base.KVEngine`
-contract (mission runner, tuners, benchmark harness) drives a sharded store
-exactly like a single tree.
-
-Aggregation rule (see DESIGN.md): shards model independent stores executing
-their slice of the traffic serially on one device, so *times and counters
-sum* across shards (``EngineView.__add__``) — ``clock_now`` is the sum of
-shard clocks, the aggregated :class:`~repro.lsm.stats.MissionStats` of a
-mission window sums the per-shard windows field by field, and per-level
-time maps merge by summing per level. Operation counts are attributed to
-exactly one shard (the key's home shard; a range scan counts once, on the
-home shard of its start key) so aggregated counts equal the counts an
-unsharded tree would report for the same operations.
+model, cache and stats collector; shards model independent stores running
+their slice of the traffic serially on one device, so times and counters
+*sum* (:meth:`~ShardedStore.view` is the left fold of the shards' views,
+a mission window's record sums theirs), and each operation is counted on
+exactly one shard — the key's home, a range's ``lo``'s home — so counts
+equal an unsharded tree's.
 """
 
 from __future__ import annotations
@@ -30,7 +21,8 @@ import numpy as np
 from repro.config import SystemConfig, TransitionKind
 from repro.errors import ConfigError, TreeStateError
 from repro.lsm.entry import validate_batch, validate_keys
-from repro.lsm.rangepath import empty_batch_result, scan_batch, validate_ranges
+from repro.lsm.rangepath import BatchResult, empty_batch_result, scan_batch, validate_ranges
+from repro.lsm.readplan import MissionChunks, run_chunks
 from repro.lsm.stats import EngineView, MissionStats, sum_level_maps
 from repro.lsm.tree import DerivedMembers, LSMTree, open_span
 from repro.storage.pager import IOCounters
@@ -60,9 +52,7 @@ def shard_of_key(key: int, n_shards: int) -> int:
     return (h >> 17) % n_shards
 
 
-def merge_mission_stats(
-    index: int, parts: Sequence[MissionStats]
-) -> MissionStats:
+def merge_mission_stats(index: int, parts: Sequence[MissionStats]) -> MissionStats:
     """Sum per-shard mission windows into one store-level record."""
     return MissionStats(
         index=index,
@@ -93,21 +83,15 @@ class ShardedStore(DerivedMembers):
         self,
         config: SystemConfig,
         n_shards: int,
-        tree_factory: Optional[
-            Callable[[SystemConfig, int], LSMTree]
-        ] = None,
+        tree_factory: Optional[Callable[[SystemConfig, int], LSMTree]] = None,
     ) -> None:
         if n_shards < 1:
             raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
         self.config = config
         self.n_shards = n_shards
         if tree_factory is None:
-            tree_factory = lambda cfg, i: LSMTree(  # noqa: E731
-                cfg.with_updates(seed=cfg.seed + i)
-            )
-        self.shards: List[LSMTree] = [
-            tree_factory(config, i) for i in range(n_shards)
-        ]
+            tree_factory = lambda cfg, i: LSMTree(cfg.with_updates(seed=cfg.seed + i))  # noqa: E731
+        self.shards: List[LSMTree] = [tree_factory(config, i) for i in range(n_shards)]
         self._mission_index = 0
         self._last_breakdown: List[MissionStats] = []
         #: Optional span tracer (see :meth:`set_tracer`); store-level spans
@@ -125,23 +109,11 @@ class ShardedStore(DerivedMembers):
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _shard_groups(self, keys: np.ndarray):
-        """Group a key batch per home shard with one stable sort.
-
-        Yields ``(shard_no, idx)`` for each non-empty group, where ``idx``
-        indexes the caller's arrays *in original order* (the stable sort
-        preserves each shard's operation order, so per-shard execution is
-        identical to routing the keys one by one).
-        """
-        shard_ids = shard_of(keys, self.n_shards)
-        order = np.argsort(shard_ids, kind="stable")
-        bounds = np.searchsorted(
-            shard_ids[order], np.arange(self.n_shards + 1)
-        )
-        for s in range(self.n_shards):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if lo != hi:
-                yield s, order[lo:hi]
+    def _routes(self, keys: np.ndarray) -> List[np.ndarray]:
+        """Per shard, the indices of its keys in batch order, so each shard
+        runs its keys as routing them one by one would."""
+        homes = shard_of(keys, self.n_shards)
+        return [(homes == s).nonzero()[0] for s in range(self.n_shards)]
 
     # ------------------------------------------------------------------
     # Batch data path
@@ -155,8 +127,9 @@ class ShardedStore(DerivedMembers):
         if len(keys) == 0:
             return
         with open_span(self.tracer, "store.put_batch", n_keys=len(keys)):
-            for s, idx in self._shard_groups(keys):
-                self.shards[s].put_batch(keys[idx], values[idx])
+            for shard, idx in zip(self.shards, self._routes(keys)):
+                if len(idx):
+                    shard.put_batch(keys[idx], values[idx])
 
     def delete_batch(self, keys: np.ndarray) -> None:
         """Group the keys per shard, then bulk-delete each group; as with
@@ -166,8 +139,9 @@ class ShardedStore(DerivedMembers):
         if len(keys) == 0:
             return
         with open_span(self.tracer, "store.delete_batch", n_keys=len(keys)):
-            for s, idx in self._shard_groups(keys):
-                self.shards[s].delete_batch(keys[idx])
+            for shard, idx in zip(self.shards, self._routes(keys)):
+                if len(idx):
+                    shard.delete_batch(keys[idx])
 
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized lookups grouped per shard (one batch call per shard
@@ -181,52 +155,45 @@ class ShardedStore(DerivedMembers):
         if n == 0:
             return found, values
         with open_span(self.tracer, "store.get_batch", n_keys=n):
-            for s, idx in self._shard_groups(keys):
-                shard_found, shard_values = self.shards[s].get_batch(keys[idx])
-                found[idx] = shard_found
-                values[idx] = shard_values
+            for shard, idx in zip(self.shards, self._routes(keys)):
+                if len(idx):
+                    found[idx], values[idx] = shard.get_batch(keys[idx])
             return found, values
 
-    def range_scan_batch(
-        self, los: np.ndarray, his: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized cross-shard range scans.
-
-        Hash partitioning does not preserve key order, so every shard
-        scans the whole batch — in one stacked pass over all shards (see
-        :func:`repro.lsm.rangepath.scan_batch`): per-shard charges replay
-        in range order, bit-identical to a per-op loop (shard clocks are
-        independent, so cross-shard interleaving is unobservable), and
-        the key-disjoint shards' segments merge per range in the same
-        ``(range_id, key)`` lexsort that merges each shard's runs. Each
-        range is *counted* once, on the home shard of its ``lo``, so
-        aggregated operation counts match an unsharded tree. Returns flat
-        ``(keys, values, offsets)`` arrays in the
-        :meth:`LSMTree.range_scan_batch` layout.
-        """
+    def range_scan_batch(self, los: np.ndarray, his: np.ndarray) -> BatchResult:
+        """Cross-shard range scans: hash partitioning does not preserve key
+        order, so every shard scans the whole batch, in one stacked pass
+        (:func:`repro.lsm.rangepath.scan_batch`, bit-identical to a per-op
+        loop per shard). Each range counts once, on the home shard of its
+        ``lo``. Returns :meth:`LSMTree.range_scan_batch`'s layout."""
         los, his = validate_ranges(los, his)
         n_ranges = len(los)
         if n_ranges == 0:
             return empty_batch_result(0)
-        with open_span(
-            self.tracer, "store.range_scan_batch", n_ranges=n_ranges
-        ) as span:
+        with open_span(self.tracer, "store.range_scan_batch", n_ranges=n_ranges) as span:
             homes = np.bincount(shard_of(los, self.n_shards), minlength=self.n_shards)
             for shard, n_home in zip(self.shards, homes.tolist()):
                 if n_home:
                     shard.stats.count_range(n_home)
             return scan_batch(self.shards, los, his, span)
 
-    def bulk_load(
-        self, keys: np.ndarray, values: np.ndarray, distribute: bool = False
-    ) -> None:
+    def run_chunks(self, chunks: MissionChunks) -> None:
+        """Apply a mission's chunks over every shard, one read plan each
+        (:func:`repro.lsm.readplan.run_chunks`): the columns are routed
+        once per mission, a range counts on the home shard of its ``lo``,
+        and each shard charges its reads once per flush interval."""
+        with open_span(self.tracer, "store.run_chunks") as span:
+            run_chunks(self.shards, chunks, span, self._routes)
+
+    def bulk_load(self, keys: np.ndarray, values: np.ndarray, distribute: bool = False) -> None:
         """Partition the records by shard and bulk-load each shard (the
         whole load is validated before any shard sees it)."""
         if self.total_entries:
             raise TreeStateError("bulk_load requires an empty store")
         keys, values = validate_batch(keys, values)
-        for s, idx in self._shard_groups(keys):
-            self.shards[s].bulk_load(keys[idx], values[idx], distribute=distribute)
+        for shard, idx in zip(self.shards, self._routes(keys)):
+            if len(idx):
+                shard.bulk_load(keys[idx], values[idx], distribute=distribute)
 
     # ------------------------------------------------------------------
     # Mission windows
@@ -257,16 +224,12 @@ class ShardedStore(DerivedMembers):
         ``view().policies``)."""
         return self.shards[0].policies()
 
-    def set_policies(
-        self, new_policies: Sequence[int], transition: TransitionKind
-    ) -> None:
+    def set_policies(self, new_policies: Sequence[int], transition: TransitionKind) -> None:
         """Set levels ``1..len(new_policies)`` on every shard."""
         for shard in self.shards:
             shard.set_policies(new_policies, transition)
 
-    def set_policy(
-        self, level_no: int, new_policy: int, transition: TransitionKind
-    ) -> None:
+    def set_policy(self, level_no: int, new_policy: int, transition: TransitionKind) -> None:
         """Set one level's policy on every shard."""
         for shard in self.shards:
             shard.set_policy(level_no, new_policy, transition)
@@ -276,9 +239,7 @@ class ShardedStore(DerivedMembers):
         with independent per-shard tuners shards may diverge)."""
         return self.shards[0].named_policy()
 
-    def set_named_policy(
-        self, policy, transition: TransitionKind = TransitionKind.FLEXIBLE
-    ) -> None:
+    def set_named_policy(self, policy, transition=TransitionKind.FLEXIBLE) -> None:
         """Pin every shard to a named compaction policy (see
         :mod:`repro.lsm.policy`)."""
         for shard in self.shards:

@@ -56,15 +56,11 @@ class SortedRun:
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
         if keys.shape != values.shape:
-            raise TreeStateError(
-                f"keys/values length mismatch: {keys.shape} vs {values.shape}"
-            )
+            raise TreeStateError(f"keys/values length mismatch: {keys.shape} vs {values.shape}")
         if len(keys) > 1 and not bool(np.all(keys[1:] > keys[:-1])):
             raise TreeStateError("run keys must be strictly increasing")
         if entries_per_page < 1:
-            raise TreeStateError(
-                f"entries_per_page must be >= 1, got {entries_per_page}"
-            )
+            raise TreeStateError(f"entries_per_page must be >= 1, got {entries_per_page}")
         self.run_id = run_id
         self.level_no = level_no
         self.keys = keys
@@ -113,17 +109,16 @@ class SortedRun:
     # ------------------------------------------------------------------
     # Point lookups
     # ------------------------------------------------------------------
-    def bloom_positive_batch(
-        self, keys: np.ndarray, present: "np.ndarray | None" = None
-    ) -> np.ndarray:
+    def bloom_positive_batch(self, keys: np.ndarray, present=None, uniforms=None) -> np.ndarray:
         """Whether the Bloom filter directs a disk probe, per key.
+        ``present`` (exact membership, from the stacked level index) and
+        ``uniforms`` (the :meth:`bloom_draws`, taken by the caller) are
+        hints the analytical filter uses and the bit-array one ignores."""
+        return self._bloom.might_contain_batch(keys, present, uniforms)
 
-        ``present`` is an optional exact-membership mask (from the stacked
-        level index); the analytical filter uses it to skip its internal
-        binary search while drawing false positives bit-identically, the
-        bit-array filter ignores it.
-        """
-        return self._bloom.might_contain_batch(keys, present=present)
+    def bloom_draws(self, present: np.ndarray) -> int:
+        """RNG uniforms a probe of keys with membership ``present`` takes."""
+        return self._bloom.draws(present)
 
     # ------------------------------------------------------------------
     # Pickling: a bit-array filter is a pure function of (keys, fpr,

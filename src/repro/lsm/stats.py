@@ -215,9 +215,7 @@ class StatsCollector:
                 self._current.level_read_time.get(level_no, 0.0) + seconds
             )
 
-    def read_totals(
-        self, level_nos: Sequence[int]
-    ) -> Tuple[float, List[float], float, List[float]]:
+    def read_totals(self, level_nos: Sequence[int]) -> Tuple[float, List[float], float, List[float]]:
         """The accumulators :meth:`add_read` adds to, for a caller-side
         replay: ``(total_read_time, per-level totals, open window's
         read_time, its per-level totals)``, per-level lists in
@@ -232,19 +230,11 @@ class StatsCollector:
             [window_levels.get(no, 0.0) for no in level_nos],
         )
 
-    def set_read_totals(
-        self,
-        level_nos: Sequence[int],
-        total: float,
-        level_totals: Sequence[float],
-        window_time: float,
-        window_levels: Sequence[float],
-    ) -> None:
-        """Write back what :meth:`read_totals` handed out, after the
-        caller added every charge to each value in :meth:`add_read` call
-        order — bit-equivalent to those calls (same addends, same order,
-        per accumulator), at one call per batch instead of one per charge
-        (:func:`repro.lsm.rangepath.scan_batch`)."""
+    def set_read_totals(self, level_nos, total, level_totals, window_time, window_levels) -> None:
+        """Write back what :meth:`read_totals` handed out, after the caller
+        added every charge to each value in :meth:`add_read` call order:
+        bit-equivalent to those calls, at one call per batch
+        (``ReadPlan.charge_ranges``)."""
         self.total_read_time = total
         self.level_read_time.update(zip(level_nos, level_totals))
         window = self._current

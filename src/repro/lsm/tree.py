@@ -37,7 +37,8 @@ from repro.lsm.entry import (
 from repro.lsm.level import Level
 from repro.lsm.memtable import MemTable
 from repro.lsm.policy import CompactionPolicy, PolicyLike, resolve_policy
-from repro.lsm.rangepath import scan_batch, validate_ranges
+from repro.lsm.rangepath import BatchResult, scan_batch, validate_ranges
+from repro.lsm.readplan import MissionChunks, ReadPlan, run_chunks
 from repro.lsm.run import SortedRun
 from repro.lsm.stats import EngineView, MissionStats, StatsCollector
 from repro.storage.cache import LRUBlockCache
@@ -151,9 +152,7 @@ class LSMTree(DerivedMembers):
     # to disk. An override is wall-clock-side only: it must not mutate the
     # tree or charge simulated costs.
     # ------------------------------------------------------------------
-    def _run_installed(
-        self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]
-    ) -> None:
+    def _run_installed(self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]) -> None:
         """``run`` was installed into ``level_no`` (replacing the active
         run ``replaced_run_id``, if any)."""
 
@@ -173,9 +172,7 @@ class LSMTree(DerivedMembers):
     def level(self, level_no: int) -> Level:
         """The :class:`Level` object for 1-based ``level_no``."""
         if not 1 <= level_no <= len(self.levels):
-            raise TreeStateError(
-                f"level {level_no} does not exist (tree has {len(self.levels)})"
-            )
+            raise TreeStateError(f"level {level_no} does not exist (tree has {len(self.levels)})")
         return self.levels[level_no - 1]
 
     def policies(self) -> List[int]:
@@ -214,9 +211,7 @@ class LSMTree(DerivedMembers):
         per-level FPR allocation immediately.
         """
         if bits_per_key <= 0:
-            raise TreeStateError(
-                f"bits_per_key must be > 0, got {bits_per_key}"
-            )
+            raise TreeStateError(f"bits_per_key must be > 0, got {bits_per_key}")
         self.bits_per_key = float(bits_per_key)
         self._fpr_depth = 0  # force re-allocation at the current depth
         self._refresh_fprs()
@@ -256,15 +251,11 @@ class LSMTree(DerivedMembers):
         pinned = self.compaction_policy
         if pinned is None or not self.levels:
             return
-        assignments = pinned.assignments(
-            len(self.levels), self.config.size_ratio
-        )
+        assignments = pinned.assignments(len(self.levels), self.config.size_ratio)
         for level, want in zip(self.levels, assignments):
             if level.pending_policy is not None:
                 if level.pending_policy != want:
-                    level.pending_policy = (
-                        want if level.policy != want else None
-                    )
+                    level.pending_policy = want if level.policy != want else None
                 continue
             if level.policy != want:
                 level.set_policy_flexible(want)
@@ -296,14 +287,9 @@ class LSMTree(DerivedMembers):
     # Public write path
     # ------------------------------------------------------------------
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Vectorized insert of many entries, in order.
-
-        Semantically identical to a per-key insert loop — same newest-wins
-        overwrites, same flush boundaries, same cost charging (the loop
-        lives test-side, ``tests/reference_put.py``) — but validation is
-        vectorized and the memtable is filled by bulk inserts with one
-        flush check per (remaining) batch instead of per key.
-        """
+        """Vectorized insert of many entries, in order: the per-key loop's
+        overwrites, flush boundaries and charges (``tests/reference_put.py``)
+        with bulk memtable inserts and one flush check per remaining batch."""
         keys, values = validate_batch(keys, values)
         self._write_batch("lsm.put_batch", keys, values)
 
@@ -312,9 +298,7 @@ class LSMTree(DerivedMembers):
         boundary a delete is a write of ``TOMBSTONE``, so it shares
         :meth:`put_batch`'s flush boundaries and cost charging exactly."""
         keys = validate_keys(keys)
-        self._write_batch(
-            "lsm.delete_batch", keys, np.full(len(keys), TOMBSTONE, dtype=np.int64)
-        )
+        self._write_batch("lsm.delete_batch", keys, np.full(len(keys), TOMBSTONE, dtype=np.int64))
 
     # perfbench patches ``vars(LSMTree)["delete"]``: the derived scalar has
     # to be found in this class's own body, not only inherited.
@@ -380,15 +364,11 @@ class LSMTree(DerivedMembers):
         cost += self.disk.sequential_write(self.config.pages_for_entries(len(keys)))
         self.stats.add_write(level_no, cost)
 
-        new_run = self._new_run(
-            level, keys, values, capacity_entries=level.active_run_capacity()
-        )
+        new_run = self._new_run(level, keys, values, capacity_entries=level.active_run_capacity())
         replaced = level.replace_active(new_run)
         if replaced is not None:
             self.disk.drop_run(replaced.run_id)
-        self._run_installed(
-            level_no, new_run, None if replaced is None else replaced.run_id
-        )
+        self._run_installed(level_no, new_run, None if replaced is None else replaced.run_id)
 
         if level.is_full:
             self._merge_level_down(level_no)
@@ -446,9 +426,7 @@ class LSMTree(DerivedMembers):
         for run in dropped:
             self.disk.drop_run(run.run_id)
         self._runs_dropped(level_no, [run.run_id for run in dropped])
-        rebuilt = self._new_run(
-            level, keys, values, capacity_entries=level.active_run_capacity()
-        )
+        rebuilt = self._new_run(level, keys, values, capacity_entries=level.active_run_capacity())
         level.replace_active(rebuilt)
         self._run_installed(level_no, rebuilt, None)
 
@@ -456,160 +434,50 @@ class LSMTree(DerivedMembers):
     # Public read path
     # ------------------------------------------------------------------
     def get_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized point lookups, one stacked numpy pass per level.
-
-        Returns ``(found_mask, values)`` aligned with ``keys``;
-        **bit-identical** to the run-at-a-time reference
-        (``tests/reference_get.py``) in every simulated
-        observable: probe order (newest run first), ``probe_cpu``/page-read
-        charges per run, Bloom RNG consumption, cache state.
-
-        Pipeline: the memtable resolves buffered keys (returning early when
-        the working set is read-hot enough to live in the buffer + shallow
-        levels); each level then consults its cached
-        :class:`~repro.lsm.level.LevelLookupIndex` to compute every key's
-        probe schedule across *all* runs of the level in one binary search,
-        leaving only O(pending) mask work, the per-run Bloom draw, and page
-        charging in the per-run loop. A batch ``validate_keys`` refuses is
-        rejected before a lookup is counted.
-        """
+        """Vectorized point lookups, ``(found_mask, values)``: the memtable,
+        then one chunk of the read plan (:meth:`ReadPlan.lookup_now`,
+        DESIGN.md §10), **bit-identical** in every simulated observable to
+        the run-at-a-time reference (``tests/reference_get.py``). A refused
+        batch counts nothing."""
         keys = validate_keys(keys)
         n = len(keys)
         self.stats.count_lookup(n)
         with open_span(self.tracer, "lsm.get_batch", n_keys=n) as span:
-            resolved, buffered_values = self.memtable.get_batch(keys)
-            found = resolved & (buffered_values != TOMBSTONE)
-            values = np.where(found, buffered_values, 0)
+            # ``stored`` is each resolved key's newest value, tombstone or not.
+            resolved, stored = self.memtable.get_batch(keys)
             if span is not None:
                 span.lap("memtable")
-            # Memtable fast path: a fully buffered batch probes no level.
-            if not resolved.all():
-                pending = (~resolved).nonzero()[0]
-                for level in self.levels:
-                    pending = self._level_lookup_batch(
-                        level, keys, pending, found, values, span
-                    )
-                    if len(pending) == 0:
-                        # Read-hot fast path: shallow levels covered the
-                        # batch; deeper levels are never touched (and
-                        # never charged).
-                        break
-        return found, values
+            pending = (~resolved).nonzero()[0]
+            if len(pending):
+                for at, values in ReadPlan(self, span).lookup_now(keys, pending):
+                    resolved[at] = True
+                    stored[at] = values
+            found = resolved & (stored != TOMBSTONE)
+            return found, np.where(found, stored, 0)
 
-    def _level_lookup_batch(
-        self,
-        level: Level,
-        keys: np.ndarray,
-        pending: np.ndarray,
-        found: np.ndarray,
-        values: np.ndarray,
-        span,
-    ) -> np.ndarray:
-        """Probe one level for ``keys[pending]``; returns the new pending set.
-
-        ``found``/``values`` are updated in place. Cost charging follows
-        the sequential contract: each run is charged ``probe_cpu`` for the
-        keys still pending when it is probed (newest run first) and one
-        page read per Bloom positive, exactly as the run-at-a-time loop
-        would. With a tracer attached the open ``span`` is lapped at each
-        stage boundary — ``search`` (index probe, selection, page math,
-        pending-set upkeep), ``bloom`` (filter draws), ``cache`` (block
-        cache + device charging).
-        """
-        runs = level.runs
-        if not runs:
-            return pending
-        disk = self.disk
-        stats = self.stats
-        level_no = level.level_no
-        pk = keys[pending]
-
-        # One binary search over the level's index answers, for every
-        # pending key, which run resolves it (rank 0 = newest) — or the
-        # sentinel n_runs when the level misses. Membership for the Bloom
-        # draw, hit values and fence-pointer pages all derive from it.
-        index = level.lookup_index()
-        rank, slot = index.newest_ranks(pk)
-        n_runs = len(runs)
-        for j in range(n_runs):
-            # ``sel`` holds the pending-array indices probed at this run
-            # (newest_rank >= j), or None when every key is probed — always
-            # the case at rank 0, so the widest iteration skips selection
-            # entirely. Integer selection (one nonzero) beats repeating
-            # boolean masking across the probed/present/positions gathers.
-            if j == 0:
-                sel = None
-                n_j = len(pending)
-                probed = pk
-                present_j = rank == 0
-            else:
-                mask_j = rank >= j
-                n_j = int(np.count_nonzero(mask_j))
-                if n_j == 0:
-                    break
-                sel = mask_j.nonzero()[0]
-                probed = pk[sel]
-                present_j = rank[sel] == j
-            run = runs[n_runs - 1 - j]  # newest first
-            probe_cost = disk.probe_cpu(n_j)
-            stats.add_read(level_no, probe_cost)
-            if span is not None:
-                span.lap("search")
-            positives = run.bloom_positive_batch(probed, present=present_j)
-            if span is not None:
-                span.lap("bloom")
-            pos_idx = positives.nonzero()[0] if sel is None else sel[positives]
-            if len(pos_idx) == 0:
-                continue
-            hit = present_j[positives]
-            positions = index.run_positions(run, pk, slot, pos_idx, hit)
-            pages = positions // run.entries_per_page
-            if span is not None:
-                span.lap("search")
-            io_cost = disk.random_read_batch(run.run_id, pages)
-            if span is not None:
-                span.lap("cache")
-            stats.add_read(level_no, io_cost)
-            if hit.any():
-                hit_idx = pending[pos_idx[hit]]
-                hit_values = run.values[positions[hit]]
-                real = hit_values != TOMBSTONE
-                found[hit_idx] = real
-                values[hit_idx] = np.where(real, hit_values, 0)
-        # Keys the level does not hold anywhere stay pending; everything
-        # else was resolved by its newest containing run above.
-        pending = pending[rank == n_runs]
-        if span is not None:
-            span.lap("search")
-        return pending
-
-    def range_scan_batch(
-        self, los: np.ndarray, his: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Range lookups over R inclusive ranges.
-
-        Counts R range operations and charges every probe/IO cost
-        **bit-identically** to R per-op scans in submission order (see
-        :mod:`repro.lsm.rangepath`), but resolves run segments once per
-        run per batch. Returns flat ``(keys, values, offsets)`` arrays:
-        range ``i``'s live entries, sorted by key, are
-        ``keys[offsets[i]:offsets[i + 1]]``.
-
-        Unlike the per-op loop — which raises on the first inverted range
-        *after* charging its predecessors — the whole batch is validated
-        up front, so a rejected batch charges nothing.
-        """
+    def range_scan_batch(self, los: np.ndarray, his: np.ndarray) -> BatchResult:
+        """Range lookups over R inclusive ranges, counted and charged
+        **bit-identically** to R per-op scans in submission order
+        (:mod:`repro.lsm.rangepath`). Returns flat ``(keys, values,
+        offsets)``: range ``i``'s live entries, sorted, are
+        ``keys[offsets[i]:offsets[i + 1]]``. The whole batch is validated
+        up front, so a rejected batch charges nothing."""
         los, his = validate_ranges(los, his)
         self.stats.count_range(len(los))
         with open_span(self.tracer, "lsm.range_scan_batch", n_ranges=len(los)) as span:
             return scan_batch((self,), los, his, span)
 
+    def run_chunks(self, chunks: MissionChunks) -> None:
+        """A mission's chunks, sim-identical to one ``put_batch`` /
+        ``get_batch`` / ``range_scan_batch`` call each, the reads charged
+        once per flush interval (:func:`repro.lsm.readplan.run_chunks`)."""
+        with open_span(self.tracer, "lsm.run_chunks") as span:
+            run_chunks((self,), chunks, span)
+
     # ------------------------------------------------------------------
     # Policy control
     # ------------------------------------------------------------------
-    def set_policy(
-        self, level_no: int, new_policy: int, transition: TransitionKind
-    ) -> None:
+    def set_policy(self, level_no: int, new_policy: int, transition: TransitionKind) -> None:
         """Change the compaction policy of one level using ``transition``.
 
         An explicit per-level change drops any pinned named policy — the
@@ -633,9 +501,7 @@ class LSMTree(DerivedMembers):
         else:
             raise PolicyError(f"unknown transition kind: {transition!r}")
 
-    def set_policies(
-        self, new_policies: Sequence[int], transition: TransitionKind
-    ) -> None:
+    def set_policies(self, new_policies: Sequence[int], transition: TransitionKind) -> None:
         """Set the policy of levels ``1..len(new_policies)`` at once.
 
         Greedy transitions are applied deepest-first so the cascade of forced
@@ -661,9 +527,7 @@ class LSMTree(DerivedMembers):
         """
         resolved = resolve_policy(policy)
         if self.levels:
-            assignments = resolved.assignments(
-                len(self.levels), self.config.size_ratio
-            )
+            assignments = resolved.assignments(len(self.levels), self.config.size_ratio)
             self.set_policies(assignments, transition)
         self.compaction_policy = resolved
         if transition is not TransitionKind.LAZY:
@@ -744,9 +608,7 @@ class LSMTree(DerivedMembers):
     def end_mission(self) -> "MissionStats":
         """Close the current stats window and return its statistics."""
         hits, misses = self._cache_counters()
-        return self.stats.end_mission(
-            self.disk.counters, self.clock.now, hits, misses
-        )
+        return self.stats.end_mission(self.disk.counters, self.clock.now, hits, misses)
 
     def tuning_targets(self) -> "List[LSMTree]":
         """The tree itself is the only tuning target."""
@@ -760,12 +622,7 @@ class LSMTree(DerivedMembers):
     # ------------------------------------------------------------------
     # Bulk loading
     # ------------------------------------------------------------------
-    def bulk_load(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray,
-        distribute: bool = False,
-    ) -> None:
+    def bulk_load(self, keys: np.ndarray, values: np.ndarray, distribute: bool = False) -> None:
         """Populate an empty tree without charging simulated time.
 
         By default all entries form one sealed run in the shallowest level

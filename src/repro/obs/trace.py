@@ -6,7 +6,7 @@ tree like::
 
     serve.batch
     └── store.get_batch
-        └── lsm.get_batch      stages: memtable, search, bloom, cache
+        └── lsm.get_batch      stages: memtable, search, bloom, charge
 
 A span that is open can be *lapped*: :meth:`Span.lap` charges the wall
 time since the span opened (or since its previous lap) to a named stage,

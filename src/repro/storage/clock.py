@@ -59,14 +59,9 @@ class SimClock:
         return total
 
     def advance_to(self, now: float) -> None:
-        """Move the clock to ``now``: the write-back of a caller-side replay.
-
-        A batched cost path that charges many unequal amounts
-        (:func:`repro.lsm.rangepath.scan_batch`) starts a local from
-        :attr:`now`, adds each charge to it in per-event order and hands
-        the result back here — bit-equivalent to one :meth:`advance` per
-        charge, because the local sees the same addends in the same order.
-        """
+        """Move the clock to ``now``: the write-back of a caller-side replay
+        (``ReadPlan.charge_ranges``) that added each charge to a local in
+        per-event order — bit-equivalent to one :meth:`advance` per charge."""
         if not now >= self._now:
             raise StorageError(
                 f"cannot move clock back from {self._now} s to {now} s"

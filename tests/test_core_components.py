@@ -23,8 +23,10 @@ from repro.errors import ConfigError, PolicyError, RLError, WorkloadError
 from repro.lsm.entry import TOMBSTONE
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
-from repro.workload.spec import OP_UPDATE
+from repro.workload.spec import OP_LOOKUP, OP_RANGE, OP_UPDATE, Mission
 from repro.workload.uniform import UniformWorkload
+from reference_mission import reference_run_chunks
+from test_oracle import observables
 
 
 class TestWorkloadChangeDetector:
@@ -448,9 +450,10 @@ class TestMissionRunner:
         ids=["tree", "sharded-4"],
     )
     def test_failed_mission_closes_its_window(self, tiny_config, make_engine):
-        """A mission that raises mid-run (its second chunk writes the
-        reserved TOMBSTONE value) must not leave the window open: the
-        error reaches the caller and the next mission runs normally."""
+        """A mission whose second chunk writes the reserved TOMBSTONE value
+        is refused whole, before its window opens: the error reaches the
+        caller, nothing is applied or counted, and the next mission runs
+        normally."""
         engine = make_engine(tiny_config)
         runner = MissionRunner(engine, chunk_size=16)
         good, bad = UniformWorkload(
@@ -461,10 +464,78 @@ class TestMissionRunner:
         def in_mission():
             return any(tree.stats.in_mission for tree in engine.tuning_targets())
 
+        before = observables(engine)
         with pytest.raises(ValueError, match="tombstone sentinel"):
             runner.run(bad)
         assert not in_mission()
+        assert observables(engine) == before
+        assert engine.view().total_updates == 0
         stats = runner.run(good)
         assert stats.n_operations == 64
         assert not in_mission()
         engine.check_invariants()
+
+    @pytest.mark.parametrize(
+        "make_engine",
+        [LSMTree, lambda config: ShardedStore(config, 4)],
+        ids=["tree", "sharded-4"],
+    )
+    @pytest.mark.parametrize("case", ["unknown-kind", "range-end"])
+    def test_malformed_mission_refused_whole(self, tiny_config, make_engine, case):
+        """An unknown op kind was silently dropped (a 3-op mission counted 2
+        ops); a range whose end passes INT64_MAX wrapped around and raised
+        only after the earlier chunks were applied. Both are refused before
+        the window opens, by the int64 rule requests_from_mission enforces."""
+        engine = make_engine(tiny_config)
+        if case == "unknown-kind":
+            message = "unknown op kind: 7"
+            mission = Mission(np.array([OP_LOOKUP, 7, OP_UPDATE]), np.arange(3), np.arange(3), np.zeros(3, np.int64))
+        else:
+            message = "range end is outside int64"
+            kinds = np.array([OP_UPDATE] * 5 + [OP_RANGE])
+            keys = np.array([1, 2, 3, 4, 5, 2**63 - 2])
+            mission = Mission(kinds, keys, np.arange(6), np.array([0] * 5 + [10]))
+        before = observables(engine)
+        with pytest.raises(WorkloadError, match=message):
+            MissionRunner(engine, chunk_size=2).run(mission)
+        assert observables(engine) == before
+        assert engine.view().windows_closed == 0
+
+    @pytest.mark.parametrize("n_shards", [None, 4], ids=["tree", "sharded-4"])
+    def test_failed_mission_leaves_what_the_chunk_loop_leaves(self, tiny_config, n_shards):
+        """A put that raises part-way (a durable write failing, say) leaves
+        the same simulated state as chunk-at-a-time batch calls: every
+        earlier chunk's reads charged, the failing chunk's earlier shards
+        written, nothing after."""
+        def build():
+            engine = LSMTree(tiny_config) if n_shards is None else ShardedStore(tiny_config, n_shards)
+            keys = np.arange(0, 3000, 3)
+            engine.bulk_load(keys, keys)
+            target = engine if n_shards is None else engine.shards[2]
+            original, calls = target.put_batch, iter(range(9))
+
+            def put_batch(keys, values):
+                if next(calls, None) is None:
+                    raise OSError("device gone")
+                original(keys, values)
+
+            target.put_batch = put_batch
+            return engine
+
+        rng = np.random.default_rng(2)
+        mission = Mission(
+            rng.integers(0, 3, 600), rng.integers(0, 3000, 600),
+            rng.integers(0, 100, 600), rng.integers(0, 40, 600),
+        )
+        engine, twin = build(), build()
+        with pytest.raises(OSError):
+            MissionRunner(engine, chunk_size=16).run(mission)
+        twin.begin_mission()
+        with pytest.raises(OSError):
+            try:
+                reference_run_chunks(twin, mission, 16)
+            finally:
+                twin.end_mission()
+        assert observables(engine) == observables(twin)
+        view = engine.view()
+        assert view.total_lookups and view.total_ranges and view.total_updates < 200

@@ -24,6 +24,7 @@ from repro.core.tuners import StaticTuner
 from repro.errors import ObsError
 from repro.lsm.policy import classify_policies
 from repro.lsm.rangepath import RANGE_STAGES
+from repro.lsm.readplan import PLAN_STAGES
 from repro.lsm.tree import LSMTree
 from repro.obs import (
     DecisionAuditLog,
@@ -472,8 +473,8 @@ class TestZeroSimImpact:
         bare = run(small_store(initial_policy, cache_pages))
 
         inst = small_store(initial_policy, cache_pages)
-        # Every 3rd root: a mission's roots alternate put / get, so an
-        # even stride would keep only the puts.
+        # Every 3rd root: a mission is one root (its chunks' puts nest
+        # under it), and the three scans after them are one each.
         tracer = Tracer(sample_every=3)
         inst.engine.set_tracer(tracer)
         audit = DecisionAuditLog()
@@ -485,9 +486,7 @@ class TestZeroSimImpact:
         assert len(audit) > 0
         # The laps were taken: the twin ran the instrumented path.
         spans = tracer.spans()
-        assert stages_under(spans, "lsm.get_batch") == {
-            "memtable", "search", "bloom", "cache"
-        }
+        assert stages_under(spans, "store.run_chunks") == {"chunks", *PLAN_STAGES}
         assert stages_under(spans, "store.range_scan_batch") == set(RANGE_STAGES)
 
     def test_detach_restores_bare_path(self):

@@ -52,11 +52,13 @@ from hypothesis.stateful import (
 )
 from reference_cache import cache_state
 from reference_get import reference_get_batch
+from reference_mission import reference_run_chunks
 from reference_put import reference_delete, reference_put
 from reference_range import reference_range_scan_batch
 
 from repro.config import BloomMode, CostModelParams, SystemConfig, TransitionKind
 from repro.core.lerp import Lerp, LerpConfig, per_shard_tuners
+from repro.core.missions import MissionRunner
 from repro.core.tuners import StaticTuner
 from repro.durable import DurableStore
 from repro.engine.sharded import ShardedStore, merge_mission_stats, shard_of
@@ -124,6 +126,13 @@ def batches(elements, long=64):
 
 
 ITEMS = batches(st.tuples(KEYS, VALUES))
+#: One mission row ``(op, key, value, span)`` of each kind.
+MISSION_OPS = st.lists(
+    st.tuples(st.just(OP_UPDATE), KEYS, VALUES, st.just(0))
+    | st.tuples(st.just(OP_LOOKUP), PROBES, st.just(0), st.just(0))
+    | st.tuples(st.just(OP_RANGE), PROBES, st.just(0), st.integers(0, 60)),
+    max_size=80,
+)
 TRANSITIONS = st.sampled_from(list(TransitionKind))
 NAMED_POLICIES = st.sampled_from(("leveling", "tiering", "lazy-leveling"))
 
@@ -257,6 +266,24 @@ def reference_scan(engine, los, his):
     return [sorted(chain(*ranges)) for ranges in zip(*parts)]
 
 
+class ReferenceCalls:
+    """The batch calls :func:`reference_run_chunks` makes, answered by a
+    reference system's per-op references."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def put_batch(self, keys, values):
+        for key, value in zip(keys.tolist(), values.tolist()):
+            reference_put(self.engine, key, value)
+
+    def get_batch(self, keys):
+        reference_lookup(self.engine, keys)
+
+    def range_scan_batch(self, los, his):
+        reference_scan(self.engine, los, his)
+
+
 def build(name, config, root):
     """A system of ``name``'s kind; a durable one opens (creates, or
     recovers) its directories under ``root``."""
@@ -304,7 +331,7 @@ def replay(engine, cut):
     elif kind == REQ_GET:
         engine.get_batch(keys)
     else:
-        engine.range_scan_batch(keys, keys + (spans - 1))  # no overflow at the int64 edge
+        engine.range_scan_batch(keys, keys + np.maximum(spans - 1, 0))  # the server's range end
 
 
 def invalid_args(kind, method, n, at, in_values):
@@ -597,10 +624,16 @@ class Oracle(RuleBasedStateMachine):
             else:
                 merged, parts = engine.end_mission(), engine.last_mission_breakdown()
             records[name] = merged, list(parts)
-            if tune:
-                with self.direct(name):
-                    for tuner, tree, part in zip(self.tuners[name], engine.tuning_targets(), parts):
-                        tuner.observe_mission(tree, part)
+        self.agree(records, tune)
+
+    def agree(self, records, tune):
+        """Closed window records ``name -> (merged, parts)`` agree group by
+        group; with ``tune``, each tuner then observes its part."""
+        for name, (_, parts) in records.items() if tune else ():
+            with self.direct(name):
+                engine = self.systems[name]
+                for tuner, tree, part in zip(self.tuners[name], engine.tuning_targets(), parts):
+                    tuner.observe_mission(tree, part)
         for group in self.groups():
             members = [name for name in group if name in records]
             assert all(records[name] == records[members[0]] for name in members), members
@@ -618,6 +651,35 @@ class Oracle(RuleBasedStateMachine):
             for name, _ in self.unserved():
                 for target in self.driven(name):
                     target.begin_mission()
+
+    @precondition(lambda self: not self.in_mission)
+    @rule(ops=MISSION_OPS, chunk_size=st.integers(1, 16))
+    def mission(self, ops, chunk_size):
+        """One mission through ``MissionRunner`` on every unserved system
+        (a reference one runs the chunk-at-a-time loop over its per-op
+        references), in chunks small enough that flushes land mid-mission:
+        its window records agree group by group, and each tuner observes.
+        The served pair take the mission's requests one kind at a time."""
+        columns = zip(*ops) if ops else ((),) * 4
+        mission = Mission(*(np.array(column, dtype=np.int64) for column in columns))
+        requests = list(requests_from_mission(mission, wait=True))
+        for kind in (REQ_PUT, REQ_GET, REQ_RANGE):
+            self.serve([r for r in requests if r.kind == kind], by_lane=kind == REQ_RANGE)
+        records = {}
+        for name, engine in self.unserved():
+            if name in REFERENCES:
+                trees = engine.tuning_targets()
+                index = trees[0].stats.windows_closed
+                for tree in trees:
+                    tree.begin_mission()
+                reference_run_chunks(ReferenceCalls(engine), mission, chunk_size)
+                parts = [tree.end_mission() for tree in trees]
+                records[name] = merge_mission_stats(index, parts), parts
+            else:
+                merged = MissionRunner(engine, chunk_size).run(mission)
+                records[name] = merged, list(engine.last_mission_breakdown())
+        self.agree(records, tune=True)
+        self.model.update((key, value) for op, key, value, _ in ops if op == OP_UPDATE)
 
     @precondition(lambda self: not self.in_mission)
     @rule(data=st.data())

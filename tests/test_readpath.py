@@ -24,17 +24,20 @@ from reference_cache import ReferenceLRUCache, cache_state
 from reference_get import find, find_batch
 from test_entry_memtable import buffer_delete, buffer_put
 
-from repro.config import CostModelParams, SystemConfig, TransitionKind
+from repro.config import BloomMode, CostModelParams, SystemConfig, TransitionKind
+from repro.core.missions import MissionRunner
 from repro.errors import StorageError
 import repro.lsm.tree as tree_module
 from repro.lsm import FLSMTree
 from repro.lsm.level import LevelLookupIndex
 from repro.lsm.memtable import MemTable
 from repro.lsm.rangepath import RANGE_STAGES
+from repro.lsm.readplan import PLAN_STAGES
 from repro.obs import Tracer, stage_totals
 from repro.storage.cache import LRUBlockCache
 from repro.storage.clock import SimClock
 from repro.storage.pager import DiskModel
+from repro.workload.spec import Mission
 
 
 def build_stacked_tree(policy, *, cache_pages=0, n=6000, seed=3):
@@ -57,7 +60,7 @@ def build_stacked_tree(policy, *, cache_pages=0, n=6000, seed=3):
 
 
 #: Stages ``get_batch`` laps on its span, in pipeline order.
-POINT_STAGES = ("memtable", "search", "bloom", "cache")
+POINT_STAGES = ("memtable",) + PLAN_STAGES
 
 
 class TestLevelLookupIndex:
@@ -300,6 +303,34 @@ class TestAdvanceRepeated:
             clock.advance_repeated(-1.0, 3)
         with pytest.raises(StorageError):
             clock.advance_repeated(1.0, -3)
+
+
+class TestPlanDraws:
+    """The read plan draws a tree's Bloom uniforms once per pass and deals
+    them out in chunk-at-a-time order; that is only sound because split
+    draws and one draw take the same stream."""
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (5, 0), (3, 7), (1000, 1)])
+    def test_split_draws_equal_one_draw(self, a, b):
+        split, whole = (FLSMTree(SystemConfig(seed=11))._rng for _ in range(2))
+        drawn = np.concatenate([split.random(a), split.random(b)])
+        assert drawn.tobytes() == whole.random(a + b).tobytes()
+        assert split.bit_generator.state == whole.bit_generator.state
+
+    def test_bit_array_tree_draws_nothing(self):
+        tree = FLSMTree(SystemConfig(
+            write_buffer_bytes=8 * 1024, size_ratio=4, bloom_mode=BloomMode.BIT_ARRAY, seed=3
+        ))
+        tree.set_named_policy("tiering")
+        rng = np.random.default_rng(3)
+        tree.put_batch(rng.integers(0, 12000, 6000), rng.integers(0, 10**6, 6000))
+        state = tree._rng.bit_generator.state
+        kinds = rng.integers(0, 3, 500)
+        mission = Mission(kinds, rng.integers(0, 12000, 500), rng.integers(0, 10**6, 500), rng.integers(0, 50, 500))
+        MissionRunner(tree, chunk_size=16).run(mission)
+        tree.get_batch(rng.integers(0, 12000, 300))
+        assert tree.view().total_lookups > 300
+        assert tree._rng.bit_generator.state == state
 
 
 class TestMemtableSortedView:

@@ -133,7 +133,7 @@ def scan_batch(trees: Sequence, los: np.ndarray, his: np.ndarray, span=None) -> 
     # --- charge: each tree's read plan replays its rows, range-major ---
     for tree, first, n_runs, levels in charged:
         if n_runs:
-            ReadPlan(tree).charge_ranges(pages[first : first + n_runs].T.tolist(), *levels)
+            ReadPlan(tree).charge_ranges(pages[first : first + n_runs], levels)
     if span is not None:
         span.lap("range_charge")
 

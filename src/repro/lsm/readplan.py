@@ -12,9 +12,11 @@ ends. The pass (DESIGN.md §10, §11):
 * **bloom** — one ``rng.random`` draw per tree: drawing ``a`` then ``b``
   uniforms equals drawing ``a + b``, so the draw is dealt out in the order
   chunk-at-a-time lookups take it (chunk, level, newest run first, key);
-* **charge** — every probe, page and cache charge goes to the clock, the
-  read totals, the LRU and the counters in exact per-chunk order (each
-  chunk's points, then its ranges): the same addends in the same order.
+* **charge** — every probe, page and cache charge goes to five locals (the
+  clock, the read totals, the open window's) written back once, and to the
+  LRU and the counters, in exact per-chunk order (each chunk's points, then
+  its ranges, these summed from an addend table): the same addends in the
+  same order.
 
 ``LSMTree.get_batch`` and ``rangepath.scan_batch`` are one-chunk callers of
 the pass; the per-chunk loop lives test-side (``tests/reference_mission.py``).
@@ -25,6 +27,9 @@ from __future__ import annotations
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.errors import StorageError
+from repro.storage.cache import PAGE_LIMIT
 
 #: Stages the pass laps on its span; a mission's span laps ``chunks`` too.
 PLAN_STAGES = ("search", "bloom", "charge")
@@ -115,21 +120,21 @@ class ReadPlan:
         steps = self._point_steps(points)[0] if points else ()
         runs, levels = range_sources(self.tree)
         ranges = [item for item in queue if item[1] is not None]
-        rows: list = []
+        pages = None
         if ranges and runs:
             los, his = (np.concatenate(column) for column in zip(*ranges))
             epp = [run.entries_per_page for run in runs]
-            rows = search_ranges([run.keys for run in runs], epp, los, his)[2].T.tolist()
+            pages = search_ranges([run.keys for run in runs], epp, los, his)[2]
             if self.span is not None:
                 self.span.lap("search")
-        self._replay([None if his is None else len(los) for los, his in queue], steps, rows, levels)
+        self._replay([None if his is None else len(los) for los, his in queue], steps, pages, levels)
 
     def lookup_now(self, keys: np.ndarray, pending: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
         """Charge one batch's lookups of ``keys[pending]`` (what the memtable
         left); returns, per run holding some, their indices into ``keys``
         and their stored values."""
         steps, hits = self._point_steps([keys], pending)
-        self._replay([None], steps, (), ())
+        self._replay([None], steps)
         return hits
 
     def _point_steps(self, segments: List[np.ndarray], at: Optional[np.ndarray] = None):
@@ -139,6 +144,7 @@ class ReadPlan:
         cumulative positives per chunk, their pages)``; and each run's hits
         as ``(index, stored value)`` when ``at`` is given."""
         tree, span = self.tree, self.span
+        cached = tree.disk.cache.capacity > 0
         gather = at is not None
         n_segs = len(segments)
         keys = segments[0] if n_segs == 1 else np.concatenate(segments)
@@ -207,6 +213,8 @@ class ReadPlan:
                 hit = present[positive]
                 positions = index.run_positions(run, pk, slot, pos_idx, hit)
                 pages = positions // run.entries_per_page
+                if cached:  # the LRU walks plain ints
+                    pages = pages.tolist()
                 if gather:
                     found = pos_idx[hit]
                     if len(found):
@@ -216,59 +224,116 @@ class ReadPlan:
                 span.lap("search")
         return steps, hits
 
-    def _replay(self, order: List[Optional[int]], steps, rows: list, levels) -> None:
-        """Charge queued reads in ``order`` — ``None`` for a chunk's points,
-        a count for its ranges: a point chunk walks ``steps`` (``probe_cpu``
-        per run probed, then its pages through ``random_read_batch``), a
-        range chunk its ``rows``."""
-        disk, stats = self.tree.disk, self.tree.stats
-        point_no = row_no = 0
+    def _replay(self, order: List[Optional[int]], steps, pages=None, levels=None) -> None:
+        """Charge queued reads in ``order`` (``None`` for a chunk's points, a
+        count for its ranges) into five locals read once and written back
+        once: the clock, the read total and per-level totals, and the open
+        window's two (``StatsCollector.read_totals``). A level takes its slot
+        in the per-level lists at its first charge, so they are in
+        first-charge order. A point chunk walks ``steps`` in plain Python,
+        its pages through the LRU; a range chunk sums its block of the pass's
+        :func:`range_addends` table (from ``pages``, the page spans of the
+        runs :func:`range_sources` gave with ``levels``) with one sequential
+        ``np.add.accumulate`` (``np.cumsum``) seeded with the locals. Each
+        accumulator sees the addends of one ``advance`` + ``add_read`` per
+        charge, in their order; ``+0.0`` is exact on a non-negative float.
+        Every page is checked against ``PAGE_LIMIT`` before any charge."""
+        tree, stats = self.tree, self.tree.stats
+        costs, cache, counters = tree.config.costs, tree.disk.cache, tree.disk.counters
+        cached = cache.capacity > 0
+        for *_, p in steps if cached else ():
+            if p is not None and (min(p) < 0 or max(p) >= PAGE_LIMIT):
+                bad = min(p) if min(p) < 0 else max(p)
+                raise StorageError(f"page_index must lie in [0, 2**32), got {bad}")
+        probe_s, read_s = costs.run_probe_cpu_s, costs.random_read_s
+        now = tree.clock.now
+        total, stored, window, window_stored = stats.read_totals()
+        slot: dict = {}  # level -> its index in lv_t and lv_w, in first-charge order
+        lv_t: list = []
+        lv_w: list = []
+        table = None
+        reads = point_no = row_no = 0
         for n_rows in order:
             if n_rows is None:
-                for level_no, run_id, per_chunk, bounds, pages in steps:
+                for no, run_id, per_chunk, bounds, p in steps:
                     n = per_chunk[point_no]
-                    if n:
-                        stats.add_read(level_no, disk.probe_cpu(n))
-                        a, b = bounds[point_no], bounds[point_no + 1]
-                        if a < b:
-                            stats.add_read(level_no, disk.random_read_batch(run_id, pages[a:b]))
+                    if not n:
+                        continue
+                    j = slot.get(no)
+                    if j is None:  # a level new to the pass takes the next slot
+                        j = slot[no] = len(lv_t)
+                        lv_t.append(stored.get(no, 0.0))
+                        lv_w.append(window_stored.get(no, 0.0))
+                    cost = n * probe_s
+                    now += cost
+                    total += cost
+                    lv_t[j] += cost
+                    window += cost
+                    lv_w[j] += cost
+                    a, b = bounds[point_no], bounds[point_no + 1]
+                    if a == b:
+                        continue
+                    if cached:  # per miss on the clock, the repeated sum on the totals
+                        misses = b - a - cache.access_batch(run_id, p[a:b])
+                        cost = 0.0
+                        for _ in range(misses):
+                            now += read_s
+                            cost += read_s
+                    else:
+                        misses = b - a
+                        cost = misses * read_s
+                        now += cost
+                    reads += misses
+                    total += cost
+                    lv_t[j] += cost
+                    window += cost
+                    lv_w[j] += cost
                 point_no += 1
-            elif n_rows and rows:
-                self.charge_ranges(rows[row_no : row_no + n_rows], *levels)
-                row_no += n_rows
+            elif pages is not None:
+                if table is None:  # from here on, every level a range reads is charged
+                    for no in levels[0]:
+                        if no not in slot:
+                            slot[no] = len(lv_t)
+                            lv_t.append(stored.get(no, 0.0))
+                            lv_w.append(window_stored.get(no, 0.0))
+                    run_slots = [slot[levels[0][i]] for i in levels[1]]
+                    table = range_addends(pages, run_slots, len(slot), probe_s, costs.seq_read_s)
+                block = table[row_no : row_no + 2 * len(run_slots) * n_rows]
+                block[0] += (now, total, window, *lv_t, *lv_w)
+                now, total, window, *rest = np.add.accumulate(block, out=block)[-1].tolist()
+                lv_t[:], lv_w[:] = rest[: len(slot)], rest[len(slot) :]
+                row_no += len(block)
+        tree.clock.advance_to(now)
+        stats.set_read_totals(slot, total, lv_t, window, lv_w)
+        counters.random_reads += reads
+        if not cached:
+            cache.misses += reads
+        if pages is not None:
+            counters.seq_reads += int(pages.sum())
         if self.span is not None:
             self.span.lap("charge")
 
-    def charge_ranges(self, rows: list, level_nos: List[int], level_of_run: List[int]) -> None:
-        """Charge ranges from their page ``rows`` (one entry per run, in
-        :func:`range_sources` order), range-major: per run ``probe_cpu(1)``,
-        then ``pages * seq_read_s`` if the segment touches pages. The clock
-        and read totals are locals written back once
-        (``StatsCollector.read_totals``): the same addends in the same order
-        as an ``advance`` + ``add_read`` pair per charge."""
-        tree = self.tree
-        probe_s, seq_s = tree.config.costs.run_probe_cpu_s, tree.config.costs.seq_read_s
-        now = tree.clock.now
-        total, level_totals, window, window_levels = tree.stats.read_totals(level_nos)
-        seq_pages = 0
-        for row in rows:
-            for lv, n_pages in zip(level_of_run, row):
-                now += probe_s
-                total += probe_s
-                level_totals[lv] += probe_s
-                window += probe_s
-                window_levels[lv] += probe_s
-                if n_pages:
-                    seq_pages += n_pages
-                    cost = n_pages * seq_s
-                    now += cost
-                    total += cost
-                    level_totals[lv] += cost
-                    window += cost
-                    window_levels[lv] += cost
-        tree.clock.advance_to(now)
-        tree.stats.set_read_totals(level_nos, total, level_totals, window, window_levels)
-        tree.disk.counters.seq_reads += seq_pages
+    def charge_ranges(self, pages: np.ndarray, levels) -> None:
+        """Charge one batch of ranges, range-major, as a one-chunk pass:
+        ``pages`` their ``(n_runs, R)`` page spans, the runs and ``levels``
+        from :func:`range_sources`."""
+        self._replay([pages.shape[1]], (), pages, levels)
+
+
+def range_addends(pages: np.ndarray, run_slots, n_levels: int, probe_s: float, seq_s: float):
+    """A pass's range charges as rows of addends, range-major: per run a
+    ``probe_s`` row, then a ``pages * seq_s`` row (``+0.0`` for an empty
+    segment). The columns are the accumulators — clock, read total, window
+    total, then ``n_levels`` per-level totals and the window's ``n_levels``
+    — and a row adds ``+0.0`` to every level but its run's (``run_slots``)."""
+    columns = []  # per run, 1.0 in the columns its rows add to
+    for at in run_slots:
+        row = [1.0] * 3 + [0.0] * (2 * n_levels)
+        row[3 + at] = row[3 + n_levels + at] = 1.0
+        columns.append(row)
+    # ``p * 0.0 + probe_s`` and ``p * seq_s + 0.0`` are exact: p >= 0
+    addends = pages.T[:, :, None, None] * ((0.0,), (seq_s,)) + ((probe_s,), (0.0,))
+    return (addends * np.array(columns)[:, None, :]).reshape(-1, 3 + 2 * n_levels)
 
 
 def run_chunks(

@@ -16,7 +16,7 @@ harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import SnapshotError
 from repro.storage.pager import IOCounters
@@ -201,40 +201,24 @@ class StatsCollector:
         return mission
 
     # ------------------------------------------------------------------
-    # Cost attribution (called by the tree)
+    # Cost attribution (reads by the read plan, writes by the tree)
     # ------------------------------------------------------------------
-    def add_read(self, level_no: int, seconds: float) -> None:
-        """Attribute lookup-path time to ``level_no``."""
-        self.total_read_time += seconds
-        self.level_read_time[level_no] = (
-            self.level_read_time.get(level_no, 0.0) + seconds
-        )
-        if self._current is not None:
-            self._current.read_time += seconds
-            self._current.level_read_time[level_no] = (
-                self._current.level_read_time.get(level_no, 0.0) + seconds
-            )
-
-    def read_totals(self, level_nos: Sequence[int]) -> Tuple[float, List[float], float, List[float]]:
-        """The accumulators :meth:`add_read` adds to, for a caller-side
-        replay: ``(total_read_time, per-level totals, open window's
-        read_time, its per-level totals)``, per-level lists in
-        ``level_nos`` order. With no window open the window values are
-        zeros that :meth:`set_read_totals` will ignore."""
+    def read_totals(self) -> Tuple[float, Dict[int, float], float, Dict[int, float]]:
+        """The read accumulators, for a charge pass (``ReadPlan._replay``):
+        ``(total_read_time, per-level totals, open window's read_time, its
+        per-level totals)``. The maps are the live ones, to read a level's
+        value from; with no window open the window values are a ``0.0`` and
+        an empty map that :meth:`set_read_totals` will ignore."""
         window = self._current
-        window_levels = {} if window is None else window.level_read_time
-        return (
-            self.total_read_time,
-            [self.level_read_time.get(no, 0.0) for no in level_nos],
-            0.0 if window is None else window.read_time,
-            [window_levels.get(no, 0.0) for no in level_nos],
-        )
+        if window is None:
+            return self.total_read_time, self.level_read_time, 0.0, {}
+        return self.total_read_time, self.level_read_time, window.read_time, window.level_read_time
 
     def set_read_totals(self, level_nos, total, level_totals, window_time, window_levels) -> None:
-        """Write back what :meth:`read_totals` handed out, after the caller
-        added every charge to each value in :meth:`add_read` call order:
-        bit-equivalent to those calls, at one call per batch
-        (``ReadPlan.charge_ranges``)."""
+        """Write back a pass: the two totals, and the new per-level totals
+        of each charged level in ``level_nos``, listed in first-charge order
+        — a level new to a map goes in where its first charge would have put
+        it, and an uncharged level gets no key."""
         self.total_read_time = total
         self.level_read_time.update(zip(level_nos, level_totals))
         window = self._current

@@ -59,9 +59,9 @@ class LRUBlockCache:
         Returns the number of hits. A miss admits the page, evicting the
         least recently used one if the cache is full
         (``tests/reference_cache.py`` states the same machine page by page).
-        ``page_indices`` must be plain ints in ``[0, PAGE_LIMIT)`` (callers
-        ``.tolist()`` numpy arrays; ``DiskModel.random_read_batch`` checks
-        the range).
+        ``page_indices`` must be plain ints in ``[0, PAGE_LIMIT)`` (the read
+        plan ``.tolist()``s its page arrays and checks the range once per
+        pass, before it admits anything).
         """
         n = len(page_indices)
         if self._capacity == 0 or n == 0:

@@ -37,30 +37,9 @@ class SimClock:
         self._now += seconds
         return self._now
 
-    def advance_repeated(self, seconds: float, times: int) -> float:
-        """Advance by ``seconds``, ``times`` times; returns the total charged.
-
-        Bit-equivalent to calling :meth:`advance` in a loop — the clock and
-        the returned total accumulate by repeated addition, preserving the
-        exact float rounding sequence of per-event charging. Batched cost
-        paths (:meth:`repro.storage.pager.DiskModel.random_read_batch`) use
-        this so a batch charges the clock identically to its per-page loop.
-        """
-        if seconds < 0:
-            raise StorageError(f"cannot advance clock by {seconds} s")
-        if times < 0:
-            raise StorageError(f"cannot advance clock {times} times")
-        now = self._now
-        total = 0.0
-        for _ in range(times):
-            total += seconds
-            now += seconds
-        self._now = now
-        return total
-
     def advance_to(self, now: float) -> None:
-        """Move the clock to ``now``: the write-back of a caller-side replay
-        (``ReadPlan.charge_ranges``) that added each charge to a local in
+        """Move the clock to ``now``: the write-back of a read-plan pass
+        (``ReadPlan._replay``) that added each charge to a local in
         per-event order — bit-equivalent to one :meth:`advance` per charge."""
         if not now >= self._now:
             raise StorageError(

@@ -5,20 +5,18 @@ direct I/O. It does not store page contents (run data lives in numpy arrays
 owned by the runs themselves); it *prices* page accesses and keeps the I/O
 counters that the statistics collector and the RL state vector consume.
 
-Random reads model point-lookup page fetches (the paper's ``I_r``); sequential
-reads and writes model compaction traffic, which streams large sorted runs.
-Nothing issues random writes (``I_w``): that counter stays for the snapshot layout.
+Random reads model point-lookup page fetches (the paper's ``I_r``, priced and
+counted by the read plan's pass); sequential reads and writes model compaction
+traffic. Nothing issues random writes (``I_w``): that counter stays for the snapshot layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.config import CostModelParams
 from repro.errors import StorageError
-from repro.storage.cache import PAGE_LIMIT, LRUBlockCache
+from repro.storage.cache import LRUBlockCache
 from repro.storage.clock import SimClock
 
 
@@ -83,36 +81,6 @@ class DiskModel:
         return self._clock
 
     # ------------------------------------------------------------------
-    # Point I/O (lookups)
-    # ------------------------------------------------------------------
-    def random_read_batch(self, run_id: int, page_indices) -> float:
-        """Read several pages of one run; returns total charged seconds.
-
-        Cached pages cost nothing. With no cache configured, the whole
-        batch is priced in one step. With a cache, the batch runs through
-        :meth:`LRUBlockCache.access_batch`, and the clock/total accumulate
-        by repeated per-miss addition (:meth:`SimClock.advance_repeated`)
-        so simulated charges are bit-identical to charging page by page.
-        """
-        n = len(page_indices)
-        if n == 0:
-            return 0.0
-        if self._cache.capacity == 0:
-            self._cache.misses += n
-            self.counters.random_reads += n
-            return self._charge(n, self._costs.random_read_s, "n")
-        pages = np.asarray(page_indices)
-        low, high = int(pages.min()), int(pages.max())
-        if low < 0 or high >= PAGE_LIMIT:
-            raise StorageError(
-                f"page_index must lie in [0, 2**32), got {low if low < 0 else high}"
-            )
-        hits = self._cache.access_batch(run_id, pages.tolist())
-        misses = n - hits
-        self.counters.random_reads += misses
-        return self._clock.advance_repeated(self._costs.random_read_s, misses)
-
-    # ------------------------------------------------------------------
     # Streaming I/O (flush / compaction)
     # ------------------------------------------------------------------
     def sequential_read(self, n_pages: int) -> float:
@@ -130,11 +98,6 @@ class DiskModel:
     # ------------------------------------------------------------------
     # CPU work (still advances the simulated clock)
     # ------------------------------------------------------------------
-    def probe_cpu(self, n_runs: int = 1) -> float:
-        """CPU cost of probing the metadata of ``n_runs`` sorted runs
-        (the paper's ``c_r``)."""
-        return self._charge(n_runs, self._costs.run_probe_cpu_s, "n_runs")
-
     def compaction_cpu(self, n_entries: int) -> float:
         """CPU cost of merge-sorting ``n_entries`` entries (the paper's
         ``c_w``)."""

@@ -11,7 +11,12 @@ import it.
 The per-run, per-key probes it is written in (:func:`find`,
 :func:`find_batch`, :func:`bloom_positive`, :func:`position_of`,
 :func:`page_of_position`) were ``SortedRun`` methods until nothing in
-``src/`` called them; they live here as functions of a run.
+``src/`` called them; they live here as functions of a run. So do the
+per-charge calls (:func:`probe_cpu`, :func:`random_read_batch`,
+:func:`advance_repeated`, :func:`add_read`), once ``DiskModel``,
+``SimClock`` and ``StatsCollector`` methods: ``src/`` charges a read
+plan's pass into locals written back once (``ReadPlan._replay``), and
+these state the per-charge arithmetic it must equal.
 """
 
 from __future__ import annotations
@@ -20,7 +25,65 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.errors import StorageError
 from repro.lsm.entry import TOMBSTONE
+from repro.storage.cache import PAGE_LIMIT
+
+
+def advance_repeated(clock, seconds: float, times: int) -> float:
+    """Advance ``clock`` by ``seconds``, ``times`` times; returns the total
+    charged, accumulated by the same repeated addition as the clock."""
+    if seconds < 0:
+        raise StorageError(f"cannot advance clock by {seconds} s")
+    if times < 0:
+        raise StorageError(f"cannot advance clock {times} times")
+    total = 0.0
+    for _ in range(times):
+        total += seconds
+        clock.advance(seconds)
+    return total
+
+
+def probe_cpu(disk, n_runs: int = 1) -> float:
+    """CPU cost of probing the metadata of ``n_runs`` sorted runs (the
+    paper's ``c_r``), charged to ``disk``'s clock in one step."""
+    return disk._charge(n_runs, disk._costs.run_probe_cpu_s, "n_runs")
+
+
+def random_read_batch(disk, run_id: int, page_indices) -> float:
+    """Read several pages of one run; returns total charged seconds.
+
+    Cached pages cost nothing. With no cache configured, the whole batch is
+    priced in one step. With a cache, the batch runs through
+    ``LRUBlockCache.access_batch``, and the clock and total accumulate by
+    repeated per-miss addition (:func:`advance_repeated`), bit-identical to
+    charging page by page.
+    """
+    n = len(page_indices)
+    if n == 0:
+        return 0.0
+    if disk.cache.capacity == 0:
+        disk.cache.misses += n
+        disk.counters.random_reads += n
+        return disk._charge(n, disk._costs.random_read_s, "n")
+    pages = np.asarray(page_indices)
+    low, high = int(pages.min()), int(pages.max())
+    if low < 0 or high >= PAGE_LIMIT:
+        raise StorageError(f"page_index must lie in [0, 2**32), got {low if low < 0 else high}")
+    misses = n - disk.cache.access_batch(run_id, pages.tolist())
+    disk.counters.random_reads += misses
+    return advance_repeated(disk.clock, disk._costs.random_read_s, misses)
+
+
+def add_read(stats, level_no: int, seconds: float) -> None:
+    """Attribute lookup-path time to ``level_no`` on ``stats``: the
+    cumulative and per-level totals, and the open window's two."""
+    stats.total_read_time += seconds
+    stats.level_read_time[level_no] = stats.level_read_time.get(level_no, 0.0) + seconds
+    window = stats._current
+    if window is not None:
+        window.read_time += seconds
+        window.level_read_time[level_no] = window.level_read_time.get(level_no, 0.0) + seconds
 
 
 def bloom_positive(run, key: int) -> bool:
@@ -78,7 +141,7 @@ def reference_get_batch(tree, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
 
     Kept as the executable reference the stacked level-at-a-time
     pipeline is verified against (same probe
-    schedule, same ``probe_cpu``/``add_read`` charges per run, same Bloom
+    schedule, same :func:`probe_cpu` / :func:`add_read` charges per run, same Bloom
     RNG consumption, same ``O(n log n)`` ``np.isin`` pending-set
     maintenance the production path replaced with ``O(n)`` masks).
     """
@@ -96,15 +159,15 @@ def reference_get_batch(tree, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]
         for run in reversed(level.runs):
             if len(pending) == 0:
                 break
-            probe_cost = tree.disk.probe_cpu(len(pending))
-            tree.stats.add_read(level.level_no, probe_cost)
+            probe_cost = probe_cpu(tree.disk, len(pending))
+            add_read(tree.stats, level.level_no, probe_cost)
             positives = run.bloom_positive_batch(keys[pending])
             if not positives.any():
                 continue
             probe_idx = pending[positives]
             hit, hit_values, pages = find_batch(run, keys[probe_idx])
-            io_cost = tree.disk.random_read_batch(run.run_id, pages)
-            tree.stats.add_read(level.level_no, io_cost)
+            io_cost = random_read_batch(tree.disk, run.run_id, pages)
+            add_read(tree.stats, level.level_no, io_cost)
             if hit.any():
                 hit_idx = probe_idx[hit]
                 resolved[hit_idx] = True

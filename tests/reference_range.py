@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
-from reference_get import page_of_position
+from reference_get import add_read, page_of_position, probe_cpu
 
 from repro.lsm.entry import merge_sorted_sources
 from repro.lsm.memtable import MemTable
@@ -62,12 +62,12 @@ def reference_range_scan_batch(
         # Oldest sources first so merge_sorted_sources keeps the newest.
         for level in reversed(tree.levels):
             for run in level.runs:  # within a level: oldest -> newest
-                probe_cost = tree.disk.probe_cpu(1)
-                tree.stats.add_read(level.level_no, probe_cost)
+                probe_cost = probe_cpu(tree.disk, 1)
+                add_read(tree.stats, level.level_no, probe_cost)
                 run_keys, run_values, n_pages = range_slice(run, lo, hi)
                 if n_pages:
                     io_cost = tree.disk.sequential_read(n_pages)
-                    tree.stats.add_read(level.level_no, io_cost)
+                    add_read(tree.stats, level.level_no, io_cost)
                 if len(run_keys):
                     key_arrays.append(run_keys)
                     value_arrays.append(run_values)

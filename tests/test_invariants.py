@@ -26,7 +26,7 @@ REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Engine / tuner methods that move simulated state.
 MUTATORS = frozenset({
-    "advance", "advance_repeated", "begin_mission", "bulk_load", "delete",
+    "advance", "begin_mission", "bulk_load", "delete",
     "delete_batch", "end_mission", "get_batch", "observe_mission", "put",
     "put_batch", "range_lookup", "range_scan_batch", "run_chunks", "set_named_policy",
     "set_policies", "set_policy", "warm_start",

@@ -4,9 +4,11 @@ That :meth:`LSMTree.get_batch` is bit-identical to the run-at-a-time
 reference (``tests/reference_get.py``) and to per-key :meth:`LSMTree.get`,
 on every engine, is the differential oracle's (``tests/test_oracle.py``).
 This module pins the parts the pipeline rides on: the stacked level index,
-the batched storage primitives (:meth:`LRUBlockCache.access_batch`,
-:meth:`DiskModel.random_read_batch`, :meth:`SimClock.advance_repeated`), the
-memtable sorted-view cache and the stage laps a tracer records.
+the batched cache access (:meth:`LRUBlockCache.access_batch`), the
+per-charge references the plan's pass must equal (``random_read_batch``,
+``advance_repeated`` in ``tests/reference_get.py``), the float arithmetic
+the pass relies on, the memtable sorted-view cache and the stage laps a
+tracer records.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pickle
 import numpy as np
 import pytest
 from reference_cache import ReferenceLRUCache, cache_state
-from reference_get import find, find_batch
+from reference_get import advance_repeated, find, find_batch, random_read_batch
 from test_entry_memtable import buffer_delete, buffer_put
 
 from repro.config import BloomMode, CostModelParams, SystemConfig, TransitionKind
@@ -234,7 +236,7 @@ class TestDiskBatchRead:
         # branch promises loop-bitwise charging.)
         disk = self._disk(0)
         pages = np.array([3, 1, 3, 7])
-        total = disk.random_read_batch(9, pages)
+        total = random_read_batch(disk, 9, pages)
         assert total == len(pages) * CostModelParams().random_read_s
         assert disk.clock.now == total
         assert disk.counters.random_reads == len(pages)
@@ -248,11 +250,11 @@ class TestDiskBatchRead:
         for i in range(25):
             pages = rng.integers(0, 10, size=rng.integers(0, 16))
             run_id = i % 2
-            total = batched.random_read_batch(run_id, pages)
+            total = random_read_batch(batched, run_id, pages)
             # One page at a time on the per-page cache; summed left to right
             # like the clock (advance_repeated(s, 1) is the scalar charge).
             expected = sum(
-                looped.random_read_batch(run_id, [page]) for page in pages.tolist()
+                random_read_batch(looped, run_id, [page]) for page in pages.tolist()
             )
             assert total == expected
             # Clock must accumulate bit-identically, not just approximately.
@@ -266,14 +268,17 @@ class TestDiskBatchRead:
         # behavior on the hot default path).
         disk = self._disk(8)
         with pytest.raises(StorageError):
-            disk.random_read_batch(1, np.array([0, -1, 2]))
+            random_read_batch(disk, 1, np.array([0, -1, 2]))
 
     def test_snapshot_page_keys_stay_json_clean(self):
-        # access_batch receives .tolist()'d pages, so the cache holds plain
-        # int pairs (numpy ints would break JSON round-trips).
-        disk = self._disk(8)
-        disk.random_read_batch(3, np.array([1, 2, 1]))
-        for run_id, page in disk.cache:
+        # The read plan hands access_batch .tolist()'d pages, so the cache
+        # holds plain int pairs (numpy ints would break JSON round-trips).
+        tree = FLSMTree(SystemConfig(write_buffer_bytes=8 * 1024, block_cache_pages=8))
+        keys = np.arange(0, 400, 2)
+        tree.bulk_load(keys, keys)
+        tree.get_batch(keys[::25])
+        assert len(tree.disk.cache)
+        for run_id, page in tree.disk.cache:
             assert type(run_id) is int and type(page) is int
 
 
@@ -281,7 +286,7 @@ class TestAdvanceRepeated:
     def test_matches_loop_bitwise(self):
         step = 25e-6  # non-dyadic on purpose: rounding order must match
         batched, looped = SimClock(), SimClock()
-        total = batched.advance_repeated(step, 1000)
+        total = advance_repeated(batched, step, 1000)
         expected = 0.0
         for _ in range(1000):
             expected += step
@@ -294,15 +299,66 @@ class TestAdvanceRepeated:
 
     def test_zero_times(self):
         clock = SimClock()
-        assert clock.advance_repeated(1.0, 0) == 0.0
+        assert advance_repeated(clock, 1.0, 0) == 0.0
         assert clock.now == 0.0
 
     def test_rejects_negative(self):
         clock = SimClock()
         with pytest.raises(StorageError):
-            clock.advance_repeated(-1.0, 3)
+            advance_repeated(clock, -1.0, 3)
         with pytest.raises(StorageError):
-            clock.advance_repeated(1.0, -3)
+            advance_repeated(clock, 1.0, -3)
+
+
+class TestPassArithmetic:
+    """A read-plan pass adds a range chunk's charges with one
+    ``np.add.accumulate`` (``np.cumsum``) down an addend table seeded with
+    the pass's locals, ``+0.0`` where an accumulator gets nothing. That
+    equals one Python ``+=`` per charge only because ``cumsum`` adds
+    sequentially and ``+0.0`` is exact on a non-negative float; ``np.sum``
+    (pairwise) would not do."""
+
+    COSTS = CostModelParams()
+    CONSTANTS = (COSTS.run_probe_cpu_s, COSTS.seq_read_s, COSTS.random_read_s, 25e-6, 0.1)
+
+    def _addends(self, seed, n):
+        rng = np.random.default_rng(seed)
+        drawn = rng.random(n) * 10.0 ** rng.integers(-9, 1, n)
+        picked = rng.choice(self.CONSTANTS, n) * rng.integers(0, 40, n)
+        return np.where(rng.random(n) < 0.5, drawn, picked)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cumsum_down_a_column_is_left_to_right(self, seed):
+        start = float(self._addends(seed + 100, 1)[0] * 1e3)
+        column = self._addends(seed, 300)
+        table = np.stack([column, column[::-1]], axis=1)
+        block = table.copy()
+        block[0] += (start, 0.0)
+        last = np.add.accumulate(block, out=block)[-1].tolist()  # as the pass sums
+        assert block.tobytes() == np.cumsum(np.vstack([(start, 0.0), table]), axis=0)[1:].tobytes()
+        for j in range(2):
+            expected = start if j == 0 else 0.0
+            for addend in table[:, j].tolist():
+                expected += addend
+            assert last[j] == expected
+
+    def test_a_zero_row_leaves_an_accumulator_unchanged(self):
+        for x in [0.0, *self._addends(7, 200).tolist(), *self.CONSTANTS, 5e-324, 1e308]:
+            assert (x + 0.0).hex() == x.hex()
+            assert np.cumsum(np.array([x, 0.0, 0.0]))[-1].tobytes() == np.float64(x).tobytes()
+
+    def test_pairwise_sum_differs_from_the_sequential_one(self):
+        """What ``np.sum`` would break: some addend column sums differently
+        pairwise than left to right."""
+        differs = 0
+        for seed in range(20):
+            column = self._addends(seed, 300)
+            sequential = 0.0
+            for addend in column.tolist():
+                sequential += addend
+            assert np.cumsum(column)[-1] == sequential
+            differs += float(np.sum(column)) != sequential
+        assert differs
 
 
 class TestPlanDraws:
@@ -454,7 +510,8 @@ class TestReadPathStageLaps:
 
     def test_profile_script_reports_every_stage(self):
         """``scripts/profile_read_path.py`` folds the spans into the table
-        the profiler used to print: all eight stages, point and range."""
+        the profiler used to print: all eight stages, point and range; then
+        the mission stream's table: ``chunks`` and the plans' passes."""
         path = pathlib.Path(__file__).parent.parent / "scripts" / "profile_read_path.py"
         spec = importlib.util.spec_from_file_location("profile_read_path", path)
         script = importlib.util.module_from_spec(spec)
@@ -465,7 +522,10 @@ class TestReadPathStageLaps:
                 "--n-records", "3000", "--batches", "2", "--batch-size", "256",
                 "--range-batches", "2", "--range-batch-size", "32",
             ]) == 0
-        rows = {line.split("|")[0].strip(): line for line in out.getvalue().splitlines()}
+        batches, missions = out.getvalue().split("mission read plans:")
         assert script.STAGES == POINT_STAGES + RANGE_STAGES
-        for stage in script.STAGES:
-            assert int(rows[stage].split("|")[3]) > 0, rows[stage]
+        assert script.MISSION_STAGES == ("chunks",) + PLAN_STAGES
+        for text, stages in ((batches, script.STAGES), (missions, script.MISSION_STAGES)):
+            rows = {line.split("|")[0].strip(): line for line in text.splitlines()}
+            for stage in stages:
+                assert int(rows[stage].split("|")[3]) > 0, rows[stage]

@@ -1,6 +1,7 @@
 """Tests for repro.lsm.stats."""
 
 import pytest
+from reference_get import add_read
 
 from repro.lsm.stats import BUFFER_LEVEL, MissionStats, StatsCollector
 from repro.storage.pager import IOCounters
@@ -34,8 +35,8 @@ class TestMissionStats:
 class TestStatsCollector:
     def test_attribution_accumulates(self):
         stats = StatsCollector()
-        stats.add_read(1, 0.5)
-        stats.add_read(2, 0.25)
+        add_read(stats, 1, 0.5)
+        add_read(stats, 2, 0.25)
         stats.add_write(1, 1.0)
         assert stats.total_read_time == pytest.approx(0.75)
         assert stats.total_write_time == pytest.approx(1.0)
@@ -43,9 +44,9 @@ class TestStatsCollector:
     def test_mission_window_isolates_costs(self):
         stats = StatsCollector()
         io = IOCounters()
-        stats.add_read(1, 9.0)  # outside any mission
+        add_read(stats, 1, 9.0)  # outside any mission
         stats.begin_mission(io, clock_now=0.0)
-        stats.add_read(1, 1.0)
+        add_read(stats, 1, 1.0)
         stats.count_lookup()
         io.random_reads += 3
         mission = stats.end_mission(io, clock_now=1.0)
@@ -59,15 +60,19 @@ class TestStatsCollector:
         charges = [(3, 0.1), (3, 0.2), (1, 1e-9), (3, 0.7), (1, 0.3)]
         direct, replayed = StatsCollector(), StatsCollector()
         for stats in (direct, replayed):
-            stats.add_read(3, 0.05)  # level 3 known before the window
+            add_read(stats, 3, 0.05)  # level 3 known before the window
             if in_mission:
                 stats.begin_mission(IOCounters(), 0.0)
-                stats.add_read(1, 0.4)  # the window starts non-zero
+                add_read(stats, 1, 0.4)  # the window starts non-zero
         for level_no, seconds in charges:
-            direct.add_read(level_no, seconds)
-        level_nos = [3, 1]
-        total, levels, window, window_levels = replayed.read_totals(level_nos)
+            add_read(direct, level_no, seconds)
+        total, stored, window, window_stored = replayed.read_totals()
+        level_nos, levels, window_levels = [], [], []  # in first-charge order
         for level_no, seconds in charges:
+            if level_no not in level_nos:
+                level_nos.append(level_no)
+                levels.append(stored.get(level_no, 0.0))
+                window_levels.append(window_stored.get(level_no, 0.0))
             at = level_nos.index(level_no)
             total += seconds
             levels[at] += seconds
@@ -75,13 +80,15 @@ class TestStatsCollector:
             window_levels[at] += seconds
         replayed.set_read_totals(level_nos, total, levels, window, window_levels)
         assert replayed.total_read_time == direct.total_read_time
-        assert replayed.level_read_time == direct.level_read_time
+        # equal in insertion order too: a level new to the map goes where
+        # its first charge put it
+        assert list(replayed.level_read_time.items()) == list(direct.level_read_time.items())
         assert replayed.in_mission == in_mission
         if in_mission:
             ours = replayed.end_mission(IOCounters(), 0.0)
             theirs = direct.end_mission(IOCounters(), 0.0)
             assert ours.read_time == theirs.read_time
-            assert ours.level_read_time == theirs.level_read_time
+            assert list(ours.level_read_time.items()) == list(theirs.level_read_time.items())
 
     def test_mission_indices_increment(self):
         stats = StatsCollector()

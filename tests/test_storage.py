@@ -4,14 +4,19 @@ import pickle
 import tracemalloc
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
-from reference_cache import ReferenceLRUCache
+from reference_cache import ReferenceLRUCache, cache_state
+from reference_get import probe_cpu, random_read_batch
 
 from repro import RusKey
-from repro.config import CostModelParams
+from repro.config import CostModelParams, SystemConfig
 from repro.errors import StorageError
+from repro.lsm import FLSMTree
+from repro.lsm.level import LevelLookupIndex
+from repro.lsm.readplan import ReadPlan
 from repro.storage import DiskModel, IOCounters, LRUBlockCache, SimClock
 from repro.storage.cache import PAGE_LIMIT
 from repro.workload import YCSBWorkload
@@ -305,27 +310,27 @@ class TestDiskModel:
 
     def test_random_read_charges_and_counts(self):
         disk, clock = self._make()
-        cost = disk.random_read_batch(1, [0])
+        cost = random_read_batch(disk, 1, [0])
         assert cost == pytest.approx(10e-6)
         assert clock.now == pytest.approx(10e-6)
         assert disk.counters.random_reads == 1
 
     def test_random_read_cached_is_free(self):
         disk, clock = self._make(cache_pages=4)
-        disk.random_read_batch(1, [0])
-        cost = disk.random_read_batch(1, [0])
+        random_read_batch(disk, 1, [0])
+        cost = random_read_batch(disk, 1, [0])
         assert cost == 0.0
         assert disk.counters.random_reads == 1
 
     def test_random_read_batch_no_cache_prices_everything(self):
         disk, clock = self._make()
-        cost = disk.random_read_batch(1, [0, 1, 2])
+        cost = random_read_batch(disk, 1, [0, 1, 2])
         assert cost == pytest.approx(30e-6)
         assert disk.counters.random_reads == 3
 
     def test_random_read_batch_with_cache_dedups(self):
         disk, _ = self._make(cache_pages=8)
-        disk.random_read_batch(1, [0, 0, 1])
+        random_read_batch(disk, 1, [0, 0, 1])
         assert disk.counters.random_reads == 2  # second 0 hit the cache
 
     def test_sequential_costs(self):
@@ -338,7 +343,7 @@ class TestDiskModel:
 
     def test_cpu_costs_advance_clock(self):
         disk, clock = self._make()
-        disk.probe_cpu(4)
+        probe_cpu(disk, 4)
         disk.compaction_cpu(8)
         assert clock.now == pytest.approx(4 * 0.5e-6 + 8 * 0.25e-6)
 
@@ -349,31 +354,60 @@ class TestDiskModel:
         with pytest.raises(StorageError):
             disk.sequential_write(-1)
         with pytest.raises(StorageError):
-            disk.probe_cpu(-1)
+            probe_cpu(disk, -1)
         with pytest.raises(StorageError):
             disk.compaction_cpu(-1)
         with pytest.raises(StorageError):
             # The cache-off branch prices a batch without reading its pages.
-            self._make(cache_pages=4)[0].random_read_batch(1, [-1])
+            random_read_batch(self._make(cache_pages=4)[0], 1, [-1])
 
-    def test_page_index_beyond_the_packed_key_refused(self):
+    def test_page_index_beyond_the_packed_key_refused(self, monkeypatch):
         """A cached page is keyed ``run_id << 32 | page``: a page index of
-        2**32 would collide with the next run's page 0."""
-        disk, _ = self._make(cache_pages=4)
-        assert disk.random_read_batch(1, [PAGE_LIMIT - 1]) > 0
-        with pytest.raises(StorageError):
-            disk.random_read_batch(0, [3, PAGE_LIMIT])
-        assert list(disk.cache) == [(1, PAGE_LIMIT - 1)]
+        2**32 would collide with the next run's page 0. A read-plan pass
+        checks every page before it charges or admits any, so a refused
+        pass of two chunks — the first one fine — leaves the clock, the
+        LRU and the counters as they were."""
+        tree = FLSMTree(SystemConfig(write_buffer_bytes=8 * 1024, block_cache_pages=4))
+        keys = np.arange(0, 400, 2)
+        tree.bulk_load(keys, keys)
+        tree.get_batch(keys[:3])  # some pages resident
+        honest = LevelLookupIndex.run_positions
+
+        def run_positions_ending_at(page):
+            def run_positions(index, run, *args):
+                positions = honest(index, run, *args)
+                positions[-1] = page * run.entries_per_page  # chunk 2's last probe
+                return positions
+            return run_positions
+
+        def charge_two_chunks():
+            plan = ReadPlan(tree)
+            plan.lookup(keys[10:14])
+            plan.lookup(keys[100:101])
+            plan.charge()
+
+        def state():
+            return tree.clock.now, cache_state(tree.disk.cache), tree.disk.counters.snapshot()
+
+        before = state()
+        for page in (PAGE_LIMIT, -1):
+            monkeypatch.setattr(LevelLookupIndex, "run_positions", run_positions_ending_at(page))
+            with pytest.raises(StorageError, match="2\\*\\*32"):
+                charge_two_chunks()
+            assert state() == before
+        monkeypatch.undo()  # the honest pass does move all three
+        charge_two_chunks()
+        assert all(a != b for a, b in zip(state(), before))
 
     def test_drop_run_invalidates_cache(self):
         disk, _ = self._make(cache_pages=4)
-        disk.random_read_batch(7, [0])
+        random_read_batch(disk, 7, [0])
         disk.drop_run(7)
-        assert disk.random_read_batch(7, [0]) > 0  # miss again after invalidation
+        assert random_read_batch(disk, 7, [0]) > 0  # miss again after invalidation
 
     def test_zero_page_operations_are_free(self):
         disk, clock = self._make()
         assert disk.sequential_read(0) == 0.0
         assert disk.sequential_write(0) == 0.0
-        assert disk.random_read_batch(1, []) == 0.0
+        assert random_read_batch(disk, 1, []) == 0.0
         assert clock.now == 0.0

@@ -10,11 +10,12 @@ charge; range stages: range_search / range_charge / range_gather /
 range_merge — a fold over ``tracer.spans()``) plus headline throughput.
 Pass ``--range-batches 0`` to profile point lookups only.
 
-Then it runs a short mission stream in the ``offline_sharded_scan`` shape
-(4 shards, static policy, Zipf point lookups and 64-key range scans over
-200k records, a block cache smaller than the data; ``--seed`` seeds it) and
-prints the laps of each mission's ``store.run_chunks`` span: ``chunks``
-(queueing), then the read plans' ``search`` / ``bloom`` / ``charge``.
+Then it builds perfbench's ``offline_sharded_scan`` workload (4 shards,
+static policy, Zipf point lookups and 64-key range scans over 200k records,
+a block cache smaller than the data; ``--seed`` seeds its generator), runs
+the missions of its warm-up at ``--seconds 10`` and prints the laps of each
+mission's ``store.run_chunks`` span: ``chunks`` (queueing), then the read
+plans' ``search`` / ``bloom`` / ``charge``.
 
 Laps measure *host* time only — tracing never touches the simulated
 clock, so the numbers here are about the reproduction's own speed, not
@@ -31,29 +32,29 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 import time
 
-import numpy as np
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
-from repro import RusKey, StaticTuner
-from repro.bench.experiments import base_config
-from repro.config import SystemConfig
-from repro.lsm import FLSMTree
-from repro.lsm.rangepath import RANGE_STAGES
-from repro.lsm.readplan import PLAN_STAGES
-from repro.obs import Tracer, stage_totals
-from repro.workload import YCSBWorkload
-from repro.workload.zipf import ZipfianSampler
+import numpy as np  # noqa: E402
+
+from perfbench.workloads import UNIT_OPS, OfflineShardedScan  # noqa: E402
+from repro.config import SystemConfig  # noqa: E402
+from repro.lsm import FLSMTree  # noqa: E402
+from repro.lsm.rangepath import RANGE_STAGES  # noqa: E402
+from repro.lsm.readplan import PLAN_STAGES  # noqa: E402
+from repro.obs import Tracer, stage_totals  # noqa: E402
+from repro.workload.zipf import ZipfianSampler  # noqa: E402
 
 POLICIES = ("leveling", "tiering", "lazy-leveling")
 #: Stage rows of the report, in pipeline order.
 STAGES = ("memtable",) + PLAN_STAGES + RANGE_STAGES
 #: Stage rows of the mission report: queueing, then the plans' passes.
 MISSION_STAGES = ("chunks",) + PLAN_STAGES
-#: The mission stream: ``offline_sharded_scan``'s shape and warm-up length.
-MISSION_SHAPE = dict(n_records=200_000, n_shards=4, policy=4, cache_pages=2_048)
-N_MISSIONS, MISSION_OPS = 16, 2_000
+#: The perfbench run length whose warm-up missions are profiled.
+MISSION_SECONDS = 10.0
 
 
 def format_report(spans) -> tuple[str, float]:
@@ -89,10 +90,10 @@ def mission_report(spans) -> str:
     normalizes by mission operations."""
     totals = stage_totals(spans)
     total = sum(totals.get(stage, (0.0, 0))[0] for stage in MISSION_STAGES)
-    n_ops = len(spans) * MISSION_OPS
+    n_ops = len(spans) * UNIT_OPS
     lines = [
         f"mission read plans: {len(spans)} missions / {n_ops} ops over "
-        f"{MISSION_SHAPE['n_shards']} shards, {total * 1e3:.2f} ms lapped",
+        f"{OfflineShardedScan.n_shards} shards, {total * 1e3:.2f} ms lapped",
         f"{'stage':>12} | {'ms':>9} | {'%':>6} | {'calls':>8} | {'us/op':>8}",
     ]
     for stage in MISSION_STAGES:
@@ -106,22 +107,16 @@ def mission_report(spans) -> str:
 
 
 def profile_missions(seed: int) -> str:
-    """Run ``N_MISSIONS`` missions of the ``offline_sharded_scan`` shape
-    with a tracer attached after the load; returns their report."""
-    shape = MISSION_SHAPE
-    config = base_config(seed=0).with_updates(
-        initial_policy=shape["policy"], block_cache_pages=shape["cache_pages"]
-    )
-    spec = YCSBWorkload(
-        shape["n_records"], lookup_fraction=0.6, range_fraction=0.5, range_span=64, seed=seed
-    )
-    store = RusKey(config, n_shards=shape["n_shards"], tuner=StaticTuner(shape["policy"]))
-    store.engine.bulk_load(*spec.load_records())
-    missions = list(spec.missions(N_MISSIONS, MISSION_OPS))
-    tracer = Tracer(max_spans=4 * N_MISSIONS)
-    store.engine.set_tracer(tracer)
+    """Run the warm-up missions of ``offline_sharded_scan`` with a tracer
+    attached after the load; returns their report."""
+    workload = OfflineShardedScan(seed, MISSION_SECONDS, scratch="")
+    workload.build()
+    workload.load()
+    missions = workload.take(workload.sizes.warm_units, None)
+    tracer = Tracer(max_spans=4 * len(missions))
+    workload.engine.set_tracer(tracer)
     for mission in missions:
-        store.run_mission(mission)
+        workload.store.run_mission(mission)
     return mission_report([s for s in tracer.spans() if s.name == "store.run_chunks"])
 
 

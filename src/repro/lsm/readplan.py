@@ -228,10 +228,10 @@ class ReadPlan:
         """Charge queued reads in ``order`` (``None`` for a chunk's points, a
         count for its ranges) into five locals read once and written back
         once: the clock, the read total and per-level totals, and the open
-        window's two (``StatsCollector.read_totals``). A level takes its slot
-        in the per-level lists at its first charge, so they are in
-        first-charge order. A point chunk walks ``steps`` in plain Python,
-        its pages through the LRU; a range chunk sums its block of the pass's
+        window's two (``StatsCollector.read_totals``). The per-level maps
+        take a level at its first charge, so they are in first-charge order.
+        A point chunk walks ``steps`` in plain Python, its pages through the
+        LRU; a range chunk sums its block of the pass's
         :func:`range_addends` table (from ``pages``, the page spans of the
         runs :func:`range_sources` gave with ``levels``) with one sequential
         ``np.add.accumulate`` (``np.cumsum``) seeded with the locals. Each
@@ -241,16 +241,16 @@ class ReadPlan:
         tree, stats = self.tree, self.tree.stats
         costs, cache, counters = tree.config.costs, tree.disk.cache, tree.disk.counters
         cached = cache.capacity > 0
-        for *_, p in steps if cached else ():
+        for step in steps if cached else ():
+            p = step[4]
             if p is not None and (min(p) < 0 or max(p) >= PAGE_LIMIT):
                 bad = min(p) if min(p) < 0 else max(p)
                 raise StorageError(f"page_index must lie in [0, 2**32), got {bad}")
         probe_s, read_s = costs.run_probe_cpu_s, costs.random_read_s
         now = tree.clock.now
         total, stored, window, window_stored = stats.read_totals()
-        slot: dict = {}  # level -> its index in lv_t and lv_w, in first-charge order
-        lv_t: list = []
-        lv_w: list = []
+        lv_t: dict = {}  # level -> its read total, in first-charge order
+        lv_w: dict = {}  # level -> the window's
         table = None
         reads = point_no = row_no = 0
         for n_rows in order:
@@ -259,52 +259,52 @@ class ReadPlan:
                     n = per_chunk[point_no]
                     if not n:
                         continue
-                    j = slot.get(no)
-                    if j is None:  # a level new to the pass takes the next slot
-                        j = slot[no] = len(lv_t)
-                        lv_t.append(stored.get(no, 0.0))
-                        lv_w.append(window_stored.get(no, 0.0))
+                    t = lv_t.get(no)
+                    if t is None:  # a level new to the pass
+                        t, w = stored.get(no, 0.0), window_stored.get(no, 0.0)
+                    else:
+                        w = lv_w[no]
                     cost = n * probe_s
                     now += cost
                     total += cost
-                    lv_t[j] += cost
+                    t += cost
                     window += cost
-                    lv_w[j] += cost
+                    w += cost
                     a, b = bounds[point_no], bounds[point_no + 1]
-                    if a == b:
-                        continue
-                    if cached:  # per miss on the clock, the repeated sum on the totals
-                        misses = b - a - cache.access_batch(run_id, p[a:b])
-                        cost = 0.0
-                        for _ in range(misses):
-                            now += read_s
-                            cost += read_s
-                    else:
-                        misses = b - a
-                        cost = misses * read_s
-                        now += cost
-                    reads += misses
-                    total += cost
-                    lv_t[j] += cost
-                    window += cost
-                    lv_w[j] += cost
+                    if a < b:
+                        if cached:  # per miss on the clock, the repeated sum on the totals
+                            misses = b - a - cache.access_batch(run_id, p[a:b])
+                            cost = 0.0
+                            for _ in range(misses):
+                                now += read_s
+                                cost += read_s
+                        else:
+                            misses = b - a
+                            cost = misses * read_s
+                            now += cost
+                        reads += misses
+                        total += cost
+                        t += cost
+                        window += cost
+                        w += cost
+                    lv_t[no] = t
+                    lv_w[no] = w
                 point_no += 1
             elif pages is not None:
                 if table is None:  # from here on, every level a range reads is charged
                     for no in levels[0]:
-                        if no not in slot:
-                            slot[no] = len(lv_t)
-                            lv_t.append(stored.get(no, 0.0))
-                            lv_w.append(window_stored.get(no, 0.0))
-                    run_slots = [slot[levels[0][i]] for i in levels[1]]
-                    table = range_addends(pages, run_slots, len(slot), probe_s, costs.seq_read_s)
-                block = table[row_no : row_no + 2 * len(run_slots) * n_rows]
-                block[0] += (now, total, window, *lv_t, *lv_w)
+                        if no not in lv_t:
+                            lv_t[no], lv_w[no] = stored.get(no, 0.0), window_stored.get(no, 0.0)
+                    col = {no: j for j, no in enumerate(lv_t)}
+                    run_columns = [col[levels[0][i]] for i in levels[1]]
+                    table = range_addends(pages, run_columns, len(col), probe_s, costs.seq_read_s)
+                block = table[row_no : row_no + 2 * len(run_columns) * n_rows]
+                block[0] += (now, total, window, *lv_t.values(), *lv_w.values())
                 now, total, window, *rest = np.add.accumulate(block, out=block)[-1].tolist()
-                lv_t[:], lv_w[:] = rest[: len(slot)], rest[len(slot) :]
+                lv_t, lv_w = dict(zip(col, rest)), dict(zip(col, rest[len(col) :]))
                 row_no += len(block)
         tree.clock.advance_to(now)
-        stats.set_read_totals(slot, total, lv_t, window, lv_w)
+        stats.set_read_totals(total, lv_t, window, lv_w)
         counters.random_reads += reads
         if not cached:
             cache.misses += reads
@@ -320,14 +320,14 @@ class ReadPlan:
         self._replay([pages.shape[1]], (), pages, levels)
 
 
-def range_addends(pages: np.ndarray, run_slots, n_levels: int, probe_s: float, seq_s: float):
+def range_addends(pages: np.ndarray, run_columns, n_levels: int, probe_s: float, seq_s: float):
     """A pass's range charges as rows of addends, range-major: per run a
     ``probe_s`` row, then a ``pages * seq_s`` row (``+0.0`` for an empty
     segment). The columns are the accumulators — clock, read total, window
     total, then ``n_levels`` per-level totals and the window's ``n_levels``
-    — and a row adds ``+0.0`` to every level but its run's (``run_slots``)."""
+    — and a row adds ``+0.0`` to every level but its run's (``run_columns``)."""
     columns = []  # per run, 1.0 in the columns its rows add to
-    for at in run_slots:
+    for at in run_columns:
         row = [1.0] * 3 + [0.0] * (2 * n_levels)
         row[3 + at] = row[3 + n_levels + at] = 1.0
         columns.append(row)

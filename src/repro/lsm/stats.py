@@ -214,17 +214,17 @@ class StatsCollector:
             return self.total_read_time, self.level_read_time, 0.0, {}
         return self.total_read_time, self.level_read_time, window.read_time, window.level_read_time
 
-    def set_read_totals(self, level_nos, total, level_totals, window_time, window_levels) -> None:
-        """Write back a pass: the two totals, and the new per-level totals
-        of each charged level in ``level_nos``, listed in first-charge order
-        — a level new to a map goes in where its first charge would have put
-        it, and an uncharged level gets no key."""
+    def set_read_totals(self, total, level_totals, window_time, window_levels) -> None:
+        """Write back a pass: the two totals, and the maps of each charged
+        level's new totals, in first-charge order — a level new to a map
+        goes in where its first charge would have put it, and an uncharged
+        level gets no key."""
         self.total_read_time = total
-        self.level_read_time.update(zip(level_nos, level_totals))
+        self.level_read_time.update(level_totals)
         window = self._current
         if window is not None:
             window.read_time = window_time
-            window.level_read_time.update(zip(level_nos, window_levels))
+            window.level_read_time.update(window_levels)
 
     def add_write(self, level_no: int, seconds: float) -> None:
         """Attribute write-path (flush/compaction) time to ``level_no``."""

@@ -508,14 +508,17 @@ class TestReadPathStageLaps:
             outer.stages["a"][0] + inner.stages["a"][0]
         )
 
-    def test_profile_script_reports_every_stage(self):
+    def test_profile_script_reports_every_stage(self, monkeypatch):
         """``scripts/profile_read_path.py`` folds the spans into the table
         the profiler used to print: all eight stages, point and range; then
-        the mission stream's table: ``chunks`` and the plans' passes."""
+        the mission stream's table: ``chunks`` and the plans' passes (here
+        two missions over 20k records)."""
         path = pathlib.Path(__file__).parent.parent / "scripts" / "profile_read_path.py"
         spec = importlib.util.spec_from_file_location("profile_read_path", path)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "MISSION_SECONDS", 1.25)
+        monkeypatch.setattr(script.OfflineShardedScan, "n_records", 20_000)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert script.main([
@@ -523,6 +526,7 @@ class TestReadPathStageLaps:
                 "--range-batches", "2", "--range-batch-size", "32",
             ]) == 0
         batches, missions = out.getvalue().split("mission read plans:")
+        assert missions.startswith(" 2 missions")
         assert script.STAGES == POINT_STAGES + RANGE_STAGES
         assert script.MISSION_STAGES == ("chunks",) + PLAN_STAGES
         for text, stages in ((batches, script.STAGES), (missions, script.MISSION_STAGES)):

@@ -67,18 +67,16 @@ class TestStatsCollector:
         for level_no, seconds in charges:
             add_read(direct, level_no, seconds)
         total, stored, window, window_stored = replayed.read_totals()
-        level_nos, levels, window_levels = [], [], []  # in first-charge order
+        levels, window_levels = {}, {}  # in first-charge order
         for level_no, seconds in charges:
-            if level_no not in level_nos:
-                level_nos.append(level_no)
-                levels.append(stored.get(level_no, 0.0))
-                window_levels.append(window_stored.get(level_no, 0.0))
-            at = level_nos.index(level_no)
+            if level_no not in levels:
+                levels[level_no] = stored.get(level_no, 0.0)
+                window_levels[level_no] = window_stored.get(level_no, 0.0)
             total += seconds
-            levels[at] += seconds
+            levels[level_no] += seconds
             window += seconds
-            window_levels[at] += seconds
-        replayed.set_read_totals(level_nos, total, levels, window, window_levels)
+            window_levels[level_no] += seconds
+        replayed.set_read_totals(total, levels, window, window_levels)
         assert replayed.total_read_time == direct.total_read_time
         # equal in insertion order too: a level new to the map goes where
         # its first charge put it

@@ -366,7 +366,7 @@ class TestDiskModel:
         2**32 would collide with the next run's page 0. A read-plan pass
         checks every page before it charges or admits any, so a refused
         pass of two chunks — the first one fine — leaves the clock, the
-        LRU and the counters as they were."""
+        LRU and the counters as they were; page 2**32 - 1 is admitted."""
         tree = FLSMTree(SystemConfig(write_buffer_bytes=8 * 1024, block_cache_pages=4))
         keys = np.arange(0, 400, 2)
         tree.bulk_load(keys, keys)
@@ -395,9 +395,12 @@ class TestDiskModel:
             with pytest.raises(StorageError, match="2\\*\\*32"):
                 charge_two_chunks()
             assert state() == before
-        monkeypatch.undo()  # the honest pass does move all three
-        charge_two_chunks()
+        boundary = run_positions_ending_at(PAGE_LIMIT - 1)
+        monkeypatch.setattr(LevelLookupIndex, "run_positions", boundary)
+        charge_two_chunks()  # the last page read is the boundary one
         assert all(a != b for a, b in zip(state(), before))
+        (holder,) = (run for level in tree.levels for run in level.runs if keys[100] in run.keys)
+        assert list(tree.disk.cache)[-1] == (holder.run_id, PAGE_LIMIT - 1)
 
     def test_drop_run_invalidates_cache(self):
         disk, _ = self._make(cache_pages=4)

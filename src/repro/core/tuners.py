@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.config import TransitionKind
 from repro.errors import ConfigError
-from repro.lsm.policy import PolicyLike, resolve_policy
+from repro.lsm.policy import LazyLevelingPolicy, PolicyLike, resolve_policy
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
 
@@ -98,11 +98,7 @@ class LazyLevelingTuner(Tuner):
         self.transition = transition
 
     def desired_policies(self, tree: LSMTree) -> "list[int]":
-        t = tree.config.size_ratio
-        n = tree.n_levels
-        if n == 0:
-            return []
-        return [t] * (n - 1) + [1]
+        return LazyLevelingPolicy().assignments(tree.n_levels, tree.config.size_ratio)
 
     def observe_mission(self, tree: LSMTree, mission: MissionStats) -> None:
         for level, want in zip(tree.levels, self.desired_policies(tree)):

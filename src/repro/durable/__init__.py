@@ -10,9 +10,11 @@ production LSM store recovers from (DESIGN.md §13):
   handle is: the WAL and the manifest are its two payloads;
 * :mod:`repro.durable.wal` — the write-ahead log's record codec: per-op
   sequence numbers and fsync-boundary markers;
-* :mod:`repro.durable.sstable` — a binary SSTable file format (sorted
-  key/value data blocks + fence-pointer index block + serialized Bloom
-  block) mapping 1:1 onto the in-memory :class:`~repro.lsm.run.SortedRun`;
+* :mod:`repro.durable.sstable` — a binary SSTable file format (header,
+  sorted key and value blocks, CRC32 footer) mapping 1:1 onto the
+  in-memory :class:`~repro.lsm.run.SortedRun`. It stores no index and no
+  filter: reads are served from memory, the filter is a pure function of
+  ``(keys, fpr, run_id)`` rebuilt on open, and integrity is the CRC's job;
 * :mod:`repro.durable.manifest` — JSON edits of run installs/drops per
   level, with an atomic ``CURRENT`` pointer swap;
 * :mod:`repro.durable.atomio` — the atomic publish (tmp → fsync → rename

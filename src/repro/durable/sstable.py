@@ -1,30 +1,23 @@
 """Binary SSTable files mapping 1:1 onto in-memory :class:`SortedRun` s.
 
-File layout (all integers little-endian; offsets from the file start)::
+File layout (all integers little-endian)::
 
     header      : magic "RSST" | u32 version | u32 header_len
                   u32 level_no | u64 run_id | u64 n_entries
-                  u32 entries_per_page | u8 bloom_mode | u8 sealed
+                  u32 entries_per_page | u8 sealed
                   f64 fpr | u64 capacity_entries
-                  u64 keys_off | u64 values_off | u64 index_off
-                  u64 bloom_off | u64 bloom_bits | u64 footer_off
     keys block  : int64[n_entries]            (sorted, strictly increasing)
     values block: int64[n_entries]            (TOMBSTONE encodes deletes)
-    index block : int64[n_pages]              (fence pointers: min key/page)
-    bloom block : packed bits (np.packbits)   (empty under ANALYTICAL mode)
     footer      : u32 crc32(everything before the footer) | magic "TSSR"
 
-Blocks are plain contiguous arrays so a reader can ``np.fromfile`` (or
-mmap) each one straight into the dtype it already uses in memory — no
-row-by-row decode. The bloom block serializes the
-:class:`~repro.bloom.filter.BitArrayBloomFilter` bit array for format
-fidelity and offline inspection, but the in-memory run **rebuilds** its
-filter from the keys on open (the filter is a pure function of
-``(keys, fpr, run_id)``), which keeps recovered stores bit-identical to
-never-crashed ones; the block's length is cross-checked instead.
-
-The index block is likewise derivable (fence pointers are implicit:
-``page = rank // entries_per_page``) and is cross-checked on read.
+A table holds what recovery reads and nothing else. Reads are served
+from the in-memory runs, so the file is a recovery mirror, not a read
+path: no fence-pointer index is stored (fences are implicit,
+``page = rank // entries_per_page``) and no filter is stored (the
+filter is a pure function of ``(keys, fpr, run_id)``, rebuilt on open,
+which keeps recovered stores bit-identical to never-crashed ones).
+Integrity is the footer CRC's job. The blocks are plain contiguous
+arrays, read straight into the dtype the run uses in memory.
 """
 
 from __future__ import annotations
@@ -43,12 +36,10 @@ from repro.lsm.run import SortedRun
 
 MAGIC = b"RSST"
 FOOTER_MAGIC = b"TSSR"
-VERSION = 1
+VERSION = 2
 
-_HEADER = struct.Struct("<4sIIIQQIBBdQQQQQQQ")
+_HEADER = struct.Struct("<4sIIIQQIBdQ")
 _FOOTER = struct.Struct("<I4s")
-
-_BLOOM_MODE_CODES = {BloomMode.BIT_ARRAY: 0, BloomMode.ANALYTICAL: 1}
 
 #: ``sst-%08d-L%02d.sst`` — run ``run_id`` installed at level ``level_no``.
 FILE_FMT = "sst-{:08d}-L{:02d}.sst"
@@ -56,23 +47,6 @@ FILE_FMT = "sst-{:08d}-L{:02d}.sst"
 
 def sstable_path(directory: str, run_id: int, level_no: int) -> str:
     return os.path.join(directory, FILE_FMT.format(run_id, level_no))
-
-
-def _fence_pointers(keys: np.ndarray, entries_per_page: int) -> np.ndarray:
-    """Min key of each fence-pointer page (empty for an empty run)."""
-    if len(keys) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return keys[::entries_per_page].astype(np.int64, copy=True)
-
-
-def _bloom_block(run: SortedRun) -> "tuple[bytes, int]":
-    """``(packed_bits, n_bits)`` for the run's filter (empty when the
-    analytical filter is in use — it has no bit array to serialize)."""
-    bloom = run._bloom
-    bits = getattr(bloom, "_bits", None)
-    if bits is None or len(bits) == 0:
-        return b"", 0
-    return np.packbits(bits).tobytes(), len(bits)
 
 
 def write_sstable(path: str, run: SortedRun) -> int:
@@ -84,22 +58,6 @@ def write_sstable(path: str, run: SortedRun) -> int:
     under a live name (recovery deletes orphans), and the publish
     itself survives the crash once this returns.
     """
-    keys = np.ascontiguousarray(run.keys, dtype="<i8")
-    values = np.ascontiguousarray(run.values, dtype="<i8")
-    index = _fence_pointers(run.keys, run.entries_per_page).astype("<i8")
-    bloom_bytes, bloom_bits = _bloom_block(run)
-    bloom_mode = (
-        BloomMode.BIT_ARRAY
-        if run._bloom.__class__.__name__ == "BitArrayBloomFilter"
-        else BloomMode.ANALYTICAL
-    )
-
-    keys_off = _HEADER.size
-    values_off = keys_off + keys.nbytes
-    index_off = values_off + values.nbytes
-    bloom_off = index_off + index.nbytes
-    footer_off = bloom_off + len(bloom_bytes)
-
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -108,20 +66,15 @@ def write_sstable(path: str, run: SortedRun) -> int:
         run.run_id,
         run.n_entries,
         run.entries_per_page,
-        _BLOOM_MODE_CODES[bloom_mode],
         1 if run.sealed else 0,
         run.fpr,
         run.capacity_entries,
-        keys_off,
-        values_off,
-        index_off,
-        bloom_off,
-        bloom_bits,
-        footer_off,
     )
-    body = b"".join(
-        [header, keys.tobytes(), values.tobytes(), index.tobytes(), bloom_bytes]
-    )
+    body = b"".join([
+        header,
+        np.ascontiguousarray(run.keys, dtype="<i8").tobytes(),
+        np.ascontiguousarray(run.values, dtype="<i8").tobytes(),
+    ])
     footer = _FOOTER.pack(zlib.crc32(body), FOOTER_MAGIC)
 
     with atomic_file(path) as fh:
@@ -157,16 +110,9 @@ def read_sstable(
         run_id,
         n_entries,
         entries_per_page,
-        bloom_code,
         sealed,
         fpr,
         capacity_entries,
-        keys_off,
-        values_off,
-        index_off,
-        bloom_off,
-        bloom_bits,
-        footer_off,
     ) = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise DurabilityError(f"SSTable {path}: bad magic {magic!r}")
@@ -174,6 +120,7 @@ def read_sstable(
         raise DurabilityError(f"SSTable {path}: unsupported version {version}")
     if header_len != _HEADER.size:
         raise DurabilityError(f"SSTable {path}: bad header length {header_len}")
+    footer_off = _HEADER.size + 16 * n_entries
     if footer_off + _FOOTER.size != len(data):
         raise DurabilityError(
             f"SSTable {path}: truncated (expected {footer_off + _FOOTER.size} "
@@ -184,20 +131,12 @@ def read_sstable(
         raise DurabilityError(f"SSTable {path}: bad footer magic {footer_magic!r}")
     if zlib.crc32(data[:footer_off]) != crc:
         raise DurabilityError(f"SSTable {path}: CRC mismatch")
-    if bloom_code not in _BLOOM_MODE_CODES.values():
-        raise DurabilityError(f"SSTable {path}: unknown bloom mode {bloom_code}")
 
-    keys = np.frombuffer(data, dtype="<i8", count=n_entries, offset=keys_off)
-    values = np.frombuffer(data, dtype="<i8", count=n_entries, offset=values_off)
-    n_pages = -(-n_entries // entries_per_page) if n_entries else 0
-    index = np.frombuffer(data, dtype="<i8", count=n_pages, offset=index_off)
-    expected_index = _fence_pointers(
-        keys.astype(np.int64), entries_per_page
+    keys = np.frombuffer(data, dtype="<i8", count=n_entries, offset=_HEADER.size)
+    values = np.frombuffer(
+        data, dtype="<i8", count=n_entries, offset=_HEADER.size + keys.nbytes
     )
-    if not np.array_equal(index, expected_index):
-        raise DurabilityError(f"SSTable {path}: fence-pointer index mismatch")
-
-    run = SortedRun(
+    return SortedRun(
         run_id=int(run_id),
         level_no=int(level_no),
         keys=keys.astype(np.int64),
@@ -209,9 +148,3 @@ def read_sstable(
         rng=rng,
         sealed=bool(sealed),
     )
-    if bloom_mode is BloomMode.BIT_ARRAY:
-        rebuilt_bytes, rebuilt_bits = _bloom_block(run)
-        stored = data[bloom_off : bloom_off + len(rebuilt_bytes)]
-        if rebuilt_bits != bloom_bits or stored != rebuilt_bytes:
-            raise DurabilityError(f"SSTable {path}: bloom block mismatch")
-    return run

@@ -131,8 +131,7 @@ class DurableStore(LSMTree):
     _PROCESS_FIELDS = (
         "rotate_manifest_every", "telemetry", "_pending_ops", "_pending_wal_head",
         "_segment_max_seqno", "_closed", "_in_mutator", "last_recovery", "_wal",
-        "_manifest", "_state", "_wal_head_id", "_flushed_seqno", "_applied_seqno",
-        "_inflight_floor",
+        "_manifest", "_state", "_wal_head_id", "_flushed_seqno", "_inflight_floor",
     )
 
     def __init__(
@@ -147,12 +146,10 @@ class DurableStore(LSMTree):
         #: Wall-clock/file-volume telemetry, never simulated state (``wall_*_s``
         #: are laps on a span held for the call); see :func:`repro.obs.telemetry_view`.
         self.telemetry: Dict[str, float] = {
-            "wal_records": 0,
             "wal_bytes": 0,
             "wal_syncs": 0,
             "sstables_written": 0,
             "sstable_bytes": 0,
-            "manifest_edits": 0,
             "commits": 0,
             "wal_rotations": 0,
             "manifest_rotations": 0,
@@ -257,7 +254,7 @@ class DurableStore(LSMTree):
             self._ack_wal(keys[live], values[live])
         if (~live).any():
             self._ack_wal(keys[~live])
-        self._applied_seqno = self._inflight_floor = self._next_seqno - 1
+        self._inflight_floor = self._next_seqno - 1
         return removed
 
     def _sweep(self) -> int:
@@ -388,9 +385,7 @@ class DurableStore(LSMTree):
             self._pending_wal_head = self._wal_head_id
         self._next_seqno = recovered_seqno + 1
         self._acked_seqno = recovered_seqno
-        self._applied_seqno = checkpoint
-        self._flushed_seqno = checkpoint
-        self._inflight_floor = checkpoint
+        self._flushed_seqno = self._inflight_floor = checkpoint
 
         # Replay the WAL tail (ops past the checkpoint) into the memtable
         # through the base-class write path: the ops are already journaled.
@@ -405,17 +400,16 @@ class DurableStore(LSMTree):
                 if last <= checkpoint:
                     continue
                 skip = max(0, checkpoint - first + 1)
-                self._inflight_floor = max(
-                    self._applied_seqno, first + skip - 1
-                )
+                # The last op applied before this slice: seqnos rise across
+                # the kept segments, so this is max(checkpoint, first - 1).
+                self._inflight_floor = first + skip - 1
                 if record.op == OP_PUT:
                     super().put_batch(record.keys[skip:], record.values[skip:])
                 else:
                     super().delete_batch(record.keys[skip:])
-                self._applied_seqno = last
                 records_replayed += 1
                 ops_replayed += len(record.keys) - skip
-        self._inflight_floor = self._applied_seqno = recovered_seqno
+        self._inflight_floor = recovered_seqno
         if self._pending_ops:
             # A replay flush mid-commit never leaves buffered edits, but a
             # replay that ended exactly on a flush boundary may; land them.
@@ -535,7 +529,6 @@ class DurableStore(LSMTree):
         watch = Span("durable.manifest")
         self._manifest.append_edit(edit)
         self.telemetry["wall_manifest_s"] += watch.lap("manifest")
-        self.telemetry["manifest_edits"] += 1
         self.telemetry["commits"] += 1
         self._state.apply_edit(edit)
         # The edit is durable; the tables it drops and the WAL segments its
@@ -586,7 +579,6 @@ class DurableStore(LSMTree):
         self._wal.sync(self._next_seqno - 1)
         self.telemetry["wall_wal_s"] += watch.lap("wal")
         self.telemetry["wal_bytes"] += self._wal.log.bytes_appended - before
-        self.telemetry["wal_records"] += 1
         self.telemetry["wal_syncs"] += 1
         self._acked_seqno = self._next_seqno - 1
         return seq
@@ -616,7 +608,7 @@ class DurableStore(LSMTree):
         # may only checkpoint the last op *fully* applied before it.
         self._inflight_floor = seq - 1
         apply(keys, *values)
-        self._applied_seqno = self._inflight_floor = self._next_seqno - 1
+        self._inflight_floor = self._next_seqno - 1
 
     # ------------------------------------------------------------------
     # Policy / structure mutators: inherited behaviour, then one commit

@@ -230,8 +230,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.backend == "durable":
         t = server.engine.telemetry
         print(
-            f"durable: {t['wal_records']} WAL records "
-            f"({t['wal_bytes']:,} bytes, {t['wal_syncs']} syncs), "
+            f"durable: {t['wal_syncs']} WAL syncs ({t['wal_bytes']:,} bytes), "
             f"{t['sstables_written']} SSTables written, "
             f"{t['commits']} manifest commits; data at {args.data_dir}"
         )

@@ -126,6 +126,8 @@ class ClientResult:
     offered: int = 0
     accepted: int = 0
     dropped: int = 0
+    #: Accepted requests a closed-loop client stopped waiting for.
+    timed_out: int = 0
     wall_seconds: float = 0.0
 
 
@@ -219,7 +221,8 @@ class ClosedLoopClient(threading.Thread):
                 result.dropped += 1
                 continue
             result.accepted += 1
-            request.done.wait(timeout=self.timeout)
+            if not request.done.wait(timeout=self.timeout):
+                result.timed_out += 1
             if self.think_seconds > 0.0:
                 time.sleep(self.think_seconds)
         result.wall_seconds = time.perf_counter() - started
@@ -276,6 +279,7 @@ class LoadReport:
     clients: List[ClientResult] = field(default_factory=list)
     mean_queue_depth: float = 0.0
     max_queue_depth: int = 0
+    timed_out: int = 0
 
     @property
     def throughput(self) -> float:
@@ -383,6 +387,7 @@ def run_load(
         clients=results,
         mean_queue_depth=depth_sum / depth_samples if depth_samples else 0.0,
         max_queue_depth=server.max_queue_depth(),
+        timed_out=sum(r.timed_out for r in results),
     )
 
 

@@ -28,6 +28,7 @@ from repro.serve import (
     REQ_GET,
     REQ_PUT,
     REQ_RANGE,
+    ClosedLoopClient,
     KVServer,
     Request,
     TenantSpec,
@@ -454,6 +455,24 @@ class TestLoadGeneration:
         # submitted, served and awaited.
         assert report.histogram.count == report.completed
 
+    def test_closed_loop_counts_a_timed_out_wait_and_moves_on(self):
+        """A request still unserved when the client's wait times out is
+        counted, and the client goes on to its next request."""
+        store, workload = loaded_store(n_shards=1)
+        with KVServer(store) as server:
+            client = ClosedLoopClient(
+                server, request_stream(workload, 2, wait=True), timeout=0.5
+            )
+            with server.lanes[0].lock:  # the worker cannot serve the first request
+                client.start()
+                deadline = time.perf_counter() + 10.0
+                while client.result.timed_out == 0 and time.perf_counter() < deadline:
+                    time.sleep(0.005)
+            client.join(timeout=10.0)
+        assert not client.is_alive()
+        assert client.result.timed_out == 1
+        assert client.result.accepted == client.result.offered == 2
+
     def test_multi_tenant_mix_reports_per_tenant_tails(self):
         store, workload = loaded_store(n_shards=2)
         zipf_like = UniformWorkload(4_000, lookup_fraction=0.1, seed=31)
@@ -863,7 +882,8 @@ class TestServeCLI:
         assert loads == [data_dir]
         assert main(args) == 0
         assert loads == [data_dir]  # the second run recovered the directory
-        assert "completed 300" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "completed 300" in out and " WAL syncs (" in out
         n_records = bench_scale().n_records
         with DurableStore(data_dir) as store:
             found, _ = store.get_batch(np.arange(0, n_records, 97, dtype=np.int64))

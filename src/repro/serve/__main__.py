@@ -209,7 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"offered {report.offered} accepted {report.accepted} "
         f"completed {report.completed} dropped {report.dropped} "
-        f"({report.drop_fraction * 100:.2f}%)"
+        f"({report.drop_fraction * 100:.2f}%) timed out {report.timed_out}"
     )
     print(
         f"throughput {report.throughput:,.0f} req/s over "

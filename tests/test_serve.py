@@ -883,7 +883,8 @@ class TestServeCLI:
         assert main(args) == 0
         assert loads == [data_dir]  # the second run recovered the directory
         out = capsys.readouterr().out
-        assert "completed 300" in out and " WAL syncs (" in out
+        assert "completed 300" in out and "timed out 0" in out
+        assert " WAL syncs (" in out
         n_records = bench_scale().n_records
         with DurableStore(data_dir) as store:
             found, _ = store.get_batch(np.arange(0, n_records, 97, dtype=np.int64))

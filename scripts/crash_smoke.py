@@ -26,7 +26,7 @@ exactly. How long recovery takes on the host is ``perfbench``'s
 Usage::
 
     PYTHONPATH=src python scripts/crash_smoke.py            # full matrix
-    PYTHONPATH=src python scripts/crash_smoke.py --scenario wal.torn:7
+    PYTHONPATH=src python scripts/crash_smoke.py --scenario wal.torn:4
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ ROTATE_MANIFEST_EVERY = 6
 #: are chosen so each scenario dies in a *different* store state (mid
 #: first flush, deep in compactions, during rotation).
 SCENARIOS = (
-    "wal.append:5",
-    "wal.torn:7",
+    "wal.append:3",
+    "wal.torn:4",
     "wal.sync:9",
     "commit.before:2",
     "sst.partial:3",

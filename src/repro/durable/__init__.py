@@ -8,8 +8,8 @@ production LSM store recovers from (DESIGN.md §13):
 * :mod:`repro.durable.log` — the length+CRC32-framed log format, its
   torn-tail-stopping reader and the one appender every long-lived file
   handle is: the WAL and the manifest are its two payloads;
-* :mod:`repro.durable.wal` — the write-ahead log's record codec: per-op
-  sequence numbers and fsync-boundary markers;
+* :mod:`repro.durable.wal` — the write-ahead log's record codec: one
+  record per write batch, per-op sequence numbers;
 * :mod:`repro.durable.sstable` — a binary SSTable file format (header,
   sorted key and value blocks, CRC32 footer) mapping 1:1 onto the
   in-memory :class:`~repro.lsm.run.SortedRun`. It stores no index and no

@@ -4,8 +4,8 @@ The store *is* an LSM-tree (a subclass: the in-memory structure stays the
 working set every read is served from) that owns the three durable
 primitives and overrides only what durability changes:
 
-* every write appends to the WAL (and fsyncs a sync marker — the ack
-  boundary) *before* touching the memtable;
+* every write appends one WAL record and fsyncs it (the ack boundary)
+  *before* touching the memtable;
 * every run the tree installs is mirrored to an SSTable file the moment
   the in-memory install happens (the ``_run_installed`` /
   ``_runs_dropped`` / ``_flush_completed`` template methods), and every
@@ -19,7 +19,7 @@ primitives and overrides only what durability changes:
 Write protocol (the order is the whole durability argument)::
 
     put_batch(keys, values) / delete_batch(keys):   one record per batch
-      1. WAL append + fsync sync marker          -> op is ACKNOWLEDGED
+      1. WAL append + fsync                      -> op is ACKNOWLEDGED
       2. LSMTree.put_batch / delete_batch         (may flush/compact)
            per installed run: write SSTable file (fsync, tmp+rename)
            per flush cascade: append manifest edit (fsync), rotate WAL,
@@ -74,7 +74,6 @@ from repro.durable.manifest import (
 from repro.durable.sstable import FILE_FMT, read_sstable, sstable_path, write_sstable
 from repro.durable.wal import (
     OP_PUT,
-    OP_SYNC,
     WalReader,
     WalWriter,
     list_segments,
@@ -394,7 +393,7 @@ class DurableStore(LSMTree):
         ops_replayed = 0
         for reader in kept:
             for record in reader.records:
-                if record.op == OP_SYNC or len(record.keys) == 0:
+                if len(record.keys) == 0:
                     continue
                 first, last = record.seqno, record.last_seqno
                 if last <= checkpoint:
@@ -569,14 +568,14 @@ class DurableStore(LSMTree):
         self, keys: np.ndarray, values: Optional[np.ndarray] = None
     ) -> int:
         """Journal one record — a put of ``values``, or a delete when there
-        are none — and fsync its sync marker; the op is acknowledged when
-        this returns. Returns its first seqno."""
+        are none — and fsync it; the op is acknowledged when this
+        returns. Returns its first seqno."""
         seq = self._next_seqno
         watch = Span("durable.wal")
         before = self._wal.log.bytes_appended
         self._wal.append(seq, keys, values)
         self._next_seqno = seq + len(keys)
-        self._wal.sync(self._next_seqno - 1)
+        self._wal.sync()
         self.telemetry["wall_wal_s"] += watch.lap("wal")
         self.telemetry["wal_bytes"] += self._wal.log.bytes_appended - before
         self.telemetry["wal_syncs"] += 1
@@ -585,7 +584,7 @@ class DurableStore(LSMTree):
 
     @property
     def acked_seqno(self) -> int:
-        """Highest sequence number covered by an fsync'd sync marker."""
+        """Highest sequence number covered by an fsync'd WAL record."""
         return self._acked_seqno
 
     def put_batch(self, keys: np.ndarray, values: np.ndarray) -> None:

@@ -5,16 +5,14 @@ Record payload (all integers little-endian)::
 
     payload := u8 op | u64 seqno | u32 n | int64[n] keys | int64[n] values?
 
-``values`` is present only for ``OP_PUT``. Three ops exist:
+``values`` is present only for ``OP_PUT``. Two ops exist:
 
 * ``OP_PUT`` (1) — ``n`` key/value pairs; consumes seqnos
   ``seqno .. seqno + n - 1`` (one logical operation per pair);
-* ``OP_DELETE`` (2) — ``n`` tombstoned keys, same seqno rule;
-* ``OP_SYNC`` (3) — an fsync-boundary marker (``n == 0``): every record
-  before it is durable on disk when the marker's fsync returns. A write
-  is *acknowledged* once covered by a sync marker.
+* ``OP_DELETE`` (2) — ``n`` tombstoned keys, same seqno rule.
 
-A payload that does not decode ends the segment exactly like a torn frame.
+A write is *acknowledged* once the fsync after its record returns. A
+payload that does not decode ends the segment exactly like a torn frame.
 
 Sequence numbers make replay idempotent: the manifest records a
 ``checkpoint_seqno`` up to which all operations are covered by SSTables,
@@ -38,11 +36,10 @@ from repro.errors import DurabilityError
 
 OP_PUT = 1
 OP_DELETE = 2
-OP_SYNC = 3
 
 _PAYLOAD_HEAD = struct.Struct("<BQI")
-#: int64 arrays a record of each op carries: keys and values, keys, none.
-_N_ARRAYS = {OP_PUT: 2, OP_DELETE: 1, OP_SYNC: 0}
+#: int64 arrays a record of each op carries: keys and values, or keys.
+_N_ARRAYS = {OP_PUT: 2, OP_DELETE: 1}
 
 #: ``wal-%08d.log`` — segment file name for a WAL file id.
 SEGMENT_FMT = "wal-{:08d}.log"
@@ -54,14 +51,12 @@ class WalRecord(NamedTuple):
     op: int
     seqno: int
     keys: np.ndarray
-    values: np.ndarray  # empty for OP_DELETE / OP_SYNC
+    values: np.ndarray  # empty for OP_DELETE
 
     @property
     def last_seqno(self) -> int:
-        """Highest seqno the record covers: a marker's watermark, a
-        batch's last op (0 for an empty batch)."""
-        if self.op == OP_SYNC:
-            return self.seqno
+        """Highest seqno the record covers: the batch's last op (0 for an
+        empty batch)."""
         return self.seqno + len(self.keys) - 1 if len(self.keys) else 0
 
 
@@ -75,7 +70,7 @@ def encode_record(
     values: Optional[np.ndarray] = None,
 ) -> bytes:
     """One WAL record payload (unframed)."""
-    if op not in (OP_PUT, OP_DELETE, OP_SYNC):
+    if op not in _N_ARRAYS:
         raise DurabilityError(f"unknown WAL op {op!r}")
     keys = np.zeros(0, dtype=np.int64) if keys is None else np.asarray(keys, dtype=np.int64)
     parts = [_PAYLOAD_HEAD.pack(op, seqno, len(keys)), keys.tobytes()]
@@ -95,7 +90,7 @@ def decode_record(payload: bytes) -> Optional[WalRecord]:
         return None
     op, seqno, n = _PAYLOAD_HEAD.unpack_from(payload)
     n_arrays = _N_ARRAYS.get(op)
-    if n_arrays is None or (op == OP_SYNC and n != 0):
+    if n_arrays is None:
         return None
     count = n_arrays * n
     if len(payload) != _PAYLOAD_HEAD.size + count * 8:
@@ -112,8 +107,8 @@ def decode_record(payload: bytes) -> Optional[WalRecord]:
 class WalWriter:
     """Appends records to one WAL segment.
 
-    :meth:`append` buffers a record; :meth:`sync` appends an ``OP_SYNC``
-    marker, then fsyncs — the ack boundary. Wall-clock cost of the file
+    :meth:`append` buffers a record; :meth:`sync` fsyncs it — the ack
+    boundary. Wall-clock cost of the file
     I/O is the caller's to meter (telemetry only); simulated cost is
     charged by the engine through :class:`~repro.storage.pager.DiskModel`.
     """
@@ -135,13 +130,8 @@ class WalWriter:
         op = OP_DELETE if values is None else OP_PUT
         self._append(encode_record(op, seqno, keys, values), seqno + len(keys) - 1)
 
-    def sync(self, seqno: int) -> None:
-        """Append an fsync-boundary marker and make everything durable.
-
-        ``seqno`` is the last already-consumed sequence number — the ack
-        watermark the marker certifies.
-        """
-        self._append(encode_record(OP_SYNC, seqno), seqno)
+    def sync(self) -> None:
+        """Make everything appended durable."""
         self.log.sync()
         faults.maybe_crash("wal.sync")
 

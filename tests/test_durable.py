@@ -47,7 +47,6 @@ from repro.durable.sstable import sstable_path
 from repro.durable.wal import (
     OP_DELETE,
     OP_PUT,
-    OP_SYNC,
     decode_record,
     encode_record,
     segment_path,
@@ -125,7 +124,7 @@ def test_log_corruption_yields_clean_prefix(payloads, data_strategy):
 
 record_strategy = st.lists(
     st.tuples(
-        st.sampled_from([OP_PUT, OP_DELETE, OP_SYNC]),
+        st.sampled_from([OP_PUT, OP_DELETE]),
         st.integers(min_value=0, max_value=2**40),
         st.lists(
             st.integers(min_value=-(2**62), max_value=2**62), max_size=4
@@ -140,7 +139,7 @@ record_strategy = st.lists(
 @given(record_strategy)
 def test_wal_record_codec_roundtrip(specs):
     for op, seqno, key_list in specs:
-        keys = np.array(key_list if op != OP_SYNC else [], dtype=np.int64)
+        keys = np.array(key_list, dtype=np.int64)
         record = decode_record(encode_record(op, seqno, keys, keys + 1))
         assert (record.op, record.seqno) == (op, seqno)
         np.testing.assert_array_equal(record.keys, keys)
@@ -154,11 +153,12 @@ def test_wal_writer_reader_roundtrip(tmp_path):
     writer = WalWriter(path)
     writer.append(1, np.array([5, 7]), np.array([50, 70]))
     writer.append(3, np.array([5]))
-    writer.sync(3)
+    writer.sync()
     writer.close()
     reader = WalReader(path)
     assert not reader.torn
-    assert [r.op for r in reader.records] == [OP_PUT, OP_DELETE, OP_SYNC]
+    # One frame per record: the sync writes no marker of its own.
+    assert [r.op for r in reader.records] == [OP_PUT, OP_DELETE]
     assert reader.records[-1].seqno == 3
     assert reader.max_seqno == 3
     np.testing.assert_array_equal(reader.records[0].values, [50, 70])
@@ -176,7 +176,7 @@ def fsyncs(monkeypatch):
 def test_wal_close_fsyncs_only_unsynced_appends(tmp_path, fsyncs):
     clean = WalWriter(segment_path(str(tmp_path), 1))
     clean.append(1, np.array([5]), np.array([50]))
-    clean.sync(1)
+    clean.sync()
     assert len(fsyncs) == 1
     clean.close()  # nothing appended since the sync: nothing left to make durable
     assert len(fsyncs) == 1
@@ -235,9 +235,9 @@ def test_new_wal_segment_reaches_a_directory_fsync_before_an_ack(
             events.append(("create", os.path.basename(path)))
         real_init(self, path)
 
-    def sync(self, seqno):
+    def sync(self):
         events.append(("ack", os.path.basename(self.log.path)))
-        real_sync(self, seqno)
+        real_sync(self)
 
     for owner in (atomio, store_module):
         monkeypatch.setattr(owner, "fsync_dir", fsync_dir)
@@ -272,15 +272,17 @@ def test_new_wal_segment_reaches_a_directory_fsync_before_an_ack(
     assert events[restore:][:3] == [first, synced, ("ack", first[1])]
 
 
-def test_wal_sync_marker_rejects_payload(tmp_path):
-    assert decode_record(encode_record(OP_SYNC, 9)).seqno == 9
-    # A delete's op byte rewritten to SYNC: a marker carrying a key is
-    # structurally invalid, so even behind a clean CRC it ends the segment.
+def test_wal_unknown_op_ends_the_segment(tmp_path):
+    # A delete's op byte rewritten to 3, the sync marker older segments
+    # carried: no op decodes as 3 now, so even behind a clean CRC the
+    # record ends the segment, and encoding one is refused.
     bad = b"\x03" + encode_record(OP_DELETE, 9, np.array([1]))[1:]
     assert decode_record(bad) is None
+    with pytest.raises(DurabilityError):
+        encode_record(3, 9)
     path = segment_path(str(tmp_path), 1)
     with open(path, "wb") as fh:
-        fh.write(frame(encode_record(OP_SYNC, 4)) + frame(bad))
+        fh.write(frame(encode_record(OP_DELETE, 4, np.array([2]))) + frame(bad))
     reader = WalReader(path)
     assert [r.seqno for r in reader.records] == [4] and reader.torn
 

@@ -313,10 +313,7 @@ class KVServer:
         if tracer is not None:
             engine.set_tracer(tracer)
         targets = list(engine.tuning_targets())
-        self.lanes = [
-            _Lane(i, tree, queue_capacity, max_batch)
-            for i, tree in enumerate(targets)
-        ]
+        self.lanes = [_Lane(i, tree, queue_capacity, max_batch) for i, tree in enumerate(targets)]
         self.n_lanes = len(self.lanes)
         self.tuners: List[object] = list(tuners or ())
         if self.tuners and len(self.tuners) != self.n_lanes:
@@ -431,9 +428,7 @@ class KVServer:
         ``range_scan_batch`` call; each range request's ``result`` is its
         ``(keys, values)`` array pair, sorted by key.
         """
-        with open_span(
-            self.tracer, "serve.batch", lane=lane.index, n_requests=len(batch)
-        ):
+        with open_span(self.tracer, "serve.batch", lane=lane.index, n_requests=len(batch)):
             tree = lane.tree
             reads, writes, ranges = [], [], []
             # One pass; puts and deletes share a list (relative order matters).
@@ -453,9 +448,7 @@ class KVServer:
                     values = np.fromiter((r.value for r in run), dtype=np.int64, count=len(run))
                     tree.put_batch(keys, values)
                 if reads:
-                    keys = np.fromiter(
-                        (r.key for r in reads), dtype=np.int64, count=len(reads)
-                    )
+                    keys = np.fromiter((r.key for r in reads), dtype=np.int64, count=len(reads))
                     found, values = tree.get_batch(keys)
                     for request, hit, value in zip(reads, found.tolist(), values.tolist()):
                         request.result = value if hit else None
@@ -465,9 +458,7 @@ class KVServer:
                     # counts and charges exactly like per-request
                     # range_lookup calls in drain order, but resolves run
                     # segments once per run per batch.
-                    los = np.fromiter(
-                        (r.key for r in ranges), dtype=np.int64, count=len(ranges)
-                    )
+                    los = np.fromiter((r.key for r in ranges), dtype=np.int64, count=len(ranges))
                     his = np.fromiter(
                         (r.key + max(0, r.span - 1) for r in ranges),
                         dtype=np.int64,
@@ -555,9 +546,7 @@ class KVServer:
                     policies.append(list(lane.tree.policies()))
             self._append_window(parts, policies)
 
-    def _append_window(
-        self, parts: List[MissionStats], policies: List[List[int]]
-    ) -> None:
+    def _append_window(self, parts: List[MissionStats], policies: List[List[int]]) -> None:
         """Record one closed window (caller holds the window mutex)."""
         merged = merge_mission_stats(len(self.windows), parts)
         self.windows.append(
@@ -573,15 +562,19 @@ class KVServer:
 
     def _tuning_loop(self) -> None:
         """Cut a window whenever ``window_ops`` more requests completed,
-        until the server stops or a tuner fails (the lanes then serve on,
-        untuned, and ``stop`` / ``checkpoint`` raise the cause)."""
+        until the server stops or the cut fails — a tuner, ``end_mission``
+        or the window record raising (the lanes then serve on, untuned,
+        and ``stop`` / ``checkpoint`` raise the cause)."""
         while self._running and self._tuning_error is None:
             self._window_wake.wait(timeout=0.05)
             self._window_wake.clear()
             if not self._running:
                 return
             if self.total_completed - self._last_window_ops() >= self.window_ops:
-                self._close_window(tune=True)
+                try:
+                    self._close_window(tune=True)
+                except Exception as exc:
+                    self._tuning_error = exc
 
     # ------------------------------------------------------------------
     # Checkpointing (between windows)
@@ -614,9 +607,7 @@ class KVServer:
             save_engine(self.engine, path, meta={"live_server": True})
             for lane in self.lanes:
                 lane.tree.begin_mission()
-            self._append_window(
-                    parts, [list(l.tree.policies()) for l in self.lanes]
-                )
+            self._append_window(parts, [list(l.tree.policies()) for l in self.lanes])
 
     # ------------------------------------------------------------------
     # Metrics

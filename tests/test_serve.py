@@ -385,6 +385,46 @@ class TestLaneFailure:
         assert not any(lane.tree.stats.in_mission for lane in server.lanes)
         assert sum(w.stats.n_operations for w in server.windows) == 180
 
+    def test_failed_window_cut_ends_tuning_and_is_raised(self, tmp_path):
+        """What a window cut raises outside the tuner — here lane 0's
+        ``end_mission``, once — is recorded like a tuner's failure, not
+        lost with the thread: tuning stops, the lanes serve on,
+        ``checkpoint`` refuses and ``stop`` closes the window, then raises
+        the cause."""
+        boom = RuntimeError("end_mission fault")
+        store, _ = loaded_store(n_shards=2)
+        server = KVServer(store, tuners=[StaticTuner(1), StaticTuner(1)], window_ops=50)
+        tree = server.lanes[0].tree
+        real_end_mission, calls = tree.end_mission, []
+
+        def end_mission():
+            calls.append(1)
+            if len(calls) == 1:
+                raise boom
+            return real_end_mission()
+
+        tree.end_mission = end_mission
+        server.start()
+
+        def serve(n):
+            for key in range(n):
+                await_result(server, Request(REQ_PUT, key, value=key, wait=True), 5.0)
+
+        serve(60)
+        server._tuning_thread.join(timeout=5.0)
+        assert not server._tuning_thread.is_alive()
+        assert server._tuning_error is boom and server.windows == []
+        serve(60)  # untuned, but served
+        assert server.total_completed == 120
+        with pytest.raises(ServeError) as refused:
+            server.checkpoint(str(tmp_path / "live.snap"))
+        assert refused.value.__cause__ is boom
+        with pytest.raises(ServeError) as stopped:
+            server.stop()
+        assert stopped.value.__cause__ is boom
+        assert not any(lane.tree.stats.in_mission for lane in server.lanes)
+        assert sum(w.stats.n_operations for w in server.windows) == 120
+
 
     def test_run_load_stops_at_a_failed_lane(self, monkeypatch):
         """A lane failing under load stops its open- and closed-loop clients

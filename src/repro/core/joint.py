@@ -65,13 +65,10 @@ class JointLerp(EpisodeTuner):
             self._joint_agent = self._make_agent()
         agent = self._joint_agent
         state = self._joint_state(tree, mission)
-        reward = -self._scale.normalize(
-            mission.total_time / max(1, mission.n_operations)
-        )
+        reward = -self._scale.normalize(mission.total_time / max(1, mission.n_operations))
         if self._last is not None:
             agent.observe(*self._last, reward, state)
-            for _ in range(cfg.updates_per_mission):
-                agent.update()
+            agent.update(cfg.updates_per_mission)
         raw = agent.act(state, explore=True)
         t = self.system_config.size_ratio
         for level in tree.levels[:JOINT_MAX_LEVELS]:

@@ -60,13 +60,9 @@ class LerpConfig:
 
     alpha: float = 0.5
     transition: TransitionKind = TransitionKind.FLEXIBLE
-    ddpg: DDPGConfig = field(
-        default_factory=lambda: DDPGConfig(state_dim=STATE_DIM, action_dim=1)
-    )
+    ddpg: DDPGConfig = field(default_factory=lambda: DDPGConfig(state_dim=STATE_DIM, action_dim=1))
     policy_dqn: DQNConfig = field(
-        default_factory=lambda: DQNConfig(
-            state_dim=POLICY_STATE_DIM, n_actions=len(POLICY_NAMES)
-        )
+        default_factory=lambda: DQNConfig(state_dim=POLICY_STATE_DIM, n_actions=len(POLICY_NAMES))
     )
     updates_per_mission: int = 8
     stable_window: int = 25
@@ -90,6 +86,7 @@ class LerpConfig:
                 raise RLError(f"{name} must be >= {minimum}")
         if self.max_stage_missions < self.stable_window:
             raise RLError("max_stage_missions must be >= stable_window")
+        self.ddpg.validate()
         if (self.ddpg.state_dim, self.ddpg.action_dim) != (STATE_DIM, 1):
             raise RLError(
                 f"level agents need ddpg (state_dim, action_dim) == ({STATE_DIM}, 1),"
@@ -256,9 +253,7 @@ class Lerp(AllLevelsLerp):
 
     def __init__(self, system_config: SystemConfig, config: Optional[LerpConfig] = None):
         super().__init__(system_config, config)
-        self.propagator = PolicyPropagator(
-            system_config.bloom_scheme, system_config.size_ratio
-        )
+        self.propagator = PolicyPropagator(system_config.bloom_scheme, system_config.size_ratio)
         self._k_history: Deque[int] = deque(maxlen=self.config.stable_window)
         self._stage_missions = 0
         self._stage_idx = 0
@@ -273,9 +268,7 @@ class Lerp(AllLevelsLerp):
         if tree.n_levels < stage_level:
             return
         part = self._level(stage_level)
-        new_policy = part.step(
-            tree, mission, self._scale, self._burn_in_left > 0, self._audit
-        )
+        new_policy = part.step(tree, mission, self._scale, self._burn_in_left > 0, self._audit)
         if new_policy is not None:
             self._k_history.append(new_policy)
             self._stage_missions += 1

@@ -63,9 +63,7 @@ class RunningScale:
 
     def __init__(self, calibration_samples: int = 8) -> None:
         if calibration_samples < 1:
-            raise RLError(
-                f"calibration_samples must be >= 1, got {calibration_samples}"
-            )
+            raise RLError(f"calibration_samples must be >= 1, got {calibration_samples}")
         self.calibration_samples = calibration_samples
         self.value = 0.0
         self._count = 0
@@ -119,9 +117,7 @@ def level_state(
     level_read = mission.level_read_time.get(level_no, 0.0) / ops
     level_write = mission.level_write_time.get(level_no, 0.0) / ops
     e2e = mission.total_time / ops
-    reads_per_lookup = (
-        mission.io.random_reads / mission.n_lookups if mission.n_lookups else 0.0
-    )
+    reads_per_lookup = mission.io.random_reads / mission.n_lookups if mission.n_lookups else 0.0
     return np.asarray(
         [
             level.policy / t,
@@ -161,10 +157,7 @@ def mission_reward(
     ops = max(1, mission.n_operations)
     t_level = mission.level_time(level_no) / ops
     t_e2e = mission.total_time / ops
-    return -(
-        alpha * level_scale.normalize(t_level)
-        + (1.0 - alpha) * e2e_scale.normalize(t_e2e)
-    )
+    return -(alpha * level_scale.normalize(t_level) + (1.0 - alpha) * e2e_scale.normalize(t_e2e))
 
 
 class LevelAgent:
@@ -227,8 +220,7 @@ class LevelAgent:
             return None
         if self.last is not None:
             self.agent.observe(*self.last, reward, state)
-            for _ in range(cfg.updates_per_mission):
-                self.agent.update()
+            self.agent.update(cfg.updates_per_mission)
         raw, delta = self._select_action(state)
         new_policy = int(np.clip(level.policy + delta, 1, self.size_ratio))
         if new_policy != level.policy:

@@ -173,9 +173,7 @@ class DurableStore(LSMTree):
             self.last_recovery = self._recover(config)
             return
         if config is None:
-            raise DurabilityError(
-                f"{self.data_dir} holds no store and no config was given"
-            )
+            raise DurabilityError(f"{self.data_dir} holds no store and no config was given")
         leftovers = [
             name
             for name in os.listdir(self.data_dir)
@@ -296,14 +294,10 @@ class DurableStore(LSMTree):
         watch = Span("durable.recover")
         state, manifest_id, manifest_torn = read_manifest(self.data_dir)
         if state.config_state is None:
-            raise DurabilityError(
-                f"manifest {manifest_id} in {self.data_dir} records no config"
-            )
+            raise DurabilityError(f"manifest {manifest_id} in {self.data_dir} records no config")
         recorded = config_from_state(dict(state.config_state))
         if config is not None and config != recorded:
-            raise DurabilityError(
-                f"{self.data_dir} was created under a different SystemConfig"
-            )
+            raise DurabilityError(f"{self.data_dir} was created under a different SystemConfig")
         config = recorded
 
         super().__init__(config)
@@ -327,9 +321,7 @@ class DurableStore(LSMTree):
             for run_id, filename in state.files[level_no]:
                 path = os.path.join(self.data_dir, filename)
                 if not os.path.exists(path):
-                    raise DurabilityError(
-                        f"manifest names missing SSTable {filename}"
-                    )
+                    raise DurabilityError(f"manifest names missing SSTable {filename}")
                 run = read_sstable(path, config.bloom_mode, self._rng)
                 if run.run_id != run_id or run.level_no != level_no:
                     raise DurabilityError(
@@ -436,9 +428,7 @@ class DurableStore(LSMTree):
     # ------------------------------------------------------------------
     # Structure-change hooks (LSMTree template methods)
     # ------------------------------------------------------------------
-    def _run_installed(
-        self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]
-    ) -> None:
+    def _run_installed(self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]) -> None:
         faults.maybe_crash("commit.before")
         filename = FILE_FMT.format(run.run_id, level_no)
         watch = Span("durable.sstable")
@@ -490,9 +480,7 @@ class DurableStore(LSMTree):
         old = self._wal
         old.close()
         old_id = self._wal_head_id
-        self._segment_max_seqno[old_id] = max(
-            old.max_seqno, self._segment_max_seqno.get(old_id, 0)
-        )
+        self._segment_max_seqno[old_id] = max(old.max_seqno, self._segment_max_seqno.get(old_id, 0))
         new_id = old_id + 1
         self._open_wal(new_id)
         self._pending_wal_head = new_id
@@ -594,9 +582,7 @@ class DurableStore(LSMTree):
     def delete_batch(self, keys: np.ndarray) -> None:
         self._journaled(super().delete_batch, validate_keys(keys))
 
-    def _journaled(
-        self, apply: Callable[..., None], keys: np.ndarray, *values: np.ndarray
-    ) -> None:
+    def _journaled(self, apply: Callable[..., None], keys: np.ndarray, *values: np.ndarray) -> None:
         """One write batch (a put of ``values``, or a delete when there are
         none): one WAL record and one sync — the ack — then the inherited
         in-memory apply."""
@@ -641,14 +627,10 @@ class DurableStore(LSMTree):
         (no WAL traffic — there is nothing to replay)."""
         self._mutate(super().bulk_load, keys, values, distribute)
 
-    def set_policy(
-        self, level_no: int, new_policy: int, transition: TransitionKind
-    ) -> None:
+    def set_policy(self, level_no: int, new_policy: int, transition: TransitionKind) -> None:
         self._mutate(super().set_policy, level_no, new_policy, transition)
 
-    def set_policies(
-        self, new_policies: Sequence[int], transition: TransitionKind
-    ) -> None:
+    def set_policies(self, new_policies: Sequence[int], transition: TransitionKind) -> None:
         self._mutate(super().set_policies, new_policies, transition)
 
     def set_named_policy(
@@ -679,9 +661,7 @@ class DurableStore(LSMTree):
                 )
             for _, filename in runs:
                 if not os.path.exists(os.path.join(self.data_dir, filename)):
-                    raise DurabilityError(
-                        f"live SSTable {filename} missing on disk"
-                    )
+                    raise DurabilityError(f"live SSTable {filename} missing on disk")
 
     # ------------------------------------------------------------------
     # Pickling (repro.persist): the tree and its WAL position travel; the

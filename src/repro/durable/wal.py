@@ -77,9 +77,7 @@ def encode_record(
     if op == OP_PUT:
         values = np.asarray(values, dtype=np.int64)
         if values.shape != keys.shape:
-            raise DurabilityError(
-                f"keys/values length mismatch: {keys.shape} vs {values.shape}"
-            )
+            raise DurabilityError(f"keys/values length mismatch: {keys.shape} vs {values.shape}")
         parts.append(values.tobytes())
     return b"".join(parts)
 
@@ -123,9 +121,7 @@ class WalWriter:
         self.max_seqno = max(self.max_seqno, max_seqno)
         faults.maybe_crash("wal.append")
 
-    def append(
-        self, seqno: int, keys: np.ndarray, values: Optional[np.ndarray] = None
-    ) -> None:
+    def append(self, seqno: int, keys: np.ndarray, values: Optional[np.ndarray] = None) -> None:
         """Append a put of ``values``, or a delete when there are none."""
         op = OP_DELETE if values is None else OP_PUT
         self._append(encode_record(op, seqno, keys, values), seqno + len(keys) - 1)

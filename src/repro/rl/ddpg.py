@@ -16,13 +16,14 @@ a from-scratch implementation on :mod:`repro.rl.nn`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import RLError
-from repro.rl.nn import MLP, Linear
+from repro.rl.nn import MLP, online_param_grads, stacked_forward
 from repro.rl.noise import OrnsteinUhlenbeckNoise
 from repro.rl.optim import Adam
 from repro.rl.replay import ReplayBuffer
@@ -63,6 +64,15 @@ class DDPGConfig:
             raise RLError("need buffer_capacity >= batch_size >= 1")
         if self.warmup < 1:
             raise RLError(f"warmup must be >= 1, got {self.warmup}")
+        for name, ok in (
+            ("actor_lr", 0.0 < self.actor_lr < math.inf),
+            ("critic_lr", 0.0 < self.critic_lr < math.inf),
+            ("noise_decay", 0.0 < self.noise_decay <= 1.0),
+            ("noise_sigma", self.noise_sigma >= 0.0),
+            ("hidden", len(self.hidden) > 0 and min(self.hidden) >= 1),
+        ):
+            if not ok:
+                raise RLError(f"{name} out of range: {getattr(self, name)!r}")
 
 
 class DDPGAgent:
@@ -75,33 +85,42 @@ class DDPGAgent:
         hidden = list(config.hidden)
         self.actor = MLP(config.state_dim, hidden, config.action_dim, rng, "tanh")
         self.critic = MLP(config.state_dim + config.action_dim, hidden, 1, rng)
-        self.target_actor = MLP(
-            config.state_dim, hidden, config.action_dim, rng, "tanh"
-        )
+        self.target_actor = MLP(config.state_dim, hidden, config.action_dim, rng, "tanh")
         self.target_critic = MLP(config.state_dim + config.action_dim, hidden, 1, rng)
         # Small final-layer init (Lillicrap et al. §7): keeps early actor
         # outputs near zero so exploration noise — not random saturation —
         # drives the first actions, and early Q estimates stay small.
-        self._shrink_final_layer(self.actor, 0.05)
-        self._shrink_final_layer(self.critic, 0.05)
+        self.actor.linears()[-1].weight *= 0.05
+        self.critic.linears()[-1].weight *= 0.05
         self.target_actor.copy_params_from(self.actor)
         self.target_critic.copy_params_from(self.critic)
+        self._pair_nets()
         self.actor_opt = Adam(self.actor, config.actor_lr)
         self.critic_opt = Adam(self.critic, config.critic_lr)
-        self.replay = ReplayBuffer(
-            config.buffer_capacity, config.state_dim, config.action_dim, rng
-        )
+        self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, config.action_dim, rng)
         self.noise = OrnsteinUhlenbeckNoise(
             config.action_dim, rng, sigma=config.noise_sigma, theta=0.3
         )
         self.updates_done = 0
 
-    @staticmethod
-    def _shrink_final_layer(net: MLP, scale: float) -> None:
-        for layer in reversed(net.layers):
-            if isinstance(layer, Linear):
-                layer.weight *= scale
-                break
+    def _pair_nets(self) -> None:
+        """Hold each online/target pair in one ``(2, n_params)`` buffer, the
+        online net in row 0, and bind the nets to the rows (DESIGN.md §6)."""
+        self._actors = np.stack((self.actor.flat_params, self.target_actor.flat_params))
+        self._critics = np.stack((self.critic.flat_params, self.target_critic.flat_params))
+        nets = (self.actor, self.target_actor, self.critic, self.target_critic)
+        for net, row in zip(nets, (*self._actors, *self._critics)):
+            net._bind(row)
+
+    # Each net pickles its own row; the pairs are rebuilt on load.
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        del state["_actors"], state["_critics"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._pair_nets()
 
     # ------------------------------------------------------------------
     # Acting
@@ -135,49 +154,67 @@ class DDPGAgent:
     ) -> None:
         self.replay.push(state, action, reward, next_state, done)
 
-    def update(self) -> Optional[float]:
-        """One gradient step on critic and actor from a replay mini-batch.
+    def update(self, n: int = 1) -> Optional[float]:
+        """``n`` gradient steps on critic and actor, each on its own replay
+        mini-batch, as one fused pass (DESIGN.md §6): every float, and the
+        RNG state, as after ``n`` single steps.
 
-        Returns the critic TD loss, or ``None`` while the buffer has fewer
-        than ``warmup`` samples.
+        Returns the last step's critic TD loss, or ``None`` while the buffer
+        has fewer than ``warmup`` samples.
         """
+        if n < 1:
+            raise RLError(f"update needs n >= 1, got {n}")
         if len(self.replay) < self.config.warmup:
             return None
         cfg = self.config
-        states, actions, rewards, next_states, dones = self.replay.sample(
-            cfg.batch_size
-        )
+        sd, batch = cfg.state_dim, cfg.batch_size
+        states, actions, rewards, next_states, dones = self.replay.sample(n, batch)
+        # Step i's stacked critic input: [s, a] for the critic (row 0) and
+        # [s', µ'(s')] for its target (row 1). Its state columns are the
+        # actor pair's input: µ(s) beside µ'(s').
+        pair_in = np.empty((n, 2, batch, sd + cfg.action_dim))
+        pair_in[:, 0, :, :sd] = states
+        pair_in[:, 0, :, sd:] = actions
+        pair_in[:, 1, :, :sd] = next_states
+        actor_in = pair_in[..., :sd]
+        policy_in = pair_in[:, 0].copy()  # [s, µ(s)] once µ(s) is known
+        discounts = cfg.gamma * (1.0 - dones)
+        actors = self.actor.stacked(self._actors)
+        critics = self.critic.stacked(self._critics)
+        actor_layers, critic_layers = self.actor.linears(), self.critic.linears()
+        critic_hidden = [(layer.weight, layer.bias) for layer in critic_layers[:-1]]
+        for i in range(n):
+            # Neither pair has moved yet this step: µ(s) and µ'(s') in one
+            # pass, then Q(s, a) and Q'(s', µ'(s')) in one.
+            a_inputs, a_masks, mu = stacked_forward(actors, actor_in[i], True)
+            pair_in[i, 1, :, sd:] = mu[1]
+            c_inputs, c_masks, q = stacked_forward(critics, pair_in[i], False)
 
-        # --- critic update -------------------------------------------------
-        next_actions = self.target_actor.forward(next_states)
-        target_q = self.target_critic.forward(
-            np.concatenate([next_states, next_actions], axis=1)
-        )[:, 0]
-        y = rewards + cfg.gamma * (1.0 - dones) * target_q
+            # --- critic update ---------------------------------------------
+            td_error = q[0, :, 0] - (rewards[i] + discounts[i] * q[1, :, 0])
+            grad_q = (2.0 / batch) * td_error[:, None]
+            online_param_grads(critic_layers, c_inputs, c_masks, grad_q)
+            self.critic_opt.step()
 
-        self.critic.zero_grad()
-        q = self.critic.forward(np.concatenate([states, actions], axis=1))[:, 0]
-        td_error = q - y
-        loss = float(np.mean(td_error**2))
-        grad_q = (2.0 / cfg.batch_size) * td_error[:, None]
-        self.critic.backward(grad_q)
-        self.critic_opt.step()
+            # --- actor update ----------------------------------------------
+            # dQ/d(input) at (s, µ(s)) through the stepped critic, for a unit
+            # output gradient: the last layer's product with a ones column
+            # is its weight row, broadcast; its forward output is not read.
+            policy_in[i, :, sd:] = mu[0]
+            _, masks, last = stacked_forward(critic_hidden, policy_in[i], False)
+            masks.append(last > 0)
+            grad = critic_layers[-1].weight.T * masks[-1]
+            for layer, mask in zip(critic_layers[-2:0:-1], masks[-2::-1]):
+                grad = (grad @ layer.weight.T) * mask
+            grad_action = (grad @ critic_layers[0].weight.T)[:, sd:]
+            # Maximize Q  <=>  descend along -dQ/da, averaged over the
+            # batch, then back through the actor's tanh.
+            grad_mu = (-grad_action / batch) * (1.0 - mu[0] ** 2)
+            online_param_grads(actor_layers, a_inputs, a_masks, grad_mu)
+            self.actor_opt.step()
 
-        # --- actor update --------------------------------------------------
-        self.actor.zero_grad()
-        policy_actions = self.actor.forward(states)
-        critic_in = np.concatenate([states, policy_actions], axis=1)
-        # Scratch use of the critic: only dQ/d(input) is wanted, so its
-        # parameter gradients are neither computed nor disturbed.
-        self.critic.forward(critic_in)
-        grad_in = self.critic.backward_input(np.full((cfg.batch_size, 1), 1.0))
-        grad_action = grad_in[:, cfg.state_dim :]
-        # Maximize Q  <=>  descend along -dQ/da, averaged over the batch.
-        self.actor.backward(-grad_action / cfg.batch_size)
-        self.actor_opt.step()
-
-        # --- target tracking ----------------------------------------------
-        self.target_actor.soft_update_from(self.actor, cfg.tau)
-        self.target_critic.soft_update_from(self.critic, cfg.tau)
-        self.updates_done += 1
-        return loss
+            # --- target tracking: row 1 of each pair toward row 0 ----------
+            self.target_actor.soft_update_from(self.actor, cfg.tau)
+            self.target_critic.soft_update_from(self.critic, cfg.tau)
+        self.updates_done += n
+        return float(np.mean(td_error**2))

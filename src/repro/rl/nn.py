@@ -35,11 +35,6 @@ class Layer:
         """Gradient w.r.t. this layer's input; accumulates parameter grads."""
         raise NotImplementedError
 
-    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the input only: parameter grads are left alone.
-        Activations have no parameters, so it is their :meth:`backward`."""
-        return self.backward(grad_out)
-
     def params(self) -> List[np.ndarray]:
         return []
 
@@ -75,9 +70,6 @@ class Linear(Layer):
             raise RLError("backward called before forward")
         self.grad_weight += self._x.T @ grad_out
         self.grad_bias += np.add.reduce(grad_out, axis=0)
-        return grad_out @ self.weight.T
-
-    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out @ self.weight.T
 
     def params(self) -> List[np.ndarray]:
@@ -169,17 +161,17 @@ class MLP:
         self.flat_grads = np.zeros_like(flat_params)
         params = iter(self.split(self.flat_params))
         grads = iter(self.split(self.flat_grads))
-        for layer in self.layers:
-            if isinstance(layer, Linear):
-                layer.weight, layer.bias = next(params), next(params)
-                layer.grad_weight, layer.grad_bias = next(grads), next(grads)
+        for layer in self.linears():
+            layer.weight, layer.bias = next(params), next(params)
+            layer.grad_weight, layer.grad_bias = next(grads), next(grads)
+
+    def linears(self) -> List[Linear]:
+        return [layer for layer in self.layers if isinstance(layer, Linear)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.in_dim:
-            raise RLError(
-                f"MLP expected input dim {self.in_dim}, got {x.shape[1]}"
-            )
+            raise RLError(f"MLP expected input dim {self.in_dim}, got {x.shape[1]}")
         for layer in self.layers:
             x = layer.forward(x)
         return x
@@ -196,15 +188,6 @@ class MLP:
             grad = layer.backward(grad)
         return grad
 
-    def backward_input(self, grad_out: np.ndarray) -> np.ndarray:
-        """:meth:`backward` without the parameter gradients: only dL/dx is
-        computed, :meth:`grads` are untouched (DDPG's actor step needs
-        ∂Q/∂a through the critic and nothing else of it)."""
-        grad = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
-        for layer in reversed(self.layers):
-            grad = layer.backward_input(grad)
-        return grad
-
     def params(self) -> List[np.ndarray]:
         return [p for layer in self.layers for p in layer.params()]
 
@@ -212,14 +195,22 @@ class MLP:
         return [g for layer in self.layers for g in layer.grads()]
 
     def split(self, flat: np.ndarray) -> List[np.ndarray]:
-        """Per-parameter views of ``flat``, a vector laid out like
-        :attr:`flat_params` (an optimizer's moments, say)."""
+        """Per-parameter views of ``flat``, laid out like :attr:`flat_params`
+        along its last axis (an optimizer's moments, say, or a ``(2, n)``
+        online/target pair, whose views are ``(2, *shape)``)."""
         views = []
         offset = 0
         for param in self.params():
-            views.append(flat[offset : offset + param.size].reshape(param.shape))
+            block = flat[..., offset : offset + param.size]
+            views.append(block.reshape(flat.shape[:-1] + param.shape))
             offset += param.size
         return views
+
+    def stacked(self, pair: np.ndarray) -> list:
+        """``(weight, bias)`` views per Linear layer of the two nets whose
+        parameters are the rows of ``pair``: ``(2, in, out)``, ``(2, 1, out)``."""
+        views = self.split(pair)
+        return [(w, b[:, None]) for w, b in zip(views[::2], views[1::2])]
 
     def zero_grad(self) -> None:
         self.flat_grads.fill(0.0)
@@ -251,3 +242,34 @@ class MLP:
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
         self._bind(self.flat_params)
+
+
+
+# The fused DDPG pass (repro.rl.ddpg, DESIGN.md §6).
+def stacked_forward(weights: list, x: np.ndarray, squash: bool) -> tuple:
+    """Forward through Linear layers, ReLU between them and tanh on the
+    output when ``squash``: with ``x`` of shape ``(2, batch, in)`` and
+    ``weights`` from :meth:`MLP.stacked`, two nets' forwards in one product
+    per layer. Returns every layer's input, every ReLU's mask, the output."""
+    inputs: List[np.ndarray] = []
+    masks: List[np.ndarray] = []
+    for weight, bias in weights:
+        if inputs:
+            masks.append(x > 0)
+            x = np.where(masks[-1], x, 0.0)
+        inputs.append(x)
+        x = x @ weight
+        x += bias
+    return inputs, masks, np.tanh(x) if squash else x
+
+
+def online_param_grads(layers: list, inputs: list, masks: list, grad: np.ndarray) -> None:
+    """Parameter gradients only, from row 0 of a :func:`stacked_forward`:
+    ``grad`` (dL/d the last Linear's output) is back-propagated and each
+    gradient written over its view; the first layer's input gradient, which
+    nothing reads, is not formed."""
+    for i in range(len(layers) - 1, -1, -1):
+        np.matmul(inputs[i][0].T, grad, out=layers[i].grad_weight)
+        np.add.reduce(grad, axis=0, out=layers[i].grad_bias)
+        if i:
+            grad = (grad @ layers[i].weight.T) * masks[i - 1][0]

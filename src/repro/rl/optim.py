@@ -46,6 +46,4 @@ class Adam:
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
         v += (1.0 - self.beta2) * grad * grad
-        self._net.flat_params -= (
-            self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        )
+        self._net.flat_params -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

@@ -67,14 +67,17 @@ class ReplayBuffer:
         self._size = min(self._size + 1, self.capacity)
 
     def sample(
-        self, batch_size: int
+        self, *shape: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Uniformly sample ``batch_size`` transitions (with replacement)."""
+        """Uniformly sample transitions (with replacement) in one draw:
+        ``sample(batch_size)``, or ``sample(n, batch_size)`` for ``n``
+        mini-batches — the indices ``n`` single draws would take, in order.
+        Each column comes back with ``shape`` as its leading axes."""
         if self._size == 0:
             raise RLError("cannot sample from an empty replay buffer")
-        if batch_size < 1:
-            raise RLError(f"batch_size must be >= 1, got {batch_size}")
-        idx = self._rng.integers(0, self._size, size=batch_size)
+        if not shape or min(shape) < 1:
+            raise RLError(f"sample shape must be positive, got {shape}")
+        idx = self._rng.integers(0, self._size, size=shape)
         return (
             self._states[idx],
             self._actions[idx],

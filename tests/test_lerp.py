@@ -89,6 +89,14 @@ class TestLerpConfig:
             tuner_class(small_config, LerpConfig(ddpg=ddpg))
 
 
+    @pytest.mark.parametrize("tuner_class", [Lerp, AllLevelsLerp, JointLerp])
+    def test_tuners_refuse_a_bad_ddpg_config_when_built(self, small_config, tuner_class):
+        """Agents are built lazily, at the first learned mission; a bad
+        rate used to surface there (under a server, ending tuning)."""
+        with pytest.raises(RLError, match="actor_lr"):
+            tuner_class(small_config, LerpConfig(ddpg=DDPGConfig(actor_lr=-1.0)))
+
+
 class TestLerpStaging:
     def test_uniform_scheme_learns_one_level(self, small_config):
         lerp = Lerp(small_config, fast_lerp_config())

@@ -151,6 +151,38 @@ class TestDDPG:
         with pytest.raises(RLError):
             DDPGConfig(buffer_capacity=4, batch_size=8).validate()
 
+    # ROADMAP 18's probes: each was accepted, and the first learned step
+    # (or none at all: a NaN rate just turns the weights NaN) failed later.
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"actor_lr": -1.0},
+            {"actor_lr": float("inf")},
+            {"critic_lr": float("nan")},
+            {"critic_lr": 0.0},
+            {"noise_decay": 2.0},
+            {"noise_decay": 0.0},
+            {"noise_sigma": -1.0},
+            {"hidden": ()},
+            {"hidden": (32, 0)},
+        ],
+        ids=str,
+    )
+    def test_config_refuses(self, bad):
+        with pytest.raises(RLError):
+            DDPGConfig(**bad).validate()
+        with pytest.raises(RLError):
+            DDPGAgent(DDPGConfig(**bad), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "edge", [{"noise_decay": 1.0}, {"noise_sigma": 0.0}, {"hidden": (1,)}], ids=str
+    )
+    def test_config_accepts_the_boundary(self, edge):
+        agent = self._agent(**edge)
+        for _ in range(6):
+            agent.observe(np.zeros(2), agent.act(np.zeros(2)), 1.0, np.zeros(2))
+        assert np.isfinite(agent.update(2))
+
 
 class TestDQN:
     def _agent(self, **overrides):
@@ -402,3 +434,45 @@ class TestFlatBuffersMatchPerArrayLoops:
             not np.array_equal(old, new)
             for old, new in zip(before, trained.params())
         )
+
+
+# ----------------------------------------------------------------------
+# update(n): one fused pass ≡ n single steps, bit for bit
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("hidden", [(32, 32), (128, 128, 128)], ids=str)
+class TestFusedUpdate:
+    def test_update_n_equals_n_single_steps(self, hidden):
+        fused, single = _ddpg(hidden), _ddpg(hidden)
+        for n in (8, 1, 3, 8):
+            fused.update(n)
+            for _ in range(n):
+                single.update()
+        assert fused.updates_done == single.updates_done == 20
+        _assert_bit_equal(fused, single)
+
+    def test_pickle_mid_stream_resumes_bit_equal(self, hidden):
+        """A snapshot between passes comes back with each online/target
+        pair in one buffer again (the nets' rows), and continues bit-equal."""
+        fused, single = _ddpg(hidden), _ddpg(hidden)
+        fused.update(5)
+        fused = pickle.loads(pickle.dumps(fused))
+        assert np.shares_memory(fused.actor.flat_params, fused.target_actor.flat_params) is False
+        assert fused.actor.flat_params.base is fused.target_actor.flat_params.base
+        assert fused.critic.flat_params.base is fused.target_critic.flat_params.base
+        fused.update(8)
+        for _ in range(13):
+            single.update()
+        _assert_bit_equal(fused, single)
+
+    def test_returns_the_last_steps_loss(self, hidden):
+        fused, single = _ddpg(hidden), _ddpg(hidden)
+        losses = [single.update() for _ in range(4)]
+        assert fused.update(4) == losses[-1]
+
+
+def test_update_refuses_no_steps():
+    agent = _ddpg((32, 32))
+    for n in (0, -1):
+        with pytest.raises(RLError):
+            agent.update(n)
+    assert agent.updates_done == 0

@@ -256,7 +256,7 @@ def stacked_forward(weights: list, x: np.ndarray, squash: bool) -> tuple:
     for weight, bias in weights:
         if inputs:
             masks.append(x > 0)
-            x = np.where(masks[-1], x, 0.0)
+            x = np.maximum(x, 0.0, out=x)  # ReLU.forward for every non-NaN x
         inputs.append(x)
         x = x @ weight
         x += bias

@@ -12,7 +12,8 @@ Record payload (all integers little-endian)::
 * ``OP_DELETE`` (2) — ``n`` tombstoned keys, same seqno rule.
 
 A write is *acknowledged* once the fsync after its record returns. A
-payload that does not decode ends the segment exactly like a torn frame.
+payload that does not decode ends the segment like a torn frame, but an
+older version's per-write sync marker (op 3) raises ``DurabilityError``.
 
 Sequence numbers make replay idempotent: the manifest records a
 ``checkpoint_seqno`` up to which all operations are covered by SSTables,
@@ -88,6 +89,8 @@ def decode_record(payload: bytes) -> Optional[WalRecord]:
         return None
     op, seqno, n = _PAYLOAD_HEAD.unpack_from(payload)
     n_arrays = _N_ARRAYS.get(op)
+    if op == 3:  # CRC-clean, so written on purpose: an older format's per-write sync marker
+        raise DurabilityError("WAL segment of an older format (sync marker, op 3)")
     if n_arrays is None:
         return None
     count = n_arrays * n

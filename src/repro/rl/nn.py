@@ -244,7 +244,6 @@ class MLP:
         self._bind(self.flat_params)
 
 
-
 # The fused DDPG pass (repro.rl.ddpg, DESIGN.md §6).
 def stacked_forward(weights: list, x: np.ndarray, squash: bool) -> tuple:
     """Forward through Linear layers, ReLU between them and tanh on the

@@ -273,18 +273,32 @@ def test_new_wal_segment_reaches_a_directory_fsync_before_an_ack(
 
 
 def test_wal_unknown_op_ends_the_segment(tmp_path):
-    # A delete's op byte rewritten to 3, the sync marker older segments
-    # carried: no op decodes as 3 now, so even behind a clean CRC the
-    # record ends the segment, and encoding one is refused.
-    bad = b"\x03" + encode_record(OP_DELETE, 9, np.array([1]))[1:]
+    # A delete's op byte rewritten to 4: even behind a clean CRC the record
+    # ends the segment, and encoding one is refused.
+    bad = b"\x04" + encode_record(OP_DELETE, 9, np.array([1]))[1:]
     assert decode_record(bad) is None
     with pytest.raises(DurabilityError):
-        encode_record(3, 9)
+        encode_record(4, 9)
     path = segment_path(str(tmp_path), 1)
     with open(path, "wb") as fh:
         fh.write(frame(encode_record(OP_DELETE, 4, np.array([2]))) + frame(bad))
     reader = WalReader(path)
     assert [r.seqno for r in reader.records] == [4] and reader.torn
+
+
+def test_wal_refuses_an_older_formats_sync_marker(tmp_path):
+    """Older versions appended an op-3 marker after every record. Read as a
+    torn tail, it would cut replay at a segment's first record and open
+    would truncate the rest: such a segment is refused whole instead."""
+    marker = struct.pack("<BQI", 3, 4, 0)
+    with pytest.raises(DurabilityError, match="older format"):
+        decode_record(marker)
+    path = segment_path(str(tmp_path), 1)
+    with open(path, "wb") as fh:
+        fh.write(frame(encode_record(OP_DELETE, 4, np.array([2]))) + frame(marker))
+    with pytest.raises(DurabilityError, match="older format"):
+        WalReader(path)
+    assert os.path.getsize(path) == 2 * 8 + len(encode_record(OP_DELETE, 4, [2])) + len(marker)
 
 
 # ----------------------------------------------------------------------

@@ -109,9 +109,9 @@ class WalWriter:
     """Appends records to one WAL segment.
 
     :meth:`append` buffers a record; :meth:`sync` fsyncs it — the ack
-    boundary. Wall-clock cost of the file
-    I/O is the caller's to meter (telemetry only); simulated cost is
-    charged by the engine through :class:`~repro.storage.pager.DiskModel`.
+    boundary. Wall-clock cost of the file I/O is the caller's to meter
+    (telemetry only); simulated cost is charged by the engine through
+    :class:`~repro.storage.pager.DiskModel`.
     """
 
     def __init__(self, path: str) -> None:
@@ -119,15 +119,12 @@ class WalWriter:
         #: Highest seqno covered by an appended record (0 when none yet).
         self.max_seqno = 0
 
-    def _append(self, payload: bytes, max_seqno: int) -> None:
-        self.log.append(payload)
-        self.max_seqno = max(self.max_seqno, max_seqno)
-        faults.maybe_crash("wal.append")
-
     def append(self, seqno: int, keys: np.ndarray, values: Optional[np.ndarray] = None) -> None:
         """Append a put of ``values``, or a delete when there are none."""
         op = OP_DELETE if values is None else OP_PUT
-        self._append(encode_record(op, seqno, keys, values), seqno + len(keys) - 1)
+        self.log.append(encode_record(op, seqno, keys, values))
+        self.max_seqno = max(self.max_seqno, seqno + len(keys) - 1)
+        faults.maybe_crash("wal.append")
 
     def sync(self) -> None:
         """Make everything appended durable."""

@@ -264,12 +264,12 @@ def matmul_probe() -> str:
     return _digest(*parts)
 
 
-def compute(names: Optional[List[str]] = None) -> Dict[str, Dict[str, str]]:
-    cells = _cells()
+def compute() -> Dict[str, Dict[str, str]]:
+    """Every cell's digests, each cell in a fresh data directory."""
     result = {}
-    for name in names or list(cells):
+    for name, run in _cells().items():
         with tempfile.TemporaryDirectory() as data_dir:
-            result[name] = cells[name](data_dir)
+            result[name] = run(data_dir)
     return result
 
 

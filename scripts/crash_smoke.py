@@ -6,8 +6,9 @@ script re-executes itself as a child process that writes a deterministic
 operation stream into a fresh :class:`~repro.durable.store.DurableStore`
 while ``REPRO_CRASH`` kills it (``os._exit(137)``) mid-I/O — mid WAL
 append, inside an fsync, between an SSTable landing and its manifest
-commit, halfway through a manifest edit, during the CURRENT swap. The
-parent then reopens the directory and asserts the durability contract:
+commit, halfway through a manifest record, between a compacted manifest's
+durable temp file and its replace. The parent then reopens the directory
+and asserts the durability contract:
 
 * the child actually died at the injected point (exit code 137);
 * recovery succeeds and ``check_invariants`` passes;
@@ -19,7 +20,7 @@ parent then reopens the directory and asserts the durability contract:
 The scenario table is emitted as ``bench_reports/crash_recovery.txt``
 and as a machine-readable ``crash_recovery`` benchmark record riding the
 perf-trajectory gate (``scripts/bench_compare.py``): recovered-op /
-manifest-edit / replayed-record counts are deterministic and diffed
+manifest-record / replayed-record counts are deterministic and diffed
 exactly. How long recovery takes on the host is ``perfbench``'s
 ``durable.recover_s``.
 
@@ -47,23 +48,24 @@ sys.path.insert(0, str(REPO_ROOT))
 import numpy as np  # noqa: E402
 
 from repro.config import SystemConfig  # noqa: E402
-from repro.durable import DurableStore  # noqa: E402
+from repro.durable import DurableStore, manifest  # noqa: E402
 from repro.durable.faults import CRASH_EXIT_CODE  # noqa: E402
 
 # Fixed, scale-independent workload: big enough that every injection
-# point fires several times (flushes, compactions, WAL + manifest
-# rotations), small enough to run the whole matrix in seconds.
+# point fires several times (flushes, compactions, WAL rotations and
+# manifest compactions), small enough to run the whole matrix in seconds.
 N_BATCHES = 40
 BATCH_SIZE = 150
 DELETES_EVERY = 4
 DELETES_PER_ROUND = 5
 KEYSPACE = 3_000
 SEED = 7
-ROTATE_MANIFEST_EVERY = 6
+#: The child's ``MANIFEST_COMPACT_EVERY``: small, so compactions happen.
+MANIFEST_COMPACT_EVERY = 6
 
 #: ``point:n`` — die on the n-th hit of each injection point. The counts
 #: are chosen so each scenario dies in a *different* store state (mid
-#: first flush, deep in compactions, during rotation).
+#: first flush, deep in compactions, during a manifest compaction).
 SCENARIOS = (
     "wal.append:3",
     "wal.torn:4",
@@ -114,9 +116,8 @@ def run_child(data_dir: str) -> int:
     """Write the stream into ``data_dir``, printing an ``ACK <seqno>``
     line after every synced group. Run with ``REPRO_CRASH`` set, this is
     the process the matrix kills."""
-    store = DurableStore(
-        data_dir, SystemConfig(), rotate_manifest_every=ROTATE_MANIFEST_EVERY
-    )
+    manifest.MANIFEST_COMPACT_EVERY = MANIFEST_COMPACT_EVERY
+    store = DurableStore(data_dir, SystemConfig())
     rng = np.random.default_rng(SEED)
     for batch in range(N_BATCHES):
         keys = rng.integers(0, KEYSPACE, size=BATCH_SIZE)
@@ -203,7 +204,7 @@ def run_scenario(
             "wal_records_replayed": report.wal_records_replayed,
             "wal_ops_replayed": report.wal_ops_replayed,
             "wal_torn": int(report.wal_torn),
-            "manifest_edits": report.manifest_edits,
+            "manifest_records": report.manifest_records,
             "runs_opened": report.runs_opened,
             "orphans_removed": report.orphans_removed,
         }
@@ -215,7 +216,7 @@ def run_scenario(
 def format_table(rows: Sequence[Dict[str, object]]) -> str:
     header = (
         f"{'scenario':<16} {'acked':>6} {'recov':>6} {'keys':>5} "
-        f"{'replayed':>8} {'torn':>4} {'edits':>5} {'runs':>4} "
+        f"{'replayed':>8} {'torn':>4} {'records':>7} {'runs':>4} "
         f"{'orphans':>7}"
     )
     lines = [header, "-" * len(header)]
@@ -224,7 +225,7 @@ def format_table(rows: Sequence[Dict[str, object]]) -> str:
             f"{row['scenario']:<16} {row['acked_seqno']:>6} "
             f"{row['recovered_ops']:>6} {row['recovered_keys']:>5} "
             f"{row['wal_records_replayed']:>8} {row['wal_torn']:>4} "
-            f"{row['manifest_edits']:>5} {row['runs_opened']:>4} "
+            f"{row['manifest_records']:>7} {row['runs_opened']:>4} "
             f"{row['orphans_removed']:>7}"
         )
     lines.append("")

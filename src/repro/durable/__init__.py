@@ -1,4 +1,4 @@
-"""Durable on-disk backend: WAL + binary SSTables + versioned manifest.
+"""Durable on-disk backend: WAL + binary SSTables + a whole-state manifest.
 
 The rest of the reproduction keeps every run and level as an in-memory
 numpy structure; "persistence" there means whole-store snapshots via
@@ -15,10 +15,13 @@ production LSM store recovers from (DESIGN.md §13):
   in-memory :class:`~repro.lsm.run.SortedRun`. It stores no index and no
   filter: reads are served from memory, the filter is a pure function of
   ``(keys, fpr, run_id)`` rebuilt on open, and integrity is the CRC's job;
-* :mod:`repro.durable.manifest` — JSON edits of run installs/drops per
-  level, with an atomic ``CURRENT`` pointer swap;
+* :mod:`repro.durable.manifest` — one ``MANIFEST`` log whose every JSON
+  record is the store's whole state (live SSTables, checkpoint, WAL head,
+  tree metadata); the last clean record is the state, and every so many
+  records the log is replaced by a one-record log;
 * :mod:`repro.durable.atomio` — the atomic publish (tmp → fsync → rename
-  → directory fsync) of SSTables, ``CURRENT`` and persist snapshots;
+  → directory fsync) of SSTables, one-record manifests and persist
+  snapshots;
 * :mod:`repro.durable.store` — :class:`DurableStore`, an
   :class:`~repro.lsm.tree.LSMTree` subclass that owns the files and
   overrides only what durability changes (the in-memory structure stays
@@ -34,7 +37,7 @@ reported per shard by :func:`repro.obs.telemetry_view`).
 """
 
 from repro.durable.atomio import atomic_file, fsync_dir, publish_bytes
-from repro.durable.manifest import ManifestState, ManifestWriter, read_manifest
+from repro.durable.manifest import ManifestWriter, read_manifest
 from repro.durable.sstable import read_sstable, write_sstable
 from repro.durable.store import DurableStore, RecoveryReport
 from repro.durable.wal import WalReader, WalWriter
@@ -45,7 +48,6 @@ __all__ = [
     "publish_bytes",
     "DurableStore",
     "RecoveryReport",
-    "ManifestState",
     "ManifestWriter",
     "read_manifest",
     "read_sstable",

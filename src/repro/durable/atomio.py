@@ -1,7 +1,7 @@
 """Atomic, durable file publishes: tmp → fsync → ``os.replace`` → dir fsync.
 
-Every file *publish* in the durability chain (SSTables, the manifest
-``CURRENT`` pointer, persist snapshots) must be atomic **and** durable:
+Every file *publish* in the durability chain (SSTables, a one-record
+``MANIFEST``, persist snapshots) must be atomic **and** durable:
 
 1. the bytes are written to a sibling temp file,
 2. the temp file is flushed and ``os.fsync``'d — its contents are on

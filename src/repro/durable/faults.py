@@ -8,8 +8,8 @@ cleanup, no atexit — the closest a single process gets to ``kill -9``)
 the *n*-th time a named point is reached::
 
     REPRO_CRASH="wal.append:3"       # die on the 3rd WAL record append
-    REPRO_CRASH="manifest.swap:1"    # die between writing a new manifest
-                                     # and swapping CURRENT
+    REPRO_CRASH="manifest.swap:2"    # die between a compacted manifest's
+                                     # durable temp file and its replace
 
 Format: ``point:n`` (1-based n; ``point`` alone means ``point:1``).
 Multiple comma-separated specs may be armed at once; the first to reach
@@ -25,9 +25,10 @@ Instrumented points (see DESIGN.md §13 for the write protocol they cut):
 ``commit.before``         a flush/compaction commit is due; nothing written
 ``sst.partial``           mid-SSTable-write — a half-written orphan file
 ``commit.mid``            between two SSTables of one multi-file commit
-``manifest.edit``         SSTables durable, before the manifest edit lands
-``manifest.torn``         mid-manifest-append — a torn final edit record
-``manifest.swap``         new MANIFEST written, before CURRENT is swapped
+``manifest.edit``         SSTables durable, before the manifest record lands
+``manifest.torn``         mid-manifest-append — a torn final record
+``manifest.swap``         one-record MANIFEST durable as a temp file, before
+                          it replaces the log
 ========================  ====================================================
 """
 

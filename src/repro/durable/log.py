@@ -6,7 +6,7 @@ Log format (all integers little-endian)::
     frame := u32 payload_len | u32 crc32(payload) | payload
 
 A log knows nothing of its payloads: the WAL's are binary records
-(:mod:`repro.durable.wal`), the manifest's JSON edits
+(:mod:`repro.durable.wal`), the manifest's JSON whole-state records
 (:mod:`repro.durable.manifest`). A reader walks frames from the front and
 stops at the first one that runs past the data or fails its CRC, so what
 it yields is always a prefix of what was appended: a writer that died

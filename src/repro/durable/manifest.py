@@ -1,68 +1,61 @@
-"""Versioned manifest: an append-only edit log of the store's file set.
+"""The manifest: one log, ``MANIFEST``, of whole-state records.
 
-A manifest file (``MANIFEST-%06d.log``) is a :mod:`repro.durable.log`
-whose payloads are JSON edit records. The first edit of every manifest is
-a *snapshot* edit carrying the full state (config, complete file list,
-metadata); subsequent edits are deltas. ``CURRENT`` is a one-line text
-file naming the live manifest and is only ever updated by an atomic
-``os.replace`` — a crash leaves either the old or the new pointer, never
-garbage.
+``MANIFEST`` is a :mod:`repro.durable.log` whose payloads are JSON records,
+and every record is the store's whole state — there is no delta to replay
+and no pointer to swap; the last CRC-clean record is the state:
 
-Edit record fields (all optional except where noted; unknown fields are
-ignored so the format can grow):
-
-``snapshot``          bool — this edit rebases state instead of patching it
 ``config``            :func:`repro.config.config_to_state` dict
-                      (snapshot edits only)
-``files``             ``[[level, run_id, filename], ...]`` full live file
-                      list in level-then-age order (snapshot edits only)
-``ops``               ``[["add", level, run_id, filename] | ["drop",
-                      level, run_id], ...]`` applied in order
+``files``             ``[[level, run_id, filename], ...]`` every live
+                      SSTable, in level-then-age order
 ``checkpoint_seqno``  every WAL op with seqno <= this is covered by the
-                      SSTables named in the (post-edit) file set
+                      SSTables named in ``files``
 ``wal_head``          id of the WAL segment new appends go to
 
 and the tree metadata (:data:`META_FIELDS`), which the manifest carries
 without interpreting — the store does:
 
-``n_levels``          depth of the tree at edit time (levels may be empty)
+``n_levels``          depth of the tree (levels may be empty)
 ``policies``          ``[[policy, pending_or_null], ...]`` shallow → deep
 ``named_policy``      pinned named compaction policy or ``None``
 ``next_run_id``       run-id counter floor for the reopened tree
 ``bits_per_key``      current Bloom budget
 
-Recovery invariant: every ``add`` is only appended *after* its SSTable
-file is fully written and fsynced, so a manifest whose edits all pass
-their CRC never references a torn table. A torn **final** edit record
-(the writer died mid-append) is discarded exactly like a torn WAL tail —
-that edit's commit never acknowledged.
+A record is written only *after* every SSTable it names is fsynced, so a
+record that passes its CRC never names a torn table. A torn **final**
+record (the writer died mid-append) is discarded exactly like a torn WAL
+tail — that commit never acknowledged — and cut off when the log is read,
+so later appends extend a clean prefix.
+
+The log does not grow without bound: once :data:`MANIFEST_COMPACT_EVERY`
+records were appended to it, the next record replaces it as a one-record
+log, published through :func:`repro.durable.atomio.atomic_file` (temp
+file, fsync, ``os.replace``, directory fsync). A fresh or restored store
+publishes its first record the same way. A crash leaves the old log or
+the new one, never a mix.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.durable import faults
 from repro.durable.atomio import atomic_file
-from repro.durable.log import LogAppender, iter_frames
+from repro.durable.log import LogAppender, frame, iter_frames
 from repro.errors import DurabilityError
 
-CURRENT_NAME = "CURRENT"
-MANIFEST_FMT = "MANIFEST-{:06d}.log"
+MANIFEST_NAME = "MANIFEST"
 
-#: Tree metadata an edit may carry; the last value written wins.
+#: Appends a log takes before the next record replaces it (tests patch it).
+MANIFEST_COMPACT_EVERY = 64
+
+#: Tree metadata a record carries beside the file set.
 META_FIELDS = ("n_levels", "policies", "named_policy", "next_run_id", "bits_per_key")
 
 
-def manifest_path(directory: str, manifest_id: int) -> str:
-    return os.path.join(directory, MANIFEST_FMT.format(manifest_id))
-
-
-def current_path(directory: str) -> str:
-    return os.path.join(directory, CURRENT_NAME)
+def manifest_path(directory: str) -> str:
+    return os.path.join(directory, MANIFEST_NAME)
 
 
 def _jsonable(value):
@@ -76,158 +69,74 @@ def _jsonable(value):
     return value
 
 
-def encode_edit(edit: Dict[str, object]) -> bytes:
-    """One edit record payload (unframed)."""
-    return json.dumps(_jsonable(edit), sort_keys=True).encode("utf-8")
+def encode_record(record: Dict[str, object]) -> bytes:
+    """One record payload (unframed)."""
+    return json.dumps(_jsonable(record), sort_keys=True).encode("utf-8")
 
 
-def decode_edits(data: bytes) -> Tuple[List[Dict[str, object]], bool]:
-    """All valid edits in ``data`` plus whether a torn tail was discarded."""
-    edits: List[Dict[str, object]] = []
+def decode_records(data: bytes) -> Tuple[List[Dict[str, object]], int]:
+    """The records of ``data``'s clean prefix, and that prefix's length."""
+    records: List[Dict[str, object]] = []
     valid = 0
     for payload, end in iter_frames(data):
         try:
-            edit = json.loads(payload.decode("utf-8"))
+            record = json.loads(payload.decode("utf-8"))
         except ValueError:
             break
-        if not isinstance(edit, dict):
+        if not isinstance(record, dict):
             break
-        edits.append(edit)
+        records.append(record)
         valid = end
-    return edits, valid != len(data)
+    return records, valid
 
 
-class ManifestState:
-    """The live file set and tree metadata implied by a manifest's edits."""
+def read_manifest(directory: str) -> Tuple[List[Dict[str, object]], bool]:
+    """Every record of ``directory``'s manifest, oldest first, and whether a
+    torn tail followed them — which is truncated away, so appends extend
+    the clean prefix."""
+    path = manifest_path(directory)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    records, valid = decode_records(data)
+    if not records:
+        raise DurabilityError(f"manifest in {directory} holds no valid record")
+    if valid != len(data):
+        os.truncate(path, valid)
+    return records, valid != len(data)
 
-    def __init__(self) -> None:
-        self.config_state: Optional[Dict[str, object]] = None
-        #: level -> ordered ``[(run_id, filename)]``, oldest run first.
-        self.files: Dict[int, List[Tuple[int, str]]] = {}
-        self.checkpoint_seqno = 0
-        self.wal_head = 1
-        #: The :data:`META_FIELDS` recorded so far, as written.
-        self.meta: Dict[str, object] = {}
-        self.edits_applied = 0
 
-    def apply_edit(self, edit: Dict[str, object]) -> None:
-        if edit.get("snapshot"):
-            self.files = {}
-            self.meta = {}
-            for level, run_id, filename in edit.get("files", []):
-                self.files.setdefault(int(level), []).append(
-                    (int(run_id), str(filename))
-                )
-        if "config" in edit:
-            self.config_state = edit["config"]
-        for op in edit.get("ops", []):
-            kind = op[0]
-            if kind == "add":
-                _, level, run_id, filename = op
-                self.files.setdefault(int(level), []).append(
-                    (int(run_id), str(filename))
-                )
-            elif kind == "drop":
-                _, level, run_id = op
-                runs = self.files.get(int(level), [])
-                before = len(runs)
-                runs[:] = [(r, f) for r, f in runs if r != int(run_id)]
-                if len(runs) == before:
-                    raise DurabilityError(
-                        f"manifest drops unknown run {run_id} at level {level}"
-                    )
-            else:
-                raise DurabilityError(f"unknown manifest op {kind!r}")
-        if "checkpoint_seqno" in edit:
-            self.checkpoint_seqno = int(edit["checkpoint_seqno"])
-        if "wal_head" in edit:
-            self.wal_head = int(edit["wal_head"])
-        self.meta.update((key, edit[key]) for key in META_FIELDS if key in edit)
-        self.edits_applied += 1
-
-    def live_filenames(self) -> List[str]:
-        return [f for runs in self.files.values() for _, f in runs]
-
-    def snapshot_edit(self) -> Dict[str, object]:
-        """A single snapshot edit reproducing this state (manifest rotation)."""
-        edit: Dict[str, object] = {
-            "snapshot": True,
-            "files": [
-                [level, run_id, filename]
-                for level in sorted(self.files)
-                for run_id, filename in self.files[level]
-            ],
-            "checkpoint_seqno": self.checkpoint_seqno,
-            "wal_head": self.wal_head,
-            **self.meta,
-        }
-        if self.config_state is not None:
-            edit["config"] = self.config_state
-        return edit
+def publish_manifest(directory: str, record: Dict[str, object]) -> None:
+    """Replace ``directory``'s manifest by a one-record log of ``record``."""
+    with atomic_file(
+        manifest_path(directory),
+        before_replace=lambda: faults.maybe_crash("manifest.swap"),
+    ) as fh:
+        fh.write(frame(encode_record(record)))
 
 
 class ManifestWriter:
-    """Appends edit records to one manifest file, fsync per edit."""
+    """The write handle on a published manifest: one fsync per record."""
 
-    def __init__(self, directory: str, manifest_id: int) -> None:
-        self.manifest_id = manifest_id
-        self.log = LogAppender(manifest_path(directory, manifest_id), "manifest.torn")
-        self.edits_written = 0
+    def __init__(self, directory: str, appended: int) -> None:
+        self.directory = directory
+        self.log = LogAppender(manifest_path(directory), "manifest.torn")
+        #: Records appended since the log last held only one.
+        self.appended = appended
 
-    def append_edit(self, edit: Dict[str, object]) -> None:
+    def write(self, record: Dict[str, object]) -> None:
+        """Make ``record`` the durable state: append and fsync it, or, once
+        :data:`MANIFEST_COMPACT_EVERY` appends are in, publish it as a
+        one-record log."""
         faults.maybe_crash("manifest.edit")
-        self.log.append(encode_edit(edit))
-        self.log.sync()
-        self.edits_written += 1
+        if self.appended < MANIFEST_COMPACT_EVERY:
+            self.log.append(encode_record(record))
+            self.log.sync()
+            self.appended += 1
+            return
+        self.log.close()
+        publish_manifest(self.directory, record)
+        self.log = LogAppender(manifest_path(self.directory), "manifest.torn")
+        self.appended = 0
 
     def close(self) -> None:
         self.log.close()
-
-
-def write_current(directory: str, manifest_id: int) -> None:
-    """Atomically repoint ``CURRENT`` at ``MANIFEST-<manifest_id>``.
-
-    Published through :func:`repro.durable.atomio.atomic_file` (temp
-    file, fsync, ``os.replace`` over CURRENT, directory fsync) — a crash
-    at any point leaves a valid pointer (old or new, never torn), and a
-    completed swap survives the crash.
-    """
-    with atomic_file(
-        current_path(directory),
-        "w",
-        encoding="utf-8",
-        before_replace=lambda: faults.maybe_crash("manifest.swap"),
-    ) as fh:
-        fh.write(MANIFEST_FMT.format(manifest_id) + "\n")
-
-
-def read_current(directory: str) -> int:
-    """Manifest id named by ``CURRENT``; raises when absent or malformed."""
-    try:
-        with open(current_path(directory), encoding="utf-8") as fh:
-            name = fh.read().strip()
-    except FileNotFoundError:
-        raise DurabilityError(f"no CURRENT file in {directory}") from None
-    match = re.fullmatch(r"MANIFEST-(\d+)\.log", name)
-    if match is None:
-        raise DurabilityError(f"CURRENT names an invalid manifest: {name!r}")
-    manifest_id = int(match[1])
-    if not os.path.exists(manifest_path(directory, manifest_id)):
-        raise DurabilityError(f"CURRENT names a missing manifest: {name!r}")
-    return manifest_id
-
-
-def read_manifest(directory: str) -> Tuple[ManifestState, int, bool]:
-    """Replay the live manifest: ``(state, manifest_id, torn_tail)``."""
-    manifest_id = read_current(directory)
-    with open(manifest_path(directory, manifest_id), "rb") as fh:
-        data = fh.read()
-    edits, torn = decode_edits(data)
-    if not edits:
-        raise DurabilityError(
-            f"manifest {manifest_id} in {directory} holds no valid edits"
-        )
-    state = ManifestState()
-    for edit in edits:
-        state.apply_edit(edit)
-    return state, manifest_id, torn

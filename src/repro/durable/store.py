@@ -8,11 +8,12 @@ primitives and overrides only what durability changes:
   *before* touching the memtable;
 * every run the tree installs is mirrored to an SSTable file the moment
   the in-memory install happens (the ``_run_installed`` /
-  ``_runs_dropped`` / ``_flush_completed`` template methods), and every
-  flush cascade commits one manifest edit recording the adds, drops, the
+  ``_flush_completed`` template methods), and every flush cascade
+  commits one manifest record of the whole state: the live SSTables, the
   new WAL head and a conservative ``checkpoint_seqno``;
-* recovery replays MANIFEST → opens the live SSTables → replays the WAL
-  tail, then sweeps away the files interrupted commits left behind;
+* recovery reads MANIFEST's last record → opens the live SSTables →
+  replays the WAL tail, then sweeps away the files interrupted commits
+  left behind;
 * a fresh store and a restored snapshot are installed alike, as a new
   on-disk generation of the in-memory tree.
 
@@ -22,7 +23,7 @@ Write protocol (the order is the whole durability argument)::
       1. WAL append + fsync                      -> op is ACKNOWLEDGED
       2. LSMTree.put_batch / delete_batch         (may flush/compact)
            per installed run: write SSTable file (fsync, tmp+rename)
-           per flush cascade: append manifest edit (fsync), rotate WAL,
+           per flush cascade: rotate WAL, append manifest record (fsync),
                               delete covered segments + dropped tables
 
     A kill at any point:
@@ -30,12 +31,12 @@ Write protocol (the order is the whole durability argument)::
       between 1 and 2     -> replayed from the WAL on reopen
       mid-SSTable         -> orphan .tmp / unreferenced file, GC'd; WAL
                              still holds the data
-      mid-manifest-edit   -> torn final edit discarded; the tables it
+      mid-manifest-record -> torn final record discarded; the tables it
                              named become orphans; WAL still holds the data
-      after the edit      -> recovered from MANIFEST + WAL tail
+      after the record    -> recovered from MANIFEST + WAL tail
 
 ``checkpoint_seqno`` is conservative: when a flush fires in the middle of
-op N (the memtable filled partway through a batch), the edit records
+op N (the memtable filled partway through a batch), the record holds
 ``N - 1`` — the last op *fully* applied before it. Replay may therefore
 re-apply a prefix the SSTables already hold, which is harmless under
 newest-wins merge semantics; what it can never do is lose an
@@ -65,13 +66,12 @@ from repro.config import (
 from repro.durable import faults
 from repro.durable.atomio import fsync_dir
 from repro.durable.manifest import (
-    ManifestState,
+    MANIFEST_NAME,
     ManifestWriter,
-    current_path,
+    publish_manifest,
     read_manifest,
-    write_current,
 )
-from repro.durable.sstable import FILE_FMT, read_sstable, sstable_path, write_sstable
+from repro.durable.sstable import FILE_FMT, read_sstable, write_sstable
 from repro.durable.wal import (
     OP_PUT,
     WalReader,
@@ -92,8 +92,7 @@ class RecoveryReport(NamedTuple):
     """What reopening a durable directory found and did."""
 
     created: bool
-    manifest_id: int
-    manifest_edits: int
+    manifest_records: int
     manifest_torn: bool
     runs_opened: int
     recovered_entries: int
@@ -111,37 +110,31 @@ class DurableStore(LSMTree):
     changes are mirrored to a WAL, SSTables and a manifest in ``data_dir``.
 
     Opening an empty (or absent) directory creates a fresh store —
-    ``config`` is then required. Opening a directory holding a ``CURRENT``
-    pointer recovers the store; a ``config`` passed alongside must match
-    the one recorded in the manifest.
+    ``config`` is then required. Opening a directory holding a
+    ``MANIFEST`` recovers the store; a ``config`` passed alongside must
+    match the one recorded in the manifest. A directory of the older
+    edit-log format (a ``CURRENT`` pointer, ``MANIFEST-<id>.log`` files) is
+    refused.
 
     Everything durability does not change — the read path, mission
     windows, the tuner-facing surface, introspection — is inherited. The
     overrides journal writes before applying them and commit one manifest
-    edit per outermost policy/structure mutator; as its own (inherited)
+    record per outermost policy/structure mutator; as its own (inherited)
     tuning target, the store cannot be bypassed by the serving layer's
     write path.
     """
 
-    #: This process's handle on ``data_dir``: the open options, the log
-    #: writers, the commit bookkeeping, telemetry and lifecycle flags. A
-    #: pickle leaves them out; :meth:`__setstate__` reopens the directory
-    #: with the default options.
+    #: This process's handle on ``data_dir``: the log writers, the last
+    #: manifest record, the commit bookkeeping, telemetry and lifecycle
+    #: flags. A pickle leaves them out; :meth:`__setstate__` reopens the
+    #: directory.
     _PROCESS_FIELDS = (
-        "rotate_manifest_every", "telemetry", "_pending_ops", "_pending_wal_head",
-        "_segment_max_seqno", "_closed", "_in_mutator", "last_recovery", "_wal",
-        "_manifest", "_state", "_wal_head_id", "_flushed_seqno", "_inflight_floor",
+        "telemetry", "_segment_max_seqno", "_closed", "_in_mutator", "last_recovery",
+        "_wal", "_manifest", "_record", "_wal_head_id", "_flushed_seqno", "_inflight_floor",
     )
 
-    def __init__(
-        self,
-        data_dir: str,
-        config: Optional[SystemConfig] = None,
-        *,
-        rotate_manifest_every: int = 64,
-    ) -> None:
+    def __init__(self, data_dir: str, config: Optional[SystemConfig] = None) -> None:
         self.data_dir = os.fspath(data_dir)
-        self.rotate_manifest_every = max(2, int(rotate_manifest_every))
         #: Wall-clock/file-volume telemetry, never simulated state (``wall_*_s``
         #: are laps on a span held for the call); see :func:`repro.obs.telemetry_view`.
         self.telemetry: Dict[str, float] = {
@@ -151,7 +144,6 @@ class DurableStore(LSMTree):
             "sstable_bytes": 0,
             "commits": 0,
             "wal_rotations": 0,
-            "manifest_rotations": 0,
             "orphans_removed": 0,
             "wal_records_replayed": 0,
             "wall_wal_s": 0.0,
@@ -159,8 +151,6 @@ class DurableStore(LSMTree):
             "wall_manifest_s": 0.0,
             "wall_recovery_s": 0.0,
         }
-        self._pending_ops: List[List[Any]] = []
-        self._pending_wal_head: Optional[int] = None
         #: WAL segment id -> highest seqno its on-disk records cover.
         self._segment_max_seqno: Dict[int, int] = {}
         self._closed = False
@@ -169,29 +159,31 @@ class DurableStore(LSMTree):
         self._in_mutator = False
 
         os.makedirs(self.data_dir, exist_ok=True)
-        if os.path.exists(current_path(self.data_dir)):
+        names = os.listdir(self.data_dir)
+        older = [name for name in names if name == "CURRENT" or name.startswith("MANIFEST-")]
+        if older:
+            raise DurabilityError(
+                f"{self.data_dir} holds an older manifest format ({sorted(older)[:4]}); "
+                "refusing to open it"
+            )
+        if MANIFEST_NAME in names:
             self.last_recovery = self._recover(config)
             return
         if config is None:
             raise DurabilityError(f"{self.data_dir} holds no store and no config was given")
-        leftovers = [
-            name
-            for name in os.listdir(self.data_dir)
-            if name.endswith(".sst") or name.startswith(("wal-", "MANIFEST-"))
-        ]
+        leftovers = [name for name in names if name.endswith(".sst") or name.startswith("wal-")]
         if leftovers:
             raise DurabilityError(
-                f"{self.data_dir} holds store files but no CURRENT pointer "
+                f"{self.data_dir} holds store files but no MANIFEST "
                 f"({sorted(leftovers)[:4]}...); refusing to overwrite"
             )
         super().__init__(config)
         self._next_seqno = 1
         self._acked_seqno = 0
-        removed = self._install_generation(1)
+        removed = self._install_generation()
         self.last_recovery = RecoveryReport(
             created=True,
-            manifest_id=1,
-            manifest_edits=1,
+            manifest_records=1,
             manifest_torn=False,
             runs_opened=0,
             recovered_entries=0,
@@ -207,38 +199,26 @@ class DurableStore(LSMTree):
     # ------------------------------------------------------------------
     # Generations / recovery
     # ------------------------------------------------------------------
-    def _install_generation(self, manifest_id: int) -> int:
+    def _install_generation(self) -> int:
         """Write the in-memory tree out as a fresh on-disk generation and
         remove every file of the one before; returns how many it removed.
 
         The current runs become SSTables (none for a fresh store), a
-        snapshot manifest names them, ``CURRENT`` swaps to it once, WAL
-        segment 1 opens and the memtable (empty for a fresh store) is
-        re-journaled into it. Every op up to ``_next_seqno - 1`` is then in
-        SSTables except the memtable's, whose records take new seqnos past
-        it — so that is the checkpoint.
+        one-record manifest naming them is published, WAL segment 1 opens
+        and the memtable (empty for a fresh store) is re-journaled into it.
+        Every op up to ``_next_seqno - 1`` is then in SSTables except the
+        memtable's, whose records take new seqnos past it — so that is the
+        checkpoint.
         """
-        files = []
         for level in self.levels:
             for run in level.runs:
-                filename = FILE_FMT.format(run.run_id, level.level_no)
-                write_sstable(os.path.join(self.data_dir, filename), run)
-                files.append([level.level_no, run.run_id, filename])
+                write_sstable(os.path.join(self.data_dir, FILE_FMT.format(run.run_id, level.level_no)), run)
         checkpoint = self._next_seqno - 1
-        self._state = ManifestState()
-        self._state.apply_edit({
-            "snapshot": True,
-            "files": files,
-            "checkpoint_seqno": checkpoint,
-            "wal_head": 1,
-            "config": config_to_state(self.config),
-            **self._meta_fields(),
-        })
-        self._swap_manifest(manifest_id)
+        self._record = self._state_record(checkpoint, wal_head=1)
+        publish_manifest(self.data_dir, self._record)
+        self._manifest = ManifestWriter(self.data_dir, appended=0)
         self._segment_max_seqno = {}
         removed = self._sweep()
-        self._pending_ops = []
-        self._pending_wal_head = None
         self._open_wal(1)
         # ``_flushed_seqno``: every op <= it has all its data in SSTables —
         # the only value a manifest checkpoint may record. ``_inflight_floor``:
@@ -255,82 +235,58 @@ class DurableStore(LSMTree):
         return removed
 
     def _sweep(self) -> int:
-        """Delete every file no recovery path reads — temp files, SSTables
-        the manifest does not name, superseded manifests, WAL segments
-        ``_segment_max_seqno`` does not keep — and return how many."""
-        live = set(self._state.live_filenames())
-        current = os.path.basename(self._manifest.log.path)
+        """Delete every file no recovery path reads and return how many:
+        temp files, SSTables the manifest record does not name, and WAL
+        segments that are neither kept nor retired under the record's
+        checkpoint (``_segment_max_seqno`` forgets those first)."""
+        checkpoint = self._record["checkpoint_seqno"]
+        for file_id, top in list(self._segment_max_seqno.items()):
+            if file_id < self._wal_head_id and top <= checkpoint:
+                del self._segment_max_seqno[file_id]
+        live = {filename for _, _, filename in self._record["files"]}
         removed = 0
         for name in sorted(os.listdir(self.data_dir)):
             file_id = segment_id(name)
             if (
                 name.endswith(".tmp")
                 or (name.endswith(".sst") and name not in live)
-                or (name.startswith("MANIFEST-") and name != current)
                 or (file_id is not None and file_id not in self._segment_max_seqno)
             ):
                 os.unlink(os.path.join(self.data_dir, name))
                 removed += 1
         return removed
 
-    def _drop_covered_segments(self) -> int:
-        """Delete the retired WAL segments whose every seqno the manifest
-        checkpoint covers; returns how many."""
-        checkpoint = self._state.checkpoint_seqno
-        dropped = [
-            file_id
-            for file_id in sorted(self._segment_max_seqno)
-            if file_id < self._wal_head_id
-            and self._segment_max_seqno[file_id] <= checkpoint
-        ]
-        for file_id in dropped:
-            path = segment_path(self.data_dir, file_id)
-            if os.path.exists(path):
-                os.unlink(path)
-            del self._segment_max_seqno[file_id]
-        return len(dropped)
-
     def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
         watch = Span("durable.recover")
-        state, manifest_id, manifest_torn = read_manifest(self.data_dir)
-        if state.config_state is None:
-            raise DurabilityError(f"manifest {manifest_id} in {self.data_dir} records no config")
-        recorded = config_from_state(dict(state.config_state))
+        records, manifest_torn = read_manifest(self.data_dir)
+        record = records[-1]
+        recorded = config_from_state(dict(record["config"]))
         if config is not None and config != recorded:
             raise DurabilityError(f"{self.data_dir} was created under a different SystemConfig")
         config = recorded
 
         super().__init__(config)
-        meta: Dict[str, Any] = state.meta
-        if meta.get("n_levels"):
-            self._ensure_level(int(meta["n_levels"]))
-        for level, (policy, pending) in zip(self.levels, meta.get("policies", [])):
+        if record["n_levels"]:
+            self._ensure_level(int(record["n_levels"]))
+        for level, (policy, pending) in zip(self.levels, record["policies"]):
             level.set_policy_immediate(int(policy))
             level.pending_policy = None if pending is None else int(pending)
-        if meta.get("named_policy") is not None:
-            self.compaction_policy = resolve_policy(str(meta["named_policy"]))
-        if meta.get("bits_per_key") is not None:
-            super().set_bits_per_key(float(meta["bits_per_key"]))
+        if record["named_policy"] is not None:
+            self.compaction_policy = resolve_policy(str(record["named_policy"]))
+        super().set_bits_per_key(float(record["bits_per_key"]))
 
         # Open live SSTables in manifest order (per level: oldest first).
-        runs_opened = 0
-        max_run_id = -1
-        for level_no in sorted(state.files):
-            self._ensure_level(level_no)
-            level = self.level(level_no)
-            for run_id, filename in state.files[level_no]:
-                path = os.path.join(self.data_dir, filename)
-                if not os.path.exists(path):
-                    raise DurabilityError(f"manifest names missing SSTable {filename}")
-                run = read_sstable(path, config.bloom_mode, self._rng)
-                if run.run_id != run_id or run.level_no != level_no:
-                    raise DurabilityError(
-                        f"SSTable {filename} identifies as run {run.run_id} "
-                        f"level {run.level_no}, manifest says {run_id}/{level_no}"
-                    )
-                level.runs.append(run)
-                runs_opened += 1
-                max_run_id = max(max_run_id, run_id)
+        for level_no, run_id, filename in record["files"]:
+            path = os.path.join(self.data_dir, filename)
+            if not os.path.exists(path):
+                raise DurabilityError(f"manifest names missing SSTable {filename}")
+            run = read_sstable(path, config.bloom_mode, self._rng)
+            if run.run_id != run_id or run.level_no != level_no:
+                raise DurabilityError(
+                    f"SSTable {filename} identifies as run {run.run_id} "
+                    f"level {run.level_no}, manifest says {run_id}/{level_no}"
+                )
+            self._ensure_level(level_no).runs.append(run)
         # Seal/capacity fixup: flexible policy transitions mutate the active
         # run's capacity (and may seal it) without rewriting its file, so
         # the authoritative post-recovery state is recomputed from the
@@ -343,7 +299,8 @@ class DurableStore(LSMTree):
                 tail.capacity_entries = level.active_run_capacity()
                 if tail.n_entries >= tail.capacity_entries:
                     tail.seal()
-        self._next_run_id = max(int(meta.get("next_run_id", 0)), max_run_id + 1)
+        max_run_id = max((run_id for _, run_id, _ in record["files"]), default=-1)
+        self._next_run_id = max(int(record["next_run_id"]), max_run_id + 1)
         super().check_invariants()
 
         # Read every WAL segment; truncate torn tails to the last valid
@@ -356,65 +313,57 @@ class DurableStore(LSMTree):
                 wal_torn = True
                 os.truncate(path, reader.valid_bytes)
             self._segment_max_seqno[file_id] = reader.max_seqno
-        checkpoint = state.checkpoint_seqno
+        checkpoint = record["checkpoint_seqno"]
         recovered_seqno = max([checkpoint, *self._segment_max_seqno.values()])
 
         # GC what interrupted commits left behind. The live head is the
         # highest segment on disk (a crash between opening a new segment
-        # and committing its manifest edit can leave the head one ahead of
-        # the recorded ``wal_head``).
-        self._state = state
-        self._manifest = ManifestWriter(self.data_dir, manifest_id)
-        self._manifest.edits_written = state.edits_applied
-        self._wal_head_id = max([state.wal_head, *readers])
-        orphans = self._drop_covered_segments() + self._sweep()
+        # and committing its manifest record can leave the head one ahead
+        # of the recorded ``wal_head``; the next record names it).
+        self._record = record
+        self._manifest = ManifestWriter(self.data_dir, appended=len(records) - 1)
+        self._wal_head_id = max([record["wal_head"], *readers])
+        orphans = self._sweep()
+        kept = [readers[file_id] for file_id in sorted(self._segment_max_seqno)]
 
         # Wire up the live write path *before* replay: a replay-induced
         # flush must commit durably like any other flush.
         self._open_wal(self._wal_head_id)
-        if self._wal_head_id != state.wal_head:
-            self._pending_wal_head = self._wal_head_id
         self._next_seqno = recovered_seqno + 1
         self._acked_seqno = recovered_seqno
         self._flushed_seqno = self._inflight_floor = checkpoint
 
         # Replay the WAL tail (ops past the checkpoint) into the memtable
         # through the base-class write path: the ops are already journaled.
-        kept = [readers[file_id] for file_id in sorted(self._segment_max_seqno)]
         records_replayed = 0
         ops_replayed = 0
         for reader in kept:
-            for record in reader.records:
-                if len(record.keys) == 0:
+            for wal_record in reader.records:
+                if len(wal_record.keys) == 0:
                     continue
-                first, last = record.seqno, record.last_seqno
+                first, last = wal_record.seqno, wal_record.last_seqno
                 if last <= checkpoint:
                     continue
                 skip = max(0, checkpoint - first + 1)
                 # The last op applied before this slice: seqnos rise across
                 # the kept segments, so this is max(checkpoint, first - 1).
                 self._inflight_floor = first + skip - 1
-                if record.op == OP_PUT:
-                    super().put_batch(record.keys[skip:], record.values[skip:])
+                if wal_record.op == OP_PUT:
+                    super().put_batch(wal_record.keys[skip:], wal_record.values[skip:])
                 else:
-                    super().delete_batch(record.keys[skip:])
+                    super().delete_batch(wal_record.keys[skip:])
                 records_replayed += 1
-                ops_replayed += len(record.keys) - skip
+                ops_replayed += len(wal_record.keys) - skip
         self._inflight_floor = recovered_seqno
-        if self._pending_ops:
-            # A replay flush mid-commit never leaves buffered edits, but a
-            # replay that ended exactly on a flush boundary may; land them.
-            self._commit()
 
         self.telemetry["wall_recovery_s"] += watch.lap("recover")
         self.telemetry["orphans_removed"] += orphans
         self.telemetry["wal_records_replayed"] += records_replayed
         return RecoveryReport(
             created=False,
-            manifest_id=manifest_id,
-            manifest_edits=state.edits_applied,
+            manifest_records=len(records),
             manifest_torn=manifest_torn,
-            runs_opened=runs_opened,
+            runs_opened=len(record["files"]),
             recovered_entries=self.total_entries,
             checkpoint_seqno=checkpoint,
             recovered_seqno=recovered_seqno,
@@ -428,24 +377,17 @@ class DurableStore(LSMTree):
     # ------------------------------------------------------------------
     # Structure-change hooks (LSMTree template methods)
     # ------------------------------------------------------------------
-    def _run_installed(self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]) -> None:
+    def _run_installed(self, level_no: int, run: SortedRun) -> None:
         faults.maybe_crash("commit.before")
-        filename = FILE_FMT.format(run.run_id, level_no)
         watch = Span("durable.sstable")
-        n_bytes = write_sstable(os.path.join(self.data_dir, filename), run)
+        n_bytes = write_sstable(os.path.join(self.data_dir, FILE_FMT.format(run.run_id, level_no)), run)
         self.telemetry["wall_sstable_s"] += watch.lap("sstable")
         self.telemetry["sstables_written"] += 1
         self.telemetry["sstable_bytes"] += n_bytes
-        if replaced_run_id is not None:
-            self._runs_dropped(level_no, [replaced_run_id])
-        self._pending_ops.append(["add", level_no, run.run_id, filename])
         faults.maybe_crash("commit.mid")
 
-    def _runs_dropped(self, level_no: int, run_ids: Sequence[int]) -> None:
-        self._pending_ops.extend(["drop", level_no, run_id] for run_id in run_ids)
-
     def _flush_completed(self) -> None:
-        """One flush cascade finished: commit its edits and rotate the WAL.
+        """One flush cascade finished: rotate the WAL and commit.
 
         The drained memtable held every op up to ``_inflight_floor`` (plus
         possibly part of the op in flight), so that floor is now fully
@@ -458,12 +400,23 @@ class DurableStore(LSMTree):
     # ------------------------------------------------------------------
     # Commit machinery
     # ------------------------------------------------------------------
-    def _meta_fields(self) -> Dict[str, object]:
+    def _files(self) -> List[List[Any]]:
+        """``[level, run_id, filename]`` of every run, level-then-age."""
+        return [
+            [level.level_no, run.run_id, FILE_FMT.format(run.run_id, level.level_no)]
+            for level in self.levels
+            for run in level.runs
+        ]
+
+    def _state_record(self, checkpoint: int, wal_head: int) -> Dict[str, object]:
+        """The manifest record of the store as it stands."""
         return {
+            "config": config_to_state(self.config),
+            "files": self._files(),
+            "checkpoint_seqno": checkpoint,
+            "wal_head": wal_head,
             "n_levels": self.n_levels,
-            "policies": [
-                [level.policy, level.pending_policy] for level in self.levels
-            ],
+            "policies": [[level.policy, level.pending_policy] for level in self.levels],
             "named_policy": self.named_policy(),
             "next_run_id": self._next_run_id,
             "bits_per_key": self.bits_per_key,
@@ -475,79 +428,43 @@ class DurableStore(LSMTree):
         Called at flush commits: everything up to ``_flushed_seqno`` is
         about to be covered by SSTables, so the retired segment becomes
         deletable once every seqno it holds falls under a later
-        checkpoint. The new head id rides the same manifest edit.
+        checkpoint. The commit's record names the new head.
         """
         old = self._wal
         old.close()
         old_id = self._wal_head_id
-        self._segment_max_seqno[old_id] = max(old.max_seqno, self._segment_max_seqno.get(old_id, 0))
-        new_id = old_id + 1
-        self._open_wal(new_id)
-        self._pending_wal_head = new_id
+        self._segment_max_seqno[old_id] = max(old.max_seqno, self._segment_max_seqno[old_id])
+        self._open_wal(old_id + 1)
         self.telemetry["wal_rotations"] += 1
 
     def _open_wal(self, file_id: int) -> None:
-        """Make segment ``file_id`` the live WAL head. A create is durable
-        once its directory is fsynced (:mod:`atomio`): a new segment's is,
-        before anything in it is acked."""
+        """Make segment ``file_id`` the live WAL head (kept by the sweep). A
+        create is durable once its directory is fsynced (:mod:`atomio`): a
+        new segment's is, before anything in it is acked."""
         path = segment_path(self.data_dir, file_id)
         created = not os.path.exists(path)
         self._wal = WalWriter(path)
         self._wal_head_id = file_id
+        self._segment_max_seqno.setdefault(file_id, 0)
         if created:
             fsync_dir(self.data_dir)
 
     def _commit(self) -> None:
-        """Append one manifest edit covering all buffered structure changes
-        (possibly none — policy metadata alone) plus current policy/meta
-        state, then delete newly dead files.
+        """Write one manifest record of the whole store, then delete the
+        files it leaves dead: SSTables it does not name, WAL segments its
+        checkpoint covers.
 
         The checkpoint is always ``_flushed_seqno``: only a flush moves
         data into SSTables, so a metadata commit must not let the WAL tail
         (acked ops still living only in the memtable) become deletable.
         """
-        edit: Dict[str, object] = {
-            "ops": self._pending_ops,
-            "checkpoint_seqno": self._flushed_seqno,
-        }
-        edit.update(self._meta_fields())
-        if self._pending_wal_head is not None:
-            edit["wal_head"] = self._pending_wal_head
+        record = self._state_record(self._flushed_seqno, self._wal_head_id)
         watch = Span("durable.manifest")
-        self._manifest.append_edit(edit)
+        self._manifest.write(record)
         self.telemetry["wall_manifest_s"] += watch.lap("manifest")
         self.telemetry["commits"] += 1
-        self._state.apply_edit(edit)
-        # The edit is durable; the tables it drops and the WAL segments its
-        # checkpoint covers are now unreferenced by any recovery path.
-        for op in self._pending_ops:
-            if op[0] == "drop":
-                path = sstable_path(self.data_dir, op[2], op[1])
-                if os.path.exists(path):
-                    os.unlink(path)
-        self._pending_ops = []
-        self._pending_wal_head = None
-        self._drop_covered_segments()
-        if self._manifest.edits_written >= self.rotate_manifest_every:
-            self._rotate_manifest()
-
-    def _swap_manifest(self, manifest_id: int) -> None:
-        """Start ``MANIFEST-<manifest_id>`` with a snapshot edit of the
-        current state and atomically repoint CURRENT at it."""
-        self._manifest = ManifestWriter(self.data_dir, manifest_id)
-        self._manifest.append_edit(self._state.snapshot_edit())
-        write_current(self.data_dir, manifest_id)
-
-    def _rotate_manifest(self) -> None:
-        """Move the edit log to a fresh manifest; the old one is deleted."""
-        old = self._manifest
-        watch = Span("durable.manifest")
-        self._swap_manifest(old.manifest_id + 1)
-        self.telemetry["wall_manifest_s"] += watch.lap("manifest")
-        old.close()
-        os.unlink(old.log.path)
-        self._manifest.edits_written = 0
-        self.telemetry["manifest_rotations"] += 1
+        self._record = record
+        self._sweep()
 
     # ------------------------------------------------------------------
     # Write path (WAL first, then the inherited in-memory apply)
@@ -651,17 +568,12 @@ class DurableStore(LSMTree):
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        for level_no, runs in self._state.files.items():
-            manifest_ids = [run_id for run_id, _ in runs]
-            tree_ids = [run.run_id for run in self.level(level_no).runs]
-            if manifest_ids != tree_ids:
-                raise DurabilityError(
-                    f"level {level_no}: manifest runs {manifest_ids} diverge "
-                    f"from tree runs {tree_ids}"
-                )
-            for _, filename in runs:
-                if not os.path.exists(os.path.join(self.data_dir, filename)):
-                    raise DurabilityError(f"live SSTable {filename} missing on disk")
+        files = self._files()
+        if self._record["files"] != files:
+            raise DurabilityError(f"manifest runs {self._record['files']} diverge from tree runs {files}")
+        for _, _, filename in files:
+            if not os.path.exists(os.path.join(self.data_dir, filename)):
+                raise DurabilityError(f"live SSTable {filename} missing on disk")
 
     # ------------------------------------------------------------------
     # Pickling (repro.persist): the tree and its WAL position travel; the
@@ -682,7 +594,7 @@ class DurableStore(LSMTree):
         self._wal.close()
         self._manifest.close()
         vars(self).update(state)
-        self._install_generation(self._manifest.manifest_id + 1)
+        self._install_generation()
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -59,7 +59,7 @@ class ObsError(ReproError):
 
 class DurabilityError(ReproError):
     """The durable storage layer hit unrecoverable on-disk state (bad
-    magic/CRC in a live SSTable, a CURRENT pointer naming a missing
-    manifest, a manifest edit referencing a file that never made it to
-    disk) or was misused (writing to a closed WAL, reopening a live
+    magic/CRC in a live SSTable, a manifest with no clean record or one
+    naming a file that never made it to disk, a directory of an older
+    format) or was misused (writing to a closed WAL, reopening a live
     directory with a mismatched configuration)."""

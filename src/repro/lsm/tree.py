@@ -152,12 +152,8 @@ class LSMTree(DerivedMembers):
     # to disk. An override is wall-clock-side only: it must not mutate the
     # tree or charge simulated costs.
     # ------------------------------------------------------------------
-    def _run_installed(self, level_no: int, run: SortedRun, replaced_run_id: Optional[int]) -> None:
-        """``run`` was installed into ``level_no`` (replacing the active
-        run ``replaced_run_id``, if any)."""
-
-    def _runs_dropped(self, level_no: int, run_ids: Sequence[int]) -> None:
-        """The runs ``run_ids`` were removed from ``level_no``."""
+    def _run_installed(self, level_no: int, run: SortedRun) -> None:
+        """``run`` was installed into ``level_no``."""
 
     def _flush_completed(self) -> None:
         """A memtable flush, including its compaction cascade, finished."""
@@ -368,7 +364,7 @@ class LSMTree(DerivedMembers):
         replaced = level.replace_active(new_run)
         if replaced is not None:
             self.disk.drop_run(replaced.run_id)
-        self._run_installed(level_no, new_run, None if replaced is None else replaced.run_id)
+        self._run_installed(level_no, new_run)
 
         if level.is_full:
             self._merge_level_down(level_no)
@@ -392,7 +388,6 @@ class LSMTree(DerivedMembers):
         dropped = level.drop_all_runs()
         for run in dropped:
             self.disk.drop_run(run.run_id)
-        self._runs_dropped(level_no, [run.run_id for run in dropped])
         self._admit(level_no + 1, sources, source_pages=total_pages)
 
     def force_merge_level(self, level_no: int) -> None:
@@ -425,10 +420,9 @@ class LSMTree(DerivedMembers):
         dropped = level.drop_all_runs()
         for run in dropped:
             self.disk.drop_run(run.run_id)
-        self._runs_dropped(level_no, [run.run_id for run in dropped])
         rebuilt = self._new_run(level, keys, values, capacity_entries=level.active_run_capacity())
         level.replace_active(rebuilt)
-        self._run_installed(level_no, rebuilt, None)
+        self._run_installed(level_no, rebuilt)
 
     # ------------------------------------------------------------------
     # Public read path
@@ -650,7 +644,7 @@ class LSMTree(DerivedMembers):
                 capacity_entries=bottom.active_run_capacity(), sealed=True,
             )
             bottom.runs.append(run)
-            self._run_installed(bottom_no, run, None)
+            self._run_installed(bottom_no, run)
             return
         # Steady-state layout: a long-running store keeps each shallow level
         # about half full on average (they drain into the next level every
@@ -697,7 +691,7 @@ class LSMTree(DerivedMembers):
                     sealed=True,
                 )
                 level.runs.append(run)
-                self._run_installed(level_no, run, None)
+                self._run_installed(level_no, run)
 
     # ------------------------------------------------------------------
     # Introspection & invariants

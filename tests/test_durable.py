@@ -36,13 +36,9 @@ from repro.durable import (
     read_sstable,
     write_sstable,
 )
+from repro.durable import faults, manifest
 from repro.durable.log import frame, iter_frames
-from repro.durable.manifest import (
-    ManifestState,
-    ManifestWriter,
-    decode_edits,
-    encode_edit,
-)
+from repro.durable.manifest import ManifestWriter, manifest_path, publish_manifest
 from repro.durable.sstable import sstable_path
 from repro.durable.wal import (
     OP_DELETE,
@@ -188,11 +184,13 @@ def test_wal_close_fsyncs_only_unsynced_appends(tmp_path, fsyncs):
 
 
 def test_manifest_close_fsyncs_only_unsynced_edits(tmp_path, fsyncs):
-    writer = ManifestWriter(str(tmp_path), 1)
-    writer.append_edit({"checkpoint_seqno": 7})
-    assert len(fsyncs) == 1
-    writer.close()  # every edit was fsynced as it landed
-    assert len(fsyncs) == 1
+    publish_manifest(str(tmp_path), {"checkpoint_seqno": 7})
+    writer = ManifestWriter(str(tmp_path), appended=0)
+    before = len(fsyncs)
+    writer.write({"checkpoint_seqno": 9})
+    assert len(fsyncs) == before + 1
+    writer.close()  # every record was fsynced as it landed
+    assert len(fsyncs) == before + 1
 
 
 def test_flush_cycle_costs_five_fsyncs(store_dir, tiny_config, fsyncs):
@@ -392,58 +390,107 @@ def test_sstable_truncation_detected(tmp_path, tiny_config):
 
 
 # ----------------------------------------------------------------------
-# Manifest edit log
+# Manifest: a log of whole-state records
 # ----------------------------------------------------------------------
-def test_manifest_edits_apply_and_snapshot_roundtrip():
-    state = ManifestState()
-    state.apply_edit(
-        {
-            "snapshot": True,
-            "files": [[1, 7, "sst-00000007-L01.sst"]],
-            "checkpoint_seqno": 40,
-            "wal_head": 2,
-            "n_levels": 2,
-            "policies": [[1, None], [5, 3]],
-            "named_policy": "tiering",
-            "next_run_id": 8,
-        }
-    )
-    state.apply_edit(
-        {
-            "ops": [
-                ["add", 1, 8, "sst-00000008-L01.sst"],
-                ["drop", 1, 7],
-            ],
-            "checkpoint_seqno": 90,
-        }
-    )
-    assert state.files[1] == [(8, "sst-00000008-L01.sst")]
-    assert state.checkpoint_seqno == 90
-    replayed = ManifestState()
-    replayed.apply_edit(state.snapshot_edit())
-    assert replayed.files == state.files
-    assert replayed.meta == state.meta
-    assert replayed.meta["policies"] == [[1, None], [5, 3]]
-    assert replayed.checkpoint_seqno == state.checkpoint_seqno
-
-
-def test_manifest_drop_of_unknown_run_raises():
-    state = ManifestState()
-    with pytest.raises(DurabilityError):
-        state.apply_edit({"ops": [["drop", 1, 42]]})
-    with pytest.raises(DurabilityError, match="unknown manifest op"):
-        state.apply_edit({"ops": [["rename", 1, 42]]})
-
-
 def test_manifest_torn_tail_discarded():
-    first = frame(encode_edit({"checkpoint_seqno": 7}))
-    good = first + frame(encode_edit({"checkpoint_seqno": 9}))
+    first = frame(manifest.encode_record({"checkpoint_seqno": 7}))
+    good = first + frame(manifest.encode_record({"checkpoint_seqno": 9}))
     for cut in range(len(good) + 1):
-        edits, torn = decode_edits(good[:cut])
-        assert len(edits) <= 2
-        assert torn == (cut not in (0, len(first), len(good)))
-    edits, torn = decode_edits(good)
-    assert [e["checkpoint_seqno"] for e in edits] == [7, 9] and not torn
+        records, valid = manifest.decode_records(good[:cut])
+        assert valid == max(b for b in (0, len(first), len(good)) if b <= cut)
+        assert len(records) == [0, len(first), len(good)].index(valid)
+    records, valid = manifest.decode_records(good)
+    assert [r["checkpoint_seqno"] for r in records] == [7, 9] and valid == len(good)
+
+
+def test_torn_final_record_falls_back_to_the_previous_state(
+    store_dir, tiny_config, monkeypatch
+):
+    """A writer that dies halfway through appending a record leaves the
+    record before it as the state: the reopened store recovers from it,
+    reports ``manifest_torn`` and holds every acknowledged write. The torn
+    tail is cut off, so what later commits append is read on the next
+    open too."""
+
+    class Killed(Exception):
+        pass
+
+    def die():
+        raise Killed
+
+    monkeypatch.setattr(faults, "die", die)
+    monkeypatch.setenv("REPRO_CRASH", "manifest.torn:3")
+    faults.reset_counts()
+    store = DurableStore(store_dir, tiny_config)
+    rng = np.random.default_rng(3)
+    model = {}
+
+    def put(target):
+        keys = rng.integers(0, 2_000, size=120)
+        values = rng.integers(0, 10**6, size=120)
+        model.update(zip(keys.tolist(), values.tolist()))  # acked before applied
+        target.put_batch(keys, values)
+
+    with pytest.raises(Killed):
+        for _ in range(40):
+            put(store)
+    monkeypatch.delenv("REPRO_CRASH")
+    faults.reset_counts()
+    previous = store._record  # the last record that landed whole
+
+    reopened = DurableStore(store_dir)
+    report = reopened.last_recovery
+    assert report.manifest_torn and report.manifest_records == 3
+    assert report.checkpoint_seqno == previous["checkpoint_seqno"]
+    assert report.runs_opened == len(previous["files"])
+    assert_contents(reopened, model)
+    commits = reopened.telemetry["commits"]
+    for _ in range(6):
+        put(reopened)
+    assert reopened.telemetry["commits"] > commits
+    reopened.close()
+    again = DurableStore(store_dir)
+    assert not again.last_recovery.manifest_torn
+    assert_contents(again, model)
+    again.close()
+
+
+def test_every_nth_append_compacts_the_manifest(store_dir, tiny_config, monkeypatch):
+    """Once ``MANIFEST_COMPACT_EVERY`` records were appended, the next
+    commit replaces the log by a one-record log, leaving no temp file."""
+    monkeypatch.setattr(manifest, "MANIFEST_COMPACT_EVERY", 3)
+    store = DurableStore(store_dir, tiny_config)
+    lengths = []
+    for bits in (5.0, 6.0, 7.0, 9.0):
+        store.set_bits_per_key(bits)  # one commit each
+        records, _ = read_manifest(store_dir)
+        lengths.append(len(records))
+    assert lengths == [2, 3, 4, 1]
+    assert records[0]["bits_per_key"] == 9.0
+    assert store.telemetry["commits"] == 4
+    assert sorted(os.listdir(store_dir)) == ["MANIFEST", os.path.basename(segment_path(store_dir, 1))]
+    store.close()
+    with DurableStore(store_dir) as reopened:
+        assert reopened.bits_per_key == 9.0
+        assert reopened.last_recovery.manifest_records == 1
+
+
+@pytest.mark.parametrize("name", ["CURRENT", "MANIFEST-000001.log"])
+def test_older_manifest_format_is_refused(store_dir, tiny_config, name):
+    """A directory written by the edit-log manifest (a ``CURRENT`` pointer,
+    numbered ``MANIFEST-<id>.log`` files) is refused, with or without a
+    ``MANIFEST`` beside it, and left as it was."""
+    with DurableStore(store_dir, tiny_config) as store:
+        fill(store, n_batches=3)
+    open(os.path.join(store_dir, name), "wb").close()
+    before = sorted(os.listdir(store_dir))
+    for config in (None, tiny_config):
+        with pytest.raises(DurabilityError, match="older manifest format"):
+            DurableStore(store_dir, config)
+    os.unlink(manifest_path(store_dir))
+    with pytest.raises(DurabilityError, match="older manifest format"):
+        DurableStore(store_dir, tiny_config)
+    assert sorted(os.listdir(store_dir)) == sorted(set(before) - {"MANIFEST"})
 
 
 # ----------------------------------------------------------------------
@@ -585,14 +632,34 @@ def test_bulk_load_lands_as_sstables(store_dir, tiny_config):
     reopened.close()
 
 
-def test_manifest_state_matches_disk(store_dir, tiny_config):
+def test_manifest_state_matches_disk(store_dir, tiny_config, monkeypatch):
+    """After every commit — flushes, cascades, greedy transitions that merge
+    a run away in the commit that made it — the manifest's last record
+    names exactly the tree's runs, and the directory holds those SSTables,
+    the manifest and WAL segments, nothing else."""
+    real_commit, checked = DurableStore._commit, []
+
+    def commit(self):
+        real_commit(self)
+        records, torn = read_manifest(self.data_dir)
+        files = [
+            [level.level_no, run.run_id, os.path.basename(sstable_path(self.data_dir, run.run_id, level.level_no))]
+            for level in self.levels
+            for run in level.runs
+        ]
+        assert records[-1]["files"] == files and not torn
+        extra = set(os.listdir(self.data_dir)) - {name for _, _, name in files}
+        assert {name for name in extra if not name.startswith("wal-")} == {"MANIFEST"}
+        checked.append(len(files))
+
+    monkeypatch.setattr(DurableStore, "_commit", commit)
     store = DurableStore(store_dir, tiny_config)
-    fill(store, n_batches=10)
+    fill(store, n_batches=20)
+    assert store.n_levels >= 3
+    store.set_named_policy("tiering", TransitionKind.GREEDY)
+    store.set_policies([1, 1, 1], TransitionKind.GREEDY)
     store.close()
-    state, _, torn = read_manifest(store_dir)
-    assert not torn
-    for filename in state.live_filenames():
-        assert os.path.exists(os.path.join(store_dir, filename))
+    assert len(checked) == store.telemetry["commits"] > 20 and max(checked) > 1
 
 
 # ----------------------------------------------------------------------
@@ -614,10 +681,10 @@ GOLDEN_CONFIG = SystemConfig(
 
 def durable_golden(root: str) -> Dict[str, object]:
     """A fixed op stream — flushes, compactions, a delete batch, a policy
-    change, manifest rotations, ``save_engine`` → ``load_engine`` — and
+    change, manifest compactions, ``save_engine`` → ``load_engine`` — and
     what it left on disk: the sha256 of every SSTable as it is published
     and of every WAL segment as it is deleted (or at the end), plus the
-    manifest's replayed state."""
+    manifest's last record and how many records it holds."""
     from repro.persist.snapshot import load_engine, save_engine
 
     data_dir = os.path.join(root, "store")
@@ -648,8 +715,8 @@ def durable_golden(root: str) -> Dict[str, object]:
 
     with mock.patch.object(os, "replace", replace), mock.patch.object(
         os, "unlink", unlink
-    ):
-        store = DurableStore(data_dir, GOLDEN_CONFIG, rotate_manifest_every=3)
+    ), mock.patch.object(manifest, "MANIFEST_COMPACT_EVERY", 3):
+        store = DurableStore(data_dir, GOLDEN_CONFIG)
         drive(store, 8)
         store.delete_batch(np.arange(0, 400, 9))
         store.set_policies([3, 2], TransitionKind.FLEXIBLE)
@@ -665,13 +732,12 @@ def durable_golden(root: str) -> Dict[str, object]:
         for name in sorted(os.listdir(data_dir)):
             if name.startswith("wal-"):
                 record(os.path.join(data_dir, name))
-    state, manifest_id, torn = read_manifest(data_dir)
+    records, torn = read_manifest(data_dir)
     return {
         "files": produced,
-        "manifest_id": manifest_id,
+        "manifest_records": len(records),
         "manifest_torn": torn,
-        # Through JSON so a recorded and a live state compare alike.
-        "manifest": json.loads(json.dumps(state.snapshot_edit(), sort_keys=True)),
+        "manifest": records[-1],
     }
 
 

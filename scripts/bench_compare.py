@@ -22,7 +22,7 @@ script has two jobs, usually run as one CI step:
    the regression this pipeline exists to catch).
 
 One record is produced outside pytest: ``scripts/crash_smoke.py`` emits
-``crash_recovery`` (kill-point matrix: recovered-op, manifest-edit and
+``crash_recovery`` (kill-point matrix: recovered-op, manifest-record and
 replayed-record counts). Run it before collecting so the baseline's
 record is never reported missing.
 

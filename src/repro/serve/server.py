@@ -528,23 +528,28 @@ class KVServer:
         and open the next window. The window mutex keeps this and
         :meth:`checkpoint` from interleaving window cuts. A tuner that
         raises is recorded and no tuner runs again; the window is still
-        cut on every lane and recorded."""
+        cut on every lane and recorded. A lane whose cut raises ends the
+        window there: the parts the lanes before it cut are recorded, then
+        the error propagates."""
         with self._window_mutex:
             parts: List[MissionStats] = []
             policies: List[List[int]] = []
-            for lane_index, lane in enumerate(self.lanes):
-                with lane.lock:
-                    part = lane.tree.end_mission()
-                    if tune and self.tuners and self._tuning_error is None:
-                        try:
-                            self.tuners[lane_index].observe_mission(lane.tree, part)
-                        except Exception as exc:
-                            self._tuning_error = exc
-                    if tune:
-                        lane.tree.begin_mission()
-                    parts.append(part)
-                    policies.append(list(lane.tree.policies()))
-            self._append_window(parts, policies)
+            try:
+                for lane_index, lane in enumerate(self.lanes):
+                    with lane.lock:
+                        part = lane.tree.end_mission()
+                        if tune and self.tuners and self._tuning_error is None:
+                            try:
+                                self.tuners[lane_index].observe_mission(lane.tree, part)
+                            except Exception as exc:
+                                self._tuning_error = exc
+                        if tune:
+                            lane.tree.begin_mission()
+                        parts.append(part)
+                        policies.append(list(lane.tree.policies()))
+            finally:
+                if parts:
+                    self._append_window(parts, policies)
 
     def _append_window(self, parts: List[MissionStats], policies: List[List[int]]) -> None:
         """Record one closed window (caller holds the window mutex)."""

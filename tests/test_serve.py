@@ -425,6 +425,37 @@ class TestLaneFailure:
         assert not any(lane.tree.stats.in_mission for lane in server.lanes)
         assert sum(w.stats.n_operations for w in server.windows) == 120
 
+    def test_failed_cut_on_a_later_lane_keeps_the_parts_cut_before_it(self):
+        """Lane 1 of 2 raising in ``end_mission`` ends that window cut after
+        lane 0's part: the part is recorded before the error propagates, so
+        every served op is still in exactly one window."""
+        boom = RuntimeError("end_mission fault")
+        store, _ = loaded_store(n_shards=2)
+        server = KVServer(store, tuners=[StaticTuner(1), StaticTuner(1)], window_ops=50)
+        tree = server.lanes[1].tree
+        real_end_mission, calls = tree.end_mission, []
+
+        def end_mission():
+            calls.append(1)
+            if len(calls) == 1:
+                raise boom
+            return real_end_mission()
+
+        tree.end_mission = end_mission
+        server.start()
+        for key in range(60):
+            await_result(server, Request(REQ_PUT, key, value=key, wait=True), 5.0)
+        server._tuning_thread.join(timeout=5.0)
+        assert server._tuning_error is boom
+        assert [len(w.parts) for w in server.windows] == [1]
+        for key in range(60, 120):
+            await_result(server, Request(REQ_PUT, key, value=key, wait=True), 5.0)
+        with pytest.raises(ServeError) as stopped:
+            server.stop()
+        assert stopped.value.__cause__ is boom
+        assert server.total_completed == 120
+        assert sum(w.stats.n_operations for w in server.windows) == 120
+
 
     def test_run_load_stops_at_a_failed_lane(self, monkeypatch):
         """A lane failing under load stops its open- and closed-loop clients

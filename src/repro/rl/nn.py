@@ -98,7 +98,7 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

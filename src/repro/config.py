@@ -135,6 +135,8 @@ class SystemConfig:
             raise ConfigError(
                 f"block_cache_pages must be >= 0, got {self.block_cache_pages}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.costs.validate()
 
     # ------------------------------------------------------------------

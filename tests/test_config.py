@@ -58,6 +58,14 @@ class TestSystemConfigValidation:
         with pytest.raises(ConfigError):
             SystemConfig(costs=CostModelParams(random_read_s=-1e-6))
 
+    def test_rejects_negative_seed(self):
+        """Refused when built, not later as numpy's ``ValueError`` from the
+        first generator the store seeds with it."""
+        with pytest.raises(ConfigError, match="seed"):
+            SystemConfig(seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            SystemConfig().with_updates(seed=-1)
+
 
 class TestDerivedQuantities:
     def test_entries_per_page(self):

@@ -89,6 +89,20 @@ class TestLerpConfig:
             tuner_class(small_config, LerpConfig(ddpg=ddpg))
 
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")], ids=str)
+    def test_rejects_bad_convergence_sigma(self, small_config, sigma):
+        with pytest.raises(RLError, match="convergence_sigma"):
+            LerpConfig(convergence_sigma=sigma).validate()
+        with pytest.raises(RLError, match="convergence_sigma"):
+            Lerp(small_config, LerpConfig(convergence_sigma=sigma))
+
+    def test_boundary_values_build_a_system_that_runs(self, small_config):
+        """``convergence_sigma=0.0`` and ``seed=0`` sit on their domains'
+        edges and are accepted: the system they build runs a mission."""
+        config = small_config.with_updates(seed=0)
+        store = run_store(config, fast_lerp_config(convergence_sigma=0.0), n_missions=1)
+        assert store.tuner.missions_observed == len(store.policy_history) == 1
+
     @pytest.mark.parametrize("tuner_class", [Lerp, AllLevelsLerp, JointLerp])
     def test_tuners_refuse_a_bad_ddpg_config_when_built(self, small_config, tuner_class):
         """Agents are built lazily, at the first learned mission; a bad

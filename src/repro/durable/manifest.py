@@ -11,8 +11,8 @@ and no pointer to swap; the last CRC-clean record is the state:
                       SSTables named in ``files``
 ``wal_head``          id of the WAL segment new appends go to
 
-and the tree metadata (:data:`META_FIELDS`), which the manifest carries
-without interpreting — the store does:
+and the tree metadata, which the manifest carries without interpreting —
+the store does:
 
 ``n_levels``          depth of the tree (levels may be empty)
 ``policies``          ``[[policy, pending_or_null], ...]`` shallow → deep
@@ -49,9 +49,6 @@ MANIFEST_NAME = "MANIFEST"
 
 #: Appends a log takes before the next record replaces it (tests patch it).
 MANIFEST_COMPACT_EVERY = 64
-
-#: Tree metadata a record carries beside the file set.
-META_FIELDS = ("n_levels", "policies", "named_policy", "next_run_id", "bits_per_key")
 
 
 def manifest_path(directory: str) -> str:
@@ -100,9 +97,10 @@ def read_manifest(directory: str) -> Tuple[List[Dict[str, object]], bool]:
     records, valid = decode_records(data)
     if not records:
         raise DurabilityError(f"manifest in {directory} holds no valid record")
-    if valid != len(data):
+    torn = valid != len(data)
+    if torn:
         os.truncate(path, valid)
-    return records, valid != len(data)
+    return records, torn
 
 
 def publish_manifest(directory: str, record: Dict[str, object]) -> None:

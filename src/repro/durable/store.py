@@ -259,24 +259,24 @@ class DurableStore(LSMTree):
     def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
         watch = Span("durable.recover")
         records, manifest_torn = read_manifest(self.data_dir)
-        record = records[-1]
-        recorded = config_from_state(dict(record["config"]))
+        state = records[-1]
+        recorded = config_from_state(dict(state["config"]))
         if config is not None and config != recorded:
             raise DurabilityError(f"{self.data_dir} was created under a different SystemConfig")
         config = recorded
 
         super().__init__(config)
-        if record["n_levels"]:
-            self._ensure_level(int(record["n_levels"]))
-        for level, (policy, pending) in zip(self.levels, record["policies"]):
+        if state["n_levels"]:
+            self._ensure_level(int(state["n_levels"]))
+        for level, (policy, pending) in zip(self.levels, state["policies"]):
             level.set_policy_immediate(int(policy))
             level.pending_policy = None if pending is None else int(pending)
-        if record["named_policy"] is not None:
-            self.compaction_policy = resolve_policy(str(record["named_policy"]))
-        super().set_bits_per_key(float(record["bits_per_key"]))
+        if state["named_policy"] is not None:
+            self.compaction_policy = resolve_policy(str(state["named_policy"]))
+        super().set_bits_per_key(float(state["bits_per_key"]))
 
         # Open live SSTables in manifest order (per level: oldest first).
-        for level_no, run_id, filename in record["files"]:
+        for level_no, run_id, filename in state["files"]:
             path = os.path.join(self.data_dir, filename)
             if not os.path.exists(path):
                 raise DurabilityError(f"manifest names missing SSTable {filename}")
@@ -299,8 +299,8 @@ class DurableStore(LSMTree):
                 tail.capacity_entries = level.active_run_capacity()
                 if tail.n_entries >= tail.capacity_entries:
                     tail.seal()
-        max_run_id = max((run_id for _, run_id, _ in record["files"]), default=-1)
-        self._next_run_id = max(int(record["next_run_id"]), max_run_id + 1)
+        max_run_id = max((run_id for _, run_id, _ in state["files"]), default=-1)
+        self._next_run_id = max(int(state["next_run_id"]), max_run_id + 1)
         super().check_invariants()
 
         # Read every WAL segment; truncate torn tails to the last valid
@@ -313,16 +313,16 @@ class DurableStore(LSMTree):
                 wal_torn = True
                 os.truncate(path, reader.valid_bytes)
             self._segment_max_seqno[file_id] = reader.max_seqno
-        checkpoint = record["checkpoint_seqno"]
+        checkpoint = state["checkpoint_seqno"]
         recovered_seqno = max([checkpoint, *self._segment_max_seqno.values()])
 
         # GC what interrupted commits left behind. The live head is the
         # highest segment on disk (a crash between opening a new segment
         # and committing its manifest record can leave the head one ahead
         # of the recorded ``wal_head``; the next record names it).
-        self._record = record
+        self._record = state
         self._manifest = ManifestWriter(self.data_dir, appended=len(records) - 1)
-        self._wal_head_id = max([record["wal_head"], *readers])
+        self._wal_head_id = max([state["wal_head"], *readers])
         orphans = self._sweep()
         kept = [readers[file_id] for file_id in sorted(self._segment_max_seqno)]
 
@@ -338,22 +338,22 @@ class DurableStore(LSMTree):
         records_replayed = 0
         ops_replayed = 0
         for reader in kept:
-            for wal_record in reader.records:
-                if len(wal_record.keys) == 0:
+            for record in reader.records:
+                if len(record.keys) == 0:
                     continue
-                first, last = wal_record.seqno, wal_record.last_seqno
+                first, last = record.seqno, record.last_seqno
                 if last <= checkpoint:
                     continue
                 skip = max(0, checkpoint - first + 1)
                 # The last op applied before this slice: seqnos rise across
                 # the kept segments, so this is max(checkpoint, first - 1).
                 self._inflight_floor = first + skip - 1
-                if wal_record.op == OP_PUT:
-                    super().put_batch(wal_record.keys[skip:], wal_record.values[skip:])
+                if record.op == OP_PUT:
+                    super().put_batch(record.keys[skip:], record.values[skip:])
                 else:
-                    super().delete_batch(wal_record.keys[skip:])
+                    super().delete_batch(record.keys[skip:])
                 records_replayed += 1
-                ops_replayed += len(wal_record.keys) - skip
+                ops_replayed += len(record.keys) - skip
         self._inflight_floor = recovered_seqno
 
         self.telemetry["wall_recovery_s"] += watch.lap("recover")
@@ -363,7 +363,7 @@ class DurableStore(LSMTree):
             created=False,
             manifest_records=len(records),
             manifest_torn=manifest_torn,
-            runs_opened=len(record["files"]),
+            runs_opened=len(state["files"]),
             recovered_entries=self.total_entries,
             checkpoint_seqno=checkpoint,
             recovered_seqno=recovered_seqno,

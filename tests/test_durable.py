@@ -437,6 +437,7 @@ def test_torn_final_record_falls_back_to_the_previous_state(
     monkeypatch.delenv("REPRO_CRASH")
     faults.reset_counts()
     previous = store._record  # the last record that landed whole
+    store.close()  # the dead writer's handles: nothing in them is unsynced
 
     reopened = DurableStore(store_dir)
     report = reopened.last_recovery

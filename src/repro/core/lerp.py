@@ -87,7 +87,9 @@ class LerpConfig:
         if self.max_stage_missions < self.stable_window:
             raise RLError("max_stage_missions must be >= stable_window")
         if not (np.isfinite(self.convergence_sigma) and self.convergence_sigma >= 0.0):
-            raise RLError(f"convergence_sigma must be finite and >= 0, got {self.convergence_sigma}")
+            raise RLError(
+                f"convergence_sigma must be finite and >= 0, got {self.convergence_sigma}"
+            )
         self.ddpg.validate()
         if (self.ddpg.state_dim, self.ddpg.action_dim) != (STATE_DIM, 1):
             raise RLError(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.durable import faults
 from repro.durable.atomio import atomic_file
@@ -66,14 +66,14 @@ def _jsonable(value):
     return value
 
 
-def encode_record(record: Dict[str, object]) -> bytes:
+def encode_record(record: Dict[str, Any]) -> bytes:
     """One record payload (unframed)."""
     return json.dumps(_jsonable(record), sort_keys=True).encode("utf-8")
 
 
-def decode_records(data: bytes) -> Tuple[List[Dict[str, object]], int]:
+def decode_records(data: bytes) -> Tuple[List[Dict[str, Any]], int]:
     """The records of ``data``'s clean prefix, and that prefix's length."""
-    records: List[Dict[str, object]] = []
+    records: List[Dict[str, Any]] = []
     valid = 0
     for payload, end in iter_frames(data):
         try:
@@ -87,7 +87,7 @@ def decode_records(data: bytes) -> Tuple[List[Dict[str, object]], int]:
     return records, valid
 
 
-def read_manifest(directory: str) -> Tuple[List[Dict[str, object]], bool]:
+def read_manifest(directory: str) -> Tuple[List[Dict[str, Any]], bool]:
     """Every record of ``directory``'s manifest, oldest first, and whether a
     torn tail followed them — which is truncated away, so appends extend
     the clean prefix."""
@@ -103,7 +103,7 @@ def read_manifest(directory: str) -> Tuple[List[Dict[str, object]], bool]:
     return records, torn
 
 
-def publish_manifest(directory: str, record: Dict[str, object]) -> None:
+def publish_manifest(directory: str, record: Dict[str, Any]) -> None:
     """Replace ``directory``'s manifest by a one-record log of ``record``."""
     with atomic_file(
         manifest_path(directory),
@@ -121,7 +121,7 @@ class ManifestWriter:
         #: Records appended since the log last held only one.
         self.appended = appended
 
-    def write(self, record: Dict[str, object]) -> None:
+    def write(self, record: Dict[str, Any]) -> None:
         """Make ``record`` the durable state: append and fsync it, or, once
         :data:`MANIFEST_COMPACT_EVERY` appends are in, publish it as a
         one-record log."""

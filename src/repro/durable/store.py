@@ -212,7 +212,8 @@ class DurableStore(LSMTree):
         """
         for level in self.levels:
             for run in level.runs:
-                write_sstable(os.path.join(self.data_dir, FILE_FMT.format(run.run_id, level.level_no)), run)
+                filename = FILE_FMT.format(run.run_id, level.level_no)
+                write_sstable(os.path.join(self.data_dir, filename), run)
         checkpoint = self._next_seqno - 1
         self._record = self._state_record(checkpoint, wal_head=1)
         publish_manifest(self.data_dir, self._record)
@@ -380,7 +381,8 @@ class DurableStore(LSMTree):
     def _run_installed(self, level_no: int, run: SortedRun) -> None:
         faults.maybe_crash("commit.before")
         watch = Span("durable.sstable")
-        n_bytes = write_sstable(os.path.join(self.data_dir, FILE_FMT.format(run.run_id, level_no)), run)
+        filename = FILE_FMT.format(run.run_id, level_no)
+        n_bytes = write_sstable(os.path.join(self.data_dir, filename), run)
         self.telemetry["wall_sstable_s"] += watch.lap("sstable")
         self.telemetry["sstables_written"] += 1
         self.telemetry["sstable_bytes"] += n_bytes
@@ -408,7 +410,7 @@ class DurableStore(LSMTree):
             for run in level.runs
         ]
 
-    def _state_record(self, checkpoint: int, wal_head: int) -> Dict[str, object]:
+    def _state_record(self, checkpoint: int, wal_head: int) -> Dict[str, Any]:
         """The manifest record of the store as it stands."""
         return {
             "config": config_to_state(self.config),
@@ -570,7 +572,9 @@ class DurableStore(LSMTree):
         super().check_invariants()
         files = self._files()
         if self._record["files"] != files:
-            raise DurabilityError(f"manifest runs {self._record['files']} diverge from tree runs {files}")
+            raise DurabilityError(
+                f"manifest runs {self._record['files']} diverge from tree runs {files}"
+            )
         for _, _, filename in files:
             if not os.path.exists(os.path.join(self.data_dir, filename)):
                 raise DurabilityError(f"live SSTable {filename} missing on disk")

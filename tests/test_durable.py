@@ -469,7 +469,8 @@ def test_every_nth_append_compacts_the_manifest(store_dir, tiny_config, monkeypa
     assert lengths == [2, 3, 4, 1]
     assert records[0]["bits_per_key"] == 9.0
     assert store.telemetry["commits"] == 4
-    assert sorted(os.listdir(store_dir)) == ["MANIFEST", os.path.basename(segment_path(store_dir, 1))]
+    wal_1 = os.path.basename(segment_path(store_dir, 1))
+    assert sorted(os.listdir(store_dir)) == ["MANIFEST", wal_1]
     store.close()
     with DurableStore(store_dir) as reopened:
         assert reopened.bits_per_key == 9.0
@@ -483,7 +484,8 @@ def test_older_manifest_format_is_refused(store_dir, tiny_config, name):
     ``MANIFEST`` beside it, and left as it was."""
     with DurableStore(store_dir, tiny_config) as store:
         fill(store, n_batches=3)
-    open(os.path.join(store_dir, name), "wb").close()
+    with open(os.path.join(store_dir, name), "wb"):
+        pass
     before = sorted(os.listdir(store_dir))
     for config in (None, tiny_config):
         with pytest.raises(DurabilityError, match="older manifest format"):
@@ -644,7 +646,7 @@ def test_manifest_state_matches_disk(store_dir, tiny_config, monkeypatch):
         real_commit(self)
         records, torn = read_manifest(self.data_dir)
         files = [
-            [level.level_no, run.run_id, os.path.basename(sstable_path(self.data_dir, run.run_id, level.level_no))]
+            [level.level_no, run.run_id, f"sst-{run.run_id:08d}-L{level.level_no:02d}.sst"]
             for level in self.levels
             for run in level.runs
         ]

@@ -39,7 +39,7 @@ from repro.durable import (
 from repro.durable import faults, manifest
 from repro.durable.log import frame, iter_frames
 from repro.durable.manifest import ManifestWriter, manifest_path, publish_manifest
-from repro.durable.sstable import sstable_path
+from repro.durable.sstable import FILE_FMT, sstable_path
 from repro.durable.wal import (
     OP_DELETE,
     OP_PUT,
@@ -646,7 +646,7 @@ def test_manifest_state_matches_disk(store_dir, tiny_config, monkeypatch):
         real_commit(self)
         records, torn = read_manifest(self.data_dir)
         files = [
-            [level.level_no, run.run_id, f"sst-{run.run_id:08d}-L{level.level_no:02d}.sst"]
+            [level.level_no, run.run_id, FILE_FMT.format(run.run_id, level.level_no)]
             for level in self.levels
             for run in level.runs
         ]

@@ -22,7 +22,6 @@ arrays, read straight into the dtype the run uses in memory.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 
@@ -43,10 +42,6 @@ _FOOTER = struct.Struct("<I4s")
 
 #: ``sst-%08d-L%02d.sst`` — run ``run_id`` installed at level ``level_no``.
 FILE_FMT = "sst-{:08d}-L{:02d}.sst"
-
-
-def sstable_path(directory: str, run_id: int, level_no: int) -> str:
-    return os.path.join(directory, FILE_FMT.format(run_id, level_no))
 
 
 def write_sstable(path: str, run: SortedRun) -> int:

@@ -14,8 +14,9 @@ primitives and overrides only what durability changes:
 * recovery reads MANIFEST's last record → opens the live SSTables →
   replays the WAL tail, then sweeps away the files interrupted commits
   left behind;
-* a fresh store and a restored snapshot are installed alike, as a new
-  on-disk generation of the in-memory tree.
+* a loaded snapshot reattaches its directory: the snapshot's tree takes
+  the place of the one recovery would rebuild, and the directory must
+  hold exactly its state, so a load writes no table and no record.
 
 Write protocol (the order is the whole durability argument)::
 
@@ -68,6 +69,8 @@ from repro.durable.atomio import fsync_dir
 from repro.durable.manifest import (
     MANIFEST_NAME,
     ManifestWriter,
+    encode_record,
+    manifest_path,
     publish_manifest,
     read_manifest,
 )
@@ -81,7 +84,7 @@ from repro.durable.wal import (
     segment_path,
 )
 from repro.errors import DurabilityError
-from repro.lsm.entry import TOMBSTONE, validate_batch, validate_keys
+from repro.lsm.entry import validate_batch, validate_keys
 from repro.lsm.policy import PolicyLike, resolve_policy
 from repro.lsm.run import SortedRun
 from repro.lsm.tree import LSMTree
@@ -135,6 +138,56 @@ class DurableStore(LSMTree):
 
     def __init__(self, data_dir: str, config: Optional[SystemConfig] = None) -> None:
         self.data_dir = os.fspath(data_dir)
+        self._reset_process_fields()
+        os.makedirs(self.data_dir, exist_ok=True)
+        names = os.listdir(self.data_dir)
+        older = [name for name in names if name == "CURRENT" or name.startswith("MANIFEST-")]
+        if older:
+            raise DurabilityError(
+                f"{self.data_dir} holds an older manifest format ({sorted(older)[:4]}); "
+                "refusing to open it"
+            )
+        if MANIFEST_NAME in names:
+            self.last_recovery = self._recover(config)
+            return
+        if config is None:
+            raise DurabilityError(f"{self.data_dir} holds no store and no config was given")
+        leftovers = [name for name in names if name.endswith(".sst") or name.startswith("wal-")]
+        if leftovers:
+            raise DurabilityError(
+                f"{self.data_dir} holds store files but no MANIFEST "
+                f"({sorted(leftovers)[:4]}...); refusing to overwrite"
+            )
+        # A fresh store: publish its first record, then open WAL segment 1.
+        # ``_flushed_seqno``: every op <= it has all its data in SSTables —
+        # the only value a manifest checkpoint may record. ``_inflight_floor``:
+        # the last *fully* applied op; while an op is mid-application it
+        # lags to op_start - 1, which is what a mid-op flush may claim.
+        super().__init__(config)
+        self._next_seqno = 1
+        self._acked_seqno = self._flushed_seqno = self._inflight_floor = 0
+        self._record = self._state_record(0, wal_head=1)
+        publish_manifest(self.data_dir, self._record)
+        self._manifest = ManifestWriter(self.data_dir, appended=0)
+        removed = self._sweep()
+        self._open_wal(1)
+        self.last_recovery = RecoveryReport(
+            created=True,
+            manifest_records=1,
+            manifest_torn=False,
+            runs_opened=0,
+            recovered_entries=0,
+            checkpoint_seqno=0,
+            recovered_seqno=0,
+            wal_segments=1,
+            wal_records_replayed=0,
+            wal_ops_replayed=0,
+            wal_torn=False,
+            orphans_removed=removed,
+        )
+
+    def _reset_process_fields(self) -> None:
+        """The per-process fields that start alike for every open."""
         #: Wall-clock/file-volume telemetry, never simulated state (``wall_*_s``
         #: are laps on a span held for the call); see :func:`repro.obs.telemetry_view`.
         self.telemetry: Dict[str, float] = {
@@ -158,83 +211,9 @@ class DurableStore(LSMTree):
         #: mutators it nests through ``self`` leave the commit to it.
         self._in_mutator = False
 
-        os.makedirs(self.data_dir, exist_ok=True)
-        names = os.listdir(self.data_dir)
-        older = [name for name in names if name == "CURRENT" or name.startswith("MANIFEST-")]
-        if older:
-            raise DurabilityError(
-                f"{self.data_dir} holds an older manifest format ({sorted(older)[:4]}); "
-                "refusing to open it"
-            )
-        if MANIFEST_NAME in names:
-            self.last_recovery = self._recover(config)
-            return
-        if config is None:
-            raise DurabilityError(f"{self.data_dir} holds no store and no config was given")
-        leftovers = [name for name in names if name.endswith(".sst") or name.startswith("wal-")]
-        if leftovers:
-            raise DurabilityError(
-                f"{self.data_dir} holds store files but no MANIFEST "
-                f"({sorted(leftovers)[:4]}...); refusing to overwrite"
-            )
-        super().__init__(config)
-        self._next_seqno = 1
-        self._acked_seqno = 0
-        removed = self._install_generation()
-        self.last_recovery = RecoveryReport(
-            created=True,
-            manifest_records=1,
-            manifest_torn=False,
-            runs_opened=0,
-            recovered_entries=0,
-            checkpoint_seqno=0,
-            recovered_seqno=0,
-            wal_segments=1,
-            wal_records_replayed=0,
-            wal_ops_replayed=0,
-            wal_torn=False,
-            orphans_removed=removed,
-        )
-
     # ------------------------------------------------------------------
-    # Generations / recovery
+    # Recovery
     # ------------------------------------------------------------------
-    def _install_generation(self) -> int:
-        """Write the in-memory tree out as a fresh on-disk generation and
-        remove every file of the one before; returns how many it removed.
-
-        The current runs become SSTables (none for a fresh store), a
-        one-record manifest naming them is published, WAL segment 1 opens
-        and the memtable (empty for a fresh store) is re-journaled into it.
-        Every op up to ``_next_seqno - 1`` is then in SSTables except the
-        memtable's, whose records take new seqnos past it — so that is the
-        checkpoint.
-        """
-        for level in self.levels:
-            for run in level.runs:
-                filename = FILE_FMT.format(run.run_id, level.level_no)
-                write_sstable(os.path.join(self.data_dir, filename), run)
-        checkpoint = self._next_seqno - 1
-        self._record = self._state_record(checkpoint, wal_head=1)
-        publish_manifest(self.data_dir, self._record)
-        self._manifest = ManifestWriter(self.data_dir, appended=0)
-        self._segment_max_seqno = {}
-        removed = self._sweep()
-        self._open_wal(1)
-        # ``_flushed_seqno``: every op <= it has all its data in SSTables —
-        # the only value a manifest checkpoint may record. ``_inflight_floor``:
-        # the last *fully* applied op; while an op is mid-application it
-        # lags to op_start - 1, which is what a mid-op flush may claim.
-        self._flushed_seqno = checkpoint
-        keys, values = self.memtable.sorted_view()
-        live = values != TOMBSTONE
-        if live.any():
-            self._ack_wal(keys[live], values[live])
-        if (~live).any():
-            self._ack_wal(keys[~live])
-        self._inflight_floor = self._next_seqno - 1
-        return removed
-
     def _sweep(self) -> int:
         """Delete every file no recovery path reads and return how many:
         temp files, SSTables the manifest record does not name, and WAL
@@ -257,10 +236,100 @@ class DurableStore(LSMTree):
                 removed += 1
         return removed
 
-    def _recover(self, config: Optional[SystemConfig]) -> RecoveryReport:
+    def _recover(self, config: Optional[SystemConfig], reattach: bool = False) -> RecoveryReport:
+        """Open ``data_dir`` at its last manifest record. A reopen rebuilds
+        the tree from the live SSTables and replays the WAL tail past the
+        checkpoint. A reattach (:meth:`__setstate__`) keeps the snapshot's
+        tree instead and replays nothing, so the directory must hold exactly
+        that tree: its manifest record and its last acked seqno. Anything
+        else is refused before the sweep runs or a writer opens."""
         watch = Span("durable.recover")
         records, manifest_torn = read_manifest(self.data_dir)
         state = records[-1]
+        checkpoint = state["checkpoint_seqno"]
+        if not reattach:
+            self._open_tables(state, config)
+        elif encode_record(state) != encode_record(self._state_record(checkpoint, state["wal_head"])):
+            raise DurabilityError(f"{self.data_dir} holds another state than the snapshot's tree")
+
+        # Read every WAL segment; truncate torn tails to the last valid
+        # record so post-recovery appends extend a clean prefix.
+        readers: Dict[int, WalReader] = {}
+        wal_torn = False
+        for file_id, path in list_segments(self.data_dir):
+            reader = readers[file_id] = WalReader(path)
+            if reader.torn:
+                wal_torn = True
+                os.truncate(path, reader.valid_bytes)
+            self._segment_max_seqno[file_id] = reader.max_seqno
+        recovered_seqno = max([checkpoint, *self._segment_max_seqno.values()])
+        if reattach and recovered_seqno != self._acked_seqno:
+            raise DurabilityError(
+                f"{self.data_dir} acked seqno {recovered_seqno}, "
+                f"the snapshot {self._acked_seqno}: refusing to rewind or skip writes"
+            )
+
+        # GC what interrupted commits left behind. The live head is the
+        # highest segment on disk (a crash between opening a new segment
+        # and committing its manifest record can leave the head one ahead
+        # of the recorded ``wal_head``; the next record names it).
+        self._record = state
+        self._manifest = ManifestWriter(self.data_dir, appended=len(records) - 1)
+        self._wal_head_id = max([state["wal_head"], *readers])
+        orphans = self._sweep()
+        kept = [readers[file_id] for file_id in sorted(self._segment_max_seqno)]
+
+        # Wire up the live write path *before* replay: a replay-induced
+        # flush must commit durably like any other flush.
+        self._open_wal(self._wal_head_id)
+        self._next_seqno = recovered_seqno + 1
+        self._acked_seqno = recovered_seqno
+        self._flushed_seqno = self._inflight_floor = checkpoint
+
+        # Replay the WAL tail (ops past the checkpoint) into the memtable
+        # through the base-class write path: the ops are already journaled.
+        # A reattached tree holds them already.
+        records_replayed = 0
+        ops_replayed = 0
+        for reader in () if reattach else kept:
+            for record in reader.records:
+                if len(record.keys) == 0:
+                    continue
+                first, last = record.seqno, record.last_seqno
+                if last <= checkpoint:
+                    continue
+                skip = max(0, checkpoint - first + 1)
+                # The last op applied before this slice: seqnos rise across
+                # the kept segments, so this is max(checkpoint, first - 1).
+                self._inflight_floor = first + skip - 1
+                if record.op == OP_PUT:
+                    super().put_batch(record.keys[skip:], record.values[skip:])
+                else:
+                    super().delete_batch(record.keys[skip:])
+                records_replayed += 1
+                ops_replayed += len(record.keys) - skip
+        self._inflight_floor = recovered_seqno
+
+        self.telemetry["wall_recovery_s"] += watch.lap("recover")
+        self.telemetry["orphans_removed"] += orphans
+        self.telemetry["wal_records_replayed"] += records_replayed
+        return RecoveryReport(
+            created=False,
+            manifest_records=len(records),
+            manifest_torn=manifest_torn,
+            runs_opened=len(state["files"]),
+            recovered_entries=self.total_entries,
+            checkpoint_seqno=checkpoint,
+            recovered_seqno=recovered_seqno,
+            wal_segments=len(kept),
+            wal_records_replayed=records_replayed,
+            wal_ops_replayed=ops_replayed,
+            wal_torn=wal_torn,
+            orphans_removed=orphans,
+        )
+
+    def _open_tables(self, state: Dict[str, Any], config: Optional[SystemConfig]) -> None:
+        """Rebuild the tree a manifest record describes from its SSTables."""
         recorded = config_from_state(dict(state["config"]))
         if config is not None and config != recorded:
             raise DurabilityError(f"{self.data_dir} was created under a different SystemConfig")
@@ -303,77 +372,6 @@ class DurableStore(LSMTree):
         max_run_id = max((run_id for _, run_id, _ in state["files"]), default=-1)
         self._next_run_id = max(int(state["next_run_id"]), max_run_id + 1)
         super().check_invariants()
-
-        # Read every WAL segment; truncate torn tails to the last valid
-        # record so post-recovery appends extend a clean prefix.
-        readers: Dict[int, WalReader] = {}
-        wal_torn = False
-        for file_id, path in list_segments(self.data_dir):
-            reader = readers[file_id] = WalReader(path)
-            if reader.torn:
-                wal_torn = True
-                os.truncate(path, reader.valid_bytes)
-            self._segment_max_seqno[file_id] = reader.max_seqno
-        checkpoint = state["checkpoint_seqno"]
-        recovered_seqno = max([checkpoint, *self._segment_max_seqno.values()])
-
-        # GC what interrupted commits left behind. The live head is the
-        # highest segment on disk (a crash between opening a new segment
-        # and committing its manifest record can leave the head one ahead
-        # of the recorded ``wal_head``; the next record names it).
-        self._record = state
-        self._manifest = ManifestWriter(self.data_dir, appended=len(records) - 1)
-        self._wal_head_id = max([state["wal_head"], *readers])
-        orphans = self._sweep()
-        kept = [readers[file_id] for file_id in sorted(self._segment_max_seqno)]
-
-        # Wire up the live write path *before* replay: a replay-induced
-        # flush must commit durably like any other flush.
-        self._open_wal(self._wal_head_id)
-        self._next_seqno = recovered_seqno + 1
-        self._acked_seqno = recovered_seqno
-        self._flushed_seqno = self._inflight_floor = checkpoint
-
-        # Replay the WAL tail (ops past the checkpoint) into the memtable
-        # through the base-class write path: the ops are already journaled.
-        records_replayed = 0
-        ops_replayed = 0
-        for reader in kept:
-            for record in reader.records:
-                if len(record.keys) == 0:
-                    continue
-                first, last = record.seqno, record.last_seqno
-                if last <= checkpoint:
-                    continue
-                skip = max(0, checkpoint - first + 1)
-                # The last op applied before this slice: seqnos rise across
-                # the kept segments, so this is max(checkpoint, first - 1).
-                self._inflight_floor = first + skip - 1
-                if record.op == OP_PUT:
-                    super().put_batch(record.keys[skip:], record.values[skip:])
-                else:
-                    super().delete_batch(record.keys[skip:])
-                records_replayed += 1
-                ops_replayed += len(record.keys) - skip
-        self._inflight_floor = recovered_seqno
-
-        self.telemetry["wall_recovery_s"] += watch.lap("recover")
-        self.telemetry["orphans_removed"] += orphans
-        self.telemetry["wal_records_replayed"] += records_replayed
-        return RecoveryReport(
-            created=False,
-            manifest_records=len(records),
-            manifest_torn=manifest_torn,
-            runs_opened=len(state["files"]),
-            recovered_entries=self.total_entries,
-            checkpoint_seqno=checkpoint,
-            recovered_seqno=recovered_seqno,
-            wal_segments=len(kept),
-            wal_records_replayed=records_replayed,
-            wal_ops_replayed=ops_replayed,
-            wal_torn=wal_torn,
-            orphans_removed=orphans,
-        )
 
     # ------------------------------------------------------------------
     # Structure-change hooks (LSMTree template methods)
@@ -590,15 +588,14 @@ class DurableStore(LSMTree):
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        """Reopen ``data_dir`` (recovering or creating it), then install
-        the loaded tree as its next generation
-        (:meth:`_install_generation`): after this the directory recovers
-        to exactly the loaded tree, not to whatever it held before."""
-        DurableStore.__init__(self, state["data_dir"], state["config"])
-        self._wal.close()
-        self._manifest.close()
+        """Reattach ``data_dir`` with the loaded tree as the store: the
+        directory must hold exactly the snapshot's state (:meth:`_recover`),
+        so a load writes no table and no record."""
         vars(self).update(state)
-        self._install_generation()
+        self._reset_process_fields()
+        if not os.path.exists(manifest_path(self.data_dir)):
+            raise DurabilityError(f"{self.data_dir} holds no store to reattach the snapshot to")
+        self.last_recovery = self._recover(None, reattach=True)
 
     # ------------------------------------------------------------------
     # Lifecycle

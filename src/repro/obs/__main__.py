@@ -13,8 +13,9 @@ Examples::
     # printing the view, a span tree and the timeline:
     python -m repro.obs --demo
 
-A snapshot holding a DurableStore is refused: restoring one installs it
-into its data directory (DESIGN.md §6), which a viewer must not rewrite.
+A snapshot holding a DurableStore is refused: loading one reattaches its
+data directory (DESIGN.md §6), sweeping it and opening its writers, and a
+viewer must not touch a directory a live store may hold.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class _NoDurableUnpickler(pickle.Unpickler):
         cls = super().find_class(module, name)
         if isinstance(cls, type) and issubclass(cls, DurableStore):
             raise ObsError(
-                "the snapshot holds a DurableStore, and a durable snapshot "
-                "restores into its data directory; open that directory with "
-                "DurableStore instead of viewing the snapshot"
+                "the snapshot holds a DurableStore, and loading a durable "
+                "snapshot reattaches its data directory; open that directory "
+                "with DurableStore instead of viewing the snapshot"
             )
         return cls
 

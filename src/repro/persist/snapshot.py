@@ -136,7 +136,8 @@ def save_engine(engine, path: str, meta: Optional[Dict[str, object]] = None) -> 
 
 def load_engine(path: str):
     """The engine a :func:`save_engine` snapshot holds; a durable store
-    is installed as its directory's next generation."""
+    reattaches its directory, which must still hold exactly the
+    snapshot's state (``DurabilityError`` otherwise)."""
     return load_snapshot(path, expected_kind="engine")["object"]
 
 

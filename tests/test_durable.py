@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import pickle
+import shutil
 import struct
 import tempfile
 import zlib
@@ -39,7 +40,7 @@ from repro.durable import (
 from repro.durable import faults, manifest
 from repro.durable.log import frame, iter_frames
 from repro.durable.manifest import ManifestWriter, manifest_path, publish_manifest
-from repro.durable.sstable import FILE_FMT, sstable_path
+from repro.durable.sstable import FILE_FMT
 from repro.durable.wal import (
     OP_DELETE,
     OP_PUT,
@@ -215,10 +216,8 @@ def test_new_wal_segment_reaches_a_directory_fsync_before_an_ack(
     store_dir, tiny_config, monkeypatch
 ):
     """A file create is durable only once its directory is fsynced: every
-    WAL segment the store creates — segment 1 of a new store, each rotation,
-    segment 1 of the generation a restore installs, which re-journals the
-    memtable at once — is created, then the directory fsynced, then acked
-    into."""
+    WAL segment the store creates — segment 1 of a new store, each rotation
+    — is created, then the directory fsynced, then acked into."""
     from repro.durable import atomio, store as store_module
 
     events = []
@@ -243,12 +242,7 @@ def test_new_wal_segment_reaches_a_directory_fsync_before_an_ack(
     monkeypatch.setattr(WalWriter, "sync", sync)
     store = DurableStore(store_dir, tiny_config)
     fill(store, n_batches=10)
-    store.put(1, 2)  # a memtable for the restore to re-journal
-    blob = pickle.dumps(store)
     store.close()
-    restored = pickle.loads(blob)
-    restored.put(3, 4)
-    restored.close()
 
     unsynced = set()
     for kind, name in events:
@@ -261,13 +255,8 @@ def test_new_wal_segment_reaches_a_directory_fsync_before_an_ack(
             assert name not in unsynced, f"acked into {name} before its directory fsync"
     first = ("create", os.path.basename(segment_path(store_dir, 1)))
     created = [event for event in events if event[0] == "create"]
-    assert len(created) > store.telemetry["wal_rotations"] >= 2
-    assert created.count(first) == 2  # the new store's and the restore's
-    # The restore acked its re-journaled memtable into segment 1 before
-    # ``restored.put`` wrote anything.
-    restore = max(i for i, event in enumerate(events) if event == first)
-    synced = ("fsync_dir", os.path.abspath(store_dir))
-    assert events[restore:][:3] == [first, synced, ("ack", first[1])]
+    assert len(created) == store.telemetry["wal_rotations"] + 1 >= 3
+    assert created[0] == first
 
 
 def test_wal_unknown_op_ends_the_segment(tmp_path):
@@ -328,7 +317,7 @@ def make_run(config, n=500, seed=3):
 def test_sstable_roundtrip(tmp_path, tiny_config, mode):
     config = tiny_config.with_updates(bloom_mode=mode)
     tree, run = make_run(config)
-    path = sstable_path(str(tmp_path), run.run_id, run.level_no)
+    path = os.path.join(str(tmp_path), FILE_FMT.format(run.run_id, run.level_no))
     # A header, the keys and values as int64, a CRC32 footer: nothing else.
     size = SSTABLE_HEADER_BYTES + 16 * run.n_entries + SSTABLE_FOOTER_BYTES
     assert write_sstable(path, run) == os.path.getsize(path) == size
@@ -347,7 +336,7 @@ def test_sstable_rejects_any_corrupt_byte(tmp_path, tiny_config):
     for mode in BloomMode:
         config = tiny_config.with_updates(bloom_mode=mode)
         tree, run = make_run(config, n=40)
-        path = sstable_path(str(tmp_path), run.run_id, run.level_no)
+        path = os.path.join(str(tmp_path), FILE_FMT.format(run.run_id, run.level_no))
         write_sstable(path, run)
         data = open(path, "rb").read()
         for pos in range(len(data)):
@@ -366,7 +355,7 @@ def test_sstable_refuses_version_one(tmp_path, tiny_config):
     """A table written before the index and filter blocks were dropped is
     refused by its version, even with a CRC that matches."""
     tree, run = make_run(tiny_config)
-    path = sstable_path(str(tmp_path), run.run_id, run.level_no)
+    path = os.path.join(str(tmp_path), FILE_FMT.format(run.run_id, run.level_no))
     write_sstable(path, run)
     data = bytearray(open(path, "rb").read())
     struct.pack_into("<I", data, 4, 1)
@@ -380,7 +369,7 @@ def test_sstable_refuses_version_one(tmp_path, tiny_config):
 
 def test_sstable_truncation_detected(tmp_path, tiny_config):
     tree, run = make_run(tiny_config)
-    path = sstable_path(str(tmp_path), run.run_id, run.level_no)
+    path = os.path.join(str(tmp_path), FILE_FMT.format(run.run_id, run.level_no))
     size = write_sstable(path, run)
     data = open(path, "rb").read()
     assert size == len(data)
@@ -663,6 +652,90 @@ def test_manifest_state_matches_disk(store_dir, tiny_config, monkeypatch):
     store.set_policies([1, 1, 1], TransitionKind.GREEDY)
     store.close()
     assert len(checked) == store.telemetry["commits"] > 20 and max(checked) > 1
+
+
+# ----------------------------------------------------------------------
+# A snapshot load reattaches its directory and writes nothing
+# ----------------------------------------------------------------------
+def directory_bytes(directory):
+    """Every file of ``directory`` with its contents."""
+    contents = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            contents[name] = fh.read()
+    return contents
+
+
+def snapshot_after_writes(store_dir, tiny_config):
+    """Six flushing batches and three memtable-only ones, then a pickle of
+    the open store: ``(store, blob, rng)``."""
+    rng = np.random.default_rng(19)
+    store = DurableStore(store_dir, tiny_config)
+    capacity = tiny_config.buffer_capacity_entries
+    for size in [capacity] * 6 + [3] * 3:
+        keys = rng.choice(1_000, size=size, replace=False)
+        store.put_batch(keys, rng.integers(0, 10**6, size=size))
+    assert store.telemetry["sstables_written"] >= 6 and len(store.memtable) == 9
+    return store, pickle.dumps(store), rng
+
+
+def test_a_snapshot_load_refuses_a_directory_that_moved_on(store_dir, tiny_config):
+    """Loading a snapshot after three more acked batches would rewind them:
+    the load is refused, the directory keeps every byte, and a reopen
+    holds what the store held before the load. A policy-only commit (the
+    same acked seqno, another record) and a directory that holds no store
+    are refused alike; the missing directory is not created."""
+    store, blob, rng = snapshot_after_writes(store_dir, tiny_config)
+    commits = store.telemetry["commits"]
+    for _ in range(3):  # overwrites that leave the manifest as it was
+        keys = rng.choice(store.range_lookup(0, 1_000), size=2, replace=False)[:, 0]
+        store.put_batch(keys, rng.integers(0, 10**6, size=2))
+    assert store.telemetry["commits"] == commits
+    expected = dict(store.range_lookup(0, 1_000))
+    store.close()
+    before = directory_bytes(store_dir)
+    with pytest.raises(DurabilityError, match="acked seqno"):
+        pickle.loads(blob)
+    assert directory_bytes(store_dir) == before
+    with DurableStore(store_dir) as reopened:
+        assert dict(reopened.range_lookup(0, 1_000)) == expected
+
+    other_dir = store_dir + "-policy"
+    store, blob, _ = snapshot_after_writes(other_dir, tiny_config)
+    store.set_bits_per_key(5.0)
+    store.close()
+    before = directory_bytes(other_dir)
+    with pytest.raises(DurabilityError, match="another state"):
+        pickle.loads(blob)
+    assert directory_bytes(other_dir) == before
+
+    shutil.rmtree(other_dir)
+    with pytest.raises(DurabilityError, match="holds no store"):
+        pickle.loads(blob)
+    assert not os.path.exists(other_dir)
+
+
+def test_an_unchanged_snapshot_reattaches_without_writing(store_dir, tiny_config):
+    """Save → close → load: the loaded store is the snapshot's tree, wrote
+    no SSTable and no record, left every byte of the directory as it was,
+    and journals its next write where the store left off."""
+    store, blob, _ = snapshot_after_writes(store_dir, tiny_config)
+    expected = dict(store.range_lookup(0, 1_000))
+    acked = store.acked_seqno
+    store.close()
+    before = directory_bytes(store_dir)
+    restored = pickle.loads(blob)
+    assert restored.telemetry["sstables_written"] == restored.telemetry["commits"] == 0
+    assert restored.last_recovery.wal_records_replayed == 0
+    assert dict(restored.range_lookup(0, 1_000)) == expected
+    restored.close()
+    assert directory_bytes(store_dir) == before
+    restored = pickle.loads(blob)
+    restored.put(1_001, 7)
+    assert restored.acked_seqno == acked + 1
+    restored.close()
+    with DurableStore(store_dir) as reopened:
+        assert dict(reopened.range_lookup(0, 1_001)) == {**expected, 1_001: 7}
 
 
 # ----------------------------------------------------------------------

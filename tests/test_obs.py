@@ -368,7 +368,7 @@ class TestCollection:
             save_engine(engine, path)
         before = tree_bytes(root)
         assert main([path]) == 1
-        assert "restores into its data directory" in capsys.readouterr().err
+        assert "reattaches its data directory" in capsys.readouterr().err
         assert tree_bytes(root) == before
         engine.put(1, 5)
         for tree in engine.tuning_targets():

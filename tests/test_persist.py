@@ -355,7 +355,7 @@ class TestSnapshotFiles:
             load_store(path)
         assert directory_bytes(store.data_dir) == before
         load_engine(path).close()
-        assert directory_bytes(store.data_dir) != before  # the next generation
+        assert directory_bytes(store.data_dir) == before  # reattached, not rewritten
 
     def test_pickle_rejects_foreign_payload(self, tmp_path):
         path = os.fspath(tmp_path / "dictfile")

@@ -960,3 +960,23 @@ class TestServeCLI:
         with DurableStore(data_dir) as store:
             found, _ = store.get_batch(np.arange(0, n_records, 97, dtype=np.int64))
         assert found.all()
+
+    def test_durable_checkpoint_reattaches_its_directory(self, tmp_path):
+        """``--checkpoint`` is the one in-repo producer of durable snapshots:
+        after ``main`` returns, ``load_engine`` reattaches the directory,
+        writes nothing, and holds what a reopen of the directory holds."""
+        from repro.durable.store import DurableStore
+        from repro.persist import load_engine
+        from repro.serve.__main__ import main
+
+        data_dir = os.fspath(tmp_path / "kv")
+        path = os.fspath(tmp_path / "engine.snap")
+        args = ["--backend", "durable", "--data-dir", data_dir, "--tuned", "--checkpoint", path]
+        assert main([*args, *self.LOAD]) == 0
+        with load_engine(path) as engine:
+            assert isinstance(engine, DurableStore)
+            assert engine.telemetry["sstables_written"] == engine.telemetry["commits"] == 0
+            loaded = engine.range_lookup(0, 2**62)
+        with DurableStore(data_dir) as store:
+            assert store.range_lookup(0, 2**62) == loaded
+        assert len(loaded) >= bench_scale().n_records

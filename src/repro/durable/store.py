@@ -129,7 +129,7 @@ class DurableStore(LSMTree):
 
     #: This process's handle on ``data_dir``: the log writers, the last
     #: manifest record, the commit bookkeeping, telemetry and lifecycle
-    #: flags. A pickle leaves them out; :meth:`__setstate__` reopens the
+    #: flags. A pickle leaves them out; :meth:`__setstate__` reattaches the
     #: directory.
     _PROCESS_FIELDS = (
         "telemetry", "_segment_max_seqno", "_closed", "_in_mutator", "last_recovery",

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_persist import directory_bytes
 
 from repro.config import BloomMode, SystemConfig, TransitionKind
 from repro.durable import (
@@ -657,15 +658,6 @@ def test_manifest_state_matches_disk(store_dir, tiny_config, monkeypatch):
 # ----------------------------------------------------------------------
 # A snapshot load reattaches its directory and writes nothing
 # ----------------------------------------------------------------------
-def directory_bytes(directory):
-    """Every file of ``directory`` with its contents."""
-    contents = {}
-    for name in sorted(os.listdir(directory)):
-        with open(os.path.join(directory, name), "rb") as fh:
-            contents[name] = fh.read()
-    return contents
-
-
 def snapshot_after_writes(store_dir, tiny_config):
     """Six flushing batches and three memtable-only ones, then a pickle of
     the open store: ``(store, blob, rng)``."""
@@ -687,8 +679,9 @@ def test_a_snapshot_load_refuses_a_directory_that_moved_on(store_dir, tiny_confi
     are refused alike; the missing directory is not created."""
     store, blob, rng = snapshot_after_writes(store_dir, tiny_config)
     commits = store.telemetry["commits"]
+    live = np.array(list(dict(store.range_lookup(0, 1_000))))
     for _ in range(3):  # overwrites that leave the manifest as it was
-        keys = rng.choice(store.range_lookup(0, 1_000), size=2, replace=False)[:, 0]
+        keys = rng.choice(live, size=2, replace=False)
         store.put_batch(keys, rng.integers(0, 10**6, size=2))
     assert store.telemetry["commits"] == commits
     expected = dict(store.range_lookup(0, 1_000))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -76,8 +77,8 @@ class CostModelParams:
     def validate(self) -> None:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if value < 0:
-                raise ConfigError(f"{field.name} must be >= 0, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{field.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

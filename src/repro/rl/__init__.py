@@ -2,7 +2,7 @@
 
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
 from repro.rl.dqn import DQNAgent, DQNConfig
-from repro.rl.nn import MLP, Linear, ReLU, Tanh
+from repro.rl.nn import MLP, Linear
 from repro.rl.noise import OrnsteinUhlenbeckNoise
 from repro.rl.optim import Adam
 from repro.rl.replay import ReplayBuffer
@@ -10,8 +10,6 @@ from repro.rl.replay import ReplayBuffer
 __all__ = [
     "MLP",
     "Linear",
-    "ReLU",
-    "Tanh",
     "Adam",
     "ReplayBuffer",
     "OrnsteinUhlenbeckNoise",

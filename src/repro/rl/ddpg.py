@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import RLError
-from repro.rl.nn import MLP, online_param_grads, stacked_forward
+from repro.rl.nn import MLP, PairedNets, online_param_grads, stacked_forward
 from repro.rl.noise import OrnsteinUhlenbeckNoise
 from repro.rl.optim import Adam
 from repro.rl.replay import ReplayBuffer
@@ -75,8 +75,10 @@ class DDPGConfig:
                 raise RLError(f"{name} out of range: {getattr(self, name)!r}")
 
 
-class DDPGAgent:
+class DDPGAgent(PairedNets):
     """One actor-critic learner over a continuous action space."""
+
+    PAIRS = (("_actors", "actor", "target_actor"), ("_critics", "critic", "target_critic"))
 
     def __init__(self, config: DDPGConfig, rng: np.random.Generator) -> None:
         config.validate()
@@ -90,8 +92,8 @@ class DDPGAgent:
         # Small final-layer init (Lillicrap et al. §7): keeps early actor
         # outputs near zero so exploration noise — not random saturation —
         # drives the first actions, and early Q estimates stay small.
-        self.actor.linears()[-1].weight *= 0.05
-        self.critic.linears()[-1].weight *= 0.05
+        self.actor.layers[-1].weight *= 0.05
+        self.critic.layers[-1].weight *= 0.05
         self.target_actor.copy_params_from(self.actor)
         self.target_critic.copy_params_from(self.critic)
         self._pair_nets()
@@ -102,25 +104,6 @@ class DDPGAgent:
             config.action_dim, rng, sigma=config.noise_sigma, theta=0.3
         )
         self.updates_done = 0
-
-    def _pair_nets(self) -> None:
-        """Hold each online/target pair in one ``(2, n_params)`` buffer, the
-        online net in row 0, and bind the nets to the rows (DESIGN.md §6)."""
-        self._actors = np.stack((self.actor.flat_params, self.target_actor.flat_params))
-        self._critics = np.stack((self.critic.flat_params, self.target_critic.flat_params))
-        nets = (self.actor, self.target_actor, self.critic, self.target_critic)
-        for net, row in zip(nets, (*self._actors, *self._critics)):
-            net._bind(row)
-
-    # Each net pickles its own row; the pairs are rebuilt on load.
-    def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        del state["_actors"], state["_critics"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self._pair_nets()
 
     # ------------------------------------------------------------------
     # Acting
@@ -181,7 +164,7 @@ class DDPGAgent:
         discounts = cfg.gamma * (1.0 - dones)
         actors = self.actor.stacked(self._actors)
         critics = self.critic.stacked(self._critics)
-        actor_layers, critic_layers = self.actor.linears(), self.critic.linears()
+        actor_layers, critic_layers = self.actor.layers, self.critic.layers
         critic_hidden = [(layer.weight, layer.bias) for layer in critic_layers[:-1]]
         for i in range(n):
             # Neither pair has moved yet this step: µ(s) and µ'(s') in one

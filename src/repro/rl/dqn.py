@@ -8,13 +8,14 @@ agent — its action set is just {decrease, keep, increase}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import RLError
-from repro.rl.nn import MLP
+from repro.rl.nn import MLP, PairedNets, online_param_grads, stacked_forward
 from repro.rl.optim import Adam
 from repro.rl.replay import ReplayBuffer
 
@@ -47,10 +48,18 @@ class DQNConfig:
             raise RLError("need buffer_capacity >= batch_size >= 1")
         if self.target_sync_every < 1:
             raise RLError("target_sync_every must be >= 1")
+        if self.warmup < 1:
+            raise RLError(f"warmup must be >= 1, got {self.warmup}")
+        if not 0.0 < self.lr < math.inf:
+            raise RLError(f"lr must be finite and > 0, got {self.lr!r}")
+        if not 0.0 < self.epsilon_decay <= 1.0:
+            raise RLError(f"epsilon_decay must be in (0, 1], got {self.epsilon_decay!r}")
 
 
-class DQNAgent:
+class DQNAgent(PairedNets):
     """ε-greedy Q-learner with a target network."""
+
+    PAIRS = (("_nets", "q_net", "target_net"),)
 
     def __init__(self, config: DQNConfig, rng: np.random.Generator) -> None:
         config.validate()
@@ -61,6 +70,7 @@ class DQNAgent:
             config.state_dim, list(config.hidden), config.n_actions, rng
         )
         self.target_net.copy_params_from(self.q_net)
+        self._pair_nets()
         self.opt = Adam(self.q_net, config.lr)
         # Actions are stored as a single index in the replay buffer.
         self.replay = ReplayBuffer(config.buffer_capacity, config.state_dim, 1, rng)
@@ -95,31 +105,28 @@ class DQNAgent:
         self.replay.push(state, np.asarray([action], dtype=float), reward, next_state, done)
 
     def update(self) -> Optional[float]:
-        """One TD(0) step on a replay mini-batch; returns the loss."""
+        """One TD(0) step on a replay mini-batch; returns the loss.
+
+        Q(s) beside the target net's Q(s') is one stacked forward over the
+        pair, and the Q-net's gradients come from row 0 (DESIGN.md §6)."""
         if len(self.replay) < self.config.warmup:
             return None
         cfg = self.config
         states, actions, rewards, next_states, dones = self.replay.sample(
             cfg.batch_size
         )
-        action_idx = actions[:, 0].astype(int)
-
-        next_q = self.target_net.forward(next_states).max(axis=1)
-        y = rewards + cfg.gamma * (1.0 - dones) * next_q
-
-        self.q_net.zero_grad()
-        q_all = self.q_net.forward(states)
-        q_taken = q_all[np.arange(cfg.batch_size), action_idx]
-        td_error = q_taken - y
-        loss = float(np.mean(td_error**2))
-        grad = np.zeros_like(q_all)
-        grad[np.arange(cfg.batch_size), action_idx] = (
-            2.0 / cfg.batch_size
-        ) * td_error
-        self.q_net.backward(grad)
+        rows, action_idx = np.arange(cfg.batch_size), actions[:, 0].astype(int)
+        inputs, masks, q = stacked_forward(
+            self.q_net.stacked(self._nets), np.stack((states, next_states)), False
+        )
+        y = rewards + cfg.gamma * (1.0 - dones) * q[1].max(axis=1)
+        td_error = q[0, rows, action_idx] - y
+        grad = np.zeros_like(q[0])
+        grad[rows, action_idx] = (2.0 / cfg.batch_size) * td_error
+        online_param_grads(self.q_net.layers, inputs, masks, grad)
         self.opt.step()
 
         self.updates_done += 1
         if self.updates_done % cfg.target_sync_every == 0:
             self.target_net.copy_params_from(self.q_net)
-        return loss
+        return float(np.mean(td_error**2))

@@ -3,10 +3,12 @@
 The paper implements Lerp's actor and critic with PyTorch ("a three-layer
 fully-connected neural network with 128 neurons per layer using ReLU").
 PyTorch is not available offline, so this module provides the equivalent
-building blocks on numpy: linear layers, ReLU/Tanh activations, an
-:class:`MLP` container that back-propagates gradients both to parameters and
-to its *input* (the latter is what DDPG's actor update needs: ∂Q/∂a flows
-through the critic's input into the actor).
+on numpy: an :class:`MLP` of fully connected layers with ReLU between them
+and an optional tanh output, run by two functions. :func:`stacked_forward`
+runs one net, or an online/target pair in one product per layer, and
+:func:`online_param_grads` back-propagates the parameter gradients of the
+pair's online row. DDPG's actor gradient, ∂Q/∂a through the critic's
+*input*, is formed in :mod:`repro.rl.ddpg` itself.
 
 All arrays are float64, batch-first (``x.shape == (batch, features)``).
 
@@ -18,116 +20,32 @@ same float operations per element as a per-array loop (DESIGN.md §6).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import RLError
 
 
-class Layer:
-    """Interface for a differentiable layer."""
+@dataclass
+class Linear:
+    """One fully connected layer ``y = x @ weight + bias``: views of its
+    network's flat parameter and gradient vectors."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. this layer's input; accumulates parameter grads."""
-        raise NotImplementedError
-
-    def params(self) -> List[np.ndarray]:
-        return []
-
-    def grads(self) -> List[np.ndarray]:
-        return []
-
-    def __getstate__(self) -> dict:
-        # An activation's only attribute is its last forward's scratch.
-        return dict.fromkeys(vars(self))
-
-
-class Linear(Layer):
-    """Fully connected layer ``y = x @ W + b`` with He initialization."""
-
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator) -> None:
-        if in_dim < 1 or out_dim < 1:
-            raise RLError(f"invalid Linear dims: {in_dim} -> {out_dim}")
-        scale = np.sqrt(2.0 / in_dim)
-        self.weight = rng.normal(0.0, scale, size=(in_dim, out_dim))
-        self.bias = np.zeros(out_dim)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._x: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        out = x @ self.weight
-        out += self.bias
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RLError("backward called before forward")
-        self.grad_weight += self._x.T @ grad_out
-        self.grad_bias += np.add.reduce(grad_out, axis=0)
-        return grad_out @ self.weight.T
-
-    def params(self) -> List[np.ndarray]:
-        return [self.weight, self.bias]
-
-    def grads(self) -> List[np.ndarray]:
-        return [self.grad_weight, self.grad_bias]
-
-    def __getstate__(self) -> dict:
-        # Parameters and gradients are views of the owning MLP's flat
-        # vectors, which re-binds them on load; the shape is all that is
-        # the layer's own.
-        return {"shape": self.weight.shape}
-
-    def __setstate__(self, state: dict) -> None:
-        self.weight = np.empty(state["shape"])
-        self.bias = np.empty(state["shape"][1])
-        self._x = None
-
-
-class ReLU(Layer):
-    """Rectified linear activation."""
-
-    def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.maximum(x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RLError("backward called before forward")
-        return grad_out * self._mask
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation (used on the actor's output so actions
-    live in [-1, 1])."""
-
-    def __init__(self) -> None:
-        self._y: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._y is None:
-            raise RLError("backward called before forward")
-        return grad_out * (1.0 - self._y**2)
+    weight: np.ndarray
+    bias: np.ndarray
+    grad_weight: np.ndarray
+    grad_bias: np.ndarray
 
 
 class MLP:
-    """A feed-forward stack of Linear layers with hidden activations.
+    """A feed-forward stack of Linear layers with ReLU between them.
 
     ``hidden`` lists the hidden layer widths; ``output_activation`` may be
-    ``None`` (identity, e.g. critics) or ``"tanh"`` (actors).
+    ``None`` (identity, e.g. critics) or ``"tanh"`` (actors). Weights are
+    He-initialized, biases zero.
     """
 
     def __init__(
@@ -138,20 +56,16 @@ class MLP:
         rng: np.random.Generator,
         output_activation: Optional[str] = None,
     ) -> None:
-        self.layers: List[Layer] = []
-        previous = in_dim
-        for width in hidden:
-            self.layers.append(Linear(previous, width, rng))
-            self.layers.append(ReLU())
-            previous = width
-        self.layers.append(Linear(previous, out_dim, rng))
-        if output_activation == "tanh":
-            self.layers.append(Tanh())
-        elif output_activation is not None:
+        self.dims = (in_dim, *hidden, out_dim)
+        if min(self.dims) < 1:
+            raise RLError(f"invalid layer widths: {self.dims}")
+        if output_activation not in (None, "tanh"):
             raise RLError(f"unknown output activation: {output_activation!r}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self._bind(np.concatenate([p.ravel() for p in self.params()]))
+        self.squash = output_activation == "tanh"
+        blocks = []
+        for n_in, n_out in zip(self.dims, self.dims[1:]):
+            blocks += [rng.normal(0.0, np.sqrt(2.0 / n_in), size=n_in * n_out), np.zeros(n_out)]
+        self._bind(np.concatenate(blocks))
 
     def _bind(self, flat_params: np.ndarray) -> None:
         """Own ``flat_params`` and a zeroed gradient vector of its layout —
@@ -159,40 +73,23 @@ class MLP:
         each, in :meth:`params` order — and point the layers at views."""
         self.flat_params = flat_params
         self.flat_grads = np.zeros_like(flat_params)
-        params = iter(self.split(self.flat_params))
-        grads = iter(self.split(self.flat_grads))
-        for layer in self.linears():
-            layer.weight, layer.bias = next(params), next(params)
-            layer.grad_weight, layer.grad_bias = next(grads), next(grads)
-
-    def linears(self) -> List[Linear]:
-        return [layer for layer in self.layers if isinstance(layer, Linear)]
+        params, grads = self.split(flat_params), self.split(self.flat_grads)
+        self.layers = [
+            Linear(*params[i : i + 2], *grads[i : i + 2]) for i in range(0, len(params), 2)
+        ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.in_dim:
-            raise RLError(f"MLP expected input dim {self.in_dim}, got {x.shape[1]}")
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad_out`` (dL/dy) through the network.
-
-        Returns dL/dx — the gradient with respect to the *input* of the most
-        recent :meth:`forward` call. Parameter gradients accumulate until
-        :meth:`zero_grad`.
-        """
-        grad = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        if x.shape[1] != self.dims[0]:
+            raise RLError(f"MLP expected input dim {self.dims[0]}, got {x.shape[1]}")
+        weights = [(layer.weight, layer.bias) for layer in self.layers]
+        return stacked_forward(weights, x, self.squash)[2]
 
     def params(self) -> List[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params()]
+        return [p for layer in self.layers for p in (layer.weight, layer.bias)]
 
     def grads(self) -> List[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads()]
+        return [g for layer in self.layers for g in (layer.grad_weight, layer.grad_bias)]
 
     def split(self, flat: np.ndarray) -> List[np.ndarray]:
         """Per-parameter views of ``flat``, laid out like :attr:`flat_params`
@@ -200,10 +97,12 @@ class MLP:
         online/target pair, whose views are ``(2, *shape)``)."""
         views = []
         offset = 0
-        for param in self.params():
-            block = flat[..., offset : offset + param.size]
-            views.append(block.reshape(flat.shape[:-1] + param.shape))
-            offset += param.size
+        for n_in, n_out in zip(self.dims, self.dims[1:]):
+            for shape in ((n_in, n_out), (n_out,)):
+                size = math.prod(shape)
+                block = flat[..., offset : offset + size]
+                views.append(block.reshape(flat.shape[:-1] + shape))
+                offset += size
         return views
 
     def stacked(self, pair: np.ndarray) -> list:
@@ -220,7 +119,7 @@ class MLP:
     # ------------------------------------------------------------------
     def copy_params_from(self, other: "MLP") -> None:
         """Hard copy of every parameter from ``other`` (same architecture)."""
-        if [p.shape for p in self.params()] != [p.shape for p in other.params()]:
+        if self.dims != other.dims:
             raise RLError("cannot copy params between different shapes")
         self.flat_params[...] = other.flat_params
 
@@ -232,11 +131,11 @@ class MLP:
         self.flat_params += tau * other.flat_params
 
     # ------------------------------------------------------------------
-    # Pickling: the parameter vector once; gradients are scratch
+    # Pickling: the parameter vector once; gradients and views are rebound
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = dict(vars(self))
-        del state["flat_grads"]
+        del state["flat_grads"], state["layers"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -244,18 +143,46 @@ class MLP:
         self._bind(self.flat_params)
 
 
-# The fused DDPG pass (repro.rl.ddpg, DESIGN.md §6).
+class PairedNets:
+    """An agent whose online/target nets are the rows of ``(2, n_params)``
+    buffers, the online net in row 0 (DESIGN.md §6). ``PAIRS`` names each
+    buffer's attribute and its two nets' attributes. Each net pickles its
+    own row; the buffers are rebuilt on load."""
+
+    PAIRS: Tuple[Tuple[str, str, str], ...] = ()
+
+    def _pair_nets(self) -> None:
+        for buffer, *names in self.PAIRS:
+            nets = [getattr(self, name) for name in names]
+            pair = np.stack([net.flat_params for net in nets])
+            setattr(self, buffer, pair)
+            for net, row in zip(nets, pair):
+                net._bind(row)
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        for buffer, *_ in self.PAIRS:
+            del state[buffer]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._pair_nets()
+
+
 def stacked_forward(weights: list, x: np.ndarray, squash: bool) -> tuple:
     """Forward through Linear layers, ReLU between them and tanh on the
     output when ``squash``: with ``x`` of shape ``(2, batch, in)`` and
     ``weights`` from :meth:`MLP.stacked`, two nets' forwards in one product
-    per layer. Returns every layer's input, every ReLU's mask, the output."""
+    per layer; with ``(batch, in)`` and one net's ``(weight, bias)`` pairs,
+    that net's (:meth:`MLP.forward`). Returns every layer's input, every
+    ReLU's mask, the output."""
     inputs: List[np.ndarray] = []
     masks: List[np.ndarray] = []
     for weight, bias in weights:
         if inputs:
             masks.append(x > 0)
-            x = np.maximum(x, 0.0, out=x)  # ReLU.forward for every non-NaN x
+            x = np.maximum(x, 0.0, out=x)
         inputs.append(x)
         x = x @ weight
         x += bias

@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -131,7 +131,26 @@ class ClientResult:
     wall_seconds: float = 0.0
 
 
-class OpenLoopClient(threading.Thread):
+class _Client(threading.Thread):
+    """One client thread. A ``ServeError`` (a failed lane, which
+    :func:`run_load` raises, or a stopped server) ends its stream; any other
+    exception ends the thread and is kept on ``error`` for :func:`run_load`
+    to raise once every client has joined."""
+
+    result: ClientResult
+    error: Optional[Exception] = None
+
+    def run(self) -> None:
+        try:
+            self._send_all()
+        except Exception as exc:
+            self.error = exc
+
+    def _send_all(self) -> None:
+        raise NotImplementedError
+
+
+class OpenLoopClient(_Client):
     """Poisson arrivals at ``rate`` requests per wall second.
 
     The pacing loop is cumulative (each interarrival is added to a target
@@ -157,7 +176,7 @@ class OpenLoopClient(threading.Thread):
         self.rng = np.random.default_rng(seed)
         self.result = ClientResult(tenant=name)
 
-    def run(self) -> None:
+    def _send_all(self) -> None:
         started = time.perf_counter()
         target = 0.0
         result = self.result
@@ -188,7 +207,7 @@ class OpenLoopClient(threading.Thread):
         result.wall_seconds = time.perf_counter() - started
 
 
-class ClosedLoopClient(threading.Thread):
+class ClosedLoopClient(_Client):
     """One synchronous connection: submit, await completion, repeat."""
 
     def __init__(
@@ -206,7 +225,7 @@ class ClosedLoopClient(threading.Thread):
         self.timeout = float(timeout)
         self.result = ClientResult(tenant=name)
 
-    def run(self) -> None:
+    def _send_all(self) -> None:
         started = time.perf_counter()
         result = self.result
         for request in self.requests:
@@ -302,7 +321,8 @@ def run_load(
 ) -> LoadReport:
     """Run every tenant's clients against a **started** server and wait for
     the traffic to finish; the server is left running (callers stop it).
-    A failed lane stops its clients and is raised here at once (``ServeError``).
+    A failed lane stops its clients and is raised here at once (``ServeError``);
+    any other exception a client raised is raised here once all have joined.
 
     Latency histograms are read *after* all clients join and the queues
     drain, so single-writer recording needs no synchronization.
@@ -315,7 +335,7 @@ def run_load(
     }
     base_depth_samples = sum(l.depth_samples for l in server.lanes)
     base_depth_sum = sum(l.depth_sum for l in server.lanes)
-    clients: List[threading.Thread] = []
+    clients: List[_Client] = []
     for tenant in tenants:
         # Split n_ops across clients exactly: the first (n_ops % n) clients
         # take one extra request; clients with no share are not spawned.
@@ -348,9 +368,12 @@ def run_load(
         client.start()
     for client in clients:
         client.join()
+    for client in clients:
+        if client.error is not None:
+            raise client.error
     # Let the lanes drain what the clients enqueued.
     deadline = time.perf_counter() + drain_timeout
-    accepted = sum(c.result.accepted for c in clients)  # type: ignore[attr-defined]
+    accepted = sum(c.result.accepted for c in clients)
     while (
         server.total_completed - base_completed < accepted
         and time.perf_counter() < deadline
@@ -361,7 +384,7 @@ def run_load(
         if lane.queue.error is not None:
             raise ServeError(f"lane {lane.index} failed under load") from lane.queue.error
     wall = time.perf_counter() - started
-    results = [c.result for c in clients]  # type: ignore[attr-defined]
+    results = [c.result for c in clients]
     # Report this call's delta against the server's cumulative metrics.
     tenant_histograms: Dict[str, LatencyHistogram] = {}
     for name in server.tenants():

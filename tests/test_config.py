@@ -1,6 +1,7 @@
 """Tests for repro.config."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -11,7 +12,9 @@ from repro.config import (
     SystemConfig,
     TransitionKind,
 )
+from repro.core.ruskey import RusKey
 from repro.errors import ConfigError
+from repro.workload.uniform import UniformWorkload
 
 
 class TestSystemConfigValidation:
@@ -57,6 +60,22 @@ class TestSystemConfigValidation:
     def test_rejects_negative_costs(self):
         with pytest.raises(ConfigError):
             SystemConfig(costs=CostModelParams(random_read_s=-1e-6))
+
+    # ROADMAP 18(a): a NaN or infinite price turned every SimClock charge
+    # into NaN or inf.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+    def test_rejects_non_finite_costs(self, value):
+        with pytest.raises(ConfigError, match="random_read_s"):
+            SystemConfig(costs=CostModelParams(random_read_s=value))
+
+    def test_zero_cost_runs_a_mission(self, small_config):
+        config = small_config.with_updates(costs=CostModelParams(random_read_s=0.0))
+        store = RusKey(config)
+        workload = UniformWorkload(n_records=4000, lookup_fraction=0.5, seed=11)
+        store.bulk_load(*workload.load_records())
+        store.run_missions(workload.missions(1, 300))
+        assert len(store.mission_log) == 1
+        assert math.isfinite(store.view().clock_now) and store.view().clock_now > 0
 
     def test_rejects_negative_seed(self):
         """Refused when built, not later as numpy's ``ValueError`` from the

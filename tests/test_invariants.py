@@ -7,6 +7,10 @@
   locks, or a ``with`` on one lock nested in a ``with`` on another is a
   finding. A lock is a name or attribute called ``lock`` or ending in
   ``_lock``.
+* NO-SWALLOW (``serve/``): no bare ``except:`` and no handler whose body
+  is only ``pass``. A thread that fails keeps the cause where the caller
+  that joins it raises it (a lane's mailbox, the tuning thread, a load
+  client), so nothing under ``serve/`` drops an exception unseen.
 * OBS-ZERO-IMPACT's read-only half (``obs/``): a function may not assign
   to, delete from, or call a simulated-state mutator on an object it was
   handed as a parameter (``self`` / ``cls`` aside). The clock and RNG
@@ -60,6 +64,17 @@ def lock_order_findings(tree):
     return found
 
 
+def swallowed_exception_findings(tree):
+    """Lines of one ``serve/`` module that catch everything or drop what
+    they catch."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or all(isinstance(n, ast.Pass) for n in node.body))
+    ]
+
+
 def _root(node):
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
@@ -93,24 +108,33 @@ def obs_mutation_findings(tree):
     return sorted(found)
 
 
-CHECKS = {"serve": lock_order_findings, "obs": obs_mutation_findings}
-#: The ordered helper is the one place that calls ``acquire`` / ``release``.
-EXEMPT = {REPRO / "serve" / "locks.py"}
+#: check name -> (the package it scans, the check, files it skips). The
+#: ordered helper is the one place that calls ``acquire`` / ``release``.
+CHECKS = {
+    "lock-order": ("serve", lock_order_findings, {"locks.py"}),
+    "no-swallow": ("serve", swallowed_exception_findings, set()),
+    "obs": ("obs", obs_mutation_findings, set()),
+}
 
-BAD = [  # (id, package, source, findings)
-    ("nested-with", "serve", "with a.lock:\n    with b.lock:\n        pass\n", 1),
-    ("acquire-release", "serve", "lane.lock.acquire()\nlane.lock.release()\n", 2),
-    ("two-locks-one-with", "serve", "with a.lock, b.box_lock:\n    pass\n", 1),
+BAD = [  # (id, check, source, findings)
+    ("nested-with", "lock-order", "with a.lock:\n    with b.lock:\n        pass\n", 1),
+    ("acquire-release", "lock-order", "lane.lock.acquire()\nlane.lock.release()\n", 2),
+    ("two-locks-one-with", "lock-order", "with a.lock, b.box_lock:\n    pass\n", 1),
+    ("bare-except-and-pass", "no-swallow",
+     "try:\n    f()\nexcept:\n    log()\ntry:\n    g()\nexcept ValueError:\n    pass\n", 2),
     ("obs-param-assign", "obs",
      "def f(engine):\n    engine.total_gets += 1\n    engine.stats['gets'] = 0\n", 2),
     ("obs-param-mutator-call", "obs",
      "def f(engine, clock):\n    engine.put(1, 2)\n    clock.advance(3.0)\n", 2),
 ]
-GOOD = [  # (id, package, source)
-    ("ordered-helper", "serve",
+GOOD = [  # (id, check, source)
+    ("ordered-helper", "lock-order",
      "with ordered_lane_locks(lanes) as held:\n    pass\nwith lane.lock:\n    pass\n"),
-    ("sequential-locks", "serve",
+    ("sequential-locks", "lock-order",
      "with lane.lock:\n    pass\nwith other.lock:\n    pass\n"),
+    ("kept-or-handled-exception", "no-swallow",
+     "try:\n    f()\nexcept Exception as exc:\n    self.error = exc\n"
+     "for r in rs:\n    try:\n        g(r)\n    except ServeError:\n        break\n"),
     ("obs-read-only", "obs",
      "def f(engine):\n    return engine.stats_snapshot(), engine.cache_hits\n"),
     ("obs-local-mutation", "obs",
@@ -118,21 +142,21 @@ GOOD = [  # (id, package, source)
 ]
 
 
-@pytest.mark.parametrize("package,source,n", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
-def test_bad_shape_fires(package, source, n):
-    assert len(CHECKS[package](ast.parse(source))) == n
+@pytest.mark.parametrize("check,source,n", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
+def test_bad_shape_fires(check, source, n):
+    assert len(CHECKS[check][1](ast.parse(source))) == n
 
 
-@pytest.mark.parametrize("package,source", [g[1:] for g in GOOD], ids=[g[0] for g in GOOD])
-def test_good_shape_is_silent(package, source):
-    assert CHECKS[package](ast.parse(source)) == []
+@pytest.mark.parametrize("check,source", [g[1:] for g in GOOD], ids=[g[0] for g in GOOD])
+def test_good_shape_is_silent(check, source):
+    assert CHECKS[check][1](ast.parse(source)) == []
 
 
 def test_repo_is_clean():
     found = {
-        str(path.relative_to(REPRO)): lines
-        for package, check in CHECKS.items()
+        f"{name}: {path.relative_to(REPRO)}": lines
+        for name, (package, check, skipped) in CHECKS.items()
         for path in sorted((REPRO / package).rglob("*.py"))
-        if path not in EXEMPT and (lines := check(ast.parse(path.read_text())))
+        if path.name not in skipped and (lines := check(ast.parse(path.read_text())))
     }
     assert found == {}

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import reference_nn as chain
 
 from repro.errors import RLError
-from repro.rl.nn import MLP, Linear, ReLU, Tanh
+from repro.rl.nn import MLP, online_param_grads, stacked_forward
 from repro.rl.optim import Adam
 
 
@@ -24,39 +25,66 @@ def numerical_gradient(f, param, eps=1e-6):
     return grad
 
 
+def fused_param_grads(net, x, grad_out_of):
+    """``net``'s parameter gradients by the fused helpers, ``x`` run as row
+    0 of a one-net stack; ``grad_out_of(y)`` is dL/dy at the output."""
+    inputs, masks, y = stacked_forward(net.stacked(net.flat_params[None]), x[None], net.squash)
+    grad = grad_out_of(y[0])
+    if net.squash:
+        grad = grad * (1.0 - y[0] ** 2)
+    online_param_grads(net.layers, inputs, masks, grad)
+    return [g.copy() for g in net.grads()]
+
+
+def reference_param_grads(net, x, grad_out_of):
+    """The same gradients by the per-layer reference chain."""
+    net.zero_grad()
+    y, tape = chain.forward(net, x)
+    chain.backward(net, tape, grad_out_of(y))
+    return [g.copy() for g in net.grads()]
+
+
 class TestLayers:
     def test_linear_forward_shape(self, rng):
-        layer = Linear(3, 5, rng)
-        out = layer.forward(rng.normal(size=(7, 3)))
+        net = MLP(3, [], 5, rng)  # one Linear layer
+        out = net.forward(rng.normal(size=(7, 3)))
         assert out.shape == (7, 5)
 
     def test_linear_rejects_bad_dims(self, rng):
         with pytest.raises(RLError):
-            Linear(0, 5, rng)
-
-    def test_backward_before_forward_raises(self, rng):
-        layer = Linear(3, 5, rng)
+            MLP(0, [], 5, rng)
         with pytest.raises(RLError):
-            layer.backward(np.zeros((1, 5)))
+            MLP(3, [4, 0], 5, rng)
 
-    def test_relu_zeroes_negatives(self):
-        relu = ReLU()
-        out = relu.forward(np.asarray([[-1.0, 0.0, 2.0]]))
-        assert out.tolist() == [[0.0, 0.0, 2.0]]
+    def _identity(self, rng):
+        net = MLP(2, [2], 2, rng)
+        for layer in net.layers:
+            layer.weight[...] = np.eye(2)
+            layer.bias[...] = 0.0
+        return net
 
-    def test_relu_gradient_masks(self):
-        relu = ReLU()
-        relu.forward(np.asarray([[-1.0, 2.0]]))
-        grad = relu.backward(np.asarray([[1.0, 1.0]]))
-        assert grad.tolist() == [[0.0, 1.0]]
+    def test_relu_zeroes_negatives(self, rng):
+        net = self._identity(rng)
+        out = net.forward(np.asarray([[-1.0, 2.0], [0.0, -3.0]]))
+        assert out.tolist() == [[0.0, 2.0], [0.0, 0.0]]
+
+    def test_relu_gradient_masks(self, rng):
+        net = self._identity(rng)
+        x = np.asarray([[[-1.0, 2.0]]])
+        inputs, masks, _ = stacked_forward(net.stacked(net.flat_params[None]), x, False)
+        assert masks[0].tolist() == [[[False, True]]]
+        online_param_grads(net.layers, inputs, masks, np.ones((1, 2)))
+        assert net.layers[0].grad_bias.tolist() == [0.0, 1.0]
 
     def test_tanh_range(self, rng):
-        tanh = Tanh()
-        out = tanh.forward(rng.normal(size=(4, 3)) * 10)
+        net = MLP(3, [4], 3, rng, output_activation="tanh")
+        out = net.forward(rng.normal(size=(4, 3)) * 10)
         assert (np.abs(out) <= 1.0).all()
 
 
 class TestMLPGradients:
+    """The fused helpers and the reference chain against finite differences."""
+
     def test_param_gradients_match_numerical(self, rng):
         net = MLP(4, [8, 8], 2, rng)
         x = rng.normal(size=(5, 4))
@@ -65,20 +93,23 @@ class TestMLPGradients:
         def loss():
             return float(np.sum((net.forward(x) - target) ** 2))
 
-        net.zero_grad()
-        out = net.forward(x)
-        net.backward(2.0 * (out - target))
-        for param, grad in zip(net.params(), net.grads()):
+        def grad_out_of(y):
+            return 2.0 * (y - target)
+
+        fused = fused_param_grads(net, x, grad_out_of)
+        reference = reference_param_grads(net, x, grad_out_of)
+        for param, mine, theirs in zip(net.params(), fused, reference):
             numeric = numerical_gradient(loss, param)
-            assert np.abs(numeric - grad).max() < 1e-6
+            assert np.abs(numeric - mine).max() < 1e-6
+            assert np.abs(numeric - theirs).max() < 1e-6
 
     def test_input_gradient_matches_numerical(self, rng):
         net = MLP(3, [6], 1, rng)
         x = rng.normal(size=(2, 3))
 
         net.zero_grad()
-        net.forward(x)
-        grad_in = net.backward(np.ones((2, 1)))
+        _, tape = chain.forward(net, x)
+        grad_in = chain.backward(net, tape, np.ones((2, 1)))
 
         eps = 1e-6
         numeric = np.zeros_like(x)
@@ -95,16 +126,35 @@ class TestMLPGradients:
     def test_tanh_output_gradients(self, rng):
         net = MLP(3, [6], 2, rng, output_activation="tanh")
         x = rng.normal(size=(4, 3))
-        target = np.zeros((4, 2))
 
         def loss():
-            return float(np.sum((net.forward(x) - target) ** 2))
+            return float(np.sum(net.forward(x) ** 2))
 
-        net.zero_grad()
-        out = net.forward(x)
-        net.backward(2.0 * (out - target))
-        numeric = numerical_gradient(loss, net.params()[0])
-        assert np.abs(numeric - net.grads()[0]).max() < 1e-6
+        fused = fused_param_grads(net, x, lambda y: 2.0 * y)
+        reference = reference_param_grads(net, x, lambda y: 2.0 * y)
+        for param, mine, theirs in zip(net.params(), fused, reference):
+            numeric = numerical_gradient(loss, param)
+            assert np.abs(numeric - mine).max() < 1e-6
+            assert np.abs(numeric - theirs).max() < 1e-6
+
+    @pytest.mark.parametrize(
+        "dims, activation",
+        [((6, (32, 32), 1), "tanh"), ((7, (32, 32), 1), None), ((8, (128, 128, 128), 3), None)],
+        ids=["actor", "critic", "q-net"],
+    )
+    def test_forward_equals_the_reference_chain(self, rng, dims, activation):
+        """``MLP.forward`` (a one-net ``stacked_forward``) and a stacked pair's
+        rows are each bit-equal to the per-layer chain."""
+        in_dim, hidden, out_dim = dims
+        net = MLP(in_dim, hidden, out_dim, rng, activation)
+        other = MLP(in_dim, hidden, out_dim, rng, activation)
+        x = rng.normal(size=(2, 32, in_dim))
+        expected = chain.forward(net, x[0])[0]
+        assert np.array_equal(net.forward(x[0]), expected)
+        pair = np.stack((net.flat_params, other.flat_params))
+        _, _, out = stacked_forward(net.stacked(pair), x, net.squash)
+        assert np.array_equal(out[0], expected)
+        assert np.array_equal(out[1], chain.forward(other, x[1])[0])
 
 
 class TestMLPUtilities:
@@ -146,8 +196,9 @@ class TestMLPUtilities:
 
     def test_zero_grad_clears(self, rng):
         net = MLP(2, [4], 1, rng)
-        net.forward(np.ones((1, 2)))
-        net.backward(np.ones((1, 1)))
+        _, tape = chain.forward(net, np.ones((1, 2)))
+        chain.backward(net, tape, np.ones((1, 1)))
+        assert any((g != 0).any() for g in net.grads())
         net.zero_grad()
         assert all((g == 0).all() for g in net.grads())
 
@@ -182,8 +233,8 @@ class TestOptimizers:
         net = MLP(3, [4], 2, rng)
         opt = Adam(net, lr=0.1)
         before = [p.copy() for p in net.params()]
-        net.forward(rng.normal(size=(5, 3)))
-        net.backward(np.ones((5, 2)))
+        _, tape = chain.forward(net, rng.normal(size=(5, 3)))
+        chain.backward(net, tape, np.ones((5, 2)))
         opt.step()
         assert all(
             not np.array_equal(old, new) for old, new in zip(before, net.params())

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import reference_nn as chain
 
 from repro.errors import RLError
 from repro.rl import (
@@ -244,14 +245,37 @@ class TestDQN:
         with pytest.raises(RLError):
             DQNConfig(epsilon_min=0.5, epsilon_start=0.1).validate()
 
+    # ROADMAP 18(a): a NaN rate turned the weights NaN, a decay above 1
+    # grew ε, and warmup 0 sampled an empty buffer on the first update.
+    @pytest.mark.parametrize(
+        "bad", [{"lr": float("nan")}, {"epsilon_decay": 1.5}, {"warmup": 0}], ids=str
+    )
+    def test_config_refuses(self, bad):
+        with pytest.raises(RLError):
+            DQNConfig(**bad).validate()
+        with pytest.raises(RLError):
+            DQNAgent(DQNConfig(**bad), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "edge", [{"lr": 5e-324}, {"epsilon_decay": 1.0}, {"warmup": 1}], ids=str
+    )
+    def test_config_accepts_the_boundary(self, edge):
+        agent = self._agent(**edge)
+        for _ in range(agent.config.warmup):
+            agent.observe(np.zeros(2), agent.act(np.zeros(2)), 1.0, np.zeros(2))
+        assert np.isfinite(agent.update())
+        agent.decay_epsilon()
+        assert agent.epsilon <= agent.config.epsilon_start
+
 
 # ----------------------------------------------------------------------
 # Flat buffers ≡ per-array loops, bit for bit
 # ----------------------------------------------------------------------
 # The reference: the update steps as per-array loops — a Python loop over
-# each weight/bias array for Adam, Polyak averaging and zero-grad, and the
-# actor's gradient taken by a full critic backward whose parameter grads
-# are then thrown away. It runs against the same flat-buffer objects
+# each weight/bias array for Adam, Polyak averaging and zero-grad — with
+# every forward and backward the per-layer chain of tests/reference_nn.py,
+# and the actor's gradient taken by a full critic backward whose parameter
+# grads are then thrown away. It runs against the same flat-buffer objects
 # (through their per-array views), so equality says the fused passes do
 # the same float ops.
 
@@ -287,23 +311,23 @@ def _reference_ddpg_update(agent):
     states, actions, rewards, next_states, dones = agent.replay.sample(
         cfg.batch_size
     )
-    next_actions = agent.target_actor.forward(next_states)
-    target_q = agent.target_critic.forward(
-        np.concatenate([next_states, next_actions], axis=1)
-    )[:, 0]
-    y = rewards + cfg.gamma * (1.0 - dones) * target_q
+    next_actions, _ = chain.forward(agent.target_actor, next_states)
+    target_q, _ = chain.forward(
+        agent.target_critic, np.concatenate([next_states, next_actions], axis=1)
+    )
+    y = rewards + cfg.gamma * (1.0 - dones) * target_q[:, 0]
 
     _zero_grad_per_array(agent.critic)
-    q = agent.critic.forward(np.concatenate([states, actions], axis=1))[:, 0]
-    agent.critic.backward((2.0 / cfg.batch_size) * (q - y)[:, None])
+    q, tape = chain.forward(agent.critic, np.concatenate([states, actions], axis=1))
+    chain.backward(agent.critic, tape, (2.0 / cfg.batch_size) * (q[:, 0] - y)[:, None])
     _adam_step_per_array(agent.critic_opt)
 
     _zero_grad_per_array(agent.actor)
-    policy_actions = agent.actor.forward(states)
+    policy_actions, actor_tape = chain.forward(agent.actor, states)
     _zero_grad_per_array(agent.critic)
-    agent.critic.forward(np.concatenate([states, policy_actions], axis=1))
-    grad_in = agent.critic.backward(np.full((cfg.batch_size, 1), 1.0))
-    agent.actor.backward(-grad_in[:, cfg.state_dim :] / cfg.batch_size)
+    _, tape = chain.forward(agent.critic, np.concatenate([states, policy_actions], axis=1))
+    grad_in = chain.backward(agent.critic, tape, np.full((cfg.batch_size, 1), 1.0))
+    chain.backward(agent.actor, actor_tape, -grad_in[:, cfg.state_dim :] / cfg.batch_size)
     _zero_grad_per_array(agent.critic)
     _adam_step_per_array(agent.actor_opt)
 
@@ -319,14 +343,14 @@ def _reference_dqn_update(agent):
     )
     action_idx = actions[:, 0].astype(int)
     rows = np.arange(cfg.batch_size)
-    next_q = agent.target_net.forward(next_states).max(axis=1)
-    y = rewards + cfg.gamma * (1.0 - dones) * next_q
+    next_q, _ = chain.forward(agent.target_net, next_states)
+    y = rewards + cfg.gamma * (1.0 - dones) * next_q.max(axis=1)
 
     _zero_grad_per_array(agent.q_net)
-    q_all = agent.q_net.forward(states)
+    q_all, tape = chain.forward(agent.q_net, states)
     grad = np.zeros_like(q_all)
     grad[rows, action_idx] = (2.0 / cfg.batch_size) * (q_all[rows, action_idx] - y)
-    agent.q_net.backward(grad)
+    chain.backward(agent.q_net, tape, grad)
     _adam_step_per_array(agent.opt)
 
     agent.updates_done += 1
@@ -422,6 +446,9 @@ class TestFlatBuffersMatchPerArrayLoops:
                 assert np.shares_memory(array, net.flat_grads)
         for opt in fresh_opts.values():
             assert any(opt._net is net for net in fresh_nets.values())
+        for buffer, online, target in fresh.PAIRS:  # each pair one buffer again
+            rows = (getattr(fresh, online).flat_params, getattr(fresh, target).flat_params)
+            assert rows[0].base is rows[1].base is getattr(fresh, buffer)
         for _ in range(20):
             agent.update()
             reference_update(fresh)

@@ -481,6 +481,26 @@ class TestLaneFailure:
             server.stop()
 
 
+    @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])
+    def test_run_load_raises_what_a_client_raised(self, monkeypatch, closed_loop):
+        """A client whose submit raises something other than ``ServeError``
+        keeps the exception, and ``run_load`` raises it after the join
+        instead of reporting the one request offered."""
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        store, workload = loaded_store(n_shards=2)
+        boom = RuntimeError("client fault")
+        with KVServer(store) as server:
+            monkeypatch.setattr(server, "submit" if closed_loop else "try_submit", Mock(side_effect=boom))
+            tenant = TenantSpec(
+                name="t", workload=workload, n_ops=100, rate=50_000.0, closed_loop=closed_loop
+            )
+            with pytest.raises(RuntimeError) as raised:
+                run_load(server, [tenant])
+        assert raised.value is boom
+        assert unhandled == []
+
+
 class TestLoadGeneration:
     def test_open_loop_replays_every_op_when_underloaded(self):
         store, workload = loaded_store(n_shards=2)

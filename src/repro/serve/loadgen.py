@@ -132,10 +132,11 @@ class ClientResult:
 
 
 class _Client(threading.Thread):
-    """One client thread. A ``ServeError`` (a failed lane, which
-    :func:`run_load` raises, or a stopped server) ends its stream; any other
-    exception ends the thread and is kept on ``error`` for :func:`run_load`
-    to raise once every client has joined."""
+    """One client thread, sending its stream in ``_send_all``. A
+    ``ServeError`` (a failed lane, which :func:`run_load` raises, or a
+    stopped server) ends the stream; any other exception ends the thread
+    and is kept on ``error`` for :func:`run_load` to raise once every
+    client has joined."""
 
     result: ClientResult
     error: Optional[Exception] = None
@@ -145,9 +146,6 @@ class _Client(threading.Thread):
             self._send_all()
         except Exception as exc:
             self.error = exc
-
-    def _send_all(self) -> None:
-        raise NotImplementedError
 
 
 class OpenLoopClient(_Client):

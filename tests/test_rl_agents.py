@@ -264,8 +264,6 @@ class TestDQN:
         for _ in range(agent.config.warmup):
             agent.observe(np.zeros(2), agent.act(np.zeros(2)), 1.0, np.zeros(2))
         assert np.isfinite(agent.update())
-        agent.decay_epsilon()
-        assert agent.epsilon <= agent.config.epsilon_start
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ policy leveling (K=1), and Lerp's ``α = 1/2``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -43,6 +44,21 @@ from repro.workload.uniform import UniformWorkload
 from repro.workload.ycsb import YCSBWorkload
 
 
+def _refuse_out_of_domain(scale, may_be_zero: tuple = ()) -> None:
+    """Every numeric field of ``scale`` must be finite and > 0 (>= 0 for
+    the fields named in ``may_be_zero``)."""
+    for f in dataclasses.fields(scale):
+        value = getattr(scale, f.name)
+        if isinstance(value, str):
+            continue
+        if f.name in may_be_zero:
+            bound, ok = ">= 0", 0 <= value < math.inf
+        else:
+            bound, ok = "> 0", 0 < value < math.inf
+        if not ok:
+            raise ConfigError(f"{f.name} must be finite and {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BenchScale:
     """Run-shape parameters for one scale tier."""
@@ -56,12 +72,16 @@ class BenchScale:
     fig10_mission_size: int
     fig10_missions: int
 
+    def __post_init__(self) -> None:
+        _refuse_out_of_domain(self)
+
 
 @dataclass(frozen=True)
 class ServingScale:
     """Run-shape parameters of one serving-experiment tier: the open-loop
     clients offer exactly ``n_ops`` requests at ``rate``, so every
-    configuration faces the same request stream."""
+    configuration faces the same request stream. ``window_ops == 0`` runs
+    no tuning loop."""
 
     n_ops: int  # offered requests
     rate: float  # open-loop offered rate (requests / wall second)
@@ -69,6 +89,9 @@ class ServingScale:
     queue_capacity: int  # per-lane admission queue bound
     max_batch: int  # per-lane drain batch
     mission_size: int  # generator mission granularity
+
+    def __post_init__(self) -> None:
+        _refuse_out_of_domain(self, may_be_zero=("window_ops",))
 
 
 # The scale tiers, one row each, in field order.

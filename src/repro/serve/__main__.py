@@ -23,6 +23,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench.experiments import bench_scale
+from repro.errors import ConfigError
 from repro.serve.experiments import (
     build_server,
     format_serving_report,
@@ -129,6 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--shards must be >= 1")
     if args.clients < 1:
         parser.error("--clients must be >= 1")
+    if args.trace_every < 1:
+        parser.error("--trace-every must be >= 1")
     if args.backend == "durable":
         if args.data_dir is None:
             parser.error("--backend durable requires --data-dir")
@@ -139,10 +142,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     scale = bench_scale()
     overrides = {"n_ops": args.ops, "rate": args.rate, "window_ops": args.window_ops}
-    serving = dataclasses.replace(
-        serving_scale(scale),
-        **{field: value for field, value in overrides.items() if value is not None},
-    )
+    try:
+        serving = dataclasses.replace(
+            serving_scale(scale),
+            **{field: value for field, value in overrides.items() if value is not None},
+        )
+    except ConfigError as error:
+        parser.error(str(error))
 
     if args.compare:
         runs = run_serving_comparison(
@@ -171,7 +177,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.trace:
         from repro.obs.trace import Tracer
 
-        tracer = Tracer(sample_every=max(1, args.trace_every))
+        tracer = Tracer(sample_every=args.trace_every)
         server.tracer = tracer
         server.engine.set_tracer(tracer)
     audit = None

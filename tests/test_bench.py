@@ -32,7 +32,7 @@ from repro.bench import (
     transfer_schedule,
     ycsb_experiment,
 )
-from repro.bench.experiments import NAMED_EXPERIMENTS
+from repro.bench.experiments import NAMED_EXPERIMENTS, serving_scale
 from repro.bench.harness import SeriesResult
 from repro.bench.__main__ import main as bench_main
 from repro.config import BloomScheme, SystemConfig
@@ -122,7 +122,7 @@ class TestHarness:
             "a": series([0.1] * 10),
             "b": series([0.2] * 5 + [0.05] * 5),
         }
-        ranks = session_rankings(results, [0, 5, 10], settle_fraction=0.5)
+        ranks = session_rankings(results, [0, 5, 10])
         assert ranks["a"] == [1, 2]
         assert ranks["b"] == [2, 1]
 
@@ -200,6 +200,22 @@ class TestExperimentConfigs:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "bogus")
         with pytest.raises(ConfigError):
             bench_scale()
+
+    @pytest.mark.parametrize(
+        "scale, field, value",
+        [
+            ("bench", "n_records", 0),
+            ("bench", "mission_size", -1),
+            ("serving", "rate", float("nan")),
+            ("serving", "window_ops", -1),
+        ],
+    )
+    def test_scales_refuse_out_of_domain_values(self, scale, field, value):
+        row = bench_scale() if scale == "bench" else serving_scale()
+        with pytest.raises(ConfigError, match=field):
+            dataclasses.replace(row, **{field: value})
+        # window_ops == 0 (no tuning loop) sits on its domain's edge.
+        assert dataclasses.replace(serving_scale(), window_ops=0).window_ops == 0
 
     def test_base_config_scheme_bits(self):
         assert base_config(BloomScheme.UNIFORM).bits_per_key == 8.0

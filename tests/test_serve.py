@@ -460,7 +460,7 @@ class TestLaneFailure:
     def test_run_load_stops_at_a_failed_lane(self, monkeypatch):
         """A lane failing under load stops its open- and closed-loop clients
         (none dies unhandled), and ``run_load`` raises at once, chained to
-        the cause, instead of waiting out ``drain_timeout``."""
+        the cause, instead of waiting out ``DRAIN_TIMEOUT_S``."""
         unhandled = []
         monkeypatch.setattr(threading, "excepthook", unhandled.append)
         store, workload = loaded_store(n_shards=2)
@@ -943,6 +943,31 @@ class TestServeCLI:
     @pytest.fixture(autouse=True)
     def quick_tier(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
+
+    @pytest.mark.parametrize(
+        "flags, refusal",
+        [
+            (["--ops", "0"], "n_ops must be finite and > 0"),
+            (["--rate", "-5"], "rate must be finite and > 0"),
+            (["--window-ops", "-1"], "window_ops must be finite and >= 0"),
+            (["--trace-every", "0"], "--trace-every must be >= 1"),
+        ],
+        ids=["ops", "rate", "window-ops", "trace-every"],
+    )
+    def test_out_of_domain_flags_exit_2_before_a_store_is_built(
+        self, monkeypatch, capsys, flags, refusal
+    ):
+        """These used to end in a traceback after the store was loaded, and
+        ``--trace-every 0`` was silently taken as 1."""
+        from repro.serve import __main__ as cli
+
+        built = []
+        monkeypatch.setattr(cli, "build_server", lambda *a, **k: built.append(a))
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["--trace", "unused.jsonl", *flags])
+        assert exited.value.code == 2
+        assert built == []
+        assert refusal in capsys.readouterr().err
 
     def test_memory_backend_two_tuned_shards(self, capsys):
         from repro.serve.__main__ import main

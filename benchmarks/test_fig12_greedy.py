@@ -42,7 +42,7 @@ def run_greedy_comparison():
 
 def test_fig12(benchmark):
     results, bounds = benchmark.pedantic(run_greedy_comparison, rounds=1, iterations=1)
-    ranks = session_rankings(results, bounds, settle_fraction=0.5)
+    ranks = session_rankings(results, bounds)
     averages = {name: float(np.mean(r)) for name, r in ranks.items()}
 
     report = [

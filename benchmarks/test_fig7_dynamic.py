@@ -30,7 +30,7 @@ def run_dynamic():
 
 def test_fig7_table3(benchmark):
     results, bounds = benchmark.pedantic(run_dynamic, rounds=1, iterations=1)
-    ranks = session_rankings(results, bounds, settle_fraction=0.5)
+    ranks = session_rankings(results, bounds)
     averages = {name: float(np.mean(r)) for name, r in ranks.items()}
 
     report = [

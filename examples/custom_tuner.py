@@ -32,8 +32,6 @@ class WhiteboxTuner(Tuner):
     system — the paper's core motivation for using RL).
     """
 
-    name = "whitebox"
-
     def __init__(self, smoothing: float = 0.2) -> None:
         self._mix = None
         self._smoothing = smoothing

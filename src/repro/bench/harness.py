@@ -117,7 +117,6 @@ class Experiment:
     mission_size: int
     base_config: SystemConfig
     chunk_size: int = 128
-    distribute_load: bool = True
     systems: List[SystemSpec] = field(default_factory=list)
     checkpoint_every: int = 0
     checkpoint_dir: str = "checkpoints"
@@ -207,7 +206,7 @@ def build_store(experiment: Experiment, system: SystemSpec, engine=None) -> RusK
     workload = experiment.workload
     if hasattr(workload, "load_records") and not store.engine.total_entries:
         keys, values = workload.load_records()  # type: ignore[attr-defined]
-        store.bulk_load(keys, values, distribute=experiment.distribute_load)
+        store.bulk_load(keys, values, distribute=True)
     return store
 
 
@@ -278,23 +277,21 @@ def run_experiment(experiment: Experiment) -> Dict[str, SeriesResult]:
 
 
 def session_rankings(
-    results: Dict[str, SeriesResult],
-    session_bounds: Sequence[int],
-    settle_fraction: float = 0.5,
+    results: Dict[str, SeriesResult], session_bounds: Sequence[int]
 ) -> Dict[str, List[int]]:
     """Per-session performance ranks (1 = best), paper Table 3 style.
 
     ``session_bounds`` holds the mission index where each session starts
     plus the total mission count as the final element. Within each session,
-    only the last ``1 - settle_fraction`` share of missions is scored so
-    systems are compared after tuning has settled (the paper compares "after
-    the RL model is converged in each session").
+    only the second half of the missions is scored so systems are compared
+    after tuning has settled (the paper compares "after the RL model is
+    converged in each session").
     """
     if len(session_bounds) < 2:
         raise WorkloadError("session_bounds needs at least start and end")
     ranks: Dict[str, List[int]] = {name: [] for name in results}
     for start, stop in zip(session_bounds[:-1], session_bounds[1:]):
-        settle = start + int((stop - start) * settle_fraction)
+        settle = start + (stop - start) // 2
         means = {
             name: float(result.latencies[settle:stop].mean())
             for name, result in results.items()

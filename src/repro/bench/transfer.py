@@ -77,9 +77,7 @@ def transfer_schedule(scale: BenchScale, seed: int = 0) -> DynamicWorkload:
 
 
 def run_warmstart_transfer(
-    scale: Optional[BenchScale] = None,
-    seed: int = 0,
-    exploration_scale: float = 0.5,
+    scale: Optional[BenchScale] = None, seed: int = 0
 ) -> TransferResult:
     """Run the full pretrain → (warm vs cold) transfer experiment."""
     scale = scale or bench_scale()
@@ -101,7 +99,7 @@ def run_warmstart_transfer(
     schedule_b = transfer_schedule(scale, seed)
     cold = run(schedule_b, "cold-start")
     tuners["warm-start"] = copy.deepcopy(tuners["pretrain"])
-    tuners["warm-start"].warm_start(exploration_scale=exploration_scale)
+    tuners["warm-start"].warm_start()
     warm = run(schedule_b, "warm-start")
     return TransferResult(pretrain, warm, cold, tuners, schedule_b.total_missions)
 

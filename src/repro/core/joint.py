@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, TransitionKind
 from repro.core.lerp import EpisodeTuner, LerpConfig
 from repro.core.state import discretize_action
 from repro.lsm.stats import MissionStats
@@ -75,7 +75,7 @@ class JointLerp(EpisodeTuner):
             delta = discretize_action(float(raw[level.level_no - 1]))
             new_policy = int(np.clip(level.policy + delta, 1, t))
             if new_policy != level.policy:
-                tree.set_policy(level.level_no, new_policy, cfg.transition)
+                tree.set_policy(level.level_no, new_policy, TransitionKind.FLEXIBLE)
         self._last = (state, raw)
         agent.decay_noise()
 
@@ -85,7 +85,3 @@ class JointLerp(EpisodeTuner):
         agent = self._joint_agent
         if agent is not None:
             agent.reset_exploration(agent.config.noise_sigma * exploration_scale)
-
-    def reset(self) -> None:
-        self._joint_agent = None
-        super().reset()

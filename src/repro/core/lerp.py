@@ -44,52 +44,49 @@ from repro.rl.ddpg import DDPGConfig
 from repro.rl.dqn import DQNConfig
 
 
+#: Exploration noise at or below which a stage may finish.
+CONVERGENCE_SIGMA = 0.08
+
+#: Largest spread of ``K`` over a stage's stable window that counts as stable.
+STABILITY_TOLERANCE = 1
+
+#: A warm start explores at this share of the configured level: a
+#: pre-trained critic needs less random search (:mod:`repro.bench.transfer`).
+WARM_START_EXPLORATION = 0.5
+
+
 @dataclass
 class LerpConfig:
     """Hyperparameters shared by the learned tuners.
 
-    ``alpha`` weighs level latency against end-to-end latency in the reward
-    (the paper sets 1/2). ``stable_window`` missions of an unchanged policy
-    (with noise below ``convergence_sigma``) finish a tuning stage;
+    ``stable_window`` missions of an unchanged policy (with noise at or
+    below :data:`CONVERGENCE_SIGMA`) finish a tuning stage;
     ``max_stage_missions`` bounds a stage even without stability. ``ddpg``
     configures the level agents (and lends its hidden sizes and noise
     schedule to :class:`~repro.core.joint.JointLerp`); ``policy_dqn``
     configures :class:`~repro.core.named_policy.NamedPolicyLerp`'s agent,
-    which checks it. Which tuner runs is the class the caller builds.
+    which checks it. Which tuner runs is the class the caller builds, and
+    every policy change it makes is a flexible transition (paper §4).
     """
 
-    alpha: float = 0.5
-    transition: TransitionKind = TransitionKind.FLEXIBLE
     ddpg: DDPGConfig = field(default_factory=lambda: DDPGConfig(state_dim=STATE_DIM, action_dim=1))
     policy_dqn: DQNConfig = field(
         default_factory=lambda: DQNConfig(state_dim=POLICY_STATE_DIM, n_actions=len(POLICY_NAMES))
     )
     updates_per_mission: int = 8
     stable_window: int = 25
-    stability_tolerance: int = 1
-    reward_smoothing: int = 3
-    convergence_sigma: float = 0.08
     burn_in_missions: int = 5
     max_stage_missions: int = 400
     detector_threshold: float = 0.12
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise RLError(f"alpha must be in [0, 1], got {self.alpha}")
-        minimums = dict(
-            stable_window=2, updates_per_mission=1, stability_tolerance=0,
-            reward_smoothing=1, burn_in_missions=0,
-        )
+        minimums = dict(stable_window=2, updates_per_mission=1, burn_in_missions=0)
         for name, minimum in minimums.items():
             if getattr(self, name) < minimum:
                 raise RLError(f"{name} must be >= {minimum}")
         if self.max_stage_missions < self.stable_window:
             raise RLError("max_stage_missions must be >= stable_window")
-        if not (np.isfinite(self.convergence_sigma) and self.convergence_sigma >= 0.0):
-            raise RLError(
-                f"convergence_sigma must be finite and >= 0, got {self.convergence_sigma}"
-            )
         self.ddpg.validate()
         if (self.ddpg.state_dim, self.ddpg.action_dim) != (STATE_DIM, 1):
             raise RLError(
@@ -112,9 +109,9 @@ def per_shard_tuners(tuner_class, system_config, config: LerpConfig, n: int) -> 
 class EpisodeTuner(Tuner):
     """The episode every learned tuner shares; a tuner is this plus a step.
 
-    A subclass defines :meth:`_step` and extends — calling ``super()`` —
-    ``_restart`` (its episode bookkeeping, its agents' exploration) and
-    ``reset`` (its agents). Agents are built lazily from :attr:`_rng` at
+    A subclass defines :meth:`_step` and extends ``_restart`` — calling
+    ``super()`` — with its episode bookkeeping and its agents' exploration.
+    Agents are built lazily from :attr:`_rng` at
     first use, so *when* a part is built is part of the draw sequence; a
     pickled tuner carries its parts and the RNG as they are.
     """
@@ -192,24 +189,14 @@ class EpisodeTuner(Tuner):
         self._scale.boost()
         self.restarts += 1
 
-    def warm_start(self, exploration_scale: float = 0.5) -> None:
+    def warm_start(self) -> None:
         """Re-enter tuning for a *new* workload with pre-trained models: keep
         networks, optimizers and replay (old experience transfers), clear the
         episode, re-open scale calibration, and explore at
-        ``exploration_scale`` of the configured level — a pre-trained critic
-        needs less random search (:mod:`repro.bench.transfer`)."""
-        if exploration_scale <= 0.0:
-            raise RLError(f"exploration_scale must be > 0, got {exploration_scale}")
-        self._restart("warm_start", exploration_scale)
+        :data:`WARM_START_EXPLORATION` of the configured level."""
+        self._restart("warm_start", WARM_START_EXPLORATION)
         self.restarts = 0
         self.detector.reset()
-
-    def reset(self) -> None:
-        """Full reset (a subclass drops its learned networks first)."""
-        self._restart(reason="reset")
-        self.restarts = 0
-        self.detector.reset()
-        self._scale = RunningScale()
 
 
 class AllLevelsLerp(EpisodeTuner):
@@ -217,7 +204,7 @@ class AllLevelsLerp(EpisodeTuner):
     level, each tuned every mission; no stages, and nothing converges — the
     under-sampled deep levels never reach their optimum. Also the home of
     what :class:`Lerp` shares with it: the level agents, built lazily, and
-    their restart / warm start / reset / snapshot."""
+    their restart / warm start / snapshot."""
 
     def __init__(self, system_config: SystemConfig, config: Optional[LerpConfig] = None):
         super().__init__(system_config, config)
@@ -241,16 +228,10 @@ class AllLevelsLerp(EpisodeTuner):
         for part in self._levels.values():
             part.restart(exploration_scale)
 
-    def reset(self) -> None:
-        self._levels.clear()
-        super().reset()
-
 
 class Lerp(AllLevelsLerp):
     """The RusKey tuning model: the level agents tuned in stages, one level
     at a time, then propagation."""
-
-    name = "ruskey"
 
     # perfbench's tracer patches ``vars(Lerp)["observe_mission"]``.
     observe_mission = EpisodeTuner.observe_mission
@@ -279,7 +260,7 @@ class Lerp(AllLevelsLerp):
         if self._stage_complete(part):
             learned = self._stage_policy(tree, part)
             if tree.level(stage_level).policy != learned:
-                tree.set_policy(stage_level, learned, self.config.transition)
+                tree.set_policy(stage_level, learned, TransitionKind.FLEXIBLE)
             self._learned.append(learned)
             self._audit(
                 "stage_commit",
@@ -300,8 +281,8 @@ class Lerp(AllLevelsLerp):
         if len(self._k_history) < cfg.stable_window:
             return False
         spread = max(self._k_history) - min(self._k_history)
-        annealed = part.agent.noise.sigma <= cfg.convergence_sigma
-        return spread <= cfg.stability_tolerance and annealed
+        annealed = part.agent.noise.sigma <= CONVERGENCE_SIGMA
+        return spread <= STABILITY_TOLERANCE and annealed
 
     def _stage_policy(self, tree: LSMTree, part: LevelAgent) -> int:
         """The policy a finished stage settles on. The exploration trajectory
@@ -325,7 +306,7 @@ class Lerp(AllLevelsLerp):
         policies = self.propagator.propagate(self._learned, tree.n_levels)
         for level_no, policy in enumerate(policies, start=1):
             if tree.level(level_no).policy != policy:
-                tree.set_policy(level_no, policy, self.config.transition)
+                tree.set_policy(level_no, policy, TransitionKind.FLEXIBLE)
         self._propagated = policies
         self.converged = True
         self._audit("propagate", learned=list(self._learned), policies=list(policies))
@@ -338,7 +319,7 @@ class Lerp(AllLevelsLerp):
         for level_no in range(1, tree.n_levels + 1):
             want = self._propagated[level_no - 1]
             if tree.level(level_no).policy != want:
-                tree.set_policy(level_no, want, self.config.transition)
+                tree.set_policy(level_no, want, TransitionKind.FLEXIBLE)
 
     def _restart(self, reason: str = "detector", exploration_scale: float = 1.0) -> None:
         super()._restart(reason, exploration_scale)

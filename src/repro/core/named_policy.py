@@ -3,8 +3,7 @@
 Beyond the paper: ArceKV and CAMAL treat the merge discipline as the knob
 that matters most under workload drift. Here it is a discrete RL action: one
 DQN agent picks among :data:`repro.lsm.policy.POLICY_NAMES` each mission and
-the choice is applied through ``LerpConfig.transition`` as a whole-tree
-switch. A tuner of its own, not a mode of :class:`~repro.core.lerp.Lerp`: a
+the choice is applied as a whole-tree flexible switch. A tuner of its own, not a mode of :class:`~repro.core.lerp.Lerp`: a
 named switch rewrites every level's ``K``, which would invalidate per-level
 agents' credit assignment.
 """
@@ -142,7 +141,7 @@ class NamedPolicyLerp(EpisodeTuner):
         action = agent.act(state, explore=True)
         switched = action != current
         if switched:
-            tree.set_named_policy(policy_from_index(action), cfg.transition)
+            tree.set_named_policy(policy_from_index(action), TransitionKind.FLEXIBLE)
         self._audit(
             "policy_action",
             arm=POLICY_NAMES[action],
@@ -187,7 +186,7 @@ class NamedPolicyLerp(EpisodeTuner):
         else:
             best = current_policy_action(tree)
         if best != current_policy_action(tree):
-            tree.set_named_policy(policy_from_index(best), self.config.transition)
+            tree.set_named_policy(policy_from_index(best), TransitionKind.FLEXIBLE)
         self.converged = True
         self._audit(
             "policy_commit",
@@ -206,7 +205,3 @@ class NamedPolicyLerp(EpisodeTuner):
             dqn = self._agent.config
             epsilon = max(dqn.epsilon_min, dqn.epsilon_start * exploration_scale)
             self._agent.reset_exploration(epsilon)
-
-    def reset(self) -> None:
-        self._agent = None
-        super().reset()

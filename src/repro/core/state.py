@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.config import TransitionKind
 from repro.errors import RLError
 from repro.lsm.stats import MissionStats
 from repro.lsm.tree import LSMTree
@@ -37,6 +38,13 @@ POLICY_STATE_DIM = 8
 
 #: Continuous actions below/above these thresholds map to ΔK = -1 / +1.
 ACTION_THRESHOLD = 1.0 / 3.0
+
+#: The reward's weight of level latency against end-to-end latency
+#: (paper Section 5.1.3 sets α = 1/2).
+ALPHA = 0.5
+
+#: A level agent learns from the mean reward of its last this-many missions.
+REWARD_WINDOW = 3
 
 
 def discretize_action(action: float) -> int:
@@ -143,7 +151,7 @@ def mission_reward(
     """Lerp's reward for ``level_no``: ``-(α·t_i + (1-α)·t')``.
 
     ``t_i`` is the level's latency and ``t'`` the end-to-end latency, both
-    per operation (paper Section 5.1.3, α = 1/2 by default). Lower latency
+    per operation (paper Section 5.1.3; Lerp passes :data:`ALPHA`). Lower latency
     ⇒ higher (less negative) reward.
 
     Each term is normalized by its *own* slowly-moving scale. A level's
@@ -183,7 +191,7 @@ class LevelAgent:
         self.scale = RunningScale()
         #: The previous step's (state, raw action), awaiting its reward.
         self.last: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.reward_window: Deque[float] = deque(maxlen=config.reward_smoothing)
+        self.reward_window: Deque[float] = deque(maxlen=REWARD_WINDOW)
         # Per-policy raw (unnormalized) combined latency observed while that
         # policy was active this workload era: what a finished stage reads.
         self.arm_stats: Dict[int, List[float]] = {}
@@ -203,15 +211,15 @@ class LevelAgent:
         level = tree.level(self.level_no)
         ops = max(1, mission.n_operations)
         combined_latency = (
-            cfg.alpha * mission.level_time(self.level_no) / ops
-            + (1.0 - cfg.alpha) * mission.total_time / ops
+            ALPHA * mission.level_time(self.level_no) / ops
+            + (1.0 - ALPHA) * mission.total_time / ops
         )
         self.arm_stats.setdefault(level.policy, []).append(combined_latency)
         state = level_state(tree, mission, self.level_no, self.scale, e2e_scale)
         # The state sees the scale as it was; the reward sees it updated.
         self.scale.update(mission.level_time(self.level_no) / ops)
         self.reward_window.append(
-            mission_reward(mission, self.level_no, cfg.alpha, self.scale, e2e_scale)
+            mission_reward(mission, self.level_no, ALPHA, self.scale, e2e_scale)
         )
         reward = float(np.mean(self.reward_window))
         if burning_in:
@@ -224,7 +232,7 @@ class LevelAgent:
         raw, delta = self._select_action(state)
         new_policy = int(np.clip(level.policy + delta, 1, self.size_ratio))
         if new_policy != level.policy:
-            tree.set_policy(self.level_no, new_policy, cfg.transition)
+            tree.set_policy(self.level_no, new_policy, TransitionKind.FLEXIBLE)
         audit(
             "level_action",
             level=self.level_no,

@@ -26,14 +26,9 @@ from repro.lsm.tree import LSMTree
 class Tuner:
     """Observes missions and adjusts compaction policies."""
 
-    name: str = "tuner"
-
     def observe_mission(self, tree: LSMTree, mission: MissionStats) -> None:
         """Called once after each mission; may change ``tree`` policies."""
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Forget any adaptive state (between experiment repetitions)."""
 
     def attach_audit(self, audit) -> None:
         """Attach a :class:`repro.obs.audit.DecisionAuditLog`. A no-op here
@@ -45,17 +40,11 @@ class Tuner:
 class StaticTuner(Tuner):
     """Pins every level (including newly created ones) to one policy."""
 
-    def __init__(
-        self,
-        policy: int,
-        transition: TransitionKind = TransitionKind.FLEXIBLE,
-        name: str = "",
-    ) -> None:
+    def __init__(self, policy: int, transition: TransitionKind = TransitionKind.FLEXIBLE) -> None:
         if policy < 1:
             raise ConfigError(f"policy must be >= 1, got {policy}")
         self.policy = policy
         self.transition = transition
-        self.name = name or f"K={policy}"
 
     def observe_mission(self, tree: LSMTree, mission: MissionStats) -> None:
         for level in tree.levels:
@@ -74,14 +63,10 @@ class NamedPolicyTuner(Tuner):
     """
 
     def __init__(
-        self,
-        policy: PolicyLike,
-        transition: TransitionKind = TransitionKind.FLEXIBLE,
-        name: str = "",
+        self, policy: PolicyLike, transition: TransitionKind = TransitionKind.FLEXIBLE
     ) -> None:
         self.policy = resolve_policy(policy)
         self.transition = transition
-        self.name = name or self.policy.name
 
     def observe_mission(self, tree: LSMTree, mission: MissionStats) -> None:
         if tree.compaction_policy != self.policy:
@@ -91,8 +76,6 @@ class NamedPolicyTuner(Tuner):
 class LazyLevelingTuner(Tuner):
     """Dostoevsky's Lazy-Leveling: tiering everywhere, leveling at the
     bottom. Reapplied as the tree grows so the largest level stays K=1."""
-
-    name = "lazy-leveling"
 
     def __init__(self, transition: TransitionKind = TransitionKind.FLEXIBLE) -> None:
         self.transition = transition
@@ -126,7 +109,6 @@ class GreedyThresholdTuner(Tuner):
         h_bottom: float,
         h_top: float,
         transition: TransitionKind = TransitionKind.FLEXIBLE,
-        name: str = "",
     ) -> None:
         if not 0.0 <= h_bottom <= h_top <= 1.0:
             raise ConfigError(
@@ -135,7 +117,6 @@ class GreedyThresholdTuner(Tuner):
         self.h_bottom = h_bottom
         self.h_top = h_top
         self.transition = transition
-        self.name = name or f"greedy({int(h_bottom*100)}%,{int(h_top*100)}%)"
 
     def _level_lookup_share(self, mission: MissionStats, level_no: int) -> float:
         read = mission.level_read_time.get(level_no, 0.0)

@@ -29,9 +29,6 @@ from typing import Any, Dict, List
 #: What a learned tuner reports about itself (a static tuner has none).
 TUNER_FIELDS = ("restarts", "converged", "total_model_update_s")
 
-#: Percentiles a lane's latency histogram is summarised at.
-PERCENTILES = (50.0, 99.0, 99.9)
-
 
 def shard_records(engine) -> List[Dict[str, Any]]:
     """One record per tuning target: its ``view()``, plus a durable
@@ -69,7 +66,7 @@ def histogram_record(hist) -> Dict[str, float]:
         min=hist.min_seen if hist.count else 0.0,
         max=hist.max_seen,
         mean=hist.mean,
-        **hist.percentile_summary(PERCENTILES, unit="s"),
+        **hist.percentile_summary(unit="s"),
     )
 
 

@@ -52,7 +52,7 @@ from repro.durable.log import frame, iter_frames
 from repro.errors import SnapshotError
 
 MAGIC = "repro-snapshot"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def save_snapshot(

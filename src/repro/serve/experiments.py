@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.bench.experiments import (
     BenchScale,
@@ -180,15 +180,14 @@ def run_serving_comparison(
     scale: Optional[BenchScale] = None,
     serving: Optional[ServingScale] = None,
     seed: int = 0,
-    shard_counts: Sequence[int] = (1, 4),
     rate: Optional[float] = None,
 ) -> Dict[str, ServingRun]:
-    """The benchmark grid: {shards} × {static, Lerp-tuned}, same offered
+    """The benchmark grid: {1, 4} shards × {static, Lerp-tuned}, same offered
     load everywhere — the tier's ``n_ops`` requests at ``rate`` (default:
     the tier's own rate). Configurations run sequentially (each gets the
     whole machine); results key on the configuration name."""
     runs: Dict[str, ServingRun] = {}
-    for n_shards in shard_counts:
+    for n_shards in (1, 4):
         for tuned in (False, True):
             run = run_serving_config(n_shards, tuned, scale, serving, seed, rate)
             runs[run.name] = run
@@ -217,7 +216,7 @@ def format_serving_report(
     lines.append("-" * len(header))
     for name, run in runs.items():
         # One source for key naming and ms scaling: the histogram itself.
-        p = run.report.histogram.percentile_summary((50.0, 99.0, 99.9))
+        p = run.report.histogram.percentile_summary()
         lines.append(
             f"{name:>24} | {run.report.throughput:9,.0f} | "
             f"{run.report.offered_rate:9,.0f} | "

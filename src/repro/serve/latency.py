@@ -216,12 +216,8 @@ class LatencyHistogram:
         text = f"{point:g}".replace(".", "")
         return f"p{text}"
 
-    def percentile_summary(
-        self,
-        points: Sequence[float] = (50.0, 99.0, 99.9),
-        unit: str = "ms",
-    ) -> Dict[str, float]:
-        """Named percentile estimates, scaled to ``unit``.
+    def percentile_summary(self, unit: str = "ms") -> Dict[str, float]:
+        """The p50 / p99 / p99.9 estimates, scaled to ``unit``.
 
         Returns ``{"p50_ms": ..., "p99_ms": ..., "p999_ms": ...}`` — the
         single source of the p-latency columns emitted by the serving
@@ -234,31 +230,17 @@ class LatencyHistogram:
             raise ValueError(f"unit must be s, ms or us, got {unit!r}") from None
         return {
             f"{self._percentile_key(p)}_{unit}": self.quantile(p / 100.0) * scale
-            for p in points
+            for p in (50.0, 99.0, 99.9)
         }
-
-    def render(
-        self,
-        points: Sequence[float] = (50.0, 95.0, 99.0, 99.9),
-        unit: str = "ms",
-    ) -> str:
-        """One-line ``p50=...ms p95=...ms ...`` rendering of ``points``."""
-        try:
-            scale = {"s": 1.0, "ms": 1e3, "us": 1e6}[unit]
-        except KeyError:
-            raise ValueError(f"unit must be s, ms or us, got {unit!r}") from None
-        return " ".join(
-            f"p{p:g}={self.quantile(p / 100.0) * scale:.3f}{unit}"
-            for p in points
-        )
 
     def summary(self) -> str:
         """One-line ``count/mean/p50/p95/p99/p99.9/max`` summary (ms)."""
         if self.count == 0:
             return "no samples"
+        points = " ".join(f"p{p:g}={q * 1e3:.3f}ms" for p, q in self.percentiles().items())
         return (
             f"n={self.count} mean={self.mean * 1e3:.3f}ms "
-            f"{self.render()} max={self.max_seen * 1e3:.3f}ms"
+            f"{points} max={self.max_seen * 1e3:.3f}ms"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -214,10 +214,6 @@ class TestStaticTuner:
         tuner.observe_mission(tree, make_mission())
         assert all(policy == 3 for policy in tree.policies())
 
-    def test_name(self):
-        assert StaticTuner(5).name == "K=5"
-        assert StaticTuner(5, name="custom").name == "custom"
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             StaticTuner(0)

@@ -244,5 +244,16 @@ class TestOptimizers:
         net = MLP(1, [], 1, rng)
         with pytest.raises(RLError):
             Adam(net, lr=0.0)
-        with pytest.raises(RLError):
-            Adam(net, beta1=1.0)
+        # The smallest positive rate is on the domain's edge: it builds and
+        # steps, leaving every parameter finite.
+        opt = Adam(net, lr=5e-324)
+        net.flat_grads[...] = 1.0
+        opt.step()
+        assert np.isfinite(net.flat_params).all()
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_adam_refuses_a_non_finite_lr(self, rng, lr):
+        """Such a rate used to build, and its first step turned every
+        parameter NaN."""
+        with pytest.raises(RLError, match="lr"):
+            Adam(MLP(2, [4], 1, rng), lr=lr)

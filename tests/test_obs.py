@@ -232,9 +232,9 @@ class TestAuditLog:
         tuner = Lerp(SystemConfig(), LerpConfig())
         audit = DecisionAuditLog()
         tuner.attach_audit(audit)
-        tuner.reset()
+        tuner.warm_start()
         (event,) = audit.filter("restart")
-        assert event.data["reason"] == "reset"
+        assert event.data["reason"] == "warm_start"
         assert event.mission is None
 
 

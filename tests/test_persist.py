@@ -415,7 +415,7 @@ class TestLerpWarmStart:
         fresh = roundtrip(store.tuner)
         agent = fresh._levels[1].agent
         trained_params = agent.actor.flat_params.copy()
-        fresh.warm_start(exploration_scale=0.5)
+        fresh.warm_start()
         assert not fresh.converged
         assert fresh.restarts == 0
         assert fresh._stage_idx == 0
@@ -428,11 +428,6 @@ class TestLerpWarmStart:
         assert agent.noise.sigma == pytest.approx(
             agent.config.noise_sigma * 0.5
         )
-
-    def test_warm_start_validation(self, store_config):
-        tuner = Lerp(store_config, lerp_test_config())
-        with pytest.raises(Exception):
-            tuner.warm_start(exploration_scale=0.0)
 
 
 class TestHarnessCheckpointResume:

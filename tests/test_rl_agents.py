@@ -15,6 +15,7 @@ from repro.rl import (
     OrnsteinUhlenbeckNoise,
     ReplayBuffer,
 )
+from repro.rl.optim import BETA1, BETA2, EPS
 
 
 class TestReplayBuffer:
@@ -286,16 +287,16 @@ def _zero_grad_per_array(net):
 def _adam_step_per_array(opt):
     net = opt._net
     opt._t += 1
-    bias1 = 1.0 - opt.beta1**opt._t
-    bias2 = 1.0 - opt.beta2**opt._t
+    bias1 = 1.0 - BETA1**opt._t
+    bias2 = 1.0 - BETA2**opt._t
     for param, grad, m, v in zip(
         net.params(), net.grads(), net.split(opt._m), net.split(opt._v)
     ):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * grad
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * grad * grad
-        param -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + opt.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        param -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
 
 
 def _polyak_per_array(target, source, tau):

@@ -111,9 +111,9 @@ class EpisodeTuner(Tuner):
 
     A subclass defines :meth:`_step` and extends ``_restart`` — calling
     ``super()`` — with its episode bookkeeping and its agents' exploration.
-    Agents are built lazily from :attr:`_rng` at
-    first use, so *when* a part is built is part of the draw sequence; a
-    pickled tuner carries its parts and the RNG as they are.
+    Agents are built lazily from :attr:`_rng` at first use, so *when* a part
+    is built is part of the draw sequence; a pickled tuner carries its parts
+    and the RNG as they are.
     """
 
     def __init__(self, system_config: SystemConfig, config: Optional[LerpConfig] = None):

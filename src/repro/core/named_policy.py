@@ -3,9 +3,9 @@
 Beyond the paper: ArceKV and CAMAL treat the merge discipline as the knob
 that matters most under workload drift. Here it is a discrete RL action: one
 DQN agent picks among :data:`repro.lsm.policy.POLICY_NAMES` each mission and
-the choice is applied as a whole-tree flexible switch. A tuner of its own, not a mode of :class:`~repro.core.lerp.Lerp`: a
-named switch rewrites every level's ``K``, which would invalidate per-level
-agents' credit assignment.
+the choice is applied as a whole-tree flexible switch. A tuner of its own,
+not a mode of :class:`~repro.core.lerp.Lerp`: a named switch rewrites every
+level's ``K``, which would invalidate per-level agents' credit assignment.
 """
 
 from __future__ import annotations

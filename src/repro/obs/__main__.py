@@ -140,6 +140,8 @@ def main(argv=None) -> int:
         help="demo mission count (default 6)",
     )
     args = parser.parse_args(argv)
+    if args.missions < 1:
+        parser.error("--missions must be >= 1")
     if args.demo:
         return _run_demo(args.missions)
     if not args.snapshot:

@@ -24,16 +24,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-#: Event kinds a Lerp emits, in the order they typically appear.
-EVENT_KINDS = (
-    "policy_action",  # DQN named-policy arm choice (ε, reward, switch)
-    "policy_commit",  # empirically-best arm pinned; policy stage done
-    "level_action",  # per-level DDPG ΔK choice (noise σ / ε, reward)
-    "stage_commit",  # one level's K learned; stage advances
-    "propagate",  # learned policies pushed to deeper levels
-    "restart",  # exploration restart (detector / reset / warm-start)
-)
-
 
 @dataclass
 class AuditEvent:

@@ -6,7 +6,7 @@ the records those objects already keep — each shard's
 :class:`~repro.lsm.stats.EngineView`, a durable shard's ``telemetry`` and
 last :class:`~repro.durable.store.RecoveryReport`, the tuners' restart and
 convergence state, the decision audit events, one row per mission window
-and each serving lane's latency histograms. It only reads: it is built on
+and each serving lane's latency histogram. It only reads: it is built on
 demand, is never saved, and has no simulated impact by construction.
 
 Keys (each present where the object has it)::
@@ -17,7 +17,7 @@ Keys (each present where the object has it)::
     audit    every event of every distinct audit log, once
     windows  a store's asdict(MissionStats) + policies per mission, or a
              server's asdict(ServerWindow)
-    lanes    a server's completed / rejected and per-tenant histograms
+    lanes    a server's completed / rejected and latency histogram per lane
     missions_run, mean_latency   a store's controller summary
 """
 
@@ -100,11 +100,7 @@ def telemetry_view(obj) -> Dict[str, Any]:
                 {
                     "completed": lane.completed,
                     "rejected": lane.rejected,
-                    # The lane's worker may add a tenant meanwhile: read a copy.
-                    "tenants": {
-                        tenant: histogram_record(hist)
-                        for tenant, hist in list(lane.histograms.items())
-                    },
+                    "latency": histogram_record(lane.histogram),
                 }
                 for lane in obj.lanes
             ],

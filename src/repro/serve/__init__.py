@@ -7,7 +7,7 @@ Layers (DESIGN.md §7):
   with bounded queues, the background tuning loop, live checkpointing;
 * :mod:`repro.serve.loadgen` — open-loop (Poisson) and closed-loop clients
   replaying the deterministic workload generators as timed request
-  streams, including multi-tenant mixes;
+  streams, one :class:`~repro.serve.loadgen.LoadSpec` at a time;
 * :mod:`repro.serve.experiments` — the canonical serving comparison
   (static vs Lerp-tuned × shard counts) behind the
   ``serving_tail_latency`` benchmark and the ``python -m repro.serve`` CLI.
@@ -19,8 +19,8 @@ from repro.serve.loadgen import (
     ClientResult,
     ClosedLoopClient,
     LoadReport,
+    LoadSpec,
     OpenLoopClient,
-    TenantSpec,
     request_stream,
     requests_from_mission,
     run_load,
@@ -56,7 +56,7 @@ __all__ = [
     "REQ_RANGE",
     "OpenLoopClient",
     "ClosedLoopClient",
-    "TenantSpec",
+    "LoadSpec",
     "ClientResult",
     "LoadReport",
     "run_load",

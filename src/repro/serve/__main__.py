@@ -22,7 +22,7 @@ import dataclasses
 import sys
 from typing import Optional, Sequence
 
-from repro.bench.experiments import bench_scale
+from repro.bench.experiments import base_config, bench_scale
 from repro.errors import ConfigError
 from repro.serve.experiments import (
     build_server,
@@ -31,7 +31,7 @@ from repro.serve.experiments import (
     serving_scale,
     serving_workload,
 )
-from repro.serve.loadgen import TenantSpec, run_load
+from repro.serve.loadgen import LoadSpec, run_load
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -147,6 +147,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             serving_scale(scale),
             **{field: value for field, value in overrides.items() if value is not None},
         )
+        # The store's own config refuses a bad --seed or --static-policy;
+        # build it here, before a store or a data directory exists.
+        base_config(scale=scale, seed=args.seed).with_updates(initial_policy=args.static_policy)
     except ConfigError as error:
         parser.error(str(error))
 
@@ -188,8 +191,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for tuner in dict.fromkeys(server.tuners):
             if hasattr(tuner, "attach_audit"):
                 tuner.attach_audit(audit)
-    tenant = TenantSpec(
-        name="cli",
+    spec = LoadSpec(
         workload=serving_workload(scale, serving, args.seed),
         n_ops=serving.n_ops,
         rate=serving.rate,
@@ -200,7 +202,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     server.start()
     try:
-        report = run_load(server, [tenant])
+        report = run_load(server, spec)
         if args.checkpoint:
             server.checkpoint(args.checkpoint)
             print(f"checkpointed live engine to {args.checkpoint}", file=sys.stderr)

@@ -33,7 +33,7 @@ from repro.bench.experiments import (
 )
 from repro.bench.harness import Experiment, SystemSpec, build_store
 from repro.core.tuners import StaticTuner
-from repro.serve.loadgen import LoadReport, TenantSpec, run_load
+from repro.serve.loadgen import LoadReport, LoadSpec, run_load
 from repro.serve.server import KVServer
 from repro.workload.dynamic import PAPER_SESSIONS, DynamicWorkload, paper_dynamic_workload
 
@@ -150,8 +150,7 @@ def run_serving_config(
     scale = scale or bench_scale()
     serving = serving or serving_scale(scale)
     server = build_server(n_shards, tuned, serving, scale, seed, static_policy)
-    tenant = TenantSpec(
-        name="dynamic",
+    spec = LoadSpec(
         workload=serving_workload(scale, serving, seed),
         n_ops=serving.n_ops,
         rate=rate if rate is not None else serving.rate,
@@ -160,7 +159,7 @@ def run_serving_config(
     )
     server.start()
     try:
-        report = run_load(server, [tenant])
+        report = run_load(server, spec)
     finally:
         server.stop()
     name = f"{'Lerp-tuned' if tuned else f'static K={static_policy}'}, " \

@@ -9,13 +9,13 @@ error of the true value, so quantile estimates carry a guaranteed relative
 error bound of ``bucket_growth() - 1`` regardless of where the mass lies.
 
 Every histogram has the same bucket geometry (the constants below), so
-histograms are plain count arrays that **merge** by addition: per-shard
-and per-tenant histograms recorded lock-free by single writer threads are
-combined after the fact, and merging is associative and commutative (a
-property test in ``tests/test_latency.py`` checks this). Exact count, sum,
-min and max are tracked alongside the buckets, so means are exact and only
-quantiles are approximate. :func:`repro.obs.telemetry_view` reports each
-lane's per-tenant histogram by its count, sum, min, max, mean and
+histograms are plain count arrays that **merge** by addition: per-lane
+histograms recorded lock-free by single writer threads are combined after
+the fact, and merging is associative and commutative (a property test in
+``tests/test_latency.py`` checks this). Exact count, sum, min and max are
+tracked alongside the buckets, so means are exact and only quantiles are
+approximate. :func:`repro.obs.telemetry_view` reports each lane's histogram
+by its count, sum, min, max, mean and
 :meth:`LatencyHistogram.percentile_summary`.
 """
 

@@ -13,12 +13,12 @@ this module replays them as *timed request streams*:
   submit the next. Offered load adapts to service capacity, so closed
   loops measure service latency, open loops measure *system* latency.
 
-A :class:`TenantSpec` names a workload share; :func:`run_load` drives any
-mix of tenants, each with its own clients, seed and request mix, and
-returns a :class:`LoadReport` with per-tenant and merged tail-latency
-views. All randomness (arrival jitter, per-client streams) draws from
-dedicated ``numpy`` generators seeded per client — the engines' RNGs and
-SimClock are never touched.
+A :class:`LoadSpec` describes one load: a workload, its request count,
+rate, clients and seed. :func:`run_load` drives it and returns a
+:class:`LoadReport` with its counters and tail-latency histogram. All
+randomness (arrival jitter, per-client streams) draws from dedicated
+``numpy`` generators seeded per client — the engines' RNGs and SimClock are
+never touched.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -71,9 +71,7 @@ def _int64_column(name: str, column) -> np.ndarray:
         raise ServeError("malformed request block: an entry is outside int64") from exc
 
 
-def requests_from_mission(
-    mission: Mission, tenant: str = "", wait: bool = False
-) -> Iterator[Request]:
+def requests_from_mission(mission: Mission, wait: bool = False) -> Iterator[Request]:
     """Translate one mission's rows into :class:`Request` objects.
 
     The block is checked once, vectorised, before the first request is
@@ -97,14 +95,13 @@ def requests_from_mission(
         raise ServeError(TOMBSTONE_PUT)
     build = Request.prevalidated
     for kind, key, value, span in zip(*(c.tolist() for c in (kinds, keys, values, spans))):
-        yield build(kind, key, value, span, tenant, wait)
+        yield build(kind, key, value, span, wait)
 
 
 def request_stream(
     workload: WorkloadSpec,
     n_ops: int,
     mission_size: int = 1_000,
-    tenant: str = "",
     wait: bool = False,
 ) -> Iterator[Request]:
     """The first ``n_ops`` requests of ``workload``'s mission stream.
@@ -114,7 +111,7 @@ def request_stream(
     their phases), then flattened into requests.
     """
     missions = workload.missions(-(-n_ops // mission_size), mission_size)  # ceil
-    blocks = (requests_from_mission(mission, tenant, wait) for mission in missions)
+    blocks = (requests_from_mission(mission, wait) for mission in missions)
     return islice(chain.from_iterable(blocks), n_ops)
 
 
@@ -122,13 +119,11 @@ def request_stream(
 class ClientResult:
     """What one client thread observed."""
 
-    tenant: str
     offered: int = 0
     accepted: int = 0
     dropped: int = 0
     #: Accepted requests a closed-loop client stopped waiting for.
     timed_out: int = 0
-    wall_seconds: float = 0.0
 
 
 class _Client(threading.Thread):
@@ -163,16 +158,15 @@ class OpenLoopClient(_Client):
         requests: Iterator[Request],
         rate: float,
         seed: int = 0,
-        name: str = "open-loop",
     ) -> None:
         if rate <= 0.0:
             raise ConfigError(f"rate must be > 0, got {rate}")
-        super().__init__(name=name, daemon=True)
+        super().__init__(name="open-loop", daemon=True)
         self.server = server
         self.requests = requests
         self.rate = float(rate)
         self.rng = np.random.default_rng(seed)
-        self.result = ClientResult(tenant=name)
+        self.result = ClientResult()
 
     def _send_all(self) -> None:
         started = time.perf_counter()
@@ -202,7 +196,6 @@ class OpenLoopClient(_Client):
                 result.accepted += 1
             else:
                 result.dropped += 1
-        result.wall_seconds = time.perf_counter() - started
 
 
 class ClosedLoopClient(_Client):
@@ -213,16 +206,14 @@ class ClosedLoopClient(_Client):
         server: KVServer,
         requests: Iterator[Request],
         timeout: float = 30.0,
-        name: str = "closed-loop",
     ) -> None:
-        super().__init__(name=name, daemon=True)
+        super().__init__(name="closed-loop", daemon=True)
         self.server = server
         self.requests = requests
         self.timeout = float(timeout)
-        self.result = ClientResult(tenant=name)
+        self.result = ClientResult()
 
     def _send_all(self) -> None:
-        started = time.perf_counter()
         result = self.result
         for request in self.requests:
             if request.done is None:
@@ -238,23 +229,21 @@ class ClosedLoopClient(_Client):
             result.accepted += 1
             if not request.done.wait(timeout=self.timeout):
                 result.timed_out += 1
-        result.wall_seconds = time.perf_counter() - started
 
 
 @dataclass
-class TenantSpec:
-    """One tenant of a multi-client mix.
+class LoadSpec:
+    """One load for :func:`run_load`.
 
-    ``rate`` is the tenant's total offered rate (split over its clients)
-    for open-loop mode; closed-loop tenants instead keep ``n_clients``
-    requests in flight. Each client gets an independent slice of the
-    tenant's workload stream via a distinct seed offset.
+    ``rate`` is the total offered rate (split over the clients) in
+    open-loop mode; a closed loop instead keeps ``n_clients`` requests in
+    flight. Each client gets an independent slice of the workload stream
+    via a distinct seed offset.
     """
 
-    name: str
     workload: WorkloadSpec
     n_ops: int
-    rate: float = 0.0  # requests/s, open-loop tenants only
+    rate: float = 0.0  # requests/s, open loop only
     n_clients: int = 1
     closed_loop: bool = False
     mission_size: int = 1_000
@@ -266,16 +255,14 @@ class TenantSpec:
         if self.n_clients < 1:
             raise WorkloadError(f"n_clients must be >= 1, got {self.n_clients}")
         if not self.closed_loop and self.rate <= 0.0:
-            raise WorkloadError(
-                f"open-loop tenant {self.name!r} needs rate > 0, got {self.rate}"
-            )
+            raise WorkloadError(f"an open-loop load needs rate > 0, got {self.rate}")
 
 
 @dataclass
 class LoadReport:
     """Aggregated outcome of one :func:`run_load` call.
 
-    All counters and histograms cover *this call only* (the server's own
+    All counters and the histogram cover *this call only* (the server's own
     metrics are lifetime-cumulative; :func:`run_load` snapshots them at
     entry and reports deltas). The one exception is ``max_queue_depth``,
     which is the server-lifetime maximum — a maximum cannot be
@@ -288,8 +275,6 @@ class LoadReport:
     completed: int
     dropped: int
     histogram: LatencyHistogram
-    tenant_histograms: Dict[str, LatencyHistogram]
-    clients: List[ClientResult] = field(default_factory=list)
     mean_queue_depth: float = 0.0
     max_queue_depth: int = 0
     timed_out: int = 0
@@ -313,8 +298,8 @@ class LoadReport:
 DRAIN_TIMEOUT_S = 30.0
 
 
-def run_load(server: KVServer, tenants: Sequence[TenantSpec]) -> LoadReport:
-    """Run every tenant's clients against a **started** server and wait for
+def run_load(server: KVServer, spec: LoadSpec) -> LoadReport:
+    """Run ``spec``'s clients against a **started** server and wait for
     the traffic to finish; the server is left running (callers stop it).
     A failed lane stops its clients and is raised here at once (``ServeError``);
     any other exception a client raised is raised here once all have joined.
@@ -322,42 +307,32 @@ def run_load(server: KVServer, tenants: Sequence[TenantSpec]) -> LoadReport:
     Latency histograms are read *after* all clients join and the queues
     drain, so single-writer recording needs no synchronization.
     """
-    if not tenants:
-        raise WorkloadError("run_load needs at least one tenant")
     base_completed = server.total_completed
-    base_histograms = {
-        name: server.histogram(name) for name in server.tenants()
-    }
+    base_histogram = server.histogram()
     base_depth_samples = sum(l.depth_samples for l in server.lanes)
     base_depth_sum = sum(l.depth_sum for l in server.lanes)
     clients: List[_Client] = []
-    for tenant in tenants:
-        # Split n_ops across clients exactly: the first (n_ops % n) clients
-        # take one extra request; clients with no share are not spawned.
-        base, extra = divmod(tenant.n_ops, tenant.n_clients)
-        for c in range(tenant.n_clients):
-            per_client = base + (1 if c < extra else 0)
-            if per_client == 0:
-                continue
-            stream = request_stream(
-                _reseeded(tenant.workload, tenant.seed + 101 * c),
-                per_client,
-                mission_size=tenant.mission_size,
-                tenant=tenant.name,
-                wait=tenant.closed_loop,
-            )
-            if tenant.closed_loop:
-                clients.append(ClosedLoopClient(server, stream, name=tenant.name))
-            else:
-                clients.append(
-                    OpenLoopClient(
-                        server,
-                        stream,
-                        rate=tenant.rate / tenant.n_clients,
-                        seed=tenant.seed + 997 * c,
-                        name=tenant.name,
-                    )
+    # Split n_ops across clients exactly: the first (n_ops % n) clients
+    # take one extra request; clients with no share are not spawned.
+    base, extra = divmod(spec.n_ops, spec.n_clients)
+    for c in range(spec.n_clients):
+        per_client = base + (1 if c < extra else 0)
+        if per_client == 0:
+            continue
+        stream = request_stream(
+            _reseeded(spec.workload, spec.seed + 101 * c),
+            per_client,
+            mission_size=spec.mission_size,
+            wait=spec.closed_loop,
+        )
+        if spec.closed_loop:
+            clients.append(ClosedLoopClient(server, stream))
+        else:
+            clients.append(
+                OpenLoopClient(
+                    server, stream, rate=spec.rate / spec.n_clients, seed=spec.seed + 997 * c
                 )
+            )
     started = time.perf_counter()
     for client in clients:
         client.start()
@@ -381,15 +356,6 @@ def run_load(server: KVServer, tenants: Sequence[TenantSpec]) -> LoadReport:
     wall = time.perf_counter() - started
     results = [c.result for c in clients]
     # Report this call's delta against the server's cumulative metrics.
-    tenant_histograms: Dict[str, LatencyHistogram] = {}
-    for name in server.tenants():
-        hist = server.histogram(name)
-        base = base_histograms.get(name)
-        if base is not None and base.count > 0:
-            hist = hist.diff(base)
-        if hist.count > 0:
-            tenant_histograms[name] = hist
-    histogram = LatencyHistogram.merged(tenant_histograms.values())
     depth_samples = (
         sum(l.depth_samples for l in server.lanes) - base_depth_samples
     )
@@ -400,9 +366,7 @@ def run_load(server: KVServer, tenants: Sequence[TenantSpec]) -> LoadReport:
         accepted=accepted,
         completed=server.total_completed - base_completed,
         dropped=sum(r.dropped for r in results),
-        histogram=histogram,
-        tenant_histograms=tenant_histograms,
-        clients=results,
+        histogram=server.histogram().diff(base_histogram),
         mean_queue_depth=depth_sum / depth_samples if depth_samples else 0.0,
         max_queue_depth=server.max_queue_depth(),
         timed_out=sum(r.timed_out for r in results),

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict, deque
+from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, index
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +94,6 @@ class Request:
         "key",
         "value",
         "span",
-        "tenant",
         "t_submit",
         "t_done",
         "done",
@@ -108,7 +107,6 @@ class Request:
         key: int,
         value: int = 0,
         span: int = 0,
-        tenant: str = "",
         wait: bool = False,
     ) -> None:
         kind = _integer("kind", kind)
@@ -129,7 +127,6 @@ class Request:
             )
         if kind == REQ_PUT and value == TOMBSTONE:
             raise ServeError(TOMBSTONE_PUT)
-        self.tenant = tenant
         self.t_submit = 0.0
         self.t_done = 0.0
         self.done: Optional[threading.Event] = threading.Event() if wait else None
@@ -137,7 +134,7 @@ class Request:
         self.error: Optional[BaseException] = None
 
     @classmethod
-    def prevalidated(cls, kind, key, value, span, tenant, wait) -> "Request":
+    def prevalidated(cls, kind, key, value, span, wait) -> "Request":
         """Nothing is checked: the caller has held whole columns of plain ints
         against everything ``__init__`` rejects (``loadgen.requests_from_mission``)."""
         self = cls.__new__(cls)
@@ -145,7 +142,6 @@ class Request:
         self.key = key
         self.value = value
         self.span = span
-        self.tenant = tenant
         self.t_submit = 0.0
         self.t_done = 0.0
         self.done = threading.Event() if wait else None
@@ -170,7 +166,6 @@ class _Mailbox:
         self.not_full = threading.Condition(self.box_lock)
         self.parked = False  # the consumer is waiting on not_empty
         self.closed = True
-        self.drain = False
         self.error: Optional[BaseException] = None
         self.rejected = 0
 
@@ -200,13 +195,13 @@ class _Mailbox:
     def take(self, max_items: int, timeout: float) -> Optional[List[Request]]:
         """The next block under one lock acquisition: up to ``max_items`` in
         submission order, empty if none arrives within ``timeout``; blocked
-        producers wake once. ``None`` once closed and drained (or not to be)."""
+        producers wake once. ``None`` once closed and empty."""
         with self.box_lock:
             if not self.items and not self.closed:
                 self.parked = True
                 self.not_empty.wait(timeout)
                 self.parked = False
-            if self.closed and not (self.drain and self.items):
+            if self.closed and not self.items:
                 return None
             n_taken = min(len(self.items), max_items)
             self.not_full.notify(n_taken)
@@ -217,12 +212,11 @@ class _Mailbox:
             self.closed = False
             self.error = None
 
-    def close(self, drain: bool) -> None:
+    def close(self) -> None:
         """Refuse producers (blocked ones wake and raise); the consumer still
-        gets what is queued if ``drain``."""
+        gets what is queued."""
         with self.box_lock:
             self.closed = True
-            self.drain = drain
             self.not_empty.notify_all()
             self.not_full.notify_all()
 
@@ -231,7 +225,7 @@ class _Lane:
     """One shard's serving lane: mailbox, worker thread, lock, metrics.
 
     The lock serializes access to the lane's tree between the worker and
-    the tuning loop; the histograms have the worker as their only writer.
+    the tuning loop; the histogram has the worker as its only writer.
     """
 
     def __init__(
@@ -247,7 +241,7 @@ class _Lane:
         self.max_batch = max_batch
         self.lock = threading.Lock()
         self.worker: Optional[threading.Thread] = None
-        self.histograms: Dict[str, LatencyHistogram] = defaultdict(LatencyHistogram)
+        self.histogram = LatencyHistogram()
         self.completed = 0
         # Running queue-depth statistics, sampled at every batch drain.
         self.depth_samples = 0
@@ -340,7 +334,7 @@ class KVServer:
         self._running = True
         self._tuning_error = None
         for lane in self.lanes:
-            lane.queue.open()  # what a stop(drain=False) left is served first
+            lane.queue.open()
             lane.tree.begin_mission()
             lane.worker = threading.Thread(
                 target=self._worker_loop,
@@ -356,9 +350,8 @@ class KVServer:
             self._tuning_thread.start()
         return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop serving; with ``drain`` everything admitted is served first,
-        without it what is queued waits for the next ``start()``. The final
+    def stop(self) -> None:
+        """Stop serving once everything admitted is served. The final
         (partial) mission window is closed and recorded. Raises if a lane
         or the tuner failed."""
         if not self._running:
@@ -366,7 +359,7 @@ class KVServer:
         self._running = False
         self._window_wake.set()
         for lane in self.lanes:
-            lane.queue.close(drain)
+            lane.queue.close()
         for lane in self.lanes:
             if lane.worker is not None:
                 lane.worker.join()
@@ -472,14 +465,13 @@ class KVServer:
                             values[bounds[i] : bounds[i + 1]],
                         )
             now = time.perf_counter()
-            waits: Dict[str, List[float]] = {}
+            waits = []
             for request in batch:
                 request.t_done = now
-                waits.setdefault(request.tenant, []).append(now - request.t_submit)
+                waits.append(now - request.t_submit)
                 if request.done is not None:
                     request.done.set()
-            for tenant, tenant_waits in waits.items():
-                lane.histograms[tenant].record_many(tenant_waits)
+            lane.histogram.record_many(waits)
             lane.completed += len(batch)
             if (
                 self.window_ops > 0
@@ -506,7 +498,7 @@ class KVServer:
                     self._serve_batch(lane, batch)
             except Exception as exc:
                 box.error = exc
-                box.close(drain=True)
+                box.close()
                 batch.extend(box.take(box.capacity, timeout=0.0) or ())
                 now = time.perf_counter()
                 for request in batch:
@@ -634,24 +626,9 @@ class KVServer:
     def max_queue_depth(self) -> int:
         return max((lane.depth_max for lane in self.lanes), default=0)
 
-    def histogram(self, tenant: Optional[str] = None) -> LatencyHistogram:
-        """Merged latency histogram — all lanes, one tenant or all.
-
-        Cumulative over the server's lifetime. Safe to call while traffic
-        flows (the dict is snapshotted before iterating), but a histogram
+    def histogram(self) -> LatencyHistogram:
+        """The lanes' latency histograms merged, cumulative over the
+        server's lifetime. Safe to call while traffic flows, but a histogram
         being written concurrently is read approximately; read after the
-        queues drain for exact counts.
-        """
-        parts = [
-            hist
-            for lane in self.lanes
-            for name, hist in list(lane.histograms.items())
-            if tenant is None or name == tenant
-        ]
-        return LatencyHistogram.merged(parts)
-
-    def tenants(self) -> List[str]:
-        names = {
-            name for lane in self.lanes for name in list(lane.histograms)
-        }
-        return sorted(names)
+        queues drain for exact counts."""
+        return LatencyHistogram.merged(lane.histogram for lane in self.lanes)

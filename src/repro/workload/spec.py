@@ -19,8 +19,6 @@ OP_LOOKUP = 0
 OP_UPDATE = 1
 OP_RANGE = 2
 
-OP_NAMES = {OP_LOOKUP: "lookup", OP_UPDATE: "update", OP_RANGE: "range"}
-
 
 @dataclass
 class Mission:

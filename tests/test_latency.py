@@ -2,9 +2,9 @@
 
 The two guarantees the serving reports rely on: quantiles are correct to
 within one geometric bucket of the exact sample quantile, and merging is
-exact (associative, commutative, lossless) so per-shard/per-tenant
-histograms can be combined in any order. Every histogram has the same
-bucket geometry (``repro.serve.latency``'s constants).
+exact (associative, commutative, lossless) so per-lane histograms can be
+combined in any order. Every histogram has the same bucket geometry
+(``repro.serve.latency``'s constants).
 """
 
 import numpy as np
@@ -164,7 +164,7 @@ class TestMerge:
     )
     def test_merge_associativity_property(self, parts, split):
         """((a+b)+c) == (a+(b+c)) == fold in any grouping: merging is
-        associative, so any tree of per-shard/per-tenant merges agrees."""
+        associative, so any tree of per-lane merges agrees."""
         hists = []
         for values in parts:
             h = LatencyHistogram()

@@ -40,7 +40,6 @@ from repro.persist import (
     save_store,
     save_tuner,
 )
-from repro.serve.latency import LatencyHistogram
 from repro.workload import UniformWorkload
 
 
@@ -397,41 +396,15 @@ class TestCollection:
         ]
         assert switches and set(switches) <= audited
 
-    def test_server_collection_survives_a_tenant_added_mid_read(self):
-        """A lane worker may register a tenant while the view walks the
-        lane's histograms; the view reads a copy of the dict."""
-        from types import SimpleNamespace
+    @pytest.mark.parametrize("missions", ["0", "-3"])
+    def test_demo_refuses_fewer_than_one_mission(self, missions, capsys):
+        """``--missions`` below 1 is refused, not run as an empty demo."""
+        from repro.obs.__main__ import main
 
-        class Intruding(LatencyHistogram):
-            """A tenant's histogram whose bucket read registers a new tenant
-            on the lane, as its worker can between two view steps."""
-
-            def __init__(self, lane):
-                self._lane = None
-                super().__init__()
-                self.record_many([1e-3, 2e-3, 4e-3])
-                self._lane = lane  # from here on, every read intrudes
-
-            @property
-            def counts(self):
-                if self._lane is not None:
-                    self._lane.histograms.setdefault("late", LatencyHistogram())
-                return self._counts
-
-            @counts.setter
-            def counts(self, value):
-                self._counts = value
-
-        lane = SimpleNamespace(completed=3, rejected=0, histograms={})
-        lane.histograms["early"] = Intruding(lane)
-        server = SimpleNamespace(
-            engine=LSMTree(SystemConfig()), lanes=[lane], windows=[], tuners=[]
-        )
-        (record,) = telemetry_view(server)["lanes"]
-        assert list(record["tenants"]) == ["early"]
-        assert record["tenants"]["early"]["count"] == 3
-        assert record["completed"] == 3
-        assert "late" in lane.histograms
+        with pytest.raises(SystemExit) as exited:
+            main(["--demo", "--missions", missions])
+        assert exited.value.code == 2
+        assert "--missions must be >= 1" in capsys.readouterr().err
 
 
 # ======================================================================
@@ -504,7 +477,7 @@ class TestZeroSimImpact:
 class TestServeTracing:
     def test_server_emits_nested_serve_spans(self):
         from repro.serve.server import KVServer
-        from repro.serve.loadgen import TenantSpec, run_load
+        from repro.serve.loadgen import LoadSpec, run_load
 
         store = small_store(tune=False, n_shards=2)
         keys = np.arange(2000, dtype=np.int64)
@@ -512,13 +485,13 @@ class TestServeTracing:
         tracer = Tracer()
         server = KVServer(store.engine, max_batch=64, tracer=tracer)
         workload = UniformWorkload(n_records=2000, lookup_fraction=0.5, seed=5)
-        tenant = TenantSpec(
-            name="t", workload=workload, n_ops=800,
+        spec = LoadSpec(
+            workload=workload, n_ops=800,
             n_clients=1, closed_loop=True, mission_size=200, seed=5,
         )
         server.start()
         try:
-            run_load(server, [tenant])
+            run_load(server, spec)
         finally:
             server.stop()
         roots = tracer.spans()
@@ -532,5 +505,5 @@ class TestServeTracing:
         lanes = json.loads(json.dumps(telemetry_view(server)))["lanes"]
         completed = sum(lane["completed"] for lane in lanes)
         assert completed == server.total_completed > 0
-        assert sum(lane["tenants"]["t"]["count"] for lane in lanes) == completed
+        assert sum(lane["latency"]["count"] for lane in lanes) == completed
 

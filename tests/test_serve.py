@@ -30,8 +30,8 @@ from repro.serve import (
     REQ_RANGE,
     ClosedLoopClient,
     KVServer,
+    LoadSpec,
     Request,
-    TenantSpec,
     request_stream,
     requests_from_mission,
     run_load,
@@ -169,7 +169,7 @@ class TestAdmissionControl:
     def test_queue_depth_metrics(self):
         store, workload = loaded_store(n_shards=2)
         with KVServer(store, max_batch=16) as server:
-            for request in request_stream(workload, 500, tenant="t"):
+            for request in request_stream(workload, 500):
                 server.submit(request, timeout=5.0)
             deadline = time.time() + 10.0
             while server.total_completed < 500 and time.time() < deadline:
@@ -237,30 +237,8 @@ class TestHandOff:
         assert len(box.items) == 188
         assert box.take(512, timeout=0.0) == items[512:]
         assert box.take(512, timeout=0.0) == []
-        box.close(drain=True)
+        box.close()
         assert box.take(512, timeout=0.0) is None
-
-    def test_per_tenant_histograms_account_for_every_request(self):
-        store, workload = loaded_store(n_shards=2)
-        streams = {
-            "a": list(request_stream(workload, 700, tenant="a")),
-            "b": list(request_stream(workload, 300, tenant="b")),
-        }
-        mixed = [
-            request
-            for pair in zip(streams["a"], streams["b"] + [None] * 400)
-            for request in pair
-            if request is not None
-        ]
-        with KVServer(store, max_batch=64) as server:
-            for request in mixed:
-                assert server.submit(request, timeout=10.0)
-        assert server.total_completed == 1_000
-        for tenant, stream in streams.items():
-            assert server.histogram(tenant).count == len(stream)
-        assert server.histogram().sum == pytest.approx(
-            sum(r.t_done - r.t_submit for r in mixed), abs=1e-9
-        )
 
 
 class TestLaneFailure:
@@ -463,22 +441,23 @@ class TestLaneFailure:
         the cause, instead of waiting out ``DRAIN_TIMEOUT_S``."""
         unhandled = []
         monkeypatch.setattr(threading, "excepthook", unhandled.append)
-        store, workload = loaded_store(n_shards=2)
-        server = KVServer(store).start()
         boom = RuntimeError("engine fault")
-        server.lanes[0].tree.get_batch = Mock(side_effect=boom)
-        tenants = [
-            TenantSpec(name="open", workload=workload, n_ops=2_000, rate=50_000.0, seed=1),
-            TenantSpec(name="closed", workload=workload, n_ops=300, n_clients=2, closed_loop=True),
-        ]
-        started = time.perf_counter()
-        with pytest.raises(ServeError) as raised:
-            run_load(server, tenants)
-        assert time.perf_counter() - started < 2.0
-        assert raised.value.__cause__ is boom
+        for closed_loop in (False, True):
+            store, workload = loaded_store(n_shards=2)
+            server = KVServer(store).start()
+            server.lanes[0].tree.get_batch = Mock(side_effect=boom)
+            if closed_loop:
+                spec = LoadSpec(workload, n_ops=300, n_clients=2, closed_loop=True)
+            else:
+                spec = LoadSpec(workload, n_ops=2_000, rate=50_000.0, seed=1)
+            started = time.perf_counter()
+            with pytest.raises(ServeError) as raised:
+                run_load(server, spec)
+            assert time.perf_counter() - started < 2.0
+            assert raised.value.__cause__ is boom
+            with pytest.raises(ServeError):
+                server.stop()
         assert unhandled == []
-        with pytest.raises(ServeError):
-            server.stop()
 
 
     @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])
@@ -492,11 +471,9 @@ class TestLaneFailure:
         boom = RuntimeError("client fault")
         with KVServer(store) as server:
             monkeypatch.setattr(server, "submit" if closed_loop else "try_submit", Mock(side_effect=boom))
-            tenant = TenantSpec(
-                name="t", workload=workload, n_ops=100, rate=50_000.0, closed_loop=closed_loop
-            )
+            spec = LoadSpec(workload, n_ops=100, rate=50_000.0, closed_loop=closed_loop)
             with pytest.raises(RuntimeError) as raised:
-                run_load(server, [tenant])
+                run_load(server, spec)
         assert raised.value is boom
         assert unhandled == []
 
@@ -505,18 +482,7 @@ class TestLoadGeneration:
     def test_open_loop_replays_every_op_when_underloaded(self):
         store, workload = loaded_store(n_shards=2)
         with KVServer(store) as server:
-            report = run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="uniform",
-                        workload=workload,
-                        n_ops=2_000,
-                        rate=50_000.0,
-                        seed=3,
-                    )
-                ],
-            )
+            report = run_load(server, LoadSpec(workload, n_ops=2_000, rate=50_000.0, seed=3))
         assert report.offered == 2_000
         assert report.dropped == 0
         assert report.completed == 2_000
@@ -527,19 +493,8 @@ class TestLoadGeneration:
     def test_closed_loop_completes_all(self):
         store, workload = loaded_store(n_shards=2)
         with KVServer(store, max_batch=8) as server:
-            report = run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="sync",
-                        workload=workload,
-                        n_ops=300,
-                        n_clients=3,
-                        closed_loop=True,
-                        seed=5,
-                    )
-                ],
-            )
+            spec = LoadSpec(workload, n_ops=300, n_clients=3, closed_loop=True, seed=5)
+            report = run_load(server, spec)
         assert report.dropped == 0
         assert report.completed == report.offered
         # Closed-loop latency excludes no queueing: every request was
@@ -564,59 +519,14 @@ class TestLoadGeneration:
         assert client.result.timed_out == 1
         assert client.result.accepted == client.result.offered == 2
 
-    def test_multi_tenant_mix_reports_per_tenant_tails(self):
-        store, workload = loaded_store(n_shards=2)
-        zipf_like = UniformWorkload(4_000, lookup_fraction=0.1, seed=31)
-        with KVServer(store) as server:
-            report = run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="readers",
-                        workload=workload,
-                        n_ops=1_000,
-                        rate=30_000.0,
-                        seed=1,
-                    ),
-                    TenantSpec(
-                        name="writers",
-                        workload=zipf_like,
-                        n_ops=800,
-                        rate=20_000.0,
-                        n_clients=2,
-                        seed=2,
-                    ),
-                ],
-            )
-        assert set(report.tenant_histograms) == {"readers", "writers"}
-        assert report.tenant_histograms["readers"].count == 1_000
-        assert report.tenant_histograms["writers"].count == 800
-        merged = report.histogram
-        assert merged.count == 1_800
-        # The merged histogram is exactly the tenant histograms combined.
-        assert merged.count == sum(
-            h.count for h in report.tenant_histograms.values()
-        )
-
     def test_client_split_offers_exact_op_count(self):
         """n_ops splits exactly across clients even when not divisible."""
         store, workload = loaded_store(n_shards=2)
         with KVServer(store) as server:
-            report = run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="t",
-                        workload=workload,
-                        n_ops=1_000,
-                        rate=50_000.0,
-                        n_clients=3,
-                        seed=7,
-                    )
-                ],
-            )
+            spec = LoadSpec(workload, n_ops=1_000, rate=50_000.0, n_clients=3, seed=7)
+            report = run_load(server, spec)
         assert report.offered == 1_000
-        assert report.completed == 1_000
+        assert report.completed == report.histogram.count == 1_000
 
     def test_request_stream_advances_through_missions(self):
         workload = UniformWorkload(1_000, lookup_fraction=0.5, seed=9)
@@ -634,7 +544,7 @@ class TestLoadGeneration:
         ids=["uniform", "dynamic"],
     )
     def test_each_client_replays_its_own_stream(self, workload):
-        """``run_load`` reseeds client ``c`` by ``101 * c`` (at tenant seed
+        """``run_load`` reseeds client ``c`` by ``101 * c`` (at load seed
         0): client 0 replays the workload's own stream, client 1 another —
         a dynamic schedule is reseeded phase by phase."""
 
@@ -666,7 +576,7 @@ class TestLoadGeneration:
         mission.spans[:3] = 10, 0, 0
         kind_of = {OP_LOOKUP: REQ_GET, OP_UPDATE: REQ_PUT, OP_RANGE: REQ_RANGE}
         expected = [
-            Request(kind_of[op], key, value=value, span=span, tenant="t", wait=True)
+            Request(kind_of[op], key, value=value, span=span, wait=True)
             for op, key, value, span in zip(
                 mission.kinds.tolist(), mission.keys.tolist(),
                 mission.values.tolist(), mission.spans.tolist(),
@@ -677,7 +587,7 @@ class TestLoadGeneration:
         monkeypatch.setattr(
             Request, "__init__", lambda self, *a, **k: calls.append(a) or real_init(self, *a, **k)
         )
-        built = list(requests_from_mission(mission, "t", True))
+        built = list(requests_from_mission(mission, wait=True))
         assert calls == []  # validated per block, not per object
         assert len(built) == len(mission)
         for request, twin in zip(built, expected):
@@ -746,21 +656,11 @@ class TestTuningLoop:
         with KVServer(
             store, tuners=tuners, window_ops=400, max_batch=32
         ) as server:
-            report = run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="t",
-                        workload=workload,
-                        n_ops=2_000,
-                        # Slow enough that the run outlasts several tuning-
-                        # loop poll cycles; the loop closes windows on op
-                        # count, but only as fast as it wakes.
-                        rate=8_000.0,
-                        seed=4,
-                    )
-                ],
-            )
+            # Slow enough that the run outlasts several tuning-loop poll
+            # cycles; the loop closes windows on op count, but only as fast
+            # as it wakes.
+            spec = LoadSpec(workload, n_ops=2_000, rate=8_000.0, seed=4)
+            report = run_load(server, spec)
         assert report.completed == 2_000
         # Window boundaries closed live (plus the final partial window
         # closed by stop()).
@@ -779,18 +679,7 @@ class TestTuningLoop:
         with KVServer(
             store, tuners=[lerp], window_ops=300, max_batch=64
         ) as server:
-            run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="t",
-                        workload=workload,
-                        n_ops=1_500,
-                        rate=50_000.0,
-                        seed=6,
-                    )
-                ],
-            )
+            run_load(server, LoadSpec(workload, n_ops=1_500, rate=50_000.0, seed=6))
         assert lerp.total_model_update_s > 0.0, (
             "Lerp never updated its model live"
         )
@@ -800,18 +689,7 @@ class TestTuningLoop:
         rule — counts across windows equal the requests served."""
         store, workload = loaded_store(n_shards=2)
         with KVServer(store, window_ops=250) as server:
-            report = run_load(
-                server,
-                [
-                    TenantSpec(
-                        name="t",
-                        workload=workload,
-                        n_ops=1_000,
-                        rate=30_000.0,
-                        seed=8,
-                    )
-                ],
-            )
+            report = run_load(server, LoadSpec(workload, n_ops=1_000, rate=30_000.0, seed=8))
         assert report.completed == 1_000
         counts = sum(w.stats.n_operations for w in server.windows)
         assert counts == 1_000
@@ -837,12 +715,13 @@ class TestStopSemantics:
         store, workload = loaded_store(n_shards=2)
         server = KVServer(store, queue_capacity=2_000, max_batch=16)
         server.start()
-        accepted = 0
-        for request in request_stream(workload, 1_000, tenant="t"):
-            if server.try_submit(request):
-                accepted += 1
-        server.stop(drain=True)
-        assert server.total_completed == accepted
+        accepted = [r for r in request_stream(workload, 1_000) if server.try_submit(r)]
+        server.stop()
+        assert server.total_completed == server.histogram().count == len(accepted)
+        # Every served request's wait is recorded, once.
+        assert server.histogram().sum == pytest.approx(
+            sum(r.t_done - r.t_submit for r in accepted), abs=1e-9
+        )
 
     def test_stop_twice_is_noop(self):
         store, _ = loaded_store()
@@ -850,33 +729,18 @@ class TestStopSemantics:
         server.stop()
         server.stop()
 
-    def test_restart_after_undrained_stop_serves_again(self):
-        """Stopping is a mailbox state, not an item left in the stream:
-        nothing stale meets the worker a restart creates."""
-        store, workload = loaded_store(n_shards=1)
-        server = KVServer(store).start()
-        server.stop(drain=False)
-        server.start()
-        probe = Request(REQ_GET, 1, wait=True)
-        assert server.submit(probe, timeout=5.0)
-        assert probe.done.wait(5.0), "restarted lane worker is not serving"
-        server.stop()
-
     def test_second_run_load_reports_only_its_own_traffic(self):
         """LoadReport histograms/counters are per-call deltas, not the
         server's lifetime cumulatives."""
         store, workload = loaded_store(n_shards=2)
         with KVServer(store) as server:
-            spec = lambda seed: TenantSpec(  # noqa: E731
-                name="t", workload=workload, n_ops=500, rate=40_000.0, seed=seed
-            )
-            first = run_load(server, [spec(1)])
-            second = run_load(server, [spec(2)])
+            spec = lambda seed: LoadSpec(workload, n_ops=500, rate=40_000.0, seed=seed)  # noqa: E731
+            first = run_load(server, spec(1))
+            second = run_load(server, spec(2))
         assert first.completed == 500
         assert second.completed == 500
         assert first.histogram.count == 500
         assert second.histogram.count == 500
-        assert second.tenant_histograms["t"].count == 500
         # The server's own view stays cumulative.
         assert server.histogram().count == 1_000
 
@@ -893,7 +757,7 @@ class TestStopSemantics:
     def test_final_window_closed_on_stop(self):
         store, workload = loaded_store(n_shards=2)
         server = KVServer(store).start()
-        for request in request_stream(workload, 100, tenant="t"):
+        for request in request_stream(workload, 100):
             server.submit(request, timeout=5.0)
         server.stop()
         assert len(server.windows) == 1
@@ -918,16 +782,16 @@ class TestServingComparison:
         monkeypatch.setattr(experiments, "serving_scale", lambda scale=None: tiny)
         offered = []
 
-        def recording_run_load(server, tenants):
-            offered.extend(tenants)
-            return run_load(server, tenants)
+        def recording_run_load(server, spec):
+            offered.append(spec)
+            return run_load(server, spec)
 
         monkeypatch.setattr(experiments, "run_load", recording_run_load)
         scale = dataclasses.replace(bench_scale(), n_records=2_000)
         runs = experiments.run_serving_comparison(scale=scale)
 
         assert len(runs) == 4
-        assert [(t.n_ops, t.rate) for t in offered] == [(400, 20_000.0)] * 4
+        assert [(spec.n_ops, spec.rate) for spec in offered] == [(400, 20_000.0)] * 4
         for run in runs.values():
             assert run.report.offered == 400
             assert run.report.completed == run.report.accepted
@@ -951,8 +815,11 @@ class TestServeCLI:
             (["--rate", "-5"], "rate must be finite and > 0"),
             (["--window-ops", "-1"], "window_ops must be finite and >= 0"),
             (["--trace-every", "0"], "--trace-every must be >= 1"),
+            (["--static-policy", "0"], "initial_policy must be in [1, T]=[1, 10], got 0"),
+            (["--static-policy", "11"], "initial_policy must be in [1, T]=[1, 10], got 11"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
         ],
-        ids=["ops", "rate", "window-ops", "trace-every"],
+        ids=["ops", "rate", "window-ops", "trace-every", "static-policy-0", "static-policy-11", "seed"],
     )
     def test_out_of_domain_flags_exit_2_before_a_store_is_built(
         self, monkeypatch, capsys, flags, refusal

@@ -20,7 +20,14 @@ from repro.bench import (
     session_bounds,
     session_rankings,
 )
-from repro.bench.harness import _resume_fingerprint
+
+
+def first_missions(experiment):
+    """The first mission of every session of ``experiment``'s schedule."""
+    return [
+        next(phase.spec.missions(1, experiment.mission_size))
+        for phase in experiment.workload.phases
+    ]
 
 
 def run_greedy_comparison():
@@ -28,10 +35,13 @@ def run_greedy_comparison():
     # RusKey's series is Fig. 7's: the same schedule, config and Lerp.
     fig7 = dynamic_workload_experiment()
     ruskey, greedy = experiment.systems[0], experiment.systems[1:]
-    assert experiment.base_config == fig7.base_config
-    assert _resume_fingerprint(experiment, ruskey) == _resume_fingerprint(
-        fig7, fig7.systems[0]
-    )
+    for shape in ("base_config", "mission_size", "n_missions", "chunk_size"):
+        assert getattr(experiment, shape) == getattr(fig7, shape), shape
+    assert repr(ruskey.lerp_config) == repr(fig7.systems[0].lerp_config)
+    assert session_bounds(experiment.workload) == session_bounds(fig7.workload)
+    for ours, theirs in zip(first_missions(experiment), first_missions(fig7)):
+        for column in ("kinds", "keys", "values", "spans"):
+            assert np.array_equal(getattr(ours, column), getattr(theirs, column))
     results = {
         **run_cached(fig7, [ruskey.name]),
         **run_cached(experiment, [system.name for system in greedy]),

@@ -4,23 +4,10 @@ One *system* is a named way of building a store (a tuner plus its natural
 initial policy); one *experiment* runs several systems over one workload and
 collects per-mission latency series, policy traces and mission statistics —
 the raw material of every figure and table in the paper's evaluation.
-
-Long experiments can be checkpointed and resumed: set
-``Experiment.checkpoint_every`` (missions per checkpoint) and re-run with
-``resume=True`` — or drive it from the command line::
-
-    python -m repro.bench dynamic --checkpoint-every 100 --resume
-
-Resume is *bit-exact*: workload generators are deterministic from their
-seed, so the already-processed prefix of the mission stream is regenerated
-and skipped, and the restored store (engine + tuners, see
-:mod:`repro.persist`) continues as if never interrupted.
 """
 
 from __future__ import annotations
 
-import os
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -103,13 +90,7 @@ class SeriesResult:
 
 @dataclass
 class Experiment:
-    """A workload plus run-shape parameters shared by all systems.
-
-    ``checkpoint_every > 0`` snapshots each system's full store (engine +
-    tuners, via :mod:`repro.persist`) every that-many missions under
-    ``checkpoint_dir``; with ``resume=True`` an interrupted run picks up
-    from the latest checkpoint and finishes bit-exactly.
-    """
+    """A workload plus run-shape parameters shared by all systems."""
 
     name: str
     workload: WorkloadSpec
@@ -118,65 +99,10 @@ class Experiment:
     base_config: SystemConfig
     chunk_size: int = 128
     systems: List[SystemSpec] = field(default_factory=list)
-    checkpoint_every: int = 0
-    checkpoint_dir: str = "checkpoints"
-    resume: bool = False
 
     def __post_init__(self) -> None:
         if self.n_missions < 1 or self.mission_size < 1:
             raise WorkloadError("n_missions and mission_size must be >= 1")
-        if self.checkpoint_every < 0:
-            raise WorkloadError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
-
-
-def _slug(text: str) -> str:
-    """A filesystem-safe token for checkpoint file names."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "unnamed"
-
-
-def checkpoint_path(experiment: Experiment, system: SystemSpec) -> str:
-    """Where one system's checkpoint of this experiment lives."""
-    return os.path.join(
-        experiment.checkpoint_dir,
-        f"{_slug(experiment.name)}__{_slug(system.name)}.ckpt",
-    )
-
-
-def _workload_fingerprint(workload: WorkloadSpec) -> object:
-    """What generates ``workload``'s mission stream: its public scalar
-    parameters (seed, mix, record count, ...), per phase for a dynamic
-    schedule."""
-    if hasattr(workload, "phases"):
-        return workload.name, [
-            (_workload_fingerprint(phase.spec), phase.n_missions)
-            for phase in workload.phases
-        ]
-    return sorted(
-        (key, value)
-        for key, value in vars(workload).items()
-        if not key.startswith("_") and isinstance(value, (bool, int, float, str))
-    )
-
-
-def _resume_fingerprint(
-    experiment: Experiment, system: SystemSpec
-) -> Dict[str, object]:
-    """Identifies the run a checkpoint was cut from.
-
-    The store config alone cannot distinguish two runs that share a
-    ``SystemConfig`` but differ in workload seed, mix, record count,
-    mission size or tuner hyperparameters, so this fingerprint is saved in
-    checkpoint meta and must match on resume. (Tuners built by a custom
-    ``make_tuner`` closure are beyond fingerprinting; ``lerp_config``
-    covers the default path.)
-    """
-    return {
-        "workload": _workload_fingerprint(experiment.workload),
-        "mission_size": experiment.mission_size,
-        "lerp_config": repr(system.lerp_config),
-    }
 
 
 def build_store(experiment: Experiment, system: SystemSpec, engine=None) -> RusKey:
@@ -211,59 +137,12 @@ def build_store(experiment: Experiment, system: SystemSpec, engine=None) -> RusK
 
 
 def run_system(experiment: Experiment, system: SystemSpec) -> SeriesResult:
-    """Run one system through the experiment's workload (checkpointing and
-    resuming per the experiment's settings)."""
-    ckpt_path: Optional[str] = None
-    if experiment.checkpoint_every > 0 or experiment.resume:
-        os.makedirs(experiment.checkpoint_dir, exist_ok=True)
-        ckpt_path = checkpoint_path(experiment, system)
-    store: Optional[RusKey] = None
-    if experiment.resume and ckpt_path and os.path.exists(ckpt_path):
-        from repro.errors import SnapshotError
-        from repro.persist import load_snapshot
-
-        payload = load_snapshot(ckpt_path, expected_kind="store")
-        store = payload["object"]
-        if (
-            store.config
-            != experiment.base_config.with_updates(initial_policy=system.initial_policy)
-            or store.runner.chunk_size != experiment.chunk_size
-            or payload["meta"].get("fingerprint")
-            != _resume_fingerprint(experiment, system)
-        ):
-            raise SnapshotError(
-                f"checkpoint {ckpt_path} was taken under a different "
-                "configuration, workload shape or tuner setup (e.g. "
-                "another REPRO_BENCH_SCALE or chunk size); delete it or "
-                "rerun with the matching settings"
-            )
-    if store is None:
-        store = build_store(experiment, system)
-    done = store.missions_run
-    missions = experiment.workload.missions(
-        experiment.n_missions, experiment.mission_size
+    """Run one system through the experiment's workload, start to finish."""
+    store = build_store(experiment, system)
+    missions = store.run_missions(
+        experiment.workload.missions(experiment.n_missions, experiment.mission_size)
     )
-    for index, mission in enumerate(missions):
-        if index < done:
-            continue  # deterministic generator: regenerate and skip
-        store.run_mission(mission)
-        if (
-            ckpt_path
-            and experiment.checkpoint_every > 0
-            and (index + 1) % experiment.checkpoint_every == 0
-        ):
-            from repro.persist import save_store
-
-            fingerprint = _resume_fingerprint(experiment, system)
-            meta = {"experiment": experiment.name, "fingerprint": fingerprint}
-            save_store(store, ckpt_path, meta=meta)
-    # A checkpoint may hold more missions than this run asked for (resuming
-    # a shortened experiment); report exactly the requested prefix.
-    return SeriesResult(
-        system=system.name,
-        missions=store.mission_log[: experiment.n_missions],
-        policy_history=store.policy_history[: experiment.n_missions],
-    )
+    return SeriesResult(system.name, missions, store.policy_history)
 
 
 def run_experiment(experiment: Experiment) -> Dict[str, SeriesResult]:

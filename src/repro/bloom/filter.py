@@ -80,10 +80,6 @@ class BitArrayBloomFilter:
     def num_bits(self) -> int:
         return self._num_bits
 
-    @property
-    def num_hashes(self) -> int:
-        return self._num_hashes
-
     def _positions(self, keys: np.ndarray) -> np.ndarray:
         """Bit positions for each key: shape ``(len(keys), num_hashes)``."""
         raw = keys.astype(np.int64).view(np.uint64) ^ self._salt

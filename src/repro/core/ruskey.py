@@ -202,7 +202,7 @@ class RusKey(DerivedMembers):
 
     @property
     def missions_run(self) -> int:
-        """Number of missions processed so far (the resume cursor)."""
+        """Number of missions processed so far."""
         return len(self.mission_log)
 
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Versioned snapshot files for engines, tuners and whole stores.
 
 The paper's deployment story depends on state that outlives a process: Lerp
-is "pre-trained offline and redeployed" across workloads, and long benchmark
-runs must be resumable. A snapshot is the pickled object (DESIGN.md §6): the
-engine, the :class:`~repro.core.ruskey.RusKey` or the tuner as it stands, so
-a shared tuner, a shared audit log and a shared RNG come back shared.
+is "pre-trained offline and redeployed" across workloads. A snapshot is the
+pickled object (DESIGN.md §6): the engine, the
+:class:`~repro.core.ruskey.RusKey` or the tuner as it stands, so a shared
+tuner, a shared audit log and a shared RNG come back shared.
 
 A snapshot file is one frame of :mod:`repro.durable.log` (``u32 length |
 u32 crc32 | payload``, the frame the WAL and the manifest are written in)
@@ -12,10 +12,9 @@ around a pickled envelope, a plain dict::
 
     {
         "magic": "repro-snapshot",
-        "format_version": 3,
+        "format_version": 5,
         "kind": "engine" | "store" | "tuner",
         "repro_version": "...",          # library that wrote the file
-        "meta": {...},                   # caller-supplied annotations
         "object": b"...",                # the object, itself a pickle
     }
 
@@ -55,12 +54,7 @@ MAGIC = "repro-snapshot"
 FORMAT_VERSION = 5
 
 
-def save_snapshot(
-    path: str,
-    kind: str,
-    obj: object,
-    meta: Optional[Dict[str, object]] = None,
-) -> None:
+def save_snapshot(path: str, kind: str, obj: object) -> None:
     """Pickle ``obj`` to ``path`` as a versioned snapshot of ``kind``
     (atomically *and* durably via :mod:`repro.durable.atomio`: the
     published file is complete or absent, never half-written, and both its
@@ -75,7 +69,6 @@ def save_snapshot(
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "repro_version": __version__,
-        "meta": dict(meta) if meta else {},
         "object": blob,
     }
     try:
@@ -129,9 +122,9 @@ def load_snapshot(path: str, expected_kind: Optional[str] = None) -> Dict[str, A
     return envelope
 
 
-def save_engine(engine, path: str, meta: Optional[Dict[str, object]] = None) -> None:
+def save_engine(engine, path: str) -> None:
     """Snapshot a bare engine (tree, sharded or durable store)."""
-    save_snapshot(path, "engine", engine, meta)
+    save_snapshot(path, "engine", engine)
 
 
 def load_engine(path: str):
@@ -141,9 +134,9 @@ def load_engine(path: str):
     return load_snapshot(path, expected_kind="engine")["object"]
 
 
-def save_tuner(tuner, path: str, meta: Optional[Dict[str, object]] = None) -> None:
+def save_tuner(tuner, path: str) -> None:
     """Snapshot one tuner (e.g. a trained Lerp for later redeployment)."""
-    save_snapshot(path, "tuner", tuner, meta)
+    save_snapshot(path, "tuner", tuner)
 
 
 def load_tuner(path: str):
@@ -151,10 +144,10 @@ def load_tuner(path: str):
     return load_snapshot(path, expected_kind="tuner")["object"]
 
 
-def save_store(store, path: str, meta: Optional[Dict[str, object]] = None) -> None:
+def save_store(store, path: str) -> None:
     """Snapshot a whole :class:`~repro.core.ruskey.RusKey` store: engine,
     tuner(s), audit log, mission and policy logs."""
-    save_snapshot(path, "store", store, meta)
+    save_snapshot(path, "store", store)
 
 
 def load_store(path: str):

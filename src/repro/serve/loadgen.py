@@ -24,6 +24,7 @@ never touched.
 from __future__ import annotations
 
 import copy
+import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -159,8 +160,8 @@ class OpenLoopClient(_Client):
         rate: float,
         seed: int = 0,
     ) -> None:
-        if rate <= 0.0:
-            raise ConfigError(f"rate must be > 0, got {rate}")
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ConfigError(f"rate must be finite and > 0, got {rate}")
         super().__init__(name="open-loop", daemon=True)
         self.server = server
         self.requests = requests
@@ -254,8 +255,10 @@ class LoadSpec:
             raise WorkloadError(f"n_ops must be >= 1, got {self.n_ops}")
         if self.n_clients < 1:
             raise WorkloadError(f"n_clients must be >= 1, got {self.n_clients}")
-        if not self.closed_loop and self.rate <= 0.0:
-            raise WorkloadError(f"an open-loop load needs rate > 0, got {self.rate}")
+        if not self.closed_loop and not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise WorkloadError(
+                f"an open-loop load needs a finite rate > 0, got {self.rate}"
+            )
 
 
 @dataclass

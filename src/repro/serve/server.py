@@ -601,7 +601,7 @@ class KVServer:
         # lanes are frozen in ascending order.
         with self._window_mutex, ordered_lane_locks(self.lanes):
             parts = [lane.tree.end_mission() for lane in self.lanes]
-            save_engine(self.engine, path, meta={"live_server": True})
+            save_engine(self.engine, path)
             for lane in self.lanes:
                 lane.tree.begin_mission()
             self._append_window(parts, [list(l.tree.policies()) for l in self.lanes])

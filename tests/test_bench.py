@@ -37,9 +37,8 @@ from repro.bench.harness import SeriesResult
 from repro.bench.__main__ import main as bench_main
 from repro.config import BloomScheme, SystemConfig
 from repro.core.tuners import StaticTuner
-from repro.errors import ConfigError, SnapshotError, WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.lsm.stats import MissionStats
-from repro.workload.dynamic import DynamicWorkload, WorkloadPhase
 from repro.workload.uniform import UniformWorkload
 
 
@@ -58,15 +57,6 @@ def tiny_experiment(n_missions=6, systems=None):
             SystemSpec("K=1", lambda config: StaticTuner(1), 1),
             SystemSpec("K=10", lambda config: StaticTuner(10), 10),
         ],
-    )
-
-
-def _two_phases(second_mix):
-    return DynamicWorkload(
-        [
-            WorkloadPhase(UniformWorkload(1500, 0.5, seed=9), 3),
-            WorkloadPhase(UniformWorkload(1500, second_mix, seed=9), 3),
-        ]
     )
 
 
@@ -163,34 +153,6 @@ class TestHarness:
         assert format_summary(first, title="t") == format_summary(second, title="t")
         for name in first:
             assert first[name].missions == second[name].missions
-
-    @pytest.mark.parametrize(
-        "checkpointed, resumed_on",
-        [
-            (UniformWorkload(1500, 0.5, seed=9), UniformWorkload(1500, 0.5, seed=10)),
-            (UniformWorkload(1500, 0.5, seed=9), UniformWorkload(1500, 0.7, seed=9)),
-            (_two_phases(0.1), _two_phases(0.9)),
-        ],
-        ids=["seed", "mix", "later-phase"],
-    )
-    def test_resume_refuses_a_checkpoint_of_another_stream(
-        self, tmp_path, checkpointed, resumed_on
-    ):
-        """A checkpoint cut at mission 3 of one mission stream must not be
-        continued on another: that splices two streams into one series."""
-        system = SystemSpec("K=1", lambda config: StaticTuner(1), 1)
-        first = tiny_experiment(n_missions=3, systems=[system])
-        first.workload = checkpointed
-        first.checkpoint_every, first.checkpoint_dir = 3, os.fspath(tmp_path)
-        run_system(first, system)
-        resumed = tiny_experiment(n_missions=6, systems=[system])
-        resumed.workload = resumed_on
-        resumed.checkpoint_dir, resumed.resume = os.fspath(tmp_path), True
-        with pytest.raises(SnapshotError, match="workload shape"):
-            run_system(resumed, system)
-        # The stream the checkpoint was cut from resumes.
-        resumed.workload = checkpointed
-        assert len(run_system(resumed, system).missions) == 6
 
 
 class TestExperimentConfigs:

@@ -369,14 +369,22 @@ def test_sstable_refuses_version_one(tmp_path, tiny_config):
 
 
 def test_sstable_truncation_detected(tmp_path, tiny_config):
+    """A prefix shorter than header + footer (53 + 8 bytes) is refused as
+    too short before any field is unpacked — never a ``struct.error`` —
+    and a longer one by the length its header implies."""
     tree, run = make_run(tiny_config)
     path = os.path.join(str(tmp_path), FILE_FMT.format(run.run_id, run.level_no))
     size = write_sstable(path, run)
     data = open(path, "rb").read()
     assert size == len(data)
-    open(path, "wb").write(data[: size // 2])
-    with pytest.raises(DurabilityError):
-        read_sstable(path, tiny_config.bloom_mode, tree._rng)
+    assert SSTABLE_HEADER_BYTES + SSTABLE_FOOTER_BYTES == 61
+    for length, reason in [
+        (0, "too short"), (8, "too short"), (45, "too short"),
+        (52, "too short"), (60, "too short"), (size // 2, "truncated"),
+    ]:
+        open(path, "wb").write(data[:length])
+        with pytest.raises(DurabilityError, match=reason):
+            read_sstable(path, tiny_config.bloom_mode, tree._rng)
 
 
 # ----------------------------------------------------------------------

@@ -20,12 +20,6 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.bench.harness import (
-    Experiment,
-    SystemSpec,
-    checkpoint_path,
-    run_system,
-)
 from repro.config import SystemConfig
 from repro.core.joint import JointLerp
 from repro.core.lerp import AllLevelsLerp, Lerp, LerpConfig, per_shard_tuners
@@ -84,7 +78,6 @@ def write_envelope(path, version=FORMAT_VERSION, kind="engine"):
         "format_version": version,
         "kind": kind,
         "repro_version": "0",
-        "meta": {},
         "object": pickle.dumps(Tripwire(), protocol=4),
     }
     with open(path, "wb") as fh:
@@ -428,59 +421,6 @@ class TestLerpWarmStart:
         assert agent.noise.sigma == pytest.approx(
             agent.config.noise_sigma * 0.5
         )
-
-
-class TestHarnessCheckpointResume:
-    def test_interrupted_experiment_finishes_bit_exactly(
-        self, store_config, workload, tmp_path
-    ):
-        lerp = lerp_test_config()
-
-        def make_experiment(**overrides):
-            return Experiment(
-                name="ckpt-test",
-                workload=workload,
-                n_missions=20,
-                mission_size=300,
-                base_config=store_config,
-                chunk_size=32,
-                systems=[
-                    SystemSpec("RusKey", lambda c: None, 1, lerp_config=lerp)
-                ],
-                **overrides,
-            )
-
-        straight = run_system(make_experiment(), make_experiment().systems[0])
-
-        interrupted = make_experiment(
-            checkpoint_every=5, checkpoint_dir=os.fspath(tmp_path)
-        )
-        interrupted.n_missions = 10  # "crash" after 10 missions
-        run_system(interrupted, interrupted.systems[0])
-        assert os.path.exists(
-            checkpoint_path(interrupted, interrupted.systems[0])
-        )
-
-        finished = make_experiment(
-            checkpoint_every=5,
-            checkpoint_dir=os.fspath(tmp_path),
-            resume=True,
-        )
-        resumed = run_system(finished, finished.systems[0])
-        assert len(resumed.missions) == 20
-        assert straight.missions == resumed.missions
-        assert straight.policy_history == resumed.policy_history
-
-    def test_checkpoint_validation(self, store_config, workload):
-        with pytest.raises(Exception):
-            Experiment(
-                name="bad",
-                workload=workload,
-                n_missions=5,
-                mission_size=10,
-                base_config=store_config,
-                checkpoint_every=-1,
-            )
 
 
 class TestCacheStatsSurfaced:

@@ -21,7 +21,7 @@ from repro.config import SystemConfig
 from repro.core.lerp import Lerp, LerpConfig
 from repro.core.tuners import StaticTuner, Tuner
 from repro.engine.sharded import ShardedStore, shard_of_key
-from repro.errors import ConfigError, ServeError
+from repro.errors import ConfigError, ServeError, WorkloadError
 from repro.lsm import TOMBSTONE, FLSMTree
 from repro.serve import (
     REQ_DELETE,
@@ -31,6 +31,7 @@ from repro.serve import (
     ClosedLoopClient,
     KVServer,
     LoadSpec,
+    OpenLoopClient,
     Request,
     request_stream,
     requests_from_mission,
@@ -489,6 +490,16 @@ class TestLoadGeneration:
         assert report.histogram.count == 2_000
         assert report.throughput > 0
         assert 0.0 <= report.drop_fraction <= 1.0
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_open_loop_refuses_a_rate_that_is_not_finite_and_positive(self, rate):
+        """A NaN or infinite rate would pace nothing: both entry points
+        refuse it, as they refuse zero."""
+        workload = UniformWorkload(100, lookup_fraction=0.5, seed=1)
+        with pytest.raises(WorkloadError, match="finite rate > 0"):
+            LoadSpec(workload, n_ops=10, rate=rate)
+        with pytest.raises(ConfigError, match="finite and > 0"):
+            OpenLoopClient(Mock(), iter(()), rate)
 
     def test_closed_loop_completes_all(self):
         store, workload = loaded_store(n_shards=2)
